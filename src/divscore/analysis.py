@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .diversity import WeightVector
 from .model import (
@@ -64,8 +63,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     _require(n >= 3, f"need at least 3 pairs, got {n}")
     for v in list(xs) + list(ys):
         _require(math.isfinite(v), f"correlation inputs must be finite, got {v}")
-    rx = rankdata(xs)
-    ry = rankdata(ys)
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     _require(
         bool(np.ptp(rx) > 0) and bool(np.ptp(ry) > 0),
         "zero rank variance on one side (all values tied); correlation undefined",
@@ -74,6 +73,18 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     rho = max(-1.0, min(1.0, rho))
     pairs = tuple((float(x), float(y)) for x, y in zip(xs, ys))
     return CorrelationResult(rho=rho, n=n, pairs=pairs)
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks with ties given the mean of the ranks they span.
+
+    A value seen ``c`` times whose last copy sits at sorted position
+    ``e`` spans ranks ``e - c + 1 .. e``, whose mean is ``e - (c - 1) / 2``.
+    Every term is a half-integer, so the result is exact and equals
+    ``scipy.stats.rankdata(values)`` element for element.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def gap_report(

@@ -75,13 +75,15 @@ class LanguageSet:
     """
 
     members: tuple[LanguageRecord, ...]
+    _by_iso: dict[str, LanguageRecord] = field(init=False, repr=False, compare=False)
 
     def __init__(self, members: Iterable[LanguageRecord]) -> None:
         object.__setattr__(self, "members", tuple(members))
-        seen: set[str] = set()
+        by_iso: dict[str, LanguageRecord] = {}
         for rec in self.members:
-            _require(rec.iso not in seen, f"duplicate iso code {rec.iso!r} in language set")
-            seen.add(rec.iso)
+            _require(rec.iso not in by_iso, f"duplicate iso code {rec.iso!r} in language set")
+            by_iso[rec.iso] = rec
+        object.__setattr__(self, "_by_iso", by_iso)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -90,17 +92,17 @@ class LanguageSet:
         return iter(self.members)
 
     def __contains__(self, iso: str) -> bool:
-        return any(rec.iso == iso for rec in self.members)
+        return iso in self._by_iso
 
     @property
     def isos(self) -> tuple[str, ...]:
         return tuple(rec.iso for rec in self.members)
 
     def get(self, iso: str) -> LanguageRecord:
-        for rec in self.members:
-            if rec.iso == iso:
-                return rec
-        raise KeyError(f"no language {iso!r} in set")
+        try:
+            return self._by_iso[iso]
+        except KeyError:
+            raise KeyError(f"no language {iso!r} in set") from None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Rank correlation, gap diagnosis, and report serialization."""
 import json
 
+import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divscore.analysis import (
     MAX_GAP_EXAMPLES,
+    _average_ranks,
     attach_gap,
     deserialize_report,
     gap_report,
@@ -54,13 +56,28 @@ class TestSpearman:
         with pytest.raises(ValueError, match="finite"):
             spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0])
 
-    @given(
-        xs=st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=20),
-        ys=st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=20),
+    # Ties are the only case where average ranks differ from plain ranks,
+    # and uniform floats almost never tie, so values are also drawn from a
+    # small pool that includes both zeros.
+    _values = st.one_of(
+        st.floats(min_value=-10, max_value=10),
+        st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
     )
+
+    @given(
+        xs=st.lists(_values, min_size=3, max_size=20),
+        ys=st.lists(_values, min_size=3, max_size=20),
+    )
+    @example(xs=[-0.0, 0.0, 2.0, -1.0], ys=[0.5, 2.0, 0.0, -0.0])
+    @example(xs=[0.5, 0.5, 0.5, 0.5, 2.0], ys=[-1.0, 0.0, 0.5, 2.0, 2.0])
+    @example(xs=[2.0, -1.0, 0.5], ys=[0.5, 0.5, -1.0])
     def test_matches_scipy_property(self, xs, ys):
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
+        for values in (xs, ys):
+            np.testing.assert_array_equal(
+                _average_ranks(values), scipy.stats.rankdata(values), strict=True
+            )
         if len(set(xs)) < 2 or len(set(ys)) < 2:
             return
         expected = scipy.stats.spearmanr(xs, ys).statistic

@@ -2,6 +2,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -489,3 +491,20 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
         assert "error:" in err and "--bin-width" in err
+
+
+class TestImports:
+    def test_cli_loads_no_scipy(self):
+        """scipy is only the tests' ranking oracle; no command may pay its import."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import divscore.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "[]\n"
