@@ -6,10 +6,8 @@ deficit bins are under-represented, and each deficit lists example
 reference languages that would plug the hole.
 """
 
-import math
-
 from divscore.analysis import attach_gap
-from divscore.diversity import jmm_score
+from divscore.diversity import bin_index, jmm_score
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
 # mid-length European-style languages, nothing isolating, nothing
@@ -36,7 +34,7 @@ def main() -> None:
     # map each aligned bin to the reference languages that fall in it
     members: dict[str, list[str]] = {}
     for iso, value in sorted(REFERENCE.items()):
-        members.setdefault(f"bin{math.floor(value / width)}", []).append(iso)
+        members.setdefault(f"bin{bin_index(value, width)}", []).append(iso)
     report = attach_gap(report, members)
     gap = report.gap
 

@@ -16,9 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diversity import WeightVector
+from .diversity import WeightVector, overlap_series  # noqa: F401 (re-exported)
 from .model import (
-    BinOverlap,
     DeficitBin,
     DiversityReport,
     GapReport,
@@ -126,25 +125,6 @@ def attach_gap(
     vec_d = WeightVector(labels, [r.dataset for r in report.per_bin])
     vec_r = WeightVector(labels, [r.reference for r in report.per_bin])
     return replace(report, gap=gap_report(vec_d, vec_r, reference_members))
-
-
-def overlap_series(a: WeightVector, b: WeightVector) -> tuple[BinOverlap, ...]:
-    """Per-bin (a, b, min, max) rows; the min and max column sums are the
-    minmax Jaccard numerator and denominator of the same vectors."""
-    _require(
-        a.labels == b.labels,
-        "overlap series needs aligned weight vectors with identical labels",
-    )
-    return tuple(
-        BinOverlap(
-            label=lab,
-            dataset=float(wa),
-            reference=float(wb),
-            min_weight=float(min(wa, wb)),
-            max_weight=float(max(wa, wb)),
-        )
-        for lab, wa, wb in zip(a.labels, a.weights, b.weights)
-    )
 
 
 def serialize_report(report: DiversityReport, format: str) -> bytes:

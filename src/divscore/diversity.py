@@ -3,9 +3,9 @@
 Two families of diversity scores over language features:
 
 * Minmax Jaccard: bin the per-language measurements of each data set,
-  multiply every bin weight of the smaller set by the size ratio
-  c = max(|A|,|B|) / min(|A|,|B|) so that set size does not masquerade
-  as diversity, align the bins, and score
+  align the bins, multiply every bin weight of the smaller set by the
+  size ratio c = max(|A|,|B|) / min(|A|,|B|) so that set size does not
+  masquerade as diversity, and score
   sum_j min(a_j, b_j) / sum_j max(a_j, b_j). 1 means the distributions
   coincide after size normalization, 0 means disjoint support.
 
@@ -21,13 +21,22 @@ the Jaccard score under replication of a data set.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .model import BinnedDistribution, BinOverlap, DiversityReport, FeatureMatrix, _require
+
+_MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
+#: A float quotient farther than |q| * 2**-40 from every integer has the
+#: same floor as the decimal quotient: printing each operand as its
+#: shortest decimal and dividing in floats err by a few 2**-53 of |q|.
+_NEAR_INTEGER = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -64,21 +73,35 @@ class WeightVector:
         return {lab: float(w) for lab, w in zip(self.labels, self.weights)}
 
 
-def bin_measurements(values: Sequence[float], width: float) -> BinnedDistribution:
-    """Histogram a list of measurements into half-open bins of ``width``.
+def bin_index(value: float, width: float) -> int:
+    """Index k of the half-open bin [k*width, (k+1)*width) holding ``value``.
 
-    Value v lands in bin floor(v / width); the bin anchor is fixed at
-    0.0, so bin k covers [k*width, (k+1)*width) and a value exactly on a
-    boundary belongs to the upper bin.
+    ``value`` and ``width`` are read as the decimals they print as
+    (``repr``), which is also what CSV and JSON show, so 0.3 at width 0.1
+    lands in bin 3 and a value on a boundary belongs to the upper bin.
+    The float quotient decides whenever it is clearly away from an
+    integer; near an integer, or when a subnormal, zero or infinite
+    operand makes the quotient unreliable, the decimal floor decides.
     """
-    _require(len(values) > 0, "bin_measurements requires at least one value")
+    if width >= _MIN_NORMAL and abs(value) >= _MIN_NORMAL:
+        q = value / width
+        if _MIN_NORMAL <= abs(q) <= _MAX_FLOAT:
+            k = math.floor(q)
+            tol = abs(q) * _NEAR_INTEGER
+            if q - k > tol and k + 1 - q > tol:
+                return k
+    _require(math.isfinite(value), f"cannot bin non-finite value {value}")
     _require(
         math.isfinite(width) and width > 0,
         f"bin width must be a finite positive number, got {width}",
     )
-    for v in values:
-        _require(math.isfinite(v), f"cannot bin non-finite value {v}")
-    counts = Counter(math.floor(v / width) for v in values)
+    return Fraction(repr(float(value))) // Fraction(repr(float(width)))
+
+
+def bin_measurements(values: Sequence[float], width: float) -> BinnedDistribution:
+    """Histogram a list of measurements into the bins of :func:`bin_index`."""
+    _require(len(values) > 0, "bin_measurements requires at least one value")
+    counts = Counter(bin_index(v, width) for v in values)
     return BinnedDistribution(width, {k: float(n) for k, n in counts.items()})
 
 
@@ -103,10 +126,6 @@ def align_bins(a: BinnedDistribution, b: BinnedDistribution) -> tuple[WeightVect
         f"cannot align distributions with different bin widths "
         f"({a.bin_width} vs {b.bin_width})",
     )
-    _require(
-        a.anchor == b.anchor,
-        f"cannot align distributions with different anchors ({a.anchor} vs {b.anchor})",
-    )
     occ = a.occupied() + b.occupied()
     lo, hi = min(occ), max(occ)
     labels = [f"bin{k}" for k in range(lo, hi + 1)]
@@ -127,13 +146,40 @@ def jaccard_minmax(a: WeightVector, b: WeightVector) -> float:
     return num / den
 
 
-def _scaled(dist: BinnedDistribution, factor: float) -> BinnedDistribution:
-    if factor == 1.0:
-        return dist
-    return BinnedDistribution(
-        dist.bin_width,
-        {k: v * factor for k, v in dist.weights.items()},
-        anchor=dist.anchor,
+def overlap_series(a: WeightVector, b: WeightVector) -> tuple[BinOverlap, ...]:
+    """Per-bin (a, b, min, max) rows; the min and max column sums are the
+    minmax Jaccard numerator and denominator of the same vectors."""
+    _require(
+        a.labels == b.labels,
+        "overlap series needs aligned weight vectors with identical labels",
+    )
+    return tuple(
+        BinOverlap(
+            label=lab,
+            dataset=float(wa),
+            reference=float(wb),
+            min_weight=float(min(wa, wb)),
+            max_weight=float(max(wa, wb)),
+        )
+        for lab, wa, wb in zip(a.labels, a.weights, b.weights)
+    )
+
+
+def _size_normalized_report(
+    score_name: str, vec_d: WeightVector, vec_r: WeightVector, n_d: int, n_r: int
+) -> DiversityReport:
+    """Scale the smaller side's aligned weights by the size ratio, score,
+    and attach the per-bin table."""
+    c = normalization_scalar(n_d, n_r)
+    if n_d < n_r:
+        vec_d = WeightVector(vec_d.labels, vec_d.weights * c)
+    elif n_r < n_d:
+        vec_r = WeightVector(vec_r.labels, vec_r.weights * c)
+    return DiversityReport(
+        score_name=score_name,
+        value=jaccard_minmax(vec_d, vec_r),
+        per_bin=overlap_series(vec_d, vec_r),
+        normalization_c=c,
     )
 
 
@@ -145,36 +191,13 @@ def jmm_score(
 ) -> DiversityReport:
     """Minmax Jaccard between two sets of per-language measurements.
 
-    Bins both sides at ``width``, multiplies every weight of the smaller
-    set by the size ratio, aligns, and scores. The report carries the
+    Bins both sides at ``width``, aligns, multiplies every weight of the
+    smaller set by the size ratio, and scores. The report carries the
     scalar used and the per-bin min/max breakdown (post-scaling), whose
     column sums reproduce the score exactly.
     """
-    dist_d = bin_measurements(dataset, width)
-    dist_r = bin_measurements(reference, width)
-    c = normalization_scalar(len(dataset), len(reference))
-    if len(dataset) < len(reference):
-        dist_d = _scaled(dist_d, c)
-    elif len(reference) < len(dataset):
-        dist_r = _scaled(dist_r, c)
-    vec_d, vec_r = align_bins(dist_d, dist_r)
-    value = jaccard_minmax(vec_d, vec_r)
-    per_bin = tuple(
-        BinOverlap(
-            label=lab,
-            dataset=float(wd),
-            reference=float(wr),
-            min_weight=float(min(wd, wr)),
-            max_weight=float(max(wd, wr)),
-        )
-        for lab, wd, wr in zip(vec_d.labels, vec_d.weights, vec_r.weights)
-    )
-    return DiversityReport(
-        score_name=score_name,
-        value=value,
-        per_bin=per_bin,
-        normalization_c=c,
-    )
+    vec_d, vec_r = align_bins(bin_measurements(dataset, width), bin_measurements(reference, width))
+    return _size_normalized_report(score_name, vec_d, vec_r, len(dataset), len(reference))
 
 
 def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> WeightVector:
@@ -224,29 +247,12 @@ def jmm_syn(
         raise ValueError(
             f"feature lists differ in length: {dataset.n_features} vs {reference.n_features}"
         )
-    vec_d = syntactic_weights(dataset, count_zeros)
-    vec_r = syntactic_weights(reference, count_zeros)
-    c = normalization_scalar(dataset.n_languages, reference.n_languages)
-    if dataset.n_languages < reference.n_languages:
-        vec_d = WeightVector(vec_d.labels, vec_d.weights * c)
-    elif reference.n_languages < dataset.n_languages:
-        vec_r = WeightVector(vec_r.labels, vec_r.weights * c)
-    value = jaccard_minmax(vec_d, vec_r)
-    per_bin = tuple(
-        BinOverlap(
-            label=lab,
-            dataset=float(wd),
-            reference=float(wr),
-            min_weight=float(min(wd, wr)),
-            max_weight=float(max(wd, wr)),
-        )
-        for lab, wd, wr in zip(vec_d.labels, vec_d.weights, vec_r.weights)
-    )
-    return DiversityReport(
-        score_name="jmm_syn",
-        value=value,
-        per_bin=per_bin,
-        normalization_c=c,
+    return _size_normalized_report(
+        "jmm_syn",
+        syntactic_weights(dataset, count_zeros),
+        syntactic_weights(reference, count_zeros),
+        dataset.n_languages,
+        reference.n_languages,
     )
 
 

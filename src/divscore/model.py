@@ -270,22 +270,18 @@ class MorphFeatureSpec:
 class BinnedDistribution:
     """Weighted histogram over equal-width, half-open bins.
 
-    A value ``v`` falls in bin ``floor((v - anchor) / bin_width)``; bins
-    cover ``[anchor + k*w, anchor + (k+1)*w)``. The anchor is fixed at
-    0.0 throughout this package so bin assignment is deterministic and
-    comparable across runs.
+    Bin ``k`` covers ``[k*bin_width, (k+1)*bin_width)``; values are
+    assigned to bins by :func:`divscore.diversity.bin_index`.
     """
 
     bin_width: float
-    anchor: float
     weights: Mapping[int, float]
 
-    def __init__(self, bin_width: float, weights: Mapping[int, float], anchor: float = 0.0) -> None:
+    def __init__(self, bin_width: float, weights: Mapping[int, float]) -> None:
         _require(
             math.isfinite(bin_width) and bin_width > 0,
             f"bin_width must be a finite positive number, got {bin_width}",
         )
-        _require(math.isfinite(anchor), f"anchor must be finite, got {anchor}")
         w = {int(k): float(v) for k, v in weights.items()}
         _require(len(w) > 0, "distribution must have at least one bin")
         for k, v in w.items():
@@ -295,12 +291,7 @@ class BinnedDistribution:
             )
         _require(any(v > 0 for v in w.values()), "at least one bin weight must be positive")
         object.__setattr__(self, "bin_width", float(bin_width))
-        object.__setattr__(self, "anchor", float(anchor))
         object.__setattr__(self, "weights", w)
-
-    def bin_of(self, value: float) -> int:
-        _require(math.isfinite(value), f"cannot bin non-finite value {value}")
-        return math.floor((value - self.anchor) / self.bin_width)
 
     def occupied(self) -> list[int]:
         return sorted(k for k, v in self.weights.items() if v > 0)

@@ -1,24 +1,32 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from the definitions using only
-the standard library: Counter histograms, explicit floor binning, plain
-min/max sums, and textbook entropy formulas. Nothing imports divscore.
+the standard library: Counter histograms, exact decimal floor binning,
+plain min/max sums, and textbook entropy formulas. Nothing imports
+divscore.
 """
 import math
 from collections import Counter
+from fractions import Fraction
+
+
+def exact_bin(v, width):
+    """Bin k with k*width <= v < (k+1)*width, reading v and width as the
+    decimals they print as."""
+    return math.floor(Fraction(repr(v)) / Fraction(repr(width)))
 
 
 def brute_jmm(dataset, reference, width):
     """Minmax Jaccard of two measurement lists, from first principles.
 
-    Bin each side with floor(v / width), multiply every count of the
+    Bin each side with exact_bin(v, width), multiply every count of the
     smaller side by max(n, m) / min(n, m), then sum min and max over the
     union of occupied bins. Bins where one side is absent contribute 0
     to the min sum and the other side's weight to the max sum, so the
     union (not a contiguous range) is enough here.
     """
-    bins_d = Counter(math.floor(v / width) for v in dataset)
-    bins_r = Counter(math.floor(v / width) for v in reference)
+    bins_d = Counter(exact_bin(v, width) for v in dataset)
+    bins_r = Counter(exact_bin(v, width) for v in reference)
     c = max(len(dataset), len(reference)) / min(len(dataset), len(reference))
     wd = {k: float(n) for k, n in bins_d.items()}
     wr = {k: float(n) for k, n in bins_r.items()}
@@ -42,7 +50,7 @@ def bent(p):
 
 def brute_ti_morph(values, width):
     """Mean binary entropy of bin occupancy over occupied bins."""
-    bins = Counter(math.floor(v / width) for v in values)
+    bins = Counter(exact_bin(v, width) for v in values)
     ents = [bent(n / len(values)) for n in bins.values()]
     return sum(ents) / len(ents)
 

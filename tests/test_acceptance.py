@@ -22,7 +22,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divscore.diversity import jmm_score, ti_morph, ti_syn
@@ -136,6 +136,7 @@ def test_c04_duplication_invariance(a, b, k):
 
 
 @given(a=measurements, b=measurements)
+@example(a=[-1.0], b=[-5e-324])
 @settings(max_examples=150)
 def test_c04_bin_coarsening_monotonicity(a, b):
     assert jmm_score(a, b, 2.0).value >= jmm_score(a, b, 1.0).value - 1e-12

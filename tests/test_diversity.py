@@ -5,15 +5,17 @@ acceptance property suites; the acceptance tests re-run the headline
 properties at their pinned budgets.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divscore.diversity import (
     WeightVector,
     align_bins,
+    bin_index,
     bin_measurements,
     binary_entropy,
     jaccard_minmax,
@@ -25,7 +27,7 @@ from divscore.diversity import (
     ti_syn,
 )
 from divscore.model import BinnedDistribution, FeatureMatrix
-from oracles import brute_jmm, brute_ti_morph, brute_ti_syn
+from oracles import brute_jmm, brute_ti_morph, brute_ti_syn, exact_bin
 
 # {2.5, 3.5, 3.7} vs {3.2, 4.1} at width 1: c = 1.5 on the smaller side,
 # aligned columns A [1, 2, 0] and B [0, 1.5, 1.5], min-sum 1.5, max-sum
@@ -62,6 +64,66 @@ class TestWeightVector:
         v = WeightVector(["x"], [1.0])
         with pytest.raises(ValueError):
             v.weights[0] = 2.0
+
+
+decimal_widths = st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.5])
+
+
+@st.composite
+def near_bin_edges(draw, width):
+    """A value on a bin edge k * width, or one float beside it."""
+    edge = float(Fraction(repr(width)) * draw(st.integers(-10**4, 10**4)))
+    return draw(
+        st.sampled_from([edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)])
+    )
+
+
+class TestBinIndex:
+    def test_hand_cases(self):
+        cases = [
+            (0.0, 0.5, 0),
+            (0.49, 0.5, 0),
+            (0.5, 0.5, 1),  # a boundary belongs to the upper bin
+            (-0.1, 0.5, -1),
+            (0.3, 0.1, 3),  # 0.3 / 0.1 is 2.9999999999999996 in floats
+            (0.7, 0.1, 7),
+            (0.8999999999999999, 0.3, 2),  # the float quotient rounds up to 3.0
+            (3.45, 0.01, 345),
+            (-5e-324, 1.0, -1),
+            (-5e-324, 2.0, -1),  # the float quotient underflows to -0.0
+        ]
+        assert [bin_index(v, w) for v, w, _ in cases] == [k for _, _, k in cases]
+
+    @given(
+        v=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+        ),
+        width=st.one_of(decimal_widths, st.floats(min_value=5e-324, max_value=1e6)),
+    )
+    def test_matches_decimal_floor_property(self, v, width):
+        assert bin_index(v, width) == exact_bin(v, width)
+
+    @given(data=st.data(), width=decimal_widths)
+    def test_matches_decimal_floor_at_bin_edges_property(self, data, width):
+        v = data.draw(near_bin_edges(width))
+        assert bin_index(v, width) == exact_bin(v, width)
+
+    @given(data=st.data(), pair=st.sampled_from([(1.0, 2.0), (0.05, 0.1), (0.1, 0.5), (0.25, 1.0)]))
+    def test_coarse_bins_nest_fine_bins_property(self, data, pair):
+        fine, coarse = pair
+        k = int(Fraction(repr(coarse)) / Fraction(repr(fine)))
+        v = data.draw(near_bin_edges(fine))
+        assert bin_index(v, coarse) == bin_index(v, fine) // k
+
+    def test_rejects_non_finite_value(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            bin_index(math.inf, 1.0)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            bin_index(1.0, width)
 
 
 class TestBinning:
@@ -198,6 +260,7 @@ class TestJmmScore:
         assert jmm_score(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
 
     @given(a=measurements, b=measurements)
+    @example(a=[-1.0], b=[-5e-324])
     def test_coarsening_monotonicity_property(self, a, b):
         fine = jmm_score(a, b, 1.0).value
         coarse = jmm_score(a, b, 2.0).value

@@ -176,13 +176,6 @@ class TestMorphFeatureSpec:
 
 
 class TestBinnedDistribution:
-    def test_bin_of_floors_against_anchor(self):
-        d = BinnedDistribution(0.5, {0: 1.0})
-        assert d.bin_of(0.0) == 0
-        assert d.bin_of(0.49) == 0
-        assert d.bin_of(0.5) == 1  # boundary belongs to the upper bin
-        assert d.bin_of(-0.1) == -1
-
     def test_occupied_and_total(self):
         d = BinnedDistribution(1.0, {3: 2.0, 1: 0.0, 5: 1.0})
         assert d.occupied() == [3, 5]

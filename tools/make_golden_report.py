@@ -7,8 +7,10 @@ word length is len(), and the binning, size scaling, min/max sums, gap
 table, and entropy index are spelled out inline. That is only valid on
 the fixture corpora, whose restricted alphabet (single-code-point
 letters, single spaces) makes the simple operations agree with full
-Unicode segmentation. Regenerate after any change to the fixtures or to
-the score command's JSON envelope:
+Unicode segmentation. Bins follow the package's documented rule, an
+exact decimal floor, computed here with fractions.Fraction. Regenerate
+after any change to the fixtures or to the score command's JSON
+envelope:
 
     python3 tools/make_golden_report.py
 """
@@ -16,6 +18,7 @@ import csv
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 FIX = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
@@ -47,6 +50,12 @@ def mwls(dirname, scales):
     }
 
 
+def exact_bin(v):
+    """Bin k with k*BIN_WIDTH <= v < (k+1)*BIN_WIDTH, reading both as the
+    decimals they print as."""
+    return math.floor(Fraction(repr(v)) / Fraction(repr(BIN_WIDTH)))
+
+
 def bent(p):
     if p in (0.0, 1.0):
         return 0.0
@@ -56,7 +65,7 @@ def bent(p):
 def ti(values):
     bins = {}
     for v in values:
-        k = math.floor(v / BIN_WIDTH)
+        k = exact_bin(v)
         bins[k] = bins.get(k, 0) + 1
     ents = [bent(count / len(values)) for _, count in sorted(bins.items())]
     return sum(ents) / len(ents)
@@ -69,10 +78,10 @@ def main():
 
     bins_d, bins_r, members = {}, {}, {}
     for iso, m in ds.items():
-        k = math.floor(m / BIN_WIDTH)
+        k = exact_bin(m)
         bins_d[k] = bins_d.get(k, 0) + 1
     for iso, m in ref.items():
-        k = math.floor(m / BIN_WIDTH)
+        k = exact_bin(m)
         bins_r[k] = bins_r.get(k, 0) + 1
         members.setdefault(f"bin{k}", []).append(iso)
 
