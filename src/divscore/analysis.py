@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diversity import WeightVector, overlap_series  # noqa: F401 (re-exported)
+from .diversity import WeightVector
 from .model import (
     DeficitBin,
     DiversityReport,
@@ -30,7 +30,7 @@ SCHEMA_VERSION = "1"
 #: Maximum example languages listed per deficit bin.
 MAX_GAP_EXAMPLES = 5
 
-_FORMAT_ALIASES = {"json": "json", "csv": "csv", "svg": "svg", "svg-histogram": "svg"}
+_FORMATS = ("json", "csv", "svg")
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,14 @@ def serialize_report(report: DiversityReport, format: str) -> bytes:
     Output is a pure function of the report: identical reports serialize
     to identical bytes in every format.
     """
-    fmt = _FORMAT_ALIASES.get(format)
-    if fmt is None:
-        raise ValueError(
-            f"unsupported format {format!r}; choose one of "
-            f"{sorted(set(_FORMAT_ALIASES))}"
-        )
-    if fmt == "json":
+    if format not in _FORMATS:
+        raise ValueError(f"unsupported format {format!r}; choose one of {sorted(_FORMATS)}")
+    if format == "json":
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(report.to_dict())
         return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    _require(report.per_bin is not None, f"report has no per-bin table to render as {fmt}")
-    if fmt == "csv":
+    _require(report.per_bin is not None, f"report has no per-bin table to render as {format}")
+    if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["bin", "dataset", "reference", "min", "max"])

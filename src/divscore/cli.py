@@ -1,10 +1,19 @@
 """Command-line interface.
 
-Subcommands: profile, score, cwals, correlate, families. Machine-
-readable output goes to standard output in the chosen format;
-diagnostics go to standard error. Exit code is 0 iff no per-item
-failures occurred. Every command is deterministic given identical
-inputs, flags, and seed; rows are sorted by iso code.
+Subcommands: profile, score, cwals, correlate, families. ``build_parser``
+holds every option and default; commands read the parsed namespace
+directly, after ``main`` checks the two numeric flags argparse cannot
+(``--bin-width``, ``--sample-target``). Machine-readable output goes to
+standard output in the chosen format; diagnostics go to standard error.
+Every command is deterministic given identical inputs, flags, and seed;
+rows are sorted by iso code.
+
+Exit code 0 means success, 1 any error, 2 a usage error from argparse.
+A corpus directory is profiled by one loop for both commands: it tries
+every file and reports each failure as ``profile failed for <file>:
+<reason>``. ``profile`` then emits the good rows and exits 1; ``score``
+emits nothing and exits 1, naming the directory and every failed file,
+because a score over a silent subset of a side would be wrong.
 """
 from __future__ import annotations
 
@@ -15,7 +24,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import SCHEMA_VERSION, attach_gap, serialize_report, spearman
@@ -33,41 +41,8 @@ from .ingest import (
     load_profile_table,
     load_registry,
 )
-from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, _require
+from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, TextProfile, _require
 from .textstats import profile
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation.
-
-    argparse ``choices`` restrict command, level, format and syn_dims;
-    only the numeric flags need checking here.
-    """
-
-    command: str
-    dataset: str | None = None
-    reference: str | None = None
-    registry: str | None = None
-    specs: str | None = None
-    level: str | None = None
-    columns: tuple[str, str] | None = None
-    bin_width: float = 1.0
-    sample_target: int = 10000
-    seed: int = 0
-    format: str = "json"
-    drop_incomplete: bool = False
-    syn_dims: int = 103
-
-    def __post_init__(self) -> None:
-        _require(
-            math.isfinite(self.bin_width) and self.bin_width > 0,
-            f"--bin-width must be a positive number, got {self.bin_width}",
-        )
-        _require(
-            self.sample_target >= 1,
-            f"--sample-target must be >= 1, got {self.sample_target}",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,10 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=list(formats), default="json", help="output format")
         sp.add_argument("--registry", default=None, help="language registry CSV")
 
+    def sampling(sp):
+        sp.add_argument("--sample-target", type=int, default=10000, help="tokens per sample")
+        sp.add_argument("--seed", type=int, default=0, help="sampling RNG seed")
+
     p = sub.add_parser("profile", help="per-language text statistics over a corpus directory")
     p.add_argument("--dataset", required=True, help="corpus directory of <iso>.txt files")
-    p.add_argument("--sample-target", type=int, default=10000, help="tokens per sample")
-    p.add_argument("--seed", type=int, default=0, help="sampling RNG seed")
+    sampling(p)
     common(p)
 
     p = sub.add_parser("score", help="diversity scores of a dataset against a reference")
@@ -99,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--reference", required=True, help="same formats as --dataset")
     p.add_argument("--bin-width", type=float, default=1.0, help="measurement bin width")
-    p.add_argument("--sample-target", type=int, default=10000, help="tokens per sample")
-    p.add_argument("--seed", type=int, default=0, help="sampling RNG seed")
+    sampling(p)
     p.add_argument(
         "--syn-dims",
         type=int,
@@ -131,26 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        dataset=getattr(args, "dataset", None),
-        reference=getattr(args, "reference", None),
-        registry=getattr(args, "registry", None),
-        specs=getattr(args, "specs", None),
-        level=getattr(args, "level", None),
-        columns=(
-            (args.x_column, args.y_column) if hasattr(args, "x_column") else None
-        ),
-        bin_width=getattr(args, "bin_width", 1.0),
-        sample_target=getattr(args, "sample_target", 10000),
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "json"),
-        drop_incomplete=getattr(args, "drop_incomplete", False),
-        syn_dims=getattr(args, "syn_dims", 103),
-    )
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -159,8 +116,8 @@ def _emit_json(payload: dict) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _registry_or_none(cfg: RunConfig) -> LanguageSet | None:
-    return load_registry(cfg.registry) if cfg.registry else None
+def _registry_or_none(args: argparse.Namespace) -> LanguageSet | None:
+    return load_registry(args.registry) if args.registry else None
 
 
 def _record_for(iso: str, registry: LanguageSet | None) -> LanguageRecord:
@@ -169,15 +126,18 @@ def _record_for(iso: str, registry: LanguageSet | None) -> LanguageRecord:
     return LanguageRecord(iso=iso, name=iso)
 
 
-def cmd_profile(cfg: RunConfig) -> int:
-    dirp = Path(cfg.dataset)
-    _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {cfg.dataset!r}")
-    files = sorted(dirp.glob("*.txt"))
-    _require(bool(files), f"no <iso>.txt corpus files in {dirp}")
-    registry = _registry_or_none(cfg)
+def _profile_corpus(
+    directory: Path, registry: LanguageSet | None, args: argparse.Namespace
+) -> tuple[list[TextProfile], list[str]]:
+    """Profile every ``<iso>.txt`` file of a corpus directory in name order.
 
-    rows = []
-    failures = 0
+    Every file is tried. Each failure is reported on stderr as ``profile
+    failed for <file>: <reason>``; returns the good profiles and the
+    names of the failed files.
+    """
+    files = sorted(directory.glob("*.txt"))
+    _require(bool(files), f"no <iso>.txt corpus files in {directory}")
+    profiles, failed = [], []
     for f in files:
         iso = f.stem
         try:
@@ -185,18 +145,26 @@ def cmd_profile(cfg: RunConfig) -> int:
                 bool(ISO_CODE_RE.match(iso)),
                 f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
             )
-            prof = profile(
-                load_corpus(f, iso),
-                _record_for(iso, registry),
-                target=cfg.sample_target,
-                seed=cfg.seed,
+            profiles.append(
+                profile(
+                    load_corpus(f, iso),
+                    _record_for(iso, registry),
+                    target=args.sample_target,
+                    seed=args.seed,
+                )
             )
-            rows.append(prof)
-        except ValueError as exc:
-            failures += 1
+        except (ValueError, OSError) as exc:
+            failed.append(f.name)
             print(f"profile failed for {f.name}: {exc}", file=sys.stderr)
+    return profiles, failed
 
-    if cfg.format == "json":
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    dirp = Path(args.dataset)
+    _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
+    rows, failed = _profile_corpus(dirp, _registry_or_none(args), args)
+
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -231,56 +199,48 @@ def cmd_profile(cfg: RunConfig) -> int:
                 ]
             )
         _emit(buf.getvalue())
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
-def _morph_measurements(path_arg: str, cfg: RunConfig, registry) -> tuple[list[float], list[str]]:
-    """Per-language mean word lengths from a corpus directory or a
-    precomputed profile table, sorted by iso."""
+def _morph_profiles(
+    path_arg: str, flag: str, registry: LanguageSet | None, args: argparse.Namespace
+) -> list[TextProfile]:
+    """One side's profiles, sorted by iso, from a corpus directory or a
+    precomputed profile table. A side is scored whole or not at all."""
     path = Path(path_arg)
-    if path.is_dir():
-        files = sorted(path.glob("*.txt"))
-        _require(bool(files), f"no <iso>.txt corpus files in {path}")
-        mwls, isos = [], []
-        for f in files:
-            iso = f.stem
-            _require(
-                bool(ISO_CODE_RE.match(iso)),
-                f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
-            )
-            prof = profile(
-                load_corpus(f, iso),
-                _record_for(iso, registry),
-                target=cfg.sample_target,
-                seed=cfg.seed,
-            )
-            mwls.append(prof.mean_word_length)
-            isos.append(iso)
-        return mwls, isos
-    profiles = sorted(load_profile_table(path), key=lambda p: p.iso)
-    return [p.mean_word_length for p in profiles], [p.iso for p in profiles]
+    if not path.is_dir():
+        return sorted(load_profile_table(path), key=lambda p: p.iso)
+    profiles, failed = _profile_corpus(path, registry, args)
+    _require(
+        not failed,
+        f"{flag} corpus directory {path}: profile failed for {len(failed)} "
+        f"file(s): {', '.join(failed)}; a side is scored whole or not at all",
+    )
+    return profiles
 
 
-def _score_morph(cfg: RunConfig) -> dict:
-    registry = _registry_or_none(cfg)
-    mwl_d, _ = _morph_measurements(cfg.dataset, cfg, registry)
-    mwl_r, isos_r = _morph_measurements(cfg.reference, cfg, registry)
+def _score_morph(args: argparse.Namespace) -> dict:
+    registry = _registry_or_none(args)
+    profiles_d = _morph_profiles(args.dataset, "--dataset", registry, args)
+    profiles_r = _morph_profiles(args.reference, "--reference", registry, args)
+    mwl_d = [p.mean_word_length for p in profiles_d]
+    mwl_r = [p.mean_word_length for p in profiles_r]
 
-    report = jmm_score(mwl_d, mwl_r, cfg.bin_width)
+    report = jmm_score(mwl_d, mwl_r, args.bin_width)
     members: dict[str, list[str]] = {}
-    for iso, m in zip(isos_r, mwl_r):
-        members.setdefault(f"bin{bin_index(m, cfg.bin_width)}", []).append(iso)
+    for p, m in zip(profiles_r, mwl_r):
+        members.setdefault(f"bin{bin_index(m, args.bin_width)}", []).append(p.iso)
     report = attach_gap(report, members)
 
-    ti_d = ti_morph(mwl_d, cfg.bin_width) if len(mwl_d) >= 2 else None
-    ti_r = ti_morph(mwl_r, cfg.bin_width) if len(mwl_r) >= 2 else None
+    ti_d = ti_morph(mwl_d, args.bin_width) if len(mwl_d) >= 2 else None
+    ti_r = ti_morph(mwl_r, args.bin_width) if len(mwl_r) >= 2 else None
     if ti_d is None or ti_r is None:
         print("ti_morph skipped for a single-language side", file=sys.stderr)
     return {
         "level": "morph",
-        "bin_width": cfg.bin_width,
-        "sample_target": cfg.sample_target,
-        "seed": cfg.seed,
+        "bin_width": args.bin_width,
+        "sample_target": args.sample_target,
+        "seed": args.seed,
         "dataset_n": len(mwl_d),
         "reference_n": len(mwl_r),
         "jmm": report,
@@ -293,18 +253,18 @@ def _score_morph(cfg: RunConfig) -> dict:
     }
 
 
-def _score_syn(cfg: RunConfig) -> dict:
+def _score_syn(args: argparse.Namespace) -> dict:
     mat_d, dropped_d = load_feature_matrix(
-        cfg.dataset, "binary_syntactic", drop_incomplete=cfg.drop_incomplete
+        args.dataset, "binary_syntactic", drop_incomplete=args.drop_incomplete
     )
     mat_r, dropped_r = load_feature_matrix(
-        cfg.reference, "binary_syntactic", drop_incomplete=cfg.drop_incomplete
+        args.reference, "binary_syntactic", drop_incomplete=args.drop_incomplete
     )
     for label, dropped in (("dataset", dropped_d), ("reference", dropped_r)):
         if dropped:
             print(f"{len(dropped)} {label} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
 
-    count_zeros = cfg.syn_dims == 206
+    count_zeros = args.syn_dims == 206
     report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
     members: dict[str, list[str]] = {}
     for f in mat_r.features:
@@ -321,7 +281,7 @@ def _score_syn(cfg: RunConfig) -> dict:
         print("ti_syn skipped for a single-language side", file=sys.stderr)
     return {
         "level": "syn",
-        "syn_dims": cfg.syn_dims,
+        "syn_dims": args.syn_dims,
         "dataset_n": mat_d.n_languages,
         "reference_n": mat_r.n_languages,
         "jmm": report,
@@ -329,31 +289,31 @@ def _score_syn(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    result = _score_morph(cfg) if cfg.level == "morph" else _score_syn(cfg)
+def cmd_score(args: argparse.Namespace) -> int:
+    result = _score_morph(args) if args.level == "morph" else _score_syn(args)
     report = result["jmm"]
     print(f"normalization scalar c = {report.normalization_c!r}", file=sys.stderr)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = dict(result)
         payload["schema_version"] = SCHEMA_VERSION
         payload["normalization_c"] = report.normalization_c
         payload["jmm"] = report.to_dict()
         _emit_json(payload)
     else:
-        _emit(serialize_report(report, cfg.format).decode("utf-8"))
+        _emit(serialize_report(report, args.format).decode("utf-8"))
     return 0
 
 
-def cmd_cwals(cfg: RunConfig) -> int:
-    specs = load_morph_specs(cfg.specs)
-    data = cfg.dataset if cfg.dataset else bundled_path("morph_values.csv")
+def cmd_cwals(args: argparse.Namespace) -> int:
+    specs = load_morph_specs(args.specs)
+    data = args.dataset if args.dataset else bundled_path("morph_values.csv")
     matrix, dropped = load_feature_matrix(
-        data, "morphological_ordinal", drop_incomplete=cfg.drop_incomplete, specs=specs
+        data, "morphological_ordinal", drop_incomplete=args.drop_incomplete, specs=specs
     )
     if dropped:
         print(f"{len(dropped)} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
     rows = c_wals_table(matrix, specs)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -370,12 +330,12 @@ def cmd_cwals(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    x_col, y_col = cfg.columns
-    dataset_path = cfg.dataset if cfg.dataset else bundled_path("mwl_cwals.csv")
+def cmd_correlate(args: argparse.Namespace) -> int:
+    x_col, y_col = args.x_column, args.y_column
+    dataset_path = args.dataset if args.dataset else bundled_path("mwl_cwals.csv")
     cols_x, table_x = load_numeric_table(dataset_path)
-    if cfg.reference:
-        cols_y, table_y = load_numeric_table(cfg.reference)
+    if args.reference:
+        cols_y, table_y = load_numeric_table(args.reference)
     else:
         cols_y, table_y = cols_x, table_x
     _require(x_col in cols_x, f"no numeric column {x_col!r}; available: {', '.join(cols_x)}")
@@ -396,7 +356,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
         [table_y[iso][y_col] for iso in shared],
     )
     print(f"rho = {result.rho:.4f} over n = {result.n} languages", file=sys.stderr)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -412,9 +372,9 @@ def cmd_correlate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_families(cfg: RunConfig) -> int:
-    registry = load_registry(cfg.registry if cfg.registry else bundled_path("registry.csv"))
-    isos = load_iso_list(cfg.dataset if cfg.dataset else bundled_path("mbert_languages.txt"))
+def cmd_families(args: argparse.Namespace) -> int:
+    registry = load_registry(args.registry if args.registry else bundled_path("registry.csv"))
+    isos = load_iso_list(args.dataset if args.dataset else bundled_path("mbert_languages.txt"))
 
     seen: set[str] = set()
     records = []
@@ -435,7 +395,7 @@ def cmd_families(cfg: RunConfig) -> int:
     count = count_families(subset)
     families, unlabeled = family_breakdown(subset)
     print(f"{count} distinct families over {len(subset)} languages", file=sys.stderr)
-    if cfg.format == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -471,8 +431,17 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        if "bin_width" in args:
+            _require(
+                math.isfinite(args.bin_width) and args.bin_width > 0,
+                f"--bin-width must be a positive number, got {args.bin_width}",
+            )
+        if "sample_target" in args:
+            _require(
+                args.sample_target >= 1,
+                f"--sample-target must be >= 1, got {args.sample_target}",
+            )
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -99,25 +99,6 @@ def load_registry(path) -> LanguageSet:
     return LanguageSet(records)
 
 
-def save_registry(languages: LanguageSet, path) -> None:
-    """Write a LanguageSet back to registry CSV; reloading the file
-    reproduces the set exactly."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGISTRY_COLUMNS)
-        for rec in languages:
-            writer.writerow(
-                [
-                    rec.iso,
-                    rec.name,
-                    rec.family or "",
-                    rec.endangerment or "",
-                    repr(rec.script_scale),
-                ]
-            )
-
-
 def load_feature_matrix(
     path,
     kind: str,
@@ -198,8 +179,6 @@ def load_feature_matrix(
             f"feature matrix {path} has missing values at {listing}; rerun with "
             f"--drop-incomplete to skip those rows"
         )
-    if dropped:
-        log.warning("%d row(s) dropped from %s: %s", len(dropped), path, ", ".join(dropped))
     if not rows:
         raise ValueError(f"feature matrix {path} has no complete language rows")
 
@@ -392,28 +371,3 @@ def load_iso_list(path) -> list[str]:
                 raise ValueError(f"{path} line {lineno}: malformed iso code {token!r}")
             codes.append(token)
     return codes
-
-
-def load_name_lookup(path=None) -> dict[str, str]:
-    """Display-name -> iso lookup from a two-column CSV (name,iso).
-
-    Defaults to the bundled table. Lookups are exact on the name as
-    written in the file.
-    """
-    path = Path(path) if path is not None else bundled_path("language_names.csv")
-    lookup: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["name", "iso"]:
-            raise ValueError(f"name lookup {path} header must be name,iso")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            name, iso = row[0].strip(), row[1].strip()
-            if not ISO_CODE_RE.match(iso):
-                raise ValueError(f"name lookup row {lineno}: malformed iso code {iso!r}")
-            if name in lookup:
-                raise ValueError(f"name lookup row {lineno}: duplicate name {name!r}")
-            lookup[name] = iso
-    return lookup

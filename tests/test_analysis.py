@@ -13,11 +13,10 @@ from divscore.analysis import (
     attach_gap,
     deserialize_report,
     gap_report,
-    overlap_series,
     serialize_report,
     spearman,
 )
-from divscore.diversity import WeightVector, jmm_score
+from divscore.diversity import WeightVector, jmm_score, overlap_series
 from divscore.model import DiversityReport
 
 
@@ -191,10 +190,6 @@ class TestSerialization:
         assert svg.count('class="reference"') == n_reference_bins
         assert svg.count('class="intersection"') == n_overlap_bins
         assert svg.count("<text") == len(report.per_bin) + 1
-
-    def test_svg_alias(self):
-        report = self._report()
-        assert serialize_report(report, "svg-histogram") == serialize_report(report, "svg")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unsupported format"):

@@ -76,10 +76,12 @@ class TestProfile:
     def test_partial_failure_keeps_good_rows_and_exits_nonzero(self, tmp_path, capsys):
         (tmp_path / "aaa.txt").write_text("good tokens here\n")
         (tmp_path / "bbb.txt").write_text("... --- ...\n")  # no lexical tokens
+        (tmp_path / "ccc.txt").mkdir()  # unreadable: the loop goes on past an OSError too
         code, out, err = run_main(["profile", "--dataset", str(tmp_path)], capsys)
         assert code == 1
         assert "profile failed for bbb.txt" in err
         assert "no lexical tokens" in err
+        assert "profile failed for ccc.txt" in err
         assert [r["iso"] for r in json.loads(out)["profiles"]] == ["aaa"]
 
     def test_missing_directory_is_an_error(self, tmp_path, capsys):
@@ -219,6 +221,30 @@ class TestScoreMorph:
         assert out.startswith("<?xml")
         assert 'class="intersection"' in out
 
+    def test_bad_corpus_files_fail_the_score_and_are_all_named(self, fixtures, tmp_path, capsys):
+        (tmp_path / "aaa.txt").write_text("good tokens here\n")
+        (tmp_path / "bbb.txt").write_text("... --- ...\n")  # no lexical tokens
+        (tmp_path / "ccc.txt").write_bytes(b"\xff\xfe not utf-8\n")
+        code, out, err = run_main(
+            [
+                "score",
+                "--level",
+                "morph",
+                "--dataset",
+                str(tmp_path),
+                "--reference",
+                str(fixtures / "corpus_ref"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "profile failed for bbb.txt: no lexical tokens" in err
+        assert "profile failed for ccc.txt:" in err and "not valid UTF-8" in err
+        assert f"--dataset corpus directory {tmp_path}" in err
+        assert "bbb.txt, ccc.txt" in err
+        assert "aaa.txt" not in err
+
     def test_gap_examples_name_reference_languages(self, fixtures, capsys):
         _, out, _ = run_main(
             [
@@ -304,9 +330,12 @@ class TestScoreSyn:
             str(fixtures / "syn_reference.csv"),
             "--drop-incomplete",
         ]
-        code, out, err = run_main(args, capsys)
+        # a subprocess, so a logging line would reach stderr as it does for users
+        code, out, err = run_proc(args)
+        err = err.decode("utf-8")
         assert code == 0
         assert "2 dataset row(s) dropped: qrc, qrg" in err
+        assert err.count("row(s) dropped") == 1
         payload = json.loads(out)
         assert payload["dataset_n"] == 6 and payload["reference_n"] == 8
 

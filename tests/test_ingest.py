@@ -9,27 +9,30 @@ from divscore.ingest import (
     load_corpus,
     load_feature_matrix,
     load_iso_list,
-    load_name_lookup,
     load_numeric_table,
     load_profile_table,
     load_registry,
-    save_registry,
 )
 from divscore.model import LanguageRecord, LanguageSet
 
 
 class TestRegistry:
     def test_full_round_trip(self, tmp_path):
-        ls = LanguageSet(
+        """Every column of a hand-written registry reaches its record."""
+        p = tmp_path / "reg.csv"
+        p.write_text(
+            "iso,name,family,endangerment,script_scale\n"
+            "aaa,Alpha,F1,safe,\n"
+            '"bbb","Beta, with comma",,,2.4\n'
+            "ccc,Gamma,,,\n"
+        )
+        assert load_registry(p) == LanguageSet(
             [
                 LanguageRecord("aaa", "Alpha", family="F1", endangerment="safe"),
                 LanguageRecord("bbb", "Beta, with comma", script_scale=2.4),
                 LanguageRecord("ccc", "Gamma"),
             ]
         )
-        p = tmp_path / "reg.csv"
-        save_registry(ls, p)
-        assert load_registry(p) == ls
 
     def test_two_column_header_accepted(self, tmp_path):
         p = tmp_path / "reg.csv"
@@ -220,11 +223,3 @@ class TestSmallTables:
         p.write_text("aaa\nNOPE\n")
         with pytest.raises(ValueError, match="line 2"):
             load_iso_list(p)
-
-    def test_name_lookup_bundled_and_duplicates(self, tmp_path):
-        lookup = load_name_lookup()
-        assert lookup["Turkish"] == "tur"
-        p = tmp_path / "names.csv"
-        p.write_text("name,iso\nSame,aaa\nSame,bbb\n")
-        with pytest.raises(ValueError, match="duplicate name"):
-            load_name_lookup(p)
