@@ -10,8 +10,6 @@ complexity score.
 from .analysis import (
     CorrelationResult,
     attach_gap,
-    deserialize_report,
-    gap_report,
     serialize_report,
     spearman,
 )
@@ -41,7 +39,6 @@ from .grammar import (
 from .ingest import (
     CorpusSource,
     bundled_path,
-    count_families,
     family_breakdown,
     load_corpus,
     load_feature_matrix,
@@ -101,10 +98,7 @@ __all__ = [
     "bundled_path",
     "c_wals",
     "c_wals_table",
-    "count_families",
-    "deserialize_report",
     "family_breakdown",
-    "gap_report",
     "grapheme_length",
     "jaccard_minmax",
     "jmm_score",

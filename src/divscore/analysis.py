@@ -1,22 +1,20 @@
 """Rank correlation, gap diagnosis, and report serialization.
 
-Serialization formats: JSON (full report, versioned schema), CSV (the
-per-bin table only, fixed header ``bin,dataset,reference,min,max``), and
-a self-contained SVG histogram overlaying the two distributions with the
-intersection shaded.
+Serialization formats: CSV (the per-bin table, fixed header
+``bin,dataset,reference,min,max``) and a self-contained SVG histogram
+overlaying the two distributions with the intersection shaded. The JSON
+report is ``DiversityReport.to_dict`` inside the CLI's output.
 """
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .diversity import WeightVector
 from .model import (
     DeficitBin,
     DiversityReport,
@@ -25,12 +23,10 @@ from .model import (
     _require,
 )
 
-SCHEMA_VERSION = "1"
-
 #: Maximum example languages listed per deficit bin.
 MAX_GAP_EXAMPLES = 5
 
-_FORMATS = ("json", "csv", "svg")
+_FORMATS = ("csv", "svg")
 
 
 @dataclass(frozen=True)
@@ -86,81 +82,57 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
-def gap_report(
-    dataset_bins: WeightVector,
-    reference_bins: WeightVector,
-    reference_members: Mapping[str, Sequence[str]],
-) -> GapReport:
-    """Diagnose where the dataset's distribution misses the reference.
-
-    Both vectors must be aligned (same labels, same order), with any
-    size scaling already applied. Bins where the dataset carries more
-    weight become surplus entries; bins where it carries less become
-    deficit entries annotated with up to five example reference
-    languages from ``reference_members``, chosen lexicographically so
-    reports are reproducible.
-    """
-    _require(
-        dataset_bins.labels == reference_bins.labels,
-        "gap report needs aligned weight vectors with identical labels",
-    )
-    surplus = []
-    deficit = []
-    for lab, wd, wr in zip(dataset_bins.labels, dataset_bins.weights, reference_bins.weights):
-        if wd > wr:
-            surplus.append(SurplusBin(label=lab, excess=float(wd - wr)))
-        elif wd < wr:
-            examples = tuple(sorted(set(reference_members.get(lab, ()))))[:MAX_GAP_EXAMPLES]
-            deficit.append(DeficitBin(label=lab, shortfall=float(wr - wd), examples=examples))
-    return GapReport(surplus_bins=surplus, deficit_bins=deficit)
-
-
 def attach_gap(
     report: DiversityReport,
     reference_members: Mapping[str, Sequence[str]],
 ) -> DiversityReport:
-    """Return the report with a gap diagnosis built from its per-bin table."""
+    """Return the report with a gap diagnosis built from its per-bin table.
+
+    Bins where the dataset carries more weight become surplus entries;
+    bins where it carries less become deficit entries annotated with up
+    to five example reference languages from ``reference_members``,
+    chosen lexicographically so reports are reproducible.
+    """
     _require(report.per_bin is not None, "report has no per-bin table to diagnose")
-    labels = [r.label for r in report.per_bin]
-    vec_d = WeightVector(labels, [r.dataset for r in report.per_bin])
-    vec_r = WeightVector(labels, [r.reference for r in report.per_bin])
-    return replace(report, gap=gap_report(vec_d, vec_r, reference_members))
+    surplus = []
+    deficit = []
+    for row in report.per_bin:
+        if row.dataset > row.reference:
+            surplus.append(SurplusBin(label=row.label, excess=float(row.dataset - row.reference)))
+        elif row.dataset < row.reference:
+            examples = tuple(sorted(set(reference_members.get(row.label, ()))))[:MAX_GAP_EXAMPLES]
+            shortfall = float(row.reference - row.dataset)
+            deficit.append(DeficitBin(label=row.label, shortfall=shortfall, examples=examples))
+    return replace(report, gap=GapReport(surplus_bins=surplus, deficit_bins=deficit))
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A header row and data rows as CSV text with ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def serialize_report(report: DiversityReport, format: str) -> bytes:
-    """Render a report as json, csv (per-bin table), or svg histogram.
+    """Render a report's per-bin table as csv or as an svg histogram.
 
     Output is a pure function of the report: identical reports serialize
     to identical bytes in every format.
     """
     if format not in _FORMATS:
         raise ValueError(f"unsupported format {format!r}; choose one of {sorted(_FORMATS)}")
-    if format == "json":
-        payload = {"schema_version": SCHEMA_VERSION}
-        payload.update(report.to_dict())
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
     _require(report.per_bin is not None, f"report has no per-bin table to render as {format}")
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["bin", "dataset", "reference", "min", "max"])
-        for row in report.per_bin:
-            writer.writerow(
+        return csv_text(
+            ["bin", "dataset", "reference", "min", "max"],
+            (
                 [row.label, row.dataset, row.reference, row.min_weight, row.max_weight]
-            )
-        return buf.getvalue().encode("utf-8")
+                for row in report.per_bin
+            ),
+        ).encode("utf-8")
     return _svg_histogram(report).encode("utf-8")
-
-
-def deserialize_report(data: bytes | str) -> DiversityReport:
-    """Parse serialized JSON back into an equal DiversityReport."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION!r}")
-    return DiversityReport.from_dict(payload)
 
 
 def _svg_histogram(report: DiversityReport) -> str:

@@ -3,10 +3,13 @@
 Subcommands: profile, score, cwals, correlate, families. ``build_parser``
 holds every option and default; commands read the parsed namespace
 directly, after ``main`` checks the two numeric flags argparse cannot
-(``--bin-width``, ``--sample-target``). Machine-readable output goes to
-standard output in the chosen format; diagnostics go to standard error.
-Every command is deterministic given identical inputs, flags, and seed;
-rows are sorted by iso code.
+(``--bin-width``, ``--sample-target``). Every command writes its output
+through one emitter, ``_emit``: a JSON object stamped with
+``schema_version``, or the same rows as CSV (``score --format csv|svg``
+renders the per-bin table through ``serialize_report``). Diagnostics go
+to standard error, printed by the commands themselves. Every command is
+deterministic given identical inputs, flags, and seed; rows are sorted
+by iso code.
 
 Exit code 0 means success, 1 any error, 2 a usage error from argparse.
 A corpus directory is profiled by one loop for both commands: it tries
@@ -18,21 +21,18 @@ because a score over a silent subset of a side would be wrong.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import logging
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from .analysis import SCHEMA_VERSION, attach_gap, serialize_report, spearman
+from .analysis import attach_gap, csv_text, serialize_report, spearman
 from .diversity import bin_index, jmm_score, jmm_syn, ti_morph, ti_syn
 from .grammar import c_wals_table, load_morph_specs
 from .ingest import (
     PROFILE_COLUMNS,
     bundled_path,
-    count_families,
     family_breakdown,
     load_corpus,
     load_feature_matrix,
@@ -43,6 +43,8 @@ from .ingest import (
 )
 from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, TextProfile, _require
 from .textstats import profile
+
+SCHEMA_VERSION = "1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,12 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_json(payload: dict) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit(
+    args: argparse.Namespace, payload: dict, header: Sequence = (), rows: Iterable = ()
+) -> None:
+    """Write a command's output: ``payload`` as one JSON object stamped
+    with ``schema_version``, or ``header`` and ``rows`` as CSV, as
+    ``--format`` asks."""
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, **payload}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write(csv_text(header, rows))
 
 
 def _registry_or_none(args: argparse.Namespace) -> LanguageSet | None:
@@ -162,43 +169,20 @@ def _profile_corpus(
 def cmd_profile(args: argparse.Namespace) -> int:
     dirp = Path(args.dataset)
     _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
-    rows, failed = _profile_corpus(dirp, _registry_or_none(args), args)
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "profiles": [
-                    {
-                        "iso": p.iso,
-                        "mwl": p.mean_word_length,
-                        "ttr": p.ttr,
-                        "entropy": p.unigram_entropy,
-                        "token_count": p.token_count,
-                        "offset": p.sample_offset,
-                        "seed": p.seed,
-                    }
-                    for p in rows
-                ],
-            }
-        )
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(PROFILE_COLUMNS)
-        for p in rows:
-            writer.writerow(
-                [
-                    p.iso,
-                    p.mean_word_length,
-                    p.ttr,
-                    p.unigram_entropy,
-                    p.token_count,
-                    p.sample_offset,
-                    p.seed,
-                ]
-            )
-        _emit(buf.getvalue())
+    profiles, failed = _profile_corpus(dirp, _registry_or_none(args), args)
+    rows = [
+        [
+            p.iso,
+            p.mean_word_length,
+            p.ttr,
+            p.unigram_entropy,
+            p.token_count,
+            p.sample_offset,
+            p.seed,
+        ]
+        for p in profiles
+    ]
+    _emit(args, {"profiles": [dict(zip(PROFILE_COLUMNS, r)) for r in rows]}, PROFILE_COLUMNS, rows)
     return 1 if failed else 0
 
 
@@ -294,13 +278,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     report = result["jmm"]
     print(f"normalization scalar c = {report.normalization_c!r}", file=sys.stderr)
     if args.format == "json":
-        payload = dict(result)
-        payload["schema_version"] = SCHEMA_VERSION
-        payload["normalization_c"] = report.normalization_c
-        payload["jmm"] = report.to_dict()
-        _emit_json(payload)
+        _emit(args, {**result, "normalization_c": report.normalization_c, "jmm": report.to_dict()})
     else:
-        _emit(serialize_report(report, args.format).decode("utf-8"))
+        sys.stdout.write(serialize_report(report, args.format).decode("utf-8"))
     return 0
 
 
@@ -313,20 +293,15 @@ def cmd_cwals(args: argparse.Namespace) -> int:
     if dropped:
         print(f"{len(dropped)} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
     rows = c_wals_table(matrix, specs)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "c_wals": [{"iso": iso, "c_wals": val} for iso, val in rows],
-            }
-        )
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iso", "c_wals"])
-        for iso, val in rows:
-            writer.writerow([iso, val])
-        _emit(buf.getvalue())
+    for s in specs:
+        if s.final_min == s.final_max:
+            print(
+                f"chapter {s.chapter} has a degenerate final range [{s.final_min}, "
+                f"{s.final_max}]; normalized value defined as 0",
+                file=sys.stderr,
+            )
+    header = ["iso", "c_wals"]
+    _emit(args, {"c_wals": [dict(zip(header, r)) for r in rows]}, header, rows)
     return 0
 
 
@@ -356,19 +331,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         [table_y[iso][y_col] for iso in shared],
     )
     print(f"rho = {result.rho:.4f} over n = {result.n} languages", file=sys.stderr)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "rho": result.rho,
-                "n": result.n,
-                "x": x_col,
-                "y": y_col,
-                "excluded": excluded,
-            }
-        )
-    else:
-        _emit(f"rho,n\n{result.rho},{result.n}\n")
+    _emit(
+        args,
+        {"rho": result.rho, "n": result.n, "x": x_col, "y": y_col, "excluded": excluded},
+        ["rho", "n"],
+        [[result.rho, result.n]],
+    )
     return 0
 
 
@@ -391,30 +359,26 @@ def cmd_families(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown iso code(s) excluded: {', '.join(unknown)}", file=sys.stderr)
 
-    subset = LanguageSet(records)
-    count = count_families(subset)
-    families, unlabeled = family_breakdown(subset)
-    print(f"{count} distinct families over {len(subset)} languages", file=sys.stderr)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "family_count": count,
-                "families": families,
-                "unlabeled": unlabeled,
-                "unknown": unknown,
-            }
+    families, unlabeled = family_breakdown(LanguageSet(records))
+    if unlabeled:
+        print(
+            f"{len(unlabeled)} language(s) excluded from family count (no family label): "
+            f"{', '.join(unlabeled)}",
+            file=sys.stderr,
         )
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["family", "iso"])
-        for family, members in families.items():
-            for iso in members:
-                writer.writerow([family, iso])
-        for iso in unlabeled:
-            writer.writerow(["", iso])
-        _emit(buf.getvalue())
+    print(f"{len(families)} distinct families over {len(records)} languages", file=sys.stderr)
+    _emit(
+        args,
+        {
+            "family_count": len(families),
+            "families": families,
+            "unlabeled": unlabeled,
+            "unknown": unknown,
+        },
+        ["family", "iso"],
+        [[family, iso] for family, members in families.items() for iso in members]
+        + [["", iso] for iso in unlabeled],
+    )
     return 0
 
 
@@ -428,7 +392,6 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         if "bin_width" in args:

@@ -16,15 +16,12 @@ identity map derived from the final range at load time.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .ingest import bundled_path
 from .model import FeatureMatrix, MorphFeatureSpec, _require
-
-log = logging.getLogger(__name__)
 
 SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max", "value_map"]
 
@@ -90,8 +87,7 @@ def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
 
     Normalization uses the declared final range, never the observed one,
     so a language's score does not depend on which other languages are
-    present. A degenerate range (final_min = final_max) normalizes to 0
-    and is flagged with a warning.
+    present. A degenerate range (final_min = final_max) normalizes to 0.
     """
     _require(
         spec.final_min <= value <= spec.final_max,
@@ -99,12 +95,6 @@ def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
         f"{spec.final_max}] for chapter {spec.chapter}",
     )
     if spec.final_min == spec.final_max:
-        log.warning(
-            "chapter %s has a degenerate final range [%d, %d]; normalized value defined as 0",
-            spec.chapter,
-            spec.final_min,
-            spec.final_max,
-        )
         return 0.0
     return (value - spec.final_min) / (spec.final_max - spec.final_min)
 

@@ -8,7 +8,6 @@ forms. Bundled default data files ship under ``divscore/data``.
 from __future__ import annotations
 
 import csv
-import logging
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -24,8 +23,6 @@ from .model import (
     TextProfile,
     _require,
 )
-
-log = logging.getLogger(__name__)
 
 REGISTRY_COLUMNS = ["iso", "name", "family", "endangerment", "script_scale"]
 
@@ -228,23 +225,6 @@ def load_corpus(path, iso: str) -> CorpusSource:
     except UnicodeDecodeError as exc:
         raise ValueError(f"corpus {path} is not valid UTF-8: {exc}") from None
     return CorpusSource(iso=iso, path=str(path), text=unicodedata.normalize("NFC", text))
-
-
-def count_families(languages: LanguageSet) -> int:
-    """Number of distinct family labels among labeled members.
-
-    Members without a family label are excluded from the count and
-    reported via a warning; they are never fatal.
-    """
-    labeled = {rec.family for rec in languages if rec.family}
-    unlabeled = sorted(rec.iso for rec in languages if not rec.family)
-    if unlabeled:
-        log.warning(
-            "%d language(s) excluded from family count (no family label): %s",
-            len(unlabeled),
-            ", ".join(unlabeled),
-        )
-    return len(labeled)
 
 
 def family_breakdown(languages: LanguageSet) -> tuple[dict[str, list[str]], list[str]]:

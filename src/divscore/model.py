@@ -319,16 +319,6 @@ class BinOverlap:
             "max": self.max_weight,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "BinOverlap":
-        return cls(
-            label=d["bin"],
-            dataset=float(d["dataset"]),
-            reference=float(d["reference"]),
-            min_weight=float(d["min"]),
-            max_weight=float(d["max"]),
-        )
-
 
 @dataclass(frozen=True)
 class SurplusBin:
@@ -339,10 +329,6 @@ class SurplusBin:
 
     def to_dict(self) -> dict:
         return {"bin": self.label, "excess": self.excess}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SurplusBin":
-        return cls(label=d["bin"], excess=float(d["excess"]))
 
 
 @dataclass(frozen=True)
@@ -356,14 +342,6 @@ class DeficitBin:
 
     def to_dict(self) -> dict:
         return {"bin": self.label, "shortfall": self.shortfall, "examples": list(self.examples)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DeficitBin":
-        return cls(
-            label=d["bin"],
-            shortfall=float(d["shortfall"]),
-            examples=tuple(d.get("examples", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -393,13 +371,6 @@ class GapReport:
             "surplus": [b.to_dict() for b in self.surplus_bins],
             "deficit": [b.to_dict() for b in self.deficit_bins],
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "GapReport":
-        return cls(
-            surplus_bins=[SurplusBin.from_dict(x) for x in d.get("surplus", [])],
-            deficit_bins=[DeficitBin.from_dict(x) for x in d.get("deficit", [])],
-        )
 
 
 @dataclass(frozen=True)
@@ -449,17 +420,3 @@ class DiversityReport:
         d["per_bin"] = [r.to_dict() for r in self.per_bin] if self.per_bin is not None else None
         d["gap"] = self.gap.to_dict() if self.gap is not None else None
         return d
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DiversityReport":
-        per_bin = d.get("per_bin")
-        gap = d.get("gap")
-        return cls(
-            score_name=d["score_name"],
-            value=float(d["value"]),
-            per_bin=tuple(BinOverlap.from_dict(r) for r in per_bin) if per_bin is not None else None,
-            normalization_c=(
-                float(d["normalization_c"]) if d.get("normalization_c") is not None else None
-            ),
-            gap=GapReport.from_dict(gap) if gap is not None else None,
-        )

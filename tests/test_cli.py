@@ -330,9 +330,7 @@ class TestScoreSyn:
             str(fixtures / "syn_reference.csv"),
             "--drop-incomplete",
         ]
-        # a subprocess, so a logging line would reach stderr as it does for users
-        code, out, err = run_proc(args)
-        err = err.decode("utf-8")
+        code, out, err = run_main(args, capsys)
         assert code == 0
         assert "2 dataset row(s) dropped: qrc, qrg" in err
         assert err.count("row(s) dropped") == 1
@@ -386,6 +384,36 @@ class TestCwals:
         assert "1 row(s) dropped: qqb" in err
         rows = json.loads(out)["c_wals"]
         assert rows == [{"iso": "qqa", "c_wals": 1.0}]
+
+    def test_degenerate_chapters_reported_once(self, tmp_path, capsys):
+        from divscore.ingest import bundled_path
+
+        text = bundled_path("morph_feature_specs.csv").read_text(encoding="utf-8")
+        header, *specs = list(csv.reader(io.StringIO(text)))
+        for spec in specs[:2]:  # collapse two chapters' final ranges to one value
+            spec[2], spec[4], spec[5] = "none", spec[3], ""
+        spec_path = tmp_path / "specs.csv"
+        with open(spec_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *specs])
+        values = tmp_path / "values.csv"
+        values.write_text(
+            "iso," + ",".join(spec[0] for spec in specs) + "\n"
+            + "qqa," + ",".join(spec[3] for spec in specs) + "\n"
+            + "qqb," + ",".join(spec[4] for spec in specs) + "\n"
+        )
+        code, out, err = run_main(
+            ["cwals", "--dataset", str(values), "--specs", str(spec_path)], capsys
+        )
+        assert code == 0
+        for chapter, low in ((specs[0][0], specs[0][3]), (specs[1][0], specs[1][3])):
+            line = (
+                f"chapter {chapter} has a degenerate final range [{low}, {low}]; "
+                "normalized value defined as 0\n"
+            )
+            assert err.count(line) == 1
+        assert err.count("degenerate") == 2
+        scores = {r["iso"]: r["c_wals"] for r in json.loads(out)["c_wals"]}
+        assert scores == {"qqa": 0.0, "qqb": pytest.approx(24 / 26, abs=1e-12)}
 
 
 class TestCorrelate:
@@ -448,6 +476,14 @@ class TestFamilies:
         ) == 97
         assert "15 distinct families over 97 languages" in err
 
+    def test_unlabeled_languages_reported_once(self, capsys):
+        code, out, err = run_main(["families"], capsys)
+        assert code == 0
+        line = "3 language(s) excluded from family count (no family label): eus, ido, vol\n"
+        assert err.count(line) == 1
+        assert err.count("excluded from family count") == 1
+        assert json.loads(out)["unlabeled"] == ["eus", "ido", "vol"]
+
     def test_fixture_registry(self, fixtures, tmp_path, capsys):
         listing = tmp_path / "langs.txt"
         listing.write_text("qaa\nqba\nqbb\nqca\nqaa\nzzz\n")  # dupe + unknown
@@ -474,6 +510,84 @@ class TestFamilies:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["family", "iso"]
         assert len(rows) == 1 + 97
+
+
+_PROFILE = ["iso", "mwl", "ttr", "entropy", "token_count", "offset", "seed"]
+_PER_BIN = ["bin", "dataset", "reference", "min", "max"]
+_MORPH = ["--dataset", "{f}/corpus_ds", "--reference", "{f}/corpus_ref"]
+_SYN = ["--dataset", "{f}/syn_dataset.csv", "--reference", "{f}/syn_reference.csv"]
+
+#: name -> (argv without --format, "{f}" standing for the fixtures directory;
+#: CSV header; the JSON payload's rows in CSV order)
+_FORMAT_CASES = {
+    "profile": (
+        ["profile", "--dataset", "{f}/corpus_ds", "--registry", "{f}/registry.csv"],
+        _PROFILE,
+        lambda p: [[r[k] for k in _PROFILE] for r in p["profiles"]],
+    ),
+    "score_morph": (
+        ["score", "--level", "morph", *_MORPH, "--registry", "{f}/registry.csv"],
+        _PER_BIN,
+        lambda p: [[r[k] for k in _PER_BIN] for r in p["jmm"]["per_bin"]],
+    ),
+    "score_syn_103": (
+        ["score", "--level", "syn", *_SYN],
+        _PER_BIN,
+        lambda p: [[r[k] for k in _PER_BIN] for r in p["jmm"]["per_bin"]],
+    ),
+    "score_syn_206": (
+        ["score", "--level", "syn", *_SYN, "--syn-dims", "206"],
+        _PER_BIN,
+        lambda p: [[r[k] for k in _PER_BIN] for r in p["jmm"]["per_bin"]],
+    ),
+    "cwals": (
+        ["cwals"],
+        ["iso", "c_wals"],
+        lambda p: [[r["iso"], r["c_wals"]] for r in p["c_wals"]],
+    ),
+    "correlate": (
+        ["correlate", "mwl", "c_wals"],
+        ["rho", "n"],
+        lambda p: [[p["rho"], p["n"]]],
+    ),
+    "families": (
+        ["families"],
+        ["family", "iso"],
+        lambda p: [[fam, iso] for fam, isos in p["families"].items() for iso in isos]
+        + [["", iso] for iso in p["unlabeled"]],
+    ),
+}
+
+
+def _format_case_argv(case, fixtures):
+    return [arg.format(f=fixtures) for arg in _FORMAT_CASES[case][0]]
+
+
+class TestFormatsAgree:
+    @pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+    def test_csv_rows_equal_json_rows(self, case, fixtures, capsys):
+        _, header, json_rows = _FORMAT_CASES[case]
+        argv = _format_case_argv(case, fixtures)
+        code, out_json, _ = run_main(argv, capsys)
+        assert code == 0
+        code, out_csv, _ = run_main(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out_csv)))
+        assert table[0] == header
+        expected = json_rows(json.loads(out_json))
+        assert expected, "a case with no rows compares nothing"
+        # each CSV cell read back as the type of its JSON value, so "1.0" and 1.0 agree
+        parsed = [
+            [type(v)(cell) for cell, v in zip(cells, values, strict=True)]
+            for cells, values in zip(table[1:], expected, strict=True)
+        ]
+        assert parsed == expected
+
+    @pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
+    def test_json_carries_schema_version(self, case, fixtures, capsys):
+        code, out, _ = run_main(_format_case_argv(case, fixtures), capsys)
+        assert code == 0
+        assert json.loads(out)["schema_version"] == "1"
 
 
 class TestDeterminismAndErrors:

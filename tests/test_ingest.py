@@ -1,10 +1,7 @@
 """File loaders: registries, feature matrices, corpora, and small tables."""
-import logging
-
 import pytest
 
 from divscore.ingest import (
-    count_families,
     family_breakdown,
     load_corpus,
     load_feature_matrix,
@@ -163,10 +160,12 @@ class TestFamilies:
             ]
         )
 
-    def test_count_excludes_unlabeled(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            assert count_families(self._set()) == 2
-        assert "ddd" in caplog.text
+    def test_count_excludes_unlabeled(self):
+        # an empty family label counts as no label
+        languages = LanguageSet([*self._set(), LanguageRecord("eee", "E", family="")])
+        families, unlabeled = family_breakdown(languages)
+        assert len(families) == 2
+        assert unlabeled == ["ddd", "eee"]
 
     def test_breakdown_sorted(self):
         families, unlabeled = family_breakdown(self._set())
