@@ -15,12 +15,22 @@ alphanumeric content are discarded. The connector tables below are a
 pragmatic subset of the Unicode word-boundary connector classes; the
 bundled fixtures document the exact behavior. Underscores separate
 tokens here.
+
+Most text is tokenized by one compiled pattern: where every grapheme
+cluster is a base code point plus its marks, a token is a run of
+letters, marks and digits, joined across single connectors. Around the
+few code points whose cluster that pattern cannot know (Prepend, ZWJ,
+Hangul jamo, regional indicators, non-mark extenders, a mark after
+non-word material), the cluster-by-cluster loop runs on the text
+between the nearest spaces that no cluster crosses; triggers close
+together share one such chunk. Both give the same tokens. Every Unicode property, the digit test included, comes from
+`regex`'s tables, so the result does not depend on the Python version.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,6 +42,7 @@ from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _require
 
 _GRAPHEME = regex.compile(r"\X")
 _ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
+_DIGIT = regex.compile(r"\p{Nd}")
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -61,11 +72,9 @@ class TokenSequence:
             f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
         )
         toks = tuple(tokens)
-        for t in toks:
-            _require(
-                bool(t) and _ALNUM.search(t) is not None,
-                f"every token must contain an alphanumeric character, got {t!r}",
-            )
+        if not all(map(_ALNUM.search, toks)):
+            bad = next(t for t in toks if not _ALNUM.search(t))
+            raise ValueError(f"every token must contain an alphanumeric character, got {bad!r}")
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "tokens", toks)
 
@@ -78,30 +87,17 @@ def _classify(cluster: str) -> tuple[int, bool]:
     if cluster.isspace():
         return _WS, False
     if _ALNUM.search(cluster) is not None:
-        return _WORD, unicodedata.category(cluster[0]) == "Nd"
+        return _WORD, _DIGIT.match(cluster) is not None
     return _PUNCT, False
 
 
-def tokenize(text: str, iso: str = "und") -> TokenSequence:
-    """Split NFC-normalized text into lexical tokens.
+def _tokenize_clusters(text: str, memo: dict[str, tuple[int, bool]]) -> list[str]:
+    """Tokens of ``text``, segmenting it into grapheme clusters first.
 
-    Parameters
-    ----------
-    text : str
-        Input text. Callers should normalize to NFC first (ingestion
-        does); this function does not re-normalize.
-    iso : str, optional
-        Language code carried on the resulting sequence. Defaults to
-        "und" (undetermined) for anonymous text.
-
-    Returns
-    -------
-    TokenSequence
-        Tokens in original order, punctuation-only material removed.
-        Empty input yields an empty sequence.
+    ``memo`` caches each cluster's class; callers share one across the
+    chunks of a text.
     """
     clusters = _GRAPHEME.findall(text)
-    memo: dict[str, tuple[int, bool]] = {}
     classes: list[tuple[int, bool]] = []
     for c in clusters:
         k = memo.get(c)
@@ -145,6 +141,89 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
             break
         tokens.append("".join(parts))
         i = j + 1
+    return tokens
+
+
+# Triggers closer together than this many code points go to the cluster
+# loop in one chunk: a call to the loop costs more than a few code points
+# in it.
+_NEAR = 32
+
+
+def _char_class(chars: frozenset[str]) -> str:
+    return "[" + "".join(regex.escape(c) for c in sorted(chars)) + "]"
+
+
+@functools.cache
+def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern, regex.Pattern]:
+    """(token, trigger, cut, last cut) patterns, compiled on first use.
+
+    A code point is plain when its cluster is known without segmenting:
+    a non-mark that starts a new cluster (CR LF aside, which only joins
+    whitespace), or a mark that extends the cluster before it. Any other
+    code point is a trigger, and so is a mark after anything but word
+    material, which glues onto a non-word base. Between triggers every
+    cluster is one base plus its marks, so a token is a run of word code
+    points joined across a single connector, and the kind of the cluster
+    before the connector is its base's: the last non-mark.
+    """
+    plain = (
+        r"[\p{GCB=Other}\p{GCB=LV}\p{GCB=LVT}\p{GCB=Control}\p{GCB=CR}\p{GCB=LF}--\p{M}]"
+        r"[[\p{GCB=Extend}\p{GCB=SpacingMark}]&&\p{M}]"
+    )
+    special = rf"[^{plain}]"
+    word = r"[\p{L}\p{M}\p{Nd}]"
+    letter = _char_class(_MID_LETTER | _MID_BOTH)
+    numeric = _char_class(_MID_NUMERIC | _MID_BOTH)
+    # the run's class goes first, and each connector's char before its
+    # kind test: trying the lookarounds at every position is slower
+    connector = (
+        rf"(?:{letter}(?<!\p{{Nd}}\p{{M}}*.)(?=\p{{L}})"
+        rf"|{numeric}(?<=\p{{Nd}}\p{{M}}*.)(?=\p{{Nd}}))"
+    )
+    token = regex.compile(rf"{word}+(?:{connector}{word}+)*")
+    trigger = regex.compile(rf"(?V1){special}|(?<!{word})\p{{M}}")
+    # a space between plain code points, with no mark after it, is a
+    # cluster of its own, so no token crosses it
+    cut = rf"(?V1)(?<!{special})\s(?!{special}|\p{{M}})"
+    return token, trigger, regex.compile(cut), regex.compile(rf"(?r){cut}")
+
+
+def tokenize(text: str, iso: str = "und") -> TokenSequence:
+    """Split NFC-normalized text into lexical tokens.
+
+    Parameters
+    ----------
+    text : str
+        Input text. Callers should normalize to NFC first (ingestion
+        does); this function does not re-normalize.
+    iso : str, optional
+        Language code carried on the resulting sequence. Defaults to
+        "und" (undetermined) for anonymous text.
+
+    Returns
+    -------
+    TokenSequence
+        Tokens in original order, punctuation-only material removed.
+        Empty input yields an empty sequence.
+    """
+    token, trigger, cut, last_cut = _patterns()
+    tokens: list[str] = []
+    memo: dict[str, tuple[int, bool]] = {}
+    pos = 0
+    while (m := trigger.search(text, pos)) is not None:
+        # endpos hides what follows it from lookahead, so it must take in
+        # the trigger for a space just before it to be refused as a cut
+        left = last_cut.search(text, pos, m.start() + 1)
+        lo = pos if left is None else left.end()
+        while m is not None:
+            right = cut.search(text, m.end())
+            hi = len(text) if right is None else right.start()
+            m = trigger.search(text, hi, hi + _NEAR)
+        tokens += token.findall(text, pos, lo)
+        tokens += _tokenize_clusters(text[lo:hi], memo)
+        pos = hi
+    tokens += token.findall(text, pos)
     return TokenSequence(iso, tokens)
 
 

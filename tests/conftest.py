@@ -3,6 +3,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Ten times Hypothesis's default number of examples, for a longer run of
+# a chosen property: pytest --hypothesis-profile=thorough <test id>.
+# A test whose @settings fixes max_examples keeps its own count.
+settings.register_profile("thorough", max_examples=1000)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 

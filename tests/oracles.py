@@ -2,12 +2,15 @@
 
 Everything here is deliberately written from the definitions using only
 the standard library: Counter histograms, exact decimal floor binning,
-plain min/max sums, and textbook entropy formulas. Nothing imports
-divscore.
+plain min/max sums, and textbook entropy formulas. The tokenizer oracle
+also uses `regex`, for grapheme clusters and Unicode properties. Nothing
+imports divscore.
 """
 import math
 from collections import Counter
 from fractions import Fraction
+
+import regex
 
 
 def exact_bin(v, width):
@@ -71,3 +74,69 @@ def brute_entropy(tokens):
     counts = Counter(tokens)
     n = len(tokens)
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
+
+
+GRAPHEME = regex.compile(r"\X")
+ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
+DIGIT = regex.compile(r"\p{Nd}")
+MID_LETTER = frozenset(":··՟״‧︓﹕：")
+MID_NUMERIC = frozenset(",;;٫٬﹐﹔，；")
+MID_BOTH = frozenset("'.’․﹒＇．")
+
+
+def brute_tokenize(text):
+    """Tokens of text, one grapheme cluster at a time.
+
+    A cluster is word material if it holds a letter, mark or decimal
+    digit, and numeric if its first code point is a decimal digit. A
+    token is a run of word clusters, extended across one single-code-point
+    punctuation cluster when the word clusters on both sides are of the
+    kind it joins: letter connectors join two non-numeric clusters,
+    numeric connectors two numeric ones, and the "both" set two of equal
+    kind.
+    """
+    clusters = GRAPHEME.findall(text)
+    memo = {}
+    for c in clusters:
+        if c in memo:
+            continue
+        if c.isspace():
+            memo[c] = ("ws", False)
+        elif ALNUM.search(c):
+            memo[c] = ("word", DIGIT.match(c) is not None)
+        else:
+            memo[c] = ("punct", False)
+    classes = [memo[c] for c in clusters]
+    tokens = []
+    n = len(clusters)
+    i = 0
+    while i < n:
+        if classes[i][0] != "word":
+            i += 1
+            continue
+        parts = [clusters[i]]
+        j = i
+        while True:
+            nxt = j + 1
+            if nxt < n and classes[nxt][0] == "word":
+                parts.append(clusters[nxt])
+                j = nxt
+                continue
+            if nxt + 1 < n and classes[nxt][0] == "punct" and classes[nxt + 1][0] == "word":
+                conn = clusters[nxt]
+                prev_num = classes[j][1]
+                next_num = classes[nxt + 1][1]
+                joins = len(conn) == 1 and (
+                    (conn in MID_LETTER and not prev_num and not next_num)
+                    or (conn in MID_NUMERIC and prev_num and next_num)
+                    or (conn in MID_BOTH and prev_num == next_num)
+                )
+                if joins:
+                    parts.append(conn)
+                    parts.append(clusters[nxt + 1])
+                    j = nxt + 1
+                    continue
+            break
+        tokens.append("".join(parts))
+        i = j + 1
+    return tokens

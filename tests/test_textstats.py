@@ -4,11 +4,15 @@ import random
 import unicodedata
 
 import pytest
+import regex
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from divscore.ingest import CorpusSource, load_corpus
 from divscore.model import LanguageRecord
 from divscore.textstats import (
     TokenSequence,
+    _patterns,
     grapheme_length,
     mean_word_length,
     profile,
@@ -17,7 +21,7 @@ from divscore.textstats import (
     type_token_ratio,
     unigram_entropy,
 )
-from oracles import brute_entropy
+from oracles import MID_BOTH, MID_LETTER, MID_NUMERIC, brute_entropy, brute_tokenize
 
 
 def toks(text):
@@ -76,6 +80,15 @@ class TestTokenize:
         decomposed = "café"
         assert toks(decomposed) == [decomposed]
 
+    def test_digit_kind_read_from_one_unicode_table(self):
+        # Garay digits are Nd in regex's tables but not in the unicodedata
+        # of Python 3.10 or 3.11: they join across "," and split at ":", as
+        # "1,2" and "1:2" do, in the fast path and in the cluster loop,
+        # where the tail " \u200d" (no token of its own) sends the text
+        for tail in ("", " \u200d"):
+            assert toks("\U00010d40,\U00010d41" + tail) == ["\U00010d40,\U00010d41"]
+            assert toks("\U00010d40:\U00010d41" + tail) == ["\U00010d40", "\U00010d41"]
+
     def test_matches_naive_split_on_restricted_fixture_text(self, fixtures):
         # fixture corpora use single-code-point letters and single spaces,
         # where full segmentation and str.split() must agree
@@ -90,9 +103,75 @@ class TestTokenSequence:
         with pytest.raises(ValueError, match="alphanumeric"):
             TokenSequence("und", ["ok", "--"])
 
+    def test_rejection_names_the_first_bad_token(self):
+        with pytest.raises(ValueError, match="got ''"):
+            TokenSequence("und", ["ok", "", "--"])
+
     def test_rejects_bad_iso(self):
         with pytest.raises(ValueError, match="three ASCII lowercase"):
             TokenSequence("UND", ["ok"])
+
+
+# Code points from every class the fast path must hand to the cluster
+# loop, next to the plain ones it handles itself.
+_MIXED_SCRIPT = (
+    "abzAZ09" + "àéßÿÆ"  # ASCII and Latin-1
+    + "".join(sorted(MID_LETTER | MID_NUMERIC | MID_BOTH))
+    + " \t\r\n\x85\u2028\u3000"  # whitespace, CR LF among it
+    + "\u0301\u0308\u093f\u0903"  # Mn and Mc marks
+    + "\u1000\u102c"  # Myanmar letter, and a mark that is its own cluster
+    + "\u200d\u200c"  # ZWJ, ZWNJ
+    + "\u0600\u0d4e"  # Prepend
+    + "\u1100\u1161\u11a8\uac00\uac01"  # Hangul jamo L V T, LV, LVT
+    + "\U0001f1e6\U0001f1e8"  # regional indicators
+    + "\U0001f44d\ufe0f\U0001f3fb"  # emoji, VS16, skin tone
+    + "\u0663\u096a\U00010d40\U00010d41"  # Nd: Arabic-Indic, Devanagari, Garay
+    + "\u00b2\u00bd"  # No
+    + "\u6211\u5011"  # Han
+    + "\u0e01\u0e33"  # Thai, SARA AM
+    + "\uff76\uff9e"  # halfwidth katakana, voiced sound mark
+    + "-!_"
+)
+_MIXED_TEXT = st.text(alphabet=st.sampled_from(_MIXED_SCRIPT), max_size=40)
+_PLAIN_WORDS = ["plain", "words", "3.14", "don't", "fi:lu", "1,5", "-", "\n"]
+
+
+class TestTokenizeOracle:
+    """The fast path against the cluster-by-cluster oracle."""
+
+    @given(
+        st.one_of(
+            _MIXED_TEXT,
+            # plain words between, so one text has several chunks
+            st.lists(st.one_of(_MIXED_TEXT, st.sampled_from(_PLAIN_WORDS)), max_size=30).map(" ".join),
+        )
+    )
+    @example("\u0d4e x")  # Prepend glues onto the space after it
+    @example("1\u0301.2")  # the kind of "1́" is its base's
+    @example("1\u0301:a")
+    @example("1\u102c.2")  # "ာ" starts a cluster of letter kind
+    @example("a.\u0301b")  # a mark makes the connector cluster word material
+    @example("a\t\u0301b")  # but not after a control
+    @example("x \u0301y")  # a mark glues onto a space
+    @example("\u3000\uff9e\u096a")  # a space just before a trigger is no cut
+    def test_matches_brute_force(self, text):
+        assert toks(text) == brute_tokenize(text)
+
+    def test_matches_brute_force_on_every_fixture(self, fixtures):
+        corpora = sorted(fixtures.rglob("*.txt"))
+        assert corpora
+        for f in corpora:
+            text = f.read_text(encoding="utf-8")
+            for form in ("NFC", "NFD"):
+                norm = unicodedata.normalize(form, text)
+                assert toks(norm) == brute_tokenize(norm), (f, form)
+
+    def test_no_whitespace_is_a_trigger(self):
+        # a cut is a space: it must never need the cluster loop itself
+        trigger = _patterns()[1]
+        spaces = regex.findall(r"\s", "".join(map(chr, range(0x110000))))
+        assert "\u3000" in spaces
+        assert [c for c in spaces if trigger.match(c)] == []
 
 
 class TestGraphemeLength:
