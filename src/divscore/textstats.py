@@ -18,13 +18,13 @@ tokens here.
 
 Most text is tokenized by one compiled pattern: where every grapheme
 cluster is a base code point plus its marks, a token is a run of
-letters, marks and digits, joined across single connectors. Around the
-few code points whose cluster that pattern cannot know (Prepend, ZWJ,
-Hangul jamo, regional indicators, non-mark extenders, a mark after
-non-word material), the cluster-by-cluster loop runs on the text
-between the nearest spaces that no cluster crosses; triggers close
-together share one such chunk. Both give the same tokens. Every Unicode property, the digit test included, comes from
-`regex`'s tables, so the result does not depend on the Python version.
+letters, marks and digits, joined across single connectors. A text that
+holds any code point whose cluster that pattern cannot know (Prepend,
+ZWJ, Hangul jamo, regional indicators, non-mark extenders, a mark after
+non-word material) is tokenized whole by the cluster-by-cluster loop
+instead. Both give the same tokens. Every Unicode property, the digit
+test included, comes from `regex`'s tables, so the tokens depend on the
+installed `regex` version's Unicode data but not on the Python version.
 """
 from __future__ import annotations
 
@@ -91,13 +91,10 @@ def _classify(cluster: str) -> tuple[int, bool]:
     return _PUNCT, False
 
 
-def _tokenize_clusters(text: str, memo: dict[str, tuple[int, bool]]) -> list[str]:
-    """Tokens of ``text``, segmenting it into grapheme clusters first.
-
-    ``memo`` caches each cluster's class; callers share one across the
-    chunks of a text.
-    """
+def _tokenize_clusters(text: str) -> list[str]:
+    """Tokens of ``text``, segmenting it into grapheme clusters first."""
     clusters = _GRAPHEME.findall(text)
+    memo: dict[str, tuple[int, bool]] = {}
     classes: list[tuple[int, bool]] = []
     for c in clusters:
         k = memo.get(c)
@@ -144,28 +141,23 @@ def _tokenize_clusters(text: str, memo: dict[str, tuple[int, bool]]) -> list[str
     return tokens
 
 
-# Triggers closer together than this many code points go to the cluster
-# loop in one chunk: a call to the loop costs more than a few code points
-# in it.
-_NEAR = 32
-
-
 def _char_class(chars: frozenset[str]) -> str:
     return "[" + "".join(regex.escape(c) for c in sorted(chars)) + "]"
 
 
 @functools.cache
-def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern, regex.Pattern]:
-    """(token, trigger, cut, last cut) patterns, compiled on first use.
+def _patterns() -> tuple[regex.Pattern, regex.Pattern]:
+    """(token, trigger) patterns, compiled on first use.
 
     A code point is plain when its cluster is known without segmenting:
     a non-mark that starts a new cluster (CR LF aside, which only joins
     whitespace), or a mark that extends the cluster before it. Any other
     code point is a trigger, and so is a mark after anything but word
-    material, which glues onto a non-word base. Between triggers every
-    cluster is one base plus its marks, so a token is a run of word code
-    points joined across a single connector, and the kind of the cluster
-    before the connector is its base's: the last non-mark.
+    material, which glues onto a non-word base. In text without
+    triggers every cluster is one base plus its marks, so a token is a
+    run of word code points joined across a single connector, and the
+    kind of the cluster before the connector is its base's: the last
+    non-mark.
     """
     plain = (
         r"[\p{GCB=Other}\p{GCB=LV}\p{GCB=LVT}\p{GCB=Control}\p{GCB=CR}\p{GCB=LF}--\p{M}]"
@@ -183,10 +175,7 @@ def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern, regex.Patt
     )
     token = regex.compile(rf"{word}+(?:{connector}{word}+)*")
     trigger = regex.compile(rf"(?V1){special}|(?<!{word})\p{{M}}")
-    # a space between plain code points, with no mark after it, is a
-    # cluster of its own, so no token crosses it
-    cut = rf"(?V1)(?<!{special})\s(?!{special}|\p{{M}})"
-    return token, trigger, regex.compile(cut), regex.compile(rf"(?r){cut}")
+    return token, trigger
 
 
 def tokenize(text: str, iso: str = "und") -> TokenSequence:
@@ -207,24 +196,10 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         Tokens in original order, punctuation-only material removed.
         Empty input yields an empty sequence.
     """
-    token, trigger, cut, last_cut = _patterns()
-    tokens: list[str] = []
-    memo: dict[str, tuple[int, bool]] = {}
-    pos = 0
-    while (m := trigger.search(text, pos)) is not None:
-        # endpos hides what follows it from lookahead, so it must take in
-        # the trigger for a space just before it to be refused as a cut
-        left = last_cut.search(text, pos, m.start() + 1)
-        lo = pos if left is None else left.end()
-        while m is not None:
-            right = cut.search(text, m.end())
-            hi = len(text) if right is None else right.start()
-            m = trigger.search(text, hi, hi + _NEAR)
-        tokens += token.findall(text, pos, lo)
-        tokens += _tokenize_clusters(text[lo:hi], memo)
-        pos = hi
-    tokens += token.findall(text, pos)
-    return TokenSequence(iso, tokens)
+    token, trigger = _patterns()
+    if trigger.search(text) is None:
+        return TokenSequence(iso, token.findall(text))
+    return TokenSequence(iso, _tokenize_clusters(text))
 
 
 def grapheme_length(token: str) -> int:
