@@ -138,9 +138,10 @@ def serialize_report(report: DiversityReport, format: str) -> bytes:
 def _svg_histogram(report: DiversityReport) -> str:
     """Overlaid bar chart of the two per-bin distributions.
 
-    One rect per occupied bin per series (class ``dataset`` or
-    ``reference``), plus a shaded rect (class ``intersection``) of
-    height min(dataset, reference) wherever both are occupied.
+    One labelled slot per per-bin row; bins empty on both sides get none,
+    so the axis is not to scale. A slot holds a rect per occupied series
+    (class ``dataset`` or ``reference``) and a shaded rect (class
+    ``intersection``) of height min(dataset, reference) where both are.
     """
     rows = report.per_bin
     margin = 42.0

@@ -3,11 +3,12 @@
 Two families of diversity scores over language features:
 
 * Minmax Jaccard: bin the per-language measurements of each data set,
-  align the bins, multiply every bin weight of the smaller set by the
-  size ratio c = max(|A|,|B|) / min(|A|,|B|) so that set size does not
-  masquerade as diversity, and score
-  sum_j min(a_j, b_j) / sum_j max(a_j, b_j). 1 means the distributions
-  coincide after size normalization, 0 means disjoint support.
+  align them over the bins occupied on either side, multiply every bin
+  weight of the smaller set by the size ratio
+  c = max(|A|,|B|) / min(|A|,|B|) so that set size does not masquerade
+  as diversity, and score sum_j min(a_j, b_j) / sum_j max(a_j, b_j); a
+  bin empty on both sides would add 0 to both sums. 1 means the
+  distributions coincide after size normalization, 0 disjoint support.
 
 * Typological index: mean Shannon entropy (base 2) of feature-value
   distributions across the languages of one set. For binary syntactic
@@ -115,22 +116,21 @@ def normalization_scalar(size_a: int, size_b: int) -> float:
 
 
 def align_bins(a: BinnedDistribution, b: BinnedDistribution) -> tuple[WeightVector, WeightVector]:
-    """Put two distributions over one shared, contiguous bin-label axis.
+    """Put two distributions over one shared bin-label axis.
 
-    The axis runs from the lowest to the highest occupied bin index
-    across both distributions; empty bins inside that span are kept with
-    weight 0 so per-bin tables show interior gaps.
+    The axis is the sorted union of the bins occupied in either
+    distribution, however far apart they lie; a bin occupied on one side
+    only gets weight 0 on the other.
     """
     _require(
         a.bin_width == b.bin_width,
         f"cannot align distributions with different bin widths "
         f"({a.bin_width} vs {b.bin_width})",
     )
-    occ = a.occupied() + b.occupied()
-    lo, hi = min(occ), max(occ)
-    labels = [f"bin{k}" for k in range(lo, hi + 1)]
-    wa = [a.weights.get(k, 0.0) for k in range(lo, hi + 1)]
-    wb = [b.weights.get(k, 0.0) for k in range(lo, hi + 1)]
+    axis = sorted({*a.occupied(), *b.occupied()})
+    labels = [f"bin{k}" for k in axis]
+    wa = [a.weights.get(k, 0.0) for k in axis]
+    wb = [b.weights.get(k, 0.0) for k in axis]
     return WeightVector(labels, wa), WeightVector(labels, wb)
 
 

@@ -296,9 +296,6 @@ class BinnedDistribution:
     def occupied(self) -> list[int]:
         return sorted(k for k, v in self.weights.items() if v > 0)
 
-    def total(self) -> float:
-        return sum(self.weights.values())
-
 
 @dataclass(frozen=True)
 class BinOverlap:

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -220,6 +221,32 @@ class TestScoreMorph:
         assert code == 0
         assert out.startswith("<?xml")
         assert 'class="intersection"' in out
+
+    def test_tiny_bin_width_output_is_bounded_by_the_languages(self, fixtures, capsys):
+        # 16 languages spread over a span of about 500,000 bins: the
+        # report holds one row and one SVG label per occupied bin
+        base = [
+            "score",
+            "--level",
+            "morph",
+            "--dataset",
+            str(fixtures / "corpus_ds"),
+            "--reference",
+            str(fixtures / "corpus_ref"),
+            "--registry",
+            str(fixtures / "registry.csv"),
+            "--bin-width",
+            "1e-5",
+        ]
+        code, out, _ = run_main(base, capsys)
+        assert code == 0
+        assert len(out.encode("utf-8")) < 16 * 1024
+        labels = [r["bin"] for r in json.loads(out)["jmm"]["per_bin"]]
+        assert len(labels) <= 16
+        code, svg, _ = run_main(base + ["--format", "svg"], capsys)
+        assert code == 0
+        assert len(svg.encode("utf-8")) < 16 * 1024
+        assert re.findall(r">(bin-?\d+)</text>", svg) == labels
 
     def test_bad_corpus_files_fail_the_score_and_are_all_named(self, fixtures, tmp_path, capsys):
         (tmp_path / "aaa.txt").write_text("good tokens here\n")

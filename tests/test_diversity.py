@@ -41,6 +41,14 @@ measurements = st.lists(
     max_size=10,
 )
 
+# Values far apart relative to the bin width, where a contiguous bin axis
+# would run to billions of bins.
+far_apart_measurements = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=10,
+)
+
 
 class TestWeightVector:
     def test_as_dict(self):
@@ -164,7 +172,7 @@ class TestNormalizationScalar:
 
 
 class TestAlignBins:
-    def test_contiguous_axis_keeps_interior_zeros(self):
+    def test_one_sided_bins_get_zero_weight(self):
         a = BinnedDistribution(1.0, {2: 1.0, 3: 2.0})
         b = BinnedDistribution(1.0, {3: 1.5, 4: 1.5})
         va, vb = align_bins(a, b)
@@ -173,11 +181,13 @@ class TestAlignBins:
         assert list(vb.weights) == [0.0, 1.5, 1.5]
 
     def test_gap_in_the_middle(self):
+        # bins 1-3 are empty on both sides and get no place on the axis
         a = BinnedDistribution(1.0, {0: 1.0})
         b = BinnedDistribution(1.0, {4: 1.0})
         va, vb = align_bins(a, b)
-        assert va.labels == ("bin0", "bin1", "bin2", "bin3", "bin4")
-        assert list(va.weights) == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert va.labels == vb.labels == ("bin0", "bin4")
+        assert list(va.weights) == [1.0, 0.0]
+        assert list(vb.weights) == [0.0, 1.0]
 
     def test_rejects_width_mismatch(self):
         a = BinnedDistribution(1.0, {0: 1.0})
@@ -272,6 +282,21 @@ class TestJmmScore:
         assert jmm_score(a, b, width).value == pytest.approx(
             brute_jmm(a, b, width), abs=1e-12
         )
+
+    @given(
+        a=far_apart_measurements,
+        b=far_apart_measurements,
+        width=st.sampled_from([1e-5, 1e-3, 0.01, 1.0]),
+    )
+    @example(a=[0.0], b=[1e5], width=1.0)
+    def test_sparse_axis_property(self, a, b, width):
+        report = jmm_score(a, b, width)
+        rows = report.per_bin
+        assert len(rows) <= len(a) + len(b)
+        assert all(r.max_weight > 0 for r in rows)
+        ks = [int(r.label.removeprefix("bin")) for r in rows]
+        assert all(k < k_next for k, k_next in zip(ks, ks[1:]))
+        assert report.value == pytest.approx(brute_jmm(a, b, width), abs=1e-12)
 
 
 class TestSyntacticWeights:

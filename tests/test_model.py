@@ -178,10 +178,9 @@ class TestMorphFeatureSpec:
 
 
 class TestBinnedDistribution:
-    def test_occupied_and_total(self):
+    def test_occupied_skips_zero_weight_bins(self):
         d = BinnedDistribution(1.0, {3: 2.0, 1: 0.0, 5: 1.0})
         assert d.occupied() == [3, 5]
-        assert d.total() == 3.0
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError, match="bin_width"):

@@ -91,11 +91,9 @@ def main():
     elif len(ref) < len(ds):
         bins_r = {k: v * c for k, v in bins_r.items()}
 
-    lo = min(min(bins_d), min(bins_r))
-    hi = max(max(bins_d), max(bins_r))
     per_bin, surplus, deficit = [], [], []
     num = den = 0.0
-    for k in range(lo, hi + 1):
+    for k in sorted(set(bins_d) | set(bins_r)):
         wd = float(bins_d.get(k, 0.0))
         wr = float(bins_r.get(k, 0.0))
         num += min(wd, wr)
