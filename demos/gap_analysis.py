@@ -7,7 +7,7 @@ reference languages that would plug the hole.
 """
 
 from divscore.analysis import attach_gap
-from divscore.diversity import bin_index, jmm_score
+from divscore.diversity import bin_members, jmm_score
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
 # mid-length European-style languages, nothing isolating, nothing
@@ -32,9 +32,7 @@ def main() -> None:
     print(f"size normalization c = {report.normalization_c}")
 
     # map each aligned bin to the reference languages that fall in it
-    members: dict[str, list[str]] = {}
-    for iso, value in sorted(REFERENCE.items()):
-        members.setdefault(f"bin{bin_index(value, width)}", []).append(iso)
+    members = bin_members(list(REFERENCE), list(REFERENCE.values()), width)
     report = attach_gap(report, members)
     gap = report.gap
 

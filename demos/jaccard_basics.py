@@ -21,7 +21,7 @@ def main() -> None:
 
     for name, values in (("dataset", dataset), ("reference", reference)):
         dist = bin_measurements(values, width)
-        cols = ", ".join(f"{b}={w:g}" for b, w in dist.weights.items())
+        cols = ", ".join(f"{b}={n}" for b, n in dist.items())
         print(f"{name} histogram: {cols}")
 
     c = normalization_scalar(len(dataset), len(reference))

@@ -14,16 +14,14 @@ from .analysis import (
     spearman,
 )
 from .diversity import (
-    WeightVector,
-    align_bins,
     bin_index,
     bin_measurements,
+    bin_members,
     binary_entropy,
-    jaccard_minmax,
+    feature_members,
     jmm_score,
     jmm_syn,
     normalization_scalar,
-    overlap_series,
     syntactic_weights,
     ti_morph,
     ti_syn,
@@ -48,7 +46,6 @@ from .ingest import (
     load_registry,
 )
 from .model import (
-    BinnedDistribution,
     BinOverlap,
     DeficitBin,
     DiversityReport,
@@ -74,7 +71,6 @@ from .textstats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnedDistribution",
     "BinOverlap",
     "CorpusSource",
     "CorrelationResult",
@@ -89,18 +85,17 @@ __all__ = [
     "SurplusBin",
     "TextProfile",
     "TokenSequence",
-    "WeightVector",
-    "align_bins",
     "attach_gap",
     "bin_index",
     "bin_measurements",
+    "bin_members",
     "binary_entropy",
     "bundled_path",
     "c_wals",
     "c_wals_table",
     "family_breakdown",
+    "feature_members",
     "grapheme_length",
-    "jaccard_minmax",
     "jmm_score",
     "jmm_syn",
     "load_corpus",
@@ -113,7 +108,6 @@ __all__ = [
     "mean_word_length",
     "normalization_scalar",
     "normalize_feature",
-    "overlap_series",
     "profile",
     "sample_contiguous",
     "serialize_report",

@@ -35,15 +35,10 @@ class CorrelationResult:
 
     rho: float
     n: int
-    pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         _require(-1.0 <= self.rho <= 1.0, f"rho must lie in [-1, 1], got {self.rho}")
         _require(self.n >= 3, f"a reported correlation needs n >= 3, got {self.n}")
-        _require(
-            len(self.pairs) == self.n,
-            f"pair count {len(self.pairs)} does not match n = {self.n}",
-        )
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
@@ -66,8 +61,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     )
     rho = float(np.corrcoef(rx, ry)[0, 1])
     rho = max(-1.0, min(1.0, rho))
-    pairs = tuple((float(x), float(y)) for x, y in zip(xs, ys))
-    return CorrelationResult(rho=rho, n=n, pairs=pairs)
+    return CorrelationResult(rho=rho, n=n)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .analysis import attach_gap, csv_text, serialize_report, spearman
-from .diversity import bin_index, jmm_score, jmm_syn, ti_morph, ti_syn
+from .diversity import bin_members, feature_members, jmm_score, jmm_syn, ti_morph, ti_syn
 from .grammar import c_wals_table, load_morph_specs
 from .ingest import (
     PROFILE_COLUMNS,
@@ -59,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, formats=("json", "csv")):
         sp.add_argument("--format", choices=list(formats), default="json", help="output format")
+
+    def registry(sp):
         sp.add_argument("--registry", default=None, help="language registry CSV")
 
     def sampling(sp):
@@ -69,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="corpus directory of <iso>.txt files")
     sampling(p)
     common(p)
+    registry(p)
 
     p = sub.add_parser("score", help="diversity scores of a dataset against a reference")
     p.add_argument("--level", choices=["morph", "syn"], required=True)
@@ -89,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--drop-incomplete", action="store_true", help="drop rows with '?' cells")
     common(p, formats=("json", "csv", "svg"))
+    registry(p)
 
     p = sub.add_parser("cwals", help="per-language morphological complexity scores")
     p.add_argument("--dataset", default=None, help="morphology values CSV (default: bundled)")
@@ -106,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("families", help="distinct language families in a language list")
     p.add_argument("--dataset", default=None, help="iso list file (default: bundled)")
     common(p)
+    registry(p)
 
     return parser
 
@@ -211,10 +216,7 @@ def _score_morph(args: argparse.Namespace) -> dict:
     mwl_r = [p.mean_word_length for p in profiles_r]
 
     report = jmm_score(mwl_d, mwl_r, args.bin_width)
-    members: dict[str, list[str]] = {}
-    for p, m in zip(profiles_r, mwl_r):
-        members.setdefault(f"bin{bin_index(m, args.bin_width)}", []).append(p.iso)
-    report = attach_gap(report, members)
+    report = attach_gap(report, bin_members([p.iso for p in profiles_r], mwl_r, args.bin_width))
 
     ti_d = ti_morph(mwl_d, args.bin_width) if len(mwl_d) >= 2 else None
     ti_r = ti_morph(mwl_r, args.bin_width) if len(mwl_r) >= 2 else None
@@ -250,14 +252,7 @@ def _score_syn(args: argparse.Namespace) -> dict:
 
     count_zeros = args.syn_dims == 206
     report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
-    members: dict[str, list[str]] = {}
-    for f in mat_r.features:
-        col = mat_r.column(f)
-        with_one = [iso for iso, v in zip(mat_r.languages, col) if v == 1]
-        members[f"{f}=1" if count_zeros else f] = with_one
-        if count_zeros:
-            members[f"{f}=0"] = [iso for iso, v in zip(mat_r.languages, col) if v == 0]
-    report = attach_gap(report, members)
+    report = attach_gap(report, feature_members(mat_r, count_zeros))
 
     ti_d = ti_syn(mat_d) if mat_d.n_languages >= 2 else None
     ti_r = ti_syn(mat_r) if mat_r.n_languages >= 2 else None

@@ -2,13 +2,17 @@
 
 Two families of diversity scores over language features:
 
-* Minmax Jaccard: bin the per-language measurements of each data set,
-  align them over the bins occupied on either side, multiply every bin
-  weight of the smaller set by the size ratio
+* Minmax Jaccard: count both data sets over one table of rows, multiply
+  every count of the smaller set by the size ratio
   c = max(|A|,|B|) / min(|A|,|B|) so that set size does not masquerade
-  as diversity, and score sum_j min(a_j, b_j) / sum_j max(a_j, b_j); a
-  bin empty on both sides would add 0 to both sums. 1 means the
-  distributions coincide after size normalization, 0 disjoint support.
+  as diversity, and score sum_j min(a_j, b_j) / sum_j max(a_j, b_j). 1
+  means the distributions coincide after size normalization, 0 disjoint
+  support. For measurements the rows are the bins occupied on either
+  side, labelled ``bin<k>`` (a bin empty on both sides would add 0 to
+  both sums); for binary syntactic features they are the features, or
+  ``<feature>=1`` and ``<feature>=0``. Those labels are written only in
+  this module: :func:`bin_members` and :func:`feature_members` give the
+  languages in each row, for the gap report.
 
 * Typological index: mean Shannon entropy (base 2) of feature-value
   distributions across the languages of one set. For binary syntactic
@@ -24,13 +28,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .model import BinnedDistribution, BinOverlap, DiversityReport, FeatureMatrix, _require
+from .model import BinOverlap, DiversityReport, FeatureMatrix, _require
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
@@ -38,40 +41,6 @@ _MAX_FLOAT = sys.float_info.max
 #: same floor as the decimal quotient: printing each operand as its
 #: shortest decimal and dividing in floats err by a few 2**-53 of |q|.
 _NEAR_INTEGER = 2.0**-40
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Named non-negative weights over bins or feature dimensions."""
-
-    labels: tuple[str, ...]
-    weights: np.ndarray
-
-    def __init__(self, labels: Sequence[str], weights) -> None:
-        labels = tuple(str(x) for x in labels)
-        _require(len(set(labels)) == len(labels), "weight vector labels must be unique")
-        arr = np.asarray(weights, dtype=np.float64).copy()
-        _require(
-            arr.ndim == 1 and len(arr) == len(labels),
-            f"need one weight per label, got {arr.shape} weights for {len(labels)} labels",
-        )
-        _require(bool(np.all(np.isfinite(arr))), "weights must be finite")
-        _require(bool(np.all(arr >= 0)), "weights must be non-negative")
-        _require(float(arr.sum()) > 0, "weight vector must have positive total weight")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", arr)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.weights, other.weights)
-
-    def as_dict(self) -> dict[str, float]:
-        return {lab: float(w) for lab, w in zip(self.labels, self.weights)}
 
 
 def bin_index(value: float, width: float) -> int:
@@ -99,11 +68,10 @@ def bin_index(value: float, width: float) -> int:
     return Fraction(repr(float(value))) // Fraction(repr(float(width)))
 
 
-def bin_measurements(values: Sequence[float], width: float) -> BinnedDistribution:
-    """Histogram a list of measurements into the bins of :func:`bin_index`."""
+def bin_measurements(values: Sequence[float], width: float) -> dict[int, int]:
+    """Count the measurements in each bin of :func:`bin_index`."""
     _require(len(values) > 0, "bin_measurements requires at least one value")
-    counts = Counter(bin_index(v, width) for v in values)
-    return BinnedDistribution(width, {k: float(n) for k, n in counts.items()})
+    return Counter(bin_index(v, width) for v in values)
 
 
 def normalization_scalar(size_a: int, size_b: int) -> float:
@@ -115,99 +83,77 @@ def normalization_scalar(size_a: int, size_b: int) -> float:
     return max(size_a, size_b) / min(size_a, size_b)
 
 
-def align_bins(a: BinnedDistribution, b: BinnedDistribution) -> tuple[WeightVector, WeightVector]:
-    """Put two distributions over one shared bin-label axis.
-
-    The axis is the sorted union of the bins occupied in either
-    distribution, however far apart they lie; a bin occupied on one side
-    only gets weight 0 on the other.
-    """
-    _require(
-        a.bin_width == b.bin_width,
-        f"cannot align distributions with different bin widths "
-        f"({a.bin_width} vs {b.bin_width})",
-    )
-    axis = sorted({*a.occupied(), *b.occupied()})
-    labels = [f"bin{k}" for k in axis]
-    wa = [a.weights.get(k, 0.0) for k in axis]
-    wb = [b.weights.get(k, 0.0) for k in axis]
-    return WeightVector(labels, wa), WeightVector(labels, wb)
-
-
-def jaccard_minmax(a: WeightVector, b: WeightVector) -> float:
-    """sum(min) / sum(max) over two aligned weight vectors, in [0, 1]."""
-    _require(
-        a.labels == b.labels,
-        "weight vectors must share the same labels in the same order",
-    )
-    num = float(np.minimum(a.weights, b.weights).sum())
-    den = float(np.maximum(a.weights, b.weights).sum())
-    _require(den > 0, "cannot score two all-zero weight vectors")
-    return num / den
-
-
-def overlap_series(a: WeightVector, b: WeightVector) -> tuple[BinOverlap, ...]:
-    """Per-bin (a, b, min, max) rows; the min and max column sums are the
-    minmax Jaccard numerator and denominator of the same vectors."""
-    _require(
-        a.labels == b.labels,
-        "overlap series needs aligned weight vectors with identical labels",
-    )
-    return tuple(
-        BinOverlap(
-            label=lab,
-            dataset=float(wa),
-            reference=float(wb),
-            min_weight=float(min(wa, wb)),
-            max_weight=float(max(wa, wb)),
-        )
-        for lab, wa, wb in zip(a.labels, a.weights, b.weights)
-    )
-
-
-def _size_normalized_report(
-    score_name: str, vec_d: WeightVector, vec_r: WeightVector, n_d: int, n_r: int
+def _minmax_report(
+    score_name: str, labels: Sequence[str], wd: Sequence, wr: Sequence, n_d: int, n_r: int
 ) -> DiversityReport:
-    """Scale the smaller side's aligned weights by the size ratio, score,
-    and attach the per-bin table."""
+    """Score one aligned table: ``wd`` and ``wr`` are the dataset's and
+    the reference's weights on the rows ``labels``.
+
+    Multiplies the smaller side's weights by the size ratio, then scores
+    sum(min) / sum(max). The report carries the scalar and one (dataset,
+    reference, min, max) row per label, post-scaling; the min and max
+    column sums are the score's numerator and denominator.
+    """
     c = normalization_scalar(n_d, n_r)
+    wd, wr = np.asarray(wd, dtype=np.float64), np.asarray(wr, dtype=np.float64)
     if n_d < n_r:
-        vec_d = WeightVector(vec_d.labels, vec_d.weights * c)
+        wd = wd * c
     elif n_r < n_d:
-        vec_r = WeightVector(vec_r.labels, vec_r.weights * c)
-    return DiversityReport(
-        score_name=score_name,
-        value=jaccard_minmax(vec_d, vec_r),
-        per_bin=overlap_series(vec_d, vec_r),
-        normalization_c=c,
-    )
+        wr = wr * c
+    lo, hi = np.minimum(wd, wr), np.maximum(wd, wr)
+    value = float(lo.sum()) / float(hi.sum())
+    rows = tuple(map(BinOverlap, labels, wd.tolist(), wr.tolist(), lo.tolist(), hi.tolist()))
+    return DiversityReport(score_name, value, per_bin=rows, normalization_c=c)
+
+
+def _bin_label(k: int) -> str:
+    return f"bin{k}"
 
 
 def jmm_score(
-    dataset: Sequence[float],
-    reference: Sequence[float],
-    width: float,
-    score_name: str = "jmm_morph",
+    dataset: Sequence[float], reference: Sequence[float], width: float
 ) -> DiversityReport:
     """Minmax Jaccard between two sets of per-language measurements.
 
-    Bins both sides at ``width``, aligns, multiplies every weight of the
-    smaller set by the size ratio, and scores. The report carries the
-    scalar used and the per-bin min/max breakdown (post-scaling), whose
-    column sums reproduce the score exactly.
+    Bins both sides at ``width`` and scores them over the sorted union of
+    the bins occupied on either side, however far apart they lie; a bin
+    occupied on one side only gets weight 0 on the other. The report's
+    rows are labelled ``bin<k>``.
     """
-    vec_d, vec_r = align_bins(bin_measurements(dataset, width), bin_measurements(reference, width))
-    return _size_normalized_report(score_name, vec_d, vec_r, len(dataset), len(reference))
+    counts_d = bin_measurements(dataset, width)
+    counts_r = bin_measurements(reference, width)
+    axis = sorted({*counts_d, *counts_r})
+    labels = [_bin_label(k) for k in axis]
+    wd, wr = [counts_d.get(k, 0) for k in axis], [counts_r.get(k, 0) for k in axis]
+    return _minmax_report("jmm_morph", labels, wd, wr, len(dataset), len(reference))
 
 
-def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> WeightVector:
-    """Observed-value counts of a binary feature matrix as a weight vector.
+def bin_members(isos: Sequence[str], values: Sequence[float], width: float) -> dict[str, list[str]]:
+    """The languages in each row of :func:`jmm_score`'s table, by row
+    label: ``isos[i]`` joins the row of the bin holding ``values[i]``."""
+    members: dict[str, list[str]] = {}
+    for iso, v in zip(isos, values):
+        members.setdefault(_bin_label(bin_index(v, width)), []).append(iso)
+    return members
 
-    Default: one dimension per feature, weighted by the number of
-    languages showing value 1 (all-zero features keep their dimension
-    at weight 0). With ``count_zeros`` every feature contributes two
-    dimensions, ``<feature>=1`` and ``<feature>=0``, counting both
-    values separately; total weight is then languages x features.
+
+def _feature_rows(features: Sequence[str], count_zeros: bool) -> list[tuple[str, str, int]]:
+    """(row label, feature, value counted) for each row of
+    :func:`jmm_syn`'s table, in feature order."""
+    if not count_zeros:
+        return [(f, f, 1) for f in features]
+    return [(f"{f}={value}", f, value) for f in features for value in (1, 0)]
+
+
+def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[str, float]:
+    """Observed-value counts of a binary feature matrix, by row label in
+    feature order.
+
+    Default: one row per feature, weighted by the number of languages
+    showing value 1 (all-zero features keep their row at weight 0). With
+    ``count_zeros`` every feature contributes two rows, ``<feature>=1``
+    and ``<feature>=0``, counting both values separately; total weight is
+    then languages x features.
 
     A matrix containing no 1s at all has nothing to compare in the
     default mode and is rejected.
@@ -216,16 +162,22 @@ def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> Weigh
         matrix.kind == "binary_syntactic",
         f"syntactic weights need a binary_syntactic matrix, got kind {matrix.kind!r}",
     )
-    ones = matrix.values.sum(axis=0).astype(np.float64)
-    if not count_zeros:
-        return WeightVector(matrix.features, ones)
-    zeros = matrix.n_languages - ones
-    labels: list[str] = []
-    weights: list[float] = []
-    for j, f in enumerate(matrix.features):
-        labels.extend((f"{f}=1", f"{f}=0"))
-        weights.extend((float(ones[j]), float(zeros[j])))
-    return WeightVector(labels, weights)
+    ones = dict(zip(matrix.features, matrix.values.sum(axis=0).astype(np.float64).tolist()))
+    weights = {
+        label: ones[f] if value else matrix.n_languages - ones[f]
+        for label, f, value in _feature_rows(matrix.features, count_zeros)
+    }
+    _require(any(w > 0 for w in weights.values()), "syntactic weights need positive total weight")
+    return weights
+
+
+def feature_members(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[str, list[str]]:
+    """The languages in each row of :func:`jmm_syn`'s table, by row
+    label: those of ``matrix`` showing the value the row counts."""
+    return {
+        label: [iso for iso, v in zip(matrix.languages, matrix.column(f).tolist()) if v == value]
+        for label, f, value in _feature_rows(matrix.features, count_zeros)
+    }
 
 
 def jmm_syn(
@@ -247,13 +199,10 @@ def jmm_syn(
         raise ValueError(
             f"feature lists differ in length: {dataset.n_features} vs {reference.n_features}"
         )
-    return _size_normalized_report(
-        "jmm_syn",
-        syntactic_weights(dataset, count_zeros),
-        syntactic_weights(reference, count_zeros),
-        dataset.n_languages,
-        reference.n_languages,
-    )
+    wd = syntactic_weights(dataset, count_zeros)
+    wr = syntactic_weights(reference, count_zeros)
+    n_d, n_r = dataset.n_languages, reference.n_languages
+    return _minmax_report("jmm_syn", list(wd), list(wd.values()), list(wr.values()), n_d, n_r)
 
 
 def binary_entropy(p: float) -> float:
@@ -292,7 +241,6 @@ def ti_morph(values: Sequence[float], width: float) -> float:
     empty bins drive the index toward 0.
     """
     _require(len(values) >= 2, f"ti_morph needs at least 2 values, got {len(values)}")
-    dist = bin_measurements(values, width)
+    counts = bin_measurements(values, width)
     n = len(values)
-    entropies = [binary_entropy(dist.weights[k] / n) for k in dist.occupied()]
-    return float(np.mean(entropies))
+    return float(np.mean([binary_entropy(counts[k] / n) for k in sorted(counts)]))

@@ -1,5 +1,5 @@
 """Shared domain types: language identities, text profiles, feature
-matrices, binned distributions, and score reports.
+matrices, and score reports.
 
 Pure data, no I/O and no scoring logic. Every type checks its invariants
 at construction time and raises ``ValueError`` with a message naming the
@@ -264,37 +264,6 @@ class MorphFeatureSpec:
                 f"value_map output {final} for raw {raw} lies outside "
                 f"[{self.final_min}, {self.final_max}] in chapter {self.chapter}",
             )
-
-
-@dataclass(frozen=True)
-class BinnedDistribution:
-    """Weighted histogram over equal-width, half-open bins.
-
-    Bin ``k`` covers ``[k*bin_width, (k+1)*bin_width)``; values are
-    assigned to bins by :func:`divscore.diversity.bin_index`.
-    """
-
-    bin_width: float
-    weights: Mapping[int, float]
-
-    def __init__(self, bin_width: float, weights: Mapping[int, float]) -> None:
-        _require(
-            math.isfinite(bin_width) and bin_width > 0,
-            f"bin_width must be a finite positive number, got {bin_width}",
-        )
-        w = {int(k): float(v) for k, v in weights.items()}
-        _require(len(w) > 0, "distribution must have at least one bin")
-        for k, v in w.items():
-            _require(
-                math.isfinite(v) and v >= 0,
-                f"bin weights must be finite and non-negative, got {v} in bin {k}",
-            )
-        _require(any(v > 0 for v in w.values()), "at least one bin weight must be positive")
-        object.__setattr__(self, "bin_width", float(bin_width))
-        object.__setattr__(self, "weights", w)
-
-    def occupied(self) -> list[int]:
-        return sorted(k for k, v in self.weights.items() if v > 0)
 
 
 @dataclass(frozen=True)

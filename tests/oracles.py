@@ -45,6 +45,39 @@ def brute_jmm(dataset, reference, width):
     return num / den
 
 
+def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
+    """Minmax Jaccard of two 0/1 matrices given as rows, with its table.
+
+    One row per feature, labelled with the feature and counting the
+    languages with value 1; with count_zeros two rows per feature,
+    "<feature>=1" and "<feature>=0", counting each value. Every count of
+    the smaller side is multiplied by max(n, m) / min(n, m). Returns
+    (value, [(label, dataset, reference, min, max), ...]), or None when a
+    side has no positive weight to compare.
+    """
+
+    def counts(rows):
+        table = []
+        for j, f in enumerate(features):
+            ones = sum(row[j] for row in rows)
+            if count_zeros:
+                table += [(f + "=1", ones), (f + "=0", len(rows) - ones)]
+            else:
+                table.append((f, ones))
+        return table
+
+    counts_d, counts_r = counts(rows_d), counts(rows_r)
+    if sum(n for _, n in counts_d) == 0 or sum(n for _, n in counts_r) == 0:
+        return None
+    n, m = len(rows_d), len(rows_r)
+    c = max(n, m) / min(n, m)
+    table = []
+    for (label, a), (_, b) in zip(counts_d, counts_r):
+        a, b = float(a) * (c if n < m else 1.0), float(b) * (c if m < n else 1.0)
+        table.append((label, a, b, min(a, b), max(a, b)))
+    return sum(t[3] for t in table) / sum(t[4] for t in table), table
+
+
 def bent(p):
     if p == 0.0 or p == 1.0:
         return 0.0

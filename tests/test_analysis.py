@@ -15,8 +15,8 @@ from divscore.analysis import (
     serialize_report,
     spearman,
 )
-from divscore.diversity import WeightVector, jmm_score, overlap_series
-from divscore.model import DiversityReport
+from divscore.diversity import jmm_score, jmm_syn
+from divscore.model import BinOverlap, DiversityReport, FeatureMatrix
 
 
 class TestSpearman:
@@ -85,7 +85,9 @@ class TestSpearman:
 class TestGapReport:
     @staticmethod
     def _report(labels, dataset, reference):
-        rows = overlap_series(WeightVector(labels, dataset), WeightVector(labels, reference))
+        rows = [
+            BinOverlap(x, a, b, min(a, b), max(a, b)) for x, a, b in zip(labels, dataset, reference)
+        ]
         value = sum(r.min_weight for r in rows) / sum(r.max_weight for r in rows)
         return DiversityReport(score_name="jmm_morph", value=value, per_bin=rows)
 
@@ -126,10 +128,14 @@ class TestGapReport:
 
 
 class TestOverlapSeries:
+    """The per-bin min and max columns, whose sums are the score's parts."""
+
     def test_rows_carry_min_max(self):
-        a = WeightVector(["x", "y"], [1.0, 3.0])
-        b = WeightVector(["x", "y"], [2.0, 2.0])
-        rows = overlap_series(a, b)
+        # jmm_syn's rows: counts [1, 3] and [2, 2] over three languages each
+        isos = ["qaa", "qab", "qac"]
+        a = FeatureMatrix(isos, ["x", "y"], [[1, 1], [0, 1], [0, 1]], "binary_syntactic")
+        b = FeatureMatrix(isos, ["x", "y"], [[1, 1], [1, 1], [0, 0]], "binary_syntactic")
+        rows = jmm_syn(a, b).per_bin
         assert [(r.min_weight, r.max_weight) for r in rows] == [(1.0, 2.0), (2.0, 3.0)]
         num = sum(r.min_weight for r in rows)
         den = sum(r.max_weight for r in rows)

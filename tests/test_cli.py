@@ -371,6 +371,24 @@ class TestScoreSyn:
         # s6: scaled dataset 3.2 vs reference 4; qrb/qrd/qre/qrg carry s6=1
         assert deficit["s6"]["examples"] == ["qrb", "qrd", "qre", "qrg"]
 
+        # 206 dims with the sides swapped, so the smaller reference is
+        # scaled: s1=0 has dataset 3 vs reference 2 * 1.6 = 3.2, and
+        # qdc/qde carry s1=0
+        swapped = [
+            "score",
+            "--level",
+            "syn",
+            "--dataset",
+            str(fixtures / "syn_reference.csv"),
+            "--reference",
+            str(fixtures / "syn_dataset.csv"),
+            "--syn-dims",
+            "206",
+        ]
+        _, out, _ = run_main(swapped, capsys)
+        deficit = {d["bin"]: d for d in json.loads(out)["jmm"]["gap"]["deficit"]}
+        assert deficit["s1=0"]["examples"] == ["qdc", "qde"]
+
 
 class TestCwals:
     def test_bundled_defaults(self, capsys):
@@ -661,6 +679,15 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
         assert "error:" in err and "--bin-width" in err
+
+    @pytest.mark.parametrize("command", [["cwals"], ["correlate", "mwl", "c_wals"]])
+    def test_registry_is_a_usage_error_where_unread(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main([*command, "--registry", "/nonexistent.csv"], capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --registry" in captured.err
 
 
 class TestImports:

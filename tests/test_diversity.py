@@ -1,4 +1,4 @@
-"""Scoring core: binning, alignment, minmax Jaccard, and entropy indices.
+"""Scoring core: binning, the aligned min-max table, and entropy indices.
 
 The randomized properties here are the package-level half of the
 acceptance property suites; the acceptance tests re-run the headline
@@ -7,18 +7,14 @@ properties at their pinned budgets.
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divscore.diversity import (
-    WeightVector,
-    align_bins,
     bin_index,
     bin_measurements,
     binary_entropy,
-    jaccard_minmax,
     jmm_score,
     jmm_syn,
     normalization_scalar,
@@ -26,8 +22,8 @@ from divscore.diversity import (
     ti_morph,
     ti_syn,
 )
-from divscore.model import BinnedDistribution, FeatureMatrix
-from oracles import brute_jmm, brute_ti_morph, brute_ti_syn, exact_bin
+from divscore.model import FeatureMatrix
+from oracles import brute_jmm, brute_jmm_syn, brute_ti_morph, brute_ti_syn, exact_bin
 
 # {2.5, 3.5, 3.7} vs {3.2, 4.1} at width 1: c = 1.5 on the smaller side,
 # aligned columns A [1, 2, 0] and B [0, 1.5, 1.5], min-sum 1.5, max-sum
@@ -48,30 +44,6 @@ far_apart_measurements = st.lists(
     min_size=1,
     max_size=10,
 )
-
-
-class TestWeightVector:
-    def test_as_dict(self):
-        v = WeightVector(["x", "y"], [1.0, 2.0])
-        assert v.as_dict() == {"x": 1.0, "y": 2.0}
-        assert len(v) == 2
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError, match="unique"):
-            WeightVector(["x", "x"], [1.0, 2.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            WeightVector(["x"], [-1.0])
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError, match="positive total"):
-            WeightVector(["x", "y"], [0.0, 0.0])
-
-    def test_weights_read_only(self):
-        v = WeightVector(["x"], [1.0])
-        with pytest.raises(ValueError):
-            v.weights[0] = 2.0
 
 
 decimal_widths = st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.5])
@@ -136,16 +108,13 @@ class TestBinIndex:
 
 class TestBinning:
     def test_counts_and_boundaries(self):
-        d = bin_measurements([0.2, 0.9, 1.0, 2.5], width=1.0)
-        assert d.weights == {0: 2.0, 1: 1.0, 2: 1.0}
+        assert bin_measurements([0.2, 0.9, 1.0, 2.5], width=1.0) == {0: 2, 1: 1, 2: 1}
 
     def test_negative_values(self):
-        d = bin_measurements([-0.5, -1.0, 0.5], width=1.0)
-        assert d.weights == {-1: 2.0, 0: 1.0}
+        assert bin_measurements([-0.5, -1.0, 0.5], width=1.0) == {-1: 2, 0: 1}
 
     def test_narrow_width(self):
-        d = bin_measurements([0.2, 0.3], width=0.25)
-        assert d.weights == {0: 1.0, 1: 1.0}
+        assert bin_measurements([0.2, 0.3], width=0.25) == {0: 1, 1: 1}
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one value"):
@@ -172,50 +141,52 @@ class TestNormalizationScalar:
 
 
 class TestAlignBins:
+    """jmm_score's rows: the sorted union of the bins occupied on either side."""
+
     def test_one_sided_bins_get_zero_weight(self):
-        a = BinnedDistribution(1.0, {2: 1.0, 3: 2.0})
-        b = BinnedDistribution(1.0, {3: 1.5, 4: 1.5})
-        va, vb = align_bins(a, b)
-        assert va.labels == ("bin2", "bin3", "bin4")
-        assert list(va.weights) == [1.0, 2.0, 0.0]
-        assert list(vb.weights) == [0.0, 1.5, 1.5]
+        rows = jmm_score(TOY_A, TOY_B, 1.0).per_bin
+        assert [r.label for r in rows] == ["bin2", "bin3", "bin4"]
+        assert [r.dataset for r in rows] == [1.0, 2.0, 0.0]
+        assert [r.reference for r in rows] == [0.0, 1.5, 1.5]
 
     def test_gap_in_the_middle(self):
-        # bins 1-3 are empty on both sides and get no place on the axis
-        a = BinnedDistribution(1.0, {0: 1.0})
-        b = BinnedDistribution(1.0, {4: 1.0})
-        va, vb = align_bins(a, b)
-        assert va.labels == vb.labels == ("bin0", "bin4")
-        assert list(va.weights) == [1.0, 0.0]
-        assert list(vb.weights) == [0.0, 1.0]
+        # bins 1-3 are empty on both sides and get no row
+        rows = jmm_score([0.5], [4.5], 1.0).per_bin
+        assert [r.label for r in rows] == ["bin0", "bin4"]
+        assert [(r.dataset, r.reference) for r in rows] == [(1.0, 0.0), (0.0, 1.0)]
 
-    def test_rejects_width_mismatch(self):
-        a = BinnedDistribution(1.0, {0: 1.0})
-        b = BinnedDistribution(0.5, {0: 1.0})
-        with pytest.raises(ValueError, match="different bin widths"):
-            align_bins(a, b)
+
+def _syn(rows, features=None):
+    """A binary_syntactic matrix over languages qaa, qab, ... and s1, s2, ..."""
+    isos = ["q" + chr(ord("a") + i // 26) + chr(ord("a") + i % 26) for i in range(len(rows))]
+    features = features or [f"s{j}" for j in range(1, len(rows[0]) + 1)]
+    return FeatureMatrix(isos, features, rows, "binary_syntactic")
 
 
 class TestJaccardMinmax:
+    """sum(min) / sum(max) over jmm_syn's feature rows."""
+
     def test_toy_columns(self):
-        va = WeightVector(["bin2", "bin3", "bin4"], [1.0, 2.0, 0.0])
-        vb = WeightVector(["bin2", "bin3", "bin4"], [0.0, 1.5, 1.5])
-        assert jaccard_minmax(va, vb) == 1 / 3
+        # dataset counts [1, 2, 0] over 3 languages; reference [0, 1, 1]
+        # over 2, scaled by c = 1.5 to [0, 1.5, 1.5]
+        report = jmm_syn(_syn([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _syn([[0, 1, 0], [0, 0, 1]]))
+        assert [r.reference for r in report.per_bin] == [0.0, 1.5, 1.5]
+        assert report.value == 1 / 3
 
     def test_identical_vectors_score_one(self):
-        v = WeightVector(["a", "b"], [1.0, 2.0])
-        assert jaccard_minmax(v, v) == 1.0
+        m = _syn([[1, 0, 1], [1, 1, 0]])
+        assert jmm_syn(m, m).value == 1.0
+        assert jmm_syn(m, m, count_zeros=True).value == 1.0
 
     def test_disjoint_support_scores_zero(self):
-        va = WeightVector(["a", "b"], [1.0, 0.0])
-        vb = WeightVector(["a", "b"], [0.0, 2.0])
-        assert jaccard_minmax(va, vb) == 0.0
+        assert jmm_syn(_syn([[1, 0, 0]]), _syn([[0, 1, 1]])).value == 0.0
 
     def test_rejects_label_mismatch(self):
-        va = WeightVector(["a"], [1.0])
-        vb = WeightVector(["b"], [1.0])
-        with pytest.raises(ValueError, match="same labels"):
-            jaccard_minmax(va, vb)
+        # the same features in another order label other rows
+        a = _syn([[1, 0, 0]], ["s1", "s2", "s3"])
+        b = _syn([[1, 0, 0]], ["s2", "s1", "s3"])
+        with pytest.raises(ValueError, match="column 0: 's1' vs 's2'"):
+            jmm_syn(a, b)
 
 
 class TestJmmScore:
@@ -300,37 +271,41 @@ class TestJmmScore:
 
 
 class TestSyntacticWeights:
-    def _matrix(self, rows, isos=None, features=None):
-        isos = isos or [
-            "q" + chr(ord("a") + i // 26) + chr(ord("a") + i % 26) for i in range(len(rows))
-        ]
-        features = features or [f"s{j}" for j in range(1, len(rows[0]) + 1)]
-        return FeatureMatrix(isos, features, rows, "binary_syntactic")
-
     def test_ones_counts(self):
-        m = self._matrix([[1, 0, 1], [1, 1, 0]])
-        v = syntactic_weights(m)
-        assert v.as_dict() == {"s1": 2.0, "s2": 1.0, "s3": 1.0}
+        v = syntactic_weights(_syn([[1, 0, 1], [1, 1, 0]]))
+        assert v == {"s1": 2.0, "s2": 1.0, "s3": 1.0}
+        assert list(v) == ["s1", "s2", "s3"]
 
     def test_count_zeros_doubles_dimensions(self):
-        m = self._matrix([[1, 0], [1, 1]])
+        m = _syn([[1, 0], [1, 1]])
         v = syntactic_weights(m, count_zeros=True)
-        assert v.labels == ("s1=1", "s1=0", "s2=1", "s2=0")
-        assert list(v.weights) == [2.0, 0.0, 1.0, 1.0]
-        assert float(v.weights.sum()) == m.n_languages * m.n_features
+        assert list(v) == ["s1=1", "s1=0", "s2=1", "s2=0"]
+        assert list(v.values()) == [2.0, 0.0, 1.0, 1.0]
+        assert sum(v.values()) == m.n_languages * m.n_features
 
     def test_all_zero_matrix_rejected_in_default_mode(self):
-        m = self._matrix([[0, 0], [0, 0]])
+        m = _syn([[0, 0], [0, 0]])
         with pytest.raises(ValueError, match="positive total"):
             syntactic_weights(m)
+        with pytest.raises(ValueError, match="positive total"):
+            jmm_syn(m, _syn([[1, 0]]))
         # with zero counting the distribution is all in the =0 dimensions
-        v = syntactic_weights(m, count_zeros=True)
-        assert v.as_dict()["s1=0"] == 2.0
+        assert syntactic_weights(m, count_zeros=True)["s1=0"] == 2.0
 
     def test_kind_checked(self):
         m = FeatureMatrix(["aaa"], ["22A"], [[3]], "morphological_ordinal")
         with pytest.raises(ValueError, match="binary_syntactic"):
             syntactic_weights(m)
+
+
+@st.composite
+def syn_pairs(draw):
+    """Feature names and two 0/1 matrices over them, as lists of rows."""
+    n_features = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(min_value=0, max_value=1), min_size=n_features, max_size=n_features)
+    features = [f"s{j}" for j in range(1, n_features + 1)]
+    matrix = st.lists(row, min_size=1, max_size=9)
+    return features, draw(matrix), draw(matrix)
 
 
 class TestJmmSyn:
@@ -364,6 +339,24 @@ class TestJmmSyn:
         with pytest.raises(ValueError, match="column 1: 'sX' vs 's2'"):
             jmm_syn(a, b)
 
+    @given(pair=syn_pairs(), count_zeros=st.booleans())
+    @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=False)
+    @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=True)
+    def test_matches_brute_force_property(self, pair, count_zeros):
+        features, rows_d, rows_r = pair
+        ds, ref = _syn(rows_d, features), _syn(rows_r, features)
+        expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
+        if expected is None:
+            with pytest.raises(ValueError, match="positive total"):
+                jmm_syn(ds, ref, count_zeros)
+            return
+        value, table = expected
+        report = jmm_syn(ds, ref, count_zeros)
+        assert [
+            (r.label, r.dataset, r.reference, r.min_weight, r.max_weight) for r in report.per_bin
+        ] == table
+        assert report.value == pytest.approx(value, abs=1e-12)
+
     def test_feature_length_mismatch(self):
         a = FeatureMatrix(["aaa"], ["s1"], [[1]], "binary_syntactic")
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]], "binary_syntactic")
@@ -392,26 +385,21 @@ class TestBinaryEntropy:
 
 
 class TestTiSyn:
-    def _matrix(self, rows):
-        isos = [("q" + chr(ord("a") + i // 26) + chr(ord("a") + i % 26)) for i in range(len(rows))]
-        features = [f"s{j}" for j in range(1, len(rows[0]) + 1)]
-        return FeatureMatrix(isos, features, rows, "binary_syntactic")
-
     def test_balanced_matrix_scores_one(self):
-        m = self._matrix([[1, 0], [0, 1], [1, 1], [0, 0]])
+        m = _syn([[1, 0], [0, 1], [1, 1], [0, 0]])
         assert ti_syn(m) == 1.0
 
     def test_constant_matrix_scores_zero(self):
-        m = self._matrix([[1, 0], [1, 0], [1, 0]])
+        m = _syn([[1, 0], [1, 0], [1, 0]])
         assert ti_syn(m) == 0.0
 
     def test_matches_oracle(self):
         rows = [[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 1, 1]]
-        m = self._matrix(rows)
+        m = _syn(rows)
         assert ti_syn(m) == pytest.approx(brute_ti_syn(rows), abs=1e-12)
 
     def test_needs_two_languages(self):
-        m = self._matrix([[1, 0]])
+        m = _syn([[1, 0]])
         with pytest.raises(ValueError, match="at least 2 languages"):
             ti_syn(m)
 
@@ -423,8 +411,8 @@ class TestTiSyn:
         )
     )
     def test_flip_symmetry_property(self, rows):
-        m = self._matrix(rows)
-        flipped = self._matrix([[1 - v for v in row] for row in rows])
+        m = _syn(rows)
+        flipped = _syn([[1 - v for v in row] for row in rows])
         assert ti_syn(m) == pytest.approx(ti_syn(flipped), abs=1e-12)
 
 

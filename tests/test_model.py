@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from divscore.model import (
-    BinnedDistribution,
     BinOverlap,
     DeficitBin,
     DiversityReport,
@@ -175,24 +174,6 @@ class TestMorphFeatureSpec:
     def test_rejects_unknown_transformation(self):
         with pytest.raises(ValueError, match="transformation"):
             MorphFeatureSpec("22A", "x", "squaring", 0, 1)
-
-
-class TestBinnedDistribution:
-    def test_occupied_skips_zero_weight_bins(self):
-        d = BinnedDistribution(1.0, {3: 2.0, 1: 0.0, 5: 1.0})
-        assert d.occupied() == [3, 5]
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError, match="bin_width"):
-            BinnedDistribution(0.0, {0: 1.0})
-
-    def test_rejects_all_zero_weights(self):
-        with pytest.raises(ValueError, match="positive"):
-            BinnedDistribution(1.0, {0: 0.0})
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BinnedDistribution(1.0, {0: -1.0})
 
 
 class TestReports:
