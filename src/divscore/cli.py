@@ -28,7 +28,15 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .analysis import attach_gap, csv_text, serialize_report, spearman
-from .diversity import bin_members, feature_members, jmm_score, jmm_syn, ti_morph, ti_syn
+from .diversity import (
+    bin_members,
+    feature_members,
+    jmm_score,
+    jmm_syn,
+    syntactic_weights,
+    ti_morph,
+    ti_syn,
+)
 from .grammar import c_wals_table, load_morph_specs
 from .ingest import (
     PROFILE_COLUMNS,
@@ -240,17 +248,21 @@ def _score_morph(args: argparse.Namespace) -> dict:
 
 
 def _score_syn(args: argparse.Namespace) -> dict:
-    mat_d, dropped_d = load_feature_matrix(
-        args.dataset, "binary_syntactic", drop_incomplete=args.drop_incomplete
-    )
-    mat_r, dropped_r = load_feature_matrix(
-        args.reference, "binary_syntactic", drop_incomplete=args.drop_incomplete
-    )
-    for label, dropped in (("dataset", dropped_d), ("reference", dropped_r)):
-        if dropped:
-            print(f"{len(dropped)} {label} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
-
     count_zeros = args.syn_dims == 206
+    mats = []
+    for side, path in (("dataset", args.dataset), ("reference", args.reference)):
+        mat, dropped = load_feature_matrix(
+            path, "binary_syntactic", drop_incomplete=args.drop_incomplete
+        )
+        if dropped:
+            print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
+        try:
+            syntactic_weights(mat, count_zeros)
+        except ValueError as exc:
+            raise ValueError(f"--{side} {path}: {exc}") from None
+        mats.append(mat)
+    mat_d, mat_r = mats
+
     report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
     report = attach_gap(report, feature_members(mat_r, count_zeros))
 
@@ -302,14 +314,13 @@ def cmd_cwals(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     x_col, y_col = args.x_column, args.y_column
-    dataset_path = args.dataset if args.dataset else bundled_path("mwl_cwals.csv")
-    cols_x, table_x = load_numeric_table(dataset_path)
-    if args.reference:
-        cols_y, table_y = load_numeric_table(args.reference)
-    else:
-        cols_y, table_y = cols_x, table_x
-    _require(x_col in cols_x, f"no numeric column {x_col!r}; available: {', '.join(cols_x)}")
-    _require(y_col in cols_y, f"no numeric column {y_col!r}; available: {', '.join(cols_y)}")
+    x_path = args.dataset or bundled_path("mwl_cwals.csv")
+    y_path = args.reference or x_path
+    cols_x, table_x = load_numeric_table(x_path)
+    cols_y, table_y = load_numeric_table(y_path) if args.reference else (cols_x, table_x)
+    for col, cols, path in ((x_col, cols_x, x_path), (y_col, cols_y, y_path)):
+        available = ", ".join(cols) or "none"
+        _require(col in cols, f"no numeric column {col!r} in {path}; available: {available}")
 
     shared = sorted(set(table_x) & set(table_y))
     excluded = sorted(set(table_x).symmetric_difference(table_y))

@@ -15,12 +15,10 @@ identity map derived from the final range at load time.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Mapping
 
-from .ingest import bundled_path
+from .ingest import _read_table, bundled_path
 from .model import FeatureMatrix, MorphFeatureSpec, _require
 
 SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max", "value_map"]
@@ -124,7 +122,6 @@ def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, 
 
 def _parse_value_map(cell: str, chapter: str) -> dict[int, int]:
     """Parse "raw:final;raw:final" pairs; empty cell means no map."""
-    cell = cell.strip()
     if not cell:
         return {}
     mapping: dict[int, int] = {}
@@ -155,43 +152,23 @@ def load_morph_specs(path=None) -> MorphSpecSet:
     map get the identity map over their final range. Defaults to the
     bundled spec file.
     """
-    path = Path(path) if path is not None else bundled_path("morph_feature_specs.csv")
-    specs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SPEC_COLUMNS:
-            raise ValueError(f"morphology spec file {path} header must be {','.join(SPEC_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(SPEC_COLUMNS):
-                raise ValueError(
-                    f"morphology spec file {path} row {lineno}: expected "
-                    f"{len(SPEC_COLUMNS)} columns, got {len(row)}"
-                )
-            chapter, name, transformation = (c.strip() for c in row[:3])
-            try:
-                final_min, final_max = int(row[3]), int(row[4])
-            except ValueError:
-                raise ValueError(
-                    f"morphology spec file {path} row {lineno}: final_min and "
-                    f"final_max must be integers"
-                ) from None
-            value_map = _parse_value_map(row[5], chapter)
-            if not value_map and transformation == "none":
-                value_map = {v: v for v in range(final_min, final_max + 1)}
-            try:
-                specs.append(
-                    MorphFeatureSpec(
-                        chapter=chapter,
-                        name=name,
-                        transformation=transformation,
-                        final_min=final_min,
-                        final_max=final_max,
-                        value_map=value_map,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"morphology spec file {path} row {lineno}: {exc}") from None
+
+    def parse(header, row):
+        chapter, name, transformation, final_min, final_max, value_map = row
+        try:
+            final_min, final_max = int(final_min), int(final_max)
+        except ValueError:
+            raise ValueError("final_min and final_max must be integers") from None
+        value_map = _parse_value_map(value_map, chapter)
+        if not value_map and transformation == "none":
+            value_map = {v: v for v in range(final_min, final_max + 1)}
+        return MorphFeatureSpec(chapter, name, transformation, final_min, final_max, value_map)
+
+    _, specs = _read_table(
+        path if path is not None else bundled_path("morph_feature_specs.csv"),
+        "morphology spec file",
+        ",".join(SPEC_COLUMNS),
+        lambda h: h == SPEC_COLUMNS,
+        parse,
+    )
     return MorphSpecSet(specs)

@@ -3,11 +3,15 @@
 All readers take explicit paths and return validated domain objects.
 Text is decoded strictly (invalid UTF-8 is an error, never replaced) and
 NFC-normalized once here, so downstream grapheme counting sees canonical
-forms. Bundled default data files ship under ``divscore/data``.
+forms. Every CSV table, the morphology spec file included, is read by
+``_read_table``, which holds the header, row and error rules; each
+loader adds only its header rule and its parse of one row. Bundled
+default data files ship under ``divscore/data``.
 """
 from __future__ import annotations
 
 import csv
+import math
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -47,52 +51,90 @@ def bundled_path(name: str) -> Path:
     return Path(str(resources.files("divscore").joinpath("data", name)))
 
 
+def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[list[str], list]:
+    """Read a CSV table: the one place every table rule lives.
+
+    The file is decoded strictly as UTF-8; a leading BOM is dropped. All
+    cells are stripped. The header must name no column twice and pass
+    ``header_ok`` (else the error says it must be ``expect``). Blank
+    rows are skipped; every other row has one cell per header name and
+    becomes ``parse_row(header, cells)``. The first column keys the rows:
+    no key appears twice, and a column named ``iso`` holds iso codes.
+    A row error reads ``<what> <path> row <n>: <reason>``.
+
+    Returns the header and the parsed rows in file order.
+    """
+    path = Path(path)
+    parsed = []
+    first_row: dict[str, int] = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if not any(header):
+                raise ValueError(f"{what} {path} has no header row")
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                raise ValueError(f"{what} {path} header repeats column(s): {', '.join(repeated)}")
+            if not header_ok(header):
+                raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
+            iso_keyed = header[0] == "iso"
+            for lineno, row in enumerate(reader, start=2):
+                cells = [c.strip() for c in row]
+                if not any(cells):
+                    continue
+                try:
+                    if len(cells) != len(header):
+                        raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+                    key = cells[0]
+                    if iso_keyed and not ISO_CODE_RE.match(key):
+                        raise ValueError(f"malformed iso code {key!r}")
+                    if key in first_row:
+                        raise ValueError(
+                            f"duplicate {header[0]} {key!r}, first at row {first_row[key]}"
+                        )
+                    first_row[key] = lineno
+                    parsed.append(parse_row(header, cells))
+                except ValueError as exc:
+                    raise ValueError(f"{what} {path} row {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{what} {path} row {reader.line_num}: {exc}") from None
+    return header, parsed
+
+
+def _number(parse, cell: str):
+    """``parse(cell)``, or None where the cell does not parse."""
+    try:
+        return parse(cell)
+    except ValueError:
+        return None
+
+
 def load_registry(path) -> LanguageSet:
     """Read a language registry CSV into a LanguageSet.
 
-    The header must be ``iso,name,family,endangerment,script_scale``;
-    the last three columns are optional but must appear in that order
-    when present. Blank optional fields take the defaults (no family, no
-    endangerment status, script_scale 1.0).
+    The header is a prefix of ``iso,name,family,endangerment,script_scale``
+    of at least ``iso,name``. Blank optional fields take the defaults (no
+    family, no endangerment status, script_scale 1.0).
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"registry {path} is empty")
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header != REGISTRY_COLUMNS[: len(header)]:
-            raise ValueError(
-                f"registry {path} header must be a prefix of "
-                f"{','.join(REGISTRY_COLUMNS)} with at least iso,name; got {','.join(header)}"
-            )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            row = [c.strip() for c in row] + [""] * (len(REGISTRY_COLUMNS) - len(row))
-            iso = row[0]
-            if not ISO_CODE_RE.match(iso):
-                raise ValueError(f"registry row {lineno}: malformed iso code {iso!r}")
-            try:
-                scale = float(row[4]) if row[4] else 1.0
-            except ValueError:
-                raise ValueError(
-                    f"registry row {lineno}: script_scale must be a number, got {row[4]!r}"
-                ) from None
-            try:
-                records.append(
-                    LanguageRecord(
-                        iso=iso,
-                        name=row[1],
-                        family=row[2] or None,
-                        endangerment=row[3] or None,
-                        script_scale=scale,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"registry row {lineno}: {exc}") from None
+
+    def parse(header, row):
+        iso, name, family, endangerment, scale = row + [""] * (len(REGISTRY_COLUMNS) - len(row))
+        try:
+            script_scale = float(scale) if scale else 1.0
+        except ValueError:
+            raise ValueError(f"script_scale must be a number, got {scale!r}") from None
+        return LanguageRecord(iso, name, family or None, endangerment or None, script_scale)
+
+    _, records = _read_table(
+        path,
+        "registry",
+        f"a prefix of {','.join(REGISTRY_COLUMNS)} with at least iso,name",
+        lambda h: len(h) >= 2 and h == REGISTRY_COLUMNS[: len(h)],
+        parse,
+    )
     return LanguageSet(records)
 
 
@@ -120,58 +162,37 @@ def load_feature_matrix(
         (empty unless ``drop_incomplete`` removed any).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"feature matrix {path} is empty")
-        header = [h.strip() for h in header]
-        if not header or header[0] != "iso" or len(header) < 2:
+
+    def parse(header, row):
+        """(iso, int values or None, the features whose cell is '?')."""
+        iso, cells = row[0], row[1:]
+        if "?" in cells:
+            return iso, None, [f for f, cell in zip(header[1:], cells) if cell == "?"]
+        try:
+            values = list(map(int, cells))
+        except ValueError:
+            f, cell = next((f, c) for f, c in zip(header[1:], cells) if _number(int, c) is None)
             raise ValueError(
-                f"feature matrix {path} header must start with 'iso' followed by "
-                f"feature identifiers, got {','.join(header)}"
-            )
-        features = header[1:]
+                f"value for ({iso}, {f}) must be an integer or '?', got {cell!r}"
+            ) from None
+        if kind == "binary_syntactic" and not set(values) <= {0, 1}:
+            f, v = next((f, v) for f, v in zip(header[1:], values) if v not in (0, 1))
+            raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
+        return iso, values, []
 
-        rows: list[tuple[str, list[int]]] = []
-        dropped: list[str] = []
-        missing: list[tuple[str, str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            row = [c.strip() for c in row]
-            if len(row) != len(header):
-                raise ValueError(
-                    f"feature matrix {path} row {lineno}: expected {len(header)} "
-                    f"columns, got {len(row)}"
-                )
-            iso = row[0]
-            if not ISO_CODE_RE.match(iso):
-                raise ValueError(f"feature matrix {path} row {lineno}: malformed iso code {iso!r}")
-            row_missing = [(iso, f) for f, cell in zip(features, row[1:]) if cell == "?"]
-            if row_missing:
-                missing.extend(row_missing)
-                dropped.append(iso)
-                continue
-            values = []
-            for f, cell in zip(features, row[1:]):
-                try:
-                    v = int(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"feature matrix {path}: value for ({iso}, {f}) must be an "
-                        f"integer or '?', got {cell!r}"
-                    ) from None
-                if kind == "binary_syntactic" and v not in (0, 1):
-                    raise ValueError(
-                        f"feature matrix {path}: binary feature ({iso}, {f}) must be "
-                        f"0 or 1, got {v}"
-                    )
-                values.append(v)
-            rows.append((iso, values))
+    header, parsed = _read_table(
+        path,
+        "feature matrix",
+        "'iso' followed by feature identifiers",
+        lambda h: len(h) >= 2 and h[0] == "iso",
+        parse,
+    )
+    features = header[1:]
+    rows = [(iso, values) for iso, values, _ in parsed if values is not None]
+    dropped = [iso for iso, values, _ in parsed if values is None]
 
-    if missing and not drop_incomplete:
-        listing = ", ".join(f"({i}, {f})" for i, f in missing)
+    if dropped and not drop_incomplete:
+        listing = ", ".join(f"({iso}, {f})" for iso, _, holes in parsed for f in holes)
         raise ValueError(
             f"feature matrix {path} has missing values at {listing}; rerun with "
             f"--drop-incomplete to skip those rows"
@@ -248,94 +269,44 @@ PROFILE_COLUMNS = ["iso", "mwl", "ttr", "entropy", "token_count", "offset", "see
 def load_profile_table(path) -> list[TextProfile]:
     """Read a precomputed profile table CSV.
 
-    Header must be ``iso,mwl,ttr,entropy,token_count,offset,seed`` (the
-    format the profile command writes), so large references can be
-    profiled once and scored many times without re-tokenizing.
+    Header ``iso,mwl,ttr,entropy,token_count,offset,seed``, the format
+    the profile command writes, so large references can be profiled once
+    and scored many times without re-tokenizing.
     """
-    path = Path(path)
-    profiles = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PROFILE_COLUMNS:
-            raise ValueError(
-                f"profile table {path} header must be {','.join(PROFILE_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(PROFILE_COLUMNS):
-                raise ValueError(
-                    f"profile table {path} row {lineno}: expected "
-                    f"{len(PROFILE_COLUMNS)} columns, got {len(row)}"
-                )
-            row = [c.strip() for c in row]
-            try:
-                profiles.append(
-                    TextProfile(
-                        iso=row[0],
-                        mean_word_length=float(row[1]),
-                        ttr=float(row[2]),
-                        unigram_entropy=float(row[3]),
-                        token_count=int(row[4]),
-                        sample_offset=int(row[5]),
-                        seed=int(row[6]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"profile table {path} row {lineno}: {exc}") from None
-    seen: set[str] = set()
-    for p in profiles:
-        if p.iso in seen:
-            raise ValueError(f"profile table {path}: duplicate iso code {p.iso!r}")
-        seen.add(p.iso)
+
+    def parse(header, row):
+        iso, mwl, ttr, entropy, tokens, offset, seed = row
+        return TextProfile(
+            iso, float(mwl), float(ttr), float(entropy), int(tokens), int(offset), int(seed)
+        )
+
+    _, profiles = _read_table(
+        path, "profile table", ",".join(PROFILE_COLUMNS), lambda h: h == PROFILE_COLUMNS, parse
+    )
     return profiles
 
 
 def load_numeric_table(path) -> tuple[list[str], dict[str, dict[str, float]]]:
     """Read a CSV of per-language numeric columns keyed by iso.
 
-    First column must be ``iso``; non-numeric columns (for example a
-    display-name column) are skipped. Returns the numeric column names
-    and a mapping iso -> {column: value}.
+    First column ``iso``. A column is numeric when every cell is a
+    finite number; the others (for example a display-name column) are
+    skipped. Returns the numeric column names and a mapping iso ->
+    {column: value}.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "iso":
-            raise ValueError(f"table {path} must have an 'iso' first column")
-        header = [h.strip() for h in header]
-        raw_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"table {path} row {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            row = [c.strip() for c in row]
-            if not ISO_CODE_RE.match(row[0]):
-                raise ValueError(f"table {path} row {lineno}: malformed iso code {row[0]!r}")
-            raw_rows.append(row)
-
-    numeric_cols = []
-    for j, col in enumerate(header[1:], start=1):
-        try:
-            for row in raw_rows:
-                float(row[j])
-        except ValueError:
-            continue
-        numeric_cols.append(col)
-    table: dict[str, dict[str, float]] = {}
-    for row in raw_rows:
-        iso = row[0]
-        if iso in table:
-            raise ValueError(f"table {path}: duplicate iso code {iso!r}")
-        table[iso] = {
-            col: float(row[header.index(col)]) for col in numeric_cols
-        }
-    return numeric_cols, table
+    header, rows = _read_table(
+        path, "table", "'iso' first", lambda h: h[0] == "iso", lambda header, row: row
+    )
+    columns = {}
+    for j, name in enumerate(header[1:], start=1):
+        values = [_number(float, row[j]) for row in rows]
+        if all(v is not None and math.isfinite(v) for v in values):
+            columns[name] = values
+    table = {
+        row[0]: {name: values[i] for name, values in columns.items()}
+        for i, row in enumerate(rows)
+    }
+    return list(columns), table
 
 
 def load_iso_list(path) -> list[str]:

@@ -127,9 +127,9 @@ class TextProfile:
             f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
         )
         _require(
-            self.mean_word_length >= 1.0,
-            f"mean_word_length must be >= 1 (every kept token has at least one "
-            f"grapheme), got {self.mean_word_length}",
+            math.isfinite(self.mean_word_length) and self.mean_word_length >= 1.0,
+            f"mean_word_length must be finite and >= 1 (every kept token has at "
+            f"least one grapheme), got {self.mean_word_length}",
         )
         _require(0.0 < self.ttr <= 1.0, f"ttr must lie in (0, 1], got {self.ttr}")
         _require(self.token_count >= 1, f"token_count must be positive, got {self.token_count}")

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from the definitions using only
 the standard library: Counter histograms, exact decimal floor binning,
-plain min/max sums, and textbook entropy formulas. The tokenizer oracle
-also uses `regex`, for grapheme clusters and Unicode properties. Nothing
-imports divscore.
+plain min/max sums, textbook entropy formulas, and a hand-written CSV
+parser. The tokenizer oracle also uses `regex`, for grapheme clusters
+and Unicode properties. Nothing imports divscore.
 """
 import math
 from collections import Counter
@@ -173,3 +173,42 @@ def brute_tokenize(text):
         tokens.append("".join(parts))
         i = j + 1
     return tokens
+
+
+def read_csv_table(raw):
+    """Header and rows of a CSV file's bytes, parsed by hand.
+
+    UTF-8, with an optional leading BOM. Commas separate cells. A cell
+    that opens with a double quote runs to the next lone double quote,
+    and "" inside it stands for one quote. A record ends at CR LF, LF or
+    CR outside quotes. Cells are stripped of surrounding whitespace, and
+    records whose cells are all blank are dropped.
+    """
+    text = raw.decode("utf-8")
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    records, cells, cell = [], [], ""
+    in_quotes, i = False, 0
+    while i < len(text):
+        ch = text[i]
+        if in_quotes and ch == '"' and text[i + 1 : i + 2] == '"':
+            cell += '"'
+            i += 1
+        elif ch == '"' and (in_quotes or cell == ""):
+            in_quotes = not in_quotes
+        elif in_quotes or ch not in ",\r\n":
+            cell += ch
+        elif ch == ",":
+            cells.append(cell)
+            cell = ""
+        else:
+            records.append(cells + [cell])
+            cells, cell = [], ""
+            if text[i : i + 2] == "\r\n":
+                i += 1
+        i += 1
+    if cells or cell:
+        records.append(cells + [cell])
+    stripped = [[c.strip() for c in r] for r in records]
+    kept = [r for r in stripped if any(r)]
+    return kept[0], kept[1:]

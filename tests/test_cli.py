@@ -389,6 +389,16 @@ class TestScoreSyn:
         deficit = {d["bin"]: d for d in json.loads(out)["jmm"]["gap"]["deficit"]}
         assert deficit["s1=0"]["examples"] == ["qdc", "qde"]
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--reference"])
+    def test_all_zero_side_named_by_flag_and_path(self, fixtures, tmp_path, capsys, flag):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("iso,s1,s2,s3,s4,s5,s6\nqza,0,0,0,0,0,0\nqzb,0,0,0,0,0,0\n")
+        args = self._args(fixtures)
+        args[args.index(flag) + 1] = str(zeros)
+        code, out, err = run_main(args, capsys)
+        assert code == 1 and out == ""
+        assert f"error: {flag} {zeros}: syntactic weights need positive total weight" in err
+
 
 class TestCwals:
     def test_bundled_defaults(self, capsys):
@@ -497,6 +507,17 @@ class TestCorrelate:
         code, _, err = run_main(["correlate", "mwl", "nope"], capsys)
         assert code == 1
         assert "error:" in err and "available: mwl, c_wals" in err
+
+    def test_unknown_column_names_its_table(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("iso,x\naaa,1\nbbb,2\nccc,3\n")
+        b.write_text("iso,y\naaa,nan\nbbb,2\nccc,3\n")
+        code, _, err = run_main(
+            ["correlate", "x", "y", "--dataset", str(a), "--reference", str(b)], capsys
+        )
+        assert code == 1
+        assert f"error: no numeric column 'y' in {b}; available: none\n" in err
 
     def test_disjoint_tables_error(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -1,7 +1,19 @@
 """File loaders: registries, feature matrices, corpora, and small tables."""
-import pytest
+import csv
+import io
+import math
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from divscore.grammar import load_morph_specs
 from divscore.ingest import (
+    PROFILE_COLUMNS,
+    REGISTRY_COLUMNS,
+    bundled_path,
     family_breakdown,
     load_corpus,
     load_feature_matrix,
@@ -11,6 +23,7 @@ from divscore.ingest import (
     load_registry,
 )
 from divscore.model import LanguageRecord, LanguageSet
+from oracles import read_csv_table
 
 
 class TestRegistry:
@@ -222,3 +235,214 @@ class TestSmallTables:
         p.write_text("aaa\nNOPE\n")
         with pytest.raises(ValueError, match="line 2"):
             load_iso_list(p)
+
+    def test_profile_table_rejects_non_finite_mwl(self, tmp_path):
+        p = tmp_path / "profiles.csv"
+        p.write_text("iso,mwl,ttr,entropy,token_count,offset,seed\naaa,inf,0.5,3.0,100,0,0\n")
+        with pytest.raises(ValueError) as exc:
+            load_profile_table(p)
+        assert str(exc.value).startswith(f"profile table {p} row 2: mean_word_length must be")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_numeric_table_skips_non_finite_columns(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"iso,x,y\nabc,1,2\nxyz,{cell},3\n")
+        cols, table = load_numeric_table(p)
+        assert cols == ["y"]
+        assert table == {"abc": {"y": 2.0}, "xyz": {"y": 3.0}}
+
+
+def _spec_table():
+    with open(bundled_path("morph_feature_specs.csv"), newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+#: Each CSV loader: the word its errors start with, a valid table (header
+#: then rows, keyed by the first column), and a cell (column, text) that
+#: makes a row invalid.
+LOADERS = {
+    "registry": (
+        load_registry,
+        "registry",
+        [REGISTRY_COLUMNS, ["qaa", "A", "F1", "safe", "1.5"], ["qab", "B", "", "", ""]],
+        (4, "big"),
+    ),
+    "feature_matrix": (
+        lambda p: load_feature_matrix(p, "binary_syntactic"),
+        "feature matrix",
+        [["iso", "f1", "f2"], ["qaa", "1", "0"], ["qab", "0", "1"]],
+        (1, "2"),
+    ),
+    "profile_table": (
+        load_profile_table,
+        "profile table",
+        [
+            PROFILE_COLUMNS,
+            ["qaa", "4.5", "0.5", "3.0", "100", "7", "0"],
+            ["qab", "3.25", "0.75", "4.0", "200", "0", "1"],
+        ],
+        (2, "2.0"),
+    ),
+    "numeric_table": (
+        load_numeric_table,
+        "table",
+        [["iso", "name", "x"], ["qaa", "A", "1.5"], ["qab", "B", "2"]],
+        (0, "QAB"),
+    ),
+    "morph_specs": (load_morph_specs, "morphology spec file", _spec_table(), (3, "low")),
+}
+
+
+def _write_table(path, table, bom=""):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    path.write_text(bom + buf.getvalue(), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+class TestTableRules:
+    """The rules every CSV loader shares, one test per rule."""
+
+    def _fails(self, name, path, table, reason):
+        loader, what, _, _ = LOADERS[name]
+        _write_table(path, table)
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value).startswith(f"{what} {path} {reason}"), str(exc.value)
+
+    def test_bom_accepted(self, name, tmp_path):
+        loader, _, table, _ = LOADERS[name]
+        plain = loader(_write_table(tmp_path / "plain.csv", table))
+        assert loader(_write_table(tmp_path / "bom.csv", table, bom="\ufeff")) == plain
+
+    def test_duplicate_header_name(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        table = [row + [row[-1]] for row in table]
+        self._fails(name, tmp_path / "t.csv", table, f"header repeats column(s): {table[0][-1]}")
+
+    def test_row_longer_than_header(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        table = [table[0], table[1] + ["extra"], *table[2:]]
+        n = len(table[0])
+        self._fails(name, tmp_path / "t.csv", table, f"row 2: expected {n} columns, got {n + 1}")
+
+    def test_row_shorter_than_header(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        table = [table[0], table[1], table[2][:-1], *table[3:]]
+        n = len(table[0])
+        self._fails(name, tmp_path / "t.csv", table, f"row 3: expected {n} columns, got {n - 1}")
+
+    def test_duplicate_key_names_both_rows(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        table = [*table, table[1]]
+        key = f"{table[0][0]} {table[1][0]!r}"
+        reason = f"row {len(table)}: duplicate {key}, first at row 2"
+        self._fails(name, tmp_path / "t.csv", table, reason)
+
+    def test_invalid_utf8_names_file(self, name, tmp_path):
+        loader, what, table, _ = LOADERS[name]
+        path = _write_table(tmp_path / "t.csv", table)
+        path.write_bytes(path.read_bytes() + b"qzz,\xff\n")
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value).startswith(f"{what} {path} is not valid UTF-8: ")
+
+    def test_unparsable_row_names_file_and_row(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        bad = list(table[2])
+        bad[1] = "x" * 200_000
+        self._fails(name, tmp_path / "t.csv", [table[0], table[1], bad], "row 3: field larger")
+
+    def test_row_error_names_file_and_row(self, name, tmp_path):
+        _, _, table, (j, cell) = LOADERS[name]
+        bad = list(table[2])
+        bad[j] = cell
+        self._fails(name, tmp_path / "t.csv", [table[0], table[1], bad, *table[3:]], "row 3: ")
+
+
+def _padded(cell):
+    """Strategy: ``cell`` with blanks around it, which every loader strips."""
+    return st.tuples(st.sampled_from(["", " ", "  "]), st.sampled_from(["", " ", "\t"])).map(
+        lambda pad: pad[0] + cell + pad[1]
+    )
+
+
+_TEXT = st.text("abxyz ,\"'é", min_size=1, max_size=6).filter(str.strip)
+
+
+@st.composite
+def csv_tables(draw):
+    """A registry or a 0/1/? feature table as csv.writer writes it, with
+    padded cells, quoted commas and quotes, blank rows, CR LF or LF line
+    ends and an optional BOM. Returns (kind, file bytes)."""
+    kind = draw(st.sampled_from(["registry", "matrix"]))
+    isos = draw(
+        st.lists(st.text("abc", min_size=3, max_size=3), min_size=1, max_size=6, unique=True)
+    )
+    if kind == "registry":
+        header = REGISTRY_COLUMNS[: draw(st.integers(2, 5))]
+        cells = [
+            st.just(None),
+            _TEXT,
+            st.one_of(st.just(""), _TEXT),
+            st.sampled_from(["", "safe", "extinct"]),
+            st.sampled_from(["", "1", "2.5", "1e1"]),
+        ][: len(header)]
+        rows = [[iso] + [draw(c) for c in cells[1:]] for iso in isos]
+    else:
+        header = ["iso", *draw(st.lists(_TEXT, min_size=1, max_size=4, unique_by=str.strip))]
+        rows = [[iso] + [draw(st.sampled_from("01?")) for _ in header[1:]] for iso in isos]
+    table = [[draw(_padded(c)) for c in row] for row in [header, *rows]]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(table)))
+        table.insert(at, draw(st.sampled_from([[], [""], ["", " "], [" ", "\t", ""]])))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(table)
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return kind, (bom + buf.getvalue()).encode("utf-8")
+
+
+def _finite(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+class TestTableOracle:
+    @given(csv_tables())
+    def test_loaders_match_oracle_property(self, case):
+        """Every loader that reads the file returns what the hand-written
+        parser in tests/oracles.py reads from the same bytes."""
+        kind, raw = case
+        header, rows = read_csv_table(raw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_bytes(raw)
+
+            numeric = [
+                (j, name) for j, name in enumerate(header) if j and all(_finite(r[j]) for r in rows)
+            ]
+            assert load_numeric_table(path) == (
+                [name for _, name in numeric],
+                {r[0]: {name: float(r[j]) for j, name in numeric} for r in rows},
+            )
+
+            if kind == "registry":
+                full = [r + [""] * (5 - len(r)) for r in rows]
+                assert load_registry(path) == LanguageSet(
+                    LanguageRecord(iso, name, fam or None, end or None, float(s) if s else 1.0)
+                    for iso, name, fam, end, s in full
+                )
+                return
+            complete = [r for r in rows if "?" not in r]
+            if not complete:
+                with pytest.raises(ValueError, match="no complete language rows"):
+                    load_feature_matrix(path, "binary_syntactic", drop_incomplete=True)
+                return
+            matrix, dropped = load_feature_matrix(path, "binary_syntactic", drop_incomplete=True)
+            assert matrix.features == tuple(header[1:])
+            assert matrix.languages == tuple(r[0] for r in complete)
+            assert matrix.values.tolist() == [[int(c) for c in r[1:]] for r in complete]
+            assert dropped == [r[0] for r in rows if "?" in r]

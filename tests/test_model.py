@@ -88,6 +88,11 @@ class TestTextProfile:
         with pytest.raises(ValueError, match="mean_word_length"):
             self._make(mean_word_length=0.9)
 
+    @pytest.mark.parametrize("mwl", [float("inf"), float("nan")])
+    def test_rejects_non_finite_mwl(self, mwl):
+        with pytest.raises(ValueError, match="mean_word_length must be finite"):
+            self._make(mean_word_length=mwl)
+
     @pytest.mark.parametrize("ttr", [0.0, 1.0001, -0.1])
     def test_rejects_bad_ttr(self, ttr):
         with pytest.raises(ValueError, match="ttr"):
