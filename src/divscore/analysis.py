@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .model import (
     DeficitBin,
@@ -56,15 +55,24 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     _require(
-        bool(np.ptp(rx) > 0) and bool(np.ptp(ry) > 0),
+        max(rx) > min(rx) and max(ry) > min(ry),
         "zero rank variance on one side (all values tied); correlation undefined",
     )
-    rho = float(np.corrcoef(rx, ry)[0, 1])
-    rho = max(-1.0, min(1.0, rho))
+    # The ranks are half-integers summing to n(n+1)/2, so their mean, the
+    # centred ranks and every sum of their products are exact, in any
+    # order. The rest is numpy.corrcoef's arithmetic, step for step.
+    mean = (n + 1) / 2
+    dx = [r - mean for r in rx]
+    dy = [r - mean for r in ry]
+    f = 1 / (n - 1)
+    cov = sum(a * b for a, b in zip(dx, dy)) * f
+    sx = math.sqrt(sum(a * a for a in dx) * f)
+    sy = math.sqrt(sum(b * b for b in dy) * f)
+    rho = max(-1.0, min(1.0, cov / sx / sy))
     return CorrelationResult(rho=rho, n=n)
 
 
-def _average_ranks(values: Sequence[float]) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks with ties given the mean of the ranks they span.
 
     A value seen ``c`` times whose last copy sits at sorted position
@@ -72,8 +80,13 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
     Every term is a half-integer, so the result is exact and equals
     ``scipy.stats.rankdata(values)`` element for element.
     """
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    counts = Counter(values)
+    rank = {}
+    end = 0
+    for v in sorted(counts):
+        end += counts[v]
+        rank[v] = end - (counts[v] - 1) / 2
+    return [rank[v] for v in values]
 
 
 def attach_gap(

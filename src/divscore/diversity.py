@@ -21,7 +21,9 @@ Two families of diversity scores over language features:
   in-this-bin feature.
 
 Scaled weights stay fractional; rounding would break the invariance of
-the Jaccard score under replication of a data set.
+the Jaccard score under replication of a data set. Float sums and means
+go through ``model._pairwise_sum``, which adds in numpy's order, so each
+score has the same bits on every Python version.
 """
 from __future__ import annotations
 
@@ -31,9 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .model import BinOverlap, DiversityReport, FeatureMatrix, _require
+from .model import BinOverlap, DiversityReport, FeatureMatrix, _pairwise_sum, _require
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
@@ -95,14 +95,11 @@ def _minmax_report(
     column sums are the score's numerator and denominator.
     """
     c = normalization_scalar(n_d, n_r)
-    wd, wr = np.asarray(wd, dtype=np.float64), np.asarray(wr, dtype=np.float64)
-    if n_d < n_r:
-        wd = wd * c
-    elif n_r < n_d:
-        wr = wr * c
-    lo, hi = np.minimum(wd, wr), np.maximum(wd, wr)
-    value = float(lo.sum()) / float(hi.sum())
-    rows = tuple(map(BinOverlap, labels, wd.tolist(), wr.tolist(), lo.tolist(), hi.tolist()))
+    scale_d, scale_r = (c, 1.0) if n_d < n_r else (1.0, c)
+    wd, wr = [w * scale_d for w in wd], [w * scale_r for w in wr]
+    lo, hi = list(map(min, wd, wr)), list(map(max, wd, wr))
+    value = _pairwise_sum(lo) / _pairwise_sum(hi)
+    rows = tuple(map(BinOverlap, labels, wd, wr, lo, hi))
     return DiversityReport(score_name, value, per_bin=rows, normalization_c=c)
 
 
@@ -162,7 +159,7 @@ def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[
         matrix.kind == "binary_syntactic",
         f"syntactic weights need a binary_syntactic matrix, got kind {matrix.kind!r}",
     )
-    ones = dict(zip(matrix.features, matrix.values.sum(axis=0).astype(np.float64).tolist()))
+    ones = {f: float(sum(matrix.column(f))) for f in matrix.features}
     weights = {
         label: ones[f] if value else matrix.n_languages - ones[f]
         for label, f, value in _feature_rows(matrix.features, count_zeros)
@@ -175,7 +172,7 @@ def feature_members(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[st
     """The languages in each row of :func:`jmm_syn`'s table, by row
     label: those of ``matrix`` showing the value the row counts."""
     return {
-        label: [iso for iso, v in zip(matrix.languages, matrix.column(f).tolist()) if v == value]
+        label: [iso for iso, v in zip(matrix.languages, matrix.column(f)) if v == value]
         for label, f, value in _feature_rows(matrix.features, count_zeros)
     }
 
@@ -228,8 +225,9 @@ def ti_syn(matrix: FeatureMatrix) -> float:
         matrix.n_languages >= 2,
         f"ti_syn needs at least 2 languages, got {matrix.n_languages}",
     )
-    fractions = matrix.values.mean(axis=0)
-    return float(np.mean([binary_entropy(float(p)) for p in fractions]))
+    n = matrix.n_languages
+    entropies = [binary_entropy(sum(matrix.column(f)) / n) for f in matrix.features]
+    return _pairwise_sum(entropies) / len(entropies)
 
 
 def ti_morph(values: Sequence[float], width: float) -> float:
@@ -243,4 +241,5 @@ def ti_morph(values: Sequence[float], width: float) -> float:
     _require(len(values) >= 2, f"ti_morph needs at least 2 values, got {len(values)}")
     counts = bin_measurements(values, width)
     n = len(values)
-    return float(np.mean([binary_entropy(counts[k] / n) for k in sorted(counts)]))
+    entropies = [binary_entropy(counts[k] / n) for k in sorted(counts)]
+    return _pairwise_sum(entropies) / len(entropies)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .model import (
     ISO_CODE_RE,
     FeatureMatrix,
@@ -55,8 +53,9 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
     """Read a CSV table: the one place every table rule lives.
 
     The file is decoded strictly as UTF-8; a leading BOM is dropped. All
-    cells are stripped. The header must name no column twice and pass
-    ``header_ok`` (else the error says it must be ``expect``). Blank
+    cells are stripped. The header must name every column, name none
+    twice and pass ``header_ok``, which returns False (the error then
+    says the header must be ``expect``) or raises its own error. Blank
     rows are skipped; every other row has one cell per header name and
     becomes ``parse_row(header, cells)``. The first column keys the rows:
     no key appears twice, and a column named ``iso`` holds iso codes.
@@ -73,6 +72,11 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
             header = [h.strip() for h in next(reader, [])]
             if not any(header):
                 raise ValueError(f"{what} {path} has no header row")
+            if "" in header:
+                raise ValueError(
+                    f"{what} {path} header has an empty column name at column "
+                    f"{header.index('') + 1}"
+                )
             repeated = sorted({h for h in header if header.count(h) > 1})
             if repeated:
                 raise ValueError(f"{what} {path} header repeats column(s): {', '.join(repeated)}")
@@ -162,6 +166,25 @@ def load_feature_matrix(
         (empty unless ``drop_incomplete`` removed any).
     """
     path = Path(path)
+    by_chapter = {s.chapter: s for s in specs.specs} if specs is not None else None
+
+    def header_ok(header):
+        if len(header) < 2 or header[0] != "iso":
+            return False
+        if by_chapter is not None:
+            features = header[1:]
+            unknown = [f for f in features if f not in by_chapter]
+            if unknown:
+                raise ValueError(
+                    f"feature matrix {path} has columns not in the feature specs: "
+                    f"{', '.join(unknown)}"
+                )
+            absent = [c for c in by_chapter if c not in features]
+            if absent:
+                raise ValueError(
+                    f"feature matrix {path} is missing spec chapters: {', '.join(sorted(absent))}"
+                )
+        return True
 
     def parse(header, row):
         """(iso, int values or None, the features whose cell is '?')."""
@@ -169,7 +192,7 @@ def load_feature_matrix(
         if "?" in cells:
             return iso, None, [f for f, cell in zip(header[1:], cells) if cell == "?"]
         try:
-            values = list(map(int, cells))
+            values = tuple(map(int, cells))
         except ValueError:
             f, cell = next((f, c) for f, c in zip(header[1:], cells) if _number(int, c) is None)
             raise ValueError(
@@ -178,16 +201,23 @@ def load_feature_matrix(
         if kind == "binary_syntactic" and not set(values) <= {0, 1}:
             f, v = next((f, v) for f, v in zip(header[1:], values) if v not in (0, 1))
             raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
+        if by_chapter is not None:
+            for f, v in zip(header[1:], values):
+                spec = by_chapter[f]
+                if not spec.final_min <= v <= spec.final_max:
+                    raise ValueError(
+                        f"value {v} for ({iso}, {f}) lies outside the final range "
+                        f"[{spec.final_min}, {spec.final_max}]"
+                    )
         return iso, values, []
 
     header, parsed = _read_table(
         path,
         "feature matrix",
         "'iso' followed by feature identifiers",
-        lambda h: len(h) >= 2 and h[0] == "iso",
+        header_ok,
         parse,
     )
-    features = header[1:]
     rows = [(iso, values) for iso, values, _ in parsed if values is not None]
     dropped = [iso for iso, values, _ in parsed if values is None]
 
@@ -200,32 +230,10 @@ def load_feature_matrix(
     if not rows:
         raise ValueError(f"feature matrix {path} has no complete language rows")
 
-    if specs is not None:
-        by_chapter = {s.chapter: s for s in specs.specs}
-        unknown = [f for f in features if f not in by_chapter]
-        if unknown:
-            raise ValueError(
-                f"feature matrix {path} has columns not in the feature specs: "
-                f"{', '.join(unknown)}"
-            )
-        absent = [c for c in by_chapter if c not in features]
-        if absent:
-            raise ValueError(
-                f"feature matrix {path} is missing spec chapters: {', '.join(sorted(absent))}"
-            )
-        for iso, values in rows:
-            for f, v in zip(features, values):
-                s = by_chapter[f]
-                if not (s.final_min <= v <= s.final_max):
-                    raise ValueError(
-                        f"feature matrix {path}: value {v} for ({iso}, {f}) lies outside "
-                        f"the final range [{s.final_min}, {s.final_max}]"
-                    )
-
     matrix = FeatureMatrix(
         languages=[iso for iso, _ in rows],
-        features=features,
-        values=np.array([vals for _, vals in rows], dtype=np.int64),
+        features=header[1:],
+        values=[values for _, values in rows],
         kind=kind,
     )
     return matrix, dropped

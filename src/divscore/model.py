@@ -1,7 +1,8 @@
 """Shared domain types: language identities, text profiles, feature
 matrices, and score reports.
 
-Pure data, no I/O and no scoring logic. Every type checks its invariants
+Pure data, no I/O and no scoring logic; ``_pairwise_sum`` holds the one
+float-summation rule the scorers share. Every type checks its invariants
 at construction time and raises ``ValueError`` with a message naming the
 violated invariant; instances are immutable afterwards and safe to share
 across concurrent computations.
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 ISO_CODE_RE = re.compile(r"^[a-z]{3}$")
 
@@ -29,6 +31,34 @@ _EPS = 1e-9
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum of ``values`` as floats, in numpy's float64 order, so it equals
+    ``float(numpy.sum(values))`` bit for bit.
+
+    Fewer than 8 terms are added one after another from 0.0. Up to 128
+    terms go to eight accumulators, the j-th adding terms j, j+8, ... in
+    order; they are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    the remaining terms added in order. More terms are split in half, the
+    cut rounded down to a multiple of 8, and each half summed the same
+    way. The result is added to 0.0, as numpy's reduction starts there.
+    Built-in ``sum`` would not do: from Python 3.12 it compensates.
+    """
+
+    def run(lo: int, n: int) -> float:
+        if n < 8:
+            return reduce(add, xs[lo : lo + n], 0.0)
+        if n <= 128:
+            end = lo + n - n % 8
+            r = [reduce(add, xs[lo + j + 8 : end : 8], xs[lo + j]) for j in range(8)]
+            head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, xs[end : lo + n], head)
+        half = n // 2 - n // 2 % 8
+        return run(lo, half) + run(lo + half, n - half)
+
+    xs = [float(v) for v in values]
+    return 0.0 + run(0, len(xs))
 
 
 @dataclass(frozen=True)
@@ -151,7 +181,9 @@ class TextProfile:
 class FeatureMatrix:
     """Languages x named features with small non-negative integer cells.
 
-    ``kind`` is ``"binary_syntactic"`` (all cells 0/1) or
+    ``values`` holds the cells as a tuple of row tuples, one row per
+    language; :meth:`column` returns one feature's cells, stored once as
+    a tuple. ``kind`` is ``"binary_syntactic"`` (all cells 0/1) or
     ``"morphological_ordinal"`` (final transformed values; per-feature
     ranges are validated against specs by the loader). Every cell must be
     populated: missing values never reach scoring.
@@ -161,7 +193,7 @@ class FeatureMatrix:
         self,
         languages: Sequence[str],
         features: Sequence[str],
-        values: np.ndarray | Sequence[Sequence[int]],
+        values: Iterable[Iterable[int]],
         kind: str,
     ) -> None:
         self.languages = tuple(languages)
@@ -176,24 +208,24 @@ class FeatureMatrix:
             len(set(self.features)) == len(self.features),
             "duplicate feature identifiers in feature matrix",
         )
-        arr = np.asarray(values)
+        rows = tuple(map(tuple, values))
+        widths = {len(row) for row in rows}
         _require(
-            arr.ndim == 2 and arr.shape == (len(self.languages), len(self.features)),
+            len(rows) == len(self.languages) and widths == {len(self.features)},
             f"values must have shape ({len(self.languages)}, {len(self.features)}), "
-            f"got {arr.shape}",
+            f"got {len(rows)} rows of {sorted(widths)} cells",
         )
+        types = set(map(type, chain.from_iterable(rows)))
         _require(
-            np.issubdtype(arr.dtype, np.integer),
-            f"feature values must be integers, got dtype {arr.dtype}",
+            types <= {int},
+            f"feature values must be integers, got {sorted(t.__name__ for t in types - {int})}",
         )
-        _require(bool(np.all(arr >= 0)), "feature values must be non-negative")
+        distinct = set(chain.from_iterable(rows))
+        _require(min(distinct, default=0) >= 0, "feature values must be non-negative")
         if kind == "binary_syntactic":
-            _require(
-                bool(np.all((arr == 0) | (arr == 1))),
-                "binary_syntactic matrix must contain only 0/1 values",
-            )
-        self.values = arr.astype(np.int64, copy=True)
-        self.values.setflags(write=False)
+            _require(distinct <= {0, 1}, "binary_syntactic matrix must contain only 0/1 values")
+        self.values = rows
+        self._columns = tuple(zip(*rows))
         self._lang_index = {iso: i for i, iso in enumerate(self.languages)}
         self._feat_index = {f: j for j, f in enumerate(self.features)}
 
@@ -205,12 +237,11 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.features)
 
-    def column(self, feature: str) -> np.ndarray:
-        return self.values[:, self._feat_index[feature]]
+    def column(self, feature: str) -> tuple[int, ...]:
+        return self._columns[self._feat_index[feature]]
 
     def row(self, iso: str) -> dict[str, int]:
-        i = self._lang_index[iso]
-        return {f: int(v) for f, v in zip(self.features, self.values[i])}
+        return dict(zip(self.features, self.values[self._lang_index[iso]]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureMatrix):
@@ -219,7 +250,7 @@ class FeatureMatrix:
             self.languages == other.languages
             and self.features == other.features
             and self.kind == other.kind
-            and np.array_equal(self.values, other.values)
+            and self.values == other.values
         )
 
     def __repr__(self) -> str:

@@ -34,11 +34,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
 import regex
 
 from .ingest import CorpusSource
-from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _require
+from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _pairwise_sum, _require
 
 _GRAPHEME = regex.compile(r"\X")
 _ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
@@ -271,9 +270,9 @@ def unigram_entropy(tokens: TokenSequence) -> float:
     repeated token) to log2(N) (all tokens distinct).
     """
     _require(len(tokens) > 0, "unigram_entropy requires a non-empty token sequence")
-    counts = np.fromiter(Counter(tokens.tokens).values(), dtype=np.float64)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    n = len(tokens)
+    ps = [c / n for c in Counter(tokens.tokens).values()]
+    return -_pairwise_sum([p * math.log2(p) for p in ps])
 
 
 def profile(

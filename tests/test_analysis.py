@@ -81,6 +81,22 @@ class TestSpearman:
         expected = scipy.stats.spearmanr(xs, ys).statistic
         assert spearman(xs, ys).rho == pytest.approx(expected, abs=1e-12)
 
+    @given(
+        xs=st.lists(_values, min_size=3, max_size=20),
+        ys=st.lists(_values, min_size=3, max_size=20),
+    )
+    @example(xs=[-0.0, 0.0, 2.0, -1.0], ys=[0.5, 2.0, 0.0, -0.0])
+    @example(xs=[0.5, 0.5, 0.5, 0.5, 2.0], ys=[-1.0, 0.0, 0.5, 2.0, 2.0])
+    def test_equals_numpy_corrcoef_property(self, xs, ys):
+        """The stdlib arithmetic gives numpy's Pearson correlation of the
+        average ranks bit for bit."""
+        n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            return
+        expected = float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1])
+        assert spearman(xs, ys).rho == expected
+
 
 class TestGapReport:
     @staticmethod

@@ -726,3 +726,21 @@ class TestImports:
             check=True,
         )
         assert proc.stdout == "[]\n"
+
+    def test_no_command_imports_numpy(self, fixtures):
+        """numpy is only the tests' arithmetic oracle; no command may import it."""
+        argvs = [_format_case_argv(case, fixtures) for case in sorted(_FORMAT_CASES)]
+        script = (
+            "import contextlib, io, sys\n"
+            "from divscore.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = main(argv)\n"
+            "    assert code == 0, (argv, code, err.getvalue())\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"

@@ -132,7 +132,8 @@ class TestFeatureMatrixLoading:
         row[1 + specs.chapters.index("22A")] = "8"
         p = tmp_path / "m.csv"
         p.write_text(header + "\n" + ",".join(row) + "\n")
-        with pytest.raises(ValueError, match=r"\(abc, 22A\)"):
+        message = r"^feature matrix \S+ row 2: value 8 for \(abc, 22A\) lies outside"
+        with pytest.raises(ValueError, match=message):
             load_feature_matrix(p, "morphological_ordinal", specs=specs)
 
     def test_all_rows_dropped_is_fatal(self, tmp_path):
@@ -321,6 +322,12 @@ class TestTableRules:
         table = [row + [row[-1]] for row in table]
         self._fails(name, tmp_path / "t.csv", table, f"header repeats column(s): {table[0][-1]}")
 
+    def test_empty_header_name(self, name, tmp_path):
+        _, _, table, _ = LOADERS[name]
+        table = [table[0] + [""], *table[1:]]
+        reason = f"header has an empty column name at column {len(table[0])}"
+        self._fails(name, tmp_path / "t.csv", table, reason)
+
     def test_row_longer_than_header(self, name, tmp_path):
         _, _, table, _ = LOADERS[name]
         table = [table[0], table[1] + ["extra"], *table[2:]]
@@ -444,5 +451,5 @@ class TestTableOracle:
             matrix, dropped = load_feature_matrix(path, "binary_syntactic", drop_incomplete=True)
             assert matrix.features == tuple(header[1:])
             assert matrix.languages == tuple(r[0] for r in complete)
-            assert matrix.values.tolist() == [[int(c) for c in r[1:]] for r in complete]
+            assert matrix.values == tuple(tuple(int(c) for c in r[1:]) for r in complete)
             assert dropped == [r[0] for r in rows if "?" in r]

@@ -1,8 +1,11 @@
 """Construction-time invariants of the shared domain types."""
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from divscore.model import (
     BinOverlap,
@@ -15,7 +18,31 @@ from divscore.model import (
     MorphFeatureSpec,
     SurplusBin,
     TextProfile,
+    _pairwise_sum,
 )
+
+
+class TestPairwiseSum:
+    # A seeded list of n floats over 16 decades of both signs, so that any
+    # change of summation order shows in the last bits. The pinned lengths
+    # sit on each side of numpy's 8-term unroll and 128-term block.
+    @given(n=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(n=7, seed=0)
+    @example(n=8, seed=0)
+    @example(n=9, seed=0)
+    @example(n=128, seed=0)
+    @example(n=129, seed=0)
+    @example(n=136, seed=0)
+    @example(n=257, seed=0)
+    def test_matches_numpy_property(self, n, seed):
+        rng = random.Random(seed)
+        xs = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        assert _pairwise_sum(xs).hex() == float(np.sum(xs)).hex()
+        if xs:
+            assert (_pairwise_sum(xs) / len(xs)).hex() == float(np.mean(xs)).hex()
+
+    def test_negative_zeros_sum_to_zero(self):
+        assert _pairwise_sum([-0.0] * 9).hex() == float(np.sum([-0.0] * 9)).hex() == "0x0.0p+0"
 
 
 class TestLanguageRecord:
@@ -125,9 +152,13 @@ class TestFeatureMatrix:
         assert m.row("bbb") == {"f1": 0, "f2": 1, "f3": 1}
 
     def test_values_read_only(self):
-        m = FeatureMatrix(["aaa"], ["f1"], [[1]], "binary_syntactic")
-        with pytest.raises(ValueError):
-            m.values[0, 0] = 0
+        cells = [[1, 0]]
+        m = FeatureMatrix(["aaa"], ["f1", "f2"], cells, "binary_syntactic")
+        cells[0][0] = 0
+        assert m.values == ((1, 0),)
+        assert m.column("f1") == (1,)
+        with pytest.raises(TypeError):
+            m.values[0][0] = 0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
