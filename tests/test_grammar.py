@@ -1,4 +1,4 @@
-"""Morphological complexity: transformations, normalization, and scoring."""
+"""Morphological complexity: spec files, normalization, and scoring."""
 import pytest
 
 from divscore.grammar import (
@@ -8,10 +8,10 @@ from divscore.grammar import (
     c_wals_table,
     load_morph_specs,
     normalize_feature,
-    transform_feature,
 )
 from divscore.ingest import bundled_path, load_feature_matrix
 from divscore.model import FeatureMatrix, MorphFeatureSpec
+from oracles import neumaier_sum
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +24,10 @@ class TestSpecLoading:
         assert len(specs) == FEATURE_SET_SIZE
         assert len(set(specs.chapters)) == FEATURE_SET_SIZE
 
-    def test_identity_map_derived_for_none(self, specs):
-        s = specs.get("22A")
-        assert s.transformation == "none"
-        assert s.value_map == {v: v for v in range(s.final_min, s.final_max + 1)}
-
-    def test_remove_transformation_keeps_explicit_map(self, specs):
+    def test_remove_transformation_read(self, specs):
         s = specs.get("49A")
         assert s.transformation == "remove"
-        assert s.value_map == {v: v for v in range(1, 9)}
-        assert 9 not in s.value_map
+        assert (s.final_min, s.final_max) == (1, 8)
 
     def test_every_spec_has_usable_range(self, specs):
         for s in specs:
@@ -48,33 +42,19 @@ class TestSpecLoading:
         with pytest.raises(KeyError):
             specs.get("999Z")
 
-    def test_malformed_value_map_cell(self, tmp_path):
+    def test_value_map_column_rejected(self, tmp_path):
         p = tmp_path / "specs.csv"
         p.write_text(
             "chapter,name,transformation,final_min,final_max,value_map\n"
-            "22A,x,reorder,0,1,1-0\n"
+            "22A,x,none,1,7,\n"
         )
-        with pytest.raises(ValueError, match="malformed value_map"):
+        with pytest.raises(ValueError) as exc:
             load_morph_specs(p)
-
-
-class TestTransform:
-    def test_identity_map(self, specs):
-        assert transform_feature(3, specs.get("22A")) == 3
-
-    def test_removed_category_rejected(self, specs):
-        with pytest.raises(ValueError, match="unknown raw category 9"):
-            transform_feature(9, specs.get("49A"))
-
-    def test_no_map_means_final_values_only(self):
-        s = MorphFeatureSpec("26A", "x", "binarization", 0, 1)
-        with pytest.raises(ValueError, match="supply final values directly"):
-            transform_feature(1, s)
-
-    def test_explicit_map_applies(self):
-        s = MorphFeatureSpec("28A", "x", "reorder", 1, 4, value_map={1: 4, 2: 3, 3: 2, 4: 1})
-        assert transform_feature(1, s) == 4
-        assert transform_feature(4, s) == 1
+        assert str(exc.value) == (
+            f"morphology spec file {p} header must be "
+            "chapter,name,transformation,final_min,final_max, "
+            "got chapter,name,transformation,final_min,final_max,value_map"
+        )
 
 
 class TestNormalize:
@@ -119,6 +99,23 @@ class TestCWals:
         values = {s.chapter: s.final_min for s in specs}
         values["26A"] = 1
         assert c_wals(values, specs) == pytest.approx(1 / 26)
+
+    def test_mean_added_in_order(self, specs):
+        # one after another from 0.0, as built-in sum adds before Python
+        # 3.12; its compensated sum from 3.12 on differs in the last bit
+        matrix, _ = load_feature_matrix(
+            bundled_path("morph_values.csv"), "morphological_ordinal", specs=specs
+        )
+        compensated = 0
+        for iso in matrix.languages:
+            row = matrix.row(iso)
+            normalized = [normalize_feature(row[s.chapter], s) for s in specs]
+            total = 0.0
+            for v in normalized:
+                total += v
+            assert c_wals(row, specs) == total / len(specs)
+            compensated += neumaier_sum(normalized) != total
+        assert compensated > 0, "no bundled language tells the two sums apart"
 
     def test_table_sorted_and_kind_checked(self, specs):
         matrix, _ = load_feature_matrix(

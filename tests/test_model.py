@@ -192,17 +192,6 @@ class TestFeatureMatrix:
 
 
 class TestMorphFeatureSpec:
-    def test_value_map_outputs_must_fit_range(self):
-        with pytest.raises(ValueError, match="value_map output"):
-            MorphFeatureSpec(
-                chapter="22A",
-                name="x",
-                transformation="reorder",
-                final_min=1,
-                final_max=3,
-                value_map={1: 4},
-            )
-
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError, match="final_min"):
             MorphFeatureSpec("22A", "x", "none", final_min=5, final_max=1)
@@ -231,27 +220,25 @@ class TestReports:
             BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),
             BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0),
         )
-        rep = DiversityReport(score_name="jmm_morph", value=2.0 / 5.0, per_bin=rows)
+        rep = DiversityReport("jmm_morph", 2.0 / 5.0, per_bin=rows, normalization_c=1.0)
         assert rep.value == pytest.approx(0.4)
         with pytest.raises(ValueError, match="sum\\(min\\)/sum\\(max\\)"):
-            DiversityReport(score_name="jmm_morph", value=0.5, per_bin=rows)
+            DiversityReport("jmm_morph", 0.5, per_bin=rows, normalization_c=1.0)
 
-    def test_ti_report_skips_per_bin_consistency(self):
-        rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
-        rep = DiversityReport(score_name="ti_morph", value=0.9, per_bin=rows)
-        assert rep.value == 0.9
+    _ROWS = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
 
     def test_rejects_unknown_score_name(self):
-        with pytest.raises(ValueError, match="score_name"):
-            DiversityReport(score_name="gini", value=0.5)
+        for name in ("gini", "ti_morph", "ti_syn", "c_wals"):
+            with pytest.raises(ValueError, match="score_name"):
+                DiversityReport(name, 0.5, per_bin=self._ROWS, normalization_c=1.0)
 
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError, match="lie in"):
-            DiversityReport(score_name="ti_syn", value=1.5)
+            DiversityReport("jmm_syn", 1.5, per_bin=self._ROWS, normalization_c=1.0)
 
     def test_rejects_sub_one_scalar(self):
         with pytest.raises(ValueError, match="normalization"):
-            DiversityReport(score_name="ti_syn", value=0.5, normalization_c=0.5)
+            DiversityReport("jmm_syn", 0.5, per_bin=self._ROWS, normalization_c=0.5)
 
     def test_report_dict_round_trip(self):
         rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Recompute the morph-level score over the bundled mini-fixture and
-write the result as the golden report the tests compare against.
+the complexity scores of the bundled morphology matrix, and write them
+as the golden files the tests compare against.
 
 Deliberately independent of the package: tokenization is str.split(),
 word length is len(), and the binning, size scaling, min/max sums, gap
@@ -8,9 +9,11 @@ table, and entropy index are spelled out inline. That is only valid on
 the fixture corpora, whose restricted alphabet (single-code-point
 letters, single spaces) makes the simple operations agree with full
 Unicode segmentation. Bins follow the package's documented rule, an
-exact decimal floor, computed here with fractions.Fraction. Regenerate
-after any change to the fixtures or to the score command's JSON
-envelope:
+exact decimal floor, computed here with fractions.Fraction. The
+complexity score is the in-order mean of each chapter's value min-max
+normalized over its final range, read with csv.DictReader from the
+bundled spec and value files. Regenerate after any change to the
+fixtures, to the bundled data or to a command's JSON envelope:
 
     python3 tools/make_golden_report.py
 """
@@ -21,7 +24,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-FIX = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIX = ROOT / "tests" / "fixtures"
+DATA = ROOT / "src" / "divscore" / "data"
 BIN_WIDTH = 1.0
 TARGET = 10000
 SEED = 0
@@ -69,6 +74,26 @@ def ti(values):
         bins[k] = bins.get(k, 0) + 1
     ents = [bent(count / len(values)) for _, count in sorted(bins.items())]
     return sum(ents) / len(ents)
+
+
+def cwals_payload():
+    with open(DATA / "morph_feature_specs.csv", newline="", encoding="utf-8") as fh:
+        specs = [(r["chapter"], int(r["final_min"]), int(r["final_max"])) for r in csv.DictReader(fh)]
+    rows = []
+    with open(DATA / "morph_values.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            total = 0.0
+            for chapter, lo, hi in specs:
+                total += 0.0 if lo == hi else (int(row[chapter]) - lo) / (hi - lo)
+            rows.append({"iso": row["iso"], "c_wals": total / len(specs)})
+    return {"schema_version": "1", "c_wals": sorted(rows, key=lambda r: r["iso"])}
+
+
+def write(name, payload):
+    out = FIX / "golden" / name
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"golden report written to {out}")
 
 
 def main():
@@ -132,10 +157,8 @@ def main():
             "bin_universe": "occupied",
         },
     }
-    out = FIX / "golden" / "score_morph.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"golden report written to {out}")
+    write("score_morph.json", payload)
+    write("cwals.json", cwals_payload())
 
 
 if __name__ == "__main__":
