@@ -4,10 +4,23 @@ The overlap score says HOW similar two samples are; the gap report says
 WHERE they differ. Surplus bins are over-represented in the dataset,
 deficit bins are under-represented, and each deficit lists example
 reference languages that would plug the hole.
+
+The second part runs the same diagnosis on the bundled data: the
+languages of the bundled 28-language table that the bundled mBERT list
+covers, against all 28. It is the bundled-data analogue of the finding
+that (poly)synthetic languages are missing from large multilingual
+models, not a reproduction of any published table. The command line
+gives the same report:
+
+    divscore score --level morph --dataset <covered rows>.csv \\
+        --reference src/divscore/data/mwl_cwals.csv --bin-width 1
 """
+
+import csv
 
 from divscore.analysis import attach_gap
 from divscore.diversity import bin_members, jmm_score
+from divscore.ingest import bundled_path, load_iso_list, load_numeric_table
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
 # mid-length European-style languages, nothing isolating, nothing
@@ -48,6 +61,28 @@ def main() -> None:
     print("\nreading: the crawl bunches in the 4-6 range; to close the gap")
     print("it needs short-word isolating languages like", gap.deficit_bins[0].examples[0])
     print("and long-word agglutinative ones like", gap.deficit_bins[-1].examples[0])
+
+    bundled_mbert()
+
+
+def bundled_mbert() -> None:
+    table = bundled_path("mwl_cwals.csv")
+    _, mwl = load_numeric_table(table, ["mwl"])
+    with open(table, newline="", encoding="utf-8") as fh:
+        names = {row["iso"]: row["name"] for row in csv.DictReader(fh)}
+    mbert = set(load_iso_list(bundled_path("mbert_languages.txt")))
+    covered = [iso for iso in mwl if iso in mbert]
+    print(f"\nbundled data: {len(covered)} of the {len(mwl)} table languages are on the mBERT list")
+
+    report = jmm_score([mwl[iso]["mwl"] for iso in covered], [v["mwl"] for v in mwl.values()], 1.0)
+    members = bin_members(list(mwl), [v["mwl"] for v in mwl.values()], 1.0)
+    report = attach_gap(report, members)
+    print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
+    for entry in report.gap.deficit_bins:
+        examples = ", ".join(f"{names[iso]} ({mwl[iso]['mwl']})" for iso in entry.examples)
+        print(f"  missing {entry.label}: {examples}")
+    print("reading: what the mBERT languages miss is the long-word end of the table,")
+    print("where the (poly)synthetic languages sit")
 
 
 if __name__ == "__main__":

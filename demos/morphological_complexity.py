@@ -42,7 +42,7 @@ def main() -> None:
         print(f"{i:4d}  {iso}  {value:6.3f}  {name}{marker}")
 
     # published word lengths for the same languages ship with the package
-    _, table = load_numeric_table(bundled_path("mwl_cwals.csv"))
+    _, table = load_numeric_table(bundled_path("mwl_cwals.csv"), ["mwl"])
     isos = sorted(set(scores) & set(table))
     result = spearman(
         [table[iso]["mwl"] for iso in isos],

@@ -41,7 +41,6 @@ from .ingest import (
     load_feature_matrix,
     load_iso_list,
     load_numeric_table,
-    load_profile_table,
     load_registry,
 )
 from .model import (
@@ -102,7 +101,6 @@ __all__ = [
     "load_iso_list",
     "load_morph_specs",
     "load_numeric_table",
-    "load_profile_table",
     "load_registry",
     "mean_word_length",
     "normalization_scalar",

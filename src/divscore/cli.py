@@ -2,8 +2,9 @@
 
 Subcommands: profile, score, cwals, correlate, families. ``build_parser``
 holds every option and default; commands read the parsed namespace
-directly, after ``main`` checks the two numeric flags argparse cannot
-(``--bin-width``, ``--sample-target``). Every command writes its output
+directly, after ``main`` rejects a score option the chosen level does
+not read (``LEVEL_FLAGS``) and checks the two numeric flags argparse
+cannot (``--bin-width``, ``--sample-target``). Every command writes its output
 through one emitter, ``_emit``: a JSON object stamped with
 ``schema_version``, or the same rows as CSV (``score --format csv|svg``
 renders the per-bin table through ``serialize_report``). Diagnostics go
@@ -24,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,20 +41,35 @@ from .diversity import (
 )
 from .grammar import c_wals_table, load_morph_specs
 from .ingest import (
-    PROFILE_COLUMNS,
     bundled_path,
     family_breakdown,
     load_corpus,
     load_feature_matrix,
     load_iso_list,
     load_numeric_table,
-    load_profile_table,
     load_registry,
 )
 from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, TextProfile, _require
 from .textstats import profile
 
 SCHEMA_VERSION = "1"
+#: The profile command's output header: one column per TextProfile field, in field order.
+PROFILE_COLUMNS = ["iso", "mwl", "ttr", "entropy", "token_count", "offset", "seed"]
+
+#: The score options only one level reads; the other level rejects them.
+LEVEL_FLAGS = {
+    "morph": ("--bin-width", "--sample-target", "--seed", "--registry"),
+    "syn": ("--syn-dims", "--drop-incomplete"),
+}
+
+
+class _Given(argparse.Action):
+    """Store an option's value (``const`` for a flag that takes none) and
+    add the option to ``given``, the options typed on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,17 +80,22 @@ def build_parser() -> argparse.ArgumentParser:
             "reference sample."
         ),
     )
+    parser.set_defaults(given=frozenset())
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def common(sp, formats=("json", "csv")):
         sp.add_argument("--format", choices=list(formats), default="json", help="output format")
 
     def registry(sp):
-        sp.add_argument("--registry", default=None, help="language registry CSV")
+        sp.add_argument("--registry", action=_Given, default=None, help="language registry CSV")
 
     def sampling(sp):
-        sp.add_argument("--sample-target", type=int, default=10000, help="tokens per sample")
-        sp.add_argument("--seed", type=int, default=0, help="sampling RNG seed")
+        sp.add_argument(
+            "--sample-target", action=_Given, type=int, default=10000, help="tokens per sample"
+        )
+        sp.add_argument("--seed", action=_Given, type=int, default=0, help="sampling RNG seed")
+
+    drop = "drop rows with '?' cells"
 
     p = sub.add_parser("profile", help="per-language text statistics over a corpus directory")
     p.add_argument("--dataset", required=True, help="corpus directory of <iso>.txt files")
@@ -81,31 +103,39 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     registry(p)
 
-    p = sub.add_parser("score", help="diversity scores of a dataset against a reference")
-    p.add_argument("--level", choices=["morph", "syn"], required=True)
+    levels = " ".join(f"Only --level {lv} reads {', '.join(f)}." for lv, f in LEVEL_FLAGS.items())
+    score = "diversity scores of a dataset against a reference"
+    p = sub.add_parser("score", help=score, epilog=levels)
+    p.add_argument("--level", choices=list(LEVEL_FLAGS), required=True)
     p.add_argument(
         "--dataset",
         required=True,
-        help="corpus directory or profile table (morph); binary feature matrix CSV (syn)",
+        help="corpus directory or per-language table with an mwl column (morph); "
+        "binary feature matrix CSV (syn)",
     )
     p.add_argument("--reference", required=True, help="same formats as --dataset")
-    p.add_argument("--bin-width", type=float, default=1.0, help="measurement bin width")
+    p.add_argument(
+        "--bin-width", action=_Given, type=float, default=1.0, help="measurement bin width"
+    )
     sampling(p)
     p.add_argument(
         "--syn-dims",
+        action=_Given,
         type=int,
         choices=[103, 206],
         default=103,
         help="one weight dimension per feature (103) or per feature value (206)",
     )
-    p.add_argument("--drop-incomplete", action="store_true", help="drop rows with '?' cells")
+    p.add_argument(
+        "--drop-incomplete", action=_Given, nargs=0, const=True, default=False, help=drop
+    )
     common(p, formats=("json", "csv", "svg"))
     registry(p)
 
     p = sub.add_parser("cwals", help="per-language morphological complexity scores")
     p.add_argument("--dataset", default=None, help="morphology values CSV (default: bundled)")
     p.add_argument("--specs", default=None, help="feature spec CSV (default: bundled)")
-    p.add_argument("--drop-incomplete", action="store_true", help="drop rows with '?' cells")
+    p.add_argument("--drop-incomplete", action="store_true", help=drop)
     common(p)
 
     p = sub.add_parser("correlate", help="Spearman correlation of two per-language columns")
@@ -183,48 +213,40 @@ def cmd_profile(args: argparse.Namespace) -> int:
     dirp = Path(args.dataset)
     _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
     profiles, failed = _profile_corpus(dirp, _registry_or_none(args), args)
-    rows = [
-        [
-            p.iso,
-            p.mean_word_length,
-            p.ttr,
-            p.unigram_entropy,
-            p.token_count,
-            p.sample_offset,
-            p.seed,
-        ]
-        for p in profiles
-    ]
+    rows = [astuple(p) for p in profiles]
     _emit(args, {"profiles": [dict(zip(PROFILE_COLUMNS, r)) for r in rows]}, PROFILE_COLUMNS, rows)
     return 1 if failed else 0
 
 
-def _morph_profiles(
+def _morph_side(
     path_arg: str, flag: str, registry: LanguageSet | None, args: argparse.Namespace
-) -> list[TextProfile]:
-    """One side's profiles, sorted by iso, from a corpus directory or a
-    precomputed profile table. A side is scored whole or not at all."""
+) -> tuple[list[str], list[float]]:
+    """One side's iso codes and mean word lengths. A corpus directory is
+    profiled, and scored whole or not at all; any other path is read as
+    a per-language table with an ``mwl`` column."""
     path = Path(path_arg)
     if not path.is_dir():
-        return sorted(load_profile_table(path), key=lambda p: p.iso)
+        _, table = load_numeric_table(path, ["mwl"])
+        return list(table), [row["mwl"] for row in table.values()]
     profiles, failed = _profile_corpus(path, registry, args)
     _require(
         not failed,
         f"{flag} corpus directory {path}: profile failed for {len(failed)} "
         f"file(s): {', '.join(failed)}; a side is scored whole or not at all",
     )
-    return profiles
+    return [p.iso for p in profiles], [p.mean_word_length for p in profiles]
 
 
 def _score_morph(args: argparse.Namespace) -> dict:
+    unread = [f for f in ("--sample-target", "--seed", "--registry") if f in args.given]
+    if unread and not any(Path(side).is_dir() for side in (args.dataset, args.reference)):
+        print(f"note: both sides are tables, so {', '.join(unread)} go unread", file=sys.stderr)
     registry = _registry_or_none(args)
-    profiles_d = _morph_profiles(args.dataset, "--dataset", registry, args)
-    profiles_r = _morph_profiles(args.reference, "--reference", registry, args)
-    mwl_d = [p.mean_word_length for p in profiles_d]
-    mwl_r = [p.mean_word_length for p in profiles_r]
+    _, mwl_d = _morph_side(args.dataset, "--dataset", registry, args)
+    iso_r, mwl_r = _morph_side(args.reference, "--reference", registry, args)
 
     report = jmm_score(mwl_d, mwl_r, args.bin_width)
-    report = attach_gap(report, bin_members([p.iso for p in profiles_r], mwl_r, args.bin_width))
+    report = attach_gap(report, bin_members(iso_r, mwl_r, args.bin_width))
 
     ti_d = ti_morph(mwl_d, args.bin_width) if len(mwl_d) >= 2 else None
     ti_r = ti_morph(mwl_r, args.bin_width) if len(mwl_r) >= 2 else None
@@ -315,13 +337,8 @@ def cmd_cwals(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     x_col, y_col = args.x_column, args.y_column
     x_path = args.dataset or bundled_path("mwl_cwals.csv")
-    y_path = args.reference or x_path
-    cols_x, table_x = load_numeric_table(x_path)
-    cols_y, table_y = load_numeric_table(y_path) if args.reference else (cols_x, table_x)
-    for col, cols, path in ((x_col, cols_x, x_path), (y_col, cols_y, y_path)):
-        available = ", ".join(cols) or "none"
-        _require(col in cols, f"no numeric column {col!r} in {path}; available: {available}")
-
+    _, table_x = load_numeric_table(x_path, [x_col])
+    _, table_y = load_numeric_table(args.reference or x_path, [y_col])
     shared = sorted(set(table_x) & set(table_y))
     excluded = sorted(set(table_x).symmetric_difference(table_y))
     if not shared:
@@ -349,19 +366,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_families(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry if args.registry else bundled_path("registry.csv"))
     isos = load_iso_list(args.dataset if args.dataset else bundled_path("mbert_languages.txt"))
-
-    seen: set[str] = set()
-    records = []
-    unknown = []
-    for iso in isos:
-        if iso in seen:
-            continue
-        seen.add(iso)
-        if iso in registry:
-            records.append(registry.get(iso))
-        else:
-            unknown.append(iso)
-    unknown.sort()
+    records = [registry.get(iso) for iso in dict.fromkeys(isos) if iso in registry]
+    unknown = sorted({iso for iso in isos if iso not in registry})
     if unknown:
         print(f"unknown iso code(s) excluded: {', '.join(unknown)}", file=sys.stderr)
 
@@ -398,7 +404,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    unread = sorted(args.given - set(LEVEL_FLAGS[args.level])) if args.command == "score" else []
+    if unread:
+        parser.error(f"score --level {args.level} does not read {', '.join(unread)}")
     try:
         if "bin_width" in args:
             _require(

@@ -22,7 +22,6 @@ from .model import (
     FeatureMatrix,
     LanguageRecord,
     LanguageSet,
-    TextProfile,
     _require,
 )
 
@@ -271,50 +270,34 @@ def family_breakdown(languages: LanguageSet) -> tuple[dict[str, list[str]], list
     )
 
 
-PROFILE_COLUMNS = ["iso", "mwl", "ttr", "entropy", "token_count", "offset", "seed"]
+def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, float]]]:
+    """Read the per-language number columns ``columns`` of a CSV table.
 
-
-def load_profile_table(path) -> list[TextProfile]:
-    """Read a precomputed profile table CSV.
-
-    Header ``iso,mwl,ttr,entropy,token_count,offset,seed``, the format
-    the profile command writes, so large references can be profiled once
-    and scored many times without re-tokenizing.
+    The header starts with ``iso`` and names every requested column;
+    other columns, such as a name column, are not read. Every requested
+    cell is a finite number. Returns the requested column names and a
+    mapping iso -> {column: value}.
     """
+    columns = list(columns)
 
     def parse(header, row):
-        iso, mwl, ttr, entropy, tokens, offset, seed = row
-        return TextProfile(
-            iso, float(mwl), float(ttr), float(entropy), int(tokens), int(offset), int(seed)
-        )
+        values = {}
+        for name in columns:
+            cell = row[header.index(name)]
+            value = _number(float, cell)
+            if value is None or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {cell!r}")
+            values[name] = value
+        return row[0], values
 
-    _, profiles = _read_table(
-        path, "profile table", ",".join(PROFILE_COLUMNS), lambda h: h == PROFILE_COLUMNS, parse
+    _, rows = _read_table(
+        path,
+        "table",
+        f"'iso' first, with the column(s) {', '.join(columns)}",
+        lambda h: h[0] == "iso" and all(name in h for name in columns),
+        parse,
     )
-    return profiles
-
-
-def load_numeric_table(path) -> tuple[list[str], dict[str, dict[str, float]]]:
-    """Read a CSV of per-language numeric columns keyed by iso.
-
-    First column ``iso``. A column is numeric when every cell is a
-    finite number; the others (for example a display-name column) are
-    skipped. Returns the numeric column names and a mapping iso ->
-    {column: value}.
-    """
-    header, rows = _read_table(
-        path, "table", "'iso' first", lambda h: h[0] == "iso", lambda header, row: row
-    )
-    columns = {}
-    for j, name in enumerate(header[1:], start=1):
-        values = [_number(float, row[j]) for row in rows]
-        if all(v is not None and math.isfinite(v) for v in values):
-            columns[name] = values
-    table = {
-        row[0]: {name: values[i] for name, values in columns.items()}
-        for i, row in enumerate(rows)
-    }
-    return list(columns), table
+    return columns, dict(rows)
 
 
 def load_iso_list(path) -> list[str]:

@@ -16,8 +16,10 @@ tolerance and the budget it must hold at.
 """
 import csv
 import json
+import math
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -334,3 +336,64 @@ def test_c09_score_matrix_schema(fixtures, capsys):
     for row in rows:
         for score in ("jmm_morph", "jmm_syn", "ti_morph", "ti_syn"):
             assert 0.0 <= row[score] <= 1.0
+
+
+# the paper's finding in the bundled data ------------------------------------
+
+def test_bundled_mbert_languages_miss_the_longest_words(tmp_path, capsys):
+    """The bundled analogue of the paper's finding that (poly)synthetic
+    languages are missing: the 17 languages of the 28-language table that
+    the bundled mBERT list covers, scored against all 28 at width 1. The
+    expectation is recomputed here with the standard library."""
+    with open(bundled_path("mwl_cwals.csv"), newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    mbert_text = bundled_path("mbert_languages.txt").read_text(encoding="utf-8")
+    mbert = {line.split("#", 1)[0].strip() for line in mbert_text.splitlines()}
+    covered = [row for row in rows if row["iso"] in mbert]
+    assert len(rows) == 28 and len(covered) == 17
+
+    def counts(side):
+        bins = {}
+        for row in side:
+            k = math.floor(Fraction(row["mwl"]))
+            bins[k] = bins.get(k, 0) + 1
+        return bins
+
+    c = len(rows) / len(covered)
+    wd = {k: n * c for k, n in counts(covered).items()}
+    wr = {k: float(n) for k, n in counts(rows).items()}
+    keys = sorted(set(wd) | set(wr))
+    expected = sum(min(wd.get(k, 0.0), wr.get(k, 0.0)) for k in keys) / sum(
+        max(wd.get(k, 0.0), wr.get(k, 0.0)) for k in keys
+    )
+    expected_deficit = {
+        f"bin{k}": sorted(row["iso"] for row in rows if math.floor(Fraction(row["mwl"])) == k)[:5]
+        for k in keys
+        if wd.get(k, 0.0) < wr.get(k, 0.0)
+    }
+    assert abs(expected - 0.75) <= 1e-12
+    assert expected_deficit == {"bin7": ["abk", "apu"], "bin8": ["ckt", "qvi"]}
+
+    dataset = tmp_path / "mbert_covered.csv"
+    with open(dataset, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(covered)
+    code, out, _ = run_main(
+        [
+            "score",
+            "--level",
+            "morph",
+            "--dataset",
+            str(dataset),
+            "--reference",
+            str(bundled_path("mwl_cwals.csv")),
+            "--bin-width",
+            "1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    jmm = json.loads(out)["jmm"]
+    assert abs(jmm["value"] - expected) <= 1e-12
+    assert {d["bin"]: d["examples"] for d in jmm["gap"]["deficit"]} == expected_deficit

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from divscore.ingest import bundled_path
 from oracles import neumaier_sum
 from support import assert_json_close, run_main, run_proc
 
@@ -161,6 +162,47 @@ class TestScoreMorph:
         )
         assert json.loads(from_tables) == json.loads(from_dirs)
 
+    def test_any_table_with_an_mwl_column_is_a_side(self, tmp_path, capsys):
+        """Only iso and mwl are read: other columns, such as a name, and
+        the row order do not matter, and an mwl below 1 scores."""
+        table = tmp_path / "t.csv"
+        table.write_text("iso,name,mwl\nccc,C,7.5\naaa,A,0.5\nbbb,B,4.0\n")
+        shuffled = tmp_path / "s.csv"
+        shuffled.write_text("iso,mwl\nbbb,4.0\nccc,7.5\naaa,0.5\n")
+        argv = ["score", "--level", "morph", "--dataset", str(table), "--reference"]
+        code, out, err = run_main([*argv, str(table)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dataset_n"] == payload["reference_n"] == 3
+        assert payload["jmm"]["value"] == 1.0
+        assert "note:" not in err
+        assert run_main([*argv, str(shuffled)], capsys)[1] == out
+
+    def test_table_side_rejects_a_bad_mwl_cell(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("iso,mwl\naaa,3.2\nbbb,nan\n")
+        code, out, err = run_main(
+            ["score", "--level", "morph", "--dataset", str(table), "--reference", str(table)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: table {table} row 3: mwl must be a finite number, got 'nan'\n"
+
+    def test_sampling_flags_noted_when_both_sides_are_tables(self, fixtures, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("iso,mwl\naaa,3.2\nbbb,4.5\n")
+        tables = ["score", "--level", "morph", "--dataset", str(table), "--reference", str(table)]
+        code, plain, err = run_main(tables, capsys)
+        assert code == 0 and "note:" not in err
+        code, out, err = run_main([*tables, "--sample-target", "500", "--seed", "0"], capsys)
+        assert code == 0
+        assert "note: both sides are tables, so --sample-target, --seed go unread\n" in err
+        assert json.loads(out) == {**json.loads(plain), "sample_target": 500}
+        # with one corpus side the flags are read, and nothing is noted
+        mixed = [*tables[:-1], str(fixtures / "corpus_ref"), "--seed", "3"]
+        code, _, err = run_main(mixed, capsys)
+        assert code == 0 and "note:" not in err
+
     def test_bin_width_changes_binning(self, fixtures, capsys):
         base = [
             "score",
@@ -308,6 +350,11 @@ class TestScoreSyn:
             str(fixtures / "syn_reference.csv"),
             *extra,
         ]
+
+    def test_matches_golden_bytes(self, fixtures, capsys):
+        code, out, _ = run_main(self._args(fixtures), capsys)
+        assert code == 0
+        assert out == (fixtures / "golden" / "score_syn.json").read_text(encoding="utf-8")
 
     def test_default_dims(self, fixtures, capsys):
         code, out, err = run_main(self._args(fixtures), capsys)
@@ -509,10 +556,20 @@ class TestCorrelate:
         assert payload["excluded"] == ["ddd", "eee"]
         assert "excluded" in err
 
+    def test_matches_golden_bytes(self, fixtures, capsys):
+        code, out, _ = run_main(["correlate", "mwl", "c_wals"], capsys)
+        assert code == 0
+        assert out == (fixtures / "golden" / "correlate.json").read_text(encoding="utf-8")
+
     def test_unknown_column_lists_available(self, capsys):
+        """The header error shows the header, so it lists every column."""
         code, _, err = run_main(["correlate", "mwl", "nope"], capsys)
         assert code == 1
-        assert "error:" in err and "available: mwl, c_wals" in err
+        table = bundled_path("mwl_cwals.csv")
+        assert err == (
+            f"error: table {table} header must be 'iso' first, with the column(s) nope, "
+            "got iso,name,mwl,c_wals\n"
+        )
 
     def test_unknown_column_names_its_table(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -523,7 +580,12 @@ class TestCorrelate:
             ["correlate", "x", "y", "--dataset", str(a), "--reference", str(b)], capsys
         )
         assert code == 1
-        assert f"error: no numeric column 'y' in {b}; available: none\n" in err
+        assert err == f"error: table {b} row 2: y must be a finite number, got 'nan'\n"
+        code, _, err = run_main(
+            ["correlate", "x", "z", "--dataset", str(a), "--reference", str(b)], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"error: table {b} header must be ")
 
     def test_disjoint_tables_error(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -538,6 +600,11 @@ class TestCorrelate:
 
 
 class TestFamilies:
+    def test_matches_golden_bytes(self, fixtures, capsys):
+        code, out, _ = run_main(["families"], capsys)
+        assert code == 0
+        assert out == (fixtures / "golden" / "families.json").read_text(encoding="utf-8")
+
     def test_bundled_lists(self, capsys):
         code, out, err = run_main(["families"], capsys)
         assert code == 0
@@ -732,6 +799,66 @@ class TestDeterminismAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --registry" in captured.err
+
+
+_SCORE_SIDES = {
+    "morph": ["--dataset", "{f}/corpus_ds", "--reference", "{f}/corpus_ref"],
+    "syn": ["--dataset", "{f}/syn_dataset.csv", "--reference", "{f}/syn_reference.csv"],
+}
+
+
+class TestLevelFlags:
+    @pytest.mark.parametrize(
+        "level, typed, flag",
+        [
+            ("syn", ["--registry", "{f}/registry.csv"], "--registry"),
+            ("syn", ["--bin-width", "0.5"], "--bin-width"),
+            ("syn", ["--sample-target", "500"], "--sample-target"),
+            ("syn", ["--seed", "3"], "--seed"),
+            ("morph", ["--syn-dims", "206"], "--syn-dims"),
+            ("morph", ["--drop-incomplete"], "--drop-incomplete"),
+            # argparse expands a prefix, so the message names the whole flag
+            ("morph", ["--syn", "103"], "--syn-dims"),
+            ("syn", ["--bin", "1.0"], "--bin-width"),
+        ],
+    )
+    def test_flag_of_the_other_level_is_a_usage_error(self, level, typed, flag, fixtures, capsys):
+        argv = ["score", "--level", level, *_SCORE_SIDES[level], *typed]
+        with pytest.raises(SystemExit) as exc:
+            run_main([arg.format(f=fixtures) for arg in argv], capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: score --level {level} does not read {flag}\n")
+
+    def test_every_unread_flag_is_named(self, fixtures, capsys):
+        argv = ["score", "--level", "syn", *_SCORE_SIDES["syn"], "--seed", "1", "--bin-width", "2"]
+        with pytest.raises(SystemExit):
+            run_main([arg.format(f=fixtures) for arg in argv], capsys)
+        assert capsys.readouterr().err.endswith("does not read --bin-width, --seed\n")
+
+    @pytest.mark.parametrize(
+        "level, typed",
+        [
+            ("morph", ["--registry", "{f}/registry.csv", "--bin-width", "0.5", "--seed", "1"]),
+            ("syn", ["--syn-dims", "206", "--drop-incomplete"]),
+        ],
+    )
+    def test_flags_of_the_level_are_read(self, level, typed, fixtures, capsys):
+        argv = ["score", "--level", level, *_SCORE_SIDES[level], *typed]
+        code, _, _ = run_main([arg.format(f=fixtures) for arg in argv], capsys)
+        assert code == 0
+
+    def test_defaults_equal_the_typed_defaults(self, fixtures, capsys):
+        """A flag typed with its default value gives the output of leaving it out."""
+        morph = ["score", "--level", "morph", *_SCORE_SIDES["morph"]]
+        syn = ["score", "--level", "syn", *_SCORE_SIDES["syn"]]
+        for plain, typed in (
+            (morph, ["--bin-width", "1.0", "--sample-target", "10000", "--seed", "0"]),
+            (syn, ["--syn-dims", "103"]),
+        ):
+            plain = [arg.format(f=fixtures) for arg in plain]
+            assert run_main(plain, capsys)[1] == run_main([*plain, *typed], capsys)[1]
 
 
 class TestImports:

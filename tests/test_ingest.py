@@ -2,16 +2,17 @@
 import csv
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from divscore.cli import PROFILE_COLUMNS
 from divscore.grammar import load_morph_specs
 from divscore.ingest import (
-    PROFILE_COLUMNS,
     REGISTRY_COLUMNS,
     bundled_path,
     family_breakdown,
@@ -19,7 +20,6 @@ from divscore.ingest import (
     load_feature_matrix,
     load_iso_list,
     load_numeric_table,
-    load_profile_table,
     load_registry,
 )
 from divscore.model import LanguageRecord, LanguageSet
@@ -189,16 +189,18 @@ class TestFamilies:
 
 class TestSmallTables:
     def test_profile_table_round_trip(self, tmp_path):
+        """The table `profile --format csv` writes is a per-language table;
+        score reads its mwl column."""
         p = tmp_path / "profiles.csv"
         p.write_text(
             "iso,mwl,ttr,entropy,token_count,offset,seed\n"
             "aaa,4.5,0.5,3.0,100,7,0\n"
             "bbb,3.25,0.75,4.0,200,0,1\n"
         )
-        profiles = load_profile_table(p)
-        assert [pr.iso for pr in profiles] == ["aaa", "bbb"]
-        assert profiles[0].mean_word_length == 4.5
-        assert profiles[1].seed == 1
+        assert load_numeric_table(p, ["mwl"]) == (
+            ["mwl"],
+            {"aaa": {"mwl": 4.5}, "bbb": {"mwl": 3.25}},
+        )
 
     def test_profile_table_rejects_duplicate_iso(self, tmp_path):
         p = tmp_path / "profiles.csv"
@@ -208,18 +210,28 @@ class TestSmallTables:
             "aaa,4.5,0.5,3.0,100,0,0\n"
         )
         with pytest.raises(ValueError, match="duplicate iso"):
-            load_profile_table(p)
+            load_numeric_table(p, ["mwl"])
 
     def test_profile_table_rejects_other_header(self, tmp_path):
+        """A header without a requested column fails, showing the header."""
         p = tmp_path / "profiles.csv"
-        p.write_text("iso,mwl\naaa,4.5\n")
-        with pytest.raises(ValueError, match="header"):
-            load_profile_table(p)
+        p.write_text("iso,ttr,entropy\naaa,0.5,3.0\n")
+        with pytest.raises(ValueError) as exc:
+            load_numeric_table(p, ["mwl"])
+        assert str(exc.value) == (
+            f"table {p} header must be 'iso' first, with the column(s) mwl, got iso,ttr,entropy"
+        )
+
+    def test_numeric_table_header_must_start_with_iso(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("mwl,iso\n4.5,aaa\n")
+        with pytest.raises(ValueError, match=r"header must be 'iso' first, .* got mwl,iso$"):
+            load_numeric_table(p, ["mwl"])
 
     def test_numeric_table_skips_text_columns(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("iso,name,mwl,c_wals\nabc,Abc,4.5,0.5\nxyz,Xyz,3.0,0.25\n")
-        cols, table = load_numeric_table(p)
+        cols, table = load_numeric_table(p, ["mwl", "c_wals"])
         assert cols == ["mwl", "c_wals"]
         assert table["abc"] == {"mwl": 4.5, "c_wals": 0.5}
 
@@ -227,7 +239,7 @@ class TestSmallTables:
         p = tmp_path / "t.csv"
         p.write_text("iso,v\nabc,1\nabc,2\n")
         with pytest.raises(ValueError, match="duplicate iso"):
-            load_numeric_table(p)
+            load_numeric_table(p, ["v"])
 
     def test_iso_list_comments_and_errors(self, tmp_path):
         p = tmp_path / "langs.txt"
@@ -241,16 +253,25 @@ class TestSmallTables:
         p = tmp_path / "profiles.csv"
         p.write_text("iso,mwl,ttr,entropy,token_count,offset,seed\naaa,inf,0.5,3.0,100,0,0\n")
         with pytest.raises(ValueError) as exc:
-            load_profile_table(p)
-        assert str(exc.value).startswith(f"profile table {p} row 2: mean_word_length must be")
+            load_numeric_table(p, ["mwl"])
+        assert str(exc.value) == f"table {p} row 2: mwl must be a finite number, got 'inf'"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_numeric_table_skips_non_finite_columns(self, tmp_path, cell):
+        """A column that is not requested is not read, whatever it holds."""
         p = tmp_path / "t.csv"
         p.write_text(f"iso,x,y\nabc,1,2\nxyz,{cell},3\n")
-        cols, table = load_numeric_table(p)
-        assert cols == ["y"]
-        assert table == {"abc": {"y": 2.0}, "xyz": {"y": 3.0}}
+        assert load_numeric_table(p, ["y"]) == (["y"], {"abc": {"y": 2.0}, "xyz": {"y": 3.0}})
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "", "many", "1,5"])
+    def test_numeric_table_rejects_non_finite_cell(self, tmp_path, cell):
+        """One bad cell in a requested column fails its row; it does not
+        hide the column."""
+        p = tmp_path / "t.csv"
+        _write_table(p, [["iso", "x", "y"], ["abc", "1", "2"], ["xyz", cell, "3"]])
+        with pytest.raises(ValueError) as exc:
+            load_numeric_table(p, ["y", "x"])
+        assert str(exc.value) == f"table {p} row 3: x must be a finite number, got {cell!r}"
 
 
 def _spec_table():
@@ -275,17 +296,17 @@ LOADERS = {
         (1, "2"),
     ),
     "profile_table": (
-        load_profile_table,
-        "profile table",
+        lambda p: load_numeric_table(p, ["mwl"]),
+        "table",
         [
             PROFILE_COLUMNS,
             ["qaa", "4.5", "0.5", "3.0", "100", "7", "0"],
             ["qab", "3.25", "0.75", "4.0", "200", "0", "1"],
         ],
-        (2, "2.0"),
+        (1, "long"),
     ),
     "numeric_table": (
-        load_numeric_table,
+        lambda p: load_numeric_table(p, ["x"]),
         "table",
         [["iso", "name", "x"], ["qaa", "A", "1.5"], ["qab", "B", "2"]],
         (0, "QAB"),
@@ -378,12 +399,18 @@ def _padded(cell):
 _TEXT = st.text("abxyz ,\"'é", min_size=1, max_size=6).filter(str.strip)
 
 
+#: Cells of a per-language number table: numbers, and each kind of cell
+#: the loader rejects (non-finite, not a number, empty).
+_NUMBER_CELLS = ["1", "-2.5", "1e3", "0.1", "nan", "inf", "-Infinity", "x", "1,5", ""]
+
+
 @st.composite
 def csv_tables(draw):
-    """A registry or a 0/1/? feature table as csv.writer writes it, with
-    padded cells, quoted commas and quotes, blank rows, CR LF or LF line
-    ends and an optional BOM. Returns (kind, file bytes)."""
-    kind = draw(st.sampled_from(["registry", "matrix"]))
+    """A registry, a 0/1/? feature table or a table of number cells as
+    csv.writer writes it, with padded cells, quoted commas and quotes,
+    blank rows, CR LF or LF line ends and an optional BOM. Returns
+    (kind, file bytes)."""
+    kind = draw(st.sampled_from(["registry", "matrix", "numbers"]))
     isos = draw(
         st.lists(st.text("abc", min_size=3, max_size=3), min_size=1, max_size=6, unique=True)
     )
@@ -399,7 +426,8 @@ def csv_tables(draw):
         rows = [[iso] + [draw(c) for c in cells[1:]] for iso in isos]
     else:
         header = ["iso", *draw(st.lists(_TEXT, min_size=1, max_size=4, unique_by=str.strip))]
-        rows = [[iso] + [draw(st.sampled_from("01?")) for _ in header[1:]] for iso in isos]
+        cells = st.sampled_from("01?" if kind == "matrix" else _NUMBER_CELLS)
+        rows = [[iso] + [draw(cells) for _ in header[1:]] for iso in isos]
     table = [[draw(_padded(c)) for c in row] for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(1, len(table)))
@@ -419,6 +447,9 @@ def _finite(cell):
 
 class TestTableOracle:
     @given(csv_tables())
+    @example(("numbers", b"iso,x\nabc,1\nabd,nan\n"))  # non-finite
+    @example(("numbers", b"iso,x\nabc,many\n"))  # not a number
+    @example(("numbers", b"iso,x,y\nabc,,1\n"))  # empty
     def test_loaders_match_oracle_property(self, case):
         """Every loader that reads the file returns what the hand-written
         parser in tests/oracles.py reads from the same bytes."""
@@ -428,13 +459,29 @@ class TestTableOracle:
             path = Path(tmp) / "table.csv"
             path.write_bytes(raw)
 
+            # each column alone: its values, or the error of its first bad cell
+            for j, name in enumerate(header[1:], start=1):
+                bad = next((r[j] for r in rows if not _finite(r[j])), None)
+                if bad is None:
+                    assert load_numeric_table(path, [name]) == (
+                        [name],
+                        {r[0]: {name: float(r[j])} for r in rows},
+                    )
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    load_numeric_table(path, [name])
+                where, _, reason = str(exc.value).partition(": ")
+                assert re.fullmatch(rf"table {re.escape(str(path))} row \d+", where)
+                assert reason == f"{name} must be a finite number, got {bad!r}"
             numeric = [
                 (j, name) for j, name in enumerate(header) if j and all(_finite(r[j]) for r in rows)
             ]
-            assert load_numeric_table(path) == (
+            assert load_numeric_table(path, [name for _, name in numeric]) == (
                 [name for _, name in numeric],
                 {r[0]: {name: float(r[j]) for j, name in numeric} for r in rows},
             )
+            if kind == "numbers":
+                return
 
             if kind == "registry":
                 full = [r + [""] * (5 - len(r)) for r in rows]

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Recompute the morph-level score over the bundled mini-fixture and
-the complexity scores of the bundled morphology matrix, and write them
-as the golden files the tests compare against.
+"""Recompute what five commands print and write it as the golden files
+the tests compare against: the morph-level score over the bundled
+mini-fixture, the syn-level score over the syntactic fixture matrices,
+the complexity scores of the bundled morphology matrix, the correlation
+of the bundled table's `mwl` and `c_wals` columns, and the family count
+of the bundled language list.
 
 Deliberately independent of the package: tokenization is str.split(),
 word length is len(), and the binning, size scaling, min/max sums, gap
@@ -12,8 +15,12 @@ Unicode segmentation. Bins follow the package's documented rule, an
 exact decimal floor, computed here with fractions.Fraction. The
 complexity score is the in-order mean of each chapter's value min-max
 normalized over its final range, read with csv.DictReader from the
-bundled spec and value files. Regenerate after any change to the
-fixtures, to the bundled data or to a command's JSON envelope:
+bundled spec and value files. The correlation is Pearson's r of average
+ranks, computed in numpy.corrcoef's steps; every sum is exact, so their
+order does not matter. The syntactic score has six rows, so its sums
+run left to right, the order numpy uses below eight terms. Regenerate
+after any change to the fixtures, to the bundled data or to a command's
+JSON envelope:
 
     python3 tools/make_golden_report.py
 """
@@ -89,6 +96,103 @@ def cwals_payload():
     return {"schema_version": "1", "c_wals": sorted(rows, key=lambda r: r["iso"])}
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def average_ranks(values):
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    return [
+        sum(1 for w in values if w < v) + (sum(1 for w in values if w == v) + 1) / 2
+        for v in values
+    ]
+
+
+def correlate_payload():
+    rows = read_rows(DATA / "mwl_cwals.csv")
+    n = len(rows)
+    mean = Fraction(n + 1, 2)
+    dx = [Fraction(r) - mean for r in average_ranks([float(row["mwl"]) for row in rows])]
+    dy = [Fraction(r) - mean for r in average_ranks([float(row["c_wals"]) for row in rows])]
+    f = 1 / (n - 1)
+    cov = float(sum(a * b for a, b in zip(dx, dy))) * f
+    sx = math.sqrt(float(sum(a * a for a in dx)) * f)
+    sy = math.sqrt(float(sum(b * b for b in dy)) * f)
+    rho = max(-1.0, min(1.0, cov / sx / sy))
+    return {"schema_version": "1", "rho": rho, "n": n, "x": "mwl", "y": "c_wals", "excluded": []}
+
+
+def families_payload():
+    family = {row["iso"]: row["family"] for row in read_rows(DATA / "registry.csv")}
+    isos = []
+    for line in (DATA / "mbert_languages.txt").read_text(encoding="utf-8").splitlines():
+        iso = line.split("#", 1)[0].strip()
+        if iso and iso not in isos:
+            isos.append(iso)
+    families = {}
+    for iso in isos:
+        if family.get(iso):
+            families.setdefault(family[iso], []).append(iso)
+    return {
+        "schema_version": "1",
+        "family_count": len(families),
+        "families": {fam: sorted(members) for fam, members in sorted(families.items())},
+        "unlabeled": sorted(iso for iso in isos if iso in family and not family[iso]),
+        "unknown": sorted(iso for iso in isos if iso not in family),
+    }
+
+
+def score_syn_payload():
+    ds = read_rows(FIX / "syn_dataset.csv")
+    ref = read_rows(FIX / "syn_reference.csv")
+    features = [f for f in ds[0] if f != "iso"]
+    assert len(features) < 8, "left-to-right sums are numpy's order only below eight terms"
+    ones_d = {f: float(sum(int(row[f]) for row in ds)) for f in features}
+    ones_r = {f: float(sum(int(row[f]) for row in ref)) for f in features}
+    c = max(len(ds), len(ref)) / min(len(ds), len(ref))
+    if len(ds) < len(ref):
+        ones_d = {f: w * c for f, w in ones_d.items()}
+    elif len(ref) < len(ds):
+        ones_r = {f: w * c for f, w in ones_r.items()}
+
+    per_bin, surplus, deficit = [], [], []
+    num = den = 0.0
+    for f in features:
+        wd, wr = ones_d[f], ones_r[f]
+        num += min(wd, wr)
+        den += max(wd, wr)
+        per_bin.append({"bin": f, "dataset": wd, "reference": wr, "min": min(wd, wr), "max": max(wd, wr)})
+        if wd > wr:
+            surplus.append({"bin": f, "excess": wd - wr})
+        elif wd < wr:
+            examples = sorted(row["iso"] for row in ref if row[f] == "1")[:5]
+            deficit.append({"bin": f, "shortfall": wr - wd, "examples": examples})
+
+    def ti_syn(rows):
+        total = 0.0
+        for f in features:
+            total += bent(sum(int(row[f]) for row in rows) / len(rows))
+        return total / len(features)
+
+    return {
+        "schema_version": "1",
+        "level": "syn",
+        "syn_dims": 103,
+        "dataset_n": len(ds),
+        "reference_n": len(ref),
+        "normalization_c": c,
+        "jmm": {
+            "score_name": "jmm_syn",
+            "value": num / den,
+            "normalization_c": c,
+            "per_bin": per_bin,
+            "gap": {"surplus": surplus, "deficit": deficit},
+        },
+        "ti": {"score_name": "ti_syn", "dataset": ti_syn(ds), "reference": ti_syn(ref)},
+    }
+
+
 def write(name, payload):
     out = FIX / "golden" / name
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -159,6 +263,9 @@ def main():
     }
     write("score_morph.json", payload)
     write("cwals.json", cwals_payload())
+    write("correlate.json", correlate_payload())
+    write("families.json", families_payload())
+    write("score_syn.json", score_syn_payload())
 
 
 if __name__ == "__main__":
