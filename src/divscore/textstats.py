@@ -14,7 +14,10 @@ such as 我們 is one token of two graphemes. Tokens without any
 alphanumeric content are discarded. The connector tables below are a
 pragmatic subset of the Unicode word-boundary connector classes; the
 bundled fixtures document the exact behavior. Underscores separate
-tokens here.
+tokens here. Since the splitter works over clusters (UAX #29), a
+combining mark after a space, or a Prepend code point before one, joins
+the space into a token: tokenize("x \\u0301y") gives ["x \\u0301y"] and
+tokenize("\\u0d4e x") gives ["\\u0d4e x"].
 
 Most text is tokenized by one compiled pattern: where every grapheme
 cluster is a base code point plus its marks, a token is a run of
@@ -25,6 +28,13 @@ non-word material) is tokenized whole by the cluster-by-cluster loop
 instead. Both give the same tokens. Every Unicode property, the digit
 test included, comes from `regex`'s tables, so the tokens depend on the
 installed `regex` version's Unicode data but not on the Python version.
+
+Natural text repeats its code points and tokens, so work that depends
+on one item alone is done once per distinct item: the trigger code
+points are looked for among the text's distinct code points, with one
+scan over the text for a mark after non-word material; tokens are
+checked for alphanumeric content, and measured in graphemes, once per
+type.
 """
 from __future__ import annotations
 
@@ -41,6 +51,7 @@ from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _pairwise_sum, _req
 
 _GRAPHEME = regex.compile(r"\X")
 _ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
+_NO_ALNUM_LINE = regex.compile(r"(?m)^[^\p{L}\p{M}\p{Nd}\n]*$")
 _DIGIT = regex.compile(r"\p{Nd}")
 
 # Connector punctuation, single code point each. "Letter" connectors join
@@ -71,9 +82,12 @@ class TokenSequence:
             f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
         )
         toks = tuple(tokens)
-        if not all(map(_ALNUM.search, toks)):
-            bad = next(t for t in toks if not _ALNUM.search(t))
-            raise ValueError(f"every token must contain an alphanumeric character, got {bad!r}")
+        # one scan over the distinct tokens, a line each; a token that
+        # holds a line break may raise a false alarm, which the scan in
+        # sequence order settles
+        if _NO_ALNUM_LINE.search("\n".join(set(toks))):
+            bad = next((t for t in toks if not _ALNUM.search(t)), None)
+            _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "tokens", toks)
 
@@ -145,18 +159,21 @@ def _char_class(chars: frozenset[str]) -> str:
 
 
 @functools.cache
-def _patterns() -> tuple[regex.Pattern, regex.Pattern]:
-    """(token, trigger) patterns, compiled on first use.
+def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern]:
+    """(token, special, stray mark) patterns, compiled on first use.
 
     A code point is plain when its cluster is known without segmenting:
     a non-mark that starts a new cluster (CR LF aside, which only joins
     whitespace), or a mark that extends the cluster before it. Any other
-    code point is a trigger, and so is a mark after anything but word
-    material, which glues onto a non-word base. In text without
-    triggers every cluster is one base plus its marks, so a token is a
-    run of word code points joined across a single connector, and the
-    kind of the cluster before the connector is its base's: the last
-    non-mark.
+    code point is special. A special code point is a trigger, and so is
+    a mark after anything but word material (a stray mark), which glues
+    onto a non-word base. Being special is a property of the code point
+    alone, so `tokenize` looks for one among the text's distinct code
+    points; only the stray mark needs its context, and a scan over the
+    whole text. In text without triggers every cluster is one base plus
+    its marks, so a token is a run of word code points joined across a
+    single connector, and the kind of the cluster before the connector
+    is its base's: the last non-mark.
     """
     plain = (
         r"[\p{GCB=Other}\p{GCB=LV}\p{GCB=LVT}\p{GCB=Control}\p{GCB=CR}\p{GCB=LF}--\p{M}]"
@@ -173,8 +190,7 @@ def _patterns() -> tuple[regex.Pattern, regex.Pattern]:
         rf"|{numeric}(?<=\p{{Nd}}\p{{M}}*.)(?=\p{{Nd}}))"
     )
     token = regex.compile(rf"{word}+(?:{connector}{word}+)*")
-    trigger = regex.compile(rf"(?V1){special}|(?<!{word})\p{{M}}")
-    return token, trigger
+    return token, regex.compile(rf"(?V1){special}"), regex.compile(rf"(?<!{word})\p{{M}}")
 
 
 def tokenize(text: str, iso: str = "und") -> TokenSequence:
@@ -195,8 +211,8 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         Tokens in original order, punctuation-only material removed.
         Empty input yields an empty sequence.
     """
-    token, trigger = _patterns()
-    if trigger.search(text) is None:
+    token, special, stray_mark = _patterns()
+    if special.search("".join(set(text))) is None and stray_mark.search(text) is None:
         return TokenSequence(iso, token.findall(text))
     return TokenSequence(iso, _tokenize_clusters(text))
 
@@ -249,7 +265,7 @@ def mean_word_length(tokens: TokenSequence, script_scale: float = 1.0) -> float:
         f"script_scale must be a finite positive number, got {script_scale!r}",
     )
     _require(len(tokens) > 0, "mean_word_length requires a non-empty token sequence")
-    total = sum(grapheme_length(t) for t in tokens.tokens)
+    total = sum(n * grapheme_length(t) for t, n in Counter(tokens.tokens).items())
     return total / len(tokens) * script_scale
 
 

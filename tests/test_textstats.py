@@ -6,7 +6,7 @@ import unicodedata
 
 import pytest
 import regex
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from divscore.ingest import CorpusSource, load_corpus
@@ -109,6 +109,27 @@ class TestTokenSequence:
         with pytest.raises(ValueError, match="got ''"):
             TokenSequence("und", ["ok", "", "--"])
 
+    def test_repeated_bad_token_named_in_sequence_order(self):
+        # tokens are checked once per type, but the error still names the
+        # first bad token of the sequence, not the first of a set
+        later_bad = [p * k for k in range(1, 60) for p in "!?."]
+        tokens = ["ok", "ab"] * 50 + ["--"] * 100 + ["ok"] + later_bad * 3
+        with pytest.raises(ValueError, match="got '--'"):
+            TokenSequence("und", tokens)
+
+    def test_line_break_inside_a_token_is_no_rejection(self):
+        # the per-type scan reads one token per line, so a line of a token
+        # without alphanumerics is a false alarm the in-order scan clears
+        assert TokenSequence("und", ["a\n-", "\n\nb", "a"]).tokens == ("a\n-", "\n\nb", "a")
+        with pytest.raises(ValueError, match=r"got '\\n'"):
+            TokenSequence("und", ["a\n-", "\n"])
+
+    def test_sampled_window_keeps_iso_and_tokens(self):
+        seq = tokenize("the cat saw the dog and the cat ran " * 20, "abc")
+        window, offset = sample_contiguous(seq, 30, seed=5)
+        assert window.iso == "abc"
+        assert window.tokens == seq.tokens[offset : offset + 30]
+
     def test_rejects_bad_iso(self):
         with pytest.raises(ValueError, match="three ASCII lowercase"):
             TokenSequence("UND", ["ok"])
@@ -164,6 +185,10 @@ class TestTokenizeOracle:
     @example("a\t\u0301b")  # but not after a control
     @example("x \u0301y")  # a mark glues onto a space
     @example("\u3000\uff9e\u096a")  # a non-mark extender after a space
+    @example("\u0301ab")  # a stray mark at index 0
+    @example("ab, cd " * 500 + "ef\u200d")  # one special code point, last
+    @example("\u0e01\u0e02 ab " * 500 + "\u0e33")
+    @example("ab \u0301c d\u200de")  # both kinds of trigger
     def test_matches_brute_force(self, text):
         assert toks(text) == brute_tokenize(text)
 
@@ -177,11 +202,15 @@ class TestTokenizeOracle:
                 assert toks(norm) == brute_tokenize(norm), (f, form)
 
     def test_no_whitespace_is_a_trigger(self):
-        # whitespace alone never sends a text to the cluster loop
-        trigger = _patterns()[1]
+        # whitespace alone never sends a text to the cluster loop: no
+        # whitespace code point is special, and only a mark after one is
+        # a stray mark
+        _, special, stray_mark = _patterns()
         spaces = regex.findall(r"\s", "".join(map(chr, range(0x110000))))
         assert "\u3000" in spaces
-        assert [c for c in spaces if trigger.match(c)] == []
+        assert [c for c in spaces if special.match(c)] == []
+        assert stray_mark.search("".join(spaces)) is None
+        assert [c for c in spaces if not stray_mark.search(c + "\u0301")] == []
 
 
 class TestGraphemeLength:
@@ -248,6 +277,18 @@ class TestMeasures:
     def test_mwl_plain(self):
         seq = TokenSequence("und", ["ab", "abcd"])
         assert mean_word_length(seq) == 3.0
+
+    @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT), st.integers(1, 4), st.floats(0.01, 100.0))
+    @example("ab ab ab cde", 1, 2.4)  # repeated tokens
+    @example("\u6211 \u6211\u5011 \u6211", 3, 2.4)
+    @example("x \u0301y a\u200db", 2, 1.0)
+    def test_mwl_per_type_equals_per_token(self, text, reps, scale):
+        # lengths are summed once per type, times its count; the integer
+        # total, and so the float, equals the sum over every token
+        seq = tokenize(" ".join([text] * reps))
+        assume(len(seq) > 0)
+        per_token = sum(grapheme_length(t) for t in seq.tokens)
+        assert mean_word_length(seq, scale) == per_token / len(seq) * scale
 
     def test_mwl_rejects_bad_scale(self):
         seq = TokenSequence("und", ["ab"])
