@@ -16,15 +16,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
+    MAX_GAP_EXAMPLES,
     DeficitBin,
     DiversityReport,
     GapReport,
     SurplusBin,
     _require,
 )
-
-#: Maximum example languages listed per deficit bin.
-MAX_GAP_EXAMPLES = 5
 
 _FORMATS = ("csv", "svg")
 
@@ -99,7 +97,7 @@ def attach_gap(
 
     Bins where the dataset carries more weight become surplus entries;
     bins where it carries less become deficit entries annotated with up
-    to five example reference languages from ``reference_members``,
+    to ``MAX_GAP_EXAMPLES`` reference languages from ``reference_members``,
     chosen lexicographically so reports are reproducible.
     """
     surplus = []

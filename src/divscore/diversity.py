@@ -12,7 +12,7 @@ Two families of diversity scores over language features:
   both sums); for binary syntactic features they are the features, or
   ``<feature>=1`` and ``<feature>=0``. Those labels are written only in
   this module: :func:`bin_members` and :func:`feature_members` give the
-  languages in each row, for the gap report.
+  languages in each row, or its first few, for the gap report.
 
 * Typological index: mean Shannon entropy (base 2) of feature-value
   distributions across the languages of one set. For binary syntactic
@@ -31,9 +31,12 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
-from .model import BinOverlap, DiversityReport, FeatureMatrix, _pairwise_sum, _require
+from .model import (
+    MAX_GAP_EXAMPLES, BinOverlap, DiversityReport, FeatureMatrix, _pairwise_sum, _require
+)
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
@@ -134,12 +137,12 @@ def bin_members(isos: Sequence[str], values: Sequence[float], width: float) -> d
     return members
 
 
-def _feature_rows(features: Sequence[str], count_zeros: bool) -> list[tuple[str, str, int]]:
-    """(row label, feature, value counted) for each row of
+def _feature_rows(features: Sequence[str], count_zeros: bool) -> list[tuple[str, int, int]]:
+    """(row label, feature index, value counted) for each row of
     :func:`jmm_syn`'s table, in feature order."""
     if not count_zeros:
-        return [(f, f, 1) for f in features]
-    return [(f"{f}={value}", f, value) for f in features for value in (1, 0)]
+        return [(f, j, 1) for j, f in enumerate(features)]
+    return [(f"{f}={value}", j, value) for j, f in enumerate(features) for value in (1, 0)]
 
 
 def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[str, float]:
@@ -159,21 +162,23 @@ def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[
         matrix.kind == "binary_syntactic",
         f"syntactic weights need a binary_syntactic matrix, got kind {matrix.kind!r}",
     )
-    ones = {f: float(sum(matrix.column(f))) for f in matrix.features}
+    ones = [float(total) for total in matrix.totals]
     weights = {
-        label: ones[f] if value else matrix.n_languages - ones[f]
-        for label, f, value in _feature_rows(matrix.features, count_zeros)
+        label: ones[j] if value else matrix.n_languages - ones[j]
+        for label, j, value in _feature_rows(matrix.features, count_zeros)
     }
     _require(any(w > 0 for w in weights.values()), "syntactic weights need positive total weight")
     return weights
 
 
 def feature_members(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[str, list[str]]:
-    """The languages in each row of :func:`jmm_syn`'s table, by row
-    label: those of ``matrix`` showing the value the row counts."""
+    """Gap examples for each row of :func:`jmm_syn`'s table, by row label:
+    the first ``MAX_GAP_EXAMPLES`` languages of ``matrix`` in iso order
+    that show the value the row counts, not the row's full member list."""
+    by_iso = sorted(zip(matrix.languages, matrix.values))
     return {
-        label: [iso for iso, v in zip(matrix.languages, matrix.column(f)) if v == value]
-        for label, f, value in _feature_rows(matrix.features, count_zeros)
+        label: list(islice((iso for iso, row in by_iso if row[j] == value), MAX_GAP_EXAMPLES))
+        for label, j, value in _feature_rows(matrix.features, count_zeros)
     }
 
 
@@ -226,7 +231,7 @@ def ti_syn(matrix: FeatureMatrix) -> float:
         f"ti_syn needs at least 2 languages, got {matrix.n_languages}",
     )
     n = matrix.n_languages
-    entropies = [binary_entropy(sum(matrix.column(f)) / n) for f in matrix.features]
+    entropies = [binary_entropy(total / n) for total in matrix.totals]
     return _pairwise_sum(entropies) / len(entropies)
 
 

@@ -5,8 +5,9 @@ Text is decoded strictly (invalid UTF-8 is an error, never replaced) and
 NFC-normalized once here, so downstream grapheme counting sees canonical
 forms. Every CSV table, the morphology spec file included, is read by
 ``_read_table``, which holds the header, row and error rules; each
-loader adds only its header rule and its parse of one row. Bundled
-default data files ship under ``divscore/data``.
+loader adds only its header rule and its parse of one row. A feature
+matrix row parses each of its distinct cells once. Bundled default data
+files ship under ``divscore/data``.
 """
 from __future__ import annotations
 
@@ -83,7 +84,7 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
                 raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
             iso_keyed = header[0] == "iso"
             for lineno, row in enumerate(reader, start=2):
-                cells = [c.strip() for c in row]
+                cells = list(map(str.strip, row))
                 if not any(cells):
                     continue
                 try:
@@ -150,9 +151,9 @@ def load_feature_matrix(
     """Read a feature table CSV into a FeatureMatrix.
 
     Format: first column ``iso``, remaining columns feature identifiers,
-    cells integers or the missing marker ``?``. Rows containing ``?`` are
-    an error unless ``drop_incomplete`` is set, in which case they are
-    dropped and their iso codes returned.
+    cells integers (as ``int()`` reads them) or the missing marker ``?``.
+    Rows containing ``?`` are an error unless ``drop_incomplete`` is set,
+    in which case they are dropped and their iso codes returned.
 
     When ``specs`` (a MorphSpecSet) is given for a morphological matrix,
     the columns must cover exactly the spec chapters and every cell must
@@ -188,18 +189,20 @@ def load_feature_matrix(
     def parse(header, row):
         """(iso, int values or None, the features whose cell is '?')."""
         iso, cells = row[0], row[1:]
-        if "?" in cells:
+        distinct = set(cells)
+        if "?" in distinct:
             return iso, None, [f for f, cell in zip(header[1:], cells) if cell == "?"]
         try:
-            values = tuple(map(int, cells))
+            value = dict(zip(distinct, map(int, distinct)))
         except ValueError:
             f, cell = next((f, c) for f, c in zip(header[1:], cells) if _number(int, c) is None)
             raise ValueError(
                 f"value for ({iso}, {f}) must be an integer or '?', got {cell!r}"
             ) from None
-        if kind == "binary_syntactic" and not set(values) <= {0, 1}:
-            f, v = next((f, v) for f, v in zip(header[1:], values) if v not in (0, 1))
+        if kind == "binary_syntactic" and not {0, 1}.issuperset(value.values()):
+            f, v = next((f, value[c]) for f, c in zip(header[1:], cells) if value[c] not in (0, 1))
             raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
+        values = tuple(map(value.__getitem__, cells))
         if by_chapter is not None:
             for f, v in zip(header[1:], values):
                 spec = by_chapter[f]
@@ -229,13 +232,8 @@ def load_feature_matrix(
     if not rows:
         raise ValueError(f"feature matrix {path} has no complete language rows")
 
-    matrix = FeatureMatrix(
-        languages=[iso for iso, _ in rows],
-        features=header[1:],
-        values=[values for _, values in rows],
-        kind=kind,
-    )
-    return matrix, dropped
+    languages, values = zip(*rows)
+    return FeatureMatrix(languages, header[1:], values, kind), dropped
 
 
 def load_corpus(path, iso: str) -> CorpusSource:

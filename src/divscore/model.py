@@ -23,6 +23,8 @@ ENDANGERMENT_LEVELS = frozenset({"safe", "vulnerable", "endangered", "extinct", 
 MATRIX_KINDS = frozenset({"binary_syntactic", "morphological_ordinal"})
 TRANSFORMATIONS = frozenset({"none", "binarization", "reorder", "recategorization", "remove"})
 SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn"})
+#: Maximum example languages listed per deficit bin.
+MAX_GAP_EXAMPLES = 5
 
 #: Tolerance for floating-point invariant checks on derived quantities.
 _EPS = 1e-9
@@ -182,11 +184,11 @@ class FeatureMatrix:
     """Languages x named features with small non-negative integer cells.
 
     ``values`` holds the cells as a tuple of row tuples, one row per
-    language; :meth:`column` returns one feature's cells, stored once as
-    a tuple. ``kind`` is ``"binary_syntactic"`` (all cells 0/1) or
-    ``"morphological_ordinal"`` (final transformed values; per-feature
-    ranges are validated against specs by the loader). Every cell must be
-    populated: missing values never reach scoring.
+    language, and ``totals`` each feature's sum (a binary feature's count
+    of 1s) in feature order. ``kind`` is ``"binary_syntactic"`` (all
+    cells 0/1) or ``"morphological_ordinal"`` (final transformed values;
+    per-feature ranges are validated against specs by the loader). Every
+    cell must be populated: missing values never reach scoring.
     """
 
     def __init__(
@@ -225,9 +227,8 @@ class FeatureMatrix:
         if kind == "binary_syntactic":
             _require(distinct <= {0, 1}, "binary_syntactic matrix must contain only 0/1 values")
         self.values = rows
-        self._columns = tuple(zip(*rows))
+        self.totals = tuple(map(sum, zip(*rows)))
         self._lang_index = {iso: i for i, iso in enumerate(self.languages)}
-        self._feat_index = {f: j for j, f in enumerate(self.features)}
 
     @property
     def n_languages(self) -> int:
@@ -236,9 +237,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return len(self.features)
-
-    def column(self, feature: str) -> tuple[int, ...]:
-        return self._columns[self._feat_index[feature]]
 
     def row(self, iso: str) -> dict[str, int]:
         return dict(zip(self.features, self.values[self._lang_index[iso]]))

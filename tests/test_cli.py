@@ -356,6 +356,11 @@ class TestScoreSyn:
         assert code == 0
         assert out == (fixtures / "golden" / "score_syn.json").read_text(encoding="utf-8")
 
+    def test_206_dims_match_golden_bytes(self, fixtures, capsys):
+        code, out, _ = run_main(self._args(fixtures, ["--syn-dims", "206"]), capsys)
+        assert code == 0
+        assert out == (fixtures / "golden" / "score_syn_206.json").read_text(encoding="utf-8")
+
     def test_default_dims(self, fixtures, capsys):
         code, out, err = run_main(self._args(fixtures), capsys)
         assert code == 0

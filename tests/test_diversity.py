@@ -4,17 +4,20 @@ The randomized properties here are the package-level half of the
 acceptance property suites; the acceptance tests re-run the headline
 properties at their pinned budgets.
 """
+import heapq
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from divscore.analysis import attach_gap
 from divscore.diversity import (
     bin_index,
     bin_measurements,
     binary_entropy,
+    feature_members,
     jmm_score,
     jmm_syn,
     normalization_scalar,
@@ -362,6 +365,48 @@ class TestJmmSyn:
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]], "binary_syntactic")
         with pytest.raises(ValueError, match="differ in length"):
             jmm_syn(a, b)
+
+
+@st.composite
+def gap_cases(draw):
+    """Feature names, a 0/1 dataset as rows, and a reference of 1-40
+    languages in shuffled iso order with its rows."""
+    n_features = draw(st.integers(min_value=1, max_value=4))
+    features = [f"s{j}" for j in range(1, n_features + 1)]
+    row = st.lists(st.integers(min_value=0, max_value=1), min_size=n_features, max_size=n_features)
+    rows_d = draw(st.lists(row, min_size=1, max_size=40))
+    isos = draw(st.sets(st.text("abcdefg", min_size=3, max_size=3), min_size=1, max_size=40))
+    isos_r = draw(st.permutations(sorted(isos)))
+    rows_r = draw(st.lists(row, min_size=len(isos_r), max_size=len(isos_r)))
+    return features, rows_d, isos_r, rows_r
+
+
+class TestFeatureMembers:
+    @given(case=gap_cases(), count_zeros=st.booleans())
+    @example(  # seven reference languages with the value, in reverse iso order
+        case=(["s1"], [[1], [0]], ["ggg", "fff", "eee", "ddd", "ccc", "bbb", "aaa"], [[1]] * 7),
+        count_zeros=False,
+    )
+    def test_gap_examples_property(self, case, count_zeros):
+        """Each deficit row lists the five smallest iso codes among all the
+        reference languages showing the row's value."""
+        features, rows_d, isos_r, rows_r = case
+        assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
+        ds = _syn(rows_d, features)
+        ref = FeatureMatrix(isos_r, features, rows_r, "binary_syntactic")
+        report = jmm_syn(ds, ref, count_zeros)
+        gap = attach_gap(report, feature_members(ref, count_zeros)).gap
+        counted = {
+            (f"{f}={value}" if count_zeros else f): (j, value)
+            for j, f in enumerate(features)
+            for value in ((1, 0) if count_zeros else (1,))
+        }
+        short = [r.label for r in report.per_bin if r.dataset < r.reference]
+        assert [d.label for d in gap.deficit_bins] == short
+        for d in gap.deficit_bins:
+            j, value = counted[d.label]
+            members = {iso for iso, row in zip(isos_r, rows_r) if row[j] == value}
+            assert d.examples == tuple(heapq.nsmallest(5, members))
 
 
 class TestBinaryEntropy:

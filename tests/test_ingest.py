@@ -403,13 +403,18 @@ _TEXT = st.text("abxyz ,\"'é", min_size=1, max_size=6).filter(str.strip)
 #: the loader rejects (non-finite, not a number, empty).
 _NUMBER_CELLS = ["1", "-2.5", "1e3", "0.1", "nan", "inf", "-Infinity", "x", "1,5", ""]
 
+#: Cells of a feature matrix: 0, 1, the missing marker and corner cases
+#: of int(): a sign, a leading zero, a non-ASCII digit and an underscore
+#: it accepts, values outside 0/1, and cells it rejects.
+_MATRIX_CELLS = ["0", "1", "?", "+1", "01", "-0", "\u0661", "1_0", "2", "-1", "x", "1.0"]
+
 
 @st.composite
 def csv_tables(draw):
-    """A registry, a 0/1/? feature table or a table of number cells as
-    csv.writer writes it, with padded cells, quoted commas and quotes,
-    blank rows, CR LF or LF line ends and an optional BOM. Returns
-    (kind, file bytes)."""
+    """A registry, a feature table of ``_MATRIX_CELLS`` or a table of
+    number cells as csv.writer writes it, with padded cells, quoted
+    commas and quotes, blank rows, CR LF or LF line ends and an optional
+    BOM. Returns (kind, file bytes)."""
     kind = draw(st.sampled_from(["registry", "matrix", "numbers"]))
     isos = draw(
         st.lists(st.text("abc", min_size=3, max_size=3), min_size=1, max_size=6, unique=True)
@@ -426,7 +431,7 @@ def csv_tables(draw):
         rows = [[iso] + [draw(c) for c in cells[1:]] for iso in isos]
     else:
         header = ["iso", *draw(st.lists(_TEXT, min_size=1, max_size=4, unique_by=str.strip))]
-        cells = st.sampled_from("01?" if kind == "matrix" else _NUMBER_CELLS)
+        cells = st.sampled_from(_MATRIX_CELLS if kind == "matrix" else _NUMBER_CELLS)
         rows = [[iso] + [draw(cells) for _ in header[1:]] for iso in isos]
     table = [[draw(_padded(c)) for c in row] for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 3))):
@@ -445,11 +450,36 @@ def _finite(cell):
         return False
 
 
+def _integer(cell):
+    """int(cell), or None where int() rejects the cell."""
+    try:
+        return int(cell)
+    except ValueError:
+        return None
+
+
+def _matrix_row_error(header, row, kind):
+    """The reason load_feature_matrix gives for a complete row: its first
+    cell in column order that int() rejects, else (binary kind) its first
+    value outside 0/1; None for a good row."""
+    cells = list(zip(header[1:], row[1:]))
+    bad = next(((f, c) for f, c in cells if _integer(c) is None), None)
+    if bad is not None:
+        return f"value for ({row[0]}, {bad[0]}) must be an integer or '?', got {bad[1]!r}"
+    bad = next(((f, int(c)) for f, c in cells if int(c) not in (0, 1)), None)
+    if kind != "binary_syntactic" or bad is None:
+        return None
+    return f"binary feature ({row[0]}, {bad[0]}) must be 0 or 1, got {bad[1]}"
+
+
 class TestTableOracle:
     @given(csv_tables())
     @example(("numbers", b"iso,x\nabc,1\nabd,nan\n"))  # non-finite
     @example(("numbers", b"iso,x\nabc,many\n"))  # not a number
     @example(("numbers", b"iso,x,y\nabc,,1\n"))  # empty
+    @example(("matrix", b"iso,a,b\nabc,1,01\n"))  # two spellings of 1 in one row
+    @example(("matrix", b"iso,a,b,c\nabc,1,x,1.0\n"))  # two cells int() rejects
+    @example(("matrix", b"iso,a,b,c\nabc,+1,2,-1\nabd,?,x,0\n"))  # two values outside 0/1
     def test_loaders_match_oracle_property(self, case):
         """Every loader that reads the file returns what the hand-written
         parser in tests/oracles.py reads from the same bytes."""
@@ -490,13 +520,43 @@ class TestTableOracle:
                     for iso, name, fam, end, s in full
                 )
                 return
-            complete = [r for r in rows if "?" not in r]
-            if not complete:
-                with pytest.raises(ValueError, match="no complete language rows"):
-                    load_feature_matrix(path, "binary_syntactic", drop_incomplete=True)
-                return
-            matrix, dropped = load_feature_matrix(path, "binary_syntactic", drop_incomplete=True)
+            for kind, drop in [
+                ("binary_syntactic", True),
+                ("binary_syntactic", False),
+                ("morphological_ordinal", True),
+            ]:
+                self._check_matrix(path, header, rows, kind, drop)
+
+    @staticmethod
+    def _check_matrix(path, header, rows, kind, drop):
+        """load_feature_matrix against int() on every cell: the values, or
+        the error of the first bad cell in file and column order."""
+        complete = [r for r in rows if "?" not in r]
+        reason = next(filter(None, (_matrix_row_error(header, r, kind) for r in complete)), None)
+        holes = [f"({r[0]}, {f})" for r in rows for f, c in zip(header[1:], r[1:]) if c == "?"]
+        if reason is not None:
+            with pytest.raises(ValueError) as exc:
+                load_feature_matrix(path, kind, drop_incomplete=drop)
+            where, _, got = str(exc.value).partition(": ")
+            assert re.fullmatch(rf"feature matrix {re.escape(str(path))} row \d+", where)
+            assert got == reason
+            return
+        if holes and not drop:
+            message = (
+                f"feature matrix {path} has missing values at {', '.join(holes)}; rerun with "
+                f"--drop-incomplete to skip those rows"
+            )
+        elif not complete:
+            message = f"feature matrix {path} has no complete language rows"
+        elif any(int(c) < 0 for r in complete for c in r[1:]):
+            message = "feature values must be non-negative"
+        else:
+            matrix, dropped = load_feature_matrix(path, kind, drop_incomplete=drop)
             assert matrix.features == tuple(header[1:])
             assert matrix.languages == tuple(r[0] for r in complete)
             assert matrix.values == tuple(tuple(int(c) for c in r[1:]) for r in complete)
             assert dropped == [r[0] for r in rows if "?" in r]
+            return
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(path, kind, drop_incomplete=drop)
+        assert str(exc.value) == message

@@ -148,7 +148,7 @@ class TestFeatureMatrix:
             kind="binary_syntactic",
         )
         assert m.n_languages == 2 and m.n_features == 3
-        assert list(m.column("f2")) == [0, 1]
+        assert m.totals == (1, 1, 2)
         assert m.row("bbb") == {"f1": 0, "f2": 1, "f3": 1}
 
     def test_values_read_only(self):
@@ -156,7 +156,7 @@ class TestFeatureMatrix:
         m = FeatureMatrix(["aaa"], ["f1", "f2"], cells, "binary_syntactic")
         cells[0][0] = 0
         assert m.values == ((1, 0),)
-        assert m.column("f1") == (1,)
+        assert m.totals == (1, 0)
         with pytest.raises(TypeError):
             m.values[0][0] = 0
 
@@ -175,6 +175,15 @@ class TestFeatureMatrix:
     def test_rejects_float_values(self):
         with pytest.raises(ValueError, match="integers"):
             FeatureMatrix(["aaa"], ["f1"], np.array([[0.5]]), "binary_syntactic")
+
+    @pytest.mark.parametrize(
+        "cells, name", [([1, True], "bool"), ([True, 1], "bool"), ([1, 1.0], "float")]
+    )
+    def test_rejects_cells_equal_to_an_int(self, cells, name):
+        """A bool or float cell is rejected, also after an equal int."""
+        with pytest.raises(ValueError) as exc:
+            FeatureMatrix(["aaa"], ["f1", "f2"], [cells], "binary_syntactic")
+        assert str(exc.value) == f"feature values must be integers, got ['{name}']"
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Recompute what five commands print and write it as the golden files
+"""Recompute what six commands print and write it as the golden files
 the tests compare against: the morph-level score over the bundled
-mini-fixture, the syn-level score over the syntactic fixture matrices,
-the complexity scores of the bundled morphology matrix, the correlation
+mini-fixture, the syn-level score over the syntactic fixture matrices
+with 103 and with 206 dimensions, the complexity scores of the bundled morphology matrix, the correlation
 of the bundled table's `mwl` and `c_wals` columns, and the family count
 of the bundled language list.
 
@@ -17,10 +17,11 @@ complexity score is the in-order mean of each chapter's value min-max
 normalized over its final range, read with csv.DictReader from the
 bundled spec and value files. The correlation is Pearson's r of average
 ranks, computed in numpy.corrcoef's steps; every sum is exact, so their
-order does not matter. The syntactic score has six rows, so its sums
-run left to right, the order numpy uses below eight terms. Regenerate
-after any change to the fixtures, to the bundled data or to a command's
-JSON envelope:
+order does not matter. The syntactic score's sums run in numpy's order,
+spelled out in numpy_sum: left to right for the six rows of 103
+dimensions, eight interleaved accumulators for the twelve rows of 206.
+Regenerate after any change to the fixtures, to the bundled data or to
+a command's JSON envelope:
 
     python3 tools/make_golden_report.py
 """
@@ -143,31 +144,60 @@ def families_payload():
     }
 
 
-def score_syn_payload():
+def numpy_sum(terms):
+    """The float sum numpy.sum gives for up to 128 terms. Below eight
+    terms it adds them in order from 0.0. Otherwise accumulator j adds
+    terms j, j+8, ... up to the last multiple of eight, the eight are
+    combined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and the remaining
+    terms are added in order."""
+    assert len(terms) <= 128, "numpy splits longer sums in halves"
+    if len(terms) < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    end = len(terms) - len(terms) % 8
+    acc = []
+    for j in range(8):
+        a = terms[j]
+        for t in terms[j + 8 : end : 8]:
+            a += t
+        acc.append(a)
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for t in terms[end:]:
+        total += t
+    return 0.0 + total
+
+
+def score_syn_payload(syn_dims):
+    """103 dimensions: one row per feature, counting its 1s. 206: rows
+    <feature>=1 and <feature>=0 per feature, counting each value."""
     ds = read_rows(FIX / "syn_dataset.csv")
     ref = read_rows(FIX / "syn_reference.csv")
     features = [f for f in ds[0] if f != "iso"]
-    assert len(features) < 8, "left-to-right sums are numpy's order only below eight terms"
-    ones_d = {f: float(sum(int(row[f]) for row in ds)) for f in features}
-    ones_r = {f: float(sum(int(row[f]) for row in ref)) for f in features}
+    values = (1, 0) if syn_dims == 206 else (1,)
+    rows = [(f"{f}={v}" if syn_dims == 206 else f, f, v) for f in features for v in values]
+
+    def counts(side):
+        return [float(sum(1 for row in side if int(row[f]) == v)) for _, f, v in rows]
+
+    counts_d, counts_r = counts(ds), counts(ref)
     c = max(len(ds), len(ref)) / min(len(ds), len(ref))
     if len(ds) < len(ref):
-        ones_d = {f: w * c for f, w in ones_d.items()}
+        counts_d = [w * c for w in counts_d]
     elif len(ref) < len(ds):
-        ones_r = {f: w * c for f, w in ones_r.items()}
+        counts_r = [w * c for w in counts_r]
 
     per_bin, surplus, deficit = [], [], []
-    num = den = 0.0
-    for f in features:
-        wd, wr = ones_d[f], ones_r[f]
-        num += min(wd, wr)
-        den += max(wd, wr)
-        per_bin.append({"bin": f, "dataset": wd, "reference": wr, "min": min(wd, wr), "max": max(wd, wr)})
+    for (label, f, v), wd, wr in zip(rows, counts_d, counts_r):
+        per_bin.append({"bin": label, "dataset": wd, "reference": wr, "min": min(wd, wr), "max": max(wd, wr)})
         if wd > wr:
-            surplus.append({"bin": f, "excess": wd - wr})
+            surplus.append({"bin": label, "excess": wd - wr})
         elif wd < wr:
-            examples = sorted(row["iso"] for row in ref if row[f] == "1")[:5]
-            deficit.append({"bin": f, "shortfall": wr - wd, "examples": examples})
+            examples = sorted(row["iso"] for row in ref if int(row[f]) == v)[:5]
+            deficit.append({"bin": label, "shortfall": wr - wd, "examples": examples})
+    num = numpy_sum([r["min"] for r in per_bin])
+    den = numpy_sum([r["max"] for r in per_bin])
 
     def ti_syn(rows):
         total = 0.0
@@ -178,7 +208,7 @@ def score_syn_payload():
     return {
         "schema_version": "1",
         "level": "syn",
-        "syn_dims": 103,
+        "syn_dims": syn_dims,
         "dataset_n": len(ds),
         "reference_n": len(ref),
         "normalization_c": c,
@@ -265,7 +295,8 @@ def main():
     write("cwals.json", cwals_payload())
     write("correlate.json", correlate_payload())
     write("families.json", families_payload())
-    write("score_syn.json", score_syn_payload())
+    write("score_syn.json", score_syn_payload(103))
+    write("score_syn_206.json", score_syn_payload(206))
 
 
 if __name__ == "__main__":
