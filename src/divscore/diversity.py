@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
@@ -68,6 +67,8 @@ def bin_index(value: float, width: float) -> int:
         math.isfinite(width) and width > 0,
         f"bin width must be a finite positive number, got {width}",
     )
+    from fractions import Fraction  # imported here: most commands never take this path
+
     return Fraction(repr(float(value))) // Fraction(repr(float(width)))
 
 

@@ -15,7 +15,6 @@ import csv
 import math
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .model import (
@@ -46,7 +45,7 @@ class CorpusSource:
 
 def bundled_path(name: str) -> Path:
     """Filesystem path of a data file shipped with the package."""
-    return Path(str(resources.files("divscore").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[list[str], list]:
@@ -84,7 +83,10 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
                 raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
             iso_keyed = header[0] == "iso"
             for lineno, row in enumerate(reader, start=2):
-                cells = list(map(str.strip, row))
+                # str.split and str.strip share one whitespace test, so a
+                # row that joins to one split piece has no cell to strip
+                joined = "".join(row)
+                cells = row if joined.split() == [joined] else list(map(str.strip, row))
                 if not any(cells):
                     continue
                 try:

@@ -28,6 +28,8 @@ non-word material) is tokenized whole by the cluster-by-cluster loop
 instead. Both give the same tokens. Every Unicode property, the digit
 test included, comes from `regex`'s tables, so the tokens depend on the
 installed `regex` version's Unicode data but not on the Python version.
+`regex` is imported, and every pattern compiled, on first use, so a
+command that reads no text loads neither.
 
 Natural text repeats its code points and tokens, so work that depends
 on one item alone is done once per distinct item: the trigger code
@@ -41,18 +43,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-
-import regex
 
 from .ingest import CorpusSource
 from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _pairwise_sum, _require
-
-_GRAPHEME = regex.compile(r"\X")
-_ALNUM = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
-_NO_ALNUM_LINE = regex.compile(r"(?m)^[^\p{L}\p{M}\p{Nd}\n]*$")
-_DIGIT = regex.compile(r"\p{Nd}")
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -63,6 +58,11 @@ _MID_NUMERIC = frozenset(",;;٫٬﹐﹔，；")
 _MID_BOTH = frozenset("'.’․﹒＇．")
 
 _WS, _WORD, _PUNCT = 0, 1, 2
+
+#: The tokenizer's compiled patterns, built by :func:`_patterns`.
+_Patterns = namedtuple(
+    "_Patterns", "token special stray_mark grapheme alnum no_alnum_line digit"
+)
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,12 @@ class TokenSequence:
             f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
         )
         toks = tuple(tokens)
+        p = _patterns()
         # one scan over the distinct tokens, a line each; a token that
         # holds a line break may raise a false alarm, which the scan in
         # sequence order settles
-        if _NO_ALNUM_LINE.search("\n".join(set(toks))):
-            bad = next((t for t in toks if not _ALNUM.search(t)), None)
+        if p.no_alnum_line.search("\n".join(set(toks))):
+            bad = next((t for t in toks if not p.alnum.search(t)), None)
             _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "tokens", toks)
@@ -95,24 +96,25 @@ class TokenSequence:
         return len(self.tokens)
 
 
-def _classify(cluster: str) -> tuple[int, bool]:
+def _classify(cluster: str, p: _Patterns) -> tuple[int, bool]:
     """Class of one grapheme cluster and whether its base char is a digit."""
     if cluster.isspace():
         return _WS, False
-    if _ALNUM.search(cluster) is not None:
-        return _WORD, _DIGIT.match(cluster) is not None
+    if p.alnum.search(cluster) is not None:
+        return _WORD, p.digit.match(cluster) is not None
     return _PUNCT, False
 
 
 def _tokenize_clusters(text: str) -> list[str]:
     """Tokens of ``text``, segmenting it into grapheme clusters first."""
-    clusters = _GRAPHEME.findall(text)
+    p = _patterns()
+    clusters = p.grapheme.findall(text)
     memo: dict[str, tuple[int, bool]] = {}
     classes: list[tuple[int, bool]] = []
     for c in clusters:
         k = memo.get(c)
         if k is None:
-            k = _classify(c)
+            k = _classify(c, p)
             memo[c] = k
         classes.append(k)
 
@@ -154,14 +156,12 @@ def _tokenize_clusters(text: str) -> list[str]:
     return tokens
 
 
-def _char_class(chars: frozenset[str]) -> str:
-    return "[" + "".join(regex.escape(c) for c in sorted(chars)) + "]"
-
-
 @functools.cache
-def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern]:
-    """(token, special, stray mark) patterns, compiled on first use.
+def _patterns() -> _Patterns:
+    """Every pattern the tokenizer uses, compiled on first use, which
+    is also when ``regex`` is imported.
 
+    The fast path's patterns are the token, special and stray-mark ones.
     A code point is plain when its cluster is known without segmenting:
     a non-mark that starts a new cluster (CR LF aside, which only joins
     whitespace), or a mark that extends the cluster before it. Any other
@@ -175,22 +175,34 @@ def _patterns() -> tuple[regex.Pattern, regex.Pattern, regex.Pattern]:
     single connector, and the kind of the cluster before the connector
     is its base's: the last non-mark.
     """
+    import regex
+
+    def char_class(chars: frozenset[str]) -> str:
+        return "[" + "".join(regex.escape(c) for c in sorted(chars)) + "]"
+
     plain = (
         r"[\p{GCB=Other}\p{GCB=LV}\p{GCB=LVT}\p{GCB=Control}\p{GCB=CR}\p{GCB=LF}--\p{M}]"
         r"[[\p{GCB=Extend}\p{GCB=SpacingMark}]&&\p{M}]"
     )
     special = rf"[^{plain}]"
     word = r"[\p{L}\p{M}\p{Nd}]"
-    letter = _char_class(_MID_LETTER | _MID_BOTH)
-    numeric = _char_class(_MID_NUMERIC | _MID_BOTH)
+    letter = char_class(_MID_LETTER | _MID_BOTH)
+    numeric = char_class(_MID_NUMERIC | _MID_BOTH)
     # the run's class goes first, and each connector's char before its
     # kind test: trying the lookarounds at every position is slower
     connector = (
         rf"(?:{letter}(?<!\p{{Nd}}\p{{M}}*.)(?=\p{{L}})"
         rf"|{numeric}(?<=\p{{Nd}}\p{{M}}*.)(?=\p{{Nd}}))"
     )
-    token = regex.compile(rf"{word}+(?:{connector}{word}+)*")
-    return token, regex.compile(rf"(?V1){special}"), regex.compile(rf"(?<!{word})\p{{M}}")
+    return _Patterns(
+        token=regex.compile(rf"{word}+(?:{connector}{word}+)*"),
+        special=regex.compile(rf"(?V1){special}"),
+        stray_mark=regex.compile(rf"(?<!{word})\p{{M}}"),
+        grapheme=regex.compile(r"\X"),
+        alnum=regex.compile(word),
+        no_alnum_line=regex.compile(r"(?m)^[^\p{L}\p{M}\p{Nd}\n]*$"),
+        digit=regex.compile(r"\p{Nd}"),
+    )
 
 
 def tokenize(text: str, iso: str = "und") -> TokenSequence:
@@ -211,9 +223,9 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         Tokens in original order, punctuation-only material removed.
         Empty input yields an empty sequence.
     """
-    token, special, stray_mark = _patterns()
-    if special.search("".join(set(text))) is None and stray_mark.search(text) is None:
-        return TokenSequence(iso, token.findall(text))
+    p = _patterns()
+    if p.special.search("".join(set(text))) is None and p.stray_mark.search(text) is None:
+        return TokenSequence(iso, p.token.findall(text))
     return TokenSequence(iso, _tokenize_clusters(text))
 
 
@@ -225,7 +237,7 @@ def grapheme_length(token: str) -> int:
     text measure the same length. 我們 has length 2.
     """
     _require(bool(token), "grapheme_length requires a non-empty token")
-    return len(_GRAPHEME.findall(token))
+    return len(_patterns().grapheme.findall(token))
 
 
 def sample_contiguous(tokens: TokenSequence, target: int, seed: int) -> tuple[TokenSequence, int]:

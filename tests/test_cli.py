@@ -5,9 +5,11 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import divscore
 from divscore.ingest import bundled_path
 from oracles import neumaier_sum
 from support import assert_json_close, run_main, run_proc
@@ -866,7 +868,55 @@ class TestLevelFlags:
             assert run_main(plain, capsys)[1] == run_main([*plain, *typed], capsys)[1]
 
 
+#: Run the CLI with only the standard library and the package importable
+#: (python -I -S, src first on sys.path), then name on a last stderr line
+#: which of the modules only reading text needs were loaded.
+_STDLIB_ONLY = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv.pop(1))\n"
+    "from divscore.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "loaded = [m for m in ('regex', 'importlib.resources', 'fractions') if m in sys.modules]\n"
+    "print('loaded:', *loaded, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 class TestImports:
+    @pytest.mark.parametrize(
+        "argv, may_load",
+        [
+            (["families"], []),
+            (["cwals"], []),
+            (["correlate", "mwl", "c_wals"], []),
+            (["score", "--level", "syn", *_SCORE_SIDES["syn"]], []),
+            # a morph score bins its values, and a value near a bin edge
+            # takes the exact decimal floor
+            (["score", "--level", "morph", "--dataset", "{t}", "--reference", "{m}"], ["fractions"]),
+        ],
+        ids=["families", "cwals", "correlate", "score-syn", "score-morph-tables"],
+    )
+    def test_table_commands_start_without_regex(self, argv, may_load, fixtures, tmp_path):
+        """A command that reads no text runs on the standard library alone:
+        it writes what a normal run writes, without importing `regex` or
+        `importlib.resources`."""
+        table = tmp_path / "side.csv"
+        table.write_text("iso,mwl\neng,4.2\nfin,7.1\ntur,6.0\nzho,1.5\n")
+        argv = [a.format(f=fixtures, t=table, m=bundled_path("mwl_cwals.csv")) for a in argv]
+        src = str(Path(divscore.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, src, *argv],
+            capture_output=True,
+            check=False,
+        )
+        code, out, err = run_proc(argv)
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+        assert proc.stdout == out
+        diagnostics, _, loaded = proc.stderr.decode().rpartition("loaded:")
+        assert diagnostics == err.decode()
+        assert [m for m in loaded.split() if m not in may_load] == []
+
     def test_cli_loads_no_scipy(self):
         """scipy is only the tests' ranking oracle; no command may pay its import."""
         proc = subprocess.run(

@@ -480,6 +480,13 @@ class TestTableOracle:
     @example(("matrix", b"iso,a,b\nabc,1,01\n"))  # two spellings of 1 in one row
     @example(("matrix", b"iso,a,b,c\nabc,1,x,1.0\n"))  # two cells int() rejects
     @example(("matrix", b"iso,a,b,c\nabc,+1,2,-1\nabd,?,x,0\n"))  # two values outside 0/1
+    # whitespace in one cell of a row only: the first, the last, and a
+    # middle one padded with whitespace other than blanks and tabs
+    @example(("registry", b"iso,name\n abc,A\n"))
+    @example(("registry", b"iso,name\nabc,A \n"))
+    @example(("registry", "iso,name,family\nabc,A\u3000,F\n".encode()))
+    @example(("registry", "iso,name,family\nabc,\x85A,F\n".encode()))
+    @example(("registry", b"iso,name,family\nabc,A\x1c,F\n"))
     def test_loaders_match_oracle_property(self, case):
         """Every loader that reads the file returns what the hand-written
         parser in tests/oracles.py reads from the same bytes."""

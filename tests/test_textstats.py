@@ -205,7 +205,7 @@ class TestTokenizeOracle:
         # whitespace alone never sends a text to the cluster loop: no
         # whitespace code point is special, and only a mark after one is
         # a stray mark
-        _, special, stray_mark = _patterns()
+        special, stray_mark = _patterns().special, _patterns().stray_mark
         spaces = regex.findall(r"\s", "".join(map(chr, range(0x110000))))
         assert "\u3000" in spaces
         assert [c for c in spaces if special.match(c)] == []
