@@ -11,9 +11,8 @@ import csv
 import heapq
 import io
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .model import (
     MAX_GAP_EXAMPLES,
@@ -27,16 +26,16 @@ from .model import (
 _FORMATS = ("csv", "svg")
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(namedtuple("CorrelationResult", "rho n")):
     """Spearman rank correlation over n (x, y) pairs."""
 
-    rho: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CorrelationResult:
+        self = super().__new__(cls, *args, **kwargs)
         _require(-1.0 <= self.rho <= 1.0, f"rho must lie in [-1, 1], got {self.rho}")
         _require(self.n >= 3, f"a reported correlation needs n >= 3, got {self.n}")
+        return self
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
@@ -110,7 +109,8 @@ def attach_gap(
             examples = tuple(heapq.nsmallest(MAX_GAP_EXAMPLES, members))
             shortfall = float(row.reference - row.dataset)
             deficit.append(DeficitBin(label=row.label, shortfall=shortfall, examples=examples))
-    return replace(report, gap=GapReport(surplus_bins=surplus, deficit_bins=deficit))
+    # built anew rather than by _replace, so the report's checks run again
+    return DiversityReport(*report[:4], GapReport(surplus_bins=surplus, deficit_bins=deficit))
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

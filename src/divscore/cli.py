@@ -25,9 +25,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .analysis import attach_gap, csv_text, serialize_report, spearman
 from .diversity import (
@@ -213,7 +212,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     dirp = Path(args.dataset)
     _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
     profiles, failed = _profile_corpus(dirp, _registry_or_none(args), args)
-    rows = [astuple(p) for p in profiles]
+    rows = [tuple(p) for p in profiles]
     _emit(args, {"profiles": [dict(zip(PROFILE_COLUMNS, r)) for r in rows]}, PROFILE_COLUMNS, rows)
     return 1 if failed else 0
 

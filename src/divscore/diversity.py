@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from itertools import islice
-from typing import Sequence
 
 from .model import (
     MAX_GAP_EXAMPLES, BinOverlap, DiversityReport, FeatureMatrix, _pairwise_sum, _require

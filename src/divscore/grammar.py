@@ -11,13 +11,12 @@ already transformed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from functools import reduce
 from operator import add
-from typing import Iterator, Mapping
 
 from .ingest import _read_table, bundled_path
-from .model import FeatureMatrix, MorphFeatureSpec, _require
+from .model import FeatureMatrix, MorphFeatureSpec, _Immutable, _require
 
 SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max"]
 
@@ -25,11 +24,11 @@ SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max"]
 FEATURE_SET_SIZE = 26
 
 
-@dataclass(frozen=True)
-class MorphSpecSet:
-    """The full morphology feature set: exactly 26 specs, unique chapters."""
+class MorphSpecSet(_Immutable):
+    """The full morphology feature set: exactly 26 specs, unique chapters.
+    Two sets are equal when their ``specs`` are."""
 
-    specs: tuple[MorphFeatureSpec, ...]
+    __slots__ = ("specs",)
 
     def __init__(self, specs) -> None:
         object.__setattr__(self, "specs", tuple(specs))
@@ -43,6 +42,14 @@ class MorphSpecSet:
             f"the morphology feature set must contain exactly {FEATURE_SET_SIZE} "
             f"specs, got {len(self.specs)}",
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MorphSpecSet):
+            return NotImplemented
+        return self.specs == other.specs
+
+    def __hash__(self) -> int:
+        return hash(self.specs)
 
     def __len__(self) -> int:
         return len(self.specs)

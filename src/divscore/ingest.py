@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .model import (
@@ -28,19 +28,18 @@ from .model import (
 REGISTRY_COLUMNS = ["iso", "name", "family", "endangerment", "script_scale"]
 
 
-@dataclass(frozen=True)
-class CorpusSource:
+class CorpusSource(namedtuple("CorpusSource", "iso path text")):
     """One language's raw text and where it came from."""
 
-    iso: str
-    path: str
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CorpusSource:
+        self = super().__new__(cls, *args, **kwargs)
         _require(
             bool(ISO_CODE_RE.match(self.iso)),
             f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
         )
+        return self
 
 
 def bundled_path(name: str) -> Path:

@@ -6,16 +6,23 @@ float-summation rule the scorers share. Every type checks its invariants
 at construction time and raises ``ValueError`` with a message naming the
 violated invariant; instances are immutable afterwards and safe to share
 across concurrent computations.
+
+A record of fields alone is a ``collections.namedtuple`` subclass with
+empty ``__slots__`` whose ``__new__`` runs the checks; it compares, hashes
+and unpacks as a tuple of its fields in declared order. A type that
+builds derived state in ``__init__`` is a slotted subclass of
+``_Immutable``, so assigning to it afterwards raises ``AttributeError``.
+``_replace`` skips the checks; build a new record instead.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 ISO_CODE_RE = re.compile(r"^[a-z]{3}$")
 
@@ -33,6 +40,18 @@ _EPS = 1e-9
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+class _Immutable:
+    """Base of the slotted types, whose ``__init__`` sets each field with
+    ``object.__setattr__``: no field can be set or deleted afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
@@ -63,9 +82,15 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return 0.0 + run(0, len(xs))
 
 
-@dataclass(frozen=True)
-class LanguageRecord:
-    """Identity and metadata for one language.
+class LanguageRecord(
+    namedtuple(
+        "LanguageRecord",
+        "iso name family endangerment script_scale",
+        defaults=(None, None, 1.0),
+    )
+):
+    """Identity and metadata for one language: ``iso`` and ``name``, then
+    optional ``family`` and ``endangerment`` strings.
 
     ``script_scale`` is a positive multiplier applied to observed word
     lengths; it compensates for logographic scripts whose written words
@@ -73,13 +98,10 @@ class LanguageRecord:
     no adjustment.
     """
 
-    iso: str
-    name: str
-    family: str | None = None
-    endangerment: str | None = None
-    script_scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> LanguageRecord:
+        self = super().__new__(cls, *args, **kwargs)
         _require(
             bool(ISO_CODE_RE.match(self.iso)),
             f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
@@ -96,18 +118,18 @@ class LanguageRecord:
             and self.script_scale > 0,
             f"script_scale must be a finite positive number, got {self.script_scale!r}",
         )
+        return self
 
 
-@dataclass(frozen=True)
-class LanguageSet:
+class LanguageSet(_Immutable):
     """Ordered collection of :class:`LanguageRecord`, unique by iso code.
 
     Construction only enforces uniqueness; scoring operations reject
-    empty sets at the point of use.
+    empty sets at the point of use. Two sets are equal when their
+    ``members`` are.
     """
 
-    members: tuple[LanguageRecord, ...]
-    _by_iso: dict[str, LanguageRecord] = field(init=False, repr=False, compare=False)
+    __slots__ = ("members", "_by_iso")
 
     def __init__(self, members: Iterable[LanguageRecord]) -> None:
         object.__setattr__(self, "members", tuple(members))
@@ -116,6 +138,14 @@ class LanguageSet:
             _require(rec.iso not in by_iso, f"duplicate iso code {rec.iso!r} in language set")
             by_iso[rec.iso] = rec
         object.__setattr__(self, "_by_iso", by_iso)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LanguageSet):
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -137,23 +167,22 @@ class LanguageSet:
             raise KeyError(f"no language {iso!r} in set") from None
 
 
-@dataclass(frozen=True)
-class TextProfile:
+class TextProfile(
+    namedtuple(
+        "TextProfile",
+        "iso mean_word_length ttr unigram_entropy token_count sample_offset seed",
+    )
+):
     """Per-language text statistics computed on one sampled window.
 
     ``sample_offset`` and ``seed`` record where the window came from so
     the profile can be recomputed exactly.
     """
 
-    iso: str
-    mean_word_length: float
-    ttr: float
-    unigram_entropy: float
-    token_count: int
-    sample_offset: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> TextProfile:
+        self = super().__new__(cls, *args, **kwargs)
         _require(
             bool(ISO_CODE_RE.match(self.iso)),
             f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
@@ -178,6 +207,7 @@ class TextProfile:
             self.sample_offset >= 0,
             f"sample_offset must be non-negative, got {self.sample_offset}",
         )
+        return self
 
 
 class FeatureMatrix:
@@ -258,18 +288,16 @@ class FeatureMatrix:
         )
 
 
-@dataclass(frozen=True)
-class MorphFeatureSpec:
+class MorphFeatureSpec(
+    namedtuple("MorphFeatureSpec", "chapter name transformation final_min final_max")
+):
     """One WALS chapter: the transformation that produced its final
     values and the integer range they lie in."""
 
-    chapter: str
-    name: str
-    transformation: str
-    final_min: int
-    final_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> MorphFeatureSpec:
+        self = super().__new__(cls, *args, **kwargs)
         _require(bool(self.chapter), "chapter identifier must be non-empty")
         _require(
             self.transformation in TRANSFORMATIONS,
@@ -281,17 +309,13 @@ class MorphFeatureSpec:
             f"final_min {self.final_min} must be <= final_max {self.final_max} "
             f"for chapter {self.chapter}",
         )
+        return self
 
 
-@dataclass(frozen=True)
-class BinOverlap:
+class BinOverlap(namedtuple("BinOverlap", "label dataset reference min_weight max_weight")):
     """One aligned bin (or feature dimension) of a two-way comparison."""
 
-    label: str
-    dataset: float
-    reference: float
-    min_weight: float
-    max_weight: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -303,36 +327,30 @@ class BinOverlap:
         }
 
 
-@dataclass(frozen=True)
-class SurplusBin:
+class SurplusBin(namedtuple("SurplusBin", "label excess")):
     """Bin where the dataset carries more weight than the reference."""
 
-    label: str
-    excess: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"bin": self.label, "excess": self.excess}
 
 
-@dataclass(frozen=True)
-class DeficitBin:
+class DeficitBin(namedtuple("DeficitBin", "label shortfall examples")):
     """Bin where the dataset falls short of the reference, with example
-    reference languages that would fill it."""
+    reference languages (a tuple of iso codes) that would fill it."""
 
-    label: str
-    shortfall: float
-    examples: tuple[str, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"bin": self.label, "shortfall": self.shortfall, "examples": list(self.examples)}
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Per-bin surplus/deficit of a dataset against the reference."""
+class GapReport(_Immutable):
+    """Per-bin surplus/deficit of a dataset against the reference: tuples
+    of :class:`SurplusBin` and :class:`DeficitBin`."""
 
-    surplus_bins: tuple[SurplusBin, ...]
-    deficit_bins: tuple[DeficitBin, ...]
+    __slots__ = ("surplus_bins", "deficit_bins")
 
     def __init__(
         self,
@@ -356,22 +374,27 @@ class GapReport:
         }
 
 
-@dataclass(frozen=True)
-class DiversityReport:
-    """A minmax Jaccard score with its per-bin table, the size scalar c
-    and, once diagnosed, its gap.
+class DiversityReport(
+    namedtuple("DiversityReport", "score_name value per_bin normalization_c gap")
+):
+    """A minmax Jaccard score with its per-bin table (a tuple of
+    :class:`BinOverlap`), the size scalar c and, once diagnosed, its gap.
 
     The score must equal sum(min) / sum(max) over the table rows; this is
     validated on construction.
     """
 
-    score_name: str
-    value: float
-    per_bin: tuple[BinOverlap, ...]
-    normalization_c: float
-    gap: GapReport | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        score_name: str,
+        value: float,
+        per_bin: Iterable[BinOverlap],
+        normalization_c: float,
+        gap: GapReport | None = None,
+    ) -> DiversityReport:
+        self = super().__new__(cls, score_name, value, tuple(per_bin), normalization_c, gap)
         _require(
             self.score_name in SCORE_NAMES,
             f"score_name must be one of {sorted(SCORE_NAMES)}, got {self.score_name!r}",
@@ -384,7 +407,6 @@ class DiversityReport:
             self.normalization_c >= 1.0 - _EPS,
             f"normalization scalar must be >= 1, got {self.normalization_c}",
         )
-        object.__setattr__(self, "per_bin", tuple(self.per_bin))
         # Built-in sum is safe here although it compensates from Python 3.12
         # on: that moves num / den far less than the 1e-12 tolerance, and
         # only this check reads the two sums.
@@ -396,6 +418,7 @@ class DiversityReport:
             f"score value {self.value} does not equal sum(min)/sum(max) "
             f"= {num / den} over per_bin rows",
         )
+        return self
 
     def to_dict(self) -> dict:
         return {

@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 
 from .ingest import CorpusSource
-from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _pairwise_sum, _require
+from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -65,16 +63,14 @@ _Patterns = namedtuple(
 )
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Ordered tokens for one language.
+class TokenSequence(_Immutable):
+    """Ordered tokens for one language: an iso code and a tuple of tokens.
 
     May be empty (callers decide whether that is fatal), but every token
     present must contain at least one alphanumeric character.
     """
 
-    iso: str
-    tokens: tuple[str, ...]
+    __slots__ = ("iso", "tokens")
 
     def __init__(self, iso: str, tokens) -> None:
         _require(
@@ -258,6 +254,8 @@ def sample_contiguous(tokens: TokenSequence, target: int, seed: int) -> tuple[To
     _require(n > 0, "cannot sample from an empty token sequence")
     if n <= target:
         return tokens, 0
+    import random  # here, so commands that sample nothing never load it
+
     offset = random.Random(seed).randint(0, n - target)
     window = TokenSequence(tokens.iso, tokens.tokens[offset : offset + target])
     return window, offset

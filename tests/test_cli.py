@@ -2,12 +2,14 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import regex
 
 import divscore
 from divscore.ingest import bundled_path
@@ -871,13 +873,25 @@ class TestLevelFlags:
 #: Run the CLI with only the standard library and the package importable
 #: (python -I -S, src first on sys.path), then name on a last stderr line
 #: which of the modules only reading text needs were loaded.
+#: Modules no command needs at start-up. ``regex`` is loaded by the first
+#: tokenizer call and ``fractions`` by an exact bin floor; ``random`` is
+#: loaded only to sample a corpus longer than the sample target.
+_START_UP_FREE = (
+    "regex",
+    "importlib.resources",
+    "fractions",
+    "dataclasses",
+    "inspect",
+    "typing",
+    "random",
+)
 _STDLIB_ONLY = (
-    "import sys\n"
-    "sys.path.insert(0, sys.argv.pop(1))\n"
+    "import os, sys\n"
+    "sys.path[:0] = sys.argv.pop(1).split(os.pathsep)\n"
     "from divscore.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
-    "loaded = [m for m in ('regex', 'importlib.resources', 'fractions') if m in sys.modules]\n"
+    f"loaded = [m for m in {_START_UP_FREE!r} if m in sys.modules]\n"
     "print('loaded:', *loaded, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -894,19 +908,27 @@ class TestImports:
             # a morph score bins its values, and a value near a bin edge
             # takes the exact decimal floor
             (["score", "--level", "morph", "--dataset", "{t}", "--reference", "{m}"], ["fractions"]),
+            # every corpus is shorter than the sample target: nothing to sample
+            (["profile", "--dataset", "{f}/corpus_ds"], ["regex"]),
         ],
-        ids=["families", "cwals", "correlate", "score-syn", "score-morph-tables"],
+        ids=["families", "cwals", "correlate", "score-syn", "score-morph-tables", "profile"],
     )
     def test_table_commands_start_without_regex(self, argv, may_load, fixtures, tmp_path):
-        """A command that reads no text runs on the standard library alone:
-        it writes what a normal run writes, without importing `regex` or
-        `importlib.resources`."""
+        """A command runs on the standard library and `regex` alone: it
+        writes what a normal run writes, and of the modules in
+        `_START_UP_FREE` it imports only those its case names. A command
+        that reads no text imports no `regex`, and none imports
+        `dataclasses`, `inspect`, `typing` or `random`."""
         table = tmp_path / "side.csv"
         table.write_text("iso,mwl\neng,4.2\nfin,7.1\ntur,6.0\nzho,1.5\n")
         argv = [a.format(f=fixtures, t=table, m=bundled_path("mwl_cwals.csv")) for a in argv]
+        # regex is the one third-party package on the path
+        (tmp_path / "deps").mkdir()
+        (tmp_path / "deps" / "regex").symlink_to(Path(regex.__file__).parent)
         src = str(Path(divscore.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, str(tmp_path / "deps")])
         proc = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, src, *argv],
+            [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, path, *argv],
             capture_output=True,
             check=False,
         )

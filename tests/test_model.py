@@ -7,6 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from divscore.analysis import CorrelationResult, attach_gap
+from divscore.cli import PROFILE_COLUMNS
+from divscore.grammar import MorphSpecSet, load_morph_specs
+from divscore.ingest import CorpusSource
 from divscore.model import (
     BinOverlap,
     DeficitBin,
@@ -20,6 +24,107 @@ from divscore.model import (
     TextProfile,
     _pairwise_sum,
 )
+from divscore.textstats import TokenSequence
+
+_ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
+_SPEC = MorphFeatureSpec("22A", "x", "none", 0, 1)
+_RECORD = LanguageRecord("aaa", "A")
+#: One instance of each domain type, and one field it has.
+_INSTANCES = {
+    "LanguageRecord": (_RECORD, "iso"),
+    "LanguageSet": (LanguageSet([_RECORD]), "members"),
+    "TextProfile": (TextProfile("aaa", 1.0, 1.0, 0.0, 1, 0, 0), "ttr"),
+    "MorphFeatureSpec": (_SPEC, "final_max"),
+    "BinOverlap": (_ROW, "dataset"),
+    "SurplusBin": (SurplusBin("bin1", 1.0), "excess"),
+    "DeficitBin": (DeficitBin("bin0", 1.0, ("aaa",)), "examples"),
+    "GapReport": (GapReport([], []), "deficit_bins"),
+    "DiversityReport": (DiversityReport("jmm_syn", 0.5, [_ROW], 1.0), "per_bin"),
+    "CorpusSource": (CorpusSource("aaa", "a.txt", "text"), "text"),
+    "CorrelationResult": (CorrelationResult(0.5, 3), "rho"),
+    "MorphSpecSet": (load_morph_specs(), "specs"),
+    "TokenSequence": (TokenSequence("aaa", ["a"]), "tokens"),
+}
+
+#: Each construction check, fired with keyword arguments only. The checks
+#: of LanguageRecord, TextProfile and GapReport are fired by keyword in
+#: their own tests below.
+_KEYWORD_CHECKS = {
+    "set-duplicate": (lambda: LanguageSet(members=[_RECORD, _RECORD]), "duplicate iso"),
+    "spec-chapter": (
+        lambda: MorphFeatureSpec(
+            chapter="", name="x", transformation="none", final_min=0, final_max=1
+        ),
+        "non-empty",
+    ),
+    "spec-transformation": (
+        lambda: MorphFeatureSpec(
+            chapter="22A", name="x", transformation="squaring", final_min=0, final_max=1
+        ),
+        "transformation",
+    ),
+    "spec-range": (
+        lambda: MorphFeatureSpec(
+            chapter="22A", name="x", transformation="none", final_min=2, final_max=1
+        ),
+        "final_min",
+    ),
+    "report-name": (
+        lambda: DiversityReport(score_name="gini", value=0.5, per_bin=[_ROW], normalization_c=1.0),
+        "score_name",
+    ),
+    "report-value": (
+        lambda: DiversityReport(
+            score_name="jmm_syn", value=1.5, per_bin=[_ROW], normalization_c=1.0
+        ),
+        "lie in",
+    ),
+    "report-scalar": (
+        lambda: DiversityReport(
+            score_name="jmm_syn", value=0.5, per_bin=[_ROW], normalization_c=0.5
+        ),
+        "normalization",
+    ),
+    "report-empty": (
+        lambda: DiversityReport(score_name="jmm_syn", value=0.5, per_bin=[], normalization_c=1.0),
+        "sum to zero",
+    ),
+    "report-sums": (
+        lambda: DiversityReport(
+            score_name="jmm_syn", value=0.4, per_bin=[_ROW], normalization_c=1.0
+        ),
+        "does not equal",
+    ),
+    "corpus-iso": (lambda: CorpusSource(iso="x", path="p", text="t"), "three ASCII"),
+    "correlation-rho": (lambda: CorrelationResult(rho=1.5, n=3), "rho must lie"),
+    "correlation-n": (lambda: CorrelationResult(rho=0.5, n=2), "n >= 3"),
+    "specset-size": (lambda: MorphSpecSet(specs=[_SPEC]), "exactly 26"),
+    "specset-duplicate": (lambda: MorphSpecSet(specs=[_SPEC] * 26), "duplicate chapter"),
+    "tokens-iso": (lambda: TokenSequence(iso="x", tokens=["a"]), "three ASCII"),
+    "tokens-alnum": (lambda: TokenSequence(iso="aaa", tokens=["--"]), "alphanumeric"),
+}
+
+
+class TestConstruction:
+    """Every domain type checks its fields when built and is immutable after."""
+
+    @pytest.mark.parametrize("name", sorted(_INSTANCES))
+    def test_fields_cannot_be_assigned(self, name):
+        obj, field = _INSTANCES[name]
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is before
+
+    @pytest.mark.parametrize("case", sorted(_KEYWORD_CHECKS))
+    def test_checks_fire_with_keywords(self, case):
+        build, message = _KEYWORD_CHECKS[case]
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestPairwiseSum:
@@ -51,6 +156,9 @@ class TestLanguageRecord:
         assert rec.family is None
         assert rec.endangerment is None
         assert rec.script_scale == 1.0
+
+    def test_defaults(self):
+        assert tuple(LanguageRecord("deu", "German"))[2:] == (None, None, 1.0)
 
     @pytest.mark.parametrize("iso", ["", "de", "DEU", "de1", "deuu", "d-u"])
     def test_rejects_bad_iso(self, iso):
@@ -110,6 +218,19 @@ class TestTextProfile:
 
     def test_valid(self):
         assert self._make().mean_word_length == 4.5
+
+    def test_tuple_follows_profile_columns(self):
+        """The profile command writes ``tuple(profile)`` under PROFILE_COLUMNS."""
+        p = self._make(mean_word_length=4.5, ttr=0.25, unigram_entropy=3.0, sample_offset=7, seed=9)
+        assert dict(zip(PROFILE_COLUMNS, tuple(p))) == {
+            "iso": p.iso,
+            "mwl": p.mean_word_length,
+            "ttr": p.ttr,
+            "entropy": p.unigram_entropy,
+            "token_count": p.token_count,
+            "offset": p.sample_offset,
+            "seed": p.seed,
+        }
 
     def test_rejects_sub_one_mwl(self):
         with pytest.raises(ValueError, match="mean_word_length"):
@@ -249,7 +370,25 @@ class TestReports:
         with pytest.raises(ValueError, match="normalization"):
             DiversityReport("jmm_syn", 0.5, per_bin=self._ROWS, normalization_c=0.5)
 
+    def test_attach_gap_keeps_the_score_and_checks_again(self):
+        rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0), BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0))
+        rep = DiversityReport("jmm_morph", 0.4, per_bin=list(rows), normalization_c=1.5)
+        assert rep.per_bin == rows
+        out = attach_gap(rep, {"bin0": ["aaa"]})
+        assert type(out) is DiversityReport
+        assert (out.score_name, out.value, out.per_bin, out.normalization_c) == tuple(rep[:4])
+        assert out.gap.to_dict() == {
+            "surplus": [{"bin": "bin1", "excess": 2.0}],
+            "deficit": [{"bin": "bin0", "shortfall": 1.0, "examples": ["aaa"]}],
+        }
+        # _replace skips the checks; attach_gap builds anew, so they run
+        with pytest.raises(ValueError, match="does not equal"):
+            attach_gap(rep._replace(value=0.5), {})
+
     def test_report_dict_round_trip(self):
+        """A record reaches JSON only through ``to_dict``: passed whole to
+        ``json.dumps`` it would be written as a list. The dict holds lists,
+        not tuples, so it survives the round trip unchanged."""
         rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
         gap = GapReport(
             surplus_bins=[],
