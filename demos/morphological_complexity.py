@@ -18,10 +18,8 @@ from divscore.ingest import (
 
 
 def main() -> None:
-    matrix, dropped = load_feature_matrix(
-        bundled_path("morph_values.csv"), kind="morphological_ordinal"
-    )
     specs = load_morph_specs()
+    matrix, dropped = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
     print(
         f"feature matrix: {len(matrix.languages)} languages x "
         f"{len(matrix.features)} features ({len(dropped)} dropped)"
@@ -44,13 +42,13 @@ def main() -> None:
     # published word lengths for the same languages ship with the package
     _, table = load_numeric_table(bundled_path("mwl_cwals.csv"), ["mwl"])
     isos = sorted(set(scores) & set(table))
-    result = spearman(
+    rho = spearman(
         [table[iso]["mwl"] for iso in isos],
         [scores[iso] for iso in isos],
     )
     print(
         f"\nSpearman correlation of C_WALS with mean word length:"
-        f" rho = {result.rho:.4f} over n = {result.n}"
+        f" rho = {rho:.4f} over n = {len(isos)}"
     )
     print("longer words go with richer morphology, as expected")
 

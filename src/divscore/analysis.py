@@ -11,7 +11,7 @@ import csv
 import heapq
 import io
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
 from .model import (
@@ -26,20 +26,9 @@ from .model import (
 _FORMATS = ("csv", "svg")
 
 
-class CorrelationResult(namedtuple("CorrelationResult", "rho n")):
-    """Spearman rank correlation over n (x, y) pairs."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CorrelationResult:
-        self = super().__new__(cls, *args, **kwargs)
-        _require(-1.0 <= self.rho <= 1.0, f"rho must lie in [-1, 1], got {self.rho}")
-        _require(self.n >= 3, f"a reported correlation needs n >= 3, got {self.n}")
-        return self
-
-
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
-    """Spearman rank correlation with average ranks for ties.
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Spearman rank correlation rho, in [-1, 1], with average ranks for
+    ties, over at least 3 (x, y) pairs.
 
     Computes the Pearson correlation of the two rank variables; tied
     values receive the mean of the ranks they occupy, so the result is
@@ -67,8 +56,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> CorrelationResult:
     cov = sum(a * b for a, b in zip(dx, dy)) * f
     sx = math.sqrt(sum(a * a for a in dx) * f)
     sy = math.sqrt(sum(b * b for b in dy) * f)
-    rho = max(-1.0, min(1.0, cov / sx / sy))
-    return CorrelationResult(rho=rho, n=n)
+    return max(-1.0, min(1.0, cov / sx / sy))
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

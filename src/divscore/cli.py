@@ -272,9 +272,7 @@ def _score_syn(args: argparse.Namespace) -> dict:
     count_zeros = args.syn_dims == 206
     mats = []
     for side, path in (("dataset", args.dataset), ("reference", args.reference)):
-        mat, dropped = load_feature_matrix(
-            path, "binary_syntactic", drop_incomplete=args.drop_incomplete
-        )
+        mat, dropped = load_feature_matrix(path, drop_incomplete=args.drop_incomplete)
         if dropped:
             print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
         try:
@@ -284,7 +282,11 @@ def _score_syn(args: argparse.Namespace) -> dict:
         mats.append(mat)
     mat_d, mat_r = mats
 
-    report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
+    try:
+        report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
+    except ValueError as exc:
+        paths = f"--dataset {args.dataset} and --reference {args.reference}"
+        raise ValueError(f"{paths}: {exc}") from None
     report = attach_gap(report, feature_members(mat_r, count_zeros))
 
     ti_d = ti_syn(mat_d) if mat_d.n_languages >= 2 else None
@@ -315,9 +317,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_cwals(args: argparse.Namespace) -> int:
     specs = load_morph_specs(args.specs)
     data = args.dataset if args.dataset else bundled_path("morph_values.csv")
-    matrix, dropped = load_feature_matrix(
-        data, "morphological_ordinal", drop_incomplete=args.drop_incomplete, specs=specs
-    )
+    matrix, dropped = load_feature_matrix(data, drop_incomplete=args.drop_incomplete, specs=specs)
     if dropped:
         print(f"{len(dropped)} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
     rows = c_wals_table(matrix, specs)
@@ -348,16 +348,17 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"{', '.join(excluded)}",
             file=sys.stderr,
         )
-    result = spearman(
+    rho = spearman(
         [table_x[iso][x_col] for iso in shared],
         [table_y[iso][y_col] for iso in shared],
     )
-    print(f"rho = {result.rho:.4f} over n = {result.n} languages", file=sys.stderr)
+    n = len(shared)
+    print(f"rho = {rho:.4f} over n = {n} languages", file=sys.stderr)
     _emit(
         args,
-        {"rho": result.rho, "n": result.n, "x": x_col, "y": y_col, "excluded": excluded},
+        {"rho": rho, "n": n, "x": x_col, "y": y_col, "excluded": excluded},
         ["rho", "n"],
-        [[result.rho, result.n]],
+        [[rho, n]],
     )
     return 0
 

@@ -159,10 +159,6 @@ def syntactic_weights(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[
     A matrix containing no 1s at all has nothing to compare in the
     default mode and is rejected.
     """
-    _require(
-        matrix.kind == "binary_syntactic",
-        f"syntactic weights need a binary_syntactic matrix, got kind {matrix.kind!r}",
-    )
     ones = [float(total) for total in matrix.totals]
     weights = {
         label: ones[j] if value else matrix.n_languages - ones[j]
@@ -199,9 +195,8 @@ def jmm_syn(
         for j, (fd, fr) in enumerate(zip(dataset.features, reference.features)):
             if fd != fr:
                 raise ValueError(f"feature lists differ at column {j}: {fd!r} vs {fr!r}")
-        raise ValueError(
-            f"feature lists differ in length: {dataset.n_features} vs {reference.n_features}"
-        )
+        lengths = f"{len(dataset.features)} vs {len(reference.features)}"
+        raise ValueError(f"feature lists differ in length: {lengths}")
     wd = syntactic_weights(dataset, count_zeros)
     wr = syntactic_weights(reference, count_zeros)
     n_d, n_r = dataset.n_languages, reference.n_languages
@@ -223,10 +218,6 @@ def ti_syn(matrix: FeatureMatrix) -> float:
     feature is constant. Needs at least 2 languages; with one language
     every feature is trivially constant and the index is meaningless.
     """
-    _require(
-        matrix.kind == "binary_syntactic",
-        f"ti_syn needs a binary_syntactic matrix, got kind {matrix.kind!r}",
-    )
     _require(
         matrix.n_languages >= 2,
         f"ti_syn needs at least 2 languages, got {matrix.n_languages}",

@@ -57,16 +57,6 @@ class MorphSpecSet(_Immutable):
     def __iter__(self) -> Iterator[MorphFeatureSpec]:
         return iter(self.specs)
 
-    @property
-    def chapters(self) -> tuple[str, ...]:
-        return tuple(s.chapter for s in self.specs)
-
-    def get(self, chapter: str) -> MorphFeatureSpec:
-        for s in self.specs:
-            if s.chapter == chapter:
-                return s
-        raise KeyError(f"no spec for chapter {chapter!r}")
-
 
 def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
     """Min-max normalize a final value into [0, 1] over the declared range.
@@ -102,12 +92,12 @@ def c_wals(language_values: Mapping[str, int], specs: MorphSpecSet) -> float:
 
 
 def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, float]]:
-    """Per-language complexity scores over a morphology matrix, sorted by iso."""
-    _require(
-        matrix.kind == "morphological_ordinal",
-        f"complexity scores need a morphological_ordinal matrix, got kind {matrix.kind!r}",
-    )
-    return [(iso, c_wals(matrix.row(iso), specs)) for iso in sorted(matrix.languages)]
+    """Per-language complexity scores over a morphology matrix (loaded
+    with ``specs``), sorted by iso."""
+    return [
+        (iso, c_wals(dict(zip(matrix.features, row)), specs))
+        for iso, row in sorted(zip(matrix.languages, matrix.values))
+    ]
 
 
 def load_morph_specs(path=None) -> MorphSpecSet:

@@ -6,8 +6,11 @@ NFC-normalized once here, so downstream grapheme counting sees canonical
 forms. Every CSV table, the morphology spec file included, is read by
 ``_read_table``, which holds the header, row and error rules; each
 loader adds only its header rule and its parse of one row. A feature
-matrix row parses each of its distinct cells once. Bundled default data
-files ship under ``divscore/data``.
+matrix row parses each of its distinct cells once, and
+``load_feature_matrix`` is the one place that checks a matrix's cells,
+so ``FeatureMatrix`` itself checks nothing. The iso list reader follows
+the table rules for its encoding (strict UTF-8, optional BOM). Bundled
+default data files ship under ``divscore/data``.
 """
 from __future__ import annotations
 
@@ -145,20 +148,23 @@ def load_registry(path) -> LanguageSet:
 
 def load_feature_matrix(
     path,
-    kind: str,
     drop_incomplete: bool = False,
     specs=None,
 ) -> tuple[FeatureMatrix, list[str]]:
-    """Read a feature table CSV into a FeatureMatrix.
+    """Read a feature table CSV into a FeatureMatrix: the one place that
+    checks a matrix's rules.
 
     Format: first column ``iso``, remaining columns feature identifiers,
     cells integers (as ``int()`` reads them) or the missing marker ``?``.
     Rows containing ``?`` are an error unless ``drop_incomplete`` is set,
     in which case they are dropped and their iso codes returned.
 
-    When ``specs`` (a MorphSpecSet) is given for a morphological matrix,
-    the columns must cover exactly the spec chapters and every cell must
-    lie inside its feature's declared final range.
+    Without ``specs`` the matrix is binary: every cell is 0 or 1. With
+    ``specs`` (the MorphFeatureSpecs of a morphological matrix, such as
+    a MorphSpecSet) the columns must cover exactly the spec chapters,
+    and every cell must lie inside its feature's declared final range
+    and be non-negative. A cell error names the file, the row, the
+    language and the feature of the first bad cell in column order.
 
     Returns
     -------
@@ -167,7 +173,7 @@ def load_feature_matrix(
         (empty unless ``drop_incomplete`` removed any).
     """
     path = Path(path)
-    by_chapter = {s.chapter: s for s in specs.specs} if specs is not None else None
+    by_chapter = {s.chapter: s for s in specs} if specs is not None else None
 
     def header_ok(header):
         if len(header) < 2 or header[0] != "iso":
@@ -200,11 +206,17 @@ def load_feature_matrix(
             raise ValueError(
                 f"value for ({iso}, {f}) must be an integer or '?', got {cell!r}"
             ) from None
-        if kind == "binary_syntactic" and not {0, 1}.issuperset(value.values()):
-            f, v = next((f, value[c]) for f, c in zip(header[1:], cells) if value[c] not in (0, 1))
-            raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
+
+        def first(bad):
+            """(feature, value) of the first cell in column order whose value is bad."""
+            return next((f, value[c]) for f, c in zip(header[1:], cells) if bad(value[c]))
+
         values = tuple(map(value.__getitem__, cells))
-        if by_chapter is not None:
+        if by_chapter is None:
+            if not {0, 1}.issuperset(value.values()):
+                f, v = first(lambda v: v not in (0, 1))
+                raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
+        else:
             for f, v in zip(header[1:], values):
                 spec = by_chapter[f]
                 if not spec.final_min <= v <= spec.final_max:
@@ -212,6 +224,9 @@ def load_feature_matrix(
                         f"value {v} for ({iso}, {f}) lies outside the final range "
                         f"[{spec.final_min}, {spec.final_max}]"
                     )
+        if min(value.values()) < 0:
+            f, v = first(lambda v: v < 0)
+            raise ValueError(f"value {v} for ({iso}, {f}) must be non-negative")
         return iso, values, []
 
     header, parsed = _read_table(
@@ -234,7 +249,7 @@ def load_feature_matrix(
         raise ValueError(f"feature matrix {path} has no complete language rows")
 
     languages, values = zip(*rows)
-    return FeatureMatrix(languages, header[1:], values, kind), dropped
+    return FeatureMatrix(languages, header[1:], values), dropped
 
 
 def load_corpus(path, iso: str) -> CorpusSource:
@@ -300,15 +315,21 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
 
 
 def load_iso_list(path) -> list[str]:
-    """Read a plain list of iso codes, one per line; '#' starts a comment."""
+    """Read a plain list of iso codes, one per line; '#' starts a comment.
+
+    Decoded as the tables are: strict UTF-8, a leading BOM dropped.
+    """
     path = Path(path)
     codes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.split("#", 1)[0].strip()
-            if not token:
-                continue
-            if not ISO_CODE_RE.match(token):
-                raise ValueError(f"{path} line {lineno}: malformed iso code {token!r}")
-            codes.append(token)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                token = line.split("#", 1)[0].strip()
+                if not token:
+                    continue
+                if not ISO_CODE_RE.match(token):
+                    raise ValueError(f"{path} line {lineno}: malformed iso code {token!r}")
+                codes.append(token)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not valid UTF-8: {exc}") from None
     return codes

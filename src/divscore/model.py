@@ -2,10 +2,12 @@
 matrices, and score reports.
 
 Pure data, no I/O and no scoring logic; ``_pairwise_sum`` holds the one
-float-summation rule the scorers share. Every type checks its invariants
-at construction time and raises ``ValueError`` with a message naming the
-violated invariant; instances are immutable afterwards and safe to share
-across concurrent computations.
+float-summation rule the scorers share. Every type but ``FeatureMatrix``
+checks its invariants at construction time and raises ``ValueError``
+with a message naming the violated invariant; a feature matrix's rules
+are checked once, row by row, by the loader that builds it. Instances
+are immutable afterwards and safe to share across concurrent
+computations.
 
 A record of fields alone is a ``collections.namedtuple`` subclass with
 empty ``__slots__`` whose ``__new__`` runs the checks; it compares, hashes
@@ -21,13 +23,11 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain
 from operator import add
 
 ISO_CODE_RE = re.compile(r"^[a-z]{3}$")
 
 ENDANGERMENT_LEVELS = frozenset({"safe", "vulnerable", "endangered", "extinct", "unknown"})
-MATRIX_KINDS = frozenset({"binary_syntactic", "morphological_ordinal"})
 TRANSFORMATIONS = frozenset({"none", "binarization", "reorder", "recategorization", "remove"})
 SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn"})
 #: Maximum example languages listed per deficit bin.
@@ -156,10 +156,6 @@ class LanguageSet(_Immutable):
     def __contains__(self, iso: str) -> bool:
         return iso in self._by_iso
 
-    @property
-    def isos(self) -> tuple[str, ...]:
-        return tuple(rec.iso for rec in self.members)
-
     def get(self, iso: str) -> LanguageRecord:
         try:
             return self._by_iso[iso]
@@ -210,82 +206,34 @@ class TextProfile(
         return self
 
 
-class FeatureMatrix:
-    """Languages x named features with small non-negative integer cells.
+class FeatureMatrix(_Immutable):
+    """Languages x named features with small non-negative integer cells,
+    as ``ingest.load_feature_matrix`` returns them.
 
     ``values`` holds the cells as a tuple of row tuples, one row per
     language, and ``totals`` each feature's sum (a binary feature's count
-    of 1s) in feature order. ``kind`` is ``"binary_syntactic"`` (all
-    cells 0/1) or ``"morphological_ordinal"`` (final transformed values;
-    per-feature ranges are validated against specs by the loader). Every
-    cell must be populated: missing values never reach scoring.
+    of 1s) in feature order. The loader is the one place that checks the
+    cells (int, non-negative, 0/1 or inside the spec ranges), the shape
+    and the unique languages and features; this type checks nothing.
     """
+
+    __slots__ = ("languages", "features", "values", "totals")
 
     def __init__(
         self,
         languages: Sequence[str],
         features: Sequence[str],
         values: Iterable[Iterable[int]],
-        kind: str,
     ) -> None:
-        self.languages = tuple(languages)
-        self.features = tuple(features)
-        _require(kind in MATRIX_KINDS, f"kind must be one of {sorted(MATRIX_KINDS)}, got {kind!r}")
-        self.kind = kind
-        _require(
-            len(set(self.languages)) == len(self.languages),
-            "duplicate language codes in feature matrix",
-        )
-        _require(
-            len(set(self.features)) == len(self.features),
-            "duplicate feature identifiers in feature matrix",
-        )
         rows = tuple(map(tuple, values))
-        widths = {len(row) for row in rows}
-        _require(
-            len(rows) == len(self.languages) and widths == {len(self.features)},
-            f"values must have shape ({len(self.languages)}, {len(self.features)}), "
-            f"got {len(rows)} rows of {sorted(widths)} cells",
-        )
-        types = set(map(type, chain.from_iterable(rows)))
-        _require(
-            types <= {int},
-            f"feature values must be integers, got {sorted(t.__name__ for t in types - {int})}",
-        )
-        distinct = set(chain.from_iterable(rows))
-        _require(min(distinct, default=0) >= 0, "feature values must be non-negative")
-        if kind == "binary_syntactic":
-            _require(distinct <= {0, 1}, "binary_syntactic matrix must contain only 0/1 values")
-        self.values = rows
-        self.totals = tuple(map(sum, zip(*rows)))
-        self._lang_index = {iso: i for i, iso in enumerate(self.languages)}
+        object.__setattr__(self, "languages", tuple(languages))
+        object.__setattr__(self, "features", tuple(features))
+        object.__setattr__(self, "values", rows)
+        object.__setattr__(self, "totals", tuple(map(sum, zip(*rows))))
 
     @property
     def n_languages(self) -> int:
         return len(self.languages)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.features)
-
-    def row(self, iso: str) -> dict[str, int]:
-        return dict(zip(self.features, self.values[self._lang_index[iso]]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return (
-            self.languages == other.languages
-            and self.features == other.features
-            and self.kind == other.kind
-            and self.values == other.values
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FeatureMatrix({self.n_languages} languages x {self.n_features} "
-            f"features, kind={self.kind!r})"
-        )
 
 
 class MorphFeatureSpec(

@@ -456,6 +456,18 @@ class TestScoreSyn:
         assert code == 1 and out == ""
         assert f"error: {flag} {zeros}: syntactic weights need positive total weight" in err
 
+    def test_feature_mismatch_names_both_paths(self, fixtures, tmp_path, capsys):
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text("iso,s1,sX,s3,s4,s5,s6\nqza,1,0,1,0,1,0\n")
+        args = self._args(fixtures)
+        args[args.index("--dataset") + 1] = str(renamed)
+        code, out, err = run_main(args, capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: --dataset {renamed} and --reference {fixtures / 'syn_reference.csv'}: "
+            "feature lists differ at column 1: 'sX' vs 's2'\n"
+        )
+
 
 class TestCwals:
     def test_matches_golden_bytes(self, fixtures, capsys):
@@ -485,11 +497,9 @@ class TestCwals:
         from divscore.grammar import load_morph_specs
 
         specs = load_morph_specs()
-        header = "iso," + ",".join(specs.chapters)
-        good = "qqa," + ",".join(str(specs.get(ch).final_max) for ch in specs.chapters)
-        holey = "qqb," + ",".join(
-            ["?"] + [str(specs.get(ch).final_min) for ch in specs.chapters[1:]]
-        )
+        header = "iso," + ",".join(s.chapter for s in specs)
+        good = "qqa," + ",".join(str(s.final_max) for s in specs)
+        holey = "qqb," + ",".join(["?"] + [str(s.final_min) for s in specs.specs[1:]])
         p = tmp_path / "values.csv"
         p.write_text(header + "\n" + good + "\n" + holey + "\n")
 
@@ -531,6 +541,29 @@ class TestCwals:
         assert err.count("degenerate") == 2
         scores = {r["iso"]: r["c_wals"] for r in json.loads(out)["c_wals"]}
         assert scores == {"qqa": 0.0, "qqb": pytest.approx(24 / 26, abs=1e-12)}
+
+    def test_negative_cell_names_file_and_row(self, tmp_path, capsys):
+        """A cell inside its spec's range but below 0 fails as a row error."""
+        from divscore.ingest import bundled_path
+
+        text = bundled_path("morph_feature_specs.csv").read_text(encoding="utf-8")
+        header, *specs = list(csv.reader(io.StringIO(text)))
+        (spec_22a,) = [spec for spec in specs if spec[0] == "22A"]
+        spec_22a[3] = "-1"
+        spec_path = tmp_path / "specs.csv"
+        with open(spec_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *specs])
+        values = tmp_path / "values.csv"
+        values.write_text(
+            "iso," + ",".join(spec[0] for spec in specs) + "\n"
+            + "qqa," + ",".join(spec[3] for spec in specs) + "\n"
+        )
+        code, out, err = run_main(
+            ["cwals", "--dataset", str(values), "--specs", str(spec_path)], capsys
+        )
+        assert code == 1 and out == ""
+        reason = "value -1 for (qqa, 22A) must be non-negative"
+        assert err == f"error: feature matrix {values} row 2: {reason}\n"
 
 
 class TestCorrelate:
@@ -658,6 +691,22 @@ class TestFamilies:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["family", "iso"]
         assert len(rows) == 1 + 97
+
+    def test_iso_list_with_bom(self, tmp_path, capsys):
+        listing = tmp_path / "langs.txt"
+        listing.write_bytes("\ufeffeng\nfra\n".encode("utf-8"))
+        code, out, err = run_main(["families", "--dataset", str(listing)], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["unknown"] == []
+        assert sorted(iso for v in payload["families"].values() for iso in v) == ["eng", "fra"]
+
+    def test_iso_list_invalid_utf8_names_file(self, tmp_path, capsys):
+        listing = tmp_path / "langs.txt"
+        listing.write_bytes(b"eng\n\xff\n")
+        code, out, err = run_main(["families", "--dataset", str(listing)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {listing} is not valid UTF-8: "), err
 
 
 _PROFILE = ["iso", "mwl", "ttr", "entropy", "token_count", "offset", "seed"]

@@ -25,8 +25,10 @@ from divscore.diversity import (
     ti_morph,
     ti_syn,
 )
+from divscore.ingest import bundled_path
 from divscore.model import FeatureMatrix
 from oracles import brute_jmm, brute_jmm_syn, brute_ti_morph, brute_ti_syn, exact_bin
+from support import run_main
 
 # {2.5, 3.5, 3.7} vs {3.2, 4.1} at width 1: c = 1.5 on the smaller side,
 # aligned columns A [1, 2, 0] and B [0, 1.5, 1.5], min-sum 1.5, max-sum
@@ -160,10 +162,10 @@ class TestAlignBins:
 
 
 def _syn(rows, features=None):
-    """A binary_syntactic matrix over languages qaa, qab, ... and s1, s2, ..."""
+    """A binary matrix over languages qaa, qab, ... and s1, s2, ..."""
     isos = ["q" + chr(ord("a") + i // 26) + chr(ord("a") + i % 26) for i in range(len(rows))]
     features = features or [f"s{j}" for j in range(1, len(rows[0]) + 1)]
-    return FeatureMatrix(isos, features, rows, "binary_syntactic")
+    return FeatureMatrix(isos, features, rows)
 
 
 class TestJaccardMinmax:
@@ -284,7 +286,7 @@ class TestSyntacticWeights:
         v = syntactic_weights(m, count_zeros=True)
         assert list(v) == ["s1=1", "s1=0", "s2=1", "s2=0"]
         assert list(v.values()) == [2.0, 0.0, 1.0, 1.0]
-        assert sum(v.values()) == m.n_languages * m.n_features
+        assert sum(v.values()) == m.n_languages * len(m.features)
 
     def test_all_zero_matrix_rejected_in_default_mode(self):
         m = _syn([[0, 0], [0, 0]])
@@ -295,10 +297,15 @@ class TestSyntacticWeights:
         # with zero counting the distribution is all in the =0 dimensions
         assert syntactic_weights(m, count_zeros=True)["s1=0"] == 2.0
 
-    def test_kind_checked(self):
-        m = FeatureMatrix(["aaa"], ["22A"], [[3]], "morphological_ordinal")
-        with pytest.raises(ValueError, match="binary_syntactic"):
-            syntactic_weights(m)
+    def test_kind_checked(self, capsys):
+        """Only a binary matrix reaches the weights: ``score --level syn``
+        loads each side without specs, so morphology values fail there."""
+        path = str(bundled_path("morph_values.csv"))
+        argv = ["score", "--level", "syn", "--dataset", path, "--reference", path]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1 and out == ""
+        prefix = f"error: feature matrix {path} row "
+        assert err.startswith(prefix) and "must be 0 or 1" in err, err
 
 
 @st.composite
@@ -315,8 +322,8 @@ class TestJmmSyn:
     def test_fixture_values(self, fixtures):
         from divscore.ingest import load_feature_matrix
 
-        ds, _ = load_feature_matrix(fixtures / "syn_dataset.csv", "binary_syntactic")
-        ref, _ = load_feature_matrix(fixtures / "syn_reference.csv", "binary_syntactic")
+        ds, _ = load_feature_matrix(fixtures / "syn_dataset.csv")
+        ref, _ = load_feature_matrix(fixtures / "syn_reference.csv")
         # hand computation: scaled dataset [4.8, 3.2] * 3, reference
         # [5, 5, 5, 5, 5, 4] -> min-sum 24, max-sum 29 (103 dims) and
         # 43/53 with zero dimensions counted
@@ -326,19 +333,14 @@ class TestJmmSyn:
 
     def test_half_scaled_dataset_scores_one(self):
         ref = FeatureMatrix(
-            ["aaa", "bbb", "ccc", "ddd"],
-            ["s1", "s2"],
-            [[1, 0], [1, 0], [0, 1], [0, 1]],
-            "binary_syntactic",
+            ["aaa", "bbb", "ccc", "ddd"], ["s1", "s2"], [[1, 0], [1, 0], [0, 1], [0, 1]]
         )
-        ds = FeatureMatrix(
-            ["xxx", "yyy"], ["s1", "s2"], [[1, 0], [0, 1]], "binary_syntactic"
-        )
+        ds = FeatureMatrix(["xxx", "yyy"], ["s1", "s2"], [[1, 0], [0, 1]])
         assert jmm_syn(ds, ref).value == 1.0
 
     def test_feature_mismatch_names_first_column(self):
-        a = FeatureMatrix(["aaa"], ["s1", "sX"], [[1, 0]], "binary_syntactic")
-        b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]], "binary_syntactic")
+        a = FeatureMatrix(["aaa"], ["s1", "sX"], [[1, 0]])
+        b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="column 1: 'sX' vs 's2'"):
             jmm_syn(a, b)
 
@@ -361,8 +363,8 @@ class TestJmmSyn:
         assert report.value == pytest.approx(value, abs=1e-12)
 
     def test_feature_length_mismatch(self):
-        a = FeatureMatrix(["aaa"], ["s1"], [[1]], "binary_syntactic")
-        b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]], "binary_syntactic")
+        a = FeatureMatrix(["aaa"], ["s1"], [[1]])
+        b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="differ in length"):
             jmm_syn(a, b)
 
@@ -393,7 +395,7 @@ class TestFeatureMembers:
         features, rows_d, isos_r, rows_r = case
         assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
         ds = _syn(rows_d, features)
-        ref = FeatureMatrix(isos_r, features, rows_r, "binary_syntactic")
+        ref = FeatureMatrix(isos_r, features, rows_r)
         report = jmm_syn(ds, ref, count_zeros)
         gap = attach_gap(report, feature_members(ref, count_zeros)).gap
         counted = {

@@ -10,7 +10,7 @@ from divscore.grammar import (
     normalize_feature,
 )
 from divscore.ingest import bundled_path, load_feature_matrix
-from divscore.model import FeatureMatrix, MorphFeatureSpec
+from divscore.model import MorphFeatureSpec
 from oracles import neumaier_sum
 
 
@@ -22,10 +22,10 @@ def specs():
 class TestSpecLoading:
     def test_bundled_set_is_complete(self, specs):
         assert len(specs) == FEATURE_SET_SIZE
-        assert len(set(specs.chapters)) == FEATURE_SET_SIZE
+        assert len({s.chapter for s in specs}) == FEATURE_SET_SIZE
 
     def test_remove_transformation_read(self, specs):
-        s = specs.get("49A")
+        (s,) = [s for s in specs if s.chapter == "49A"]
         assert s.transformation == "remove"
         assert (s.final_min, s.final_max) == (1, 8)
 
@@ -37,10 +37,6 @@ class TestSpecLoading:
         one = MorphFeatureSpec("22A", "x", "none", 0, 1)
         with pytest.raises(ValueError, match="exactly 26"):
             MorphSpecSet([one])
-
-    def test_get_unknown_chapter(self, specs):
-        with pytest.raises(KeyError):
-            specs.get("999Z")
 
     def test_value_map_column_rejected(self, tmp_path):
         p = tmp_path / "specs.csv"
@@ -103,36 +99,33 @@ class TestCWals:
     def test_mean_added_in_order(self, specs):
         # one after another from 0.0, as built-in sum adds before Python
         # 3.12; its compensated sum from 3.12 on differs in the last bit
-        matrix, _ = load_feature_matrix(
-            bundled_path("morph_values.csv"), "morphological_ordinal", specs=specs
-        )
+        matrix, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
+        table = dict(c_wals_table(matrix, specs))
         compensated = 0
-        for iso in matrix.languages:
-            row = matrix.row(iso)
+        for iso, values in zip(matrix.languages, matrix.values):
+            row = dict(zip(matrix.features, values))
             normalized = [normalize_feature(row[s.chapter], s) for s in specs]
             total = 0.0
             for v in normalized:
                 total += v
-            assert c_wals(row, specs) == total / len(specs)
+            assert c_wals(row, specs) == table[iso] == total / len(specs)
             compensated += neumaier_sum(normalized) != total
         assert compensated > 0, "no bundled language tells the two sums apart"
 
     def test_table_sorted_and_kind_checked(self, specs):
-        matrix, _ = load_feature_matrix(
-            bundled_path("morph_values.csv"), "morphological_ordinal", specs=specs
-        )
+        """The matrix kind comes from the specs: without them the loader
+        reads the bundled values as a binary matrix and rejects them."""
+        matrix, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
         rows = c_wals_table(matrix, specs)
         isos = [iso for iso, _ in rows]
         assert isos == sorted(isos)
         assert len(rows) == 28
-        wrong = FeatureMatrix(["aaa"], ["f1"], [[1]], "binary_syntactic")
-        with pytest.raises(ValueError, match="morphological_ordinal"):
-            c_wals_table(wrong, specs)
+        binary = r"row \d+: binary feature \(\w+, \w+\) must be 0 or 1"
+        with pytest.raises(ValueError, match=binary):
+            load_feature_matrix(bundled_path("morph_values.csv"))
 
     def test_published_spot_values(self, specs):
-        matrix, _ = load_feature_matrix(
-            bundled_path("morph_values.csv"), "morphological_ordinal", specs=specs
-        )
+        matrix, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
         scores = dict(c_wals_table(matrix, specs))
         assert scores["tur"] == pytest.approx(0.76, abs=0.005)
         assert scores["vie"] == pytest.approx(0.21, abs=0.005)

@@ -22,7 +22,7 @@ from divscore.ingest import (
     load_numeric_table,
     load_registry,
 )
-from divscore.model import LanguageRecord, LanguageSet
+from divscore.model import LanguageRecord, LanguageSet, MorphFeatureSpec
 from oracles import read_csv_table
 
 
@@ -78,23 +78,29 @@ class TestRegistry:
 
 class TestFeatureMatrixLoading:
     def test_loads_binary_matrix(self, fixtures):
-        m, dropped = load_feature_matrix(fixtures / "syn_dataset.csv", "binary_syntactic")
+        m, dropped = load_feature_matrix(fixtures / "syn_dataset.csv")
         assert dropped == []
         assert m.languages == ("qda", "qdb", "qdc", "qdd", "qde")
         assert m.features == ("s1", "s2", "s3", "s4", "s5", "s6")
-        assert m.row("qda") == {"s1": 1, "s2": 0, "s3": 1, "s4": 0, "s5": 1, "s6": 0}
+        assert m.values[0] == (1, 0, 1, 0, 1, 0)
+
+    def test_loaded_matrix_is_immutable(self, fixtures):
+        m, _ = load_feature_matrix(fixtures / "syn_dataset.csv")
+        for field in ("languages", "features", "values", "totals"):
+            before = getattr(m, field)
+            with pytest.raises(AttributeError):
+                setattr(m, field, ())
+            assert getattr(m, field) is before
 
     def test_missing_cells_fatal_by_default(self, fixtures):
         with pytest.raises(ValueError) as exc:
-            load_feature_matrix(fixtures / "syn_missing.csv", "binary_syntactic")
+            load_feature_matrix(fixtures / "syn_missing.csv")
         msg = str(exc.value)
         assert "(qrc, s2)" in msg and "(qrg, s6)" in msg
         assert "--drop-incomplete" in msg
 
     def test_drop_incomplete_returns_dropped_isos(self, fixtures):
-        m, dropped = load_feature_matrix(
-            fixtures / "syn_missing.csv", "binary_syntactic", drop_incomplete=True
-        )
+        m, dropped = load_feature_matrix(fixtures / "syn_missing.csv", drop_incomplete=True)
         assert dropped == ["qrc", "qrg"]
         assert "qrc" not in m.languages and "qrg" not in m.languages
         assert m.n_languages == 6
@@ -103,44 +109,45 @@ class TestFeatureMatrixLoading:
         p = tmp_path / "m.csv"
         p.write_text("iso,f1\naaa,2\n")
         with pytest.raises(ValueError, match=r"\(aaa, f1\)"):
-            load_feature_matrix(p, "binary_syntactic")
+            load_feature_matrix(p)
 
     def test_rejects_non_integer_cell(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("iso,f1\naaa,many\n")
         with pytest.raises(ValueError, match="integer"):
-            load_feature_matrix(p, "morphological_ordinal")
+            load_feature_matrix(p)
 
     def test_specs_reject_unknown_column(self, tmp_path):
         from divscore.grammar import load_morph_specs
 
         specs = load_morph_specs()
-        header = "iso," + ",".join(list(specs.chapters[:-1]) + ["999Z"])
-        row = "abc," + ",".join("0" for _ in specs.chapters)
+        header = "iso," + ",".join([s.chapter for s in specs.specs[:-1]] + ["999Z"])
+        row = "abc," + ",".join("0" for _ in specs)
         p = tmp_path / "m.csv"
         p.write_text(header + "\n" + row + "\n")
         with pytest.raises(ValueError, match="999Z"):
-            load_feature_matrix(p, "morphological_ordinal", specs=specs)
+            load_feature_matrix(p, specs=specs)
 
     def test_specs_reject_out_of_range_cell(self, tmp_path):
         from divscore.grammar import load_morph_specs
 
         specs = load_morph_specs()
-        header = "iso," + ",".join(specs.chapters)
+        chapters = [s.chapter for s in specs]
+        header = "iso," + ",".join(chapters)
         # every chapter's minimum, then push 22A (range 0..7) out of range
-        row = ["abc"] + [str(specs.get(ch).final_min) for ch in specs.chapters]
-        row[1 + specs.chapters.index("22A")] = "8"
+        row = ["abc"] + [str(s.final_min) for s in specs]
+        row[1 + chapters.index("22A")] = "8"
         p = tmp_path / "m.csv"
         p.write_text(header + "\n" + ",".join(row) + "\n")
         message = r"^feature matrix \S+ row 2: value 8 for \(abc, 22A\) lies outside"
         with pytest.raises(ValueError, match=message):
-            load_feature_matrix(p, "morphological_ordinal", specs=specs)
+            load_feature_matrix(p, specs=specs)
 
     def test_all_rows_dropped_is_fatal(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("iso,f1\naaa,?\n")
         with pytest.raises(ValueError, match="no complete language rows"):
-            load_feature_matrix(p, "binary_syntactic", drop_incomplete=True)
+            load_feature_matrix(p, drop_incomplete=True)
 
 
 class TestCorpus:
@@ -279,6 +286,11 @@ def _spec_table():
         return list(csv.reader(fh))
 
 
+def _matrix_fields(matrix, dropped):
+    """A loaded matrix's fields and dropped rows, which compare by value."""
+    return matrix.languages, matrix.features, matrix.values, dropped
+
+
 #: Each CSV loader: the word its errors start with, a valid table (header
 #: then rows, keyed by the first column), and a cell (column, text) that
 #: makes a row invalid.
@@ -290,7 +302,7 @@ LOADERS = {
         (4, "big"),
     ),
     "feature_matrix": (
-        lambda p: load_feature_matrix(p, "binary_syntactic"),
+        lambda p: _matrix_fields(*load_feature_matrix(p)),
         "feature matrix",
         [["iso", "f1", "f2"], ["qaa", "1", "0"], ["qab", "0", "1"]],
         (1, "2"),
@@ -458,18 +470,31 @@ def _integer(cell):
         return None
 
 
-def _matrix_row_error(header, row, kind):
+#: The final range of every column when a generated matrix is loaded with
+#: specs: it holds -1, so a negative cell can pass the range check.
+_SPEC_RANGE = (-1, 1)
+
+
+def _matrix_row_error(header, row, specs):
     """The reason load_feature_matrix gives for a complete row: its first
-    cell in column order that int() rejects, else (binary kind) its first
-    value outside 0/1; None for a good row."""
-    cells = list(zip(header[1:], row[1:]))
+    cell in column order that int() rejects; else, without specs, its
+    first value outside 0/1; else, with specs over ``_SPEC_RANGE``, its
+    first value outside the range, then its first negative value; None
+    for a good row."""
+    iso, cells = row[0], list(zip(header[1:], row[1:]))
     bad = next(((f, c) for f, c in cells if _integer(c) is None), None)
     if bad is not None:
-        return f"value for ({row[0]}, {bad[0]}) must be an integer or '?', got {bad[1]!r}"
-    bad = next(((f, int(c)) for f, c in cells if int(c) not in (0, 1)), None)
-    if kind != "binary_syntactic" or bad is None:
-        return None
-    return f"binary feature ({row[0]}, {bad[0]}) must be 0 or 1, got {bad[1]}"
+        return f"value for ({iso}, {bad[0]}) must be an integer or '?', got {bad[1]!r}"
+    values = [(f, int(c)) for f, c in cells]
+    if not specs:
+        bad = next(((f, v) for f, v in values if v not in (0, 1)), None)
+        return bad and f"binary feature ({iso}, {bad[0]}) must be 0 or 1, got {bad[1]}"
+    lo, hi = _SPEC_RANGE
+    bad = next(((f, v) for f, v in values if not lo <= v <= hi), None)
+    if bad is not None:
+        return f"value {bad[1]} for ({iso}, {bad[0]}) lies outside the final range [{lo}, {hi}]"
+    bad = next(((f, v) for f, v in values if v < 0), None)
+    return bad and f"value {bad[1]} for ({iso}, {bad[0]}) must be non-negative"
 
 
 class TestTableOracle:
@@ -480,6 +505,7 @@ class TestTableOracle:
     @example(("matrix", b"iso,a,b\nabc,1,01\n"))  # two spellings of 1 in one row
     @example(("matrix", b"iso,a,b,c\nabc,1,x,1.0\n"))  # two cells int() rejects
     @example(("matrix", b"iso,a,b,c\nabc,+1,2,-1\nabd,?,x,0\n"))  # two values outside 0/1
+    @example(("matrix", b"iso,a,b\nabc,0,-1\nabd,-1,?\n"))  # negative, but inside the specs
     # whitespace in one cell of a row only: the first, the last, and a
     # middle one padded with whitespace other than blanks and tabs
     @example(("registry", b"iso,name\n abc,A\n"))
@@ -527,23 +553,25 @@ class TestTableOracle:
                     for iso, name, fam, end, s in full
                 )
                 return
-            for kind, drop in [
-                ("binary_syntactic", True),
-                ("binary_syntactic", False),
-                ("morphological_ordinal", True),
-            ]:
-                self._check_matrix(path, header, rows, kind, drop)
+            for with_specs, drop in [(False, True), (False, False), (True, True)]:
+                self._check_matrix(path, header, rows, with_specs, drop)
 
     @staticmethod
-    def _check_matrix(path, header, rows, kind, drop):
+    def _check_matrix(path, header, rows, with_specs, drop):
         """load_feature_matrix against int() on every cell: the values, or
         the error of the first bad cell in file and column order."""
+        specs = [MorphFeatureSpec(f, f, "none", *_SPEC_RANGE) for f in header[1:]]
+
+        def load():
+            return load_feature_matrix(path, drop, specs if with_specs else None)
+
         complete = [r for r in rows if "?" not in r]
-        reason = next(filter(None, (_matrix_row_error(header, r, kind) for r in complete)), None)
+        errors = (_matrix_row_error(header, r, with_specs) for r in complete)
+        reason = next(filter(None, errors), None)
         holes = [f"({r[0]}, {f})" for r in rows for f, c in zip(header[1:], r[1:]) if c == "?"]
         if reason is not None:
             with pytest.raises(ValueError) as exc:
-                load_feature_matrix(path, kind, drop_incomplete=drop)
+                load()
             where, _, got = str(exc.value).partition(": ")
             assert re.fullmatch(rf"feature matrix {re.escape(str(path))} row \d+", where)
             assert got == reason
@@ -555,15 +583,13 @@ class TestTableOracle:
             )
         elif not complete:
             message = f"feature matrix {path} has no complete language rows"
-        elif any(int(c) < 0 for r in complete for c in r[1:]):
-            message = "feature values must be non-negative"
         else:
-            matrix, dropped = load_feature_matrix(path, kind, drop_incomplete=drop)
+            matrix, dropped = load()
             assert matrix.features == tuple(header[1:])
             assert matrix.languages == tuple(r[0] for r in complete)
             assert matrix.values == tuple(tuple(int(c) for c in r[1:]) for r in complete)
             assert dropped == [r[0] for r in rows if "?" in r]
             return
         with pytest.raises(ValueError) as exc:
-            load_feature_matrix(path, kind, drop_incomplete=drop)
+            load()
         assert str(exc.value) == message

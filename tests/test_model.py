@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from divscore.analysis import CorrelationResult, attach_gap
+from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
 from divscore.grammar import MorphSpecSet, load_morph_specs
-from divscore.ingest import CorpusSource
+from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix
 from divscore.model import (
     BinOverlap,
     DeficitBin,
@@ -41,7 +41,7 @@ _INSTANCES = {
     "GapReport": (GapReport([], []), "deficit_bins"),
     "DiversityReport": (DiversityReport("jmm_syn", 0.5, [_ROW], 1.0), "per_bin"),
     "CorpusSource": (CorpusSource("aaa", "a.txt", "text"), "text"),
-    "CorrelationResult": (CorrelationResult(0.5, 3), "rho"),
+    "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
     "MorphSpecSet": (load_morph_specs(), "specs"),
     "TokenSequence": (TokenSequence("aaa", ["a"]), "tokens"),
 }
@@ -96,8 +96,6 @@ _KEYWORD_CHECKS = {
         "does not equal",
     ),
     "corpus-iso": (lambda: CorpusSource(iso="x", path="p", text="t"), "three ASCII"),
-    "correlation-rho": (lambda: CorrelationResult(rho=1.5, n=3), "rho must lie"),
-    "correlation-n": (lambda: CorrelationResult(rho=0.5, n=2), "n >= 3"),
     "specset-size": (lambda: MorphSpecSet(specs=[_SPEC]), "exactly 26"),
     "specset-duplicate": (lambda: MorphSpecSet(specs=[_SPEC] * 26), "duplicate chapter"),
     "tokens-iso": (lambda: TokenSequence(iso="x", tokens=["a"]), "three ASCII"),
@@ -188,7 +186,6 @@ class TestLanguageSet:
         assert len(ls) == 2
         assert list(ls) == [a, b]
         assert "aaa" in ls and "ccc" not in ls
-        assert ls.isos == ("aaa", "bbb")
         assert ls.get("bbb") is b
         with pytest.raises(KeyError):
             ls.get("ccc")
@@ -260,65 +257,77 @@ class TestTextProfile:
             self._make(sample_offset=-1)
 
 
+def _load_matrix(tmp_path, text, specs=None):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    return load_feature_matrix(path, specs=specs)[0]
+
+
+def _matrix_error(tmp_path, text):
+    """The error of loading ``text`` as a binary matrix, after the file
+    and row prefix ``feature matrix <path> ``."""
+    with pytest.raises(ValueError) as exc:
+        _load_matrix(tmp_path, text)
+    prefix = f"feature matrix {tmp_path / 'm.csv'} "
+    assert str(exc.value).startswith(prefix), str(exc.value)
+    return str(exc.value)[len(prefix) :]
+
+
 class TestFeatureMatrix:
+    """A FeatureMatrix holds what ``load_feature_matrix`` proved; each
+    rule on its cells, shape and languages is checked on a loaded file."""
+
     def test_roundtrip_access(self):
         m = FeatureMatrix(
             languages=["aaa", "bbb"],
             features=["f1", "f2", "f3"],
             values=[[1, 0, 1], [0, 1, 1]],
-            kind="binary_syntactic",
         )
-        assert m.n_languages == 2 and m.n_features == 3
+        assert m.n_languages == 2 and m.features == ("f1", "f2", "f3")
         assert m.totals == (1, 1, 2)
-        assert m.row("bbb") == {"f1": 0, "f2": 1, "f3": 1}
+        assert m.values == ((1, 0, 1), (0, 1, 1))
 
     def test_values_read_only(self):
         cells = [[1, 0]]
-        m = FeatureMatrix(["aaa"], ["f1", "f2"], cells, "binary_syntactic")
+        m = FeatureMatrix(["aaa"], ["f1", "f2"], cells)
         cells[0][0] = 0
         assert m.values == ((1, 0),)
         assert m.totals == (1, 0)
         with pytest.raises(TypeError):
             m.values[0][0] = 0
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            FeatureMatrix(["aaa"], ["f1"], [[1]], "lexical")
-
-    def test_rejects_non_binary_cells_in_binary_kind(self):
-        with pytest.raises(ValueError, match="0/1"):
-            FeatureMatrix(["aaa"], ["f1"], [[2]], "binary_syntactic")
+    def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
+        """Without specs a matrix is binary."""
+        reason = _matrix_error(tmp_path, "iso,f1,f2\naaa,1,2\n")
+        assert reason == "row 2: binary feature (aaa, f2) must be 0 or 1, got 2"
 
     def test_ordinal_kind_allows_larger_values(self):
-        m = FeatureMatrix(["aaa"], ["22A"], [[7]], "morphological_ordinal")
-        assert m.row("aaa")["22A"] == 7
+        """With specs a cell may take any value in its chapter's range."""
+        specs = load_morph_specs()
+        m, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
+        assert max(map(max, m.values)) > 1
 
-    def test_rejects_float_values(self):
-        with pytest.raises(ValueError, match="integers"):
-            FeatureMatrix(["aaa"], ["f1"], np.array([[0.5]]), "binary_syntactic")
+    def test_rejects_float_values(self, tmp_path):
+        reason = _matrix_error(tmp_path, "iso,f1\naaa,0.5\n")
+        assert reason == "row 2: value for (aaa, f1) must be an integer or '?', got '0.5'"
 
     @pytest.mark.parametrize(
-        "cells, name", [([1, True], "bool"), ([True, 1], "bool"), ([1, 1.0], "float")]
+        "cells, name", [(["1", "True"], "bool"), (["True", "1"], "bool"), (["1", "1.0"], "float")]
     )
-    def test_rejects_cells_equal_to_an_int(self, cells, name):
-        """A bool or float cell is rejected, also after an equal int."""
-        with pytest.raises(ValueError) as exc:
-            FeatureMatrix(["aaa"], ["f1", "f2"], [cells], "binary_syntactic")
-        assert str(exc.value) == f"feature values must be integers, got ['{name}']"
+    def test_rejects_cells_equal_to_an_int(self, tmp_path, cells, name):
+        """A cell spelling a bool or a float equal to 1 is rejected, also
+        after a 1: each distinct spelling is parsed on its own."""
+        j, bad = next((j, c) for j, c in enumerate(cells, start=1) if c != "1")
+        reason = _matrix_error(tmp_path, f"iso,f1,f2\naaa,{','.join(cells)}\n")
+        assert reason == f"row 2: value for (aaa, f{j}) must be an integer or '?', got {bad!r}"
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            FeatureMatrix(["aaa", "bbb"], ["f1"], [[1]], "binary_syntactic")
+    def test_rejects_shape_mismatch(self, tmp_path):
+        reason = _matrix_error(tmp_path, "iso,f1,f2\naaa,1,0\nbbb,1\n")
+        assert reason == "row 3: expected 3 columns, got 2"
 
-    def test_rejects_duplicate_languages(self):
-        with pytest.raises(ValueError, match="duplicate language"):
-            FeatureMatrix(["aaa", "aaa"], ["f1"], [[1], [0]], "binary_syntactic")
-
-    def test_equality(self):
-        make = lambda: FeatureMatrix(["aaa"], ["f1"], [[1]], "binary_syntactic")
-        assert make() == make()
-        other = FeatureMatrix(["aaa"], ["f1"], [[0]], "binary_syntactic")
-        assert make() != other
+    def test_rejects_duplicate_languages(self, tmp_path):
+        reason = _matrix_error(tmp_path, "iso,f1\naaa,1\naaa,0\n")
+        assert reason == "row 3: duplicate iso 'aaa', first at row 2"
 
 
 class TestMorphFeatureSpec:
