@@ -270,20 +270,20 @@ def _score_morph(args: argparse.Namespace) -> dict:
 
 def _score_syn(args: argparse.Namespace) -> dict:
     count_zeros = args.syn_dims == 206
-    mats = []
+    mats, weights = [], []
     for side, path in (("dataset", args.dataset), ("reference", args.reference)):
         mat, dropped = load_feature_matrix(path, drop_incomplete=args.drop_incomplete)
         if dropped:
             print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
         try:
-            syntactic_weights(mat, count_zeros)
+            weights.append(syntactic_weights(mat, count_zeros))
         except ValueError as exc:
             raise ValueError(f"--{side} {path}: {exc}") from None
         mats.append(mat)
     mat_d, mat_r = mats
 
     try:
-        report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros)
+        report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros, weights=weights)
     except ValueError as exc:
         paths = f"--dataset {args.dataset} and --reference {args.reference}"
         raise ValueError(f"{paths}: {exc}") from None

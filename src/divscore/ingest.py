@@ -2,11 +2,11 @@
 
 All readers take explicit paths and return validated domain objects.
 Text is decoded strictly (invalid UTF-8 is an error, never replaced) and
-NFC-normalized once here, so downstream grapheme counting sees canonical
-forms. Every CSV table, the morphology spec file included, is read by
-``_read_table``, which holds the header, row and error rules; each
-loader adds only its header rule and its parse of one row. A feature
-matrix row parses each of its distinct cells once, and
+returned as decoded; ``textstats.tokenize`` is the one place that
+NFC-normalizes it. Every CSV table, the morphology spec file included,
+is read by ``_read_table``, which holds the header, row and error
+rules; each loader adds only its header rule and its parse of one row.
+A feature matrix row parses each of its distinct cells once, and
 ``load_feature_matrix`` is the one place that checks a matrix's cells,
 so ``FeatureMatrix`` itself checks nothing. The iso list reader follows
 the table rules for its encoding (strict UTF-8, optional BOM). Bundled
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import unicodedata
 from collections import namedtuple
 from pathlib import Path
 
@@ -255,8 +254,9 @@ def load_feature_matrix(
 def load_corpus(path, iso: str) -> CorpusSource:
     """Read one language's plain-text corpus.
 
-    Decodes strictly as UTF-8 (invalid bytes raise, nothing is replaced)
-    and applies Unicode NFC normalization. No other processing.
+    Decodes strictly as UTF-8 (invalid bytes raise, nothing is replaced).
+    No other processing: the text keeps its normalization form, and
+    ``textstats.tokenize`` normalizes it to NFC.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -266,7 +266,7 @@ def load_corpus(path, iso: str) -> CorpusSource:
         text = raw.decode("utf-8", errors="strict")
     except UnicodeDecodeError as exc:
         raise ValueError(f"corpus {path} is not valid UTF-8: {exc}") from None
-    return CorpusSource(iso=iso, path=str(path), text=unicodedata.normalize("NFC", text))
+    return CorpusSource(iso=iso, path=str(path), text=text)
 
 
 def family_breakdown(languages: LanguageSet) -> tuple[dict[str, list[str]], list[str]]:

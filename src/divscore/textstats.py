@@ -19,30 +19,37 @@ combining mark after a space, or a Prepend code point before one, joins
 the space into a token: tokenize("x \\u0301y") gives ["x \\u0301y"] and
 tokenize("\\u0d4e x") gives ["\\u0d4e x"].
 
-Most text is tokenized by one compiled pattern: where every grapheme
-cluster is a base code point plus its marks, a token is a run of
-letters, marks and digits, joined across single connectors. A text that
-holds any code point whose cluster that pattern cannot know (Prepend,
-ZWJ, Hangul jamo, regional indicators, non-mark extenders, a mark after
-non-word material) is tokenized whole by the cluster-by-cluster loop
-instead. Both give the same tokens. Every Unicode property, the digit
+`tokenize` is the one place that NFC-normalizes text. Most text is
+tokenized by one compiled pattern: where every grapheme cluster is a
+base code point plus its marks, a token is a run of letters, marks and
+digits, joined across single connectors, and the pattern replaces
+what lies between tokens with spaces. A text that holds any code point
+whose cluster that pattern cannot know (Prepend, ZWJ, Hangul jamo,
+regional indicators, non-mark extenders, a mark after non-word
+material) is tokenized whole by the cluster-by-cluster loop instead.
+Both give the same tokens. Every Unicode property, the digit
 test included, comes from `regex`'s tables, so the tokens depend on the
 installed `regex` version's Unicode data but not on the Python version.
 `regex` is imported, and every pattern compiled, on first use, so a
 command that reads no text loads neither.
 
-Natural text repeats its code points and tokens, so work that depends
-on one item alone is done once per distinct item: the trigger code
-points are looked for among the text's distinct code points, with one
-scan over the text for a mark after non-word material; tokens are
-checked for alphanumeric content, and measured in graphemes, once per
-type.
+Natural text repeats its words, code points and tokens, so work that
+depends on one item alone is done once per distinct item: NFC, the
+trigger test and the separator pattern run once per distinct
+whitespace-delimited chunk (NFC never acts across whitespace, and no
+token spans it); the trigger code points are looked for among the
+distinct code points; tokens are checked for alphanumeric content, and
+measured in graphemes, once per type.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
+import unicodedata
 from collections import Counter, namedtuple
+from itertools import chain, compress, count, islice, repeat
+from operator import contains
 
 from .ingest import CorpusSource
 from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require
@@ -56,10 +63,14 @@ _MID_NUMERIC = frozenset(",;;٫٬﹐﹔，；")
 _MID_BOTH = frozenset("'.’․﹒＇．")
 
 _WS, _WORD, _PUNCT = 0, 1, 2
+# the standard library's \s is str.isspace(), where str.split() splits
+_WHITESPACE = re.compile(r"\s")
+#: Characters `tokenize` splits at a time.
+_BLOCK_CHARS = 1 << 18
 
 #: The tokenizer's compiled patterns, built by :func:`_patterns`.
 _Patterns = namedtuple(
-    "_Patterns", "token special stray_mark grapheme alnum no_alnum_line digit"
+    "_Patterns", "separator special stray_mark grapheme alnum no_alnum_line digit"
 )
 
 
@@ -67,12 +78,14 @@ class TokenSequence(_Immutable):
     """Ordered tokens for one language: an iso code and a tuple of tokens.
 
     May be empty (callers decide whether that is fatal), but every token
-    present must contain at least one alphanumeric character.
+    present must contain at least one alphanumeric character. The check
+    reads each distinct token once: ``types``, when the caller knows
+    them, or the set of ``tokens``.
     """
 
     __slots__ = ("iso", "tokens")
 
-    def __init__(self, iso: str, tokens) -> None:
+    def __init__(self, iso: str, tokens, types=None) -> None:
         _require(
             bool(ISO_CODE_RE.match(iso)),
             f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
@@ -82,7 +95,7 @@ class TokenSequence(_Immutable):
         # one scan over the distinct tokens, a line each; a token that
         # holds a line break may raise a false alarm, which the scan in
         # sequence order settles
-        if p.no_alnum_line.search("\n".join(set(toks))):
+        if p.no_alnum_line.search("\n".join(set(toks) if types is None else types)):
             bad = next((t for t in toks if not p.alnum.search(t)), None)
             _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
         object.__setattr__(self, "iso", iso)
@@ -90,6 +103,17 @@ class TokenSequence(_Immutable):
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def window(self, start: int, stop: int) -> TokenSequence:
+        """The tokens in positions [start, stop), with this sequence's iso.
+
+        They were checked as part of this sequence, so they are not
+        scanned again.
+        """
+        window = object.__new__(TokenSequence)
+        object.__setattr__(window, "iso", self.iso)
+        object.__setattr__(window, "tokens", self.tokens[start:stop])
+        return window
 
 
 def _classify(cluster: str, p: _Patterns) -> tuple[int, bool]:
@@ -157,19 +181,24 @@ def _patterns() -> _Patterns:
     """Every pattern the tokenizer uses, compiled on first use, which
     is also when ``regex`` is imported.
 
-    The fast path's patterns are the token, special and stray-mark ones.
-    A code point is plain when its cluster is known without segmenting:
-    a non-mark that starts a new cluster (CR LF aside, which only joins
-    whitespace), or a mark that extends the cluster before it. Any other
-    code point is special. A special code point is a trigger, and so is
-    a mark after anything but word material (a stray mark), which glues
-    onto a non-word base. Being special is a property of the code point
-    alone, so `tokenize` looks for one among the text's distinct code
-    points; only the stray mark needs its context, and a scan over the
-    whole text. In text without triggers every cluster is one base plus
-    its marks, so a token is a run of word code points joined across a
-    single connector, and the kind of the cluster before the connector
-    is its base's: the last non-mark.
+    The fast path's patterns are the separator, special and stray-mark
+    ones. A code point is plain when its cluster is known without
+    segmenting: a non-mark that starts a new cluster (CR LF aside, which
+    only joins whitespace), or a mark that extends the cluster before
+    it. Any other code point is special. A special code point is a
+    trigger, and so is a mark after anything but word material (a stray
+    mark), which glues onto a non-word base. Being special is a property
+    of the code point alone, so `tokenize` looks for one among the
+    text's distinct code points; only the stray mark needs its context,
+    and a scan over the distinct chunks. In text without triggers every
+    cluster is one base plus its marks, so a token is a run of word code
+    points joined across a single connector, and the kind of the cluster
+    before the connector is its base's: the last non-mark. The separator
+    pattern matches the rest: each run of code points that are neither
+    word material, a line break, nor a connector with word material of
+    its kind on both sides. Natural text holds far fewer separator runs
+    than tokens, so replacing the runs costs less than finding the
+    tokens.
     """
     import regex
 
@@ -184,14 +213,14 @@ def _patterns() -> _Patterns:
     word = r"[\p{L}\p{M}\p{Nd}]"
     letter = char_class(_MID_LETTER | _MID_BOTH)
     numeric = char_class(_MID_NUMERIC | _MID_BOTH)
-    # the run's class goes first, and each connector's char before its
-    # kind test: trying the lookarounds at every position is slower
+    # a connector that joins: word material before it, and each
+    # connector's char before its kind test
     connector = (
-        rf"(?:{letter}(?<!\p{{Nd}}\p{{M}}*.)(?=\p{{L}})"
+        rf"(?<={word})(?:{letter}(?<!\p{{Nd}}\p{{M}}*.)(?=\p{{L}})"
         rf"|{numeric}(?<=\p{{Nd}}\p{{M}}*.)(?=\p{{Nd}}))"
     )
     return _Patterns(
-        token=regex.compile(rf"{word}+(?:{connector}{word}+)*"),
+        separator=regex.compile(rf"(?:(?!{connector})[^\p{{L}}\p{{M}}\p{{Nd}}\n])+"),
         special=regex.compile(rf"(?V1){special}"),
         stray_mark=regex.compile(rf"(?<!{word})\p{{M}}"),
         grapheme=regex.compile(r"\X"),
@@ -202,13 +231,24 @@ def _patterns() -> _Patterns:
 
 
 def tokenize(text: str, iso: str = "und") -> TokenSequence:
-    """Split NFC-normalized text into lexical tokens.
+    """Split text into lexical tokens of its NFC normal form.
+
+    The one place that normalizes text: the tokens are those of
+    ``unicodedata.normalize("NFC", text)``, so canonically equivalent
+    spellings give equal tokens. Natural text repeats its words, so NFC
+    and the token rule run once per distinct whitespace-delimited chunk,
+    over the distinct chunks joined by line breaks: NFC never acts
+    across whitespace, and no token spans it. Without a trigger, one
+    pass replaces each chunk's separator runs with spaces, leaving a
+    line of space-separated tokens per chunk; each occurrence of a chunk
+    then shares that chunk's token objects, so the tokens take memory
+    for the distinct chunks and a reference per token. With a trigger,
+    the whole text is normalized and tokenized by the cluster loop.
 
     Parameters
     ----------
     text : str
-        Input text. Callers should normalize to NFC first (ingestion
-        does); this function does not re-normalize.
+        Input text, in any normalization form.
     iso : str, optional
         Language code carried on the resulting sequence. Defaults to
         "und" (undetermined) for anonymous text.
@@ -220,9 +260,59 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         Empty input yields an empty sequence.
     """
     p = _patterns()
-    if p.special.search("".join(set(text))) is None and p.stray_mark.search(text) is None:
-        return TokenSequence(iso, p.token.findall(text))
-    return TokenSequence(iso, _tokenize_clusters(text))
+    # each chunk kept as the first of its equals: the other copies are
+    # freed block by block, so only the distinct chunks stay as strings
+    table: dict[str, str] = {}
+    chunks: list[str] = []
+    for block in _blocks(text):
+        split = block.split()
+        chunks += map(table.setdefault, split, split)
+    distinct = unicodedata.normalize("NFC", "\n".join(table))
+    # a mark that starts a chunk follows a line break, so it is still stray
+    if p.special.search("".join(set(distinct))) or p.stray_mark.search(distinct):
+        del chunks, table, distinct
+        return TokenSequence(iso, _tokenize_clusters(unicodedata.normalize("NFC", text)))
+    # a line per distinct chunk: its one token, "" for none, or several
+    # tokens with spaces between; the updates change values, not keys
+    lines = list(map(str.strip, p.separator.sub(" ", distinct).split("\n")))
+    table.update(zip(table, lines))
+    several = {
+        chunk: line.split()
+        for chunk, line in compress(zip(table, lines), map(contains, lines, repeat(" ")))
+    }
+    table.update(dict.fromkeys(several, ""))
+    tokens = map(table.__getitem__, chunks)
+    if several:
+        tokens = _splice(list(tokens), chunks, several)
+    types = chain(filter(None, table.values()), chain.from_iterable(several.values()))
+    return TokenSequence(iso, filter(None, tokens), types)
+
+
+def _blocks(text: str):
+    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut
+    before a whitespace character, so that no chunk spans two pieces."""
+    start = 0
+    while start < len(text):
+        cut = _WHITESPACE.search(text, start + _BLOCK_CHARS)
+        end = cut.start() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _splice(tokens: list[str], chunks: list[str], several: dict[str, list[str]]):
+    """``tokens``, the token of each chunk in ``chunks``, with the tokens
+    of ``several[chunks[i]]`` after position i for each such chunk.
+
+    ``tokens`` holds ``""`` for those chunks, which the caller drops. The
+    slices share one iterator, so no part of ``tokens`` is copied.
+    """
+    rest = iter(tokens)
+    pieces, start = [], 0
+    for i in compress(count(), map(several.__contains__, chunks)):
+        pieces += (islice(rest, i + 1 - start), several[chunks[i]])
+        start = i + 1
+    pieces.append(rest)
+    return chain.from_iterable(pieces)
 
 
 def grapheme_length(token: str) -> int:
@@ -257,8 +347,7 @@ def sample_contiguous(tokens: TokenSequence, target: int, seed: int) -> tuple[To
     import random  # here, so commands that sample nothing never load it
 
     offset = random.Random(seed).randint(0, n - target)
-    window = TokenSequence(tokens.iso, tokens.tokens[offset : offset + target])
-    return window, offset
+    return tokens.window(offset, offset + target), offset
 
 
 def mean_word_length(tokens: TokenSequence, script_scale: float = 1.0) -> float:
@@ -282,7 +371,7 @@ def mean_word_length(tokens: TokenSequence, script_scale: float = 1.0) -> float:
 def type_token_ratio(tokens: TokenSequence) -> float:
     """Distinct tokens divided by total tokens, in (0, 1].
 
-    Types are compared by exact string equality; ingestion's NFC
+    Types are compared by exact string equality; the tokenizer's NFC
     normalization makes canonically equivalent spellings compare equal.
     """
     _require(len(tokens) > 0, "type_token_ratio requires a non-empty token sequence")

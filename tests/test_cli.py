@@ -456,6 +456,26 @@ class TestScoreSyn:
         assert code == 1 and out == ""
         assert f"error: {flag} {zeros}: syntactic weights need positive total weight" in err
 
+    @pytest.mark.parametrize("count_zeros", [False, True])
+    def test_weights_computed_once_per_side(self, fixtures, capsys, monkeypatch, count_zeros):
+        import divscore.cli
+        import divscore.diversity
+
+        calls = []
+        real = divscore.diversity.syntactic_weights
+
+        def counted(matrix, zeros=False):
+            calls.append(matrix.n_languages)
+            return real(matrix, zeros)
+
+        monkeypatch.setattr(divscore.cli, "syntactic_weights", counted)
+        monkeypatch.setattr(divscore.diversity, "syntactic_weights", counted)
+        args = self._args(fixtures) + (["--syn-dims", "206"] if count_zeros else [])
+        code, out, _ = run_main(args, capsys)
+        golden = "score_syn_206.json" if count_zeros else "score_syn.json"
+        assert code == 0 and out == (fixtures / "golden" / golden).read_text(encoding="utf-8")
+        assert len(calls) == 2
+
     def test_feature_mismatch_names_both_paths(self, fixtures, tmp_path, capsys):
         renamed = tmp_path / "renamed.csv"
         renamed.write_text("iso,s1,sX,s3,s4,s5,s6\nqza,1,0,1,0,1,0\n")
@@ -542,28 +562,48 @@ class TestCwals:
         scores = {r["iso"]: r["c_wals"] for r in json.loads(out)["c_wals"]}
         assert scores == {"qqa": 0.0, "qqb": pytest.approx(24 / 26, abs=1e-12)}
 
-    def test_negative_cell_names_file_and_row(self, tmp_path, capsys):
-        """A cell inside its spec's range but below 0 fails as a row error."""
+    @staticmethod
+    def _specs_and_values(tmp_path, chapter, final_min, cell):
+        """A spec file from the bundled one with ``chapter``'s final_min
+        set, and a one-language matrix at every final_min but ``cell`` in
+        ``chapter``."""
         from divscore.ingest import bundled_path
 
         text = bundled_path("morph_feature_specs.csv").read_text(encoding="utf-8")
         header, *specs = list(csv.reader(io.StringIO(text)))
-        (spec_22a,) = [spec for spec in specs if spec[0] == "22A"]
-        spec_22a[3] = "-1"
+        (spec,) = [spec for spec in specs if spec[0] == chapter]
+        spec[3] = final_min
         spec_path = tmp_path / "specs.csv"
         with open(spec_path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *specs])
         values = tmp_path / "values.csv"
         values.write_text(
-            "iso," + ",".join(spec[0] for spec in specs) + "\n"
-            + "qqa," + ",".join(spec[3] for spec in specs) + "\n"
+            "iso," + ",".join(s[0] for s in specs) + "\n"
+            + "qqa," + ",".join(cell if s is spec else s[3] for s in specs) + "\n"
         )
+        return spec_path, values, specs.index(spec) + 2
+
+    def test_negative_cell_names_file_and_row(self, tmp_path, capsys):
+        """A negative cell fails as a row error of the matrix: no spec range
+        goes below 0, so it lies outside its feature's range."""
+        spec_path, values, _ = self._specs_and_values(tmp_path, "26A", "0", "-1")
         code, out, err = run_main(
             ["cwals", "--dataset", str(values), "--specs", str(spec_path)], capsys
         )
         assert code == 1 and out == ""
-        reason = "value -1 for (qqa, 22A) must be non-negative"
+        reason = "value -1 for (qqa, 26A) lies outside the final range [0, 1]"
         assert err == f"error: feature matrix {values} row 2: {reason}\n"
+
+    def test_negative_final_min_names_spec_file_and_row(self, tmp_path, capsys):
+        """A spec range below 0 fails in the spec file, before any cell is
+        read; such a range's lower part could never hold a cell."""
+        spec_path, values, row = self._specs_and_values(tmp_path, "22A", "-1", "-1")
+        code, out, err = run_main(
+            ["cwals", "--dataset", str(values), "--specs", str(spec_path)], capsys
+        )
+        assert code == 1 and out == ""
+        reason = "final_min -1 for chapter 22A must be non-negative"
+        assert err == f"error: morphology spec file {spec_path} row {row}: {reason}\n"
 
 
 class TestCorrelate:

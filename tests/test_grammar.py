@@ -38,6 +38,19 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match="exactly 26"):
             MorphSpecSet([one])
 
+    def test_negative_final_min_rejected(self, tmp_path):
+        p = tmp_path / "specs.csv"
+        p.write_text(
+            "chapter,name,transformation,final_min,final_max\n"
+            "22A,x,none,0,7\n"
+            "26A,y,binarization,-1,1\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            load_morph_specs(p)
+        assert str(exc.value) == (
+            f"morphology spec file {p} row 3: final_min -1 for chapter 26A must be non-negative"
+        )
+
     def test_value_map_column_rejected(self, tmp_path):
         p = tmp_path / "specs.csv"
         p.write_text(

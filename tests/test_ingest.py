@@ -23,6 +23,7 @@ from divscore.ingest import (
     load_registry,
 )
 from divscore.model import LanguageRecord, LanguageSet, MorphFeatureSpec
+from divscore.textstats import tokenize
 from oracles import read_csv_table
 
 
@@ -164,10 +165,12 @@ class TestCorpus:
             load_corpus(p, "abc")
 
     def test_text_is_nfc_normalized(self, tmp_path):
+        # the loader returns the decoded text; the tokenizer normalizes it
         p = tmp_path / "abc.txt"
-        p.write_text("café\n", encoding="utf-8")  # decomposed accent
+        p.write_text("cafe\u0301\n", encoding="utf-8")  # decomposed accent
         corpus = load_corpus(p, "abc")
-        assert corpus.text == "café\n"
+        assert corpus.text == "cafe\u0301\n"
+        assert tokenize(corpus.text).tokens == ("caf\u00e9",)
 
 
 class TestFamilies:

@@ -3,12 +3,14 @@ import math
 import operator
 import random
 import unicodedata
+from unittest import mock
 
 import pytest
 import regex
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from divscore import textstats
 from divscore.ingest import CorpusSource, load_corpus
 from divscore.model import LanguageRecord
 from divscore.textstats import (
@@ -78,8 +80,11 @@ class TestTokenize:
         assert tokenize("hello").iso == "und"
 
     def test_combining_marks_stay_in_token(self):
-        decomposed = "café"
-        assert toks(decomposed) == [decomposed]
+        # q + COMBINING TILDE has no precomposed form, so NFC keeps the mark
+        # and the token holds both code points
+        assert unicodedata.normalize("NFC", "q\u0303") == "q\u0303"
+        assert toks("q\u0303") == ["q\u0303"]
+        assert toks("\u00f1aq\u0303a q\u0303") == ["\u00f1aq\u0303a", "q\u0303"]
 
     def test_digit_kind_read_from_one_unicode_table(self):
         # Kawi digits (Unicode 15.0) are Nd in the tables of every regex
@@ -134,6 +139,16 @@ class TestTokenSequence:
         with pytest.raises(ValueError, match="three ASCII lowercase"):
             TokenSequence("UND", ["ok"])
 
+    def test_sampled_window_is_not_scanned_again(self):
+        # the tokens were checked when the sequence was built; a window of
+        # them needs none of the tokenizer's patterns
+        seq = tokenize("the cat saw the dog and the cat ran " * 20, "abc")
+        with mock.patch.object(textstats, "_patterns", side_effect=AssertionError):
+            window, offset = sample_contiguous(seq, 30, seed=5)
+        assert (window.iso, window.tokens) == ("abc", seq.tokens[offset : offset + 30])
+        with pytest.raises(AttributeError):
+            window.tokens = ()
+
 
 # Code points from every class the fast path must hand to the cluster
 # loop, next to the plain ones it handles itself.
@@ -156,6 +171,8 @@ _MIXED_SCRIPT = (
     + "-!_"
 )
 _MIXED_TEXT = st.text(alphabet=st.sampled_from(_MIXED_SCRIPT), max_size=40)
+# str.split() separators, CR LF among them, and the two that NFC maps
+_SPACES = [" ", "\t", "\n", "\r\n", "\x1c", "\x85", "\u2000", "\u2001", "\u3000"]
 # Text the pattern handles itself, so the fast path: word clusters, a
 # base with up to two attaching marks, between non-word code points
 _PLAIN_TEXT = st.lists(
@@ -189,17 +206,92 @@ class TestTokenizeOracle:
     @example("ab, cd " * 500 + "ef\u200d")  # one special code point, last
     @example("\u0e01\u0e02 ab " * 500 + "\u0e33")
     @example("ab \u0301c d\u200de")  # both kinds of trigger
+    @example("\u1100\u1161\u11a8 \u1100\u1161")  # NFD jamo are triggers, their syllables not
+    @example("ab\u2000cd\u2001e")  # NFC maps U+2000 and U+2001 to other spaces
+    @example("a \u0301b a")  # a mark after a space starts a chunk, still stray
+    @example("ab\u200dc " * 50)  # one trigger, inside a single repeated chunk
+    @example("ab -- cd -- ab")  # a chunk with no token
+    @example("well-known well-known -- a")  # several tokens in one chunk
     def test_matches_brute_force(self, text):
-        assert toks(text) == brute_tokenize(text)
+        assert toks(text) == brute_tokenize(unicodedata.normalize("NFC", text))
+
+    @given(
+        st.lists(st.one_of(_MIXED_TEXT, _PLAIN_TEXT).filter(bool), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_SPACES)), max_size=60),
+        st.sampled_from(["NFC", "NFD", None]),
+    )
+    @example(["ab"], [(0, " ")] * 3, None)
+    @example(["a-b", "c", "--"], [(0, " "), (2, "\n"), (0, " "), (1, " "), (0, "\u3000")], None)
+    @example(["e\u0301", "\u00e9"], [(0, " "), (1, " "), (0, "\u2000")], None)  # one chunk after NFC
+    @example(["ab", "\u0301c"], [(0, " "), (1, " "), (0, " ")], "NFD")
+    def test_repeated_chunks_match_brute_force(self, pool, picks, form):
+        # text that repeats a few chunks, in any normalization form: each
+        # distinct chunk is tokenized once and its tokens are repeated,
+        # whether the text is split whole or in blocks of a few characters
+        text = "".join(pool[k % len(pool)] + space for k, space in picks)
+        if form is not None:
+            text = unicodedata.normalize(form, text)
+        expected = brute_tokenize(unicodedata.normalize("NFC", text))
+        assert toks(text) == expected
+        with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
+            assert toks(text) == expected
 
     def test_matches_brute_force_on_every_fixture(self, fixtures):
         corpora = sorted(fixtures.rglob("*.txt"))
         assert corpora
         for f in corpora:
             text = f.read_text(encoding="utf-8")
+            expected = brute_tokenize(unicodedata.normalize("NFC", text))
             for form in ("NFC", "NFD"):
-                norm = unicodedata.normalize(form, text)
-                assert toks(norm) == brute_tokenize(norm), (f, form)
+                assert toks(unicodedata.normalize(form, text)) == expected, (f, form)
+                with mock.patch.object(textstats, "_BLOCK_CHARS", 100):
+                    assert toks(unicodedata.normalize(form, text)) == expected, (f, form)
+
+    def test_whitespace_is_nfc_inert(self):
+        # NFC never acts across whitespace, so normalizing each chunk alone
+        # equals normalizing the text: every str.isspace() code point has
+        # combining class 0, is in no canonical pair decomposition (so it
+        # composes with nothing), and normalizes to whitespace
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert "\u3000" in spaces and "\x1c" in spaces
+        assert [c for c in spaces if unicodedata.combining(c)] == []
+        in_pairs = set()
+        for c in map(chr, range(0x110000)):
+            parts = unicodedata.decomposition(c).split()
+            if len(parts) == 2 and not parts[0].startswith("<"):
+                in_pairs.update(chr(int(h, 16)) for h in parts)
+        assert in_pairs and in_pairs.isdisjoint(spaces)
+        changed = {c: unicodedata.normalize("NFC", c) for c in spaces}
+        assert {c: n for c, n in changed.items() if n != c} == {"\u2000": "\u2002", "\u2001": "\u2003"}
+        # none of it is word material for the token rule, and the blocks
+        # are cut at exactly the code points str.split() splits at
+        assert [c for c in spaces if _patterns().alnum.match(c)] == []
+        assert textstats._WHITESPACE.findall("".join(map(chr, range(0x110000)))) == spaces
+
+    def test_triggers_are_looked_for_after_nfc(self):
+        # NFD Hangul jamo are triggers, but the syllables NFC composes them
+        # into are not, so decomposed Korean takes the fast path
+        text = unicodedata.normalize("NFD", "\ud55c\uad6d\uc5b4 \ud14d\uc2a4\ud2b8 \ud55c\uad6d\uc5b4")
+        assert _patterns().special.search(text)
+        with mock.patch.object(textstats, "_tokenize_clusters", side_effect=AssertionError):
+            assert toks(text) == ["\ud55c\uad6d\uc5b4", "\ud14d\uc2a4\ud2b8", "\ud55c\uad6d\uc5b4"]
+
+    def test_check_reads_every_token_type(self):
+        # the fast path hands the sequence its distinct tokens, which the
+        # alphanumeric check reads instead of the whole sequence
+        seen = []
+        init = TokenSequence.__init__
+
+        def spy(self, iso, tokens, types=None):
+            types = list(types)
+            seen.append(types)
+            init(self, iso, tokens, types)
+
+        text = "ab, cd -- ab e-f-g ab. 3.5 cd"
+        with mock.patch.object(TokenSequence, "__init__", spy):
+            seq = tokenize(text)
+        assert seq.tokens == ("ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
+        assert set(seen[0]) == set(seq.tokens)
 
     def test_no_whitespace_is_a_trigger(self):
         # whitespace alone never sends a text to the cluster loop: no
