@@ -283,7 +283,7 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
     table.update(dict.fromkeys(several, ""))
     tokens = map(table.__getitem__, chunks)
     if several:
-        tokens = _splice(list(tokens), chunks, several)
+        tokens = _splice(tokens, chunks, several)
     types = chain(filter(None, table.values()), chain.from_iterable(several.values()))
     return TokenSequence(iso, filter(None, tokens), types)
 
@@ -299,12 +299,12 @@ def _blocks(text: str):
         start = end
 
 
-def _splice(tokens: list[str], chunks: list[str], several: dict[str, list[str]]):
+def _splice(tokens, chunks: list[str], several: dict[str, list[str]]):
     """``tokens``, the token of each chunk in ``chunks``, with the tokens
     of ``several[chunks[i]]`` after position i for each such chunk.
 
     ``tokens`` holds ``""`` for those chunks, which the caller drops. The
-    slices share one iterator, so no part of ``tokens`` is copied.
+    slices share one iterator over ``tokens``, so none of it is copied.
     """
     rest = iter(tokens)
     pieces, start = [], 0
