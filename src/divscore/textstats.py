@@ -48,7 +48,7 @@ import math
 import re
 import unicodedata
 from collections import Counter, namedtuple
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, repeat
 from operator import contains
 
 from .ingest import CorpusSource
@@ -281,10 +281,14 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         for chunk, line in compress(zip(table, lines), map(contains, lines, repeat(" ")))
     }
     table.update(dict.fromkeys(several, ""))
-    tokens = map(table.__getitem__, chunks)
+    types = [*filter(None, table.values()), *chain.from_iterable(several.values())]
     if several:
-        tokens = _splice(tokens, chunks, several)
-    types = chain(filter(None, table.values()), chain.from_iterable(several.values()))
+        # each chunk to a sequence of its tokens, chained in chunk order
+        table.update(zip(table, zip(table.values())))
+        table.update(several)
+        tokens = chain.from_iterable(map(table.__getitem__, chunks))
+    else:
+        tokens = map(table.__getitem__, chunks)
     return TokenSequence(iso, filter(None, tokens), types)
 
 
@@ -297,22 +301,6 @@ def _blocks(text: str):
         end = cut.start() if cut else len(text)
         yield text[start:end]
         start = end
-
-
-def _splice(tokens, chunks: list[str], several: dict[str, list[str]]):
-    """``tokens``, the token of each chunk in ``chunks``, with the tokens
-    of ``several[chunks[i]]`` after position i for each such chunk.
-
-    ``tokens`` holds ``""`` for those chunks, which the caller drops. The
-    slices share one iterator over ``tokens``, so none of it is copied.
-    """
-    rest = iter(tokens)
-    pieces, start = [], 0
-    for i in compress(count(), map(several.__contains__, chunks)):
-        pieces += (islice(rest, i + 1 - start), several[chunks[i]])
-        start = i + 1
-    pieces.append(rest)
-    return chain.from_iterable(pieces)
 
 
 def grapheme_length(token: str) -> int:
