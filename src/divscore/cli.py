@@ -283,7 +283,7 @@ def _score_syn(args: argparse.Namespace) -> dict:
     mat_d, mat_r = mats
 
     try:
-        report = jmm_syn(mat_d, mat_r, count_zeros=count_zeros, weights=weights)
+        report = jmm_syn(mat_d, mat_r, *weights)
     except ValueError as exc:
         paths = f"--dataset {args.dataset} and --reference {args.reference}"
         raise ValueError(f"{paths}: {exc}") from None

@@ -182,17 +182,17 @@ def feature_members(matrix: FeatureMatrix, count_zeros: bool = False) -> dict[st
 def jmm_syn(
     dataset: FeatureMatrix,
     reference: FeatureMatrix,
-    count_zeros: bool = False,
-    weights: Sequence[dict[str, float]] | None = None,
+    weights_d: dict[str, float],
+    weights_r: dict[str, float],
 ) -> DiversityReport:
     """Minmax Jaccard over binary syntactic feature counts.
 
-    Both matrices must list identical features in identical order. The
+    ``weights_d`` and ``weights_r`` are the :func:`syntactic_weights` of
+    ``dataset`` and ``reference``, with the same ``count_zeros``. Both
+    matrices must list identical features in identical order. The
     smaller set's counts are scaled by the language-count ratio before
     scoring, so a dataset whose every count is exactly half the
-    reference's with half as many languages scores 1.0. ``weights`` is
-    the dataset's and the reference's :func:`syntactic_weights` with the
-    same ``count_zeros``, for a caller that has them already.
+    reference's with half as many languages scores 1.0.
     """
     if dataset.features != reference.features:
         for j, (fd, fr) in enumerate(zip(dataset.features, reference.features)):
@@ -200,11 +200,9 @@ def jmm_syn(
                 raise ValueError(f"feature lists differ at column {j}: {fd!r} vs {fr!r}")
         lengths = f"{len(dataset.features)} vs {len(reference.features)}"
         raise ValueError(f"feature lists differ in length: {lengths}")
-    if weights is None:
-        weights = syntactic_weights(dataset, count_zeros), syntactic_weights(reference, count_zeros)
-    wd, wr = weights
     n_d, n_r = dataset.n_languages, reference.n_languages
-    return _minmax_report("jmm_syn", list(wd), list(wd.values()), list(wr.values()), n_d, n_r)
+    labels, wd, wr = list(weights_d), list(weights_d.values()), list(weights_r.values())
+    return _minmax_report("jmm_syn", labels, wd, wr, n_d, n_r)
 
 
 def binary_entropy(p: float) -> float:

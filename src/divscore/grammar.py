@@ -105,7 +105,7 @@ def load_morph_specs(path=None) -> MorphSpecSet:
 
     CSV with header ``chapter,name,transformation,final_min,final_max``.
     Defaults to the bundled spec file. A final range starts at 0 or
-    above, since a feature matrix holds no negative value.
+    above (see :class:`~divscore.model.MorphFeatureSpec`).
     """
 
     def parse(header, row):
@@ -114,8 +114,6 @@ def load_morph_specs(path=None) -> MorphSpecSet:
             final_min, final_max = int(final_min), int(final_max)
         except ValueError:
             raise ValueError("final_min and final_max must be integers") from None
-        if final_min < 0:
-            raise ValueError(f"final_min {final_min} for chapter {chapter} must be non-negative")
         return MorphFeatureSpec(chapter, name, transformation, final_min, final_max)
 
     _, specs = _read_table(

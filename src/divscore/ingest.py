@@ -161,8 +161,8 @@ def load_feature_matrix(
     Without ``specs`` the matrix is binary: every cell is 0 or 1. With
     ``specs`` (the MorphFeatureSpecs of a morphological matrix, such as
     a MorphSpecSet) the columns must cover exactly the spec chapters,
-    and every cell must lie inside its feature's declared final range
-    and be non-negative. A cell error names the file, the row, the
+    and every cell must lie inside its feature's declared final range,
+    which starts at 0 or above. A cell error names the file, the row, the
     language and the feature of the first bad cell in column order.
 
     Returns
@@ -223,9 +223,6 @@ def load_feature_matrix(
                         f"value {v} for ({iso}, {f}) lies outside the final range "
                         f"[{spec.final_min}, {spec.final_max}]"
                     )
-        if min(value.values()) < 0:
-            f, v = first(lambda v: v < 0)
-            raise ValueError(f"value {v} for ({iso}, {f}) must be non-negative")
         return iso, values, []
 
     header, parsed = _read_table(

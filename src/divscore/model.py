@@ -213,7 +213,7 @@ class FeatureMatrix(_Immutable):
     ``values`` holds the cells as a tuple of row tuples, one row per
     language, and ``totals`` each feature's sum (a binary feature's count
     of 1s) in feature order. The loader is the one place that checks the
-    cells (int, non-negative, 0/1 or inside the spec ranges), the shape
+    cells (int, 0/1 or inside the non-negative spec ranges), the shape
     and the unique languages and features; this type checks nothing.
     """
 
@@ -240,7 +240,8 @@ class MorphFeatureSpec(
     namedtuple("MorphFeatureSpec", "chapter name transformation final_min final_max")
 ):
     """One WALS chapter: the transformation that produced its final
-    values and the integer range they lie in."""
+    values and the integer range they lie in. The range starts at 0 or
+    above, so no feature matrix cell is negative."""
 
     __slots__ = ()
 
@@ -251,6 +252,10 @@ class MorphFeatureSpec(
             self.transformation in TRANSFORMATIONS,
             f"transformation must be one of {sorted(TRANSFORMATIONS)}, "
             f"got {self.transformation!r}",
+        )
+        _require(
+            self.final_min >= 0,
+            f"final_min {self.final_min} for chapter {self.chapter} must be non-negative",
         )
         _require(
             self.final_min <= self.final_max,

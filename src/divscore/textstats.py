@@ -47,9 +47,8 @@ import functools
 import math
 import re
 import unicodedata
-from collections import Counter, namedtuple
-from itertools import chain, compress, repeat
-from operator import contains
+from collections import Counter, defaultdict, namedtuple
+from itertools import chain, count
 
 from .ingest import CorpusSource
 from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require
@@ -79,27 +78,25 @@ class TokenSequence(_Immutable):
 
     May be empty (callers decide whether that is fatal), but every token
     present must contain at least one alphanumeric character. The check
-    reads each distinct token once: ``types``, when the caller knows
-    them, or the set of ``tokens``.
+    reads each distinct token once.
     """
 
     __slots__ = ("iso", "tokens")
 
-    def __init__(self, iso: str, tokens, types=None) -> None:
-        _require(
-            bool(ISO_CODE_RE.match(iso)),
-            f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
-        )
+    def __init__(self, iso: str, tokens) -> None:
+        _require_iso(iso)
         toks = tuple(tokens)
-        p = _patterns()
-        # one scan over the distinct tokens, a line each; a token that
-        # holds a line break may raise a false alarm, which the scan in
-        # sequence order settles
-        if p.no_alnum_line.search("\n".join(set(toks) if types is None else types)):
-            bad = next((t for t in toks if not p.alnum.search(t)), None)
-            _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
+        _require_word_material(set(toks), toks)
         object.__setattr__(self, "iso", iso)
         object.__setattr__(self, "tokens", toks)
+
+    @classmethod
+    def _checked(cls, iso: str, tokens: tuple[str, ...]) -> TokenSequence:
+        """A sequence of an iso code and tokens that passed the checks."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "iso", iso)
+        object.__setattr__(seq, "tokens", tokens)
+        return seq
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -110,10 +107,28 @@ class TokenSequence(_Immutable):
         They were checked as part of this sequence, so they are not
         scanned again.
         """
-        window = object.__new__(TokenSequence)
-        object.__setattr__(window, "iso", self.iso)
-        object.__setattr__(window, "tokens", self.tokens[start:stop])
-        return window
+        return TokenSequence._checked(self.iso, self.tokens[start:stop])
+
+
+def _require_iso(iso: str) -> None:
+    _require(
+        bool(ISO_CODE_RE.match(iso)),
+        f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
+    )
+
+
+def _require_word_material(types, tokens: tuple[str, ...]) -> None:
+    """Require an alphanumeric character in every token.
+
+    One scan reads ``types``, every distinct token of ``tokens`` (some
+    perhaps more than once), a line each. A token that holds a line
+    break may raise a false alarm, which the scan of ``tokens`` in order
+    settles; it names the first token without one.
+    """
+    p = _patterns()
+    if p.no_alnum_line.search("\n".join(types)):
+        bad = next((t for t in tokens if not p.alnum.search(t)), None)
+        _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
 
 
 def _classify(cluster: str, p: _Patterns) -> tuple[int, bool]:
@@ -242,8 +257,10 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
     pass replaces each chunk's separator runs with spaces, leaving a
     line of space-separated tokens per chunk; each occurrence of a chunk
     then shares that chunk's token objects, so the tokens take memory
-    for the distinct chunks and a reference per token. With a trigger,
-    the whole text is normalized and tokenized by the cluster loop.
+    for the distinct chunks and a reference per token. The chunk strings
+    are freed before any token is made, and the alphanumeric check reads
+    the distinct chunks' tokens. With a trigger, the whole text is
+    normalized and tokenized by the cluster loop.
 
     Parameters
     ----------
@@ -259,48 +276,47 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
         Tokens in original order, punctuation-only material removed.
         Empty input yields an empty sequence.
     """
+    _require_iso(iso)
     p = _patterns()
-    # each chunk kept as the first of its equals: the other copies are
-    # freed block by block, so only the distinct chunks stay as strings
-    table: dict[str, str] = {}
-    chunks: list[str] = []
+    # each chunk occurrence becomes its chunk's number, counted from 0
+    # in order of first sight; the first of equal chunks is kept, as a
+    # key, until the keys are joined
+    numbers: defaultdict[str, int] = defaultdict(count().__next__)
+    chunks: list[int] = []
     for block in _blocks(text):
-        split = block.split()
-        chunks += map(table.setdefault, split, split)
-    distinct = unicodedata.normalize("NFC", "\n".join(table))
+        chunks += map(numbers.__getitem__, block.split())
+    distinct = unicodedata.normalize("NFC", "\n".join(numbers))
+    del numbers
     # a mark that starts a chunk follows a line break, so it is still stray
     if p.special.search("".join(set(distinct))) or p.stray_mark.search(distinct):
-        del chunks, table, distinct
+        del chunks, distinct
         return TokenSequence(iso, _tokenize_clusters(unicodedata.normalize("NFC", text)))
-    # a line per distinct chunk: its one token, "" for none, or several
-    # tokens with spaces between; the updates change values, not keys
-    lines = list(map(str.strip, p.separator.sub(" ", distinct).split("\n")))
-    table.update(zip(table, lines))
-    several = {
-        chunk: line.split()
-        for chunk, line in compress(zip(table, lines), map(contains, lines, repeat(" ")))
-    }
-    table.update(dict.fromkeys(several, ""))
-    types = [*filter(None, table.values()), *chain.from_iterable(several.values())]
-    if several:
-        # each chunk to a sequence of its tokens, chained in chunk order
-        table.update(zip(table, zip(table.values())))
-        table.update(several)
-        tokens = chain.from_iterable(map(table.__getitem__, chunks))
-    else:
-        tokens = map(table.__getitem__, chunks)
-    return TokenSequence(iso, filter(None, tokens), types)
+    # a line per distinct chunk, its tokens with spaces between; a block
+    # of lines at a time, since `sub` holds a string per piece between
+    # separators until it joins them. Each chunk's tuple of tokens is
+    # shared by all its occurrences.
+    lines: list[tuple[str, ...]] = []
+    for block in _blocks(distinct):
+        lines += map(tuple, map(str.split, p.separator.sub(" ", block).split("\n")))
+    del distinct
+    tokens = tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
+    del chunks
+    # the distinct chunks' tokens hold every type, so the check reads
+    # them instead of a set of the sequence
+    _require_word_material(chain.from_iterable(lines), tokens)
+    return TokenSequence._checked(iso, tokens)
 
 
 def _blocks(text: str):
-    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, each cut
-    before a whitespace character, so that no chunk spans two pieces."""
+    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, cut at a
+    whitespace character that neither piece keeps, so that no chunk
+    spans two pieces, and a text of lines is cut into whole lines."""
     start = 0
     while start < len(text):
         cut = _WHITESPACE.search(text, start + _BLOCK_CHARS)
         end = cut.start() if cut else len(text)
         yield text[start:end]
-        start = end
+        start = end + 1
 
 
 def grapheme_length(token: str) -> int:

@@ -15,7 +15,7 @@ from divscore.analysis import (
     serialize_report,
     spearman,
 )
-from divscore.diversity import jmm_score, jmm_syn
+from divscore.diversity import jmm_score, jmm_syn, syntactic_weights
 from divscore.model import BinOverlap, DiversityReport, FeatureMatrix
 
 
@@ -144,7 +144,7 @@ class TestOverlapSeries:
         isos = ["qaa", "qab", "qac"]
         a = FeatureMatrix(isos, ["x", "y"], [[1, 1], [0, 1], [0, 1]])
         b = FeatureMatrix(isos, ["x", "y"], [[1, 1], [1, 1], [0, 0]])
-        rows = jmm_syn(a, b).per_bin
+        rows = jmm_syn(a, b, syntactic_weights(a), syntactic_weights(b)).per_bin
         assert [(r.min_weight, r.max_weight) for r in rows] == [(1.0, 2.0), (2.0, 3.0)]
         num = sum(r.min_weight for r in rows)
         den = sum(r.max_weight for r in rows)

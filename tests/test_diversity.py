@@ -168,30 +168,36 @@ def _syn(rows, features=None):
     return FeatureMatrix(isos, features, rows)
 
 
+def _jmm_syn(dataset, reference, count_zeros=False):
+    """jmm_syn with both sides' weights computed here."""
+    weights = [syntactic_weights(m, count_zeros) for m in (dataset, reference)]
+    return jmm_syn(dataset, reference, *weights)
+
+
 class TestJaccardMinmax:
     """sum(min) / sum(max) over jmm_syn's feature rows."""
 
     def test_toy_columns(self):
         # dataset counts [1, 2, 0] over 3 languages; reference [0, 1, 1]
         # over 2, scaled by c = 1.5 to [0, 1.5, 1.5]
-        report = jmm_syn(_syn([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _syn([[0, 1, 0], [0, 0, 1]]))
+        report = _jmm_syn(_syn([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _syn([[0, 1, 0], [0, 0, 1]]))
         assert [r.reference for r in report.per_bin] == [0.0, 1.5, 1.5]
         assert report.value == 1 / 3
 
     def test_identical_vectors_score_one(self):
         m = _syn([[1, 0, 1], [1, 1, 0]])
-        assert jmm_syn(m, m).value == 1.0
-        assert jmm_syn(m, m, count_zeros=True).value == 1.0
+        assert _jmm_syn(m, m).value == 1.0
+        assert _jmm_syn(m, m, count_zeros=True).value == 1.0
 
     def test_disjoint_support_scores_zero(self):
-        assert jmm_syn(_syn([[1, 0, 0]]), _syn([[0, 1, 1]])).value == 0.0
+        assert _jmm_syn(_syn([[1, 0, 0]]), _syn([[0, 1, 1]])).value == 0.0
 
     def test_rejects_label_mismatch(self):
         # the same features in another order label other rows
         a = _syn([[1, 0, 0]], ["s1", "s2", "s3"])
         b = _syn([[1, 0, 0]], ["s2", "s1", "s3"])
         with pytest.raises(ValueError, match="column 0: 's1' vs 's2'"):
-            jmm_syn(a, b)
+            _jmm_syn(a, b)
 
 
 class TestJmmScore:
@@ -292,8 +298,6 @@ class TestSyntacticWeights:
         m = _syn([[0, 0], [0, 0]])
         with pytest.raises(ValueError, match="positive total"):
             syntactic_weights(m)
-        with pytest.raises(ValueError, match="positive total"):
-            jmm_syn(m, _syn([[1, 0]]))
         # with zero counting the distribution is all in the =0 dimensions
         assert syntactic_weights(m, count_zeros=True)["s1=0"] == 2.0
 
@@ -327,22 +331,22 @@ class TestJmmSyn:
         # hand computation: scaled dataset [4.8, 3.2] * 3, reference
         # [5, 5, 5, 5, 5, 4] -> min-sum 24, max-sum 29 (103 dims) and
         # 43/53 with zero dimensions counted
-        assert jmm_syn(ds, ref).value == pytest.approx(24 / 29, abs=1e-12)
-        assert jmm_syn(ds, ref, count_zeros=True).value == pytest.approx(43 / 53, abs=1e-12)
-        assert jmm_syn(ds, ref).normalization_c == 1.6
+        assert _jmm_syn(ds, ref).value == pytest.approx(24 / 29, abs=1e-12)
+        assert _jmm_syn(ds, ref, count_zeros=True).value == pytest.approx(43 / 53, abs=1e-12)
+        assert _jmm_syn(ds, ref).normalization_c == 1.6
 
     def test_half_scaled_dataset_scores_one(self):
         ref = FeatureMatrix(
             ["aaa", "bbb", "ccc", "ddd"], ["s1", "s2"], [[1, 0], [1, 0], [0, 1], [0, 1]]
         )
         ds = FeatureMatrix(["xxx", "yyy"], ["s1", "s2"], [[1, 0], [0, 1]])
-        assert jmm_syn(ds, ref).value == 1.0
+        assert _jmm_syn(ds, ref).value == 1.0
 
     def test_feature_mismatch_names_first_column(self):
         a = FeatureMatrix(["aaa"], ["s1", "sX"], [[1, 0]])
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="column 1: 'sX' vs 's2'"):
-            jmm_syn(a, b)
+            _jmm_syn(a, b)
 
     @given(pair=syn_pairs(), count_zeros=st.booleans())
     @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=False)
@@ -353,10 +357,10 @@ class TestJmmSyn:
         expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
         if expected is None:
             with pytest.raises(ValueError, match="positive total"):
-                jmm_syn(ds, ref, count_zeros)
+                _jmm_syn(ds, ref, count_zeros)
             return
         value, table = expected
-        report = jmm_syn(ds, ref, count_zeros)
+        report = _jmm_syn(ds, ref, count_zeros)
         assert [
             (r.label, r.dataset, r.reference, r.min_weight, r.max_weight) for r in report.per_bin
         ] == table
@@ -366,7 +370,7 @@ class TestJmmSyn:
         a = FeatureMatrix(["aaa"], ["s1"], [[1]])
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="differ in length"):
-            jmm_syn(a, b)
+            _jmm_syn(a, b)
 
 
 @st.composite
@@ -396,7 +400,7 @@ class TestFeatureMembers:
         assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
         ds = _syn(rows_d, features)
         ref = FeatureMatrix(isos_r, features, rows_r)
-        report = jmm_syn(ds, ref, count_zeros)
+        report = _jmm_syn(ds, ref, count_zeros)
         gap = attach_gap(report, feature_members(ref, count_zeros)).gap
         counted = {
             (f"{f}={value}" if count_zeros else f): (j, value)

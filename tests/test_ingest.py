@@ -474,16 +474,15 @@ def _integer(cell):
 
 
 #: The final range of every column when a generated matrix is loaded with
-#: specs: it holds -1, so a negative cell can pass the range check.
-_SPEC_RANGE = (-1, 1)
+#: specs: it holds 2, so a cell outside 0/1 can pass the range check.
+_SPEC_RANGE = (0, 2)
 
 
 def _matrix_row_error(header, row, specs):
     """The reason load_feature_matrix gives for a complete row: its first
     cell in column order that int() rejects; else, without specs, its
     first value outside 0/1; else, with specs over ``_SPEC_RANGE``, its
-    first value outside the range, then its first negative value; None
-    for a good row."""
+    first value outside the range; None for a good row."""
     iso, cells = row[0], list(zip(header[1:], row[1:]))
     bad = next(((f, c) for f, c in cells if _integer(c) is None), None)
     if bad is not None:
@@ -494,10 +493,7 @@ def _matrix_row_error(header, row, specs):
         return bad and f"binary feature ({iso}, {bad[0]}) must be 0 or 1, got {bad[1]}"
     lo, hi = _SPEC_RANGE
     bad = next(((f, v) for f, v in values if not lo <= v <= hi), None)
-    if bad is not None:
-        return f"value {bad[1]} for ({iso}, {bad[0]}) lies outside the final range [{lo}, {hi}]"
-    bad = next(((f, v) for f, v in values if v < 0), None)
-    return bad and f"value {bad[1]} for ({iso}, {bad[0]}) must be non-negative"
+    return bad and f"value {bad[1]} for ({iso}, {bad[0]}) lies outside the final range [{lo}, {hi}]"
 
 
 class TestTableOracle:
@@ -508,7 +504,8 @@ class TestTableOracle:
     @example(("matrix", b"iso,a,b\nabc,1,01\n"))  # two spellings of 1 in one row
     @example(("matrix", b"iso,a,b,c\nabc,1,x,1.0\n"))  # two cells int() rejects
     @example(("matrix", b"iso,a,b,c\nabc,+1,2,-1\nabd,?,x,0\n"))  # two values outside 0/1
-    @example(("matrix", b"iso,a,b\nabc,0,-1\nabd,-1,?\n"))  # negative, but inside the specs
+    @example(("matrix", b"iso,a,b\nabc,0,-1\nabd,-1,?\n"))  # negative: outside 0/1 and the specs
+    @example(("matrix", b"iso,a,b\nabc,2,1\n"))  # outside 0/1, inside the specs
     # whitespace in one cell of a row only: the first, the last, and a
     # middle one padded with whitespace other than blanks and tabs
     @example(("registry", b"iso,name\n abc,A\n"))

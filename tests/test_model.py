@@ -63,6 +63,12 @@ _KEYWORD_CHECKS = {
         ),
         "transformation",
     ),
+    "spec-negative-min": (
+        lambda: MorphFeatureSpec(
+            chapter="22A", name="x", transformation="none", final_min=-1, final_max=1
+        ),
+        "non-negative",
+    ),
     "spec-range": (
         lambda: MorphFeatureSpec(
             chapter="22A", name="x", transformation="none", final_min=2, final_max=1

@@ -277,21 +277,44 @@ class TestTokenizeOracle:
             assert toks(text) == ["\ud55c\uad6d\uc5b4", "\ud14d\uc2a4\ud2b8", "\ud55c\uad6d\uc5b4"]
 
     def test_check_reads_every_token_type(self):
-        # the fast path hands the sequence its distinct tokens, which the
-        # alphanumeric check reads instead of the whole sequence
+        # the fast path checks its tokens itself: the check reads the
+        # distinct chunks' tokens, which hold every type of the sequence
         seen = []
-        init = TokenSequence.__init__
+        check = textstats._require_word_material
 
-        def spy(self, iso, tokens, types=None):
+        def spy(types, tokens):
             types = list(types)
             seen.append(types)
-            init(self, iso, tokens, types)
+            check(types, tokens)
 
-        text = "ab, cd -- ab e-f-g ab. 3.5 cd"
-        with mock.patch.object(TokenSequence, "__init__", spy):
+        text = "xy ab, cd -- ab e-f-g ab. 3.5 cd"
+        with mock.patch.object(textstats, "_require_word_material", spy):
             seq = tokenize(text)
-        assert seq.tokens == ("ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
+        assert seq.tokens == ("xy", "ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
         assert set(seen[0]) == set(seq.tokens)
+
+    def test_fast_path_rejects_a_token_without_word_material(self):
+        # were the separator pattern to leave "--" as a token, the fast
+        # path's own check would reject it
+        p = _patterns()
+        broken = p._replace(separator=regex.compile(r"(?!)"))
+        with mock.patch.object(textstats, "_patterns", return_value=broken):
+            with pytest.raises(ValueError, match="got '--'"):
+                tokenize("ab -- cd")
+
+    def test_tokenize_rejects_bad_iso(self):
+        for text in ("ab cd", "\u1100\u1161"):  # the fast path and the cluster loop
+            with pytest.raises(ValueError, match="three ASCII lowercase"):
+                tokenize(text, "UND")
+
+    def test_blocks_cut_at_whitespace_left_out(self):
+        # a text of lines is cut into whole lines, so the distinct chunks
+        # can be tokenized a block of lines at a time
+        with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
+            assert list(textstats._blocks("ab\ncd\nef")) == ["ab\ncd", "ef"]
+            assert list(textstats._blocks("abc\n")) == ["abc"]
+            assert list(textstats._blocks("a b  c")) == ["a b", " c"]
+            assert list(textstats._blocks("")) == []
 
     def test_no_whitespace_is_a_trigger(self):
         # whitespace alone never sends a text to the cluster loop: no
