@@ -13,17 +13,29 @@ deterministic given identical inputs, flags, and seed; rows are sorted
 by iso code.
 
 Exit code 0 means success, 1 any error, 2 a usage error from argparse.
-A corpus directory is profiled by one loop for both commands: it tries
-every file and reports each failure as ``profile failed for <file>:
-<reason>``. ``profile`` then emits the good rows and exits 1; ``score``
-emits nothing and exits 1, naming the directory and every failed file,
-because a score over a silent subset of a side would be wrong.
+Every file of a corpus directory is tried, and one loop reports a
+directory's results for both commands (``_report_corpus``): each failure
+as ``profile failed for <file>: <reason>``. ``profile`` then emits the
+good rows and exits 1; ``score`` emits nothing and exits 1, naming the
+directory and every failed file, because a score over a silent subset
+of a side would be wrong.
+
+The corpus files of a command, both sides' for ``score``, are profiled
+in one batch before that loop reports them (``_profile_files``): split
+by size over one process per usable CPU, the command's own and forked
+workers, which send their results back over pipes. The loop alone
+prints and decides the exit code, so output and exit codes do not
+depend on the number of CPUs. ``taskset`` or a cgroup cpuset limits
+the workers; on one CPU the files are profiled one after another.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import marshal
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -49,7 +61,7 @@ from .ingest import (
     load_registry,
 )
 from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, TextProfile, _require
-from .textstats import profile
+from .textstats import _patterns, profile
 
 SCHEMA_VERSION = "1"
 #: The profile command's output header: one column per TextProfile field, in field order.
@@ -175,59 +187,185 @@ def _record_for(iso: str, registry: LanguageSet | None) -> LanguageRecord:
     return LanguageRecord(iso=iso, name=iso)
 
 
-def _profile_corpus(
-    directory: Path, registry: LanguageSet | None, args: argparse.Namespace
-) -> tuple[list[TextProfile], list[str]]:
-    """Profile every ``<iso>.txt`` file of a corpus directory in name order.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Every file is tried. Each failure is reported on stderr as ``profile
-    failed for <file>: <reason>``; returns the good profiles and the
-    names of the failed files.
-    """
-    files = sorted(directory.glob("*.txt"))
-    _require(bool(files), f"no <iso>.txt corpus files in {directory}")
-    profiles, failed = [], []
+
+def _profile_file(
+    f: Path, registry: LanguageSet | None, args: argparse.Namespace
+) -> TextProfile | str:
+    """One ``<iso>.txt`` corpus file's profile, or the reason it failed."""
+    iso = f.stem
+    try:
+        _require(
+            bool(ISO_CODE_RE.match(iso)),
+            f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
+        )
+        return profile(
+            load_corpus(f, iso),
+            _record_for(iso, registry),
+            target=args.sample_target,
+            seed=args.seed,
+        )
+    except (ValueError, OSError) as exc:
+        return str(exc)
+
+
+def _shares(files: list[Path], n: int) -> list[list[int]]:
+    """Split the files' indices into ``n`` shares of about equal bytes:
+    the largest file first (name order among equal sizes), each to the
+    share with the fewest bytes, then the fewest files, then the lowest
+    index."""
+    sizes = []
     for f in files:
-        iso = f.stem
         try:
-            _require(
-                bool(ISO_CODE_RE.match(iso)),
-                f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
-            )
-            profiles.append(
-                profile(
-                    load_corpus(f, iso),
-                    _record_for(iso, registry),
-                    target=args.sample_target,
-                    seed=args.seed,
-                )
-            )
-        except (ValueError, OSError) as exc:
+            sizes.append(f.stat().st_size)
+        except OSError:
+            sizes.append(0)  # the profile reports the error
+    shares, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(files)), key=lambda i: (-sizes[i], files[i].name)):
+        k = min(range(n), key=lambda k: (loads[k], len(shares[k])))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    return shares
+
+
+def _run_worker(
+    write_fd: int, files: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+):
+    """Profile ``files`` in a forked worker, write the results to the pipe
+    and end the process; never returns into the caller.
+
+    Writes ``(results, crash)`` with ``marshal``: each file's profile as a
+    plain tuple or its error message, in order, and ``crash``, the name
+    and traceback of a file whose profile raised any other exception (no
+    file after it is profiled), or None. An interrupt ends the worker
+    with status 1 and writes nothing.
+    """
+    code = 1
+    try:
+        results, crash = [], None
+        for f in files:
+            try:
+                result = _profile_file(f, registry, args)
+            except Exception:
+                import traceback
+
+                crash = (f.name, traceback.format_exc())
+                break
+            results.append(result if isinstance(result, str) else tuple(result))
+        with os.fdopen(write_fd, "wb") as pipe:
+            marshal.dump((results, crash), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _profile_files(
+    files: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+) -> list[TextProfile | str]:
+    """Each file's profile or its error message, in file order.
+
+    The files are split into ``min(len(files), usable CPUs)`` shares by
+    size (`_shares`). This process profiles the first share while a
+    forked worker profiles each other one (`_run_worker`). It runs
+    sequentially when that is one share, when ``os.fork`` is missing, or
+    when other threads run in the process. Before forking, ``regex`` is
+    imported and compiled once for all, and the collector is kept off the
+    inherited objects (``gc.freeze``) so their pages stay shared until
+    every worker is reaped, which happens before this returns or raises.
+    """
+    import threading
+
+    n = min(len(files), _usable_cpus())
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_profile_file(f, registry, args) for f in files]
+    own, *others = _shares(files, n)
+    _patterns()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.freeze()
+    results: list = [None] * len(files)
+    workers = []
+    try:
+        for share in others:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_worker(write_fd, [files[i] for i in share], registry, args)
+            os.close(write_fd)
+            workers.append((pid, os.fdopen(read_fd, "rb"), share))
+        for i in own:
+            results[i] = _profile_file(files[i], registry, args)
+        for _, pipe, share in workers:
+            try:
+                done, crash = marshal.loads(pipe.read())
+            except (EOFError, ValueError):
+                names = ", ".join(files[i].name for i in share)
+                raise RuntimeError(f"a profile worker ended without results for {names}") from None
+            if crash:
+                raise RuntimeError(f"profile of {crash[0]} raised in a worker:\n{crash[1]}")
+            for i, result in zip(share, done):
+                results[i] = result if isinstance(result, str) else TextProfile(*result)
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+    return results
+
+
+def _profile_corpora(
+    directories: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+) -> dict[Path, list[tuple[Path, TextProfile | str]]]:
+    """Profile the ``<iso>.txt`` files of every corpus directory in one
+    batch (`_profile_files`); map each directory to its files, in name
+    order, with their results."""
+    listed = {d: sorted(d.glob("*.txt")) for d in directories}
+    results = iter(_profile_files([f for fs in listed.values() for f in fs], registry, args))
+    return {d: [(f, next(results)) for f in fs] for d, fs in listed.items()}
+
+
+def _report_corpus(
+    directory: Path, results: list[tuple[Path, TextProfile | str]]
+) -> tuple[list[TextProfile], list[str]]:
+    """Report one corpus directory's results in name order: each failure
+    on stderr as ``profile failed for <file>: <reason>``. Returns the good
+    profiles and the names of the failed files."""
+    _require(bool(results), f"no <iso>.txt corpus files in {directory}")
+    profiles, failed = [], []
+    for f, result in results:
+        if isinstance(result, str):
             failed.append(f.name)
-            print(f"profile failed for {f.name}: {exc}", file=sys.stderr)
+            print(f"profile failed for {f.name}: {result}", file=sys.stderr)
+        else:
+            profiles.append(result)
     return profiles, failed
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     dirp = Path(args.dataset)
     _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
-    profiles, failed = _profile_corpus(dirp, _registry_or_none(args), args)
+    corpora = _profile_corpora([dirp], _registry_or_none(args), args)
+    profiles, failed = _report_corpus(dirp, corpora[dirp])
     rows = [tuple(p) for p in profiles]
     _emit(args, {"profiles": [dict(zip(PROFILE_COLUMNS, r)) for r in rows]}, PROFILE_COLUMNS, rows)
     return 1 if failed else 0
 
 
 def _morph_side(
-    path_arg: str, flag: str, registry: LanguageSet | None, args: argparse.Namespace
+    path: Path, flag: str, corpora: dict[Path, list[tuple[Path, TextProfile | str]]]
 ) -> tuple[list[str], list[float]]:
-    """One side's iso codes and mean word lengths. A corpus directory is
-    profiled, and scored whole or not at all; any other path is read as
-    a per-language table with an ``mwl`` column."""
-    path = Path(path_arg)
-    if not path.is_dir():
+    """One side's iso codes and mean word lengths. A corpus directory,
+    profiled in ``corpora``, is scored whole or not at all; any other path
+    is read as a per-language table with an ``mwl`` column."""
+    if path not in corpora:
         _, table = load_numeric_table(path, ["mwl"])
         return list(table), [row["mwl"] for row in table.values()]
-    profiles, failed = _profile_corpus(path, registry, args)
+    profiles, failed = _report_corpus(path, corpora[path])
     _require(
         not failed,
         f"{flag} corpus directory {path}: profile failed for {len(failed)} "
@@ -237,12 +375,14 @@ def _morph_side(
 
 
 def _score_morph(args: argparse.Namespace) -> dict:
+    paths = (Path(args.dataset), Path(args.reference))
+    dirs = [p for p in paths if p.is_dir()]
     unread = [f for f in ("--sample-target", "--seed", "--registry") if f in args.given]
-    if unread and not any(Path(side).is_dir() for side in (args.dataset, args.reference)):
+    if unread and not dirs:
         print(f"note: both sides are tables, so {', '.join(unread)} go unread", file=sys.stderr)
-    registry = _registry_or_none(args)
-    _, mwl_d = _morph_side(args.dataset, "--dataset", registry, args)
-    iso_r, mwl_r = _morph_side(args.reference, "--reference", registry, args)
+    corpora = _profile_corpora(dirs, _registry_or_none(args), args)
+    _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
+    iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 
     report = jmm_score(mwl_d, mwl_r, args.bin_width)
     report = attach_gap(report, bin_members(iso_r, mwl_r, args.bin_width))

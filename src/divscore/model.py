@@ -25,7 +25,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from operator import add
 
-ISO_CODE_RE = re.compile(r"^[a-z]{3}$")
+#: ``\Z``, not ``$``, which also matches before a final line break.
+ISO_CODE_RE = re.compile(r"^[a-z]{3}\Z")
 
 ENDANGERMENT_LEVELS = frozenset({"safe", "vulnerable", "endangered", "extinct", "unknown"})
 TRANSFORMATIONS = frozenset({"none", "binarization", "reorder", "recategorization", "remove"})

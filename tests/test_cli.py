@@ -4,14 +4,17 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 import regex
 
 import divscore
+from divscore import cli
 from divscore.ingest import bundled_path
 from oracles import neumaier_sum
 from support import assert_json_close, run_main, run_proc
@@ -90,6 +93,18 @@ class TestProfile:
         assert "no lexical tokens" in err
         assert "profile failed for ccc.txt" in err
         assert [r["iso"] for r in json.loads(out)["profiles"]] == ["aaa"]
+
+    def test_file_name_with_a_final_line_break_is_not_an_iso_code(self, tmp_path, capsys):
+        (tmp_path / "aaa.txt").write_text("good tokens here\n")
+        (tmp_path / "abc\n.txt").write_text("good tokens here\n")
+        argv = ["profile", "--dataset", str(tmp_path), "--format", "csv"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert err == (
+            "profile failed for abc\n.txt: corpus file name must be <iso>.txt with a "
+            "three-letter code, got abc\n.txt\n"
+        )
+        assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["aaa"]
 
     def test_missing_directory_is_an_error(self, tmp_path, capsys):
         code, out, err = run_main(["profile", "--dataset", str(tmp_path / "nope")], capsys)
@@ -842,6 +857,115 @@ class TestSameBitsOnEveryPython:
         code, out, _ = run_main(argv, capsys)
         assert code == 0
         assert out == expected
+
+
+#: Corpus files that fail to profile: no lexical tokens, not UTF-8, and
+#: a name that is no iso code.
+_BAD_FILES = {"bbb.txt": b"... --- ...\n", "ccc.txt": b"\xff\xfe no\n", "Abc.txt": b"ok\n"}
+
+
+def _scratch_sides(fixtures, tmp_path):
+    """Write the sides `_PARALLEL_CASES` name under ``tmp_path``: the
+    fixture corpora with `_BAD_FILES` added, an empty directory, a good
+    table and a table with a bad cell."""
+    for name, source in (("ds_bad", "corpus_ds"), ("ref_bad", "corpus_ref")):
+        shutil.copytree(fixtures / source, tmp_path / name)
+        for bad, data in _BAD_FILES.items():
+            (tmp_path / name / bad).write_bytes(data)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "ds.csv").write_text("iso,mwl\neng,4.2\nfin,7.1\n")
+    (tmp_path / "bad.csv").write_text("iso,mwl\neng,x\n")
+
+
+def _morph(dataset, reference, *extra):
+    return ["score", "--level", "morph", "--dataset", dataset, "--reference", reference, *extra]
+
+
+#: name -> argv, "{f}" standing for the fixtures directory and "{t}" for
+#: the one `_scratch_sides` writes
+_PARALLEL_CASES = {
+    "profile": ["profile", "--dataset", "{f}/corpus_ds", "--registry", "{f}/registry.csv"],
+    "profile-bad": ["profile", "--dataset", "{t}/ds_bad"],
+    "score": _morph("{f}/corpus_ds", "{f}/corpus_ref", "--registry", "{f}/registry.csv"),
+    "bad-dataset": _morph("{t}/ds_bad", "{f}/corpus_ref"),
+    "bad-reference": _morph("{f}/corpus_ds", "{t}/ref_bad"),
+    "bad-both": _morph("{t}/ds_bad", "{t}/ref_bad"),
+    "empty-reference": _morph("{t}/ds_bad", "{t}/empty"),
+    "table-dataset": _morph("{t}/ds.csv", "{t}/ref_bad"),
+    "bad-table-dataset": _morph("{t}/bad.csv", "{f}/corpus_ref"),
+}
+
+
+class TestParallelProfiles:
+    """Profiling a command's corpus files in forked workers changes no
+    byte of its output, and leaves no process behind."""
+
+    @pytest.mark.parametrize("case", sorted(_PARALLEL_CASES))
+    def test_output_equals_sequential(self, case, fixtures, tmp_path, capsys, monkeypatch):
+        _scratch_sides(fixtures, tmp_path)
+        argv = [arg.format(f=fixtures, t=tmp_path) for arg in _PARALLEL_CASES[case]]
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            runs[cpus] = run_main(argv, capsys)
+            assert len(forks) == cpus - 1  # every case profiles three files or more
+        assert runs[1] == runs[3]
+        assert runs[1][0] == (0 if case in ("profile", "score") else 1)
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("worker", r"(?s)^profile of qa[a-f]\.txt raised in a worker:\n.*boom in qa[a-f]"),
+            ("parent", r"^boom in qa[a-f]$"),
+            ("worker-exit", r"^a profile worker ended without results for qa[a-f]\.txt"),
+        ],
+    )
+    def test_unexpected_end_fails_the_command(self, where, message, fixtures, monkeypatch):
+        parent, real = os.getpid(), cli.profile
+
+        def failing(corpus, *args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                if where == "worker-exit":
+                    os._exit(3)
+                raise RuntimeError(f"boom in {corpus.iso}")
+            return real(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "profile", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match=message):
+            cli.main(["profile", "--dataset", str(fixtures / "corpus_ds")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_other_threads_run(self, fixtures, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            code, out, _ = run_main(["profile", "--dataset", str(fixtures / "corpus_ds")], capsys)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0 and len(json.loads(out)["profiles"]) == 6
+
+    def test_shares_balance_bytes_largest_first(self, tmp_path):
+        files = []
+        for name, size in [("aaa", 5), ("bbb", 9), ("ccc", 4), ("ddd", 0), ("eee", 0), ("fff", 4)]:
+            files.append(tmp_path / f"{name}.txt")
+            files[-1].write_bytes(b"x" * size)
+        assert cli._shares(files, 3) == [[1], [0, 3, 4], [2, 5]]
+        # equal loads go to the share with the fewest files
+        assert cli._shares(files[3:5] + [tmp_path / "missing.txt"], 3) == [[0], [1], [2]]
+        # equal sizes are taken in name order, whatever their directory
+        (tmp_path / "ref").mkdir()
+        (tmp_path / "ref" / "abc.txt").write_bytes(b"x" * 9)
+        assert cli._shares([files[1], tmp_path / "ref" / "abc.txt"], 2) == [[1], [0]]
 
 
 class TestDeterminismAndErrors:

@@ -24,7 +24,7 @@ from divscore.model import (
     TextProfile,
     _pairwise_sum,
 )
-from divscore.textstats import TokenSequence
+from divscore.textstats import TokenSequence, tokenize
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
 _SPEC = MorphFeatureSpec("22A", "x", "none", 0, 1)
@@ -129,6 +129,24 @@ class TestConstruction:
         build, message = _KEYWORD_CHECKS[case]
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda iso: LanguageRecord(iso, "x"),
+            lambda iso: TextProfile(iso, 1.0, 1.0, 0.0, 1, 0, 0),
+            lambda iso: CorpusSource(iso, "p", "t"),
+            lambda iso: TokenSequence(iso, ["a"]),
+            lambda iso: tokenize("ab cd", iso),
+        ],
+        ids=["record", "profile", "corpus", "tokens", "tokenize"],
+    )
+    def test_iso_with_a_final_line_break_rejected(self, build):
+        # a pattern ending in `$` would match "abc\n": `$` also matches
+        # before a final line break
+        assert build("abc").iso == "abc"
+        with pytest.raises(ValueError, match="three ASCII lowercase"):
+            build("abc\n")
 
 
 class TestPairwiseSum:
