@@ -19,7 +19,7 @@ gives the same report:
 import csv
 
 from divscore.analysis import attach_gap
-from divscore.diversity import bin_members, jmm_score
+from divscore.diversity import bin_measurements, bin_members, jmm_score
 from divscore.ingest import bundled_path, load_iso_list, load_numeric_table
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
@@ -40,12 +40,15 @@ REFERENCE = {
 
 def main() -> None:
     width = 1.0
-    report = jmm_score(list(DATASET.values()), list(REFERENCE.values()), width)
+    # each side is binned once; the score and the gap both read the bins
+    bins_d = bin_measurements(list(DATASET.values()), width)
+    bins_r = bin_measurements(list(REFERENCE.values()), width)
+    report = jmm_score(bins_d, bins_r)
     print(f"overlap score: {report.value:.4f} (1.0 would be a perfect match)")
     print(f"size normalization c = {report.normalization_c}")
 
     # map each aligned bin to the reference languages that fall in it
-    members = bin_members(list(REFERENCE), list(REFERENCE.values()), width)
+    members = bin_members(list(REFERENCE), bins_r)
     report = attach_gap(report, members)
     gap = report.gap
 
@@ -74,9 +77,9 @@ def bundled_mbert() -> None:
     covered = [iso for iso in mwl if iso in mbert]
     print(f"\nbundled data: {len(covered)} of the {len(mwl)} table languages are on the mBERT list")
 
-    report = jmm_score([mwl[iso]["mwl"] for iso in covered], [v["mwl"] for v in mwl.values()], 1.0)
-    members = bin_members(list(mwl), [v["mwl"] for v in mwl.values()], 1.0)
-    report = attach_gap(report, members)
+    bins_r = bin_measurements([v["mwl"] for v in mwl.values()], 1.0)
+    report = jmm_score(bin_measurements([mwl[iso]["mwl"] for iso in covered], 1.0), bins_r)
+    report = attach_gap(report, bin_members(list(mwl), bins_r))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
     for entry in report.gap.deficit_bins:
         examples = ", ".join(f"{names[iso]} ({mwl[iso]['mwl']})" for iso in entry.examples)

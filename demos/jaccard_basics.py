@@ -6,6 +6,8 @@ and the score is the ratio of column-wise minima to column-wise maxima.
 The example is small enough to check every number by hand.
 """
 
+from collections import Counter
+
 from divscore.diversity import bin_measurements, jmm_score, normalization_scalar
 
 
@@ -19,9 +21,11 @@ def main() -> None:
     print(f"bin width: {width}")
     print()
 
-    for name, values in (("dataset", dataset), ("reference", reference)):
-        dist = bin_measurements(values, width)
-        cols = ", ".join(f"{b}={n}" for b, n in dist.items())
+    # each side is binned once: one bin index per measurement
+    bins_d = bin_measurements(dataset, width)
+    bins_r = bin_measurements(reference, width)
+    for name, bins in (("dataset", bins_d), ("reference", bins_r)):
+        cols = ", ".join(f"{b}={n}" for b, n in Counter(bins).items())
         print(f"{name} histogram: {cols}")
 
     c = normalization_scalar(len(dataset), len(reference))
@@ -29,7 +33,7 @@ def main() -> None:
     print("the smaller side's counts are multiplied by c before comparison")
     print()
 
-    report = jmm_score(dataset, reference, width)
+    report = jmm_score(bins_d, bins_r)
     print("aligned columns (after scaling the smaller side):")
     header = f"{'bin':>6} {'dataset':>9} {'reference':>9} {'min':>6} {'max':>6}"
     print(header)
@@ -46,11 +50,11 @@ def main() -> None:
     assert report.value == 1 / 3
 
     print("\nproperties worth knowing:")
-    same = jmm_score(dataset, dataset, width)
+    same = jmm_score(bins_d, bins_d)
     print(f"  identical samples score {same.value} (perfect overlap)")
-    doubled = jmm_score(dataset * 2, reference, width)
+    doubled = jmm_score(bins_d * 2, bins_r)
     print(f"  duplicating one side leaves the score at {doubled.value:.12f}")
-    coarse = jmm_score(dataset, reference, 2.0)
+    coarse = jmm_score(bin_measurements(dataset, 2.0), bin_measurements(reference, 2.0))
     print(f"  doubling the bin width can only raise it: {coarse.value:.4f}")
 
 

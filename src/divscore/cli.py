@@ -42,6 +42,7 @@ from pathlib import Path
 
 from .analysis import attach_gap, csv_text, serialize_report, spearman
 from .diversity import (
+    bin_measurements,
     bin_members,
     feature_members,
     jmm_score,
@@ -384,11 +385,12 @@ def _score_morph(args: argparse.Namespace) -> dict:
     _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
     iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 
-    report = jmm_score(mwl_d, mwl_r, args.bin_width)
-    report = attach_gap(report, bin_members(iso_r, mwl_r, args.bin_width))
+    bins_d = bin_measurements(mwl_d, args.bin_width)
+    bins_r = bin_measurements(mwl_r, args.bin_width)
 
-    ti_d = ti_morph(mwl_d, args.bin_width) if len(mwl_d) >= 2 else None
-    ti_r = ti_morph(mwl_r, args.bin_width) if len(mwl_r) >= 2 else None
+    report = attach_gap(jmm_score(bins_d, bins_r), bin_members(iso_r, bins_r))
+    ti_d = ti_morph(bins_d) if len(bins_d) >= 2 else None
+    ti_r = ti_morph(bins_r) if len(bins_r) >= 2 else None
     if ti_d is None or ti_r is None:
         print("ti_morph skipped for a single-language side", file=sys.stderr)
     return {

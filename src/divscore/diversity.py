@@ -7,9 +7,10 @@ Two families of diversity scores over language features:
   c = max(|A|,|B|) / min(|A|,|B|) so that set size does not masquerade
   as diversity, and score sum_j min(a_j, b_j) / sum_j max(a_j, b_j). 1
   means the distributions coincide after size normalization, 0 disjoint
-  support. For measurements the rows are the bins occupied on either
+  support. Each side's measurements are binned once, by
+  :func:`bin_measurements`; the rows are the bins occupied on either
   side, labelled ``bin<k>`` (a bin empty on both sides would add 0 to
-  both sums); for binary syntactic features they are the features, or
+  both sums). For binary syntactic features the rows are the features, or
   ``<feature>=1`` and ``<feature>=0``. Those labels are written only in
   this module: :func:`bin_members` and :func:`feature_members` give the
   languages in each row, or its first few, for the gap report.
@@ -72,10 +73,12 @@ def bin_index(value: float, width: float) -> int:
     return Fraction(repr(float(value))) // Fraction(repr(float(width)))
 
 
-def bin_measurements(values: Sequence[float], width: float) -> dict[int, int]:
-    """Count the measurements in each bin of :func:`bin_index`."""
+def bin_measurements(values: Sequence[float], width: float) -> list[int]:
+    """Each value's :func:`bin_index`, in input order: a binned side, which
+    the caller makes once per side and hands to :func:`jmm_score`,
+    :func:`ti_morph` and :func:`bin_members`."""
     _require(len(values) > 0, "bin_measurements requires at least one value")
-    return Counter(bin_index(v, width) for v in values)
+    return [bin_index(v, width) for v in values]
 
 
 def normalization_scalar(size_a: int, size_b: int) -> float:
@@ -111,30 +114,28 @@ def _bin_label(k: int) -> str:
     return f"bin{k}"
 
 
-def jmm_score(
-    dataset: Sequence[float], reference: Sequence[float], width: float
-) -> DiversityReport:
-    """Minmax Jaccard between two sets of per-language measurements.
+def jmm_score(dataset: Sequence[int], reference: Sequence[int]) -> DiversityReport:
+    """Minmax Jaccard between two binned sides of :func:`bin_measurements`.
 
-    Bins both sides at ``width`` and scores them over the sorted union of
-    the bins occupied on either side, however far apart they lie; a bin
-    occupied on one side only gets weight 0 on the other. The report's
-    rows are labelled ``bin<k>``.
+    Scores the bin counts over the sorted union of the bins occupied on
+    either side, however far apart they lie; a bin occupied on one side
+    only gets weight 0 on the other. The report's rows are labelled
+    ``bin<k>``.
     """
-    counts_d = bin_measurements(dataset, width)
-    counts_r = bin_measurements(reference, width)
+    counts_d, counts_r = Counter(dataset), Counter(reference)
     axis = sorted({*counts_d, *counts_r})
     labels = [_bin_label(k) for k in axis]
-    wd, wr = [counts_d.get(k, 0) for k in axis], [counts_r.get(k, 0) for k in axis]
+    wd, wr = [counts_d[k] for k in axis], [counts_r[k] for k in axis]
     return _minmax_report("jmm_morph", labels, wd, wr, len(dataset), len(reference))
 
 
-def bin_members(isos: Sequence[str], values: Sequence[float], width: float) -> dict[str, list[str]]:
+def bin_members(isos: Sequence[str], bins: Sequence[int]) -> dict[str, list[str]]:
     """The languages in each row of :func:`jmm_score`'s table, by row
-    label: ``isos[i]`` joins the row of the bin holding ``values[i]``."""
+    label: ``isos[i]`` joins the row of bin ``bins[i]``, so ``bins`` is
+    the binned side of those languages' values."""
     members: dict[str, list[str]] = {}
-    for iso, v in zip(isos, values):
-        members.setdefault(_bin_label(bin_index(v, width)), []).append(iso)
+    for iso, k in zip(isos, bins):
+        members.setdefault(_bin_label(k), []).append(iso)
     return members
 
 
@@ -229,16 +230,16 @@ def ti_syn(matrix: FeatureMatrix) -> float:
     return _pairwise_sum(entropies) / len(entropies)
 
 
-def ti_morph(values: Sequence[float], width: float) -> float:
-    """Mean binary entropy of bin membership over occupied bins.
+def ti_morph(bins: Sequence[int]) -> float:
+    """Mean binary entropy of bin membership over a binned side's occupied bins.
 
     Each occupied bin acts as a binary feature (in the bin or not); its
     entropy is binary_entropy(n_bin / N). Only occupied bins enter the
     average: a fixed global bin universe would let arbitrarily many
     empty bins drive the index toward 0.
     """
-    _require(len(values) >= 2, f"ti_morph needs at least 2 values, got {len(values)}")
-    counts = bin_measurements(values, width)
-    n = len(values)
+    _require(len(bins) >= 2, f"ti_morph needs at least 2 values, got {len(bins)}")
+    counts = Counter(bins)
+    n = len(bins)
     entropies = [binary_entropy(counts[k] / n) for k in sorted(counts)]
     return _pairwise_sum(entropies) / len(entropies)

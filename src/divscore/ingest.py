@@ -24,7 +24,7 @@ from .model import (
     FeatureMatrix,
     LanguageRecord,
     LanguageSet,
-    _require,
+    _require_iso,
 )
 
 REGISTRY_COLUMNS = ["iso", "name", "family", "endangerment", "script_scale"]
@@ -37,10 +37,7 @@ class CorpusSource(namedtuple("CorpusSource", "iso path text")):
 
     def __new__(cls, *args, **kwargs) -> CorpusSource:
         self = super().__new__(cls, *args, **kwargs)
-        _require(
-            bool(ISO_CODE_RE.match(self.iso)),
-            f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
-        )
+        _require_iso(self.iso)
         return self
 
 

@@ -43,6 +43,14 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_iso(iso: str) -> None:
+    """The iso rule of records, profiles, corpora and token sequences."""
+    _require(
+        bool(ISO_CODE_RE.match(iso)),
+        f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
+    )
+
+
 class _Immutable:
     """Base of the slotted types, whose ``__init__`` sets each field with
     ``object.__setattr__``: no field can be set or deleted afterwards."""
@@ -103,10 +111,7 @@ class LanguageRecord(
 
     def __new__(cls, *args, **kwargs) -> LanguageRecord:
         self = super().__new__(cls, *args, **kwargs)
-        _require(
-            bool(ISO_CODE_RE.match(self.iso)),
-            f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
-        )
+        _require_iso(self.iso)
         if self.endangerment is not None:
             _require(
                 self.endangerment in ENDANGERMENT_LEVELS,
@@ -180,10 +185,7 @@ class TextProfile(
 
     def __new__(cls, *args, **kwargs) -> TextProfile:
         self = super().__new__(cls, *args, **kwargs)
-        _require(
-            bool(ISO_CODE_RE.match(self.iso)),
-            f"iso must be exactly three ASCII lowercase letters, got {self.iso!r}",
-        )
+        _require_iso(self.iso)
         _require(
             math.isfinite(self.mean_word_length) and self.mean_word_length >= 1.0,
             f"mean_word_length must be finite and >= 1 (every kept token has at "

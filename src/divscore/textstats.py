@@ -51,7 +51,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count
 
 from .ingest import CorpusSource
-from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require
+from .model import LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require, _require_iso
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -108,13 +108,6 @@ class TokenSequence(_Immutable):
         scanned again.
         """
         return TokenSequence._checked(self.iso, self.tokens[start:stop])
-
-
-def _require_iso(iso: str) -> None:
-    _require(
-        bool(ISO_CODE_RE.match(iso)),
-        f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
-    )
 
 
 def _require_word_material(types, tokens: tuple[str, ...]) -> None:

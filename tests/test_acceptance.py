@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divscore.diversity import jmm_score, ti_morph, ti_syn
+from divscore.diversity import bin_measurements, jmm_score, ti_morph, ti_syn
 from divscore.ingest import bundled_path, load_corpus
 from divscore.model import FeatureMatrix, LanguageRecord
 from divscore.analysis import spearman
@@ -48,6 +48,11 @@ measurements = st.lists(
     min_size=1,
     max_size=10,
 )
+
+
+def _jmm(a, b, width):
+    """jmm_score with both sides binned here."""
+    return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
 
 
 # criterion 1 ---------------------------------------------------------------
@@ -92,7 +97,7 @@ def test_c03_randomized_brute_force_equivalence():
 
     # hand-derived toy case: c = 1.5 on {3.2, 4.1}, min-sum 1.5 over
     # max-sum 4.5
-    assert jmm_score([2.5, 3.5, 3.7], [3.2, 4.1], 1.0).value == 1 / 3
+    assert _jmm([2.5, 3.5, 3.7], [3.2, 4.1], 1.0).value == 1 / 3
     assert brute_jmm([2.5, 3.5, 3.7], [3.2, 4.1], 1.0) == 1 / 3
 
     rng = random.Random(13)
@@ -101,7 +106,7 @@ def test_c03_randomized_brute_force_equivalence():
         lo, hi = rng.choice([(0.0, 6.0), (-3.0, 3.0)])
         a = [rng.uniform(lo, hi) for _ in range(rng.randint(1, 10))]
         b = [rng.uniform(lo, hi) for _ in range(rng.randint(1, 10))]
-        got = jmm_score(a, b, 1.0).value
+        got = _jmm(a, b, 1.0).value
         want = brute_jmm(a, b, 1.0)
         assert abs(got - want) <= 1e-12, (a, b)
         instances += 1
@@ -114,34 +119,34 @@ def test_c03_randomized_brute_force_equivalence():
 @given(values=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
 @settings(max_examples=150)
 def test_c04_identity(values, width):
-    assert jmm_score(values, values, width).value == 1.0
+    assert _jmm(values, values, width).value == 1.0
 
 
 @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
 @settings(max_examples=150)
 def test_c04_symmetry(a, b, width):
-    assert jmm_score(a, b, width).value == jmm_score(b, a, width).value
+    assert _jmm(a, b, width).value == _jmm(b, a, width).value
 
 
 @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
 @settings(max_examples=150)
 def test_c04_range(a, b, width):
-    assert 0.0 <= jmm_score(a, b, width).value <= 1.0
+    assert 0.0 <= _jmm(a, b, width).value <= 1.0
 
 
 @given(a=measurements, b=measurements, k=st.sampled_from([2, 3, 5]))
 @settings(max_examples=150)
 def test_c04_duplication_invariance(a, b, k):
-    base = jmm_score(a, b, 1.0).value
-    assert jmm_score(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
-    assert jmm_score(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
+    base = _jmm(a, b, 1.0).value
+    assert _jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
+    assert _jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
 
 
 @given(a=measurements, b=measurements)
 @example(a=[-1.0], b=[-5e-324])
 @settings(max_examples=150)
 def test_c04_bin_coarsening_monotonicity(a, b):
-    assert jmm_score(a, b, 2.0).value >= jmm_score(a, b, 1.0).value - 1e-12
+    assert _jmm(a, b, 2.0).value >= _jmm(a, b, 1.0).value - 1e-12
 
 
 # criterion 5 ---------------------------------------------------------------
@@ -177,15 +182,16 @@ def test_c05_ti_syn_flip_symmetry(rows):
 
 
 def test_c05_ti_morph_even_two_bin_split():
-    assert ti_morph([0.25, 0.75, 1.25, 1.75], 1.0) == 1.0
+    assert ti_morph(bin_measurements([0.25, 0.75, 1.25, 1.75], 1.0)) == 1.0
 
 
 def test_c05_ti_morph_three_one_split():
     # formula oracle: both occupied bins have entropy h(3/4)
     expected = bent(0.75)
     assert expected == pytest.approx(0.811278, abs=1e-6)
-    assert ti_morph([0.1, 0.4, 0.8, 1.5], 1.0) == pytest.approx(0.811278, abs=1e-6)
-    assert ti_morph([0.1, 0.4, 0.8, 1.5], 1.0) == pytest.approx(expected, abs=1e-12)
+    bins = bin_measurements([0.1, 0.4, 0.8, 1.5], 1.0)
+    assert ti_morph(bins) == pytest.approx(0.811278, abs=1e-6)
+    assert ti_morph(bins) == pytest.approx(expected, abs=1e-12)
 
 
 # criterion 6 ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from divscore.analysis import (
     serialize_report,
     spearman,
 )
-from divscore.diversity import jmm_score, jmm_syn, syntactic_weights
+from divscore.diversity import bin_measurements, jmm_score, jmm_syn, syntactic_weights
 from divscore.model import BinOverlap, DiversityReport, FeatureMatrix
 
 
@@ -128,7 +128,9 @@ class TestGapReport:
         assert gap.surplus_bins == () and gap.deficit_bins == ()
 
     def test_attach_gap_round_trip(self):
-        report = jmm_score([2.5, 3.5, 3.7], [3.2, 4.1], 1.0)
+        report = jmm_score(
+            bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
+        )
         enriched = attach_gap(report, {"bin4": ["qzz"]})
         assert enriched.value == report.value
         assert enriched.gap is not None
@@ -153,7 +155,9 @@ class TestOverlapSeries:
 
 class TestSerialization:
     def _report(self):
-        report = jmm_score([2.5, 3.5, 3.7], [3.2, 4.1], 1.0)
+        report = jmm_score(
+            bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
+        )
         return attach_gap(report, {"bin4": ["qba", "qbb"]})
 
     def test_csv_and_svg_are_deterministic(self):

@@ -222,6 +222,34 @@ class TestScoreMorph:
         code, _, err = run_main(mixed, capsys)
         assert code == 0 and "note:" not in err
 
+    def test_each_value_binned_once(self, fixtures, tmp_path, capsys, monkeypatch):
+        """The score, the gap and both indices read one binned side each."""
+        import divscore.diversity
+
+        calls = []
+        real = divscore.diversity.bin_index
+
+        def counted(value, width):
+            calls.append(value)
+            return real(value, width)
+
+        monkeypatch.setattr(divscore.diversity, "bin_index", counted)
+        ds, ref = tmp_path / "ds.csv", tmp_path / "ref.csv"
+        ds.write_text("iso,mwl\naaa,1.5\nbbb,2.5\nccc,2.7\n")
+        ref.write_text("iso,mwl\nddd,1.2\neee,3.4\nfff,3.9\nggg,6.0\nhhh,2.1\n")
+        registry, outs = ["--registry", f"{fixtures}/registry.csv"], []
+        for argv in (
+            _morph(f"{fixtures}/corpus_ds", f"{fixtures}/corpus_ref", *registry),
+            _morph(str(ds), str(ref)),
+        ):
+            calls.clear()
+            code, out, _ = run_main(argv, capsys)
+            payload = json.loads(out)
+            assert code == 0 and len(calls) == payload["dataset_n"] + payload["reference_n"]
+            outs.append(out)
+        assert outs[0] == (fixtures / "golden" / "score_morph.json").read_text(encoding="utf-8")
+        assert len(calls) == 3 + 5
+
     def test_bin_width_changes_binning(self, fixtures, capsys):
         base = [
             "score",

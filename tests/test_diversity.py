@@ -6,6 +6,7 @@ properties at their pinned budgets.
 """
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,11 @@ from support import run_main
 # 4.5. The expected score is exactly one third.
 TOY_A = [2.5, 3.5, 3.7]
 TOY_B = [3.2, 4.1]
+
+
+def _jmm(a, b, width):
+    """jmm_score with both sides binned here."""
+    return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
 
 measurements = st.lists(
     st.floats(min_value=-3.0, max_value=6.0, allow_nan=False, allow_infinity=False),
@@ -113,13 +119,16 @@ class TestBinIndex:
 
 class TestBinning:
     def test_counts_and_boundaries(self):
-        assert bin_measurements([0.2, 0.9, 1.0, 2.5], width=1.0) == {0: 2, 1: 1, 2: 1}
+        assert Counter(bin_measurements([0.2, 0.9, 1.0, 2.5], width=1.0)) == {0: 2, 1: 1, 2: 1}
 
     def test_negative_values(self):
-        assert bin_measurements([-0.5, -1.0, 0.5], width=1.0) == {-1: 2, 0: 1}
+        assert Counter(bin_measurements([-0.5, -1.0, 0.5], width=1.0)) == {-1: 2, 0: 1}
 
     def test_narrow_width(self):
-        assert bin_measurements([0.2, 0.3], width=0.25) == {0: 1, 1: 1}
+        assert Counter(bin_measurements([0.2, 0.3], width=0.25)) == {0: 1, 1: 1}
+
+    def test_one_bin_per_value_in_input_order(self):
+        assert bin_measurements([2.5, -0.5, 0.3, 2.5], width=0.1) == [25, -5, 3, 25]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one value"):
@@ -149,14 +158,14 @@ class TestAlignBins:
     """jmm_score's rows: the sorted union of the bins occupied on either side."""
 
     def test_one_sided_bins_get_zero_weight(self):
-        rows = jmm_score(TOY_A, TOY_B, 1.0).per_bin
+        rows = _jmm(TOY_A, TOY_B, 1.0).per_bin
         assert [r.label for r in rows] == ["bin2", "bin3", "bin4"]
         assert [r.dataset for r in rows] == [1.0, 2.0, 0.0]
         assert [r.reference for r in rows] == [0.0, 1.5, 1.5]
 
     def test_gap_in_the_middle(self):
         # bins 1-3 are empty on both sides and get no row
-        rows = jmm_score([0.5], [4.5], 1.0).per_bin
+        rows = _jmm([0.5], [4.5], 1.0).per_bin
         assert [r.label for r in rows] == ["bin0", "bin4"]
         assert [(r.dataset, r.reference) for r in rows] == [(1.0, 0.0), (0.0, 1.0)]
 
@@ -202,7 +211,7 @@ class TestJaccardMinmax:
 
 class TestJmmScore:
     def test_toy_case_exact(self):
-        report = jmm_score(TOY_A, TOY_B, 1.0)
+        report = _jmm(TOY_A, TOY_B, 1.0)
         assert report.value == 1 / 3
         assert report.normalization_c == 1.5
         assert [r.min_weight for r in report.per_bin] == [0.0, 1.5, 0.0]
@@ -210,11 +219,11 @@ class TestJmmScore:
         assert [r.label for r in report.per_bin] == ["bin2", "bin3", "bin4"]
 
     def test_toy_case_swapped_sides(self):
-        assert jmm_score(TOY_B, TOY_A, 1.0).value == 1 / 3
+        assert _jmm(TOY_B, TOY_A, 1.0).value == 1 / 3
 
     def test_scaling_applies_to_smaller_side(self):
         # reference smaller: its per-bin column carries the scaled weights
-        report = jmm_score([1.5, 2.5, 3.5, 1.2], [1.4, 2.6], 1.0)
+        report = _jmm([1.5, 2.5, 3.5, 1.2], [1.4, 2.6], 1.0)
         assert report.normalization_c == 2.0
         by_label = {r.label: r for r in report.per_bin}
         assert by_label["bin1"].reference == 2.0
@@ -222,46 +231,46 @@ class TestJmmScore:
         assert by_label["bin1"].dataset == 2.0
 
     def test_equal_sizes_no_scaling(self):
-        report = jmm_score([1.5], [2.5], 1.0)
+        report = _jmm([1.5], [2.5], 1.0)
         assert report.normalization_c == 1.0
         assert report.value == 0.0
 
     def test_per_bin_sums_reproduce_value(self):
-        report = jmm_score(TOY_A, TOY_B, 1.0)
+        report = _jmm(TOY_A, TOY_B, 1.0)
         num = sum(r.min_weight for r in report.per_bin)
         den = sum(r.max_weight for r in report.per_bin)
         assert abs(report.value - num / den) <= 1e-12
 
     @given(values=measurements, width=st.sampled_from([0.25, 0.5, 1.0, 2.5]))
     def test_identity_property(self, values, width):
-        assert jmm_score(values, values, width).value == 1.0
+        assert _jmm(values, values, width).value == 1.0
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
     def test_symmetry_property(self, a, b, width):
-        assert jmm_score(a, b, width).value == jmm_score(b, a, width).value
+        assert _jmm(a, b, width).value == _jmm(b, a, width).value
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
     def test_range_property(self, a, b, width):
-        v = jmm_score(a, b, width).value
+        v = _jmm(a, b, width).value
         assert 0.0 <= v <= 1.0
 
     @given(a=measurements, b=measurements, k=st.sampled_from([2, 3, 5]))
     def test_duplication_invariance_property(self, a, b, k):
-        base = jmm_score(a, b, 1.0).value
-        assert jmm_score(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
-        assert jmm_score(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
+        base = _jmm(a, b, 1.0).value
+        assert _jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
+        assert _jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
 
     @given(a=measurements, b=measurements)
     @example(a=[-1.0], b=[-5e-324])
     def test_coarsening_monotonicity_property(self, a, b):
-        fine = jmm_score(a, b, 1.0).value
-        coarse = jmm_score(a, b, 2.0).value
+        fine = _jmm(a, b, 1.0).value
+        coarse = _jmm(a, b, 2.0).value
         assert coarse >= fine - 1e-12
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
     @settings(max_examples=200)
     def test_matches_brute_force_property(self, a, b, width):
-        assert jmm_score(a, b, width).value == pytest.approx(
+        assert _jmm(a, b, width).value == pytest.approx(
             brute_jmm(a, b, width), abs=1e-12
         )
 
@@ -272,7 +281,7 @@ class TestJmmScore:
     )
     @example(a=[0.0], b=[1e5], width=1.0)
     def test_sparse_axis_property(self, a, b, width):
-        report = jmm_score(a, b, width)
+        report = _jmm(a, b, width)
         rows = report.per_bin
         assert len(rows) <= len(a) + len(b)
         assert all(r.max_weight > 0 for r in rows)
@@ -469,32 +478,32 @@ class TestTiSyn:
 
 class TestTiMorph:
     def test_even_two_bin_split_scores_one(self):
-        assert ti_morph([0.2, 0.7, 1.2, 1.7], 1.0) == 1.0
+        assert ti_morph(bin_measurements([0.2, 0.7, 1.2, 1.7], 1.0)) == 1.0
 
     def test_three_one_split(self):
-        assert ti_morph([0.1, 0.2, 0.3, 1.5], 1.0) == pytest.approx(
+        assert ti_morph(bin_measurements([0.1, 0.2, 0.3, 1.5], 1.0)) == pytest.approx(
             0.8112781244591328, abs=1e-12
         )
 
     def test_single_bin_scores_zero(self):
-        assert ti_morph([0.1, 0.2, 0.3], 1.0) == 0.0
+        assert ti_morph(bin_measurements([0.1, 0.2, 0.3], 1.0)) == 0.0
 
     def test_only_occupied_bins_enter_the_mean(self):
         # values far apart: interior empty bins must not dilute the index
-        spread = ti_morph([0.5, 99.5], 1.0)
-        adjacent = ti_morph([0.5, 1.5], 1.0)
+        spread = ti_morph(bin_measurements([0.5, 99.5], 1.0))
+        adjacent = ti_morph(bin_measurements([0.5, 1.5], 1.0))
         assert spread == adjacent == 1.0
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError, match="at least 2 values"):
-            ti_morph([1.0], 1.0)
+            ti_morph(bin_measurements([1.0], 1.0))
 
     @given(values=st.lists(st.floats(min_value=0, max_value=6), min_size=2, max_size=12))
     def test_matches_oracle_property(self, values):
-        assert ti_morph(values, 1.0) == pytest.approx(
+        assert ti_morph(bin_measurements(values, 1.0)) == pytest.approx(
             brute_ti_morph(values, 1.0), abs=1e-12
         )
 
     @given(values=st.lists(st.floats(min_value=0, max_value=6), min_size=2, max_size=12))
     def test_range_property(self, values):
-        assert 0.0 <= ti_morph(values, 1.0) <= 1.0
+        assert 0.0 <= ti_morph(bin_measurements(values, 1.0)) <= 1.0
