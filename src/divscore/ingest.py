@@ -6,11 +6,12 @@ returned as decoded; ``textstats.tokenize`` is the one place that
 NFC-normalizes it. Every CSV table, the morphology spec file included,
 is read by ``_read_table``, which holds the header, row and error
 rules; each loader adds only its header rule and its parse of one row.
-A feature matrix row parses each of its distinct cells once, and
-``load_feature_matrix`` is the one place that checks a matrix's cells,
-so ``FeatureMatrix`` itself checks nothing. The iso list reader follows
-the table rules for its encoding (strict UTF-8, optional BOM). Bundled
-default data files ship under ``divscore/data``.
+A feature matrix row becomes one ``bytes`` object: a row of one-digit
+cells in one ``translate``, any other row by ``int()`` on each distinct
+cell. ``load_feature_matrix`` is the one place that checks a matrix's
+cells, so ``FeatureMatrix`` itself checks nothing. The iso list reader
+follows the table rules for its encoding (strict UTF-8, optional BOM).
+Bundled default data files ship under ``divscore/data``.
 """
 from __future__ import annotations
 
@@ -28,6 +29,9 @@ from .model import (
 )
 
 REGISTRY_COLUMNS = ["iso", "name", "family", "endangerment", "script_scale"]
+
+#: ``bytes.translate`` table from the ASCII digits 0-9 to the bytes 0-9.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 class CorpusSource(namedtuple("CorpusSource", "iso path text")):
@@ -159,8 +163,15 @@ def load_feature_matrix(
     ``specs`` (the MorphFeatureSpecs of a morphological matrix, such as
     a MorphSpecSet) the columns must cover exactly the spec chapters,
     and every cell must lie inside its feature's declared final range,
-    which starts at 0 or above. A cell error names the file, the row, the
+    which lies in 0-255. A cell error names the file, the row, the
     language and the feature of the first bad cell in column order.
+
+    Each row is kept as ``bytes``, one byte per cell. A row whose cells
+    are each one ASCII digit is translated to its bytes in one call and
+    checked as binary by deleting the 0 and 1 bytes; every other row
+    (``?``, ``01``, ``+1``, non-ASCII digits, bad cells) reads each of
+    its distinct cells with ``int()``. Both give the same values and the
+    same errors, first in row order, then in column order.
 
     Returns
     -------
@@ -190,27 +201,32 @@ def load_feature_matrix(
         return True
 
     def parse(header, row):
-        """(iso, int values or None, the features whose cell is '?')."""
+        """(iso, the row's cells as bytes or None, the features whose cell is '?')."""
         iso, cells = row[0], row[1:]
-        distinct = set(cells)
-        if "?" in distinct:
-            return iso, None, [f for f, cell in zip(header[1:], cells) if cell == "?"]
-        try:
-            value = dict(zip(distinct, map(int, distinct)))
-        except ValueError:
-            f, cell = next((f, c) for f, c in zip(header[1:], cells) if _number(int, c) is None)
-            raise ValueError(
-                f"value for ({iso}, {f}) must be an integer or '?', got {cell!r}"
-            ) from None
-
-        def first(bad):
-            """(feature, value) of the first cell in column order whose value is bad."""
-            return next((f, value[c]) for f, c in zip(header[1:], cells) if bad(value[c]))
-
-        values = tuple(map(value.__getitem__, cells))
+        # Joined by single spaces, n cells make 2n - 1 characters with a
+        # digit at every even position only if each cell is one digit: the
+        # n - 1 spaces then fill the odd positions.
+        joined = " ".join(cells)
+        digits = joined[::2].encode() if joined.isascii() else b""
+        if len(joined) == 2 * len(cells) - 1 and digits.isdigit():
+            values = digits.translate(_DIGIT_VALUES)
+            binary = not values.translate(None, b"\0\1")
+        else:
+            distinct = set(cells)
+            if "?" in distinct:
+                return iso, None, [f for f, cell in zip(header[1:], cells) if cell == "?"]
+            try:
+                value = dict(zip(distinct, map(int, distinct)))
+            except ValueError:
+                f, cell = next((f, c) for f, c in zip(header[1:], cells) if _number(int, c) is None)
+                raise ValueError(
+                    f"value for ({iso}, {f}) must be an integer or '?', got {cell!r}"
+                ) from None
+            values = tuple(map(value.__getitem__, cells))
+            binary = {0, 1}.issuperset(value.values())
         if by_chapter is None:
-            if not {0, 1}.issuperset(value.values()):
-                f, v = first(lambda v: v not in (0, 1))
+            if not binary:
+                f, v = next((f, v) for f, v in zip(header[1:], values) if v not in (0, 1))
                 raise ValueError(f"binary feature ({iso}, {f}) must be 0 or 1, got {v}")
         else:
             for f, v in zip(header[1:], values):
@@ -220,7 +236,7 @@ def load_feature_matrix(
                         f"value {v} for ({iso}, {f}) lies outside the final range "
                         f"[{spec.final_min}, {spec.final_max}]"
                     )
-        return iso, values, []
+        return iso, bytes(values), []
 
     header, parsed = _read_table(
         path,
@@ -287,11 +303,18 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
     mapping iso -> {column: value}.
     """
     columns = list(columns)
+    where: list[tuple[str, int]] = []  # (column, its index in the header)
+
+    def header_ok(header):
+        if header[0] != "iso" or not all(name in header for name in columns):
+            return False
+        where.extend(zip(columns, map(header.index, columns)))
+        return True
 
     def parse(header, row):
         values = {}
-        for name in columns:
-            cell = row[header.index(name)]
+        for name, j in where:
+            cell = row[j]
             value = _number(float, cell)
             if value is None or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {cell!r}")
@@ -302,7 +325,7 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
         path,
         "table",
         f"'iso' first, with the column(s) {', '.join(columns)}",
-        lambda h: h[0] == "iso" and all(name in h for name in columns),
+        header_ok,
         parse,
     )
     return columns, dict(rows)

@@ -210,14 +210,16 @@ class TextProfile(
 
 
 class FeatureMatrix(_Immutable):
-    """Languages x named features with small non-negative integer cells,
-    as ``ingest.load_feature_matrix`` returns them.
+    """Languages x named features with integer cells in 0-255, as
+    ``ingest.load_feature_matrix`` returns them.
 
-    ``values`` holds the cells as a tuple of row tuples, one row per
-    language, and ``totals`` each feature's sum (a binary feature's count
-    of 1s) in feature order. The loader is the one place that checks the
-    cells (int, 0/1 or inside the non-negative spec ranges), the shape
-    and the unique languages and features; this type checks nothing.
+    ``values`` holds one ``bytes`` row per language, so ``row[j]`` is the
+    int cell of feature j, and indexing, iterating or zipping a row gives
+    ints. ``totals`` holds each feature's sum (a binary feature's count of
+    1s) in feature order, summed over one buffer of all rows. The loader
+    is the one place that checks the cells (int, 0/1 or inside the spec
+    ranges, which lie in 0-255), the shape and the unique languages and
+    features; this type checks nothing.
     """
 
     __slots__ = ("languages", "features", "values", "totals")
@@ -228,11 +230,12 @@ class FeatureMatrix(_Immutable):
         features: Sequence[str],
         values: Iterable[Iterable[int]],
     ) -> None:
-        rows = tuple(map(tuple, values))
+        rows = tuple(map(bytes, values))
         object.__setattr__(self, "languages", tuple(languages))
         object.__setattr__(self, "features", tuple(features))
         object.__setattr__(self, "values", rows)
-        object.__setattr__(self, "totals", tuple(map(sum, zip(*rows))))
+        width, cells = len(self.features), b"".join(rows)
+        object.__setattr__(self, "totals", tuple(sum(cells[j::width]) for j in range(width)))
 
     @property
     def n_languages(self) -> int:
@@ -244,7 +247,8 @@ class MorphFeatureSpec(
 ):
     """One WALS chapter: the transformation that produced its final
     values and the integer range they lie in. The range starts at 0 or
-    above, so no feature matrix cell is negative."""
+    above and ends at 255 or below, so every feature matrix cell fits in
+    one byte."""
 
     __slots__ = ()
 
@@ -264,6 +268,10 @@ class MorphFeatureSpec(
             self.final_min <= self.final_max,
             f"final_min {self.final_min} must be <= final_max {self.final_max} "
             f"for chapter {self.chapter}",
+        )
+        _require(
+            self.final_max <= 255,
+            f"final_max {self.final_max} for chapter {self.chapter} must be at most 255",
         )
         return self
 

@@ -83,7 +83,7 @@ class TestFeatureMatrixLoading:
         assert dropped == []
         assert m.languages == ("qda", "qdb", "qdc", "qdd", "qde")
         assert m.features == ("s1", "s2", "s3", "s4", "s5", "s6")
-        assert m.values[0] == (1, 0, 1, 0, 1, 0)
+        assert m.values[0] == b"\x01\x00\x01\x00\x01\x00"
 
     def test_loaded_matrix_is_immutable(self, fixtures):
         m, _ = load_feature_matrix(fixtures / "syn_dataset.csv")
@@ -419,9 +419,14 @@ _TEXT = st.text("abxyz ,\"'é", min_size=1, max_size=6).filter(str.strip)
 _NUMBER_CELLS = ["1", "-2.5", "1e3", "0.1", "nan", "inf", "-Infinity", "x", "1,5", ""]
 
 #: Cells of a feature matrix: 0, 1, the missing marker and corner cases
-#: of int(): a sign, a leading zero, a non-ASCII digit and an underscore
-#: it accepts, values outside 0/1, and cells it rejects.
-_MATRIX_CELLS = ["0", "1", "?", "+1", "01", "-0", "\u0661", "1_0", "2", "-1", "x", "1.0"]
+#: of int(): a sign, a leading zero, non-ASCII digits (Arabic-Indic and
+#: full-width) and an underscore it accepts, values outside 0/1 (one
+#: digit, and outside ``_SPEC_RANGE`` too), and cells it rejects (a
+#: superscript two is a digit to str.isdigit, not to int()).
+_MATRIX_CELLS = [
+    "0", "1", "?", "+1", "01", "-0", "\u0661", "\uff11", "1_0",
+    "2", "9", "-1", "x", "1.0", "\u00b2",
+]
 
 
 @st.composite
@@ -506,6 +511,12 @@ class TestTableOracle:
     @example(("matrix", b"iso,a,b,c\nabc,+1,2,-1\nabd,?,x,0\n"))  # two values outside 0/1
     @example(("matrix", b"iso,a,b\nabc,0,-1\nabd,-1,?\n"))  # negative: outside 0/1 and the specs
     @example(("matrix", b"iso,a,b\nabc,2,1\n"))  # outside 0/1, inside the specs
+    # rows of one-digit cells only next to rows that are not
+    @example(("matrix", b"iso,a,b\nabc,1,0\nabd,01,1\n"))  # then a leading zero
+    @example(("matrix", b"iso,a,b\nabc,0,01\nabd,1,1\n"))  # a leading zero first
+    @example(("matrix", b"iso,a,b\nabc,1,1\nabd,9,0\n"))  # then a digit outside the specs
+    @example(("matrix", b"iso,a,b,c\nabc,1,0,1\nabd,,01,1\n"))  # as many characters as cells
+    @example(("matrix", "iso,a,b\nabc,0,1\nabd,\uff11,\u00b2\n".encode()))  # non-ASCII digits
     # whitespace in one cell of a row only: the first, the last, and a
     # middle one padded with whitespace other than blanks and tabs
     @example(("registry", b"iso,name\n abc,A\n"))
@@ -587,7 +598,7 @@ class TestTableOracle:
             matrix, dropped = load()
             assert matrix.features == tuple(header[1:])
             assert matrix.languages == tuple(r[0] for r in complete)
-            assert matrix.values == tuple(tuple(int(c) for c in r[1:]) for r in complete)
+            assert matrix.values == tuple(bytes(int(c) for c in r[1:]) for r in complete)
             assert dropped == [r[0] for r in rows if "?" in r]
             return
         with pytest.raises(ValueError) as exc:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
+from divscore.diversity import feature_members
 from divscore.grammar import MorphSpecSet, load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix
 from divscore.model import (
+    MAX_GAP_EXAMPLES,
     BinOverlap,
     DeficitBin,
     DiversityReport,
@@ -74,6 +76,12 @@ _KEYWORD_CHECKS = {
             chapter="22A", name="x", transformation="none", final_min=2, final_max=1
         ),
         "final_min",
+    ),
+    "spec-byte": (
+        lambda: MorphFeatureSpec(
+            chapter="22A", name="x", transformation="none", final_min=0, final_max=256
+        ),
+        "at most 255",
     ),
     "report-name": (
         lambda: DiversityReport(score_name="gini", value=0.5, per_bin=[_ROW], normalization_c=1.0),
@@ -309,16 +317,55 @@ class TestFeatureMatrix:
         )
         assert m.n_languages == 2 and m.features == ("f1", "f2", "f3")
         assert m.totals == (1, 1, 2)
-        assert m.values == ((1, 0, 1), (0, 1, 1))
+        assert m.values == (b"\x01\x00\x01", b"\x00\x01\x01")
 
     def test_values_read_only(self):
         cells = [[1, 0]]
         m = FeatureMatrix(["aaa"], ["f1", "f2"], cells)
         cells[0][0] = 0
-        assert m.values == ((1, 0),)
+        assert m.values == (b"\x01\x00",)
         assert m.totals == (1, 0)
         with pytest.raises(TypeError):
             m.values[0][0] = 0
+        with pytest.raises(TypeError):
+            m.values[0] = b"\x00\x00"
+        assert m.values == (b"\x01\x00",)
+
+    @given(
+        width=st.integers(1, 300),
+        rows=st.integers(1, 50),
+        binary=st.booleans(),
+        count_zeros=st.booleans(),
+        data=st.data(),
+    )
+    def test_totals_and_members_property(self, width, rows, binary, count_zeros, data):
+        """``totals`` are the per-column sums of rows of any width and any
+        cells in 0-255, and ``feature_members`` lists the first
+        MAX_GAP_EXAMPLES languages in iso order whose cell is the value a
+        row counts."""
+        isos = data.draw(
+            st.lists(
+                st.text("abcdefgh", min_size=3, max_size=3),
+                min_size=rows,
+                max_size=rows,
+                unique=True,
+            )
+        )
+        raw = data.draw(st.binary(min_size=rows * width, max_size=rows * width))
+        if binary:
+            raw = bytes(b & 1 for b in raw)
+        cells = [list(raw[i : i + width]) for i in range(0, len(raw), width)]
+        features = [f"f{j}" for j in range(width)]
+        m = FeatureMatrix(isos, features, cells)
+        assert m.values == tuple(map(bytes, cells))
+        assert m.totals == tuple(sum(row[j] for row in cells) for j in range(width))
+        expected = {}
+        for j, f in enumerate(features):
+            for value in (1, 0) if count_zeros else (1,):
+                label = f"{f}={value}" if count_zeros else f
+                shown = [iso for iso, row in sorted(zip(isos, cells)) if row[j] == value]
+                expected[label] = shown[:MAX_GAP_EXAMPLES]
+        assert feature_members(m, count_zeros) == expected
 
     def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
         """Without specs a matrix is binary."""
@@ -358,6 +405,14 @@ class TestMorphFeatureSpec:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError, match="final_min"):
             MorphFeatureSpec("22A", "x", "none", final_min=5, final_max=1)
+
+    def test_final_max_fits_one_byte(self):
+        """A final range ends at 255 or below, the largest cell a byte row
+        of a FeatureMatrix holds."""
+        assert MorphFeatureSpec("22A", "x", "none", 0, 255).final_max == 255
+        with pytest.raises(ValueError) as exc:
+            MorphFeatureSpec("22A", "x", "none", final_min=0, final_max=256)
+        assert str(exc.value) == "final_max 256 for chapter 22A must be at most 255"
 
     def test_rejects_unknown_transformation(self):
         with pytest.raises(ValueError, match="transformation"):
