@@ -22,9 +22,9 @@ Two families of diversity scores over language features:
   in-this-bin feature.
 
 Scaled weights stay fractional; rounding would break the invariance of
-the Jaccard score under replication of a data set. Float sums and means
-go through ``model._pairwise_sum``, which adds in numpy's order, so each
-score has the same bits on every Python version.
+the Jaccard score under replication of a data set. Every float sum is
+``math.fsum``, the float nearest the exact sum, so a score does not
+depend on the order of its rows or on the Python version.
 """
 from __future__ import annotations
 
@@ -34,9 +34,7 @@ from collections import Counter
 from collections.abc import Sequence
 from itertools import islice
 
-from .model import (
-    MAX_GAP_EXAMPLES, BinOverlap, DiversityReport, FeatureMatrix, _pairwise_sum, _require
-)
+from .model import MAX_GAP_EXAMPLES, BinOverlap, DiversityReport, FeatureMatrix, _require
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
@@ -105,7 +103,7 @@ def _minmax_report(
     scale_d, scale_r = (c, 1.0) if n_d < n_r else (1.0, c)
     wd, wr = [w * scale_d for w in wd], [w * scale_r for w in wr]
     lo, hi = list(map(min, wd, wr)), list(map(max, wd, wr))
-    value = _pairwise_sum(lo) / _pairwise_sum(hi)
+    value = math.fsum(lo) / math.fsum(hi)
     rows = tuple(map(BinOverlap, labels, wd, wr, lo, hi))
     return DiversityReport(score_name, value, per_bin=rows, normalization_c=c)
 
@@ -227,7 +225,7 @@ def ti_syn(matrix: FeatureMatrix) -> float:
     )
     n = matrix.n_languages
     entropies = [binary_entropy(total / n) for total in matrix.totals]
-    return _pairwise_sum(entropies) / len(entropies)
+    return math.fsum(entropies) / len(entropies)
 
 
 def ti_morph(bins: Sequence[int]) -> float:
@@ -242,4 +240,4 @@ def ti_morph(bins: Sequence[int]) -> float:
     counts = Counter(bins)
     n = len(bins)
     entropies = [binary_entropy(counts[k] / n) for k in sorted(counts)]
-    return _pairwise_sum(entropies) / len(entropies)
+    return math.fsum(entropies) / len(entropies)

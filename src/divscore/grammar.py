@@ -1,19 +1,18 @@
 """Morphological complexity from WALS-style feature values.
 
 The complexity score for one language is the mean of 26 min-max
-normalized morphology feature values. Each feature is a WALS chapter
-whose raw category codes have been transformed so that larger final
-values mean heavier use of morphology; the transformation type and the
-final value range are configuration data carried by a spec file. The
-bundled default file covers the 26 chapters (22A through 112A) used for
-the published complexity column. Input is final-valued data: integers
-already transformed.
+normalized morphology feature values, summed with ``math.fsum``. Each
+feature is a WALS chapter whose raw category codes have been transformed
+so that larger final values mean heavier use of morphology; the
+transformation type and the final value range are configuration data
+carried by a spec file. The bundled default file covers the 26 chapters
+(22A through 112A) used for the published complexity column. Input is
+final-valued data: integers already transformed.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
-from functools import reduce
-from operator import add
 
 from .ingest import _read_table, bundled_path
 from .model import FeatureMatrix, MorphFeatureSpec, _Immutable, _require
@@ -25,8 +24,7 @@ FEATURE_SET_SIZE = 26
 
 
 class MorphSpecSet(_Immutable):
-    """The full morphology feature set: exactly 26 specs, unique chapters.
-    Two sets are equal when their ``specs`` are."""
+    """The full morphology feature set: exactly 26 specs, unique chapters."""
 
     __slots__ = ("specs",)
 
@@ -42,14 +40,6 @@ class MorphSpecSet(_Immutable):
             f"the morphology feature set must contain exactly {FEATURE_SET_SIZE} "
             f"specs, got {len(self.specs)}",
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MorphSpecSet):
-            return NotImplemented
-        return self.specs == other.specs
-
-    def __hash__(self) -> int:
-        return hash(self.specs)
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -80,15 +70,14 @@ def c_wals(language_values: Mapping[str, int], specs: MorphSpecSet) -> float:
 
     ``language_values`` must cover every chapter in the spec set;
     partial coverage is rejected with the absent chapters listed. Extra
-    chapters are ignored. The values are added in order from 0.0, not by
-    built-in ``sum``, which compensates from Python 3.12 on: the score
-    has the same bits on every Python.
+    chapters are ignored. The values are summed with ``math.fsum``, so
+    the mean has the same bits on every Python version.
     """
     missing = sorted(s.chapter for s in specs if s.chapter not in language_values)
     if missing:
         raise ValueError(f"missing chapters for the complexity score: {', '.join(missing)}")
     normalized = [normalize_feature(language_values[s.chapter], s) for s in specs]
-    return reduce(add, normalized, 0.0) / len(normalized)
+    return math.fsum(normalized) / len(normalized)
 
 
 def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, float]]:

@@ -1,8 +1,7 @@
 """Shared domain types: language identities, text profiles, feature
 matrices, and score reports.
 
-Pure data, no I/O and no scoring logic; ``_pairwise_sum`` holds the one
-float-summation rule the scorers share. Every type but ``FeatureMatrix``
+Pure data, no I/O and no scoring logic. Every type but ``FeatureMatrix``
 checks its invariants at construction time and raises ``ValueError``
 with a message naming the violated invariant; a feature matrix's rules
 are checked once, row by row, by the loader that builds it. Instances
@@ -22,8 +21,6 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from functools import reduce
-from operator import add
 
 #: ``\Z``, not ``$``, which also matches before a final line break.
 ISO_CODE_RE = re.compile(r"^[a-z]{3}\Z")
@@ -61,34 +58,6 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
     __delattr__ = __setattr__
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """Sum of ``values`` as floats, in numpy's float64 order, so it equals
-    ``float(numpy.sum(values))`` bit for bit.
-
-    Fewer than 8 terms are added one after another from 0.0. Up to 128
-    terms go to eight accumulators, the j-th adding terms j, j+8, ... in
-    order; they are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    the remaining terms added in order. More terms are split in half, the
-    cut rounded down to a multiple of 8, and each half summed the same
-    way. The result is added to 0.0, as numpy's reduction starts there.
-    Built-in ``sum`` would not do: from Python 3.12 it compensates.
-    """
-
-    def run(lo: int, n: int) -> float:
-        if n < 8:
-            return reduce(add, xs[lo : lo + n], 0.0)
-        if n <= 128:
-            end = lo + n - n % 8
-            r = [reduce(add, xs[lo + j + 8 : end : 8], xs[lo + j]) for j in range(8)]
-            head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(add, xs[end : lo + n], head)
-        half = n // 2 - n // 2 % 8
-        return run(lo, half) + run(lo + half, n - half)
-
-    xs = [float(v) for v in values]
-    return 0.0 + run(0, len(xs))
 
 
 class LanguageRecord(
@@ -371,11 +340,8 @@ class DiversityReport(
             self.normalization_c >= 1.0 - _EPS,
             f"normalization scalar must be >= 1, got {self.normalization_c}",
         )
-        # Built-in sum is safe here although it compensates from Python 3.12
-        # on: that moves num / den far less than the 1e-12 tolerance, and
-        # only this check reads the two sums.
-        num = sum(r.min_weight for r in self.per_bin)
-        den = sum(r.max_weight for r in self.per_bin)
+        num = math.fsum(r.min_weight for r in self.per_bin)
+        den = math.fsum(r.max_weight for r in self.per_bin)
         _require(den > 0, "per_bin max weights sum to zero")
         _require(
             abs(self.value - num / den) <= 1e-12,

@@ -51,7 +51,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count
 
 from .ingest import CorpusSource
-from .model import LanguageRecord, TextProfile, _Immutable, _pairwise_sum, _require, _require_iso
+from .model import LanguageRecord, TextProfile, _Immutable, _require, _require_iso
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -384,7 +384,7 @@ def unigram_entropy(tokens: TokenSequence) -> float:
     _require(len(tokens) > 0, "unigram_entropy requires a non-empty token sequence")
     n = len(tokens)
     ps = [c / n for c in Counter(tokens.tokens).values()]
-    return -_pairwise_sum([p * math.log2(p) for p in ps])
+    return -math.fsum([p * math.log2(p) for p in ps])
 
 
 def profile(

@@ -2,15 +2,21 @@
 
 Everything here is deliberately written from the definitions using only
 the standard library: Counter histograms, exact decimal floor binning,
-plain min/max sums, textbook entropy formulas, and a hand-written CSV
-parser. The tokenizer oracle also uses `regex`, for grapheme clusters
-and Unicode properties. Nothing imports divscore.
+exact sums of Fractions rounded once, textbook entropy formulas, and a
+hand-written CSV parser. The tokenizer oracle also uses `regex`, for
+grapheme clusters and Unicode properties. Nothing imports divscore.
 """
 import math
 from collections import Counter
 from fractions import Fraction
 
 import regex
+
+
+def exact_sum(xs):
+    """The float nearest the exact sum of the floats xs: no summation
+    order enters."""
+    return float(sum(map(Fraction, xs)))
 
 
 def exact_bin(v, width):
@@ -37,12 +43,8 @@ def brute_jmm(dataset, reference, width):
         wd = {k: v * c for k, v in wd.items()}
     elif len(reference) < len(dataset):
         wr = {k: v * c for k, v in wr.items()}
-    num = den = 0.0
-    for k in set(wd) | set(wr):
-        a, b = wd.get(k, 0.0), wr.get(k, 0.0)
-        num += min(a, b)
-        den += max(a, b)
-    return num / den
+    pairs = [(wd.get(k, 0.0), wr.get(k, 0.0)) for k in set(wd) | set(wr)]
+    return exact_sum(min(p) for p in pairs) / exact_sum(max(p) for p in pairs)
 
 
 def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
@@ -75,7 +77,7 @@ def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
     for (label, a), (_, b) in zip(counts_d, counts_r):
         a, b = float(a) * (c if n < m else 1.0), float(b) * (c if m < n else 1.0)
         table.append((label, a, b, min(a, b), max(a, b)))
-    return sum(t[3] for t in table) / sum(t[4] for t in table), table
+    return exact_sum(t[3] for t in table) / exact_sum(t[4] for t in table), table
 
 
 def bent(p):
@@ -88,7 +90,7 @@ def brute_ti_morph(values, width):
     """Mean binary entropy of bin occupancy over occupied bins."""
     bins = Counter(exact_bin(v, width) for v in values)
     ents = [bent(n / len(values)) for n in bins.values()]
-    return sum(ents) / len(ents)
+    return exact_sum(ents) / len(ents)
 
 
 def brute_ti_syn(rows):
@@ -99,14 +101,14 @@ def brute_ti_syn(rows):
     for j in range(width):
         ones = sum(row[j] for row in rows)
         ents.append(bent(ones / n))
-    return sum(ents) / len(ents)
+    return exact_sum(ents) / len(ents)
 
 
 def brute_entropy(tokens):
     """Shannon entropy in bits of a token list's empirical distribution."""
     counts = Counter(tokens)
     n = len(tokens)
-    return -sum((c / n) * math.log2(c / n) for c in counts.values())
+    return -exact_sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
 def neumaier_sum(iterable, start=0):

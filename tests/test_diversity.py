@@ -270,9 +270,7 @@ class TestJmmScore:
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
     @settings(max_examples=200)
     def test_matches_brute_force_property(self, a, b, width):
-        assert _jmm(a, b, width).value == pytest.approx(
-            brute_jmm(a, b, width), abs=1e-12
-        )
+        assert _jmm(a, b, width).value == brute_jmm(a, b, width)
 
     @given(
         a=far_apart_measurements,
@@ -287,7 +285,7 @@ class TestJmmScore:
         assert all(r.max_weight > 0 for r in rows)
         ks = [int(r.label.removeprefix("bin")) for r in rows]
         assert all(k < k_next for k, k_next in zip(ks, ks[1:]))
-        assert report.value == pytest.approx(brute_jmm(a, b, width), abs=1e-12)
+        assert report.value == brute_jmm(a, b, width)
 
 
 class TestSyntacticWeights:
@@ -373,7 +371,7 @@ class TestJmmSyn:
         assert [
             (r.label, r.dataset, r.reference, r.min_weight, r.max_weight) for r in report.per_bin
         ] == table
-        assert report.value == pytest.approx(value, abs=1e-12)
+        assert report.value == value
 
     def test_feature_length_mismatch(self):
         a = FeatureMatrix(["aaa"], ["s1"], [[1]])
@@ -456,7 +454,7 @@ class TestTiSyn:
     def test_matches_oracle(self):
         rows = [[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 0], [1, 0, 0, 0], [0, 1, 1, 1]]
         m = _syn(rows)
-        assert ti_syn(m) == pytest.approx(brute_ti_syn(rows), abs=1e-12)
+        assert ti_syn(m) == brute_ti_syn(rows)
 
     def test_needs_two_languages(self):
         m = _syn([[1, 0]])
@@ -500,9 +498,7 @@ class TestTiMorph:
 
     @given(values=st.lists(st.floats(min_value=0, max_value=6), min_size=2, max_size=12))
     def test_matches_oracle_property(self, values):
-        assert ti_morph(bin_measurements(values, 1.0)) == pytest.approx(
-            brute_ti_morph(values, 1.0), abs=1e-12
-        )
+        assert ti_morph(bin_measurements(values, 1.0)) == brute_ti_morph(values, 1.0)
 
     @given(values=st.lists(st.floats(min_value=0, max_value=6), min_size=2, max_size=12))
     def test_range_property(self, values):

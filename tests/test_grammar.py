@@ -11,7 +11,7 @@ from divscore.grammar import (
 )
 from divscore.ingest import bundled_path, load_feature_matrix
 from divscore.model import MorphFeatureSpec
-from oracles import neumaier_sum
+from oracles import exact_sum
 
 
 @pytest.fixture(scope="module")
@@ -109,21 +109,23 @@ class TestCWals:
         values["26A"] = 1
         assert c_wals(values, specs) == pytest.approx(1 / 26)
 
-    def test_mean_added_in_order(self, specs):
-        # one after another from 0.0, as built-in sum adds before Python
-        # 3.12; its compensated sum from 3.12 on differs in the last bit
+    def test_mean_is_exact(self, specs):
+        # the exact sum of the normalized values, rounded once; adding
+        # them in order from 0.0 differs in the last bit for at least one
+        # bundled language, so a return to in-order adding fails here
         matrix, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
         table = dict(c_wals_table(matrix, specs))
-        compensated = 0
+        in_order_differs = 0
         for iso, values in zip(matrix.languages, matrix.values):
             row = dict(zip(matrix.features, values))
             normalized = [normalize_feature(row[s.chapter], s) for s in specs]
+            mean = exact_sum(normalized) / len(specs)
+            assert c_wals(row, specs) == table[iso] == mean
             total = 0.0
             for v in normalized:
                 total += v
-            assert c_wals(row, specs) == table[iso] == total / len(specs)
-            compensated += neumaier_sum(normalized) != total
-        assert compensated > 0, "no bundled language tells the two sums apart"
+            in_order_differs += total / len(specs) != mean
+        assert in_order_differs > 0, "no bundled language tells the two sums apart"
 
     def test_table_sorted_and_kind_checked(self, specs):
         """The matrix kind comes from the specs: without them the loader

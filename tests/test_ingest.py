@@ -326,7 +326,12 @@ LOADERS = {
         [["iso", "name", "x"], ["qaa", "A", "1.5"], ["qab", "B", "2"]],
         (0, "QAB"),
     ),
-    "morph_specs": (load_morph_specs, "morphology spec file", _spec_table(), (3, "low")),
+    "morph_specs": (
+        lambda p: load_morph_specs(p).specs,
+        "morphology spec file",
+        _spec_table(),
+        (3, "low"),
+    ),
 }
 
 

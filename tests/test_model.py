@@ -1,15 +1,15 @@
 """Construction-time invariants of the shared domain types."""
 import json
+import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
-from divscore.diversity import feature_members
+from divscore.diversity import _minmax_report, feature_members
 from divscore.grammar import MorphSpecSet, load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix
 from divscore.model import (
@@ -24,9 +24,9 @@ from divscore.model import (
     MorphFeatureSpec,
     SurplusBin,
     TextProfile,
-    _pairwise_sum,
 )
 from divscore.textstats import TokenSequence, tokenize
+from oracles import exact_sum
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
 _SPEC = MorphFeatureSpec("22A", "x", "none", 0, 1)
@@ -157,27 +157,39 @@ class TestConstruction:
             build("abc\n")
 
 
-class TestPairwiseSum:
-    # A seeded list of n floats over 16 decades of both signs, so that any
-    # change of summation order shows in the last bits. The pinned lengths
-    # sit on each side of numpy's 8-term unroll and 128-term block.
-    @given(n=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
-    @example(n=7, seed=0)
-    @example(n=8, seed=0)
-    @example(n=9, seed=0)
-    @example(n=128, seed=0)
-    @example(n=129, seed=0)
-    @example(n=136, seed=0)
-    @example(n=257, seed=0)
-    def test_matches_numpy_property(self, n, seed):
-        rng = random.Random(seed)
-        xs = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
-        assert _pairwise_sum(xs).hex() == float(np.sum(xs)).hex()
-        if xs:
-            assert (_pairwise_sum(xs) / len(xs)).hex() == float(np.mean(xs)).hex()
+def _seeded_floats(n, seed):
+    """n floats over 16 decades of both signs, so that any change of
+    summation order shows in the last bits."""
+    rng = random.Random(seed)
+    return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
 
-    def test_negative_zeros_sum_to_zero(self):
-        assert _pairwise_sum([-0.0] * 9).hex() == float(np.sum([-0.0] * 9)).hex() == "0x0.0p+0"
+
+class TestExactSum:
+    # The pinned lengths sit on each side of numpy's 8-term unroll and
+    # 128-term block. Adding [1e16, 1.0, -1e16] in order or in numpy's
+    # order gives 0.0, its exact sum is 1.0. Over [1.0, 2**-53, 2**-53]
+    # adding in order loses both small terms, so the score moves.
+    @given(xs=st.builds(_seeded_floats, st.integers(0, 1000), st.integers(0, 2**32 - 1)))
+    @example(xs=_seeded_floats(7, 0))
+    @example(xs=_seeded_floats(8, 0))
+    @example(xs=_seeded_floats(9, 0))
+    @example(xs=_seeded_floats(128, 0))
+    @example(xs=_seeded_floats(129, 0))
+    @example(xs=_seeded_floats(136, 0))
+    @example(xs=_seeded_floats(257, 0))
+    @example(xs=[1e16, 1.0, -1e16])
+    @example(xs=[1.0, 2.0**-53, 2.0**-53])
+    def test_scorer_sums_are_exact_property(self, xs):
+        """The scorers sum with math.fsum: the float nearest the exact sum.
+        A min-max table of |x| against 1.0 per row scores the exact
+        sum(min) over the exact sum(max)."""
+        assert math.fsum(xs) == exact_sum(xs)
+        if not xs:
+            return
+        wd, wr = [abs(x) for x in xs], [1.0] * len(xs)
+        report = _minmax_report("jmm_syn", [f"f{i}" for i in range(len(xs))], wd, wr, 1, 1)
+        lo, hi = list(map(min, wd, wr)), list(map(max, wd, wr))
+        assert report.value == exact_sum(lo) / exact_sum(hi)
 
 
 class TestLanguageRecord:
@@ -281,7 +293,7 @@ class TestTextProfile:
 
     def test_entropy_at_bound_accepted(self):
         # all-distinct sample: H = log2(N) exactly
-        prof = self._make(unigram_entropy=np.log2(16), token_count=16, ttr=1.0)
+        prof = self._make(unigram_entropy=math.log2(16), token_count=16, ttr=1.0)
         assert prof.token_count == 16
 
     def test_rejects_negative_offset(self):

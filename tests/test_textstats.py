@@ -427,7 +427,7 @@ class TestMeasures:
         rng = random.Random(5)
         tokens = [rng.choice("abcdefg") * rng.randint(1, 3) for _ in range(500)]
         seq = TokenSequence("und", tokens)
-        assert unigram_entropy(seq) == pytest.approx(brute_entropy(tokens), abs=1e-12)
+        assert unigram_entropy(seq) == brute_entropy(tokens)
 
     def test_entropy_all_distinct_hits_log2_n(self):
         seq = TokenSequence("und", [f"t{i}" for i in range(32)])

@@ -12,14 +12,13 @@ table, and entropy index are spelled out inline. That is only valid on
 the fixture corpora, whose restricted alphabet (single-code-point
 letters, single spaces) makes the simple operations agree with full
 Unicode segmentation. Bins follow the package's documented rule, an
-exact decimal floor, computed here with fractions.Fraction. The
-complexity score is the in-order mean of each chapter's value min-max
-normalized over its final range, read with csv.DictReader from the
-bundled spec and value files. The correlation is Pearson's r of average
-ranks, computed in numpy.corrcoef's steps; every sum is exact, so their
-order does not matter. The syntactic score's sums run in numpy's order,
-spelled out in numpy_sum: left to right for the six rows of 103
-dimensions, eight interleaved accumulators for the twelve rows of 206.
+exact decimal floor, computed here with fractions.Fraction. Every float
+sum is exact_sum: the exact sum of the terms as Fractions, rounded to a
+float once, so no summation order enters. The complexity score is the
+mean of each chapter's value min-max normalized over its final range,
+read with csv.DictReader from the bundled spec and value files. The
+correlation is Pearson's r of average ranks, computed in
+numpy.corrcoef's steps over exact Fractions.
 Regenerate after any change to the fixtures, to the bundled data or to
 a command's JSON envelope:
 
@@ -63,6 +62,16 @@ def mwls(dirname, scales):
     }
 
 
+def exact_sum(xs):
+    """The float nearest the exact sum of the floats xs."""
+    return float(sum(map(Fraction, xs)))
+
+
+def minmax_value(per_bin):
+    """sum(min) / sum(max) over a per-bin table."""
+    return exact_sum(r["min"] for r in per_bin) / exact_sum(r["max"] for r in per_bin)
+
+
 def exact_bin(v):
     """Bin k with k*BIN_WIDTH <= v < (k+1)*BIN_WIDTH, reading both as the
     decimals they print as."""
@@ -80,8 +89,8 @@ def ti(values):
     for v in values:
         k = exact_bin(v)
         bins[k] = bins.get(k, 0) + 1
-    ents = [bent(count / len(values)) for _, count in sorted(bins.items())]
-    return sum(ents) / len(ents)
+    ents = [bent(count / len(values)) for count in bins.values()]
+    return exact_sum(ents) / len(ents)
 
 
 def cwals_payload():
@@ -90,10 +99,8 @@ def cwals_payload():
     rows = []
     with open(DATA / "morph_values.csv", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            total = 0.0
-            for chapter, lo, hi in specs:
-                total += 0.0 if lo == hi else (int(row[chapter]) - lo) / (hi - lo)
-            rows.append({"iso": row["iso"], "c_wals": total / len(specs)})
+            norm = [0.0 if lo == hi else (int(row[ch]) - lo) / (hi - lo) for ch, lo, hi in specs]
+            rows.append({"iso": row["iso"], "c_wals": exact_sum(norm) / len(specs)})
     return {"schema_version": "1", "c_wals": sorted(rows, key=lambda r: r["iso"])}
 
 
@@ -144,31 +151,6 @@ def families_payload():
     }
 
 
-def numpy_sum(terms):
-    """The float sum numpy.sum gives for up to 128 terms. Below eight
-    terms it adds them in order from 0.0. Otherwise accumulator j adds
-    terms j, j+8, ... up to the last multiple of eight, the eight are
-    combined as ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), and the remaining
-    terms are added in order."""
-    assert len(terms) <= 128, "numpy splits longer sums in halves"
-    if len(terms) < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    end = len(terms) - len(terms) % 8
-    acc = []
-    for j in range(8):
-        a = terms[j]
-        for t in terms[j + 8 : end : 8]:
-            a += t
-        acc.append(a)
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for t in terms[end:]:
-        total += t
-    return 0.0 + total
-
-
 def score_syn_payload(syn_dims):
     """103 dimensions: one row per feature, counting its 1s. 206: rows
     <feature>=1 and <feature>=0 per feature, counting each value."""
@@ -196,14 +178,10 @@ def score_syn_payload(syn_dims):
         elif wd < wr:
             examples = sorted(row["iso"] for row in ref if int(row[f]) == v)[:5]
             deficit.append({"bin": label, "shortfall": wr - wd, "examples": examples})
-    num = numpy_sum([r["min"] for r in per_bin])
-    den = numpy_sum([r["max"] for r in per_bin])
 
     def ti_syn(rows):
-        total = 0.0
-        for f in features:
-            total += bent(sum(int(row[f]) for row in rows) / len(rows))
-        return total / len(features)
+        ents = [bent(sum(int(row[f]) for row in rows) / len(rows)) for f in features]
+        return exact_sum(ents) / len(ents)
 
     return {
         "schema_version": "1",
@@ -214,7 +192,7 @@ def score_syn_payload(syn_dims):
         "normalization_c": c,
         "jmm": {
             "score_name": "jmm_syn",
-            "value": num / den,
+            "value": minmax_value(per_bin),
             "normalization_c": c,
             "per_bin": per_bin,
             "gap": {"surplus": surplus, "deficit": deficit},
@@ -251,12 +229,9 @@ def main():
         bins_r = {k: v * c for k, v in bins_r.items()}
 
     per_bin, surplus, deficit = [], [], []
-    num = den = 0.0
     for k in sorted(set(bins_d) | set(bins_r)):
         wd = float(bins_d.get(k, 0.0))
         wr = float(bins_r.get(k, 0.0))
-        num += min(wd, wr)
-        den += max(wd, wr)
         label = f"bin{k}"
         per_bin.append(
             {"bin": label, "dataset": wd, "reference": wr, "min": min(wd, wr), "max": max(wd, wr)}
@@ -279,7 +254,7 @@ def main():
         "normalization_c": c,
         "jmm": {
             "score_name": "jmm_morph",
-            "value": num / den,
+            "value": minmax_value(per_bin),
             "normalization_c": c,
             "per_bin": per_bin,
             "gap": {"surplus": surplus, "deficit": deficit},
