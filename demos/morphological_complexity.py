@@ -29,15 +29,15 @@ def main() -> None:
     registry = load_registry(bundled_path("registry.csv"))
 
     ranked = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
-    print("\nrank  iso  c_wals  language")
+    print("\nrank  iso  c_wals  family")
     for i, (iso, value) in enumerate(ranked, start=1):
-        name = registry.get(iso).name if iso in registry else iso
+        family = registry[iso].family if iso in registry else None
         marker = ""
         if i <= 3:
             marker = "  <- most synthetic"
         elif i > len(ranked) - 3:
             marker = "  <- most isolating"
-        print(f"{i:4d}  {iso}  {value:6.3f}  {name}{marker}")
+        print(f"{i:4d}  {iso}  {value:6.3f}  {family or '-'}{marker}")
 
     # published word lengths for the same languages ship with the package
     _, table = load_numeric_table(bundled_path("mwl_cwals.csv"), ["mwl"])

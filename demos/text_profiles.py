@@ -10,7 +10,6 @@ unigram entropy for each.
 import random
 
 from divscore.ingest import CorpusSource
-from divscore.model import LanguageRecord
 from divscore.textstats import grapheme_length, profile, tokenize
 
 ANALYTIC_STEMS = ["ta", "ko", "ni", "sae", "lum", "po", "ki", "da", "mo", "ren"]
@@ -36,17 +35,17 @@ def main() -> None:
         for b in ("", rng.choice(AFFIXES))
     ]
 
+    # analytic, agglutinative and logographic, with their script scales
     corpora = [
-        ("qan", "Analytic Demo", build_text(rng, ANALYTIC_STEMS, 600), 1.0),
-        ("qag", "Agglutinative Demo", build_text(rng, agglut_words, 600), 1.0),
-        ("qlo", "Logographic Demo", build_text(rng, HAN_WORDS, 600), 2.4),
+        ("qan", build_text(rng, ANALYTIC_STEMS, 600), 1.0),
+        ("qag", build_text(rng, agglut_words, 600), 1.0),
+        ("qlo", build_text(rng, HAN_WORDS, 600), 2.4),
     ]
 
     print("iso    mwl     ttr    entropy  tokens")
-    for iso, name, text, scale in corpora:
-        record = LanguageRecord(iso, name, script_scale=scale)
-        source = CorpusSource(iso=iso, path=f"<generated {iso}>", text=text)
-        p = profile(source, record, target=500, seed=0)
+    for iso, text, scale in corpora:
+        source = CorpusSource(iso, text)
+        p = profile(source, scale, target=500, seed=0)
         print(
             f"{p.iso}  {p.mean_word_length:6.3f}  {p.ttr:6.3f}"
             f"  {p.unigram_entropy:7.3f}  {p.token_count:6d}"

@@ -61,7 +61,7 @@ from .ingest import (
     load_numeric_table,
     load_registry,
 )
-from .model import ISO_CODE_RE, LanguageRecord, LanguageSet, TextProfile, _require
+from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _require
 from .textstats import _patterns, profile
 
 SCHEMA_VERSION = "1"
@@ -178,14 +178,9 @@ def _emit(
         sys.stdout.write(csv_text(header, rows))
 
 
-def _registry_or_none(args: argparse.Namespace) -> LanguageSet | None:
-    return load_registry(args.registry) if args.registry else None
-
-
-def _record_for(iso: str, registry: LanguageSet | None) -> LanguageRecord:
-    if registry is not None and iso in registry:
-        return registry.get(iso)
-    return LanguageRecord(iso=iso, name=iso)
+def _registry(args: argparse.Namespace) -> dict[str, LanguageRecord]:
+    """The ``--registry`` records by iso; without the option, none."""
+    return load_registry(args.registry) if args.registry else {}
 
 
 def _usable_cpus() -> int:
@@ -196,18 +191,21 @@ def _usable_cpus() -> int:
 
 
 def _profile_file(
-    f: Path, registry: LanguageSet | None, args: argparse.Namespace
+    f: Path, registry: dict[str, LanguageRecord], args: argparse.Namespace
 ) -> TextProfile | str:
-    """One ``<iso>.txt`` corpus file's profile, or the reason it failed."""
+    """One ``<iso>.txt`` corpus file's profile, with the language's
+    registry ``script_scale`` (1.0 if it has no record), or the reason it
+    failed."""
     iso = f.stem
     try:
         _require(
             bool(ISO_CODE_RE.match(iso)),
             f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
         )
+        rec = registry.get(iso)
         return profile(
             load_corpus(f, iso),
-            _record_for(iso, registry),
+            rec.script_scale if rec else 1.0,
             target=args.sample_target,
             seed=args.seed,
         )
@@ -235,7 +233,7 @@ def _shares(files: list[Path], n: int) -> list[list[int]]:
 
 
 def _run_worker(
-    write_fd: int, files: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+    write_fd: int, files: list[Path], registry: dict[str, LanguageRecord], args: argparse.Namespace
 ):
     """Profile ``files`` in a forked worker, write the results to the pipe
     and end the process; never returns into the caller.
@@ -266,7 +264,7 @@ def _run_worker(
 
 
 def _profile_files(
-    files: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+    files: list[Path], registry: dict[str, LanguageRecord], args: argparse.Namespace
 ) -> list[TextProfile | str]:
     """Each file's profile or its error message, in file order.
 
@@ -320,7 +318,7 @@ def _profile_files(
 
 
 def _profile_corpora(
-    directories: list[Path], registry: LanguageSet | None, args: argparse.Namespace
+    directories: list[Path], registry: dict[str, LanguageRecord], args: argparse.Namespace
 ) -> dict[Path, list[tuple[Path, TextProfile | str]]]:
     """Profile the ``<iso>.txt`` files of every corpus directory in one
     batch (`_profile_files`); map each directory to its files, in name
@@ -350,7 +348,7 @@ def _report_corpus(
 def cmd_profile(args: argparse.Namespace) -> int:
     dirp = Path(args.dataset)
     _require(dirp.is_dir(), f"--dataset must be a corpus directory, got {args.dataset!r}")
-    corpora = _profile_corpora([dirp], _registry_or_none(args), args)
+    corpora = _profile_corpora([dirp], _registry(args), args)
     profiles, failed = _report_corpus(dirp, corpora[dirp])
     rows = [tuple(p) for p in profiles]
     _emit(args, {"profiles": [dict(zip(PROFILE_COLUMNS, r)) for r in rows]}, PROFILE_COLUMNS, rows)
@@ -381,7 +379,7 @@ def _score_morph(args: argparse.Namespace) -> dict:
     unread = [f for f in ("--sample-target", "--seed", "--registry") if f in args.given]
     if unread and not dirs:
         print(f"note: both sides are tables, so {', '.join(unread)} go unread", file=sys.stderr)
-    corpora = _profile_corpora(dirs, _registry_or_none(args), args)
+    corpora = _profile_corpora(dirs, _registry(args), args)
     _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
     iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 
@@ -508,12 +506,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_families(args: argparse.Namespace) -> int:
     registry = load_registry(args.registry if args.registry else bundled_path("registry.csv"))
     isos = load_iso_list(args.dataset if args.dataset else bundled_path("mbert_languages.txt"))
-    records = [registry.get(iso) for iso in dict.fromkeys(isos) if iso in registry]
+    records = [registry[iso] for iso in dict.fromkeys(isos) if iso in registry]
     unknown = sorted({iso for iso in isos if iso not in registry})
     if unknown:
         print(f"unknown iso code(s) excluded: {', '.join(unknown)}", file=sys.stderr)
 
-    families, unlabeled = family_breakdown(LanguageSet(records))
+    families, unlabeled = family_breakdown(records)
     if unlabeled:
         print(
             f"{len(unlabeled)} language(s) excluded from family count (no family label): "

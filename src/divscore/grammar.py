@@ -3,49 +3,26 @@
 The complexity score for one language is the mean of 26 min-max
 normalized morphology feature values, summed with ``math.fsum``. Each
 feature is a WALS chapter whose raw category codes have been transformed
-so that larger final values mean heavier use of morphology; the
-transformation type and the final value range are configuration data
-carried by a spec file. The bundled default file covers the 26 chapters
-(22A through 112A) used for the published complexity column. Input is
-final-valued data: integers already transformed.
+so that larger final values mean heavier use of morphology; the final
+value range of each chapter is configuration data carried by a spec
+file, which also names each chapter's transformation for the reader.
+The bundled default file covers the 26 chapters (22A through 112A) used
+for the published complexity column. Input is final-valued data:
+integers already transformed.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping, Sequence
+from pathlib import Path
 
 from .ingest import _read_table, bundled_path
-from .model import FeatureMatrix, MorphFeatureSpec, _Immutable, _require
+from .model import FeatureMatrix, MorphFeatureSpec, _require
 
 SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max"]
 
 #: Number of features in the complexity score's feature set.
 FEATURE_SET_SIZE = 26
-
-
-class MorphSpecSet(_Immutable):
-    """The full morphology feature set: exactly 26 specs, unique chapters."""
-
-    __slots__ = ("specs",)
-
-    def __init__(self, specs) -> None:
-        object.__setattr__(self, "specs", tuple(specs))
-        chapters = [s.chapter for s in self.specs]
-        _require(
-            len(set(chapters)) == len(chapters),
-            "duplicate chapter identifiers in morphology spec set",
-        )
-        _require(
-            len(self.specs) == FEATURE_SET_SIZE,
-            f"the morphology feature set must contain exactly {FEATURE_SET_SIZE} "
-            f"specs, got {len(self.specs)}",
-        )
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self) -> Iterator[MorphFeatureSpec]:
-        return iter(self.specs)
 
 
 def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
@@ -65,10 +42,10 @@ def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
     return (value - spec.final_min) / (spec.final_max - spec.final_min)
 
 
-def c_wals(language_values: Mapping[str, int], specs: MorphSpecSet) -> float:
+def c_wals(language_values: Mapping[str, int], specs: Sequence[MorphFeatureSpec]) -> float:
     """Mean of the normalized feature values for one language.
 
-    ``language_values`` must cover every chapter in the spec set;
+    ``language_values`` must cover every chapter in ``specs``;
     partial coverage is rejected with the absent chapters listed. Extra
     chapters are ignored. The values are summed with ``math.fsum``, so
     the mean has the same bits on every Python version.
@@ -80,7 +57,9 @@ def c_wals(language_values: Mapping[str, int], specs: MorphSpecSet) -> float:
     return math.fsum(normalized) / len(normalized)
 
 
-def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, float]]:
+def c_wals_table(
+    matrix: FeatureMatrix, specs: Sequence[MorphFeatureSpec]
+) -> list[tuple[str, float]]:
     """Per-language complexity scores over a morphology matrix (loaded
     with ``specs``), sorted by iso."""
     return [
@@ -89,27 +68,32 @@ def c_wals_table(matrix: FeatureMatrix, specs: MorphSpecSet) -> list[tuple[str, 
     ]
 
 
-def load_morph_specs(path=None) -> MorphSpecSet:
-    """Read a morphology feature spec file.
+def load_morph_specs(path=None) -> tuple[MorphFeatureSpec, ...]:
+    """Read a morphology feature spec file: the full feature set, one
+    spec per chapter in file order.
 
-    CSV with header ``chapter,name,transformation,final_min,final_max``.
-    Defaults to the bundled spec file. A final range starts at 0 or
-    above (see :class:`~divscore.model.MorphFeatureSpec`).
+    CSV with header ``chapter,name,transformation,final_min,final_max``
+    and exactly 26 rows, one per chapter. Defaults to the bundled spec
+    file. ``name`` and ``transformation`` are recorded there for the
+    reader and not read. A final range starts at 0 or above (see
+    :class:`~divscore.model.MorphFeatureSpec`).
     """
+    path = Path(path) if path is not None else bundled_path("morph_feature_specs.csv")
 
     def parse(header, row):
-        chapter, name, transformation, final_min, final_max = row
+        chapter, _, _, final_min, final_max = row
         try:
             final_min, final_max = int(final_min), int(final_max)
         except ValueError:
             raise ValueError("final_min and final_max must be integers") from None
-        return MorphFeatureSpec(chapter, name, transformation, final_min, final_max)
+        return MorphFeatureSpec(chapter, final_min, final_max)
 
     _, specs = _read_table(
-        path if path is not None else bundled_path("morph_feature_specs.csv"),
-        "morphology spec file",
-        ",".join(SPEC_COLUMNS),
-        lambda h: h == SPEC_COLUMNS,
-        parse,
+        path, "morphology spec file", ",".join(SPEC_COLUMNS), lambda h: h == SPEC_COLUMNS, parse
     )
-    return MorphSpecSet(specs)
+    _require(
+        len(specs) == FEATURE_SET_SIZE,
+        f"morphology spec file {path} must list exactly {FEATURE_SET_SIZE} chapters, "
+        f"got {len(specs)}",
+    )
+    return tuple(specs)

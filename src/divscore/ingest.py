@@ -5,7 +5,10 @@ Text is decoded strictly (invalid UTF-8 is an error, never replaced) and
 returned as decoded; ``textstats.tokenize`` is the one place that
 NFC-normalizes it. Every CSV table, the morphology spec file included,
 is read by ``_read_table``, which holds the header, row and error
-rules; each loader adds only its header rule and its parse of one row.
+rules; each loader adds only its header rule and its parse of one row,
+which reads only the cells a command uses: a registry's ``family`` and
+``script_scale``, a numeric table's requested columns, a spec file's
+chapter and final range.
 A feature matrix row becomes one ``bytes`` object: a row of one-digit
 cells in one ``translate``, any other row by ``int()`` on each distinct
 cell. ``load_feature_matrix`` is the one place that checks a matrix's
@@ -18,24 +21,17 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from pathlib import Path
 
-from .model import (
-    ISO_CODE_RE,
-    FeatureMatrix,
-    LanguageRecord,
-    LanguageSet,
-    _require_iso,
-)
-
-REGISTRY_COLUMNS = ["iso", "name", "family", "endangerment", "script_scale"]
+from .model import ISO_CODE_RE, FeatureMatrix, LanguageRecord, _require_iso
 
 #: ``bytes.translate`` table from the ASCII digits 0-9 to the bytes 0-9.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-class CorpusSource(namedtuple("CorpusSource", "iso path text")):
-    """One language's raw text and where it came from."""
+class CorpusSource(namedtuple("CorpusSource", "iso text")):
+    """One language's iso code and raw text."""
 
     __slots__ = ()
 
@@ -120,30 +116,31 @@ def _number(parse, cell: str):
         return None
 
 
-def load_registry(path) -> LanguageSet:
-    """Read a language registry CSV into a LanguageSet.
+def load_registry(path) -> dict[str, LanguageRecord]:
+    """Read a language registry CSV: iso -> LanguageRecord, in file order.
 
-    The header is a prefix of ``iso,name,family,endangerment,script_scale``
-    of at least ``iso,name``. Blank optional fields take the defaults (no
-    family, no endangerment status, script_scale 1.0).
+    The header starts with ``iso``. Of the other columns only ``family``
+    and ``script_scale`` are read, wherever they stand; a blank or absent
+    cell takes the default (no family, script_scale 1.0). Every other
+    column, such as ``name`` or ``endangerment``, is ignored.
     """
+    where: list[int | None] = []  # the family and script_scale columns, if present
+
+    def header_ok(header):
+        if header[0] != "iso":
+            return False
+        where.extend(header.index(c) if c in header else None for c in ("family", "script_scale"))
+        return True
 
     def parse(header, row):
-        iso, name, family, endangerment, scale = row + [""] * (len(REGISTRY_COLUMNS) - len(row))
-        try:
-            script_scale = float(scale) if scale else 1.0
-        except ValueError:
-            raise ValueError(f"script_scale must be a number, got {scale!r}") from None
-        return LanguageRecord(iso, name, family or None, endangerment or None, script_scale)
+        family, scale = ("" if j is None else row[j] for j in where)
+        script_scale = _number(float, scale) if scale else 1.0
+        if script_scale is None:
+            raise ValueError(f"script_scale must be a number, got {scale!r}")
+        return LanguageRecord(row[0], family or None, script_scale)
 
-    _, records = _read_table(
-        path,
-        "registry",
-        f"a prefix of {','.join(REGISTRY_COLUMNS)} with at least iso,name",
-        lambda h: len(h) >= 2 and h == REGISTRY_COLUMNS[: len(h)],
-        parse,
-    )
-    return LanguageSet(records)
+    _, records = _read_table(path, "registry", "'iso' first", header_ok, parse)
+    return {rec.iso: rec for rec in records}
 
 
 def load_feature_matrix(
@@ -160,10 +157,10 @@ def load_feature_matrix(
     in which case they are dropped and their iso codes returned.
 
     Without ``specs`` the matrix is binary: every cell is 0 or 1. With
-    ``specs`` (the MorphFeatureSpecs of a morphological matrix, such as
-    a MorphSpecSet) the columns must cover exactly the spec chapters,
-    and every cell must lie inside its feature's declared final range,
-    which lies in 0-255. A cell error names the file, the row, the
+    ``specs`` (the MorphFeatureSpecs of a morphological matrix, as
+    ``grammar.load_morph_specs`` returns them) the columns must cover
+    exactly the spec chapters, and every cell must lie inside its
+    feature's declared final range, which lies in 0-255. A cell error names the file, the row, the
     language and the feature of the first bad cell in column order.
 
     Each row is kept as ``bytes``, one byte per cell. A row whose cells
@@ -276,14 +273,14 @@ def load_corpus(path, iso: str) -> CorpusSource:
         text = raw.decode("utf-8", errors="strict")
     except UnicodeDecodeError as exc:
         raise ValueError(f"corpus {path} is not valid UTF-8: {exc}") from None
-    return CorpusSource(iso=iso, path=str(path), text=text)
+    return CorpusSource(iso, text)
 
 
-def family_breakdown(languages: LanguageSet) -> tuple[dict[str, list[str]], list[str]]:
+def family_breakdown(records: Iterable[LanguageRecord]) -> tuple[dict[str, list[str]], list[str]]:
     """Family -> sorted member iso codes, plus sorted unlabeled members."""
     families: dict[str, list[str]] = {}
     unlabeled: list[str] = []
-    for rec in languages:
+    for rec in records:
         if rec.family:
             families.setdefault(rec.family, []).append(rec.iso)
         else:

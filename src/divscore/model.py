@@ -1,12 +1,13 @@
-"""Shared domain types: language identities, text profiles, feature
-matrices, and score reports.
+"""Shared domain types: language records, text profiles, morphology
+feature specs, feature matrices, and score reports.
 
-Pure data, no I/O and no scoring logic. Every type but ``FeatureMatrix``
-checks its invariants at construction time and raises ``ValueError``
-with a message naming the violated invariant; a feature matrix's rules
-are checked once, row by row, by the loader that builds it. Instances
-are immutable afterwards and safe to share across concurrent
-computations.
+A record carries only the fields some command reads; the loaders skip
+every other column of their files. Pure data, no I/O and no scoring
+logic. Every type but ``FeatureMatrix`` checks its invariants at
+construction time and raises ``ValueError`` with a message naming the
+violated invariant; a feature matrix's rules are checked once, row by
+row, by the loader that builds it. Instances are immutable afterwards
+and safe to share across concurrent computations.
 
 A record of fields alone is a ``collections.namedtuple`` subclass with
 empty ``__slots__`` whose ``__new__`` runs the checks; it compares, hashes
@@ -20,13 +21,11 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 #: ``\Z``, not ``$``, which also matches before a final line break.
 ISO_CODE_RE = re.compile(r"^[a-z]{3}\Z")
 
-ENDANGERMENT_LEVELS = frozenset({"safe", "vulnerable", "endangered", "extinct", "unknown"})
-TRANSFORMATIONS = frozenset({"none", "binarization", "reorder", "recategorization", "remove"})
 SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn"})
 #: Maximum example languages listed per deficit bin.
 MAX_GAP_EXAMPLES = 5
@@ -61,14 +60,10 @@ class _Immutable:
 
 
 class LanguageRecord(
-    namedtuple(
-        "LanguageRecord",
-        "iso name family endangerment script_scale",
-        defaults=(None, None, 1.0),
-    )
+    namedtuple("LanguageRecord", "iso family script_scale", defaults=(None, 1.0))
 ):
-    """Identity and metadata for one language: ``iso`` and ``name``, then
-    optional ``family`` and ``endangerment`` strings.
+    """What a command reads of one language: ``iso``, an optional
+    ``family`` string, and ``script_scale``.
 
     ``script_scale`` is a positive multiplier applied to observed word
     lengths; it compensates for logographic scripts whose written words
@@ -81,12 +76,6 @@ class LanguageRecord(
     def __new__(cls, *args, **kwargs) -> LanguageRecord:
         self = super().__new__(cls, *args, **kwargs)
         _require_iso(self.iso)
-        if self.endangerment is not None:
-            _require(
-                self.endangerment in ENDANGERMENT_LEVELS,
-                f"endangerment must be one of {sorted(ENDANGERMENT_LEVELS)}, "
-                f"got {self.endangerment!r}",
-            )
         _require(
             isinstance(self.script_scale, (int, float))
             and math.isfinite(self.script_scale)
@@ -94,48 +83,6 @@ class LanguageRecord(
             f"script_scale must be a finite positive number, got {self.script_scale!r}",
         )
         return self
-
-
-class LanguageSet(_Immutable):
-    """Ordered collection of :class:`LanguageRecord`, unique by iso code.
-
-    Construction only enforces uniqueness; scoring operations reject
-    empty sets at the point of use. Two sets are equal when their
-    ``members`` are.
-    """
-
-    __slots__ = ("members", "_by_iso")
-
-    def __init__(self, members: Iterable[LanguageRecord]) -> None:
-        object.__setattr__(self, "members", tuple(members))
-        by_iso: dict[str, LanguageRecord] = {}
-        for rec in self.members:
-            _require(rec.iso not in by_iso, f"duplicate iso code {rec.iso!r} in language set")
-            by_iso[rec.iso] = rec
-        object.__setattr__(self, "_by_iso", by_iso)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LanguageSet):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[LanguageRecord]:
-        return iter(self.members)
-
-    def __contains__(self, iso: str) -> bool:
-        return iso in self._by_iso
-
-    def get(self, iso: str) -> LanguageRecord:
-        try:
-            return self._by_iso[iso]
-        except KeyError:
-            raise KeyError(f"no language {iso!r} in set") from None
 
 
 class TextProfile(
@@ -211,24 +158,16 @@ class FeatureMatrix(_Immutable):
         return len(self.languages)
 
 
-class MorphFeatureSpec(
-    namedtuple("MorphFeatureSpec", "chapter name transformation final_min final_max")
-):
-    """One WALS chapter: the transformation that produced its final
-    values and the integer range they lie in. The range starts at 0 or
-    above and ends at 255 or below, so every feature matrix cell fits in
-    one byte."""
+class MorphFeatureSpec(namedtuple("MorphFeatureSpec", "chapter final_min final_max")):
+    """One WALS chapter and the integer range its final values lie in.
+    The range starts at 0 or above and ends at 255 or below, so every
+    feature matrix cell fits in one byte."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> MorphFeatureSpec:
         self = super().__new__(cls, *args, **kwargs)
         _require(bool(self.chapter), "chapter identifier must be non-empty")
-        _require(
-            self.transformation in TRANSFORMATIONS,
-            f"transformation must be one of {sorted(TRANSFORMATIONS)}, "
-            f"got {self.transformation!r}",
-        )
         _require(
             self.final_min >= 0,
             f"final_min {self.final_min} for chapter {self.chapter} must be non-negative",

@@ -51,7 +51,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count
 
 from .ingest import CorpusSource
-from .model import LanguageRecord, TextProfile, _Immutable, _require, _require_iso
+from .model import TextProfile, _Immutable, _require, _require_iso
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -389,7 +389,7 @@ def unigram_entropy(tokens: TokenSequence) -> float:
 
 def profile(
     corpus: CorpusSource,
-    record: LanguageRecord,
+    script_scale: float = 1.0,
     target: int = 10000,
     seed: int = 0,
 ) -> TextProfile:
@@ -397,27 +397,23 @@ def profile(
 
     Tokenizes ``corpus.text``, draws a seeded contiguous sample of up to
     ``target`` tokens, and computes mean word length (scaled by
-    ``record.script_scale``), type-token ratio, and unigram entropy on
-    that same sample. The seed and sample offset are recorded in the
-    profile so it can be recomputed exactly.
+    ``script_scale``, the language's registry value), type-token ratio,
+    and unigram entropy on that same sample. The profile carries
+    ``corpus.iso``, the seed and the sample offset, so it can be
+    recomputed exactly.
 
     Raises
     ------
     ValueError
-        If the corpus and record disagree on the language, or the corpus
-        tokenizes to zero tokens ("no lexical tokens").
+        If the corpus tokenizes to zero tokens ("no lexical tokens").
     """
-    _require(
-        corpus.iso == record.iso,
-        f"corpus language {corpus.iso!r} does not match record {record.iso!r}",
-    )
     toks = tokenize(corpus.text, corpus.iso)
     if len(toks) == 0:
         raise ValueError(f"no lexical tokens in corpus for {corpus.iso!r}")
     sample, offset = sample_contiguous(toks, target, seed)
     return TextProfile(
-        iso=record.iso,
-        mean_word_length=mean_word_length(sample, record.script_scale),
+        iso=corpus.iso,
+        mean_word_length=mean_word_length(sample, script_scale),
         ttr=type_token_ratio(sample),
         unigram_entropy=unigram_entropy(sample),
         token_count=len(sample),

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from divscore.diversity import bin_measurements, jmm_score, ti_morph, ti_syn
 from divscore.ingest import bundled_path, load_corpus
-from divscore.model import FeatureMatrix, LanguageRecord
+from divscore.model import FeatureMatrix
 from divscore.analysis import spearman
 from divscore.textstats import (
     grapheme_length,
@@ -222,9 +222,8 @@ def test_c07_han_token_counts_two_clusters():
 
 
 def test_c07_normalization_forms_count_identically(fixtures):
-    rec = LanguageRecord("qna", "Normalization Probe")
-    nfc = profile(load_corpus(fixtures / "corpus_nfc" / "qna.txt", "qna"), rec)
-    nfd = profile(load_corpus(fixtures / "corpus_nfd" / "qna.txt", "qna"), rec)
+    nfc = profile(load_corpus(fixtures / "corpus_nfc" / "qna.txt", "qna"))
+    nfd = profile(load_corpus(fixtures / "corpus_nfd" / "qna.txt", "qna"))
     raw_nfc = (fixtures / "corpus_nfc" / "qna.txt").read_bytes()
     raw_nfd = (fixtures / "corpus_nfd" / "qna.txt").read_bytes()
     assert raw_nfc != raw_nfd  # the fixture pair really differs on disk

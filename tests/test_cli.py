@@ -1,9 +1,11 @@
 """End-to-end command behavior: formats, exit codes, and diagnostics."""
 import csv
+import importlib
 import io
 import json
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -562,7 +564,7 @@ class TestCwals:
         specs = load_morph_specs()
         header = "iso," + ",".join(s.chapter for s in specs)
         good = "qqa," + ",".join(str(s.final_max) for s in specs)
-        holey = "qqb," + ",".join(["?"] + [str(s.final_min) for s in specs.specs[1:]])
+        holey = "qqb," + ",".join(["?"] + [str(s.final_min) for s in specs[1:]])
         p = tmp_path / "values.csv"
         p.write_text(header + "\n" + good + "\n" + holey + "\n")
 
@@ -647,6 +649,15 @@ class TestCwals:
         assert code == 1 and out == ""
         reason = "final_min -1 for chapter 22A must be non-negative"
         assert err == f"error: morphology spec file {spec_path} row {row}: {reason}\n"
+
+    def test_spec_file_of_25_chapters_names_the_file(self, tmp_path, capsys):
+        text = bundled_path("morph_feature_specs.csv").read_text(encoding="utf-8")
+        spec_path = tmp_path / "specs.csv"
+        spec_path.write_text("".join(text.splitlines(keepends=True)[:-1]), encoding="utf-8")
+        code, out, err = run_main(["cwals", "--specs", str(spec_path)], capsys)
+        assert code == 1 and out == ""
+        reason = "must list exactly 26 chapters, got 25"
+        assert err == f"error: morphology spec file {spec_path} {reason}\n"
 
 
 class TestCorrelate:
@@ -1136,6 +1147,80 @@ _STDLIB_ONLY = (
     "print('loaded:', *loaded, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
+
+
+class TestRegistryColumns:
+    """Commands read a registry's family and script_scale by name: the
+    order of its columns and the text of the others do not matter."""
+
+    @staticmethod
+    def _permuted(fixtures, tmp_path):
+        """The fixture registry with its columns after iso reordered and
+        every endangerment set to a value outside any fixed list."""
+        with open(fixtures / "registry.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        columns = ("iso", "script_scale", "endangerment", "name", "family")
+        order = [header.index(c) for c in columns]
+        for row in rows:
+            row[header.index("endangerment")] = "doomed"
+        path = tmp_path / "registry.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            table = [[row[j] for j in order] for row in [header, *rows]]
+            csv.writer(fh, lineterminator="\n").writerows(table)
+        return path
+
+    def test_score_morph_matches_golden_bytes(self, fixtures, tmp_path, capsys):
+        registry = ["--registry", str(self._permuted(fixtures, tmp_path))]
+        argv = _morph(f"{fixtures}/corpus_ds", f"{fixtures}/corpus_ref", *registry)
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert out == (fixtures / "golden" / "score_morph.json").read_text(encoding="utf-8")
+
+    def test_families_prints_the_same(self, fixtures, tmp_path, capsys):
+        listing = tmp_path / "langs.txt"
+        listing.write_text("qaa\nqba\nqbb\nqca\nqcl\nqaa\nzzz\n")
+        permuted = self._permuted(fixtures, tmp_path)
+        argv = ["families", "--dataset", str(listing), "--registry"]
+        for fmt in ("json", "csv"):
+            fixture = run_main([*argv, str(fixtures / "registry.csv"), "--format", fmt], capsys)
+            assert fixture[0] == 0
+            assert run_main([*argv, str(permuted), "--format", fmt], capsys) == fixture
+
+
+#: (module, function) of each function the benchmark's tracer wraps by
+#: name, read from its probe list.
+_BENCH_PROBES = [
+    (module, function)
+    for module, function, _ in runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "bench" / "trace_child.py")
+    )["PROBES"]
+]
+#: Probes whose function no longer exists, so their per-layer metric
+#: reads 0; each is a FOUND line in CHANGES.md.
+_VANISHED_PROBES = {
+    ("diversity", "align_bins"): "CHANGES.md:81, diversity.align_s reads 0",
+    ("ingest", "load_profile_table"): "CHANGES.md:124, ingest.load_profile_table_s reads 0",
+}
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        pytest.param(
+            *probe,
+            id=".".join(probe),
+            marks=[pytest.mark.xfail(strict=True, reason=_VANISHED_PROBES[probe])]
+            if probe in _VANISHED_PROBES
+            else [],
+        )
+        for probe in _BENCH_PROBES
+    ],
+)
+def test_bench_probe_names_a_function(module, function):
+    """A probe whose function was renamed or deleted is skipped by the
+    tracer without a word and zeroes its per-layer metric, so each name
+    must resolve in the package."""
+    assert callable(getattr(importlib.import_module(f"divscore.{module}"), function, None))
 
 
 class TestImports:

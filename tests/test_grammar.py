@@ -3,7 +3,6 @@ import pytest
 
 from divscore.grammar import (
     FEATURE_SET_SIZE,
-    MorphSpecSet,
     c_wals,
     c_wals_table,
     load_morph_specs,
@@ -24,19 +23,16 @@ class TestSpecLoading:
         assert len(specs) == FEATURE_SET_SIZE
         assert len({s.chapter for s in specs}) == FEATURE_SET_SIZE
 
-    def test_remove_transformation_read(self, specs):
-        (s,) = [s for s in specs if s.chapter == "49A"]
-        assert s.transformation == "remove"
-        assert (s.final_min, s.final_max) == (1, 8)
-
     def test_every_spec_has_usable_range(self, specs):
         for s in specs:
             assert s.final_min < s.final_max, s.chapter
 
-    def test_rejects_wrong_count(self):
-        one = MorphFeatureSpec("22A", "x", "none", 0, 1)
-        with pytest.raises(ValueError, match="exactly 26"):
-            MorphSpecSet([one])
+    def test_rejects_wrong_count(self, tmp_path):
+        p = tmp_path / "specs.csv"
+        p.write_text("chapter,name,transformation,final_min,final_max\n22A,x,none,0,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_morph_specs(p)
+        assert str(exc.value) == f"morphology spec file {p} must list exactly 26 chapters, got 1"
 
     def test_negative_final_min_rejected(self, tmp_path):
         p = tmp_path / "specs.csv"
@@ -68,18 +64,18 @@ class TestSpecLoading:
 
 class TestNormalize:
     def test_endpoints_and_midpoint(self):
-        s = MorphFeatureSpec("30A", "x", "none", 1, 5)
+        s = MorphFeatureSpec("30A", 1, 5)
         assert normalize_feature(1, s) == 0.0
         assert normalize_feature(5, s) == 1.0
         assert normalize_feature(3, s) == 0.5
 
     def test_out_of_range_rejected(self):
-        s = MorphFeatureSpec("30A", "x", "none", 1, 5)
+        s = MorphFeatureSpec("30A", 1, 5)
         with pytest.raises(ValueError, match="outside the final range"):
             normalize_feature(6, s)
 
     def test_degenerate_range_normalizes_to_zero(self):
-        s = MorphFeatureSpec("30A", "x", "none", 2, 2)
+        s = MorphFeatureSpec("30A", 2, 2)
         assert normalize_feature(2, s) == 0.0
 
 

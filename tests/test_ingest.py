@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from divscore.cli import PROFILE_COLUMNS
 from divscore.grammar import load_morph_specs
 from divscore.ingest import (
-    REGISTRY_COLUMNS,
     bundled_path,
     family_breakdown,
     load_corpus,
@@ -22,14 +21,15 @@ from divscore.ingest import (
     load_numeric_table,
     load_registry,
 )
-from divscore.model import LanguageRecord, LanguageSet, MorphFeatureSpec
+from divscore.model import LanguageRecord, MorphFeatureSpec
 from divscore.textstats import tokenize
 from oracles import read_csv_table
 
 
 class TestRegistry:
     def test_full_round_trip(self, tmp_path):
-        """Every column of a hand-written registry reaches its record."""
+        """The family and script_scale of a hand-written registry reach
+        their records, by iso in file order."""
         p = tmp_path / "reg.csv"
         p.write_text(
             "iso,name,family,endangerment,script_scale\n"
@@ -37,26 +37,35 @@ class TestRegistry:
             '"bbb","Beta, with comma",,,2.4\n'
             "ccc,Gamma,,,\n"
         )
-        assert load_registry(p) == LanguageSet(
-            [
-                LanguageRecord("aaa", "Alpha", family="F1", endangerment="safe"),
-                LanguageRecord("bbb", "Beta, with comma", script_scale=2.4),
-                LanguageRecord("ccc", "Gamma"),
-            ]
-        )
+        registry = load_registry(p)
+        assert registry == {
+            "aaa": LanguageRecord("aaa", family="F1"),
+            "bbb": LanguageRecord("bbb", script_scale=2.4),
+            "ccc": LanguageRecord("ccc"),
+        }
+        assert list(registry) == ["aaa", "bbb", "ccc"]
 
     def test_two_column_header_accepted(self, tmp_path):
         p = tmp_path / "reg.csv"
         p.write_text("iso,name\nabc,Abc Language\n")
-        ls = load_registry(p)
-        assert ls.get("abc").script_scale == 1.0
-        assert ls.get("abc").family is None
+        assert load_registry(p) == {"abc": LanguageRecord("abc", None, 1.0)}
 
     def test_blank_optional_fields_default(self, tmp_path):
         p = tmp_path / "reg.csv"
         p.write_text("iso,name,family,endangerment,script_scale\nabc,Abc,,,\n")
-        rec = load_registry(p).get("abc")
-        assert (rec.family, rec.endangerment, rec.script_scale) == (None, None, 1.0)
+        rec = load_registry(p)["abc"]
+        assert (rec.family, rec.script_scale) == (None, 1.0)
+
+    def test_columns_read_by_name_others_ignored(self, tmp_path):
+        """family and script_scale are found by name in any order; a
+        column that is not read, such as endangerment, may hold anything."""
+        p = tmp_path / "reg.csv"
+        p.write_text("iso,script_scale,endangerment,note,family\nabc,2.5,doomed,n,F\n")
+        assert load_registry(p) == {"abc": LanguageRecord("abc", "F", 2.5)}
+        p.write_text("iso\nabc\n")
+        assert load_registry(p) == {"abc": LanguageRecord("abc")}
+        p.write_text("iso,family\n")
+        assert load_registry(p) == {}
 
     def test_error_names_row_number(self, tmp_path):
         p = tmp_path / "reg.csv"
@@ -122,7 +131,7 @@ class TestFeatureMatrixLoading:
         from divscore.grammar import load_morph_specs
 
         specs = load_morph_specs()
-        header = "iso," + ",".join([s.chapter for s in specs.specs[:-1]] + ["999Z"])
+        header = "iso," + ",".join([s.chapter for s in specs[:-1]] + ["999Z"])
         row = "abc," + ",".join("0" for _ in specs)
         p = tmp_path / "m.csv"
         p.write_text(header + "\n" + row + "\n")
@@ -174,25 +183,23 @@ class TestCorpus:
 
 
 class TestFamilies:
-    def _set(self):
-        return LanguageSet(
-            [
-                LanguageRecord("aaa", "A", family="F1"),
-                LanguageRecord("bbb", "B", family="F2"),
-                LanguageRecord("ccc", "C", family="F1"),
-                LanguageRecord("ddd", "D"),
-            ]
-        )
+    def _records(self):
+        return [
+            LanguageRecord("aaa", family="F1"),
+            LanguageRecord("bbb", family="F2"),
+            LanguageRecord("ccc", family="F1"),
+            LanguageRecord("ddd"),
+        ]
 
     def test_count_excludes_unlabeled(self):
         # an empty family label counts as no label
-        languages = LanguageSet([*self._set(), LanguageRecord("eee", "E", family="")])
-        families, unlabeled = family_breakdown(languages)
+        records = [*self._records(), LanguageRecord("eee", family="")]
+        families, unlabeled = family_breakdown(records)
         assert len(families) == 2
         assert unlabeled == ["ddd", "eee"]
 
     def test_breakdown_sorted(self):
-        families, unlabeled = family_breakdown(self._set())
+        families, unlabeled = family_breakdown(self._records())
         assert families == {"F1": ["aaa", "ccc"], "F2": ["bbb"]}
         assert unlabeled == ["ddd"]
 
@@ -301,7 +308,11 @@ LOADERS = {
     "registry": (
         load_registry,
         "registry",
-        [REGISTRY_COLUMNS, ["qaa", "A", "F1", "safe", "1.5"], ["qab", "B", "", "", ""]],
+        [
+            ["iso", "name", "family", "endangerment", "script_scale"],
+            ["qaa", "A", "F1", "safe", "1.5"],
+            ["qab", "B", "", "", ""],
+        ],
         (4, "big"),
     ),
     "feature_matrix": (
@@ -327,7 +338,7 @@ LOADERS = {
         (0, "QAB"),
     ),
     "morph_specs": (
-        lambda p: load_morph_specs(p).specs,
+        load_morph_specs,
         "morphology spec file",
         _spec_table(),
         (3, "low"),
@@ -434,26 +445,32 @@ _MATRIX_CELLS = [
 ]
 
 
+#: Cells of each registry column after ``iso``: the two the loader reads
+#: and three it does not, whose text does not matter.
+_REGISTRY_CELLS = {
+    "name": _TEXT,
+    "family": st.one_of(st.just(""), _TEXT),
+    "endangerment": st.one_of(st.just(""), _TEXT),
+    "script_scale": st.sampled_from(["", "1", "2.5", "1e1"]),
+    "note": st.one_of(st.just(""), _TEXT),
+}
+
+
 @st.composite
 def csv_tables(draw):
     """A registry, a feature table of ``_MATRIX_CELLS`` or a table of
     number cells as csv.writer writes it, with padded cells, quoted
     commas and quotes, blank rows, CR LF or LF line ends and an optional
-    BOM. Returns (kind, file bytes)."""
+    BOM. A registry has ``iso`` and then any of ``_REGISTRY_CELLS``'
+    columns in any order. Returns (kind, file bytes)."""
     kind = draw(st.sampled_from(["registry", "matrix", "numbers"]))
     isos = draw(
         st.lists(st.text("abc", min_size=3, max_size=3), min_size=1, max_size=6, unique=True)
     )
     if kind == "registry":
-        header = REGISTRY_COLUMNS[: draw(st.integers(2, 5))]
-        cells = [
-            st.just(None),
-            _TEXT,
-            st.one_of(st.just(""), _TEXT),
-            st.sampled_from(["", "safe", "extinct"]),
-            st.sampled_from(["", "1", "2.5", "1e1"]),
-        ][: len(header)]
-        rows = [[iso] + [draw(c) for c in cells[1:]] for iso in isos]
+        columns = draw(st.permutations(list(_REGISTRY_CELLS)))
+        header = ["iso", *columns[: draw(st.integers(0, len(columns)))]]
+        rows = [[iso] + [draw(_REGISTRY_CELLS[c]) for c in header[1:]] for iso in isos]
     else:
         header = ["iso", *draw(st.lists(_TEXT, min_size=1, max_size=4, unique_by=str.strip))]
         cells = st.sampled_from(_MATRIX_CELLS if kind == "matrix" else _NUMBER_CELLS)
@@ -563,11 +580,15 @@ class TestTableOracle:
                 return
 
             if kind == "registry":
-                full = [r + [""] * (5 - len(r)) for r in rows]
-                assert load_registry(path) == LanguageSet(
-                    LanguageRecord(iso, name, fam or None, end or None, float(s) if s else 1.0)
-                    for iso, name, fam, end, s in full
-                )
+                cells = [dict(zip(header, r)) for r in rows]
+                assert load_registry(path) == {
+                    c["iso"]: LanguageRecord(
+                        c["iso"],
+                        c.get("family") or None,
+                        float(c["script_scale"]) if c.get("script_scale") else 1.0,
+                    )
+                    for c in cells
+                }
                 return
             for with_specs, drop in [(False, True), (False, False), (True, True)]:
                 self._check_matrix(path, header, rows, with_specs, drop)
@@ -576,7 +597,7 @@ class TestTableOracle:
     def _check_matrix(path, header, rows, with_specs, drop):
         """load_feature_matrix against int() on every cell: the values, or
         the error of the first bad cell in file and column order."""
-        specs = [MorphFeatureSpec(f, f, "none", *_SPEC_RANGE) for f in header[1:]]
+        specs = [MorphFeatureSpec(f, *_SPEC_RANGE) for f in header[1:]]
 
         def load():
             return load_feature_matrix(path, drop, specs if with_specs else None)

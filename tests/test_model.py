@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
 from divscore.diversity import _minmax_report, feature_members
-from divscore.grammar import MorphSpecSet, load_morph_specs
-from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix
+from divscore.grammar import load_morph_specs
+from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, load_registry
 from divscore.model import (
     MAX_GAP_EXAMPLES,
     BinOverlap,
@@ -20,7 +21,6 @@ from divscore.model import (
     FeatureMatrix,
     GapReport,
     LanguageRecord,
-    LanguageSet,
     MorphFeatureSpec,
     SurplusBin,
     TextProfile,
@@ -29,12 +29,10 @@ from divscore.textstats import TokenSequence, tokenize
 from oracles import exact_sum
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
-_SPEC = MorphFeatureSpec("22A", "x", "none", 0, 1)
-_RECORD = LanguageRecord("aaa", "A")
+_SPEC = MorphFeatureSpec("22A", 0, 1)
 #: One instance of each domain type, and one field it has.
 _INSTANCES = {
-    "LanguageRecord": (_RECORD, "iso"),
-    "LanguageSet": (LanguageSet([_RECORD]), "members"),
+    "LanguageRecord": (LanguageRecord("aaa"), "iso"),
     "TextProfile": (TextProfile("aaa", 1.0, 1.0, 0.0, 1, 0, 0), "ttr"),
     "MorphFeatureSpec": (_SPEC, "final_max"),
     "BinOverlap": (_ROW, "dataset"),
@@ -42,45 +40,42 @@ _INSTANCES = {
     "DeficitBin": (DeficitBin("bin0", 1.0, ("aaa",)), "examples"),
     "GapReport": (GapReport([], []), "deficit_bins"),
     "DiversityReport": (DiversityReport("jmm_syn", 0.5, [_ROW], 1.0), "per_bin"),
-    "CorpusSource": (CorpusSource("aaa", "a.txt", "text"), "text"),
+    "CorpusSource": (CorpusSource("aaa", "text"), "text"),
     "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
-    "MorphSpecSet": (load_morph_specs(), "specs"),
     "TokenSequence": (TokenSequence("aaa", ["a"]), "tokens"),
 }
 
+
+def _file(name, text):
+    """``text`` written to ``name`` in the working directory, which the
+    check tests set to a temporary one."""
+    Path(name).write_text(text, encoding="utf-8")
+    return Path(name)
+
+
+def _spec_file(chapters):
+    """A spec file with one row per chapter."""
+    rows = "".join(f"{c},x,none,0,1\n" for c in chapters)
+    return _file("specs.csv", "chapter,name,transformation,final_min,final_max\n" + rows)
+
+
 #: Each construction check, fired with keyword arguments only. The checks
 #: of LanguageRecord, TextProfile and GapReport are fired by keyword in
-#: their own tests below.
+#: their own tests below. The registry and the spec set are checked by
+#: their loaders, so those checks load a file.
 _KEYWORD_CHECKS = {
-    "set-duplicate": (lambda: LanguageSet(members=[_RECORD, _RECORD]), "duplicate iso"),
-    "spec-chapter": (
-        lambda: MorphFeatureSpec(
-            chapter="", name="x", transformation="none", final_min=0, final_max=1
-        ),
-        "non-empty",
+    "set-duplicate": (
+        lambda: load_registry(path=_file("registry.csv", "iso\naaa\naaa\n")),
+        "duplicate iso",
     ),
-    "spec-transformation": (
-        lambda: MorphFeatureSpec(
-            chapter="22A", name="x", transformation="squaring", final_min=0, final_max=1
-        ),
-        "transformation",
-    ),
+    "spec-chapter": (lambda: MorphFeatureSpec(chapter="", final_min=0, final_max=1), "non-empty"),
     "spec-negative-min": (
-        lambda: MorphFeatureSpec(
-            chapter="22A", name="x", transformation="none", final_min=-1, final_max=1
-        ),
+        lambda: MorphFeatureSpec(chapter="22A", final_min=-1, final_max=1),
         "non-negative",
     ),
-    "spec-range": (
-        lambda: MorphFeatureSpec(
-            chapter="22A", name="x", transformation="none", final_min=2, final_max=1
-        ),
-        "final_min",
-    ),
+    "spec-range": (lambda: MorphFeatureSpec(chapter="22A", final_min=2, final_max=1), "final_min"),
     "spec-byte": (
-        lambda: MorphFeatureSpec(
-            chapter="22A", name="x", transformation="none", final_min=0, final_max=256
-        ),
+        lambda: MorphFeatureSpec(chapter="22A", final_min=0, final_max=256),
         "at most 255",
     ),
     "report-name": (
@@ -109,9 +104,15 @@ _KEYWORD_CHECKS = {
         ),
         "does not equal",
     ),
-    "corpus-iso": (lambda: CorpusSource(iso="x", path="p", text="t"), "three ASCII"),
-    "specset-size": (lambda: MorphSpecSet(specs=[_SPEC]), "exactly 26"),
-    "specset-duplicate": (lambda: MorphSpecSet(specs=[_SPEC] * 26), "duplicate chapter"),
+    "corpus-iso": (lambda: CorpusSource(iso="x", text="t"), "three ASCII"),
+    "specset-size": (
+        lambda: load_morph_specs(path=_spec_file([f"{i}A" for i in range(25)])),
+        "exactly 26",
+    ),
+    "specset-duplicate": (
+        lambda: load_morph_specs(path=_spec_file(["22A"] * 26)),
+        "duplicate chapter",
+    ),
     "tokens-iso": (lambda: TokenSequence(iso="x", tokens=["a"]), "three ASCII"),
     "tokens-alnum": (lambda: TokenSequence(iso="aaa", tokens=["--"]), "alphanumeric"),
 }
@@ -133,7 +134,8 @@ class TestConstruction:
         assert getattr(obj, field) is before
 
     @pytest.mark.parametrize("case", sorted(_KEYWORD_CHECKS))
-    def test_checks_fire_with_keywords(self, case):
+    def test_checks_fire_with_keywords(self, case, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         build, message = _KEYWORD_CHECKS[case]
         with pytest.raises(ValueError, match=message):
             build()
@@ -141,9 +143,9 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda iso: LanguageRecord(iso, "x"),
+            lambda iso: LanguageRecord(iso),
             lambda iso: TextProfile(iso, 1.0, 1.0, 0.0, 1, 0, 0),
-            lambda iso: CorpusSource(iso, "p", "t"),
+            lambda iso: CorpusSource(iso, "t"),
             lambda iso: TokenSequence(iso, ["a"]),
             lambda iso: tokenize("ab cd", iso),
         ],
@@ -194,53 +196,27 @@ class TestExactSum:
 
 class TestLanguageRecord:
     def test_minimal(self):
-        rec = LanguageRecord(iso="deu", name="German")
+        rec = LanguageRecord(iso="deu")
         assert rec.family is None
-        assert rec.endangerment is None
         assert rec.script_scale == 1.0
 
     def test_defaults(self):
-        assert tuple(LanguageRecord("deu", "German"))[2:] == (None, None, 1.0)
+        assert tuple(LanguageRecord("deu")) == ("deu", None, 1.0)
 
     @pytest.mark.parametrize("iso", ["", "de", "DEU", "de1", "deuu", "d-u"])
     def test_rejects_bad_iso(self, iso):
         with pytest.raises(ValueError, match="three ASCII lowercase letters"):
-            LanguageRecord(iso=iso, name="x")
-
-    def test_rejects_unknown_endangerment(self):
-        with pytest.raises(ValueError, match="endangerment"):
-            LanguageRecord(iso="abc", name="x", endangerment="doomed")
+            LanguageRecord(iso=iso)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_scale(self, scale):
         with pytest.raises(ValueError, match="script_scale"):
-            LanguageRecord(iso="abc", name="x", script_scale=scale)
+            LanguageRecord(iso="abc", script_scale=scale)
 
     def test_fractional_scale_allowed(self):
         # scales below 1 are legal in the registry; profiles reject the
         # resulting sub-1 means at their own construction site
-        assert LanguageRecord(iso="abc", name="x", script_scale=0.45).script_scale == 0.45
-
-
-class TestLanguageSet:
-    def test_lookup_and_iteration(self):
-        a = LanguageRecord(iso="aaa", name="A")
-        b = LanguageRecord(iso="bbb", name="B")
-        ls = LanguageSet([a, b])
-        assert len(ls) == 2
-        assert list(ls) == [a, b]
-        assert "aaa" in ls and "ccc" not in ls
-        assert ls.get("bbb") is b
-        with pytest.raises(KeyError):
-            ls.get("ccc")
-
-    def test_rejects_duplicate_iso(self):
-        a = LanguageRecord(iso="aaa", name="A")
-        with pytest.raises(ValueError, match="duplicate iso"):
-            LanguageSet([a, LanguageRecord(iso="aaa", name="A again")])
-
-    def test_empty_set_constructs(self):
-        assert len(LanguageSet([])) == 0
+        assert LanguageRecord(iso="abc", script_scale=0.45).script_scale == 0.45
 
 
 class TestTextProfile:
@@ -416,19 +392,15 @@ class TestFeatureMatrix:
 class TestMorphFeatureSpec:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError, match="final_min"):
-            MorphFeatureSpec("22A", "x", "none", final_min=5, final_max=1)
+            MorphFeatureSpec("22A", final_min=5, final_max=1)
 
     def test_final_max_fits_one_byte(self):
         """A final range ends at 255 or below, the largest cell a byte row
         of a FeatureMatrix holds."""
-        assert MorphFeatureSpec("22A", "x", "none", 0, 255).final_max == 255
+        assert MorphFeatureSpec("22A", 0, 255).final_max == 255
         with pytest.raises(ValueError) as exc:
-            MorphFeatureSpec("22A", "x", "none", final_min=0, final_max=256)
+            MorphFeatureSpec("22A", final_min=0, final_max=256)
         assert str(exc.value) == "final_max 256 for chapter 22A must be at most 255"
-
-    def test_rejects_unknown_transformation(self):
-        with pytest.raises(ValueError, match="transformation"):
-            MorphFeatureSpec("22A", "x", "squaring", 0, 1)
 
 
 class TestReports:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from divscore import textstats
 from divscore.ingest import CorpusSource, load_corpus
-from divscore.model import LanguageRecord
 from divscore.textstats import (
     TokenSequence,
     _patterns,
@@ -436,38 +435,35 @@ class TestMeasures:
 
 class TestProfile:
     def _corpus(self, text, iso="abc"):
-        return CorpusSource(iso=iso, path="<memory>", text=text)
+        return CorpusSource(iso=iso, text=text)
 
     def test_happy_path_records_provenance(self):
         text = " ".join(f"w{i}" for i in range(50))
-        prof = profile(self._corpus(text), LanguageRecord("abc", "X"), target=20, seed=9)
+        prof = profile(self._corpus(text), target=20, seed=9)
+        assert prof.iso == "abc"
         assert prof.token_count == 20
         assert prof.seed == 9
         assert prof.sample_offset == random.Random(9).randint(0, 30)
 
     def test_small_corpus_uses_all_tokens(self):
-        prof = profile(self._corpus("a bb ccc"), LanguageRecord("abc", "X"))
+        prof = profile(self._corpus("a bb ccc"))
         assert prof.token_count == 3
         assert prof.sample_offset == 0
         assert prof.mean_word_length == 2.0
 
     def test_scale_comes_from_record(self):
-        rec = LanguageRecord("abc", "X", script_scale=2.0)
-        prof = profile(self._corpus("a bb ccc"), rec)
+        """The scale a command reads from the language's registry record
+        multiplies the mean word length."""
+        prof = profile(self._corpus("a bb ccc"), script_scale=2.0)
         assert prof.mean_word_length == 4.0
 
     def test_no_lexical_tokens_is_fatal(self):
         with pytest.raises(ValueError, match="no lexical tokens"):
-            profile(self._corpus("... -- !!"), LanguageRecord("abc", "X"))
-
-    def test_iso_mismatch_is_fatal(self):
-        with pytest.raises(ValueError, match="does not match"):
-            profile(self._corpus("hello", iso="abc"), LanguageRecord("xyz", "X"))
+            profile(self._corpus("... -- !!"))
 
     def test_normalization_forms_profile_identically(self, fixtures):
-        rec = LanguageRecord("qna", "Probe")
-        a = profile(load_corpus(fixtures / "corpus_nfc" / "qna.txt", "qna"), rec)
-        b = profile(load_corpus(fixtures / "corpus_nfd" / "qna.txt", "qna"), rec)
+        a = profile(load_corpus(fixtures / "corpus_nfc" / "qna.txt", "qna"))
+        b = profile(load_corpus(fixtures / "corpus_nfd" / "qna.txt", "qna"))
         assert a == b
 
 
