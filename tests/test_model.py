@@ -219,6 +219,34 @@ class TestLanguageRecord:
         assert LanguageRecord(iso="abc", script_scale=0.45).script_scale == 0.45
 
 
+class TestLanguageSet:
+    """The language set a registry loads to: a dict iso -> LanguageRecord
+    in file order."""
+
+    def test_lookup_and_iteration(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text("iso,name\nbbb,B\naaa,A\n", encoding="utf-8")
+        ls = load_registry(path)
+        a, b = LanguageRecord(iso="aaa"), LanguageRecord(iso="bbb")
+        assert len(ls) == 2
+        assert list(ls.values()) == [b, a]
+        assert "aaa" in ls and "ccc" not in ls
+        assert ls["aaa"] == a
+        with pytest.raises(KeyError):
+            ls["ccc"]
+
+    def test_rejects_duplicate_iso(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text("iso,name\naaa,A\n\naaa,A again\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 4: duplicate iso 'aaa', first at row 2"):
+            load_registry(path)
+
+    def test_empty_set_constructs(self, tmp_path):
+        path = tmp_path / "registry.csv"
+        path.write_text("iso,family,script_scale\n", encoding="utf-8")
+        assert load_registry(path) == {}
+
+
 class TestTextProfile:
     def _make(self, **kw):
         base = dict(
