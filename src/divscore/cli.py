@@ -21,23 +21,22 @@ directory and every failed file, because a score over a silent subset
 of a side would be wrong.
 
 The corpus files of a command, both sides' for ``score``, are profiled
-in one batch before that loop reports them (``_profile_files``): split
-by size over one process per usable CPU, the command's own and forked
-workers, which send their results back over pipes. The loop alone
-prints and decides the exit code, so output and exit codes do not
-depend on the number of CPUs. ``taskset`` or a cgroup cpuset limits
-the workers; on one CPU the files are profiled one after another.
+in one batch first (``_profile_files``), by this process and, for large
+batches, forked workers. The loop alone prints and decides the exit
+code, so the output does not depend on which process profiled what.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import io
+import itertools
 import json
 import marshal
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from .analysis import attach_gap, csv_text, serialize_report, spearman
@@ -73,6 +72,9 @@ LEVEL_FLAGS = {
     "morph": ("--bin-width", "--sample-target", "--seed", "--registry"),
     "syn": ("--syn-dims", "--drop-incomplete"),
 }
+
+#: Fewest corpus bytes per forked profile worker: a fork for less saves less time than it costs.
+FORK_MIN_BYTES = 300 * 1024
 
 
 class _Given(argparse.Action):
@@ -213,54 +215,33 @@ def _profile_file(
         return str(exc)
 
 
-def _shares(files: list[Path], n: int) -> list[list[int]]:
-    """Split the files' indices into ``n`` shares of about equal bytes:
-    the largest file first (name order among equal sizes), each to the
-    share with the fewest bytes, then the fewest files, then the lowest
-    index."""
-    sizes = []
-    for f in files:
-        try:
-            sizes.append(f.stat().st_size)
-        except OSError:
-            sizes.append(0)  # the profile reports the error
-    shares, loads = [[] for _ in range(n)], [0] * n
-    for i in sorted(range(len(files)), key=lambda i: (-sizes[i], files[i].name)):
-        k = min(range(n), key=lambda k: (loads[k], len(shares[k])))
-        shares[k].append(i)
-        loads[k] += sizes[i]
-    return shares
+def _tasks(fd: int) -> Iterator[int]:
+    """The file indices in the task pipe ``fd``, one 4-byte record a read."""
+    while record := os.read(fd, 4):
+        yield int.from_bytes(record, sys.byteorder)
 
 
 def _run_worker(
-    write_fd: int, files: list[Path], registry: dict[str, LanguageRecord], args: argparse.Namespace
+    tasks: int, write_fd: int, files: list[Path], registry: dict, args: argparse.Namespace
 ):
-    """Profile ``files`` in a forked worker, write the results to the pipe
-    and end the process; never returns into the caller.
-
-    Writes ``(results, crash)`` with ``marshal``: each file's profile as a
-    plain tuple or its error message, in order, and ``crash``, the name
-    and traceback of a file whose profile raised any other exception (no
-    file after it is profiled), or None. An interrupt ends the worker
-    with status 1 and writes nothing.
-    """
-    code = 1
+    """End this forked worker after profiling the files it takes from
+    ``tasks``, each result ``marshal``ed down ``write_fd`` as it is done:
+    ``(index, profile tuple or error message, None)``, or ``(index, None,
+    traceback)`` for any other exception, which ends the worker."""
     try:
-        results, crash = [], None
-        for f in files:
-            try:
-                result = _profile_file(f, registry, args)
-            except Exception:
-                import traceback
+        with os.fdopen(write_fd, "wb", buffering=0) as pipe:  # one write(2) a result
+            for i in _tasks(tasks):
+                try:
+                    result = _profile_file(files[i], registry, args)
+                except Exception:
+                    import traceback
 
-                crash = (f.name, traceback.format_exc())
-                break
-            results.append(result if isinstance(result, str) else tuple(result))
-        with os.fdopen(write_fd, "wb") as pipe:
-            marshal.dump((results, crash), pipe)
-        code = 0
+                    marshal.dump((i, None, traceback.format_exc()), pipe)
+                    break
+                marshal.dump((i, result if isinstance(result, str) else tuple(result), None), pipe)
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def _profile_files(
@@ -268,52 +249,70 @@ def _profile_files(
 ) -> list[TextProfile | str]:
     """Each file's profile or its error message, in file order.
 
-    The files are split into ``min(len(files), usable CPUs)`` shares by
-    size (`_shares`). This process profiles the first share while a
-    forked worker profiles each other one (`_run_worker`). It runs
-    sequentially when that is one share, when ``os.fork`` is missing, or
-    when other threads run in the process. Before forking, ``regex`` is
-    imported and compiled once for all, and the collector is kept off the
-    inherited objects (``gc.freeze``) so their pages stay shared until
-    every worker is reaped, which happens before this returns or raises.
+    Runs in this process and forked workers (`_run_worker`), at most one
+    per file, usable CPU and `FORK_MIN_BYTES` after the first, or one
+    file after another without ``os.fork`` or beside another thread. A
+    task pipe, filled and closed before the forks, holds the indices
+    largest file first (then by name; an unreadable size counts as 0).
+    Each process takes the next when done with a file, this one after the
+    files a full pipe left over. Every worker is reaped before this ends.
     """
+    import contextlib
     import threading
 
-    n = min(len(files), _usable_cpus())
+    sizes = [0] * len(files)
+    for k, f in enumerate(files):
+        with contextlib.suppress(OSError):  # the profile reports the error
+            sizes[k] = f.stat().st_size
+    n = min(len(files), _usable_cpus(), 1 + sum(sizes) // FORK_MIN_BYTES)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [_profile_file(f, registry, args) for f in files]
-    own, *others = _shares(files, n)
-    _patterns()
+    order = sorted(range(len(files)), key=lambda i: (-sizes[i], files[i].name))
+    records = b"".join(i.to_bytes(4, sys.byteorder) for i in order)
+    tasks, write_fd = os.pipe()
+    os.set_blocking(write_fd, False)
+    with contextlib.suppress(BlockingIOError):  # writes of 512 bytes go in whole or not at all
+        for sent in range(0, len(records) + 512, 512):
+            os.write(write_fd, records[sent : sent + 512])
+    os.close(write_fd)
+    _patterns()  # compiled once for all workers
     sys.stdout.flush()
     sys.stderr.flush()
-    gc.freeze()
+    gc.freeze()  # the inherited pages stay shared until every worker is reaped
     results: list = [None] * len(files)
     workers = []
     try:
-        for share in others:
+        for _ in range(n - 1):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _run_worker(write_fd, [files[i] for i in share], registry, args)
+                _run_worker(tasks, write_fd, files, registry, args)
             os.close(write_fd)
-            workers.append((pid, os.fdopen(read_fd, "rb"), share))
-        for i in own:
+            os.set_blocking(read_fd, False)
+            workers.append((pid, os.fdopen(read_fd, "rb"), bytearray()))
+        for i in itertools.chain(order[sent // 4 :], _tasks(tasks)):
             results[i] = _profile_file(files[i], registry, args)
-        for _, pipe, share in workers:
-            try:
-                done, crash = marshal.loads(pipe.read())
-            except (EOFError, ValueError):
-                names = ", ".join(files[i].name for i in share)
-                raise RuntimeError(f"a profile worker ended without results for {names}") from None
-            if crash:
-                raise RuntimeError(f"profile of {crash[0]} raised in a worker:\n{crash[1]}")
-            for i, result in zip(share, done):
+            for _, pipe, received in workers:  # a worker waits while its pipe is full
+                received += pipe.raw.read(1 << 20) or b""
+        for _, pipe, received in workers:
+            os.set_blocking(pipe.fileno(), True)
+            stream = io.BytesIO(received + pipe.read())
+            while True:
+                try:
+                    i, result, crash = marshal.load(stream)
+                except (EOFError, ValueError):
+                    break  # the end of the worker's results, or where it was cut short
+                if crash:
+                    raise RuntimeError(f"profile of {files[i].name} raised in a worker:\n{crash}")
                 results[i] = result if isinstance(result, str) else TextProfile(*result)
     finally:
+        os.close(tasks)
         for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
         gc.unfreeze()
+    if lost := [f.name for f, result in zip(files, results) if result is None]:
+        raise RuntimeError(f"a profile worker ended without results for {', '.join(lost)}")
     return results
 
 

@@ -2,14 +2,17 @@
 import csv
 import importlib
 import io
+import itertools
 import json
 import os
 import re
 import runpy
 import shutil
+import string
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -945,6 +948,7 @@ class TestParallelProfiles:
         argv = [arg.format(f=fixtures, t=tmp_path) for arg in _PARALLEL_CASES[case]]
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
         runs = {}
         for cpus in (1, 3):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -960,27 +964,41 @@ class TestParallelProfiles:
             ("worker", r"(?s)^profile of qa[a-f]\.txt raised in a worker:\n.*boom in qa[a-f]"),
             ("parent", r"^boom in qa[a-f]$"),
             ("worker-exit", r"^a profile worker ended without results for qa[a-f]\.txt"),
+            ("worker-exit-second", r"^a profile worker ended without results for qa[a-f]\.txt"),
         ],
     )
-    def test_unexpected_end_fails_the_command(self, where, message, fixtures, monkeypatch):
-        parent, real = os.getpid(), cli.profile
+    def test_unexpected_end_fails_the_command(self, where, message, fixtures, tmp_path, monkeypatch):
+        parent, real, exits, done = os.getpid(), cli.profile, tmp_path / "exits", []
 
         def failing(corpus, *args, **kwargs):
-            if (os.getpid() == parent) == (where == "parent"):
-                if where == "worker-exit":
-                    os._exit(3)
+            in_worker = os.getpid() != parent
+            if where == ("worker" if in_worker else "parent"):
                 raise RuntimeError(f"boom in {corpus.iso}")
+            if in_worker and (where == "worker-exit" or where == "worker-exit-second" and done):
+                with open(exits, "a", encoding="utf-8") as fh:
+                    fh.write(f"{corpus.iso}.txt\n")
+                os._exit(3)
+            if not in_worker and where == "worker-exit-second":
+                time.sleep(0.05)  # so that each worker takes a second file
+            done.append(corpus.iso)  # this process's own list, after the fork
             return real(corpus, *args, **kwargs)
 
         monkeypatch.setattr(cli, "profile", failing)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-        with pytest.raises(RuntimeError, match=message):
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
+        with pytest.raises(RuntimeError, match=message) as raised:
             cli.main(["profile", "--dataset", str(fixtures / "corpus_ds")])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        if where.startswith("worker-exit"):
+            # a worker that ends loses only the file it held: the message
+            # names exactly the files at which a worker ended
+            named = str(raised.value).split(" for ", 1)[1].split(", ")
+            assert named == sorted(exits.read_text().split())
 
     def test_no_fork_while_other_threads_run(self, fixtures, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -993,18 +1011,91 @@ class TestParallelProfiles:
         assert not thread.is_alive()
         assert code == 0 and len(json.loads(out)["profiles"]) == 6
 
-    def test_shares_balance_bytes_largest_first(self, tmp_path):
+    @pytest.mark.parametrize("case", ["profile", "score"])
+    def test_fixture_corpora_profiled_without_forking(self, case, fixtures, capsys, monkeypatch):
+        # a few KB per file: below FORK_MIN_BYTES per worker, whatever the CPU count
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for the fixture corpora"))
+        for cpus in (2, 3, 64):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            code, _, _ = run_main([arg.format(f=fixtures) for arg in _PARALLEL_CASES[case]], capsys)
+            assert code == 0
+
+    def test_files_handed_out_largest_first(self, tmp_path, monkeypatch):
         files = []
         for name, size in [("aaa", 5), ("bbb", 9), ("ccc", 4), ("ddd", 0), ("eee", 0), ("fff", 4)]:
             files.append(tmp_path / f"{name}.txt")
             files[-1].write_bytes(b"x" * size)
-        assert cli._shares(files, 3) == [[1], [0, 3, 4], [2, 5]]
-        # equal loads go to the share with the fewest files
-        assert cli._shares(files[3:5] + [tmp_path / "missing.txt"], 3) == [[0], [1], [2]]
-        # equal sizes are taken in name order, whatever their directory
         (tmp_path / "ref").mkdir()
         (tmp_path / "ref" / "abc.txt").write_bytes(b"x" * 9)
-        assert cli._shares([files[1], tmp_path / "ref" / "abc.txt"], 2) == [[1], [0]]
+        files += [tmp_path / "ref" / "abc.txt", tmp_path / "missing.txt"]
+        written, write = {}, os.write
+        monkeypatch.setattr(os, "write", lambda fd, b: written.setdefault(fd, []).append(b) or write(fd, b))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
+        args = cli.build_parser().parse_args(["profile", "--dataset", str(tmp_path)])
+        results = cli._profile_files(files, {}, args)
+        assert [isinstance(r, str) for r in results] == [False] * 3 + [True] * 2 + [False, False, True]
+        (records,) = [b"".join(chunks) for chunks in written.values()]  # one task pipe
+        order = [int.from_bytes(records[k : k + 4], sys.byteorder) for k in range(0, len(records), 4)]
+        # largest first; equal sizes in name order, whatever their directory;
+        # the missing file counts as 0 bytes
+        assert [files[i].name for i in order] == [
+            "abc.txt", "bbb.txt", "aaa.txt", "ccc.txt", "fff.txt", "ddd.txt", "eee.txt", "missing.txt"
+        ]
+
+    def test_slow_file_does_not_hold_back_the_others(self, fixtures, tmp_path, capsys, monkeypatch):
+        argv = ["profile", "--dataset", str(fixtures / "corpus_ref")]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        sequential = run_main(argv, capsys)
+        files = sorted((fixtures / "corpus_ref").glob("*.txt"))
+        slow = max(files, key=lambda f: f.stat().st_size).stem
+        log, real = tmp_path / "taken.log", cli.profile
+
+        def logged(corpus, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:  # one appending write: whole lines
+                fh.write(f"{os.getpid()} {corpus.iso}\n")
+            if corpus.iso == slow:  # wait until every other file is taken, at most 20 s
+                deadline = time.monotonic() + 20
+                while len(log.read_text().splitlines()) < len(files) and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            return real(corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "profile", logged)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
+        assert run_main(argv, capsys) == sequential
+        taken = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(iso for _, iso in taken) == sorted(f.stem for f in files)  # each once
+        (slow_pid,) = [pid for pid, iso in taken if iso == slow]
+        assert [iso for pid, iso in taken if pid == slow_pid] == [slow]
+
+    def test_batch_larger_than_the_task_pipe(self, tmp_path, capsys, monkeypatch):
+        # aaa-zzz: 17,576 records of 4 bytes, more than a 64 KiB pipe holds,
+        # and more results than a worker's result pipe holds
+        names = ["".join(t) for t in itertools.product(string.ascii_lowercase, repeat=3)]
+        for k, name in enumerate(names):
+            (tmp_path / f"{name}.txt").write_text("" if k % 2 else f"{name} ab abc\n")
+        argv = ["profile", "--dataset", str(tmp_path)]
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        sequential = run_main(argv, capsys)
+        log, real = tmp_path / "taken.log", cli.load_corpus  # not a corpus: no .txt
+
+        def logged(path, iso):
+            with open(log, "a", encoding="utf-8") as fh:  # one appending write: whole lines
+                fh.write(f"{os.getpid()} {iso}\n")
+            return real(path, iso)
+
+        monkeypatch.setattr(cli, "load_corpus", logged)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
+        assert run_main(argv, capsys) == sequential
+        taken = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(iso for _, iso in taken) == names  # each file profiled once
+        assert sequential[0] == 1 and len(json.loads(sequential[1])["profiles"]) == len(names) // 2
+        # this process collects the workers' results after each of its own
+        # files, so no worker stops on a full result pipe and leaves the
+        # rest of the batch to this process
+        assert sum(pid == str(os.getpid()) for pid, _ in taken) < len(names) * 2 // 3
 
 
 class TestDeterminismAndErrors:
