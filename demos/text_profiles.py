@@ -54,8 +54,8 @@ def main() -> None:
     print()
     print("notes:")
     print("  - the logographic corpus is measured in grapheme clusters,")
-    seq = tokenize("我們", "qlo")
-    tok = seq.tokens[0]
+    seq = tokenize("我們")
+    tok = seq[0]
     print(f"    e.g. {tok!r} is one token of {grapheme_length(tok)} clusters,")
     print("    then multiplied by its script_scale of 2.4")
     print("  - profiles record the sampling window (offset, seed), so a")

@@ -362,6 +362,7 @@ def _morph_side(
     is read as a per-language table with an ``mwl`` column."""
     if path not in corpora:
         _, table = load_numeric_table(path, ["mwl"])
+        _require(bool(table), f"{flag} table {path} has no language rows")
         return list(table), [row["mwl"] for row in table.values()]
     profiles, failed = _report_corpus(path, corpora[path])
     _require(

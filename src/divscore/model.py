@@ -6,22 +6,21 @@ every other column of their files. Pure data, no I/O and no scoring
 logic. Every type but ``FeatureMatrix`` checks its invariants at
 construction time and raises ``ValueError`` with a message naming the
 violated invariant; a feature matrix's rules are checked once, row by
-row, by the loader that builds it. Instances are immutable afterwards
-and safe to share across concurrent computations.
+row, by the loader that builds it.
 
-A record of fields alone is a ``collections.namedtuple`` subclass with
-empty ``__slots__`` whose ``__new__`` runs the checks; it compares, hashes
-and unpacks as a tuple of its fields in declared order. A type that
-builds derived state in ``__init__`` is a slotted subclass of
-``_Immutable``, so assigning to it afterwards raises ``AttributeError``.
-``_replace`` skips the checks; build a new record instead.
+Every type is a ``collections.namedtuple`` subclass with empty
+``__slots__`` whose ``__new__`` runs the checks and builds any derived
+field, so instances are immutable and safe to share across concurrent
+computations. A record compares, hashes and unpacks as a tuple of its
+fields in declared order. ``_replace`` skips the checks; build a new
+record instead.
 """
 from __future__ import annotations
 
 import math
 import re
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 #: ``\Z``, not ``$``, which also matches before a final line break.
 ISO_CODE_RE = re.compile(r"^[a-z]{3}\Z")
@@ -40,23 +39,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_iso(iso: str) -> None:
-    """The iso rule of records, profiles, corpora and token sequences."""
+    """The iso rule of records, profiles and corpora."""
     _require(
         bool(ISO_CODE_RE.match(iso)),
         f"iso must be exactly three ASCII lowercase letters, got {iso!r}",
     )
-
-
-class _Immutable:
-    """Base of the slotted types, whose ``__init__`` sets each field with
-    ``object.__setattr__``: no field can be set or deleted afterwards."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, *_) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
 
 class LanguageRecord(
@@ -125,33 +112,27 @@ class TextProfile(
         return self
 
 
-class FeatureMatrix(_Immutable):
+class FeatureMatrix(namedtuple("FeatureMatrix", "languages features values totals")):
     """Languages x named features with integer cells in 0-255, as
     ``ingest.load_feature_matrix`` returns them.
 
-    ``values`` holds one ``bytes`` row per language, so ``row[j]`` is the
-    int cell of feature j, and indexing, iterating or zipping a row gives
-    ints. ``totals`` holds each feature's sum (a binary feature's count of
-    1s) in feature order, summed over one buffer of all rows. The loader
-    is the one place that checks the cells (int, 0/1 or inside the spec
-    ranges, which lie in 0-255), the shape and the unique languages and
-    features; this type checks nothing.
+    Built from rows of ints, ``values`` holds one ``bytes`` row per
+    language, so ``row[j]`` is the int cell of feature j, and indexing,
+    iterating or zipping a row gives ints. ``totals``, derived, holds each
+    feature's sum (a binary feature's count of 1s) in feature order,
+    summed over one buffer of all rows. The loader is the one place that
+    checks the cells (int, 0/1 or inside the spec ranges, which lie in
+    0-255), the shape and the unique languages and features; this type
+    checks nothing.
     """
 
-    __slots__ = ("languages", "features", "values", "totals")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        languages: Sequence[str],
-        features: Sequence[str],
-        values: Iterable[Iterable[int]],
-    ) -> None:
-        rows = tuple(map(bytes, values))
-        object.__setattr__(self, "languages", tuple(languages))
-        object.__setattr__(self, "features", tuple(features))
-        object.__setattr__(self, "values", rows)
-        width, cells = len(self.features), b"".join(rows)
-        object.__setattr__(self, "totals", tuple(sum(cells[j::width]) for j in range(width)))
+    def __new__(cls, languages, features, values) -> FeatureMatrix:
+        rows, features = tuple(map(bytes, values)), tuple(features)
+        width, cells = len(features), b"".join(rows)
+        totals = tuple(sum(cells[j::width]) for j in range(width))
+        return super().__new__(cls, tuple(languages), features, rows, totals)
 
     @property
     def n_languages(self) -> int:
@@ -218,26 +199,20 @@ class DeficitBin(namedtuple("DeficitBin", "label shortfall examples")):
         return {"bin": self.label, "shortfall": self.shortfall, "examples": list(self.examples)}
 
 
-class GapReport(_Immutable):
+class GapReport(namedtuple("GapReport", "surplus_bins deficit_bins")):
     """Per-bin surplus/deficit of a dataset against the reference: tuples
     of :class:`SurplusBin` and :class:`DeficitBin`."""
 
-    __slots__ = ("surplus_bins", "deficit_bins")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        surplus_bins: Iterable[SurplusBin],
-        deficit_bins: Iterable[DeficitBin],
-    ) -> None:
-        object.__setattr__(self, "surplus_bins", tuple(surplus_bins))
-        object.__setattr__(self, "deficit_bins", tuple(deficit_bins))
-        surplus_labels = {b.label for b in self.surplus_bins}
-        deficit_labels = {b.label for b in self.deficit_bins}
-        overlap = surplus_labels & deficit_labels
+    def __new__(cls, surplus_bins, deficit_bins) -> GapReport:
+        self = super().__new__(cls, tuple(surplus_bins), tuple(deficit_bins))
+        overlap = {b.label for b in self.surplus_bins} & {b.label for b in self.deficit_bins}
         _require(
             not overlap,
             f"a bin may appear in at most one of surplus/deficit, got both for {sorted(overlap)}",
         )
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -252,8 +227,8 @@ class DiversityReport(
     """A minmax Jaccard score with its per-bin table (a tuple of
     :class:`BinOverlap`), the size scalar c and, once diagnosed, its gap.
 
-    The score must equal sum(min) / sum(max) over the table rows; this is
-    validated on construction.
+    The score must equal sum(min) / sum(max) over the table rows, each
+    sum by ``math.fsum``, exactly; this is validated on construction.
     """
 
     __slots__ = ()
@@ -283,7 +258,7 @@ class DiversityReport(
         den = math.fsum(r.max_weight for r in self.per_bin)
         _require(den > 0, "per_bin max weights sum to zero")
         _require(
-            abs(self.value - num / den) <= 1e-12,
+            self.value == num / den,
             f"score value {self.value} does not equal sum(min)/sum(max) "
             f"= {num / den} over per_bin rows",
         )

@@ -2,7 +2,9 @@
 
 Tokenization, grapheme-cluster word lengths, seeded contiguous sampling,
 mean word length with logographic scaling, type-token ratio, and unigram
-entropy. All functions are pure; file loading lives in ingest.
+entropy. All functions are pure; file loading lives in ingest. Tokens
+are a plain tuple of str, which `tokenize` checks; a sample window is
+a slice of it, and the measures read any non-empty tuple of tokens.
 
 Tokens are split on Unicode whitespace and word-boundary punctuation.
 The splitter works over extended grapheme clusters and keeps connector
@@ -51,7 +53,7 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import chain, count
 
 from .ingest import CorpusSource
-from .model import TextProfile, _Immutable, _require, _require_iso
+from .model import TextProfile, _require
 
 # Connector punctuation, single code point each. "Letter" connectors join
 # letter-kind neighbors, "numeric" connectors join digit-kind neighbors,
@@ -71,43 +73,6 @@ _BLOCK_CHARS = 1 << 18
 _Patterns = namedtuple(
     "_Patterns", "separator special stray_mark grapheme alnum no_alnum_line digit"
 )
-
-
-class TokenSequence(_Immutable):
-    """Ordered tokens for one language: an iso code and a tuple of tokens.
-
-    May be empty (callers decide whether that is fatal), but every token
-    present must contain at least one alphanumeric character. The check
-    reads each distinct token once.
-    """
-
-    __slots__ = ("iso", "tokens")
-
-    def __init__(self, iso: str, tokens) -> None:
-        _require_iso(iso)
-        toks = tuple(tokens)
-        _require_word_material(set(toks), toks)
-        object.__setattr__(self, "iso", iso)
-        object.__setattr__(self, "tokens", toks)
-
-    @classmethod
-    def _checked(cls, iso: str, tokens: tuple[str, ...]) -> TokenSequence:
-        """A sequence of an iso code and tokens that passed the checks."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "iso", iso)
-        object.__setattr__(seq, "tokens", tokens)
-        return seq
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def window(self, start: int, stop: int) -> TokenSequence:
-        """The tokens in positions [start, stop), with this sequence's iso.
-
-        They were checked as part of this sequence, so they are not
-        scanned again.
-        """
-        return TokenSequence._checked(self.iso, self.tokens[start:stop])
 
 
 def _require_word_material(types, tokens: tuple[str, ...]) -> None:
@@ -238,7 +203,7 @@ def _patterns() -> _Patterns:
     )
 
 
-def tokenize(text: str, iso: str = "und") -> TokenSequence:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split text into lexical tokens of its NFC normal form.
 
     The one place that normalizes text: the tokens are those of
@@ -253,23 +218,21 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
     for the distinct chunks and a reference per token. The chunk strings
     are freed before any token is made, and the alphanumeric check reads
     the distinct chunks' tokens. With a trigger, the whole text is
-    normalized and tokenized by the cluster loop.
+    normalized and tokenized by the cluster loop, and the check reads a
+    set of its tokens.
 
     Parameters
     ----------
     text : str
         Input text, in any normalization form.
-    iso : str, optional
-        Language code carried on the resulting sequence. Defaults to
-        "und" (undetermined) for anonymous text.
 
     Returns
     -------
-    TokenSequence
-        Tokens in original order, punctuation-only material removed.
-        Empty input yields an empty sequence.
+    tuple of str
+        Tokens in original order, punctuation-only material removed,
+        each holding an alphanumeric character. Empty input yields an
+        empty tuple.
     """
-    _require_iso(iso)
     p = _patterns()
     # each chunk occurrence becomes its chunk's number, counted from 0
     # in order of first sight; the first of equal chunks is kept, as a
@@ -283,7 +246,9 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
     # a mark that starts a chunk follows a line break, so it is still stray
     if p.special.search("".join(set(distinct))) or p.stray_mark.search(distinct):
         del chunks, distinct
-        return TokenSequence(iso, _tokenize_clusters(unicodedata.normalize("NFC", text)))
+        tokens = tuple(_tokenize_clusters(unicodedata.normalize("NFC", text)))
+        _require_word_material(set(tokens), tokens)
+        return tokens
     # a line per distinct chunk, its tokens with spaces between; a block
     # of lines at a time, since `sub` holds a string per piece between
     # separators until it joins them. Each chunk's tuple of tokens is
@@ -297,7 +262,7 @@ def tokenize(text: str, iso: str = "und") -> TokenSequence:
     # the distinct chunks' tokens hold every type, so the check reads
     # them instead of a set of the sequence
     _require_word_material(chain.from_iterable(lines), tokens)
-    return TokenSequence._checked(iso, tokens)
+    return tokens
 
 
 def _blocks(text: str):
@@ -323,18 +288,19 @@ def grapheme_length(token: str) -> int:
     return len(_patterns().grapheme.findall(token))
 
 
-def sample_contiguous(tokens: TokenSequence, target: int, seed: int) -> tuple[TokenSequence, int]:
+def sample_contiguous(tokens: tuple[str, ...], target: int, seed: int) -> tuple[tuple, int]:
     """Extract a contiguous window of up to ``target`` tokens.
 
     The window offset is drawn uniformly from [0, N - target] with a
     dedicated RNG seeded by ``seed``, so the same (tokens, target, seed)
-    always yields the same window. When the sequence has at most
-    ``target`` tokens the whole sequence is returned with offset 0.
+    always yields the same window. When the tuple has at most ``target``
+    tokens it is returned whole with offset 0.
 
     Returns
     -------
-    (TokenSequence, int)
-        The sampled window and its start offset in token positions.
+    (tuple of str, int)
+        The sampled window, a slice of ``tokens``, and its start offset
+        in token positions.
     """
     _require(target >= 1, f"sample target must be >= 1, got {target}")
     n = len(tokens)
@@ -344,10 +310,10 @@ def sample_contiguous(tokens: TokenSequence, target: int, seed: int) -> tuple[To
     import random  # here, so commands that sample nothing never load it
 
     offset = random.Random(seed).randint(0, n - target)
-    return tokens.window(offset, offset + target), offset
+    return tokens[offset : offset + target], offset
 
 
-def mean_word_length(tokens: TokenSequence, script_scale: float = 1.0) -> float:
+def mean_word_length(tokens: tuple[str, ...], script_scale: float = 1.0) -> float:
     """Mean grapheme clusters per token, times ``script_scale``.
 
     The scale compensates for logographic scripts: with the four types
@@ -361,21 +327,21 @@ def mean_word_length(tokens: TokenSequence, script_scale: float = 1.0) -> float:
         f"script_scale must be a finite positive number, got {script_scale!r}",
     )
     _require(len(tokens) > 0, "mean_word_length requires a non-empty token sequence")
-    total = sum(n * grapheme_length(t) for t, n in Counter(tokens.tokens).items())
+    total = sum(n * grapheme_length(t) for t, n in Counter(tokens).items())
     return total / len(tokens) * script_scale
 
 
-def type_token_ratio(tokens: TokenSequence) -> float:
+def type_token_ratio(tokens: tuple[str, ...]) -> float:
     """Distinct tokens divided by total tokens, in (0, 1].
 
     Types are compared by exact string equality; the tokenizer's NFC
     normalization makes canonically equivalent spellings compare equal.
     """
     _require(len(tokens) > 0, "type_token_ratio requires a non-empty token sequence")
-    return len(set(tokens.tokens)) / len(tokens)
+    return len(set(tokens)) / len(tokens)
 
 
-def unigram_entropy(tokens: TokenSequence) -> float:
+def unigram_entropy(tokens: tuple[str, ...]) -> float:
     """Shannon entropy (bits) of the empirical token distribution.
 
     H = -sum(p_i * log2(p_i)) with p_i = count_i / N. Ranges from 0 (one
@@ -383,7 +349,7 @@ def unigram_entropy(tokens: TokenSequence) -> float:
     """
     _require(len(tokens) > 0, "unigram_entropy requires a non-empty token sequence")
     n = len(tokens)
-    ps = [c / n for c in Counter(tokens.tokens).values()]
+    ps = [c / n for c in Counter(tokens).values()]
     return -math.fsum([p * math.log2(p) for p in ps])
 
 
@@ -407,7 +373,7 @@ def profile(
     ValueError
         If the corpus tokenizes to zero tokens ("no lexical tokens").
     """
-    toks = tokenize(corpus.text, corpus.iso)
+    toks = tokenize(corpus.text)
     if len(toks) == 0:
         raise ValueError(f"no lexical tokens in corpus for {corpus.iso!r}")
     sample, offset = sample_contiguous(toks, target, seed)

@@ -202,7 +202,7 @@ def test_c06_subsampling_rank_stability(fixtures):
 
     small, full = [], []
     for f in files:
-        toks = tokenize(load_corpus(f, f.stem).text, f.stem)
+        toks = tokenize(load_corpus(f, f.stem).text)
         assert len(toks) >= 2000, f.name
         window, _ = sample_contiguous(toks, 500, seed=0)
         small.append(mean_word_length(window))
@@ -215,10 +215,10 @@ def test_c06_subsampling_rank_stability(fixtures):
 def test_c07_han_token_counts_two_clusters():
     seq = tokenize("我們")
     assert len(seq) == 1
-    assert grapheme_length(seq.tokens[0]) == 2
+    assert grapheme_length(seq[0]) == 2
     # and in running text the pair still stays one two-cluster token
     in_context = tokenize("今天 我們 出發")
-    assert [grapheme_length(t) for t in in_context.tokens] == [2, 2, 2]
+    assert [grapheme_length(t) for t in in_context] == [2, 2, 2]
 
 
 def test_c07_normalization_forms_count_identically(fixtures):

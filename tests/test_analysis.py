@@ -1,6 +1,7 @@
 """Rank correlation, gap diagnosis, and report serialization."""
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,8 +16,24 @@ from divscore.analysis import (
     serialize_report,
     spearman,
 )
-from divscore.diversity import bin_measurements, jmm_score, jmm_syn, syntactic_weights
+from divscore.diversity import (
+    bin_measurements,
+    bin_members,
+    jmm_score,
+    jmm_syn,
+    syntactic_weights,
+)
 from divscore.model import BinOverlap, DiversityReport, FeatureMatrix
+from oracles import exact_bin
+
+#: One side of a morph score: distinct iso codes, each with a mean word
+#: length, drawn from few letters so bins share members.
+_morph_side = st.lists(
+    st.tuples(st.text("abcd", min_size=3, max_size=3), st.floats(1.0, 4.0)),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda pair: pair[0],
+)
 
 
 class TestSpearman:
@@ -126,6 +143,50 @@ class TestGapReport:
         report = self._report(["bin0", "bin1"], [1.0, 2.0], [1.0, 2.0])
         gap = attach_gap(report, {}).gap
         assert gap.surplus_bins == () and gap.deficit_bins == ()
+
+    @given(ds=_morph_side, ref=_morph_side, width=st.sampled_from([0.1, 0.5, 1.0]))
+    @example(  # seven reference languages in one deficit bin, in reverse iso order
+        ds=[("aaa", 2.5)],
+        ref=[(iso, 1.5) for iso in ("ddd", "ccc", "bbb", "abc", "aab", "aaa", "aad")],
+        width=1.0,
+    )
+    @example(ds=[("aaa", 1.4)], ref=[("bbb", 1.4), ("ccc", 1.3)], width=0.1)  # 1.4/0.1 < 14
+    @example(  # a deficit bin the dataset partly fills, after scaling
+        ds=[("aaa", 1.5), ("bbb", 2.5)],
+        ref=[("ccc", 1.5), ("ddd", 1.5), ("abc", 1.5), ("abd", 2.5)],
+        width=1.0,
+    )
+    @example(  # counts equal once the smaller side is scaled: no gap
+        ds=[("aaa", 1.0), ("bbb", 2.0)],
+        ref=[("ccc", 1.0), ("ddd", 1.0), ("abc", 2.0), ("abd", 2.0)],
+        width=1.0,
+    )
+    def test_morph_gap_property(self, ds, ref, width):
+        """Each bin whose scaled counts differ is surplus or deficit by
+        the difference, and a deficit lists the five smallest reference
+        isos of its bin."""
+        iso_r, mwl_r = zip(*ref)
+        bins_d = bin_measurements([v for _, v in ds], width)
+        bins_r = bin_measurements(mwl_r, width)
+        gap = attach_gap(jmm_score(bins_d, bins_r), bin_members(iso_r, bins_r)).gap
+        surplus = {b.label: b.excess for b in gap.surplus_bins}
+        deficit = {b.label: (b.shortfall, b.examples) for b in gap.deficit_bins}
+        # brute force: exact bins, counts scaled as the score scales them
+        n_d, n_r = len(ds), len(ref)
+        c = max(n_d, n_r) / min(n_d, n_r)
+        scale_d, scale_r = (c, 1.0) if n_d < n_r else (1.0, c)
+        count_d = Counter(exact_bin(v, width) for _, v in ds)
+        count_r = Counter(exact_bin(v, width) for _, v in ref)
+        expected_surplus, expected_deficit = {}, {}
+        for k in count_d.keys() | count_r.keys():
+            d, r = count_d[k] * scale_d, count_r[k] * scale_r
+            if d > r:
+                expected_surplus[f"bin{k}"] = d - r
+            elif d < r:
+                members = sorted(iso for iso, v in ref if exact_bin(v, width) == k)
+                expected_deficit[f"bin{k}"] = (r - d, tuple(members[:MAX_GAP_EXAMPLES]))
+        assert surplus == expected_surplus
+        assert deficit == expected_deficit
 
     def test_attach_gap_round_trip(self):
         report = jmm_score(

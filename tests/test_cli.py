@@ -212,6 +212,17 @@ class TestScoreMorph:
         assert code == 1 and out == ""
         assert err == f"error: table {table} row 3: mwl must be a finite number, got 'nan'\n"
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--reference"])
+    def test_header_only_table_side_names_flag_and_file(self, flag, tmp_path, capsys):
+        empty, table = tmp_path / "empty.csv", tmp_path / "t.csv"
+        empty.write_text("iso,mwl\n")
+        table.write_text("iso,mwl\naaa,3.2\nbbb,4.5\n")
+        sides = {"--dataset": str(table), "--reference": str(table), flag: str(empty)}
+        argv = ["score", "--level", "morph", *itertools.chain(*sides.items())]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} table {empty} has no language rows\n"
+
     def test_sampling_flags_noted_when_both_sides_are_tables(self, fixtures, tmp_path, capsys):
         table = tmp_path / "t.csv"
         table.write_text("iso,mwl\naaa,3.2\nbbb,4.5\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from divscore import model
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
 from divscore.diversity import _minmax_report, feature_members
@@ -25,7 +26,7 @@ from divscore.model import (
     SurplusBin,
     TextProfile,
 )
-from divscore.textstats import TokenSequence, tokenize
+from divscore.textstats import _require_word_material
 from oracles import exact_sum
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
@@ -42,7 +43,6 @@ _INSTANCES = {
     "DiversityReport": (DiversityReport("jmm_syn", 0.5, [_ROW], 1.0), "per_bin"),
     "CorpusSource": (CorpusSource("aaa", "text"), "text"),
     "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
-    "TokenSequence": (TokenSequence("aaa", ["a"]), "tokens"),
 }
 
 
@@ -113,13 +113,25 @@ _KEYWORD_CHECKS = {
         lambda: load_morph_specs(path=_spec_file(["22A"] * 26)),
         "duplicate chapter",
     ),
-    "tokens-iso": (lambda: TokenSequence(iso="x", tokens=["a"]), "three ASCII"),
-    "tokens-alnum": (lambda: TokenSequence(iso="aaa", tokens=["--"]), "alphanumeric"),
+    "tokens-alnum": (
+        lambda: _require_word_material(types={"--"}, tokens=("--",)),
+        "alphanumeric",
+    ),
 }
 
 
 class TestConstruction:
-    """Every domain type checks its fields when built and is immutable after."""
+    """Every domain type is immutable once built, and every one but
+    FeatureMatrix, whose loader checks its rows, checks its fields when
+    built."""
+
+    def test_every_type_is_a_slotted_tuple(self):
+        """One idiom: each record is a tuple subclass with empty ``__slots__``."""
+        types = [t for t in vars(model).values() if isinstance(t, type)]
+        types = [t for t in types if t.__module__ == model.__name__]
+        assert {t.__name__ for t in types} == set(_INSTANCES) - {"CorpusSource"}
+        for t in types:
+            assert issubclass(t, tuple) and vars(t).get("__slots__") == (), t.__name__
 
     @pytest.mark.parametrize("name", sorted(_INSTANCES))
     def test_fields_cannot_be_assigned(self, name):
@@ -146,10 +158,8 @@ class TestConstruction:
             lambda iso: LanguageRecord(iso),
             lambda iso: TextProfile(iso, 1.0, 1.0, 0.0, 1, 0, 0),
             lambda iso: CorpusSource(iso, "t"),
-            lambda iso: TokenSequence(iso, ["a"]),
-            lambda iso: tokenize("ab cd", iso),
         ],
-        ids=["record", "profile", "corpus", "tokens", "tokenize"],
+        ids=["record", "profile", "corpus"],
     )
     def test_iso_with_a_final_line_break_rejected(self, build):
         # a pattern ending in `$` would match "abc\n": `$` also matches
@@ -454,6 +464,16 @@ class TestReports:
         assert rep.value == pytest.approx(0.4)
         with pytest.raises(ValueError, match="sum\\(min\\)/sum\\(max\\)"):
             DiversityReport("jmm_morph", 0.5, per_bin=rows, normalization_c=1.0)
+
+    def test_value_must_equal_the_fsum_ratio_exactly(self):
+        """The value is the one float fsum(min) / fsum(max): a float one
+        ulp away on either side is rejected."""
+        rows = (BinOverlap("bin0", 1.0, 3.0, 1.0, 3.0),)
+        value = 1.0 / 3.0
+        assert DiversityReport("jmm_morph", value, rows, 1.0).value == value
+        for toward in (0.0, 1.0):
+            with pytest.raises(ValueError, match="does not equal"):
+                DiversityReport("jmm_morph", math.nextafter(value, toward), rows, 1.0)
 
     _ROWS = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
 

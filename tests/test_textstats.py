@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from divscore import textstats
 from divscore.ingest import CorpusSource, load_corpus
 from divscore.textstats import (
-    TokenSequence,
     _patterns,
     grapheme_length,
     mean_word_length,
@@ -27,7 +26,7 @@ from oracles import MID_BOTH, MID_LETTER, MID_NUMERIC, brute_entropy, brute_toke
 
 
 def toks(text):
-    return list(tokenize(text).tokens)
+    return list(tokenize(text))
 
 
 class TestTokenize:
@@ -74,10 +73,6 @@ class TestTokenize:
         assert toks("") == []
         assert len(tokenize("   \n\t ")) == 0
 
-    def test_iso_carried(self):
-        assert tokenize("hello", iso="eng").iso == "eng"
-        assert tokenize("hello").iso == "und"
-
     def test_combining_marks_stay_in_token(self):
         # q + COMBINING TILDE has no precomposed form, so NFC keeps the mark
         # and the token holds both code points
@@ -104,14 +99,19 @@ class TestTokenize:
                 assert toks(text) == text.split(), f.name
 
 
-class TestTokenSequence:
+def _check_word_material(tokens):
+    """``_require_word_material`` on ``tokens`` and the set of them."""
+    textstats._require_word_material(set(tokens), tuple(tokens))
+
+
+class TestRequireWordMaterial:
     def test_rejects_token_without_alnum(self):
         with pytest.raises(ValueError, match="alphanumeric"):
-            TokenSequence("und", ["ok", "--"])
+            _check_word_material(["ok", "--"])
 
     def test_rejection_names_the_first_bad_token(self):
         with pytest.raises(ValueError, match="got ''"):
-            TokenSequence("und", ["ok", "", "--"])
+            _check_word_material(["ok", "", "--"])
 
     def test_repeated_bad_token_named_in_sequence_order(self):
         # tokens are checked once per type, but the error still names the
@@ -119,34 +119,14 @@ class TestTokenSequence:
         later_bad = [p * k for k in range(1, 60) for p in "!?."]
         tokens = ["ok", "ab"] * 50 + ["--"] * 100 + ["ok"] + later_bad * 3
         with pytest.raises(ValueError, match="got '--'"):
-            TokenSequence("und", tokens)
+            _check_word_material(tokens)
 
     def test_line_break_inside_a_token_is_no_rejection(self):
         # the per-type scan reads one token per line, so a line of a token
         # without alphanumerics is a false alarm the in-order scan clears
-        assert TokenSequence("und", ["a\n-", "\n\nb", "a"]).tokens == ("a\n-", "\n\nb", "a")
+        assert _check_word_material(["a\n-", "\n\nb", "a"]) is None
         with pytest.raises(ValueError, match=r"got '\\n'"):
-            TokenSequence("und", ["a\n-", "\n"])
-
-    def test_sampled_window_keeps_iso_and_tokens(self):
-        seq = tokenize("the cat saw the dog and the cat ran " * 20, "abc")
-        window, offset = sample_contiguous(seq, 30, seed=5)
-        assert window.iso == "abc"
-        assert window.tokens == seq.tokens[offset : offset + 30]
-
-    def test_rejects_bad_iso(self):
-        with pytest.raises(ValueError, match="three ASCII lowercase"):
-            TokenSequence("UND", ["ok"])
-
-    def test_sampled_window_is_not_scanned_again(self):
-        # the tokens were checked when the sequence was built; a window of
-        # them needs none of the tokenizer's patterns
-        seq = tokenize("the cat saw the dog and the cat ran " * 20, "abc")
-        with mock.patch.object(textstats, "_patterns", side_effect=AssertionError):
-            window, offset = sample_contiguous(seq, 30, seed=5)
-        assert (window.iso, window.tokens) == ("abc", seq.tokens[offset : offset + 30])
-        with pytest.raises(AttributeError):
-            window.tokens = ()
+            _check_word_material(["a\n-", "\n"])
 
 
 # Code points from every class the fast path must hand to the cluster
@@ -289,8 +269,8 @@ class TestTokenizeOracle:
         text = "xy ab, cd -- ab e-f-g ab. 3.5 cd"
         with mock.patch.object(textstats, "_require_word_material", spy):
             seq = tokenize(text)
-        assert seq.tokens == ("xy", "ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
-        assert set(seen[0]) == set(seq.tokens)
+        assert seq == ("xy", "ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
+        assert set(seen[0]) == set(seq)
 
     def test_fast_path_rejects_a_token_without_word_material(self):
         # were the separator pattern to leave "--" as a token, the fast
@@ -301,10 +281,18 @@ class TestTokenizeOracle:
             with pytest.raises(ValueError, match="got '--'"):
                 tokenize("ab -- cd")
 
-    def test_tokenize_rejects_bad_iso(self):
-        for text in ("ab cd", "\u1100\u1161"):  # the fast path and the cluster loop
-            with pytest.raises(ValueError, match="three ASCII lowercase"):
-                tokenize(text, "UND")
+    def test_cluster_loop_checks_its_own_tokens(self):
+        # the cluster loop's tokens, the tuple and the set of it, are
+        # checked as the fast path's are
+        seen = []
+
+        def spy(types, tokens):
+            seen.append((set(types), tokens))
+
+        with mock.patch.object(textstats, "_require_word_material", spy):
+            seq = tokenize("x \u0301y ab x \u0301y")  # a stray mark
+        assert seq == ("x \u0301y", "ab", "x \u0301y")
+        assert seen == [({"x \u0301y", "ab"}, seq)]
 
     def test_blocks_cut_at_whitespace_left_out(self):
         # a text of lines is cut into whole lines, so the distinct chunks
@@ -349,7 +337,7 @@ class TestGraphemeLength:
 
 class TestSampleContiguous:
     def _seq(self, n):
-        return TokenSequence("und", [f"t{i}" for i in range(n)])
+        return tuple(f"t{i}" for i in range(n))
 
     def test_short_sequence_returned_whole(self):
         seq = self._seq(5)
@@ -361,8 +349,8 @@ class TestSampleContiguous:
         w1, o1 = sample_contiguous(seq, 30, seed=7)
         w2, o2 = sample_contiguous(seq, 30, seed=7)
         assert len(w1) == 30
-        assert (o1, w1.tokens) == (o2, w2.tokens)
-        assert w1.tokens == seq.tokens[o1 : o1 + 30]
+        assert (o1, w1) == (o2, w2)
+        assert w1 == seq[o1 : o1 + 30]
 
     def test_offset_follows_documented_rng(self):
         seq = self._seq(100)
@@ -376,7 +364,16 @@ class TestSampleContiguous:
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="empty"):
-            sample_contiguous(TokenSequence("und", []), 5, seed=0)
+            sample_contiguous((), 5, seed=0)
+
+    def test_window_is_the_slice_and_not_scanned_again(self):
+        # the tokens were checked when they were tokenized; a window of
+        # them is their slice and needs none of the tokenizer's patterns
+        seq = tokenize("the cat saw the dog and the cat ran " * 20)
+        with mock.patch.object(textstats, "_patterns", side_effect=AssertionError):
+            window, offset = sample_contiguous(seq, 30, seed=5)
+        assert type(window) is tuple
+        assert window == seq[offset : offset + 30]
 
 
 class TestMeasures:
@@ -389,7 +386,7 @@ class TestMeasures:
         assert mean_word_length(seq, script_scale=2.4) == pytest.approx(3.0)
 
     def test_mwl_plain(self):
-        seq = TokenSequence("und", ["ab", "abcd"])
+        seq = ("ab", "abcd")
         assert mean_word_length(seq) == 3.0
 
     @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT), st.integers(1, 4), st.floats(0.01, 100.0))
@@ -401,35 +398,35 @@ class TestMeasures:
         # total, and so the float, equals the sum over every token
         seq = tokenize(" ".join([text] * reps))
         assume(len(seq) > 0)
-        per_token = sum(grapheme_length(t) for t in seq.tokens)
+        per_token = sum(grapheme_length(t) for t in seq)
         assert mean_word_length(seq, scale) == per_token / len(seq) * scale
 
     def test_mwl_rejects_bad_scale(self):
-        seq = TokenSequence("und", ["ab"])
+        seq = ("ab",)
         with pytest.raises(ValueError, match="script_scale"):
             mean_word_length(seq, script_scale=0.0)
 
     def test_ttr(self):
-        seq = TokenSequence("und", ["a", "b", "a", "b"])
+        seq = ("a", "b", "a", "b")
         assert type_token_ratio(seq) == 0.5
-        assert type_token_ratio(TokenSequence("und", ["x"])) == 1.0
+        assert type_token_ratio(("x",)) == 1.0
 
     def test_entropy_alternating(self):
-        seq = TokenSequence("und", ["a", "b", "a", "b"])
+        seq = ("a", "b", "a", "b")
         assert unigram_entropy(seq) == pytest.approx(1.0)
 
     def test_entropy_constant_is_zero(self):
-        seq = TokenSequence("und", ["a"] * 10)
+        seq = ("a",) * 10
         assert unigram_entropy(seq) == 0.0
 
     def test_entropy_matches_oracle(self):
         rng = random.Random(5)
         tokens = [rng.choice("abcdefg") * rng.randint(1, 3) for _ in range(500)]
-        seq = TokenSequence("und", tokens)
+        seq = tuple(tokens)
         assert unigram_entropy(seq) == brute_entropy(tokens)
 
     def test_entropy_all_distinct_hits_log2_n(self):
-        seq = TokenSequence("und", [f"t{i}" for i in range(32)])
+        seq = tuple(f"t{i}" for i in range(32))
         assert unigram_entropy(seq) == pytest.approx(5.0)
 
 
@@ -470,7 +467,7 @@ class TestProfile:
 def test_mwl_is_scale_equivariant():
     # scaling the mean equals scaling each length: exercised across a
     # spread of scales on one fixed sequence
-    seq = TokenSequence("und", ["a", "bb", "ccc", "dddd", "ee"])
+    seq = ("a", "bb", "ccc", "dddd", "ee")
     base = mean_word_length(seq)
     for scale in (0.5, 1.0, 2.4, 3.7):
         assert mean_word_length(seq, scale) == pytest.approx(base * scale, rel=1e-15)
