@@ -335,6 +335,32 @@ class TestGraphemeLength:
             grapheme_length("")
 
 
+class TestTokenSequence:
+    """The token sequence: the plain tuple ``tokenize`` returns, and the
+    window ``sample_contiguous`` draws from it."""
+
+    _TEXT = "the cat saw the dog and the cat ran " * 20
+
+    def test_sampled_window_keeps_iso_and_tokens(self):
+        # the iso lives with the corpus, not the tokens: the profile keeps
+        # the corpus's iso and measures exactly the window's tokens
+        seq = tokenize(self._TEXT)
+        window, offset = sample_contiguous(seq, 30, seed=5)
+        assert window == seq[offset : offset + 30]
+        prof = profile(CorpusSource(iso="abc", text=self._TEXT), target=30, seed=5)
+        assert (prof.iso, prof.sample_offset, prof.token_count) == ("abc", offset, 30)
+        assert prof.mean_word_length == mean_word_length(window)
+
+    def test_sampled_window_is_not_scanned_again(self):
+        # the tokens were checked when they were tokenized; a window of
+        # them is their slice and needs none of the tokenizer's patterns
+        seq = tokenize(self._TEXT)
+        with mock.patch.object(textstats, "_patterns", side_effect=AssertionError):
+            window, offset = sample_contiguous(seq, 30, seed=5)
+        assert type(window) is tuple
+        assert window == seq[offset : offset + 30]
+
+
 class TestSampleContiguous:
     def _seq(self, n):
         return tuple(f"t{i}" for i in range(n))
@@ -365,15 +391,6 @@ class TestSampleContiguous:
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="empty"):
             sample_contiguous((), 5, seed=0)
-
-    def test_window_is_the_slice_and_not_scanned_again(self):
-        # the tokens were checked when they were tokenized; a window of
-        # them is their slice and needs none of the tokenizer's patterns
-        seq = tokenize("the cat saw the dog and the cat ran " * 20)
-        with mock.patch.object(textstats, "_patterns", side_effect=AssertionError):
-            window, offset = sample_contiguous(seq, 30, seed=5)
-        assert type(window) is tuple
-        assert window == seq[offset : offset + 30]
 
 
 class TestMeasures:
