@@ -354,6 +354,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _table_side(path, flag: str, column: str) -> dict[str, dict[str, float]]:
+    """The ``column`` of one side's per-language table, iso -> {column:
+    value}; a side with no language rows is an error that names it."""
+    _, table = load_numeric_table(path, [column])
+    _require(bool(table), f"{flag} table {path} has no language rows")
+    return table
+
+
 def _morph_side(
     path: Path, flag: str, corpora: dict[Path, list[tuple[Path, TextProfile | str]]]
 ) -> tuple[list[str], list[float]]:
@@ -361,8 +369,7 @@ def _morph_side(
     profiled in ``corpora``, is scored whole or not at all; any other path
     is read as a per-language table with an ``mwl`` column."""
     if path not in corpora:
-        _, table = load_numeric_table(path, ["mwl"])
-        _require(bool(table), f"{flag} table {path} has no language rows")
+        table = _table_side(path, flag, "mwl")
         return list(table), [row["mwl"] for row in table.values()]
     profiles, failed = _report_corpus(path, corpora[path])
     _require(
@@ -476,8 +483,8 @@ def cmd_cwals(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     x_col, y_col = args.x_column, args.y_column
     x_path = args.dataset or bundled_path("mwl_cwals.csv")
-    _, table_x = load_numeric_table(x_path, [x_col])
-    _, table_y = load_numeric_table(args.reference or x_path, [y_col])
+    table_x = _table_side(x_path, "--dataset", x_col)
+    table_y = _table_side(args.reference or x_path, "--reference", y_col)
     shared = sorted(set(table_x) & set(table_y))
     excluded = sorted(set(table_x).symmetric_difference(table_y))
     if not shared:

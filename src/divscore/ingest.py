@@ -9,9 +9,12 @@ rules; each loader adds only its header rule and its parse of one row,
 which reads only the cells a command uses: a registry's ``family`` and
 ``script_scale``, a numeric table's requested columns, a spec file's
 chapter and final range.
-A feature matrix row becomes one ``bytes`` object: a row of one-digit
-cells in one ``translate``, any other row by ``int()`` on each distinct
-cell. ``load_feature_matrix`` is the one place that checks a matrix's
+A *plain* table (no quote, no whitespace but one line break ending each
+line) is read whole, as its lines split at commas; a plain table that
+breaks a rule there, and every other table, goes through the row loop,
+the one place a row error is phrased. A feature matrix row becomes one
+``bytes`` object, in one ``translate`` where its cells are one digit
+each. ``load_feature_matrix`` is the one place that checks a matrix's
 cells, so ``FeatureMatrix`` itself checks nothing. The iso list reader
 follows the table rules for its encoding (strict UTF-8, optional BOM).
 Bundled default data files ship under ``divscore/data``.
@@ -22,12 +25,18 @@ import csv
 import math
 from collections import namedtuple
 from collections.abc import Iterable
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
-from .model import ISO_CODE_RE, FeatureMatrix, LanguageRecord, _require_iso
+from .model import ISO_CODE_RE, ISO_COLUMN_RE, FeatureMatrix, LanguageRecord, _require_iso
 
 #: ``bytes.translate`` table from the ASCII digits 0-9 to the bytes 0-9.
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+#: The characters at the even offsets of a plain table's line after its
+#: iso code and comma: each cell, if each is one character.
+_DIGITS_AFTER_ISO = itemgetter(slice(4, None, 2))
 
 
 class CorpusSource(namedtuple("CorpusSource", "iso text")):
@@ -46,7 +55,62 @@ def bundled_path(name: str) -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[list[str], list]:
+def _plain_lines(text: str) -> list[str] | None:
+    r"""The lines of ``text`` if it is a plain table, else None.
+
+    A plain table has no ``"``, no NUL (which ``csv.reader`` rejects
+    before Python 3.11) and no line longer than
+    ``csv.field_size_limit()``, and no whitespace but one ``\n`` ending
+    each line: so no ``\r``, no blank line and no cell to strip. Its
+    ``csv.reader`` rows are exactly its lines split at commas.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split()
+    breaks = text.count("\n")
+    # "\n".join(lines), with or without a final "\n", rebuilds the text
+    # when its only whitespace is "\n" and there is one fewer of them than
+    # lines, or as many where the text ends in one
+    if (
+        lines
+        and len(text) - breaks == sum(map(len, lines))
+        and breaks == len(lines) - 1 + text.endswith("\n")
+        and max(map(len, lines)) <= csv.field_size_limit()
+    ):
+        return lines
+    return None
+
+
+def _split(lines, maxsplit: int = -1):
+    """The cells of each line of a plain table; past ``maxsplit`` commas
+    the rest of the line is one cell."""
+    return map(str.split, lines, repeat(","), repeat(maxsplit))
+
+
+def _plain_rows(header: list[str], lines: list[str], parse_row, parse_plain) -> list | None:
+    """A plain table's data lines parsed at once, or None where a row
+    rule or the parse fails: the row rules of ``_read_table`` over whole
+    columns, then ``parse_plain(header, lines)`` or, by default,
+    ``parse_row`` mapped over the lines' cells. Raises nothing."""
+    keys = [key for key, _, _ in map(str.partition, lines, repeat(","))]
+    if (
+        set(map(str.count, lines, repeat(","))) != {len(header) - 1}
+        or not all(keys)  # so no row is blank: all commas
+        or len(set(keys)) < len(keys)
+        or (header[0] == "iso" and not ISO_COLUMN_RE.fullmatch("\n".join(keys)))
+    ):
+        return None
+    try:
+        if parse_plain is None:
+            return list(map(parse_row, repeat(header), _split(lines)))
+        return parse_plain(header, lines)
+    except ValueError:
+        return None
+
+
+def _read_table(
+    path, what: str, expect: str, header_ok, parse_row, parse_plain=None
+) -> tuple[list[str], list]:
     """Read a CSV table: the one place every table rule lives.
 
     The file is decoded strictly as UTF-8; a leading BOM is dropped. All
@@ -58,14 +122,25 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
     no key appears twice, and a column named ``iso`` holds iso codes.
     A row error reads ``<what> <path> row <n>: <reason>``.
 
+    A plain table (see ``_plain_lines``) with data rows is first read
+    whole by ``_plain_rows``, where a loader's ``parse_plain`` may parse
+    whole columns; it must return what ``parse_row`` returns for each
+    row, or raise ``ValueError``. A plain table that breaks a rule there
+    is read again by the row loop, from its lines split at commas, and
+    every other table by the row loop over ``csv.reader``: the loop is
+    the one place a row error is phrased.
+
     Returns the header and the parsed rows in file order.
     """
     path = Path(path)
     parsed = []
     first_row: dict[str, int] = {}
     try:
+        lines = _plain_lines(path.read_bytes().decode("utf-8-sig"))
+        # csv.reader streams a table that is not plain from the file; a
+        # plain table's rows are its lines split at commas
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh) if lines is None else _split(lines)
             header = [h.strip() for h in next(reader, [])]
             if not any(header):
                 raise ValueError(f"{what} {path} has no header row")
@@ -80,6 +155,10 @@ def _read_table(path, what: str, expect: str, header_ok, parse_row) -> tuple[lis
             if not header_ok(header):
                 raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
             iso_keyed = header[0] == "iso"
+            if lines is not None:
+                rows = _plain_rows(header, lines[1:], parse_row, parse_plain)
+                if rows is not None:
+                    return header, rows
             for lineno, row in enumerate(reader, start=2):
                 # str.split and str.strip share one whitespace test, so a
                 # row that joins to one split piece has no cell to strip
@@ -163,12 +242,16 @@ def load_feature_matrix(
     feature's declared final range, which lies in 0-255. A cell error names the file, the row, the
     language and the feature of the first bad cell in column order.
 
-    Each row is kept as ``bytes``, one byte per cell. A row whose cells
-    are each one ASCII digit is translated to its bytes in one call and
-    checked as binary by deleting the 0 and 1 bytes; every other row
-    (``?``, ``01``, ``+1``, non-ASCII digits, bad cells) reads each of
-    its distinct cells with ``int()``. Both give the same values and the
-    same errors, first in row order, then in column order.
+    Each row is kept as ``bytes``, one byte per cell. A plain table
+    whose cells are all one ASCII digit is read whole: one ``translate``
+    turns every cell into its byte, deleting the 0 and 1 bytes checks it
+    as binary (or each column's min and max its spec range), and each row
+    is a slice of that one buffer. Any other table goes row by row
+    through the row loop, which phrases every error: a row of one-digit
+    cells is translated in one call and checked the same way; any other
+    row (``?``, ``01``, ``+1``, non-ASCII digits, bad cells) reads each
+    of its distinct cells with ``int()``. All give the same values, and
+    the errors come first in row order, then in column order.
 
     Returns
     -------
@@ -235,12 +318,37 @@ def load_feature_matrix(
                     )
         return iso, bytes(values), []
 
+    def parse_plain(header, lines):
+        """Every row at once, if every cell is one ASCII digit inside the
+        matrix's range."""
+        m = len(header) - 1
+        # A line holds m commas (a table rule), so where it is 2m + 3
+        # characters long with a digit at every even offset after the iso
+        # code and its comma, the other m - 1 commas fill the odd offsets.
+        if set(map(len, lines)) != {2 * m + 3}:
+            raise ValueError("a cell is not one character")
+        digits = "".join(map(_DIGITS_AFTER_ISO, lines)).encode()
+        if not digits.isdigit():
+            raise ValueError("a cell is not one ASCII digit")
+        values = digits.translate(_DIGIT_VALUES)
+        if by_chapter is None:
+            if values.translate(None, b"\0\1"):
+                raise ValueError("a cell is not 0 or 1")
+        else:
+            for j, f in enumerate(header[1:]):
+                column, spec = values[j::m], by_chapter[f]
+                if min(column) < spec.final_min or max(column) > spec.final_max:
+                    raise ValueError(f"a cell of {f} lies outside its final range")
+        starts = range(0, len(values), m)
+        return [(line[:3], values[i : i + m], ()) for i, line in zip(starts, lines)]
+
     header, parsed = _read_table(
         path,
         "feature matrix",
         "'iso' followed by feature identifiers",
         header_ok,
         parse,
+        parse_plain,
     )
     rows = [(iso, values) for iso, values, _ in parsed if values is not None]
     dropped = [iso for iso, values, _ in parsed if values is None]
@@ -318,12 +426,24 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
             values[name] = value
         return row[0], values
 
+    def parse_plain(header, lines):
+        """Every row at once: each requested column is read with ``float``
+        and checked finite as a whole. Cells past the last requested
+        column stay unsplit."""
+        table = list(zip(*_split(lines, max((j for _, j in where), default=0) + 1)))
+        values = [list(map(float, table[j])) for _, j in where]
+        if not all(all(map(math.isfinite, column)) for column in values):
+            raise ValueError("a cell is not finite")
+        rows = zip(*values) if values else repeat((), len(lines))  # no column requested
+        return list(zip(table[0], map(dict, map(zip, repeat(columns), rows))))
+
     _, rows = _read_table(
         path,
         "table",
         f"'iso' first, with the column(s) {', '.join(columns)}",
         header_ok,
         parse,
+        parse_plain,
     )
     return columns, dict(rows)
 

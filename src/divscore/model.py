@@ -22,8 +22,11 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable
 
+_ISO = "[a-z]{3}"
 #: ``\Z``, not ``$``, which also matches before a final line break.
-ISO_CODE_RE = re.compile(r"^[a-z]{3}\Z")
+ISO_CODE_RE = re.compile(rf"^{_ISO}\Z")
+#: For ``fullmatch``: iso codes joined by line breaks, a table's key column.
+ISO_COLUMN_RE = re.compile(rf"{_ISO}(?:\n{_ISO})*")
 
 SCORE_NAMES = frozenset({"jmm_morph", "jmm_syn"})
 #: Maximum example languages listed per deficit bin.

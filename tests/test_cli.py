@@ -737,6 +737,24 @@ class TestCorrelate:
         assert code == 1
         assert err.startswith(f"error: table {b} header must be ")
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--reference"])
+    def test_header_only_table_names_flag_and_file(self, flag, tmp_path, capsys):
+        """Checked before the overlap, so the error names the empty side."""
+        empty, table = tmp_path / "empty.csv", tmp_path / "t.csv"
+        empty.write_text("iso,x,y\n")
+        table.write_text("iso,x,y\naaa,1,2\nbbb,2,3\n")
+        sides = {"--dataset": str(table), "--reference": str(table), flag: str(empty)}
+        code, out, err = run_main(["correlate", "x", "y", *itertools.chain(*sides.items())], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} table {empty} has no language rows\n"
+
+    def test_header_only_single_table_names_dataset(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("iso,mwl,c_wals\n")
+        code, out, err = run_main(["correlate", "mwl", "c_wals", "--dataset", str(empty)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --dataset table {empty} has no language rows\n"
+
     def test_disjoint_tables_error(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from divscore.cli import PROFILE_COLUMNS
 from divscore.grammar import load_morph_specs
 from divscore.ingest import (
+    _read_table,
     bundled_path,
     family_breakdown,
     load_corpus,
@@ -428,6 +430,8 @@ def _padded(cell):
 
 
 _TEXT = st.text("abxyz ,\"'é", min_size=1, max_size=6).filter(str.strip)
+#: Text that csv.writer leaves unquoted and that holds no whitespace.
+_PLAIN_TEXT = st.text("abxyz'é", min_size=1, max_size=6)
 
 
 #: Cells of a per-language number table: numbers, and each kind of cell
@@ -445,15 +449,17 @@ _MATRIX_CELLS = [
 ]
 
 
-#: Cells of each registry column after ``iso``: the two the loader reads
-#: and three it does not, whose text does not matter.
-_REGISTRY_CELLS = {
-    "name": _TEXT,
-    "family": st.one_of(st.just(""), _TEXT),
-    "endangerment": st.one_of(st.just(""), _TEXT),
-    "script_scale": st.sampled_from(["", "1", "2.5", "1e1"]),
-    "note": st.one_of(st.just(""), _TEXT),
-}
+def _registry_cells(text):
+    """Cells of each registry column after ``iso``, with names and other
+    words drawn from ``text``: the two columns the loader reads and three
+    it does not, whose text does not matter."""
+    return {
+        "name": text,
+        "family": st.one_of(st.just(""), text),
+        "endangerment": st.one_of(st.just(""), text),
+        "script_scale": st.sampled_from(["", "1", "2.5", "1e1"]),
+        "note": st.one_of(st.just(""), text),
+    }
 
 
 @st.composite
@@ -461,26 +467,36 @@ def csv_tables(draw):
     """A registry, a feature table of ``_MATRIX_CELLS`` or a table of
     number cells as csv.writer writes it, with padded cells, quoted
     commas and quotes, blank rows, CR LF or LF line ends and an optional
-    BOM. A registry has ``iso`` and then any of ``_REGISTRY_CELLS``'
-    columns in any order. Returns (kind, file bytes)."""
+    BOM. A registry has ``iso`` and then any of ``_registry_cells``'
+    columns in any order. About a third of the tables are plain, as the
+    loaders read them whole: no padding, no blank rows, LF line ends and
+    only cells that csv.writer leaves unquoted. Returns (kind, file
+    bytes)."""
     kind = draw(st.sampled_from(["registry", "matrix", "numbers"]))
+    plain = draw(st.sampled_from([True, False, False]))
+    text = _PLAIN_TEXT if plain else _TEXT
     isos = draw(
         st.lists(st.text("abc", min_size=3, max_size=3), min_size=1, max_size=6, unique=True)
     )
     if kind == "registry":
-        columns = draw(st.permutations(list(_REGISTRY_CELLS)))
+        cells = _registry_cells(text)
+        columns = draw(st.permutations(list(cells)))
         header = ["iso", *columns[: draw(st.integers(0, len(columns)))]]
-        rows = [[iso] + [draw(_REGISTRY_CELLS[c]) for c in header[1:]] for iso in isos]
+        rows = [[iso] + [draw(cells[c]) for c in header[1:]] for iso in isos]
     else:
-        header = ["iso", *draw(st.lists(_TEXT, min_size=1, max_size=4, unique_by=str.strip))]
-        cells = st.sampled_from(_MATRIX_CELLS if kind == "matrix" else _NUMBER_CELLS)
+        header = ["iso", *draw(st.lists(text, min_size=1, max_size=4, unique_by=str.strip))]
+        cells = _MATRIX_CELLS if kind == "matrix" else _NUMBER_CELLS
+        cells = st.sampled_from([c for c in cells if not plain or "," not in c])
         rows = [[iso] + [draw(cells) for _ in header[1:]] for iso in isos]
-    table = [[draw(_padded(c)) for c in row] for row in [header, *rows]]
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(1, len(table)))
-        table.insert(at, draw(st.sampled_from([[], [""], ["", " "], [" ", "\t", ""]])))
+    table = [header, *rows]
+    if not plain:
+        table = [[draw(_padded(c)) for c in row] for row in table]
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(1, len(table)))
+            table.insert(at, draw(st.sampled_from([[], [""], ["", " "], [" ", "\t", ""]])))
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"]))).writerows(table)
+    line_end = "\n" if plain else draw(st.sampled_from(["\r\n", "\n"]))
+    csv.writer(buf, lineterminator=line_end).writerows(table)
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return kind, (bom + buf.getvalue()).encode("utf-8")
 
@@ -523,6 +539,10 @@ def _matrix_row_error(header, row, specs):
     return bad and f"value {bad[1]} for ({iso}, {bad[0]}) lies outside the final range [{lo}, {hi}]"
 
 
+#: Two of these make a cell over csv.reader's field size limit.
+_HALF = b"x" * (csv.field_size_limit() // 2 + 1)
+
+
 class TestTableOracle:
     @given(csv_tables())
     @example(("numbers", b"iso,x\nabc,1\nabd,nan\n"))  # non-finite
@@ -546,14 +566,37 @@ class TestTableOracle:
     @example(("registry", "iso,name,family\nabc,A\u3000,F\n".encode()))
     @example(("registry", "iso,name,family\nabc,\x85A,F\n".encode()))
     @example(("registry", b"iso,name,family\nabc,A\x1c,F\n"))
+    # at the edge of a plain table, which is read whole
+    @example(("registry", b'iso,name\nabc,"A"\n'))  # one quoted cell
+    @example(("numbers", b"iso,x\nabc,1\rabd,2\n"))  # a lone CR ends a row
+    @example(("numbers", b"iso,x\nabc,1\n\nabd,2\n"))  # a blank line
+    @example(("matrix", b"iso,a,b\nabc,0,1\nabd,1,1"))  # no final line break
+    @example(("registry", b"iso,name\nabc," + _HALF * 2 + b"\n"))  # a cell over the field limit
+    @example(("registry", b"iso,a,b\nabc," + _HALF + b"," + _HALF + b"\n"))  # a line over it
+    @example(("numbers", "iso,x,y\nabc,1,A\u3000B\n".encode()))  # whitespace inside a cell
+    @example(("registry", b"iso,name,family\nabc,A\x1cB,F\n"))
+    @example(("registry", b"iso,name,family\nabc,A\x00B,F\n"))  # a NUL
+    @example(("matrix", b"iso,a\nabc,1\n,\n"))  # an empty key: a blank row of commas
+    @example(("matrix", b"iso,a,b\nabc,1,?\nabd,0,1\n"))  # a missing cell
+    @example(("matrix", b"iso,a,b\nabc,0,\x01\n"))  # one character, not a digit, below 2
+    @example(("matrix", "\ufeffiso,a,b\nabc,0,1\n".encode()))  # a BOM
+    @example(("numbers", b"iso,x\n"))  # a header only
     def test_loaders_match_oracle_property(self, case):
         """Every loader that reads the file returns what the hand-written
         parser in tests/oracles.py reads from the same bytes."""
         kind, raw = case
         header, rows = read_csv_table(raw)
+        # csv.reader refuses a field over its size limit, and a NUL before Python 3.11
+        refused = any(len(c) > csv.field_size_limit() for r in [header, *rows] for c in r) or (
+            b"\0" in raw and sys.version_info < (3, 11)
+        )
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"
             path.write_bytes(raw)
+            if refused:
+                with pytest.raises(ValueError, match=rf"^table {re.escape(str(path))} row \d+: "):
+                    load_numeric_table(path, [])
+                return
 
             # each column alone: its values, or the error of its first bad cell
             for j, name in enumerate(header[1:], start=1):
@@ -630,3 +673,85 @@ class TestTableOracle:
         with pytest.raises(ValueError) as exc:
             load()
         assert str(exc.value) == message
+
+
+class _ReaderCalled(Exception):
+    pass
+
+
+class TestPlainTables:
+    """A plain table (no quote, no whitespace but the line breaks) is read
+    whole, without ``csv.reader``; any other table reaches it."""
+
+    @pytest.fixture(autouse=True)
+    def no_reader(self, monkeypatch):
+        def reader(*args, **kwargs):
+            raise _ReaderCalled
+
+        monkeypatch.setattr("divscore.ingest.csv.reader", reader)
+
+    def test_plain_tables_load_without_the_reader(self, tmp_path):
+        matrix = tmp_path / "m.csv"
+        matrix.write_bytes(b"iso,a,b,c\nabc,0,1,1\nabd,1,0,0\nabe,0,0,1\n")
+        header, rows = read_csv_table(matrix.read_bytes())
+        expected = (
+            tuple(r[0] for r in rows),
+            tuple(header[1:]),
+            tuple(bytes(map(int, r[1:])) for r in rows),
+            [],
+        )
+        assert _matrix_fields(*load_feature_matrix(matrix)) == expected
+        specs = [MorphFeatureSpec(f, 0, 1) for f in header[1:]]
+        assert _matrix_fields(*load_feature_matrix(matrix, specs=specs)) == expected
+
+        numbers = tmp_path / "n.csv"
+        numbers.write_bytes(b"iso,name,x,y\nabc,A,1.5,2\nabd,B,-3,1e3\n")
+        header, rows = read_csv_table(numbers.read_bytes())
+        assert load_numeric_table(numbers, ["y", "x"]) == (
+            ["y", "x"],
+            {r[0]: {"y": float(r[3]), "x": float(r[2])} for r in rows},
+        )
+
+    def test_plain_table_row_error_without_the_reader(self, tmp_path):
+        """A plain table that breaks a rule is read again row by row from
+        its lines, and the row loop phrases the error."""
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"iso,a\nabc,1\nabd,2\n")
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(path)
+        assert str(exc.value) == (
+            f"feature matrix {path} row 3: binary feature (abd, a) must be 0 or 1, got 2"
+        )
+
+    def test_plain_matrix_cell_outside_the_final_range(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"iso,a,b\nabc,1,2\nabd,2,0\n")
+        specs = [MorphFeatureSpec("a", 1, 2), MorphFeatureSpec("b", 0, 2)]
+        assert load_feature_matrix(path, specs=specs)[0].values == (b"\1\2", b"\2\0")
+        specs = [MorphFeatureSpec("a", 0, 2), MorphFeatureSpec("b", 1, 2)]
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(path, specs=specs)
+        assert str(exc.value) == (
+            f"feature matrix {path} row 3: value 0 for (abd, b) lies outside the final range [1, 2]"
+        )
+
+    def test_row_of_commas_is_blank(self, tmp_path):
+        """Blank rows are skipped in a plain table too, whatever the
+        loader's parse would make of empty cells."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"key,value\na,1\n,\nb,\n")
+        assert _read_table(path, "table", "any", lambda h: True, lambda h, row: row) == (
+            ["key", "value"],
+            [["a", "1"], ["b", ""]],
+        )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'iso,x\nabc,"1"\n', b"iso,x\nabc, 1\n", b"iso,x\r\nabc,1\r\n", b"iso,x\n\nabc,1\n"],
+        ids=["quoted", "padded", "crlf", "blank-row"],
+    )
+    def test_other_tables_reach_the_reader(self, raw, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(_ReaderCalled):
+            load_numeric_table(path, ["x"])
