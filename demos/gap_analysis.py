@@ -70,19 +70,20 @@ def main() -> None:
 
 def bundled_mbert() -> None:
     table = bundled_path("mwl_cwals.csv")
-    _, mwl = load_numeric_table(table, ["mwl"])
+    _, rows = load_numeric_table(table, ["mwl"])
+    mwl = {iso: value for iso, (value,) in rows.items()}
     with open(table, newline="", encoding="utf-8") as fh:
         names = {row["iso"]: row["name"] for row in csv.DictReader(fh)}
     mbert = set(load_iso_list(bundled_path("mbert_languages.txt")))
     covered = [iso for iso in mwl if iso in mbert]
     print(f"\nbundled data: {len(covered)} of the {len(mwl)} table languages are on the mBERT list")
 
-    bins_r = bin_measurements([v["mwl"] for v in mwl.values()], 1.0)
-    report = jmm_score(bin_measurements([mwl[iso]["mwl"] for iso in covered], 1.0), bins_r)
+    bins_r = bin_measurements(list(mwl.values()), 1.0)
+    report = jmm_score(bin_measurements([mwl[iso] for iso in covered], 1.0), bins_r)
     report = attach_gap(report, bin_members(list(mwl), bins_r))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
     for entry in report.gap.deficit_bins:
-        examples = ", ".join(f"{names[iso]} ({mwl[iso]['mwl']})" for iso in entry.examples)
+        examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry.examples)
         print(f"  missing {entry.label}: {examples}")
     print("reading: what the mBERT languages miss is the long-word end of the table,")
     print("where the (poly)synthetic languages sit")

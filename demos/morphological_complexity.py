@@ -43,7 +43,7 @@ def main() -> None:
     _, table = load_numeric_table(bundled_path("mwl_cwals.csv"), ["mwl"])
     isos = sorted(set(scores) & set(table))
     rho = spearman(
-        [table[iso]["mwl"] for iso in isos],
+        [table[iso][0] for iso in isos],
         [scores[iso] for iso in isos],
     )
     print(

@@ -6,8 +6,11 @@ directly, after ``main`` rejects a score option the chosen level does
 not read (``LEVEL_FLAGS``) and checks the two numeric flags argparse
 cannot (``--bin-width``, ``--sample-target``). Every command writes its output
 through one emitter, ``_emit``: a JSON object stamped with
-``schema_version``, or the same rows as CSV (``score --format csv|svg``
-renders the per-bin table through ``serialize_report``). Diagnostics go
+``schema_version``, written by ``_json_text`` with the same bytes as
+``json.dumps(indent=2, sort_keys=True)``, or the same rows as CSV.
+``score --format csv|svg`` builds only the per-bin table and renders it
+through ``serialize_report``; the gap diagnosis and the TI values are
+built for ``--format json`` alone, which prints them. Diagnostics go
 to standard error, printed by the commands themselves. Every command is
 deterministic given identical inputs, flags, and seed; rows are sorted
 by iso code.
@@ -31,11 +34,11 @@ import argparse
 import gc
 import io
 import itertools
-import json
 import marshal
 import math
 import os
 import sys
+from _json import encode_basestring_ascii as _quote  # the C helper json.encoder wraps
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -167,15 +170,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: How each JSON scalar type is rendered, each in C, in the order json.encoder
+#: tests them. A float prints as ``float.__repr__``, but for the three words
+#: in ``_FLOAT_WORDS``, which no other rendered scalar can equal.
+_SCALARS = {
+    str: _quote,
+    type(None): {None: "null"}.__getitem__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: float.__repr__,
+}
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _unserializable(obj):
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    byte for byte, for dicts with str keys, lists, tuples, str, int,
+    float (NaN and the infinities too), bool and None; any other type is
+    a ``TypeError``. Containers are walked here, and every key and scalar
+    is rendered in C, where ``json.dumps`` runs in Python once it
+    indents. ``indent`` is the line break and indent of ``obj``'s line."""
+    render = _SCALARS.get(type(obj))
+    if render is None and not isinstance(obj, (list, tuple, dict)):
+        # a subclass of a scalar type renders as that type does
+        render = next((r for t, r in _SCALARS.items() if isinstance(obj, t)), _unserializable)
+    if render is not None:
+        text = render(obj)
+        return _FLOAT_WORDS.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    items = [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
+
 def _emit(
     args: argparse.Namespace, payload: dict, header: Sequence = (), rows: Iterable = ()
 ) -> None:
     """Write a command's output: ``payload`` as one JSON object stamped
-    with ``schema_version``, or ``header`` and ``rows`` as CSV, as
-    ``--format`` asks."""
+    with ``schema_version``, in the bytes ``json.dumps(indent=2,
+    sort_keys=True)`` would write (``_json_text``), or ``header`` and
+    ``rows`` as CSV, as ``--format`` asks."""
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, **payload}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
     else:
         sys.stdout.write(csv_text(header, rows))
 
@@ -354,9 +397,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _table_side(path, flag: str, column: str) -> dict[str, dict[str, float]]:
-    """The ``column`` of one side's per-language table, iso -> {column:
-    value}; a side with no language rows is an error that names it."""
+def _table_side(path, flag: str, column: str) -> dict[str, tuple[float]]:
+    """The ``column`` of one side's per-language table, iso -> (value,);
+    a side with no language rows is an error that names it."""
     _, table = load_numeric_table(path, [column])
     _require(bool(table), f"{flag} table {path} has no language rows")
     return table
@@ -370,7 +413,7 @@ def _morph_side(
     is read as a per-language table with an ``mwl`` column."""
     if path not in corpora:
         table = _table_side(path, flag, "mwl")
-        return list(table), [row["mwl"] for row in table.values()]
+        return list(table), [value for (value,) in table.values()]
     profiles, failed = _report_corpus(path, corpora[path])
     _require(
         not failed,
@@ -393,10 +436,13 @@ def _score_morph(args: argparse.Namespace) -> dict:
     bins_d = bin_measurements(mwl_d, args.bin_width)
     bins_r = bin_measurements(mwl_r, args.bin_width)
 
-    report = attach_gap(jmm_score(bins_d, bins_r), bin_members(iso_r, bins_r))
-    ti_d = ti_morph(bins_d) if len(bins_d) >= 2 else None
-    ti_r = ti_morph(bins_r) if len(bins_r) >= 2 else None
-    if ti_d is None or ti_r is None:
+    report = jmm_score(bins_d, bins_r)
+    ti_d = ti_r = None
+    if args.format == "json":  # the gap and the TI values are printed only there
+        report = attach_gap(report, bin_members(iso_r, bins_r))
+        ti_d = ti_morph(bins_d) if len(bins_d) >= 2 else None
+        ti_r = ti_morph(bins_r) if len(bins_r) >= 2 else None
+    if len(bins_d) < 2 or len(bins_r) < 2:
         print("ti_morph skipped for a single-language side", file=sys.stderr)
     return {
         "level": "morph",
@@ -434,11 +480,12 @@ def _score_syn(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         paths = f"--dataset {args.dataset} and --reference {args.reference}"
         raise ValueError(f"{paths}: {exc}") from None
-    report = attach_gap(report, feature_members(mat_r, count_zeros))
-
-    ti_d = ti_syn(mat_d) if mat_d.n_languages >= 2 else None
-    ti_r = ti_syn(mat_r) if mat_r.n_languages >= 2 else None
-    if ti_d is None or ti_r is None:
+    ti_d = ti_r = None
+    if args.format == "json":  # the gap and the TI values are printed only there
+        report = attach_gap(report, feature_members(mat_r, count_zeros))
+        ti_d = ti_syn(mat_d) if mat_d.n_languages >= 2 else None
+        ti_r = ti_syn(mat_r) if mat_r.n_languages >= 2 else None
+    if mat_d.n_languages < 2 or mat_r.n_languages < 2:
         print("ti_syn skipped for a single-language side", file=sys.stderr)
     return {
         "level": "syn",
@@ -495,10 +542,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"{', '.join(excluded)}",
             file=sys.stderr,
         )
-    rho = spearman(
-        [table_x[iso][x_col] for iso in shared],
-        [table_y[iso][y_col] for iso in shared],
-    )
+    rho = spearman([table_x[iso][0] for iso in shared], [table_y[iso][0] for iso in shared])
     n = len(shared)
     print(f"rho = {rho:.4f} over n = {n} languages", file=sys.stderr)
     _emit(

@@ -7,8 +7,8 @@ NFC-normalizes it. Every CSV table, the morphology spec file included,
 is read by ``_read_table``, which holds the header, row and error
 rules; each loader adds only its header rule and its parse of one row,
 which reads only the cells a command uses: a registry's ``family`` and
-``script_scale``, a numeric table's requested columns, a spec file's
-chapter and final range.
+``script_scale``, a numeric table's requested columns (one tuple of
+values per row, no dict), a spec file's chapter and final range.
 A *plain* table (no quote, no whitespace but one line break ending each
 line) is read whole, as its lines split at commas; a plain table that
 breaks a rule there, and every other table, goes through the row loop,
@@ -399,13 +399,14 @@ def family_breakdown(records: Iterable[LanguageRecord]) -> tuple[dict[str, list[
     )
 
 
-def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, float]]]:
+def load_numeric_table(path, columns) -> tuple[list[str], dict[str, tuple[float, ...]]]:
     """Read the per-language number columns ``columns`` of a CSV table.
 
     The header starts with ``iso`` and names every requested column;
     other columns, such as a name column, are not read. Every requested
     cell is a finite number. Returns the requested column names and a
-    mapping iso -> {column: value}.
+    mapping iso -> tuple of that row's values in ``columns`` order, one
+    entry per row in file order.
     """
     columns = list(columns)
     where: list[tuple[str, int]] = []  # (column, its index in the header)
@@ -417,14 +418,14 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
         return True
 
     def parse(header, row):
-        values = {}
+        values = []
         for name, j in where:
             cell = row[j]
             value = _number(float, cell)
             if value is None or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {cell!r}")
-            values[name] = value
-        return row[0], values
+            values.append(value)
+        return row[0], tuple(values)
 
     def parse_plain(header, lines):
         """Every row at once: each requested column is read with ``float``
@@ -435,7 +436,7 @@ def load_numeric_table(path, columns) -> tuple[list[str], dict[str, dict[str, fl
         if not all(all(map(math.isfinite, column)) for column in values):
             raise ValueError("a cell is not finite")
         rows = zip(*values) if values else repeat((), len(lines))  # no column requested
-        return list(zip(table[0], map(dict, map(zip, repeat(columns), rows))))
+        return list(zip(table[0], rows))
 
     _, rows = _read_table(
         path,

@@ -21,6 +21,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from operator import methodcaller
 
 _ISO = "[a-z]{3}"
 #: ``\Z``, not ``$``, which also matches before a final line break.
@@ -122,11 +123,11 @@ class FeatureMatrix(namedtuple("FeatureMatrix", "languages features values total
     Built from rows of ints, ``values`` holds one ``bytes`` row per
     language, so ``row[j]`` is the int cell of feature j, and indexing,
     iterating or zipping a row gives ints. ``totals``, derived, holds each
-    feature's sum (a binary feature's count of 1s) in feature order,
-    summed over one buffer of all rows. The loader is the one place that
-    checks the cells (int, 0/1 or inside the spec ranges, which lie in
-    0-255), the shape and the unique languages and features; this type
-    checks nothing.
+    feature's sum in feature order, taken over one buffer of all rows; in
+    a binary matrix (every cell 0 or 1) it is the column's count of 1s.
+    The loader is the one place that checks the cells (int, 0/1 or inside
+    the spec ranges, which lie in 0-255), the shape and the unique
+    languages and features; this type checks nothing.
     """
 
     __slots__ = ()
@@ -134,7 +135,8 @@ class FeatureMatrix(namedtuple("FeatureMatrix", "languages features values total
     def __new__(cls, languages, features, values) -> FeatureMatrix:
         rows, features = tuple(map(bytes, values)), tuple(features)
         width, cells = len(features), b"".join(rows)
-        totals = tuple(sum(cells[j::width]) for j in range(width))
+        total = sum if cells.translate(None, b"\0\1") else methodcaller("count", 1)
+        totals = tuple(total(cells[j::width]) for j in range(width))
         return super().__new__(cls, tuple(languages), features, rows, totals)
 
     @property

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 import regex
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import divscore
 from divscore import cli
@@ -913,6 +915,124 @@ class TestFormatsAgree:
         assert json.loads(out)["schema_version"] == "1"
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+#: Every JSON scalar: str of any code point (lone surrogates too), int of
+#: any size, every float (signed zeros, subnormals, NaN, the infinities),
+#: bool and None.
+_JSON_SCALARS = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**300),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes what ``json.dumps(indent=2,
+    sort_keys=True)`` writes, byte for byte."""
+
+    @given(_JSON_VALUES)
+    @example({})
+    @example([])
+    @example(())
+    @example({"": {}, "b": [[], ()], "a": [{}]})
+    @example(["\U0001f600", "\ud83d", '"', "\\", "\x00\x1f\x7f\n\t", "\u2028 é ✓"])
+    @example([2**64, -(2**64) - 1, 10**100, 0, -1])
+    @example([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1.5, -2.5e300])
+    @example([float("nan"), float("inf"), float("-inf")])
+    @example({"t": True, "f": False, "n": None, "i": 1, "x": 1.0})
+    @example({"b": {"d": [1, {"e": None}]}, "a": [True, "z"]})
+    # a subclass of a scalar type renders as that type, and a tuple's as a list
+    @example([_Str("s"), _Int(7), _Float("nan"), _Float(0.1), _Tuple((1, "x"))])
+    def test_matches_json_dumps_property(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "obj", [{1, 2}, b"bytes", 1j, object(), {"a": [1, frozenset()]}], ids=repr
+    )
+    def test_other_types_are_a_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(obj)
+
+
+#: The functions that build what only ``score --format json`` prints.
+_JSON_ONLY = ("attach_gap", "bin_members", "feature_members", "ti_morph", "ti_syn")
+
+
+class TestScoreBuildsOnlyWhatItPrints:
+    @staticmethod
+    def _sides(level, single, fixtures, tmp_path):
+        if not single:
+            return [a.format(f=fixtures) for a in _SCORE_SIDES[level]]
+        one = tmp_path / "one.csv"
+        if level == "morph":
+            one.write_text("iso,mwl\neng,4.2\n")
+            return ["--dataset", str(one), "--reference", str(bundled_path("mwl_cwals.csv"))]
+        one.write_text("iso,s1,s2,s3,s4,s5,s6\nqda,1,0,1,0,1,0\n")
+        return ["--dataset", str(one), "--reference", f"{fixtures}/syn_reference.csv"]
+
+    @pytest.mark.parametrize("single", [False, True], ids=["sides", "single-language"])
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
+    @pytest.mark.parametrize("level", ["morph", "syn"])
+    def test_gap_and_ti_only_for_json(self, level, fmt, single, fixtures, tmp_path, capsys):
+        """csv and svg print the per-bin table alone, so they call none of
+        `_JSON_ONLY`; json calls what its level needs. Every format writes
+        the stdout and stderr of a run with the functions unspied."""
+        argv = ["score", "--level", level, *self._sides(level, single, fixtures, tmp_path)]
+        argv += ["--format", fmt]
+        unspied = run_main(argv, capsys)
+        calls = []
+
+        def spy(name, fn):
+            def spied(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return spied
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in _JSON_ONLY:
+                mp.setattr(cli, name, spy(name, getattr(cli, name)))
+            assert run_main(argv, capsys) == unspied
+        assert unspied[0] == 0
+        # stderr does not depend on the format, the TI note included
+        assert unspied[2] == run_main([*argv[:-1], "json"], capsys)[2]
+        assert (f"ti_{level} skipped for a single-language side" in unspied[2]) == single
+        if fmt != "json":
+            assert calls == []
+        else:
+            members = "bin_members" if level == "morph" else "feature_members"
+            # a single-language side gets no TI value, the other side one
+            ti = ["ti_morph" if level == "morph" else "ti_syn"] * (1 if single else 2)
+            assert sorted(calls) == sorted([members, "attach_gap", *ti])
+
+
 class TestSameBitsOnEveryPython:
     @pytest.mark.parametrize("case", sorted(_FORMAT_CASES))
     def test_compensated_builtin_sum_changes_no_output(self, case, fixtures, capsys, monkeypatch):
@@ -1256,6 +1376,7 @@ _START_UP_FREE = (
     "inspect",
     "typing",
     "random",
+    "json",
 )
 _STDLIB_ONLY = (
     "import os, sys\n"
@@ -1364,7 +1485,8 @@ class TestImports:
         writes what a normal run writes, and of the modules in
         `_START_UP_FREE` it imports only those its case names. A command
         that reads no text imports no `regex`, and none imports
-        `dataclasses`, `inspect`, `typing` or `random`."""
+        `dataclasses`, `inspect`, `typing`, `random` or `json` (the JSON
+        writer uses only the C module `_json`)."""
         table = tmp_path / "side.csv"
         table.write_text("iso,mwl\neng,4.2\nfin,7.1\ntur,6.0\nzho,1.5\n")
         argv = [a.format(f=fixtures, t=table, m=bundled_path("mwl_cwals.csv")) for a in argv]

@@ -218,7 +218,7 @@ class TestSmallTables:
         )
         assert load_numeric_table(p, ["mwl"]) == (
             ["mwl"],
-            {"aaa": {"mwl": 4.5}, "bbb": {"mwl": 3.25}},
+            {"aaa": (4.5,), "bbb": (3.25,)},
         )
 
     def test_profile_table_rejects_duplicate_iso(self, tmp_path):
@@ -252,7 +252,7 @@ class TestSmallTables:
         p.write_text("iso,name,mwl,c_wals\nabc,Abc,4.5,0.5\nxyz,Xyz,3.0,0.25\n")
         cols, table = load_numeric_table(p, ["mwl", "c_wals"])
         assert cols == ["mwl", "c_wals"]
-        assert table["abc"] == {"mwl": 4.5, "c_wals": 0.5}
+        assert table["abc"] == (4.5, 0.5)
 
     def test_numeric_table_rejects_duplicate_iso(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -280,7 +280,7 @@ class TestSmallTables:
         """A column that is not requested is not read, whatever it holds."""
         p = tmp_path / "t.csv"
         p.write_text(f"iso,x,y\nabc,1,2\nxyz,{cell},3\n")
-        assert load_numeric_table(p, ["y"]) == (["y"], {"abc": {"y": 2.0}, "xyz": {"y": 3.0}})
+        assert load_numeric_table(p, ["y"]) == (["y"], {"abc": (2.0,), "xyz": (3.0,)})
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "", "many", "1,5"])
     def test_numeric_table_rejects_non_finite_cell(self, tmp_path, cell):
@@ -604,7 +604,7 @@ class TestTableOracle:
                 if bad is None:
                     assert load_numeric_table(path, [name]) == (
                         [name],
-                        {r[0]: {name: float(r[j])} for r in rows},
+                        {r[0]: (float(r[j]),) for r in rows},
                     )
                     continue
                 with pytest.raises(ValueError) as exc:
@@ -617,7 +617,7 @@ class TestTableOracle:
             ]
             assert load_numeric_table(path, [name for _, name in numeric]) == (
                 [name for _, name in numeric],
-                {r[0]: {name: float(r[j]) for j, name in numeric} for r in rows},
+                {r[0]: tuple(float(r[j]) for j, _ in numeric) for r in rows},
             )
             if kind == "numbers":
                 return
@@ -709,7 +709,7 @@ class TestPlainTables:
         header, rows = read_csv_table(numbers.read_bytes())
         assert load_numeric_table(numbers, ["y", "x"]) == (
             ["y", "x"],
-            {r[0]: {"y": float(r[3]), "x": float(r[2])} for r in rows},
+            {r[0]: (float(r[3]), float(r[2])) for r in rows},
         )
 
     def test_plain_table_row_error_without_the_reader(self, tmp_path):
