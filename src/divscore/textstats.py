@@ -40,13 +40,16 @@ depends on one item alone is done once per distinct item: NFC, the
 trigger test and the separator pattern run once per distinct
 whitespace-delimited chunk (NFC never acts across whitespace, and no
 token spans it); the trigger code points are looked for among the
-distinct code points; tokens are checked for alphanumeric content, and
-measured in graphemes, once per type.
+distinct code points; tokens are checked for alphanumeric content
+once per type. A window's word lengths take one pass over its types:
+where they hold no trigger and no virama, a type's clusters are its
+non-marks, counted by deleting the marks (`mean_word_length`).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import unicodedata
 from collections import Counter, defaultdict, namedtuple
@@ -71,7 +74,7 @@ _BLOCK_CHARS = 1 << 18
 
 #: The tokenizer's compiled patterns, built by :func:`_patterns`.
 _Patterns = namedtuple(
-    "_Patterns", "separator special stray_mark grapheme alnum no_alnum_line digit"
+    "_Patterns", "separator special stray_mark grapheme alnum no_alnum_line digit mark virama"
 )
 
 
@@ -151,8 +154,8 @@ def _tokenize_clusters(text: str) -> list[str]:
 
 @functools.cache
 def _patterns() -> _Patterns:
-    """Every pattern the tokenizer uses, compiled on first use, which
-    is also when ``regex`` is imported.
+    """Every pattern the tokenizer and `mean_word_length` use, compiled
+    on first use, which is also when ``regex`` is imported.
 
     The fast path's patterns are the separator, special and stray-mark
     ones. A code point is plain when its cluster is known without
@@ -163,10 +166,14 @@ def _patterns() -> _Patterns:
     mark), which glues onto a non-word base. Being special is a property
     of the code point alone, so `tokenize` looks for one among the
     text's distinct code points; only the stray mark needs its context,
-    and a scan over the distinct chunks. In text without triggers every
-    cluster is one base plus its marks, so a token is a run of word code
-    points joined across a single connector, and the kind of the cluster
-    before the connector is its base's: the last non-mark. The separator
+    and a scan over the distinct chunks (`_has_trigger`). In text without
+    triggers every cluster is one base plus its marks, or a conjunct
+    (UAX #29 rule GB9c, where the installed ``regex`` implements it):
+    consonants joined across a virama, one cluster with two bases. Every
+    consonant GB9c joins is a letter, so the bases of a cluster are of
+    one kind, and a token is a run of word code points joined across a
+    single connector, where the kind of the cluster before the connector
+    is its last base's: the last non-mark. The separator
     pattern matches the rest: each run of code points that are neither
     word material, a line break, nor a connector with word material of
     its kind on both sides. Natural text holds far fewer separator runs
@@ -200,7 +207,17 @@ def _patterns() -> _Patterns:
         alnum=regex.compile(word),
         no_alnum_line=regex.compile(r"(?m)^[^\p{L}\p{M}\p{Nd}\n]*$"),
         digit=regex.compile(r"\p{Nd}"),
+        mark=regex.compile(r"\p{M}+"),
+        virama=regex.compile(r"\p{ccc=Virama}"),
     )
+
+
+def _has_trigger(text: str) -> bool:
+    """Whether ``text`` holds a trigger: a special code point, looked
+    for among its distinct code points, or a stray mark. A mark that
+    starts ``text`` or follows a line break is stray."""
+    p = _patterns()
+    return bool(p.special.search("".join(set(text))) or p.stray_mark.search(text))
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -244,7 +261,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     distinct = unicodedata.normalize("NFC", "\n".join(numbers))
     del numbers
     # a mark that starts a chunk follows a line break, so it is still stray
-    if p.special.search("".join(set(distinct))) or p.stray_mark.search(distinct):
+    if _has_trigger(distinct):
         del chunks, distinct
         tokens = tuple(_tokenize_clusters(unicodedata.normalize("NFC", text)))
         _require_word_material(set(tokens), tokens)
@@ -321,13 +338,34 @@ def mean_word_length(tokens: tuple[str, ...], script_scale: float = 1.0) -> floa
     lengths (2, 2, 3, 5), a scale of (2+2+3+5)/(1+1+1+2) = 2.4 maps the
     observed mean 1.25 onto the romanized mean 3.0. Scaling the mean is
     equivalent to scaling each length by the same constant.
+
+    Each type is measured once and weighted by its count. Where every
+    cluster is one non-mark plus the marks after it, a type's length is
+    its count of non-marks, so one pass deletes the marks of all the
+    types joined by line breaks and reads each line's length. That holds
+    when the types hold no trigger (see `_patterns`), no virama, across
+    which a conjunct such as क्ष is one cluster of two bases, no empty
+    type and no line break of their own; any other window sums
+    `grapheme_length` over its types. Both give the same total.
     """
     _require(
         math.isfinite(script_scale) and script_scale > 0,
         f"script_scale must be a finite positive number, got {script_scale!r}",
     )
     _require(len(tokens) > 0, "mean_word_length requires a non-empty token sequence")
-    total = sum(n * grapheme_length(t) for t, n in Counter(tokens).items())
+    counts = Counter(tokens)
+    p = _patterns()
+    joined = "\n".join(counts)
+    if (
+        "" not in counts
+        and joined.count("\n") == len(counts) - 1
+        and not p.virama.search(joined)
+        and not _has_trigger(joined)
+    ):
+        lengths = map(len, p.mark.sub("", joined).split("\n"))
+        total = sum(map(operator.mul, lengths, counts.values()))
+    else:
+        total = sum(n * grapheme_length(t) for t, n in counts.items())
     return total / len(tokens) * script_scale
 
 

@@ -136,6 +136,7 @@ _MIXED_SCRIPT = (
     + "".join(sorted(MID_LETTER | MID_NUMERIC | MID_BOTH))
     + " \t\r\n\x85\u2028\u3000"  # whitespace, CR LF among it
     + "\u0301\u0308\u093f\u0903"  # Mn and Mc marks
+    + "\u094d\u09cd\u0915\u0937\u09b7"  # Devanagari and Bengali viramas and consonants
     + "\u1000\u102c"  # Myanmar letter, and a mark that is its own cluster
     + "\u200d\u200c"  # ZWJ, ZWNJ
     + "\u0600\u0d4e"  # Prepend
@@ -153,19 +154,36 @@ _MIXED_TEXT = st.text(alphabet=st.sampled_from(_MIXED_SCRIPT), max_size=40)
 # str.split() separators, CR LF among them, and the two that NFC maps
 _SPACES = [" ", "\t", "\n", "\r\n", "\x1c", "\x85", "\u2000", "\u2001", "\u3000"]
 # Text the pattern handles itself, so the fast path: word clusters, a
-# base with up to two attaching marks, between non-word code points
+# base with up to two attaching marks, between non-word code points; a
+# virama between two consonants joins them into one conjunct cluster
 _PLAIN_TEXT = st.lists(
     st.one_of(
         st.builds(
             operator.add,
-            st.sampled_from("abzAZ09àéßÿÆ\u0915\u0663\u096a\U00011f50\u6211\u5011\u0e01\uff76"),
-            st.text(alphabet=st.sampled_from("\u0301\u0308\u093f\u0903"), max_size=2),
+            st.sampled_from(
+                "abzAZ09àéßÿÆ\u0915\u0937\u09b7\u0663\u096a\U00011f50\u6211\u5011\u0e01\uff76"
+            ),
+            st.text(alphabet=st.sampled_from("\u0301\u0308\u093f\u0903\u094d\u09cd"), max_size=2),
         ),
         st.sampled_from(
             sorted(MID_LETTER | MID_NUMERIC | MID_BOTH) + list(" \t\r\n\x85\u2028\u3000\u00b2\u00bd-!_")
         ),
     ),
     max_size=40,
+).map("".join)
+
+
+# Types for the measures, drawn whole: plain types next to pieces that
+# hold a line break, a lone CR, a leading mark, a virama, emoji or jamo
+_PLAIN_TYPES = ["ab", "abc", "\u00e9t\u00e9", "e\u0301", "\u6211\u5011", "\u0915\u093f", "a'b", "3.14"]
+_ANY_TYPE = st.lists(
+    st.sampled_from(
+        ["a", "\u00e9", "\u0301", "\u093f", "\u094d", "\u09cd", "\u0915", "\u0937", "\u0995", "\u09b7"]
+        + ["\n", "\r\n", "\r", " ", "\t", "-", "'", "\u6211", "\U0001f44d", "\U0001f3fb", "\ufe0f"]
+        + ["\u200d", "\U0001f469", "\U0001f4bb", "\u1100", "\u1161", "\u11a8", "\uac00", "\u0e33"]
+    ),
+    min_size=1,
+    max_size=6,
 ).map("".join)
 
 
@@ -191,6 +209,10 @@ class TestTokenizeOracle:
     @example("ab\u200dc " * 50)  # one trigger, inside a single repeated chunk
     @example("ab -- cd -- ab")  # a chunk with no token
     @example("well-known well-known -- a")  # several tokens in one chunk
+    @example("\u0915\u094d\u0937")  # क्ष, a conjunct: one cluster of two letters (GB9c)
+    @example("\u0995\u09cd\u09b7")  # ক্ষ
+    @example("\u0928\u092e\u0938\u094d\u0924\u0947")  # नमस्ते
+    @example("\u0915\u094d\u0937'\u0915")  # क्ष'क, a conjunct before a connector
     def test_matches_brute_force(self, text):
         assert toks(text) == brute_tokenize(unicodedata.normalize("NFC", text))
 
@@ -410,6 +432,10 @@ class TestMeasures:
     @example("ab ab ab cde", 1, 2.4)  # repeated tokens
     @example("\u6211 \u6211\u5011 \u6211", 3, 2.4)
     @example("x \u0301y a\u200db", 2, 1.0)
+    @example("\u0915\u094d\u0937", 1, 1.0)  # क्ष
+    @example("\u0995\u09cd\u09b7", 2, 1.0)  # ক্ষ
+    @example("\u0928\u092e\u0938\u094d\u0924\u0947 ab", 1, 1.0)  # नमस्ते
+    @example("\u0915\u094d\u0937'\u0915", 1, 1.0)  # क्ष'क
     def test_mwl_per_type_equals_per_token(self, text, reps, scale):
         # lengths are summed once per type, times its count; the integer
         # total, and so the float, equals the sum over every token
@@ -417,6 +443,36 @@ class TestMeasures:
         assume(len(seq) > 0)
         per_token = sum(grapheme_length(t) for t in seq)
         assert mean_word_length(seq, scale) == per_token / len(seq) * scale
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(_PLAIN_TYPES), _ANY_TYPE), min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), min_size=1, max_size=30),
+        st.floats(0.01, 100.0),
+    )
+    @example(["a\nb", "c"], [0, 1, 1], 1.0)  # a type holding a line break
+    @example(["a\r\nb", "a"], [0, 1], 1.0)  # CR LF, one cluster of two code points
+    @example(["a\r", "b"], [0, 1], 1.0)  # a lone CR, before the joining line break
+    @example(["\u0301a", "ab"], [0, 1, 1], 1.0)  # a leading mark, a cluster of its own
+    @example(["\u0915\u094d\u0937", "ab"], [0, 1], 1.0)  # a virama: क्ष is one cluster
+    @example(["\U0001f44d\U0001f3fb", "\U0001f469\u200d\U0001f4bb", "ab"], [0, 1, 2], 1.0)  # emoji
+    @example(["\u1100\u1161\u11a8", "\u1100\u1161"], [0, 1], 1.0)  # Hangul jamo
+    @example(["ab", "\u6211\u5011", "a\u200db", "cd"], [0, 1, 2, 3, 0], 2.4)  # plain and trigger types
+    def test_mwl_of_any_tokens_equals_per_token(self, pool, picks, scale):
+        # any tuple of non-empty tokens, not only the tokenizer's: the
+        # one pass over the types, where it runs, counts what \X counts
+        seq = tuple(pool[k % len(pool)] for k in picks)
+        per_token = sum(grapheme_length(t) for t in seq)
+        assert mean_word_length(seq, scale) == per_token / len(seq) * scale
+
+    def test_mwl_counts_a_conjunct_as_regex_does(self):
+        # GB9c makes क्ष one cluster where the installed regex implements
+        # it, so the expected length is read from regex, not written here
+        assert mean_word_length(("\u0915\u094d\u0937",)) == grapheme_length("\u0915\u094d\u0937")
+
+    @pytest.mark.parametrize("seq", [("a", ""), ("", "a"), ("",)])
+    def test_mwl_empty_token_error_unchanged(self, seq):
+        with pytest.raises(ValueError, match="^grapheme_length requires a non-empty token$"):
+            mean_word_length(seq)
 
     def test_mwl_rejects_bad_scale(self):
         seq = ("ab",)
@@ -474,6 +530,30 @@ class TestProfile:
     def test_no_lexical_tokens_is_fatal(self):
         with pytest.raises(ValueError, match="no lexical tokens"):
             profile(self._corpus("... -- !!"))
+
+    def test_fixture_windows_take_the_one_pass(self, fixtures):
+        # every window of the fixture corpora is measured by the one pass
+        # over its types: no type reaches grapheme_length
+        corpora = sorted((fixtures / "corpus_ds").glob("*.txt"))
+        assert corpora
+        expected = [profile(load_corpus(f, f.stem)) for f in corpora]
+        with mock.patch.object(textstats, "grapheme_length", side_effect=AssertionError):
+            assert [profile(load_corpus(f, f.stem)) for f in corpora] == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0915\u094d\u0937\u0947\u0924\u094d\u0930 \u0928\u092e\u0938\u094d\u0924\u0947 ab ab",  # viramas
+            "ab a\u200db ab cd",  # a ZWJ, special
+            "x \u0301y ab",  # a stray mark
+        ],
+    )
+    def test_virama_or_trigger_window_sums_per_type(self, text):
+        seq = tokenize(text)
+        with mock.patch.object(textstats, "grapheme_length", wraps=grapheme_length) as spy:
+            mwl = profile(self._corpus(text)).mean_word_length
+        assert spy.call_count == len(set(seq))
+        assert mwl == sum(map(grapheme_length, seq)) / len(seq)
 
     def test_normalization_forms_profile_identically(self, fixtures):
         a = profile(load_corpus(fixtures / "corpus_nfc" / "qna.txt", "qna"))
