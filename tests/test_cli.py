@@ -972,7 +972,16 @@ class TestJsonWriter:
         assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(
-        "obj", [{1, 2}, b"bytes", 1j, object(), {"a": [1, frozenset()]}], ids=repr
+        "obj",
+        [
+            {1, 2},
+            b"bytes",
+            1j,
+            # repr(object()) holds a memory address, so the id is given
+            pytest.param(object(), id="object()"),
+            {"a": [1, frozenset()]},
+        ],
+        ids=repr,
     )
     def test_other_types_are_a_type_error(self, obj):
         with pytest.raises(TypeError):
