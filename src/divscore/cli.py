@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: profile, score, cwals, correlate, families. ``build_parser``
-holds every option and default; commands read the parsed namespace
-directly, after ``main`` rejects a score option the chosen level does
-not read (``LEVEL_FLAGS``) and checks the two numeric flags argparse
-cannot (``--bin-width``, ``--sample-target``). Every command writes its output
+holds every option and default, and gives options only to the subcommand
+``argv`` names; commands read the parsed namespace directly, after
+``main`` rejects a score option the chosen level does not read
+(``LEVEL_FLAGS``) and checks the two numeric flags argparse cannot
+(``--bin-width``, ``--sample-target``). Every command writes its output
 through one emitter, ``_emit``: a JSON object stamped with
 ``schema_version``, written by ``_json_text`` with the same bytes as
 ``json.dumps(indent=2, sort_keys=True)``, or the same rows as CSV.
@@ -27,11 +28,18 @@ The corpus files of a command, both sides' for ``score``, are profiled
 in one batch first (``_profile_files``), by this process and, for large
 batches, forked workers. The loop alone prints and decides the exit
 code, so the output does not depend on which process profiled what.
+
+A command compiles and runs only the modules it calls into. ``ingest``
+and ``model``, which every command reads, load with this module;
+``analysis``, ``diversity``, ``grammar`` and ``textstats`` load on the
+first read of one of their names (``_lazy``), so this module calls them
+as ``textstats.profile(...)``, never through a from-import.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import io
 import itertools
 import marshal
@@ -42,18 +50,6 @@ from _json import encode_basestring_ascii as _quote  # the C helper json.encoder
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-from .analysis import attach_gap, csv_text, serialize_report, spearman
-from .diversity import (
-    bin_measurements,
-    bin_members,
-    feature_members,
-    jmm_score,
-    jmm_syn,
-    syntactic_weights,
-    ti_morph,
-    ti_syn,
-)
-from .grammar import c_wals_table, load_morph_specs
 from .ingest import (
     bundled_path,
     family_breakdown,
@@ -64,7 +60,30 @@ from .ingest import (
     load_registry,
 )
 from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _require
-from .textstats import _patterns, profile
+
+
+def _lazy(name: str):
+    """The ``divscore`` submodule ``name``, executed on its first attribute
+    read (``importlib.util.LazyLoader``). It is registered in
+    ``sys.modules`` and bound on the package at once, as an import binds
+    it, so a later import finds this module; one already imported is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+analysis = _lazy("analysis")
+diversity = _lazy("diversity")
+grammar = _lazy("grammar")
+textstats = _lazy("textstats")
 
 SCHEMA_VERSION = "1"
 #: The profile command's output header: one column per TextProfile field, in field order.
@@ -89,7 +108,10 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every subcommand. All five are added, so the help and
+    each error text are the same whatever ``argv`` is; when ``argv[0]``
+    names one, only that one gets its options, since no other is parsed."""
     parser = argparse.ArgumentParser(
         prog="divscore",
         description=(
@@ -99,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.set_defaults(given=frozenset())
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    wanted = argv[:1] if argv and argv[0] in _DISPATCH else _DISPATCH
 
     def common(sp, formats=("json", "csv")):
         sp.add_argument("--format", choices=list(formats), default="json", help="output format")
@@ -115,57 +138,62 @@ def build_parser() -> argparse.ArgumentParser:
     drop = "drop rows with '?' cells"
 
     p = sub.add_parser("profile", help="per-language text statistics over a corpus directory")
-    p.add_argument("--dataset", required=True, help="corpus directory of <iso>.txt files")
-    sampling(p)
-    common(p)
-    registry(p)
+    if "profile" in wanted:
+        p.add_argument("--dataset", required=True, help="corpus directory of <iso>.txt files")
+        sampling(p)
+        common(p)
+        registry(p)
 
     levels = " ".join(f"Only --level {lv} reads {', '.join(f)}." for lv, f in LEVEL_FLAGS.items())
     score = "diversity scores of a dataset against a reference"
     p = sub.add_parser("score", help=score, epilog=levels)
-    p.add_argument("--level", choices=list(LEVEL_FLAGS), required=True)
-    p.add_argument(
-        "--dataset",
-        required=True,
-        help="corpus directory or per-language table with an mwl column (morph); "
-        "binary feature matrix CSV (syn)",
-    )
-    p.add_argument("--reference", required=True, help="same formats as --dataset")
-    p.add_argument(
-        "--bin-width", action=_Given, type=float, default=1.0, help="measurement bin width"
-    )
-    sampling(p)
-    p.add_argument(
-        "--syn-dims",
-        action=_Given,
-        type=int,
-        choices=[103, 206],
-        default=103,
-        help="one weight dimension per feature (103) or per feature value (206)",
-    )
-    p.add_argument(
-        "--drop-incomplete", action=_Given, nargs=0, const=True, default=False, help=drop
-    )
-    common(p, formats=("json", "csv", "svg"))
-    registry(p)
+    if "score" in wanted:
+        p.add_argument("--level", choices=list(LEVEL_FLAGS), required=True)
+        p.add_argument(
+            "--dataset",
+            required=True,
+            help="corpus directory or per-language table with an mwl column (morph); "
+            "binary feature matrix CSV (syn)",
+        )
+        p.add_argument("--reference", required=True, help="same formats as --dataset")
+        p.add_argument(
+            "--bin-width", action=_Given, type=float, default=1.0, help="measurement bin width"
+        )
+        sampling(p)
+        p.add_argument(
+            "--syn-dims",
+            action=_Given,
+            type=int,
+            choices=[103, 206],
+            default=103,
+            help="one weight dimension per feature (103) or per feature value (206)",
+        )
+        p.add_argument(
+            "--drop-incomplete", action=_Given, nargs=0, const=True, default=False, help=drop
+        )
+        common(p, formats=("json", "csv", "svg"))
+        registry(p)
 
     p = sub.add_parser("cwals", help="per-language morphological complexity scores")
-    p.add_argument("--dataset", default=None, help="morphology values CSV (default: bundled)")
-    p.add_argument("--specs", default=None, help="feature spec CSV (default: bundled)")
-    p.add_argument("--drop-incomplete", action="store_true", help=drop)
-    common(p)
+    if "cwals" in wanted:
+        p.add_argument("--dataset", default=None, help="morphology values CSV (default: bundled)")
+        p.add_argument("--specs", default=None, help="feature spec CSV (default: bundled)")
+        p.add_argument("--drop-incomplete", action="store_true", help=drop)
+        common(p)
 
     p = sub.add_parser("correlate", help="Spearman correlation of two per-language columns")
-    p.add_argument("x_column", help="column name in the dataset table")
-    p.add_argument("y_column", help="column name in the reference table (or same table)")
-    p.add_argument("--dataset", default=None, help="per-language table CSV (default: bundled)")
-    p.add_argument("--reference", default=None, help="second table to join by iso (optional)")
-    common(p)
+    if "correlate" in wanted:
+        p.add_argument("x_column", help="column name in the dataset table")
+        p.add_argument("y_column", help="column name in the reference table (or same table)")
+        p.add_argument("--dataset", default=None, help="per-language table CSV (default: bundled)")
+        p.add_argument("--reference", default=None, help="second table to join by iso (optional)")
+        common(p)
 
     p = sub.add_parser("families", help="distinct language families in a language list")
-    p.add_argument("--dataset", default=None, help="iso list file (default: bundled)")
-    common(p)
-    registry(p)
+    if "families" in wanted:
+        p.add_argument("--dataset", default=None, help="iso list file (default: bundled)")
+        common(p)
+        registry(p)
 
     return parser
 
@@ -220,7 +248,7 @@ def _emit(
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         sys.stdout.write(_json_text(payload) + "\n")
     else:
-        sys.stdout.write(csv_text(header, rows))
+        sys.stdout.write(analysis.csv_text(header, rows))
 
 
 def _registry(args: argparse.Namespace) -> dict[str, LanguageRecord]:
@@ -248,7 +276,7 @@ def _profile_file(
             f"corpus file name must be <iso>.txt with a three-letter code, got {f.name}",
         )
         rec = registry.get(iso)
-        return profile(
+        return textstats.profile(
             load_corpus(f, iso),
             rec.script_scale if rec else 1.0,
             target=args.sample_target,
@@ -318,7 +346,7 @@ def _profile_files(
         for sent in range(0, len(records) + 512, 512):
             os.write(write_fd, records[sent : sent + 512])
     os.close(write_fd)
-    _patterns()  # compiled once for all workers
+    textstats._patterns()  # compiled once for all workers
     sys.stdout.flush()
     sys.stderr.flush()
     gc.freeze()  # the inherited pages stay shared until every worker is reaped
@@ -433,15 +461,15 @@ def _score_morph(args: argparse.Namespace) -> dict:
     _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
     iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 
-    bins_d = bin_measurements(mwl_d, args.bin_width)
-    bins_r = bin_measurements(mwl_r, args.bin_width)
+    bins_d = diversity.bin_measurements(mwl_d, args.bin_width)
+    bins_r = diversity.bin_measurements(mwl_r, args.bin_width)
 
-    report = jmm_score(bins_d, bins_r)
+    report = diversity.jmm_score(bins_d, bins_r)
     ti_d = ti_r = None
     if args.format == "json":  # the gap and the TI values are printed only there
-        report = attach_gap(report, bin_members(iso_r, bins_r))
-        ti_d = ti_morph(bins_d) if len(bins_d) >= 2 else None
-        ti_r = ti_morph(bins_r) if len(bins_r) >= 2 else None
+        report = analysis.attach_gap(report, diversity.bin_members(iso_r, bins_r))
+        ti_d = diversity.ti_morph(bins_d) if len(bins_d) >= 2 else None
+        ti_r = diversity.ti_morph(bins_r) if len(bins_r) >= 2 else None
     if len(bins_d) < 2 or len(bins_r) < 2:
         print("ti_morph skipped for a single-language side", file=sys.stderr)
     return {
@@ -469,22 +497,22 @@ def _score_syn(args: argparse.Namespace) -> dict:
         if dropped:
             print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
         try:
-            weights.append(syntactic_weights(mat, count_zeros))
+            weights.append(diversity.syntactic_weights(mat, count_zeros))
         except ValueError as exc:
             raise ValueError(f"--{side} {path}: {exc}") from None
         mats.append(mat)
     mat_d, mat_r = mats
 
     try:
-        report = jmm_syn(mat_d, mat_r, *weights)
+        report = diversity.jmm_syn(mat_d, mat_r, *weights)
     except ValueError as exc:
         paths = f"--dataset {args.dataset} and --reference {args.reference}"
         raise ValueError(f"{paths}: {exc}") from None
     ti_d = ti_r = None
     if args.format == "json":  # the gap and the TI values are printed only there
-        report = attach_gap(report, feature_members(mat_r, count_zeros))
-        ti_d = ti_syn(mat_d) if mat_d.n_languages >= 2 else None
-        ti_r = ti_syn(mat_r) if mat_r.n_languages >= 2 else None
+        report = analysis.attach_gap(report, diversity.feature_members(mat_r, count_zeros))
+        ti_d = diversity.ti_syn(mat_d) if mat_d.n_languages >= 2 else None
+        ti_r = diversity.ti_syn(mat_r) if mat_r.n_languages >= 2 else None
     if mat_d.n_languages < 2 or mat_r.n_languages < 2:
         print("ti_syn skipped for a single-language side", file=sys.stderr)
     return {
@@ -504,17 +532,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(args, {**result, "normalization_c": report.normalization_c, "jmm": report.to_dict()})
     else:
-        sys.stdout.write(serialize_report(report, args.format).decode("utf-8"))
+        sys.stdout.write(analysis.serialize_report(report, args.format).decode("utf-8"))
     return 0
 
 
 def cmd_cwals(args: argparse.Namespace) -> int:
-    specs = load_morph_specs(args.specs)
+    specs = grammar.load_morph_specs(args.specs)
     data = args.dataset if args.dataset else bundled_path("morph_values.csv")
     matrix, dropped = load_feature_matrix(data, drop_incomplete=args.drop_incomplete, specs=specs)
     if dropped:
         print(f"{len(dropped)} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
-    rows = c_wals_table(matrix, specs)
+    rows = grammar.c_wals_table(matrix, specs)
     for s in specs:
         if s.final_min == s.final_max:
             print(
@@ -542,7 +570,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"{', '.join(excluded)}",
             file=sys.stderr,
         )
-    rho = spearman([table_x[iso][0] for iso in shared], [table_y[iso][0] for iso in shared])
+    xs, ys = [table_x[iso][0] for iso in shared], [table_y[iso][0] for iso in shared]
+    rho = analysis.spearman(xs, ys)
     n = len(shared)
     print(f"rho = {rho:.4f} over n = {n} languages", file=sys.stderr)
     _emit(
@@ -595,7 +624,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     unread = sorted(args.given - set(LEVEL_FLAGS[args.level])) if args.command == "score" else []
     if unread:

@@ -519,7 +519,6 @@ class TestScoreSyn:
 
     @pytest.mark.parametrize("count_zeros", [False, True])
     def test_weights_computed_once_per_side(self, fixtures, capsys, monkeypatch, count_zeros):
-        import divscore.cli
         import divscore.diversity
 
         calls = []
@@ -529,7 +528,6 @@ class TestScoreSyn:
             calls.append(matrix.n_languages)
             return real(matrix, zeros)
 
-        monkeypatch.setattr(divscore.cli, "syntactic_weights", counted)
         monkeypatch.setattr(divscore.diversity, "syntactic_weights", counted)
         args = self._args(fixtures) + (["--syn-dims", "206"] if count_zeros else [])
         code, out, _ = run_main(args, capsys)
@@ -990,8 +988,15 @@ class TestJsonWriter:
             cli._json_text(obj)
 
 
-#: The functions that build what only ``score --format json`` prints.
-_JSON_ONLY = ("attach_gap", "bin_members", "feature_members", "ti_morph", "ti_syn")
+#: The functions that build what only ``score --format json`` prints, by
+#: the module the CLI calls them through.
+_JSON_ONLY = (
+    ("analysis", "attach_gap"),
+    ("diversity", "bin_members"),
+    ("diversity", "feature_members"),
+    ("diversity", "ti_morph"),
+    ("diversity", "ti_syn"),
+)
 
 
 class TestScoreBuildsOnlyWhatItPrints:
@@ -1026,8 +1031,9 @@ class TestScoreBuildsOnlyWhatItPrints:
             return spied
 
         with pytest.MonkeyPatch.context() as mp:
-            for name in _JSON_ONLY:
-                mp.setattr(cli, name, spy(name, getattr(cli, name)))
+            for module, name in _JSON_ONLY:
+                module = getattr(cli, module)
+                mp.setattr(module, name, spy(name, getattr(module, name)))
             assert run_main(argv, capsys) == unspied
         assert unspied[0] == 0
         # stderr does not depend on the format, the TI note included
@@ -1126,7 +1132,7 @@ class TestParallelProfiles:
         ],
     )
     def test_unexpected_end_fails_the_command(self, where, message, fixtures, tmp_path, monkeypatch):
-        parent, real, exits, done = os.getpid(), cli.profile, tmp_path / "exits", []
+        parent, real, exits, done = os.getpid(), cli.textstats.profile, tmp_path / "exits", []
 
         def failing(corpus, *args, **kwargs):
             in_worker = os.getpid() != parent
@@ -1141,7 +1147,7 @@ class TestParallelProfiles:
             done.append(corpus.iso)  # this process's own list, after the fork
             return real(corpus, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "profile", failing)
+        monkeypatch.setattr(cli.textstats, "profile", failing)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
         with pytest.raises(RuntimeError, match=message) as raised:
@@ -1207,7 +1213,7 @@ class TestParallelProfiles:
         sequential = run_main(argv, capsys)
         files = sorted((fixtures / "corpus_ref").glob("*.txt"))
         slow = max(files, key=lambda f: f.stat().st_size).stem
-        log, real = tmp_path / "taken.log", cli.profile
+        log, real = tmp_path / "taken.log", cli.textstats.profile
 
         def logged(corpus, *args, **kwargs):
             with open(log, "a", encoding="utf-8") as fh:  # one appending write: whole lines
@@ -1218,7 +1224,7 @@ class TestParallelProfiles:
                     time.sleep(0.005)
             return real(corpus, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "profile", logged)
+        monkeypatch.setattr(cli.textstats, "profile", logged)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(cli, "FORK_MIN_BYTES", 1)
         assert run_main(argv, capsys) == sequential
@@ -1371,9 +1377,51 @@ class TestLevelFlags:
             assert run_main(plain, capsys)[1] == run_main([*plain, *typed], capsys)[1]
 
 
-#: Run the CLI with only the standard library and the package importable
-#: (python -I -S, src first on sys.path), then name on a last stderr line
-#: which of the modules only reading text needs were loaded.
+#: Command lines that end in help or a usage error.
+_USAGE_CASES = {
+    "help": ["--help"],
+    **{f"{command}-help": [command, "--help"] for command in cli._DISPATCH},
+    "no-command": [],
+    "unknown-command": ["frobnicate", "--dataset", "x"],
+    "missing-option": ["profile"],
+    "missing-options": ["score", "--level", "morph", "--dataset", "x"],
+    "unknown-option": ["families", "--bogus"],
+    "bad-value": ["score", "--level", "morph", "--dataset", "x", "--reference", "y", "--seed", "s"],
+    "bad-choice": ["cwals", "--format", "svg"],
+    "level-flag": ["score", "--level", "syn", "--dataset", "x", "--reference", "y", "--seed", "1"],
+}
+
+
+class TestChosenParser:
+    """``main`` builds the options of the command it runs alone, with the
+    help and the usage errors of the full parser."""
+
+    @pytest.mark.parametrize("argv", list(_USAGE_CASES.values()), ids=list(_USAGE_CASES))
+    def test_same_output_as_the_full_parser(self, argv, capsys, monkeypatch):
+        def outcome():
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(argv))
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        chosen = outcome()
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=(): build_parser())
+        assert outcome() == chosen
+        assert chosen[0] == (0 if "--help" in argv else 2)
+
+    def test_only_the_chosen_command_gets_its_options(self):
+        """Every command is added; the others take no option, not even
+        ``--format``, which all of them have in the full parser."""
+        argv = ["families", "--format", "csv"]
+        assert cli.build_parser(argv).parse_known_args(argv)[1] == []
+        assert cli.build_parser().parse_known_args(argv)[1] == []
+        for chosen in cli._DISPATCH:
+            parser = cli.build_parser([chosen])
+            for other in sorted(set(cli._DISPATCH) - {chosen}):
+                assert parser.parse_known_args([other, *argv[1:]])[1] == argv[1:]
+
+
 #: Modules no command needs at start-up. ``regex`` is loaded by the first
 #: tokenizer call and ``fractions`` by an exact bin floor; ``random`` is
 #: loaded only to sample a corpus longer than the sample target.
@@ -1387,14 +1435,23 @@ _START_UP_FREE = (
     "random",
     "json",
 )
+#: Runs the CLI with the path given first on sys.path, then names on the
+#: last two stderr lines the modules of `_START_UP_FREE` it imported and
+#: the divscore submodules it executed; a lazily loaded module that nothing
+#: read is still a ``LazyLoader`` placeholder, not a plain module.
 _STDLIB_ONLY = (
-    "import os, sys\n"
+    "import os, sys, types\n"
     "sys.path[:0] = sys.argv.pop(1).split(os.pathsep)\n"
     "from divscore.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     f"loaded = [m for m in {_START_UP_FREE!r} if m in sys.modules]\n"
+    "executed = sorted(\n"
+    "    n for n, m in sys.modules.items()\n"
+    "    if n.startswith('divscore.') and type(m) is types.ModuleType\n"
+    ")\n"
     "print('loaded:', *loaded, file=sys.stderr)\n"
+    "print('executed:', *executed, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -1473,21 +1530,52 @@ def test_bench_probe_names_a_function(module, function):
     assert callable(getattr(importlib.import_module(f"divscore.{module}"), function, None))
 
 
+#: One case per kind of command: (argv, the modules of `_START_UP_FREE` it
+#: may import, the divscore modules it executes beside cli, ingest and model).
+_START_UP_CASES = {
+    "families": (["families"], [], []),
+    "cwals": (["cwals"], [], ["grammar"]),
+    "correlate": (["correlate", "mwl", "c_wals"], [], ["analysis"]),
+    "score-syn": (["score", "--level", "syn", *_SCORE_SIDES["syn"]], [], ["analysis", "diversity"]),
+    # a morph score bins its values, and a value near a bin edge takes
+    # the exact decimal floor
+    "score-morph-tables": (
+        ["score", "--level", "morph", "--dataset", "{t}", "--reference", "{m}"],
+        ["fractions"],
+        ["analysis", "diversity"],
+    ),
+    # every corpus is shorter than the sample target: nothing to sample
+    "profile": (["profile", "--dataset", "{f}/corpus_ds"], ["regex"], ["textstats"]),
+}
+
+
+def _run_stdlib_only(argv, fixtures, tmp_path):
+    """Run `_STDLIB_ONLY` under ``python -I -S`` with the package and
+    `regex`, the one third-party package, alone on the path. Returns the
+    formatted argv, the process, its diagnostics, the `_START_UP_FREE`
+    modules it imported and the divscore submodules it executed."""
+    table = tmp_path / "side.csv"
+    table.write_text("iso,mwl\neng,4.2\nfin,7.1\ntur,6.0\nzho,1.5\n")
+    argv = [a.format(f=fixtures, t=table, m=bundled_path("mwl_cwals.csv")) for a in argv]
+    (tmp_path / "deps").mkdir()
+    (tmp_path / "deps" / "regex").symlink_to(Path(regex.__file__).parent)
+    src = str(Path(divscore.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(tmp_path / "deps")])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, path, *argv],
+        capture_output=True,
+        check=False,
+    )
+    diagnostics, _, tail = proc.stderr.decode().rpartition("loaded:")
+    loaded, _, executed = tail.partition("executed:")
+    return argv, proc, diagnostics, loaded.split(), executed.split()
+
+
 class TestImports:
     @pytest.mark.parametrize(
         "argv, may_load",
-        [
-            (["families"], []),
-            (["cwals"], []),
-            (["correlate", "mwl", "c_wals"], []),
-            (["score", "--level", "syn", *_SCORE_SIDES["syn"]], []),
-            # a morph score bins its values, and a value near a bin edge
-            # takes the exact decimal floor
-            (["score", "--level", "morph", "--dataset", "{t}", "--reference", "{m}"], ["fractions"]),
-            # every corpus is shorter than the sample target: nothing to sample
-            (["profile", "--dataset", "{f}/corpus_ds"], ["regex"]),
-        ],
-        ids=["families", "cwals", "correlate", "score-syn", "score-morph-tables", "profile"],
+        [case[:2] for case in _START_UP_CASES.values()],
+        ids=list(_START_UP_CASES),
     )
     def test_table_commands_start_without_regex(self, argv, may_load, fixtures, tmp_path):
         """A command runs on the standard library and `regex` alone: it
@@ -1496,25 +1584,43 @@ class TestImports:
         that reads no text imports no `regex`, and none imports
         `dataclasses`, `inspect`, `typing`, `random` or `json` (the JSON
         writer uses only the C module `_json`)."""
-        table = tmp_path / "side.csv"
-        table.write_text("iso,mwl\neng,4.2\nfin,7.1\ntur,6.0\nzho,1.5\n")
-        argv = [a.format(f=fixtures, t=table, m=bundled_path("mwl_cwals.csv")) for a in argv]
-        # regex is the one third-party package on the path
-        (tmp_path / "deps").mkdir()
-        (tmp_path / "deps" / "regex").symlink_to(Path(regex.__file__).parent)
-        src = str(Path(divscore.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, str(tmp_path / "deps")])
-        proc = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, path, *argv],
-            capture_output=True,
-            check=False,
-        )
+        argv, proc, diagnostics, loaded, _ = _run_stdlib_only(argv, fixtures, tmp_path)
         code, out, err = run_proc(argv)
         assert (proc.returncode, code) == (0, 0), proc.stderr
         assert proc.stdout == out
-        diagnostics, _, loaded = proc.stderr.decode().rpartition("loaded:")
         assert diagnostics == err.decode()
-        assert [m for m in loaded.split() if m not in may_load] == []
+        assert [m for m in loaded if m not in may_load] == []
+
+    @pytest.mark.parametrize(
+        "argv, executes",
+        [case[::2] for case in _START_UP_CASES.values()],
+        ids=list(_START_UP_CASES),
+    )
+    def test_command_executes_only_the_modules_it_reads(self, argv, executes, fixtures, tmp_path):
+        """Of the lazily loaded submodules (analysis, diversity, grammar,
+        textstats) a command executes only those it calls into; the rest
+        stay registered and unrun, so their source is never compiled."""
+        _, proc, _, _, executed = _run_stdlib_only(argv, fixtures, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        expected = ["cli", "ingest", "model", *executes]
+        assert executed == sorted(f"divscore.{m}" for m in expected)
+
+    def test_lazy_modules_import_as_usual(self):
+        """After ``import divscore.cli``, an import of a lazily loaded
+        submodule, by either spelling, gives the module the CLI calls,
+        bound on the package and usable."""
+        script = (
+            "import divscore.cli\n"
+            "import divscore.textstats\n"
+            "from divscore import diversity\n"
+            "assert divscore.textstats is divscore.cli.textstats\n"
+            "assert diversity is divscore.cli.diversity\n"
+            "print(divscore.textstats.tokenize('ab cd'), diversity.bin_index(2.5, 1.0))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=False
+        )
+        assert (proc.returncode, proc.stdout) == (0, "('ab', 'cd') 2\n"), proc.stderr
 
     def test_cli_loads_no_scipy(self):
         """scipy is only the tests' ranking oracle; no command may pay its import."""
