@@ -160,10 +160,7 @@ def _read_table(
                 if rows is not None:
                     return header, rows
             for lineno, row in enumerate(reader, start=2):
-                # str.split and str.strip share one whitespace test, so a
-                # row that joins to one split piece has no cell to strip
-                joined = "".join(row)
-                cells = row if joined.split() == [joined] else list(map(str.strip, row))
+                cells = list(map(str.strip, row))
                 if not any(cells):
                     continue
                 try:

@@ -28,10 +28,13 @@ digits, joined across single connectors, and the pattern replaces
 what lies between tokens with spaces. A text that holds any code point
 whose cluster that pattern cannot know (Prepend, ZWJ, Hangul jamo,
 regional indicators, non-mark extenders, a mark after non-word
-material) is tokenized whole by the cluster-by-cluster loop instead.
-Both give the same tokens. Every Unicode property, the digit
-test included, comes from `regex`'s tables, so the tokens depend on the
-installed `regex` version's Unicode data but not on the Python version.
+material) is tokenized whole by the cluster pass instead: it segments
+the text into grapheme clusters, writes one class letter per code point
+(word, numeric word, each kind of connector, other), and a second
+pattern over those letters finds the tokens. Both give the same tokens.
+Every Unicode property, the digit test included, comes from `regex`'s
+tables, so the tokens depend on the installed `regex` version's Unicode
+data but not on the Python version.
 `regex` is imported, and every pattern compiled, on first use, so a
 command that reads no text loads neither.
 
@@ -65,8 +68,13 @@ from .model import TextProfile, _require
 _MID_LETTER = frozenset(":··՟״‧︓﹕：")
 _MID_NUMERIC = frozenset(",;;٫٬﹐﹔，；")
 _MID_BOTH = frozenset("'.’․﹒＇．")
+#: The class letter `_tokenize_clusters` gives each connector.
+_CONNECTOR_LETTERS = {
+    **dict.fromkeys(_MID_LETTER, "l"),
+    **dict.fromkeys(_MID_NUMERIC, "n"),
+    **dict.fromkeys(_MID_BOTH, "b"),
+}
 
-_WS, _WORD, _PUNCT = 0, 1, 2
 # the standard library's \s is str.isspace(), where str.split() splits
 _WHITESPACE = re.compile(r"\s")
 #: Characters `tokenize` splits at a time.
@@ -92,64 +100,34 @@ def _require_word_material(types, tokens: tuple[str, ...]) -> None:
         _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
 
 
-def _classify(cluster: str, p: _Patterns) -> tuple[int, bool]:
-    """Class of one grapheme cluster and whether its base char is a digit."""
-    if cluster.isspace():
-        return _WS, False
-    if p.alnum.search(cluster) is not None:
-        return _WORD, p.digit.match(cluster) is not None
-    return _PUNCT, False
-
-
 def _tokenize_clusters(text: str) -> list[str]:
-    """Tokens of ``text``, segmenting it into grapheme clusters first."""
+    """Tokens of ``text``, segmenting it into grapheme clusters first.
+
+    Each distinct cluster gets one class letter: ``a`` for word material
+    (a letter, mark or decimal digit), ``d`` for word material whose
+    first code point is a digit, ``l``, ``n`` or ``b`` for a
+    one-code-point letter, numeric or either-kind connector, and ``x``
+    for anything else. Repeated over its cluster's code points, the
+    letters line up with ``text``, and a token is the text at the span
+    of each match of one pattern over them: runs of word letters, joined
+    across a connector with word letters of its kind on both sides.
+    ``re``'s cache compiles the pattern on the first call, not at import.
+    """
     p = _patterns()
     clusters = p.grapheme.findall(text)
-    memo: dict[str, tuple[int, bool]] = {}
-    classes: list[tuple[int, bool]] = []
-    for c in clusters:
-        k = memo.get(c)
-        if k is None:
-            k = _classify(c, p)
-            memo[c] = k
-        classes.append(k)
 
-    tokens: list[str] = []
-    n = len(clusters)
-    i = 0
-    while i < n:
-        cls, numeric = classes[i]
-        if cls != _WORD:
-            i += 1
-            continue
-        parts = [clusters[i]]
-        j = i
-        while True:
-            nxt = j + 1
-            if nxt < n and classes[nxt][0] == _WORD:
-                parts.append(clusters[nxt])
-                j = nxt
-                continue
-            # single connector cluster with word material of matching
-            # kind on both sides joins the run
-            if nxt + 1 < n and classes[nxt][0] == _PUNCT and classes[nxt + 1][0] == _WORD:
-                conn = clusters[nxt]
-                prev_num = classes[j][1]
-                next_num = classes[nxt + 1][1]
-                joins = len(conn) == 1 and (
-                    (conn in _MID_LETTER and not prev_num and not next_num)
-                    or (conn in _MID_NUMERIC and prev_num and next_num)
-                    or (conn in _MID_BOTH and prev_num == next_num)
-                )
-                if joins:
-                    parts.append(conn)
-                    parts.append(clusters[nxt + 1])
-                    j = nxt + 1
-                    continue
-            break
-        tokens.append("".join(parts))
-        i = j + 1
-    return tokens
+    def letters(cluster: str) -> str:
+        if p.alnum.search(cluster):
+            kind = "d" if p.digit.match(cluster) else "a"
+        else:
+            kind = _CONNECTOR_LETTERS.get(cluster, "x")
+        return kind * len(cluster)
+
+    memo = {c: letters(c) for c in set(clusters)}
+    classes = "".join(map(memo.__getitem__, clusters))
+    del clusters, memo
+    tokens = re.finditer(r"[ad]+(?:(?:(?<=a)[lb](?=a)|(?<=d)[nb](?=d))[ad]+)*", classes)
+    return [text[i:j] for i, j in map(re.Match.span, tokens)]
 
 
 @functools.cache
@@ -235,8 +213,8 @@ def tokenize(text: str) -> tuple[str, ...]:
     for the distinct chunks and a reference per token. The chunk strings
     are freed before any token is made, and the alphanumeric check reads
     the distinct chunks' tokens. With a trigger, the whole text is
-    normalized and tokenized by the cluster loop, and the check reads a
-    set of its tokens.
+    normalized and tokenized by the cluster pass (`_tokenize_clusters`),
+    and the check reads a set of its tokens.
 
     Parameters
     ----------

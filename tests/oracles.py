@@ -146,6 +146,11 @@ def brute_tokenize(text):
     kind it joins: letter connectors join two non-numeric clusters,
     numeric connectors two numeric ones, and the "both" set two of equal
     kind.
+
+    The scan is an explicit loop on purpose: the package writes the same
+    rule as one pattern over per-cluster class letters
+    (`textstats._tokenize_clusters`), so this is a second formulation
+    of it, not a copy.
     """
     clusters = GRAPHEME.findall(text)
     memo = {}

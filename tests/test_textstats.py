@@ -84,7 +84,7 @@ class TestTokenize:
         # Kawi digits (Unicode 15.0) are Nd in the tables of every regex
         # this package supports but not in the unicodedata of Python 3.10
         # or 3.11: they join across "," and split at ":", as "1,2" and
-        # "1:2" do, in the fast path and in the cluster loop, where the
+        # "1:2" do, in the fast path and in the cluster pass, where the
         # tail " \u200d" (no token of its own) sends the text
         for tail in ("", " \u200d"):
             assert toks("\U00011f50,\U00011f51" + tail) == ["\U00011f50,\U00011f51"]
@@ -216,6 +216,22 @@ class TestTokenizeOracle:
     def test_matches_brute_force(self, text):
         assert toks(text) == brute_tokenize(unicodedata.normalize("NFC", text))
 
+    @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT))
+    @example("a\r\nb")  # a whitespace cluster of two code points
+    @example("\u1100\u1161\u11a8.\u1100")  # a jamo cluster of three, before a connector
+    @example("5\u0301.2")  # a digit cluster with a mark
+    @example("5\u0301:2")
+    @example("a.\u0301b")  # a mark makes the connector cluster word material
+    @example("\U0001f44d\U0001f3fd.a")  # a non-word cluster of two code points
+    @example("a.\u200db")  # a connector cluster of two code points joins nothing
+    @example("a'b 3.14 1,5 a:b 1:2 a,b")  # each kind of connector, joining or not
+    @example("a.1 2'b")  # an either-kind connector between mixed kinds
+    def test_cluster_pass_matches_brute_force(self, text):
+        # the class-letter pattern against the oracle's cluster loop, on
+        # trigger-free text too, which `tokenize` keeps on its fast path
+        text = unicodedata.normalize("NFC", text)
+        assert textstats._tokenize_clusters(text) == brute_tokenize(text)
+
     @given(
         st.lists(st.one_of(_MIXED_TEXT, _PLAIN_TEXT).filter(bool), min_size=1, max_size=6),
         st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_SPACES)), max_size=60),
@@ -304,7 +320,7 @@ class TestTokenizeOracle:
                 tokenize("ab -- cd")
 
     def test_cluster_loop_checks_its_own_tokens(self):
-        # the cluster loop's tokens, the tuple and the set of it, are
+        # the cluster pass's tokens, the tuple and the set of it, are
         # checked as the fast path's are
         seen = []
 
@@ -326,7 +342,7 @@ class TestTokenizeOracle:
             assert list(textstats._blocks("")) == []
 
     def test_no_whitespace_is_a_trigger(self):
-        # whitespace alone never sends a text to the cluster loop: no
+        # whitespace alone never sends a text to the cluster pass: no
         # whitespace code point is special, and only a mark after one is
         # a stray mark
         special, stray_mark = _patterns().special, _patterns().stray_mark
