@@ -34,6 +34,14 @@ and ``model``, which every command reads, load with this module;
 ``analysis``, ``diversity``, ``grammar`` and ``textstats`` load on the
 first read of one of their names (``_lazy``), so this module calls them
 as ``textstats.profile(...)``, never through a from-import.
+
+The program entry is ``run``, not ``main``: it runs ``main`` with the
+cyclic garbage collector off and freezes the heap before the interpreter
+tears down. No command makes cyclic garbage that grows with its input
+(each leaves a fixed 163-200 cyclic objects, mostly argparse's help
+formatters and argument groups), so collections during a command and the
+collection over every loaded module at shutdown cost time and free
+nothing of weight.
 """
 from __future__ import annotations
 
@@ -349,7 +357,6 @@ def _profile_files(
     textstats._patterns()  # compiled once for all workers
     sys.stdout.flush()
     sys.stderr.flush()
-    gc.freeze()  # the inherited pages stay shared until every worker is reaped
     results: list = [None] * len(files)
     workers = []
     try:
@@ -381,7 +388,6 @@ def _profile_files(
         for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
-        gc.unfreeze()
     if lost := [f.name for f, result in zip(files, results) if result is None]:
         raise RuntimeError(f"a profile worker ended without results for {', '.join(lost)}")
     return results
@@ -647,5 +653,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """The ``divscore`` program: exit with ``main``'s code for ``sys.argv``.
+
+    The cyclic collector is off for the command and the forked workers,
+    which inherit that: every command leaves the same 163-200 cyclic
+    objects whether its inputs hold 20 or 2,000 languages (checked by
+    ``tests/test_cli.py::TestCollector``), so a collection would scan the
+    heap and free nothing of weight. Once ``main`` returns, ``gc.freeze``
+    moves every tracked object to the permanent generation, so the
+    collection the interpreter runs at shutdown skips the modules,
+    functions and classes the command loaded. An exception out of
+    ``main``, such as argparse's usage error, skips the freeze and
+    propagates as before. ``main`` leaves the collector as it finds it,
+    for in-process callers."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

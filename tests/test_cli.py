@@ -1,5 +1,6 @@
 """End-to-end command behavior: formats, exit codes, and diagnostics."""
 import csv
+import gc
 import importlib
 import io
 import itertools
@@ -1133,10 +1134,18 @@ class TestParallelProfiles:
     )
     def test_unexpected_end_fails_the_command(self, where, message, fixtures, tmp_path, monkeypatch):
         parent, real, exits, done = os.getpid(), cli.textstats.profile, tmp_path / "exits", []
+        failed = tmp_path / "failed"  # made by the process that fails its file
 
         def failing(corpus, *args, **kwargs):
             in_worker = os.getpid() != parent
+            if where == "parent" and in_worker:
+                # the workers could take every file while this process still
+                # forks: each waits, at most 20 s, until this process failed
+                deadline = time.monotonic() + 20
+                while not failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
             if where == ("worker" if in_worker else "parent"):
+                failed.touch()
                 raise RuntimeError(f"boom in {corpus.iso}")
             if in_worker and (where == "worker-exit" or where == "worker-exit-second" and done):
                 with open(exits, "a", encoding="utf-8") as fh:
@@ -1315,6 +1324,91 @@ class TestDeterminismAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --registry" in captured.err
+
+
+def _languages(n):
+    """The first ``n`` iso codes of aaa, aab, ..., zzz."""
+    codes = itertools.product(string.ascii_lowercase, repeat=3)
+    return ["".join(code) for code in itertools.islice(codes, n)]
+
+
+def _sized_inputs(root, n_languages, n_files):
+    """Write one input of each kind under ``root``: a table of ``iso`` and
+    two number columns and a 12-feature binary matrix of ``n_languages``
+    rows, and corpus directories of ``n_files`` good and bad files."""
+    root.mkdir()
+    isos = _languages(n_languages)
+    rows = [f"{iso},{2 + k % 997 / 100},{k % 13}" for k, iso in enumerate(isos)]
+    (root / "table.csv").write_text("\n".join(["iso,mwl,c_wals", *rows, ""]))
+    rows = [",".join([iso, *(str(k >> j & 1) for j in range(12))]) for k, iso in enumerate(isos, 1)]
+    header = ",".join(["iso", *(f"f{j}" for j in range(12))])
+    (root / "matrix.csv").write_text("\n".join([header, *rows, ""]))
+    for name, text in (("good", "{iso} ab abc abcd\n"), ("bad", "... --- ...\n")):
+        (root / name).mkdir()
+        for iso in _languages(n_files):
+            (root / name / f"{iso}.txt").write_text(text.format(iso=iso))
+
+
+_SIZED_SYN = [
+    "score", "--level", "syn", "--dataset", "{r}/matrix.csv", "--reference", "{r}/matrix.csv"
+]
+
+#: name -> argv, "{r}" standing for a directory `_sized_inputs` wrote
+_GARBAGE_CASES = {
+    "score-morph-tables": _morph("{r}/table.csv", "{r}/table.csv", "--bin-width", "0.1"),
+    "score-morph-svg": _morph("{r}/table.csv", "{r}/table.csv", "--format", "svg"),
+    "score-syn": [*_SIZED_SYN, "--syn-dims", "206"],
+    "score-syn-csv": [*_SIZED_SYN, "--format", "csv"],
+    "correlate": ["correlate", "mwl", "c_wals", "--dataset", "{r}/table.csv"],
+    "profile": ["profile", "--dataset", "{r}/good"],
+    "score-corpora": _morph("{r}/good", "{r}/good"),
+    "profile-failed": ["profile", "--dataset", "{r}/bad"],
+    "score-corpora-failed": _morph("{r}/bad", "{r}/good"),
+}
+
+
+class TestCollector:
+    @pytest.mark.parametrize("case", sorted(_GARBAGE_CASES))
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, case, tmp_path, capsys):
+        """What the program entry `cli.run` relies on to leave the cyclic
+        collector off: a command leaves as many cyclic objects for
+        ``gc.collect`` to find after 2,000 languages or 20 corpus files as
+        after 20 languages or 2 files. ``main`` leaves the collector as it
+        found it, off here."""
+        argvs = []
+        for name, languages, files in (("small", 20, 2), ("large", 2000, 20)):
+            _sized_inputs(tmp_path / name, languages, files)
+            argvs.append([a.format(r=tmp_path / name) for a in _GARBAGE_CASES[case]])
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        gc.disable()
+        try:
+            codes, found = [], []
+            for argv in [argvs[0], *argvs]:  # the first call is a warm-up
+                gc.collect()
+                codes.append(cli.main(argv))
+                capsys.readouterr()
+                found.append(gc.collect())
+            assert (gc.isenabled(), gc.get_freeze_count()) == (False, frozen)
+        finally:
+            if enabled:
+                gc.enable()
+        assert codes == [1 if case.endswith("failed") else 0] * 3
+        assert found[1] == found[2], f"{found[1]} cyclic objects at the small input"
+
+    @pytest.mark.parametrize("argv, code", [(["correlate", "mwl", "c_wals"], 0), (["nope"], 2)])
+    def test_run_exits_with_the_heap_frozen_after_main_returns(self, argv, code, capsys, monkeypatch):
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        monkeypatch.setattr(sys, "argv", ["divscore", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert (exc.value.code, gc.isenabled()) == (code, False)
+            # a usage error leaves main by an exception, so nothing is frozen
+            assert (gc.get_freeze_count() > frozen) == (code == 0)
+        finally:
+            gc.unfreeze()
+            if enabled:
+                gc.enable()
 
 
 _SCORE_SIDES = {
@@ -1550,7 +1644,7 @@ _START_UP_CASES = {
 
 
 def _run_stdlib_only(argv, fixtures, tmp_path):
-    """Run `_STDLIB_ONLY` under ``python -I -S`` with the package and
+    """Run `_STDLIB_ONLY` under ``python -I -S -B`` with the package and
     `regex`, the one third-party package, alone on the path. Returns the
     formatted argv, the process, its diagnostics, the `_START_UP_FREE`
     modules it imported and the divscore submodules it executed."""
@@ -1562,7 +1656,7 @@ def _run_stdlib_only(argv, fixtures, tmp_path):
     src = str(Path(divscore.__file__).resolve().parents[1])
     path = os.pathsep.join([src, str(tmp_path / "deps")])
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY, path, *argv],
+        [sys.executable, "-I", "-S", "-B", "-c", _STDLIB_ONLY, path, *argv],
         capture_output=True,
         check=False,
     )

@@ -26,6 +26,7 @@ from divscore.ingest import (
 from divscore.model import LanguageRecord, MorphFeatureSpec
 from divscore.textstats import tokenize
 from oracles import read_csv_table
+from support import run_main
 
 
 class TestRegistry:
@@ -160,6 +161,27 @@ class TestFeatureMatrixLoading:
         p.write_text("iso,f1\naaa,?\n")
         with pytest.raises(ValueError, match="no complete language rows"):
             load_feature_matrix(p, drop_incomplete=True)
+
+    @pytest.mark.parametrize("header", ["iso", "lang,f1", "f1,iso"])
+    def test_header_must_be_iso_then_features(self, header, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(f"{header}\n" + ",".join(["qaa"] + ["1"] * header.count(",")) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(p)
+        expect = "header must be 'iso' followed by feature identifiers"
+        assert str(exc.value) == f"feature matrix {p} {expect}, got {header}"
+
+    def test_cwals_names_the_matrix_missing_spec_chapters(self, tmp_path, capsys):
+        specs = load_morph_specs()
+        kept = [s for s in specs if s.chapter not in ("26A", "112A")]
+        p = tmp_path / "m.csv"
+        p.write_text(
+            "iso," + ",".join(s.chapter for s in kept) + "\n"
+            "abc," + ",".join(str(s.final_min) for s in kept) + "\n"
+        )
+        code, out, err = run_main(["cwals", "--dataset", str(p)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: feature matrix {p} is missing spec chapters: 112A, 26A\n"
 
 
 class TestCorpus:
@@ -365,6 +387,9 @@ class TestTableRules:
         with pytest.raises(ValueError) as exc:
             loader(path)
         assert str(exc.value).startswith(f"{what} {path} {reason}"), str(exc.value)
+
+    def test_empty_file_has_no_header_row(self, name, tmp_path):
+        self._fails(name, tmp_path / "t.csv", [], "has no header row")
 
     def test_bom_accepted(self, name, tmp_path):
         loader, _, table, _ = LOADERS[name]
