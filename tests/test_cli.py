@@ -1396,7 +1396,7 @@ class TestCollector:
         assert found[1] == found[2], f"{found[1]} cyclic objects at the small input"
 
     @pytest.mark.parametrize("argv, code", [(["correlate", "mwl", "c_wals"], 0), (["nope"], 2)])
-    def test_run_exits_with_the_heap_frozen_after_main_returns(self, argv, code, capsys, monkeypatch):
+    def test_run_exits_with_the_heap_frozen_after_main_returns(self, argv, code, monkeypatch):
         enabled, frozen = gc.isenabled(), gc.get_freeze_count()
         monkeypatch.setattr(sys, "argv", ["divscore", *argv])
         try:
