@@ -19,7 +19,7 @@ gives the same report:
 import csv
 
 from divscore.analysis import attach_gap
-from divscore.diversity import bin_measurements, bin_members, jmm_score
+from divscore.diversity import bin_measurements, gap_members, jmm_score
 from divscore.ingest import bundled_path, load_iso_list, load_numeric_table
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
@@ -47,8 +47,9 @@ def main() -> None:
     print(f"overlap score: {report.value:.4f} (1.0 would be a perfect match)")
     print(f"size normalization c = {report.normalization_c}")
 
-    # map each aligned bin to the reference languages that fall in it
-    members = bin_members(list(REFERENCE), bins_r)
+    # list each bin's first reference languages in iso order; each
+    # reference language sits in the one row of its bin
+    members = gap_members(report.reference, list(REFERENCE), zip(bins_r))
     report = attach_gap(report, members)
     gap = report.gap
 
@@ -80,7 +81,7 @@ def bundled_mbert() -> None:
 
     bins_r = bin_measurements(list(mwl.values()), 1.0)
     report = jmm_score(bin_measurements([mwl[iso] for iso in covered], 1.0), bins_r)
-    report = attach_gap(report, bin_members(list(mwl), bins_r))
+    report = attach_gap(report, gap_members(report.reference, list(mwl), zip(bins_r)))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
     for entry in report.gap.deficit_bins:
         examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry.examples)

@@ -8,7 +8,7 @@ The example is small enough to check every number by hand.
 
 from collections import Counter
 
-from divscore.diversity import bin_measurements, jmm_score, normalization_scalar
+from divscore.diversity import bin_measurements, jmm_score
 
 
 def main() -> None:
@@ -28,12 +28,11 @@ def main() -> None:
         cols = ", ".join(f"{b}={n}" for b, n in Counter(bins).items())
         print(f"{name} histogram: {cols}")
 
-    c = normalization_scalar(len(dataset), len(reference))
-    print(f"\nsize normalization: c = max(3,2)/min(3,2) = {c}")
+    report = jmm_score(bins_d, bins_r)
+    print(f"\nsize normalization: c = max(3,2)/min(3,2) = {report.normalization_c}")
     print("the smaller side's counts are multiplied by c before comparison")
     print()
 
-    report = jmm_score(bins_d, bins_r)
     print("aligned columns (after scaling the smaller side):")
     header = f"{'bin':>6} {'dataset':>9} {'reference':>9} {'min':>6} {'max':>6}"
     print(header)
@@ -48,6 +47,11 @@ def main() -> None:
     print(f"\nsum of minima = {num:g}, sum of maxima = {den:g}")
     print(f"score = {num:g}/{den:g} = {report.value}")
     assert report.value == 1 / 3
+    # the score is computed from the counts: each is multiplied by the
+    # other side's size (here 2 and 3), so every term is an integer
+    wd = [n * report.reference.n for n in report.dataset.counts]
+    wr = [n * report.dataset.n for n in report.reference.counts]
+    print(f"as integers: {sum(map(min, wd, wr))}/{sum(map(max, wd, wr))} = {report.value}")
 
     print("\nproperties worth knowing:")
     same = jmm_score(bins_d, bins_d)

@@ -8,20 +8,12 @@ report is ``DiversityReport.to_dict`` inside the CLI's output.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
-from .model import (
-    MAX_GAP_EXAMPLES,
-    DeficitBin,
-    DiversityReport,
-    GapReport,
-    SurplusBin,
-    _require,
-)
+from .model import DeficitBin, DiversityReport, GapReport, SurplusBin, _require
 
 _FORMATS = ("csv", "svg")
 
@@ -83,22 +75,22 @@ def attach_gap(
     """Return the report with a gap diagnosis built from its per-bin table.
 
     Bins where the dataset carries more weight become surplus entries;
-    bins where it carries less become deficit entries annotated with up
-    to ``MAX_GAP_EXAMPLES`` reference languages from ``reference_members``,
-    chosen lexicographically so reports are reproducible.
+    bins where it carries less become deficit entries annotated with the
+    reference languages ``reference_members`` lists under the row's key:
+    the first ``MAX_GAP_EXAMPLES`` in iso order, as
+    ``diversity.gap_members`` gives them, so reports are reproducible.
     """
     surplus = []
     deficit = []
-    for row in report.per_bin:
+    for key, row in zip(report.reference.keys, report.per_bin):
         if row.dataset > row.reference:
             surplus.append(SurplusBin(label=row.label, excess=float(row.dataset - row.reference)))
         elif row.dataset < row.reference:
-            members = set(reference_members.get(row.label, ()))
-            examples = tuple(heapq.nsmallest(MAX_GAP_EXAMPLES, members))
+            examples = tuple(reference_members[key])
             shortfall = float(row.reference - row.dataset)
             deficit.append(DeficitBin(label=row.label, shortfall=shortfall, examples=examples))
     # built anew rather than by _replace, so the report's checks run again
-    return DiversityReport(*report[:4], GapReport(surplus_bins=surplus, deficit_bins=deficit))
+    return DiversityReport(*report[:3], GapReport(surplus_bins=surplus, deficit_bins=deficit))
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

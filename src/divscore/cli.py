@@ -457,7 +457,8 @@ def _morph_side(
     return [p.iso for p in profiles], [p.mean_word_length for p in profiles]
 
 
-def _score_morph(args: argparse.Namespace) -> dict:
+def _score_morph(args: argparse.Namespace) -> tuple:
+    """The parts of a morph score that `cmd_score` reads."""
     paths = (Path(args.dataset), Path(args.reference))
     dirs = [p for p in paths if p.is_dir()]
     unread = [f for f in ("--sample-target", "--seed", "--registry") if f in args.given]
@@ -469,76 +470,57 @@ def _score_morph(args: argparse.Namespace) -> dict:
 
     bins_d = diversity.bin_measurements(mwl_d, args.bin_width)
     bins_r = diversity.bin_measurements(mwl_r, args.bin_width)
-
     report = diversity.jmm_score(bins_d, bins_r)
-    ti_d = ti_r = None
-    if args.format == "json":  # the gap and the TI values are printed only there
-        report = analysis.attach_gap(report, diversity.bin_members(iso_r, bins_r))
-        ti_d = diversity.ti_morph(bins_d) if len(bins_d) >= 2 else None
-        ti_r = diversity.ti_morph(bins_r) if len(bins_r) >= 2 else None
-    if len(bins_d) < 2 or len(bins_r) < 2:
-        print("ti_morph skipped for a single-language side", file=sys.stderr)
-    return {
-        "level": "morph",
-        "bin_width": args.bin_width,
-        "sample_target": args.sample_target,
-        "seed": args.seed,
-        "dataset_n": len(mwl_d),
-        "reference_n": len(mwl_r),
-        "jmm": report,
-        "ti": {
-            "score_name": "ti_morph",
-            "dataset": ti_d,
-            "reference": ti_r,
-            "bin_universe": "occupied",
-        },
-    }
+    fields = {"bin_width": args.bin_width, "sample_target": args.sample_target, "seed": args.seed}
+    return report, fields, (iso_r, zip(bins_r)), diversity.ti_morph, (bins_d, bins_r)
 
 
-def _score_syn(args: argparse.Namespace) -> dict:
+def _score_syn(args: argparse.Namespace) -> tuple:
+    """The parts of a syn score that `cmd_score` reads."""
     count_zeros = args.syn_dims == 206
-    mats, weights = [], []
+    mats, sides = [], []
     for side, path in (("dataset", args.dataset), ("reference", args.reference)):
         mat, dropped = load_feature_matrix(path, drop_incomplete=args.drop_incomplete)
         if dropped:
             print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
         try:
-            weights.append(diversity.syntactic_weights(mat, count_zeros))
+            sides.append(diversity.feature_side(mat, count_zeros))
         except ValueError as exc:
             raise ValueError(f"--{side} {path}: {exc}") from None
         mats.append(mat)
-    mat_d, mat_r = mats
 
     try:
-        report = diversity.jmm_syn(mat_d, mat_r, *weights)
+        report = diversity.jmm_syn(*mats, *sides)
     except ValueError as exc:
         paths = f"--dataset {args.dataset} and --reference {args.reference}"
         raise ValueError(f"{paths}: {exc}") from None
-    ti_d = ti_r = None
-    if args.format == "json":  # the gap and the TI values are printed only there
-        report = analysis.attach_gap(report, diversity.feature_members(mat_r, count_zeros))
-        ti_d = diversity.ti_syn(mat_d) if mat_d.n_languages >= 2 else None
-        ti_r = diversity.ti_syn(mat_r) if mat_r.n_languages >= 2 else None
-    if mat_d.n_languages < 2 or mat_r.n_languages < 2:
-        print("ti_syn skipped for a single-language side", file=sys.stderr)
-    return {
-        "level": "syn",
-        "syn_dims": args.syn_dims,
-        "dataset_n": mat_d.n_languages,
-        "reference_n": mat_r.n_languages,
-        "jmm": report,
-        "ti": {"score_name": "ti_syn", "dataset": ti_d, "reference": ti_r},
-    }
+    reference_rows = (mats[1].languages, diversity.feature_rows(report.reference, mats[1]))
+    return report, {"syn_dims": args.syn_dims}, reference_rows, diversity.ti_syn, mats
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    result = _score_morph(args) if args.level == "morph" else _score_syn(args)
-    report = result["jmm"]
-    print(f"normalization scalar c = {report.normalization_c!r}", file=sys.stderr)
+    """Score either level. Its function gives the report, its payload
+    fields, the reference's isos with (lazily) the keys of the rows that
+    count each, and the TI function with what it reads per side."""
+    level = _score_morph if args.level == "morph" else _score_syn
+    report, fields, (isos, rows), ti, ti_inputs = level(args)
+    ns = (report.dataset.n, report.reference.n)
+    tis = (None, None)
     if args.format == "json":
-        _emit(args, {**result, "normalization_c": report.normalization_c, "jmm": report.to_dict()})
-    else:
+        report = analysis.attach_gap(report, diversity.gap_members(report.reference, isos, rows))
+        tis = [ti(x) if n >= 2 else None for x, n in zip(ti_inputs, ns)]
+    if min(ns) < 2:
+        print(f"ti_{args.level} skipped for a single-language side", file=sys.stderr)
+    print(f"normalization scalar c = {report.normalization_c!r}", file=sys.stderr)
+    if args.format != "json":
         sys.stdout.write(analysis.serialize_report(report, args.format).decode("utf-8"))
+        return 0
+    ti_fields = {"score_name": f"ti_{args.level}", "dataset": tis[0], "reference": tis[1]}
+    if args.level == "morph":
+        ti_fields["bin_universe"] = "occupied"
+    payload = {"level": args.level, **fields, "dataset_n": ns[0], "reference_n": ns[1]}
+    c = report.normalization_c
+    _emit(args, {**payload, "normalization_c": c, "jmm": report.to_dict(), "ti": ti_fields})
     return 0
 
 

@@ -2,11 +2,12 @@
 feature specs, feature matrices, and score reports.
 
 A record carries only the fields some command reads; the loaders skip
-every other column of their files. Pure data, no I/O and no scoring
-logic. Every type but ``FeatureMatrix`` checks its invariants at
-construction time and raises ``ValueError`` with a message naming the
-violated invariant; a feature matrix's rules are checked once, row by
-row, by the loader that builds it.
+every other column of their files. Pure data and no I/O; the one
+computation is a score report's value, derived from its counts. Every
+type but ``FeatureMatrix`` checks its invariants at construction time
+and raises ``ValueError`` with a message naming the violated invariant;
+a feature matrix's rules are checked once, row by row, by the loader
+that builds it.
 
 Every type is a ``collections.namedtuple`` subclass with empty
 ``__slots__`` whose ``__new__`` runs the checks and builds any derived
@@ -226,48 +227,71 @@ class GapReport(namedtuple("GapReport", "surplus_bins deficit_bins")):
         }
 
 
-class DiversityReport(
-    namedtuple("DiversityReport", "score_name value per_bin normalization_c gap")
-):
-    """A minmax Jaccard score with its per-bin table (a tuple of
-    :class:`BinOverlap`), the size scalar c and, once diagnosed, its gap.
+class Side(namedtuple("Side", "n keys counts")):
+    """One side of a minmax Jaccard comparison: its ``n`` languages and,
+    for each row key in row order, the int count of languages in the row
+    (bin indices k in order of k, or syn row labels). Every count lies in
+    [0, n], so a score over two sides lies in [0, 1]."""
 
-    The score must equal sum(min) / sum(max) over the table rows, each
-    sum by ``math.fsum``, exactly; this is validated on construction.
+    __slots__ = ()
+
+    def __new__(cls, n: int, keys: Iterable, counts: Iterable[int]) -> Side:
+        self = super().__new__(cls, n, tuple(keys), tuple(counts))
+        _require(self.n >= 1, f"set sizes must be positive, got {self.n}")
+        _require(len(self.keys) == len(self.counts), "a side needs one count per row key")
+        _require(
+            all(0 <= t <= self.n for t in self.counts),
+            f"row counts must lie in [0, {self.n}]",
+        )
+        return self
+
+
+class DiversityReport(namedtuple("DiversityReport", "score_name dataset reference gap")):
+    """A minmax Jaccard score: two :class:`Side` records over the same row
+    keys and, once diagnosed, its gap.
+
+    ``value``, ``normalization_c`` and the per-bin table derive from the
+    counts, so a report cannot hold a score its table does not give.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        score_name: str,
-        value: float,
-        per_bin: Iterable[BinOverlap],
-        normalization_c: float,
-        gap: GapReport | None = None,
+        cls, score_name: str, dataset: Side, reference: Side, gap: GapReport | None = None
     ) -> DiversityReport:
-        self = super().__new__(cls, score_name, value, tuple(per_bin), normalization_c, gap)
+        self = super().__new__(cls, score_name, dataset, reference, gap)
         _require(
             self.score_name in SCORE_NAMES,
             f"score_name must be one of {sorted(SCORE_NAMES)}, got {self.score_name!r}",
         )
-        _require(
-            -_EPS <= self.value <= 1.0 + _EPS,
-            f"score value must lie in [0, 1], got {self.value}",
-        )
-        _require(
-            self.normalization_c >= 1.0 - _EPS,
-            f"normalization scalar must be >= 1, got {self.normalization_c}",
-        )
-        num = math.fsum(r.min_weight for r in self.per_bin)
-        den = math.fsum(r.max_weight for r in self.per_bin)
-        _require(den > 0, "per_bin max weights sum to zero")
-        _require(
-            self.value == num / den,
-            f"score value {self.value} does not equal sum(min)/sum(max) "
-            f"= {num / den} over per_bin rows",
-        )
+        _require(dataset.keys == reference.keys, "dataset and reference rows differ")
+        _require(any(dataset.counts) or any(reference.counts), "both sides' row counts sum to zero")
         return self
+
+    @property
+    def value(self) -> float:
+        """sum(min) / sum(max) of the counts, the smaller side's scaled by
+        c. Each count is multiplied by the other side's n instead, which
+        keeps every term an int, so one int division rounds the ratio."""
+        d, r = self.dataset, self.reference
+        wd, wr = [t * r.n for t in d.counts], [t * d.n for t in r.counts]
+        return sum(map(min, wd, wr)) / sum(map(max, wd, wr))
+
+    @property
+    def normalization_c(self) -> float:
+        """The size ratio max(n) / min(n) that scales the smaller side."""
+        return max(self.dataset.n, self.reference.n) / min(self.dataset.n, self.reference.n)
+
+    @property
+    def per_bin(self) -> tuple[BinOverlap, ...]:
+        """One :class:`BinOverlap` per row, the smaller side's counts
+        multiplied by ``normalization_c``; a morph row is labelled
+        ``bin<k>``, a syn row by its key."""
+        c, d, r = self.normalization_c, self.dataset, self.reference
+        scale_d, scale_r = (c, 1.0) if d.n < r.n else (1.0, c)
+        wd, wr = [t * scale_d for t in d.counts], [t * scale_r for t in r.counts]
+        labels = map("bin{}".format, d.keys) if self.score_name == "jmm_morph" else d.keys
+        return tuple(map(BinOverlap, labels, wd, wr, map(min, wd, wr), map(max, wd, wr)))
 
     def to_dict(self) -> dict:
         return {

@@ -4,7 +4,7 @@ Tokenization, grapheme-cluster word lengths, seeded contiguous sampling,
 mean word length with logographic scaling, type-token ratio, and unigram
 entropy. All functions are pure; file loading lives in ingest. Tokens
 are a plain tuple of str, which `tokenize` checks; a sample window is
-a slice of it, and the measures read any non-empty tuple of tokens.
+a slice of it, and the three measures read one `Counter` of its tokens.
 
 Tokens are split on Unicode whitespace and word-boundary punctuation.
 The splitter works over extended grapheme clusters and keeps connector
@@ -308,8 +308,8 @@ def sample_contiguous(tokens: tuple[str, ...], target: int, seed: int) -> tuple[
     return tokens[offset : offset + target], offset
 
 
-def mean_word_length(tokens: tuple[str, ...], script_scale: float = 1.0) -> float:
-    """Mean grapheme clusters per token, times ``script_scale``.
+def mean_word_length(counts: Counter[str], script_scale: float = 1.0) -> float:
+    """Mean grapheme clusters per token in ``counts``, times ``script_scale``.
 
     The scale compensates for logographic scripts: with the four types
     wo, men, ta, wo-men of written lengths (1, 1, 1, 2) and romanized
@@ -330,8 +330,7 @@ def mean_word_length(tokens: tuple[str, ...], script_scale: float = 1.0) -> floa
         math.isfinite(script_scale) and script_scale > 0,
         f"script_scale must be a finite positive number, got {script_scale!r}",
     )
-    _require(len(tokens) > 0, "mean_word_length requires a non-empty token sequence")
-    counts = Counter(tokens)
+    _require(bool(counts), "mean_word_length requires a non-empty token sequence")
     p = _patterns()
     joined = "\n".join(counts)
     if (
@@ -344,28 +343,28 @@ def mean_word_length(tokens: tuple[str, ...], script_scale: float = 1.0) -> floa
         total = sum(map(operator.mul, lengths, counts.values()))
     else:
         total = sum(n * grapheme_length(t) for t, n in counts.items())
-    return total / len(tokens) * script_scale
+    return total / counts.total() * script_scale
 
 
-def type_token_ratio(tokens: tuple[str, ...]) -> float:
-    """Distinct tokens divided by total tokens, in (0, 1].
+def type_token_ratio(counts: Counter[str]) -> float:
+    """Distinct tokens divided by total tokens in ``counts``, in (0, 1].
 
     Types are compared by exact string equality; the tokenizer's NFC
     normalization makes canonically equivalent spellings compare equal.
     """
-    _require(len(tokens) > 0, "type_token_ratio requires a non-empty token sequence")
-    return len(set(tokens)) / len(tokens)
+    _require(bool(counts), "type_token_ratio requires a non-empty token sequence")
+    return len(counts) / counts.total()
 
 
-def unigram_entropy(tokens: tuple[str, ...]) -> float:
-    """Shannon entropy (bits) of the empirical token distribution.
+def unigram_entropy(counts: Counter[str]) -> float:
+    """Shannon entropy (bits) of a window's token ``counts``.
 
     H = -sum(p_i * log2(p_i)) with p_i = count_i / N. Ranges from 0 (one
     repeated token) to log2(N) (all tokens distinct).
     """
-    _require(len(tokens) > 0, "unigram_entropy requires a non-empty token sequence")
-    n = len(tokens)
-    ps = [c / n for c in Counter(tokens).values()]
+    _require(bool(counts), "unigram_entropy requires a non-empty token sequence")
+    n = counts.total()
+    ps = [c / n for c in counts.values()]
     return -math.fsum([p * math.log2(p) for p in ps])
 
 
@@ -393,11 +392,12 @@ def profile(
     if len(toks) == 0:
         raise ValueError(f"no lexical tokens in corpus for {corpus.iso!r}")
     sample, offset = sample_contiguous(toks, target, seed)
+    counts = Counter(sample)
     return TextProfile(
         iso=corpus.iso,
-        mean_word_length=mean_word_length(sample, script_scale),
-        ttr=type_token_ratio(sample),
-        unigram_entropy=unigram_entropy(sample),
+        mean_word_length=mean_word_length(counts, script_scale),
+        ttr=type_token_ratio(counts),
+        unigram_entropy=unigram_entropy(counts),
         token_count=len(sample),
         sample_offset=offset,
         seed=seed,

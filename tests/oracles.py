@@ -29,22 +29,20 @@ def brute_jmm(dataset, reference, width):
     """Minmax Jaccard of two measurement lists, from first principles.
 
     Bin each side with exact_bin(v, width), multiply every count of the
-    smaller side by max(n, m) / min(n, m), then sum min and max over the
-    union of occupied bins. Bins where one side is absent contribute 0
-    to the min sum and the other side's weight to the max sum, so the
-    union (not a contiguous range) is enough here.
+    smaller side by the exact fraction max(n, m) / min(n, m), then sum
+    min and max over the union of occupied bins and round their exact
+    ratio to a float once. Bins where one side is absent contribute 0 to
+    the min sum and the other side's weight to the max sum, so the union
+    (not a contiguous range) is enough here.
     """
     bins_d = Counter(exact_bin(v, width) for v in dataset)
     bins_r = Counter(exact_bin(v, width) for v in reference)
-    c = max(len(dataset), len(reference)) / min(len(dataset), len(reference))
-    wd = {k: float(n) for k, n in bins_d.items()}
-    wr = {k: float(n) for k, n in bins_r.items()}
-    if len(dataset) < len(reference):
-        wd = {k: v * c for k, v in wd.items()}
-    elif len(reference) < len(dataset):
-        wr = {k: v * c for k, v in wr.items()}
-    pairs = [(wd.get(k, 0.0), wr.get(k, 0.0)) for k in set(wd) | set(wr)]
-    return exact_sum(min(p) for p in pairs) / exact_sum(max(p) for p in pairs)
+    n, m = len(dataset), len(reference)
+    c = Fraction(max(n, m), min(n, m))
+    wd = {k: v * (c if n < m else 1) for k, v in bins_d.items()}
+    wr = {k: v * (c if m < n else 1) for k, v in bins_r.items()}
+    pairs = [(wd.get(k, 0), wr.get(k, 0)) for k in set(wd) | set(wr)]
+    return float(sum(min(p) for p in pairs) / sum(max(p) for p in pairs))
 
 
 def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
@@ -53,9 +51,10 @@ def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
     One row per feature, labelled with the feature and counting the
     languages with value 1; with count_zeros two rows per feature,
     "<feature>=1" and "<feature>=0", counting each value. Every count of
-    the smaller side is multiplied by max(n, m) / min(n, m). Returns
-    (value, [(label, dataset, reference, min, max), ...]), or None when a
-    side has no positive weight to compare.
+    the smaller side is multiplied by max(n, m) / min(n, m): as a float
+    in the table, as an exact fraction in the score, whose exact ratio is
+    rounded once. Returns (value, [(label, dataset, reference, min,
+    max), ...]), or None when a side has no positive weight to compare.
     """
 
     def counts(rows):
@@ -73,11 +72,14 @@ def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
         return None
     n, m = len(rows_d), len(rows_r)
     c = max(n, m) / min(n, m)
-    table = []
+    exact_c = Fraction(max(n, m), min(n, m))
+    table, lo, hi = [], 0, 0
     for (label, a), (_, b) in zip(counts_d, counts_r):
+        ea, eb = a * (exact_c if n < m else 1), b * (exact_c if m < n else 1)
+        lo, hi = lo + min(ea, eb), hi + max(ea, eb)
         a, b = float(a) * (c if n < m else 1.0), float(b) * (c if m < n else 1.0)
         table.append((label, a, b, min(a, b), max(a, b)))
-    return exact_sum(t[3] for t in table) / exact_sum(t[4] for t in table), table
+    return float(lo / hi), table
 
 
 def bent(p):

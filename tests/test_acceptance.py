@@ -19,6 +19,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,8 +206,8 @@ def test_c06_subsampling_rank_stability(fixtures):
         toks = tokenize(load_corpus(f, f.stem).text)
         assert len(toks) >= 2000, f.name
         window, _ = sample_contiguous(toks, 500, seed=0)
-        small.append(mean_word_length(window))
-        full.append(mean_word_length(toks))
+        small.append(mean_word_length(Counter(window)))
+        full.append(mean_word_length(Counter(toks)))
     assert spearman(small, full) >= 0.9
 
 

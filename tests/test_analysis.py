@@ -9,21 +9,9 @@ import scipy.stats
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from divscore.analysis import (
-    MAX_GAP_EXAMPLES,
-    _average_ranks,
-    attach_gap,
-    serialize_report,
-    spearman,
-)
-from divscore.diversity import (
-    bin_measurements,
-    bin_members,
-    jmm_score,
-    jmm_syn,
-    syntactic_weights,
-)
-from divscore.model import BinOverlap, DiversityReport, FeatureMatrix
+from divscore.analysis import _average_ranks, attach_gap, serialize_report, spearman
+from divscore.diversity import bin_measurements, feature_side, gap_members, jmm_score, jmm_syn
+from divscore.model import MAX_GAP_EXAMPLES, DiversityReport, FeatureMatrix, Side
 from oracles import exact_bin
 
 #: One side of a morph score: distinct iso codes, each with a mean word
@@ -115,16 +103,20 @@ class TestSpearman:
 
 class TestGapReport:
     @staticmethod
-    def _report(labels, dataset, reference):
-        rows = [
-            BinOverlap(x, a, b, min(a, b), max(a, b)) for x, a, b in zip(labels, dataset, reference)
-        ]
-        value = sum(r.min_weight for r in rows) / sum(r.max_weight for r in rows)
-        return DiversityReport("jmm_morph", value, per_bin=rows, normalization_c=1.0)
+    def _report(bins, dataset, reference):
+        """A morph report over ``bins``: ``dataset`` and ``reference`` are
+        (size, counts) of the two sides."""
+        sides = [Side(n, bins, counts) for n, counts in (dataset, reference)]
+        return DiversityReport("jmm_morph", *sides)
 
     def test_partition(self):
-        report = self._report(["bin2", "bin3", "bin4"], [1.0, 2.0, 0.0], [0.0, 1.5, 1.5])
-        gap = attach_gap(report, {"bin4": ["qba", "qbb"]}).gap
+        report = self._report([2, 3, 4], (3, [1, 2, 0]), (2, [0, 1, 1]))
+        assert [(r.dataset, r.reference) for r in report.per_bin] == [
+            (1.0, 0.0),
+            (2.0, 1.5),
+            (0.0, 1.5),
+        ]
+        gap = attach_gap(report, {4: ["qba", "qbb"]}).gap
         assert [(b.label, b.excess) for b in gap.surplus_bins] == [
             ("bin2", 1.0),
             ("bin3", 0.5),
@@ -133,14 +125,15 @@ class TestGapReport:
         assert gap.deficit_bins[0].examples == ("qba", "qbb")
 
     def test_examples_capped_and_sorted(self):
-        report = self._report(["bin0"], [1.0], [9.0])
-        members = {"bin0": ["zzz", "aaa", "mmm", "bbb", "ccc", "aaa", "ddd", "eee"]}
+        report = self._report([0], (9, [1]), (9, [8]))
+        isos = ["zzz", "aaa", "mmm", "bbb", "ccc", "fff", "ddd", "eee", "qqq"]
+        members = gap_members(report.reference, isos, [[0]] * 8 + [[]])
         examples = attach_gap(report, members).gap.deficit_bins[0].examples
         assert len(examples) == MAX_GAP_EXAMPLES
         assert examples == ("aaa", "bbb", "ccc", "ddd", "eee")
 
     def test_equal_bins_appear_nowhere(self):
-        report = self._report(["bin0", "bin1"], [1.0, 2.0], [1.0, 2.0])
+        report = self._report([0, 1], (3, [1, 2]), (3, [1, 2]))
         gap = attach_gap(report, {}).gap
         assert gap.surplus_bins == () and gap.deficit_bins == ()
 
@@ -168,7 +161,8 @@ class TestGapReport:
         iso_r, mwl_r = zip(*ref)
         bins_d = bin_measurements([v for _, v in ds], width)
         bins_r = bin_measurements(mwl_r, width)
-        gap = attach_gap(jmm_score(bins_d, bins_r), bin_members(iso_r, bins_r)).gap
+        report = jmm_score(bins_d, bins_r)
+        gap = attach_gap(report, gap_members(report.reference, iso_r, zip(bins_r))).gap
         surplus = {b.label: b.excess for b in gap.surplus_bins}
         deficit = {b.label: (b.shortfall, b.examples) for b in gap.deficit_bins}
         # brute force: exact bins, counts scaled as the score scales them
@@ -192,7 +186,7 @@ class TestGapReport:
         report = jmm_score(
             bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
         )
-        enriched = attach_gap(report, {"bin4": ["qzz"]})
+        enriched = attach_gap(report, {4: ["qzz"]})
         assert enriched.value == report.value
         assert enriched.gap is not None
         deficit_labels = [b.label for b in enriched.gap.deficit_bins]
@@ -207,7 +201,7 @@ class TestOverlapSeries:
         isos = ["qaa", "qab", "qac"]
         a = FeatureMatrix(isos, ["x", "y"], [[1, 1], [0, 1], [0, 1]])
         b = FeatureMatrix(isos, ["x", "y"], [[1, 1], [1, 1], [0, 0]])
-        rows = jmm_syn(a, b, syntactic_weights(a), syntactic_weights(b)).per_bin
+        rows = jmm_syn(a, b, feature_side(a), feature_side(b)).per_bin
         assert [(r.min_weight, r.max_weight) for r in rows] == [(1.0, 2.0), (2.0, 3.0)]
         num = sum(r.min_weight for r in rows)
         den = sum(r.max_weight for r in rows)
@@ -219,7 +213,7 @@ class TestSerialization:
         report = jmm_score(
             bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
         )
-        return attach_gap(report, {"bin4": ["qba", "qbb"]})
+        return attach_gap(report, {4: ["qba", "qbb"]})
 
     def test_csv_and_svg_are_deterministic(self):
         for fmt in ("csv", "svg"):

@@ -523,13 +523,13 @@ class TestScoreSyn:
         import divscore.diversity
 
         calls = []
-        real = divscore.diversity.syntactic_weights
+        real = divscore.diversity.feature_side
 
         def counted(matrix, zeros=False):
             calls.append(matrix.n_languages)
             return real(matrix, zeros)
 
-        monkeypatch.setattr(divscore.diversity, "syntactic_weights", counted)
+        monkeypatch.setattr(divscore.diversity, "feature_side", counted)
         args = self._args(fixtures) + (["--syn-dims", "206"] if count_zeros else [])
         code, out, _ = run_main(args, capsys)
         golden = "score_syn_206.json" if count_zeros else "score_syn.json"
@@ -993,8 +993,7 @@ class TestJsonWriter:
 #: the module the CLI calls them through.
 _JSON_ONLY = (
     ("analysis", "attach_gap"),
-    ("diversity", "bin_members"),
-    ("diversity", "feature_members"),
+    ("diversity", "gap_members"),
     ("diversity", "ti_morph"),
     ("diversity", "ti_syn"),
 )
@@ -1043,10 +1042,9 @@ class TestScoreBuildsOnlyWhatItPrints:
         if fmt != "json":
             assert calls == []
         else:
-            members = "bin_members" if level == "morph" else "feature_members"
             # a single-language side gets no TI value, the other side one
             ti = ["ti_morph" if level == "morph" else "ti_syn"] * (1 if single else 2)
-            assert sorted(calls) == sorted([members, "attach_gap", *ti])
+            assert sorted(calls) == sorted(["gap_members", "attach_gap", *ti])
 
 
 class TestSameBitsOnEveryPython:

@@ -4,6 +4,7 @@ The randomized properties here are the package-level half of the
 acceptance property suites; the acceptance tests re-run the headline
 properties at their pinned budgets.
 """
+import csv
 import heapq
 import math
 from collections import Counter
@@ -18,16 +19,16 @@ from divscore.diversity import (
     bin_index,
     bin_measurements,
     binary_entropy,
-    feature_members,
+    feature_rows,
+    feature_side,
+    gap_members,
     jmm_score,
     jmm_syn,
-    normalization_scalar,
-    syntactic_weights,
     ti_morph,
     ti_syn,
 )
 from divscore.ingest import bundled_path
-from divscore.model import FeatureMatrix
+from divscore.model import FeatureMatrix, Side
 from oracles import brute_jmm, brute_jmm_syn, brute_ti_morph, brute_ti_syn, exact_bin
 from support import run_main
 
@@ -145,13 +146,13 @@ class TestBinning:
 
 class TestNormalizationScalar:
     def test_ratio(self):
-        assert normalization_scalar(3, 5) == 5 / 3
-        assert normalization_scalar(5, 3) == 5 / 3
-        assert normalization_scalar(4, 4) == 1.0
+        assert _jmm([1.0] * 3, [1.0] * 5, 1.0).normalization_c == 5 / 3
+        assert _jmm([1.0] * 5, [1.0] * 3, 1.0).normalization_c == 5 / 3
+        assert _jmm([1.0] * 4, [1.0] * 4, 1.0).normalization_c == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            normalization_scalar(0, 5)
+            Side(0, (), ())
 
 
 class TestAlignBins:
@@ -178,9 +179,9 @@ def _syn(rows, features=None):
 
 
 def _jmm_syn(dataset, reference, count_zeros=False):
-    """jmm_syn with both sides' weights computed here."""
-    weights = [syntactic_weights(m, count_zeros) for m in (dataset, reference)]
-    return jmm_syn(dataset, reference, *weights)
+    """jmm_syn with both sides counted here."""
+    sides = [feature_side(m, count_zeros) for m in (dataset, reference)]
+    return jmm_syn(dataset, reference, *sides)
 
 
 class TestJaccardMinmax:
@@ -289,24 +290,27 @@ class TestJmmScore:
 
 
 class TestSyntacticWeights:
+    """The counts of a syn side, :func:`feature_side`."""
+
     def test_ones_counts(self):
-        v = syntactic_weights(_syn([[1, 0, 1], [1, 1, 0]]))
-        assert v == {"s1": 2.0, "s2": 1.0, "s3": 1.0}
-        assert list(v) == ["s1", "s2", "s3"]
+        v = feature_side(_syn([[1, 0, 1], [1, 1, 0]]))
+        assert dict(zip(v.keys, v.counts)) == {"s1": 2.0, "s2": 1.0, "s3": 1.0}
+        assert list(v.keys) == ["s1", "s2", "s3"]
 
     def test_count_zeros_doubles_dimensions(self):
         m = _syn([[1, 0], [1, 1]])
-        v = syntactic_weights(m, count_zeros=True)
-        assert list(v) == ["s1=1", "s1=0", "s2=1", "s2=0"]
-        assert list(v.values()) == [2.0, 0.0, 1.0, 1.0]
-        assert sum(v.values()) == m.n_languages * len(m.features)
+        v = feature_side(m, count_zeros=True)
+        assert list(v.keys) == ["s1=1", "s1=0", "s2=1", "s2=0"]
+        assert list(v.counts) == [2.0, 0.0, 1.0, 1.0]
+        assert sum(v.counts) == m.n_languages * len(m.features)
 
     def test_all_zero_matrix_rejected_in_default_mode(self):
         m = _syn([[0, 0], [0, 0]])
         with pytest.raises(ValueError, match="positive total"):
-            syntactic_weights(m)
+            feature_side(m)
         # with zero counting the distribution is all in the =0 dimensions
-        assert syntactic_weights(m, count_zeros=True)["s1=0"] == 2.0
+        v = feature_side(m, count_zeros=True)
+        assert dict(zip(v.keys, v.counts))["s1=0"] == 2.0
 
     def test_kind_checked(self, capsys):
         """Only a binary matrix reaches the weights: ``score --level syn``
@@ -380,6 +384,69 @@ class TestJmmSyn:
             _jmm_syn(a, b)
 
 
+def _cwals_sides():
+    """The bundled table's c_wals values: those of its languages on the
+    bundled mBERT list, and all of them, in table order."""
+    with open(bundled_path("mwl_cwals.csv"), newline="", encoding="utf-8") as fh:
+        table = [(row["iso"], float(row["c_wals"])) for row in csv.DictReader(fh)]
+    lines = bundled_path("mbert_languages.txt").read_text(encoding="utf-8").splitlines()
+    mbert = {line.split("#", 1)[0].strip() for line in lines}
+    return [v for iso, v in table if iso in mbert], [v for _, v in table]
+
+
+CWALS_MBERT, CWALS_ALL = _cwals_sides()
+
+
+def _int_ratio(pairs, n_d, n_r):
+    """sum(min) / sum(max) over (dataset, reference) count pairs, each
+    count brought to the common size n_d * n_r: one int division."""
+    num = sum(min(a * n_r, b * n_d) for a, b in pairs)
+    den = sum(max(a * n_r, b * n_d) for a, b in pairs)
+    return num / den
+
+
+class TestExactRatio:
+    """Every score is the exact ratio of its counts, rounded once: no
+    float weight, sum or summation order enters."""
+
+    @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0]))
+    # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
+    @example(a=[3.5, 1.5, 0.5, 1.5, 3.5], b=[3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5], width=1.0)
+    # the c_WALS gap of the 17 mBERT languages of the bundled table against all 28
+    @example(a=CWALS_MBERT, b=CWALS_ALL, width=0.1)
+    # 257 rows, each a term whose float sum would depend on the order
+    @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
+    def test_morph_value_is_the_int_ratio_property(self, a, b, width):
+        count_d = Counter(exact_bin(v, width) for v in a)
+        count_r = Counter(exact_bin(v, width) for v in b)
+        pairs = [(count_d[k], count_r[k]) for k in count_d.keys() | count_r.keys()]
+        assert _jmm(a, b, width).value == _int_ratio(pairs, len(a), len(b))
+
+    @given(pair=syn_pairs(), count_zeros=st.booleans())
+    # 5 vs 8 languages
+    @example(
+        pair=(["s1", "s2"], [[1, 0], [1, 1], [0, 0], [1, 0], [0, 1]], [[1, 1]] * 3 + [[0, 1]] * 5),
+        count_zeros=False,
+    )
+    def test_syn_value_is_the_int_ratio_property(self, pair, count_zeros):
+        features, rows_d, rows_r = pair
+        assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
+        pairs = []
+        for j in range(len(features)):
+            ones = (sum(row[j] for row in rows_d), sum(row[j] for row in rows_r))
+            pairs.append(ones)
+            if count_zeros:
+                pairs.append((len(rows_d) - ones[0], len(rows_r) - ones[1]))
+        report = _jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
+        assert report.value == _int_ratio(pairs, len(rows_d), len(rows_r))
+
+    def test_pinned_values(self):
+        assert len(CWALS_MBERT) == 17 and len(CWALS_ALL) == 28
+        assert _jmm(CWALS_MBERT, CWALS_ALL, 0.1).value == 407 / 545 == 0.7467889908256881
+        a, b = [3.5, 1.5, 0.5, 1.5, 3.5], [3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5]
+        assert _jmm(a, b, 1.0).value == 31 / 49 == 0.6326530612244898
+
+
 @st.composite
 def gap_cases(draw):
     """Feature names, a 0/1 dataset as rows, and a reference of 1-40
@@ -408,7 +475,8 @@ class TestFeatureMembers:
         ds = _syn(rows_d, features)
         ref = FeatureMatrix(isos_r, features, rows_r)
         report = _jmm_syn(ds, ref, count_zeros)
-        gap = attach_gap(report, feature_members(ref, count_zeros)).gap
+        members = gap_members(report.reference, ref.languages, feature_rows(report.reference, ref))
+        gap = attach_gap(report, members).gap
         counted = {
             (f"{f}={value}" if count_zeros else f): (j, value)
             for j, f in enumerate(features)

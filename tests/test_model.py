@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from divscore import model
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
-from divscore.diversity import _minmax_report, feature_members
+from divscore.diversity import feature_rows, feature_side, gap_members
 from divscore.grammar import load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, load_registry
 from divscore.model import (
@@ -23,6 +23,7 @@ from divscore.model import (
     GapReport,
     LanguageRecord,
     MorphFeatureSpec,
+    Side,
     SurplusBin,
     TextProfile,
 )
@@ -30,6 +31,9 @@ from divscore.textstats import _require_word_material
 from oracles import exact_sum
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
+#: One row counting 1 of 2 languages on one side and 1 of 1 on the
+#: other, which c = 2 scales to the table of `_ROW`.
+_SIDES = (Side(2, ["bin0"], [1]), Side(1, ["bin0"], [1]))
 _SPEC = MorphFeatureSpec("22A", 0, 1)
 #: One instance of each domain type, and one field it has.
 _INSTANCES = {
@@ -40,7 +44,8 @@ _INSTANCES = {
     "SurplusBin": (SurplusBin("bin1", 1.0), "excess"),
     "DeficitBin": (DeficitBin("bin0", 1.0, ("aaa",)), "examples"),
     "GapReport": (GapReport([], []), "deficit_bins"),
-    "DiversityReport": (DiversityReport("jmm_syn", 0.5, [_ROW], 1.0), "per_bin"),
+    "Side": (_SIDES[0], "counts"),
+    "DiversityReport": (DiversityReport("jmm_syn", *_SIDES), "dataset"),
     "CorpusSource": (CorpusSource("aaa", "text"), "text"),
     "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
 }
@@ -79,30 +84,24 @@ _KEYWORD_CHECKS = {
         "at most 255",
     ),
     "report-name": (
-        lambda: DiversityReport(score_name="gini", value=0.5, per_bin=[_ROW], normalization_c=1.0),
+        lambda: DiversityReport(score_name="gini", dataset=_SIDES[0], reference=_SIDES[1]),
         "score_name",
     ),
-    "report-value": (
-        lambda: DiversityReport(
-            score_name="jmm_syn", value=1.5, per_bin=[_ROW], normalization_c=1.0
-        ),
-        "lie in",
-    ),
-    "report-scalar": (
-        lambda: DiversityReport(
-            score_name="jmm_syn", value=0.5, per_bin=[_ROW], normalization_c=0.5
-        ),
-        "normalization",
-    ),
+    # a count above the side's size, which could put the value above 1
+    "report-value": (lambda: Side(n=1, keys=["bin0"], counts=[2]), "lie in"),
+    # a side of no languages, which leaves c = max(n) / min(n) undefined
+    "report-scalar": (lambda: Side(n=0, keys=[], counts=[]), "positive"),
     "report-empty": (
-        lambda: DiversityReport(score_name="jmm_syn", value=0.5, per_bin=[], normalization_c=1.0),
+        lambda: DiversityReport(
+            score_name="jmm_syn", dataset=Side(1, ["s1"], [0]), reference=Side(1, ["s1"], [0])
+        ),
         "sum to zero",
     ),
-    "report-sums": (
+    "report-rows": (
         lambda: DiversityReport(
-            score_name="jmm_syn", value=0.4, per_bin=[_ROW], normalization_c=1.0
+            score_name="jmm_syn", dataset=_SIDES[0], reference=Side(2, ["bin1"], [2])
         ),
-        "does not equal",
+        "rows differ",
     ),
     "corpus-iso": (lambda: CorpusSource(iso="x", text="t"), "three ASCII"),
     "specset-size": (
@@ -192,16 +191,10 @@ class TestExactSum:
     @example(xs=[1e16, 1.0, -1e16])
     @example(xs=[1.0, 2.0**-53, 2.0**-53])
     def test_scorer_sums_are_exact_property(self, xs):
-        """The scorers sum with math.fsum: the float nearest the exact sum.
-        A min-max table of |x| against 1.0 per row scores the exact
-        sum(min) over the exact sum(max)."""
+        """The typological indices sum with math.fsum: the float nearest
+        the exact sum. (The minmax scores sum ints and divide once;
+        `tests/test_diversity.py::TestExactRatio` checks them.)"""
         assert math.fsum(xs) == exact_sum(xs)
-        if not xs:
-            return
-        wd, wr = [abs(x) for x in xs], [1.0] * len(xs)
-        report = _minmax_report("jmm_syn", [f"f{i}" for i in range(len(xs))], wd, wr, 1, 1)
-        lo, hi = list(map(min, wd, wr)), list(map(max, wd, wr))
-        assert report.value == exact_sum(lo) / exact_sum(hi)
 
 
 class TestLanguageRecord:
@@ -381,8 +374,9 @@ class TestFeatureMatrix:
     def test_totals_and_members_property(self, rows, binary, count_zeros):
         """``totals`` are the per-column sums of rows of any width and any
         cells in 0-255, a binary matrix's counted as 1s, and
-        ``feature_members`` lists the first MAX_GAP_EXAMPLES languages in
-        iso order whose cell is the value a row counts."""
+        ``gap_members`` over ``feature_rows`` lists the first
+        MAX_GAP_EXAMPLES languages in iso order whose cell is the value a
+        row counts."""
         isos = [iso for iso, _ in rows]
         cells = [[b & 1 for b in raw] if binary else list(raw) for _, raw in rows]
         width = len(cells[0])
@@ -396,7 +390,14 @@ class TestFeatureMatrix:
                 label = f"{f}={value}" if count_zeros else f
                 shown = [iso for iso, row in sorted(zip(isos, cells)) if row[j] == value]
                 expected[label] = shown[:MAX_GAP_EXAMPLES]
-        assert feature_members(m, count_zeros) == expected
+        if not binary:
+            return  # a syn side counts a binary matrix alone
+        if not (count_zeros or any(m.totals)):
+            with pytest.raises(ValueError, match="positive total"):
+                feature_side(m, count_zeros)
+            return
+        side = feature_side(m, count_zeros)
+        assert gap_members(side, isos, feature_rows(side, m)) == expected
 
     def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
         """Without specs a matrix is binary."""
@@ -465,62 +466,69 @@ class TestReports:
             BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),
             BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0),
         )
-        rep = DiversityReport("jmm_morph", 2.0 / 5.0, per_bin=rows, normalization_c=1.0)
+        rep = DiversityReport("jmm_morph", Side(4, [0, 1], [1, 3]), Side(4, [0, 1], [2, 1]))
+        assert rep.per_bin == rows
         assert rep.value == pytest.approx(0.4)
-        with pytest.raises(ValueError, match="sum\\(min\\)/sum\\(max\\)"):
-            DiversityReport("jmm_morph", 0.5, per_bin=rows, normalization_c=1.0)
+        with pytest.raises(ValueError, match="rows differ"):
+            DiversityReport("jmm_morph", Side(4, [0, 1], [1, 3]), Side(4, [0, 2], [2, 1]))
 
-    def test_value_must_equal_the_fsum_ratio_exactly(self):
-        """The value is the one float fsum(min) / fsum(max): a float one
-        ulp away on either side is rejected."""
-        rows = (BinOverlap("bin0", 1.0, 3.0, 1.0, 3.0),)
-        value = 1.0 / 3.0
-        assert DiversityReport("jmm_morph", value, rows, 1.0).value == value
-        for toward in (0.0, 1.0):
-            with pytest.raises(ValueError, match="does not equal"):
-                DiversityReport("jmm_morph", math.nextafter(value, toward), rows, 1.0)
+    def test_value_is_the_exact_int_ratio(self):
+        """The value is the counts' exact ratio rounded once, not a ratio
+        of rounded float weights: 2 of 3 against 3 of 5 languages scales
+        to 10/3 against 3, whose float weights give 0.8999999999999999."""
+        rep = DiversityReport("jmm_morph", Side(3, [0], [2]), Side(5, [0], [3]))
+        assert rep.normalization_c == 5 / 3
+        assert rep.value == 9 / 10 == 0.9
+        assert rep.per_bin[0].min_weight / rep.per_bin[0].max_weight == 0.8999999999999999
 
-    _ROWS = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
+    _SIDES = (Side(2, ["bin0"], [1]), Side(2, ["bin0"], [2]))
 
     def test_rejects_unknown_score_name(self):
         for name in ("gini", "ti_morph", "ti_syn", "c_wals"):
             with pytest.raises(ValueError, match="score_name"):
-                DiversityReport(name, 0.5, per_bin=self._ROWS, normalization_c=1.0)
+                DiversityReport(name, *self._SIDES)
 
     def test_rejects_out_of_range_value(self):
+        """A count above its side's size, which could score above 1."""
         with pytest.raises(ValueError, match="lie in"):
-            DiversityReport("jmm_syn", 1.5, per_bin=self._ROWS, normalization_c=1.0)
+            DiversityReport("jmm_syn", Side(1, ["s1"], [2]), Side(1, ["s1"], [1]))
 
     def test_rejects_sub_one_scalar(self):
-        with pytest.raises(ValueError, match="normalization"):
-            DiversityReport("jmm_syn", 0.5, per_bin=self._ROWS, normalization_c=0.5)
+        """A side of no languages, for which c = max(n) / min(n) is not >= 1."""
+        with pytest.raises(ValueError, match="positive"):
+            DiversityReport("jmm_syn", Side(0, ["s1"], [0]), Side(1, ["s1"], [1]))
 
     def test_attach_gap_keeps_the_score_and_checks_again(self):
-        rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0), BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0))
-        rep = DiversityReport("jmm_morph", 0.4, per_bin=list(rows), normalization_c=1.5)
+        rows = (BinOverlap("bin0", 1.5, 2.0, 1.5, 2.0), BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0))
+        rep = DiversityReport("jmm_morph", Side(2, [0, 1], [1, 2]), Side(3, [0, 1], [2, 1]))
         assert rep.per_bin == rows
-        out = attach_gap(rep, {"bin0": ["aaa"]})
+        assert rep.normalization_c == 1.5
+        out = attach_gap(rep, {0: ["aaa"]})
         assert type(out) is DiversityReport
-        assert (out.score_name, out.value, out.per_bin, out.normalization_c) == tuple(rep[:4])
+        assert (out.score_name, out.value, out.per_bin, out.normalization_c) == (
+            rep.score_name,
+            rep.value,
+            rep.per_bin,
+            rep.normalization_c,
+        )
         assert out.gap.to_dict() == {
             "surplus": [{"bin": "bin1", "excess": 2.0}],
-            "deficit": [{"bin": "bin0", "shortfall": 1.0, "examples": ["aaa"]}],
+            "deficit": [{"bin": "bin0", "shortfall": 0.5, "examples": ["aaa"]}],
         }
         # _replace skips the checks; attach_gap builds anew, so they run
-        with pytest.raises(ValueError, match="does not equal"):
-            attach_gap(rep._replace(value=0.5), {})
+        with pytest.raises(ValueError, match="rows differ"):
+            attach_gap(rep._replace(reference=Side(3, [0, 2], [2, 1])), {0: ["aaa"]})
 
     def test_report_dict_round_trip(self):
         """A record reaches JSON only through ``to_dict``: passed whole to
         ``json.dumps`` it would be written as a list. The dict holds lists,
         not tuples, so it survives the round trip unchanged."""
-        rows = (BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),)
         gap = GapReport(
             surplus_bins=[],
             deficit_bins=[DeficitBin("bin0", 1.0, ("aaa", "bbb"))],
         )
         rep = DiversityReport(
-            score_name="jmm_morph", value=0.5, per_bin=rows, normalization_c=2.0, gap=gap
+            score_name="jmm_morph", dataset=Side(2, [0], [1]), reference=Side(1, [0], [1]), gap=gap
         )
         d = rep.to_dict()
         assert d == {

@@ -12,9 +12,11 @@ table, and entropy index are spelled out inline. That is only valid on
 the fixture corpora, whose restricted alphabet (single-code-point
 letters, single spaces) makes the simple operations agree with full
 Unicode segmentation. Bins follow the package's documented rule, an
-exact decimal floor, computed here with fractions.Fraction. Every float
-sum is exact_sum: the exact sum of the terms as Fractions, rounded to a
-float once, so no summation order enters. The complexity score is the
+exact decimal floor, computed here with fractions.Fraction. A minmax
+score is the exact ratio of the counts, the smaller side's scaled by
+the exact fraction c, rounded to a float once. Every float sum is
+exact_sum: the exact sum of the terms as Fractions, rounded to a float
+once, so no summation order enters. The complexity score is the
 mean of each chapter's value min-max normalized over its final range,
 read with csv.DictReader from the bundled spec and value files. The
 correlation is Pearson's r of average ranks, computed in
@@ -67,9 +69,14 @@ def exact_sum(xs):
     return float(sum(map(Fraction, xs)))
 
 
-def minmax_value(per_bin):
-    """sum(min) / sum(max) over a per-bin table."""
-    return exact_sum(r["min"] for r in per_bin) / exact_sum(r["max"] for r in per_bin)
+def minmax_value(counts_d, counts_r, n_d, n_r):
+    """sum(min) / sum(max) over aligned int counts of n_d and n_r
+    languages, the smaller side's times the exact max(n) / min(n), as the
+    float nearest the exact ratio."""
+    c = Fraction(max(n_d, n_r), min(n_d, n_r))
+    scale_d, scale_r = (c, 1) if n_d < n_r else (1, c)
+    pairs = [(a * scale_d, b * scale_r) for a, b in zip(counts_d, counts_r)]
+    return float(sum(min(p) for p in pairs) / sum(max(p) for p in pairs))
 
 
 def exact_bin(v):
@@ -161,9 +168,11 @@ def score_syn_payload(syn_dims):
     rows = [(f"{f}={v}" if syn_dims == 206 else f, f, v) for f in features for v in values]
 
     def counts(side):
-        return [float(sum(1 for row in side if int(row[f]) == v)) for _, f, v in rows]
+        return [sum(1 for row in side if int(row[f]) == v) for _, f, v in rows]
 
     counts_d, counts_r = counts(ds), counts(ref)
+    value = minmax_value(counts_d, counts_r, len(ds), len(ref))
+    counts_d, counts_r = [float(w) for w in counts_d], [float(w) for w in counts_r]
     c = max(len(ds), len(ref)) / min(len(ds), len(ref))
     if len(ds) < len(ref):
         counts_d = [w * c for w in counts_d]
@@ -192,7 +201,7 @@ def score_syn_payload(syn_dims):
         "normalization_c": c,
         "jmm": {
             "score_name": "jmm_syn",
-            "value": minmax_value(per_bin),
+            "value": value,
             "normalization_c": c,
             "per_bin": per_bin,
             "gap": {"surplus": surplus, "deficit": deficit},
@@ -222,6 +231,10 @@ def main():
         bins_r[k] = bins_r.get(k, 0) + 1
         members.setdefault(f"bin{k}", []).append(iso)
 
+    axis = sorted(set(bins_d) | set(bins_r))
+    value = minmax_value(
+        [bins_d.get(k, 0) for k in axis], [bins_r.get(k, 0) for k in axis], len(ds), len(ref)
+    )
     c = max(len(ds), len(ref)) / min(len(ds), len(ref))
     if len(ds) < len(ref):
         bins_d = {k: v * c for k, v in bins_d.items()}
@@ -229,7 +242,7 @@ def main():
         bins_r = {k: v * c for k, v in bins_r.items()}
 
     per_bin, surplus, deficit = [], [], []
-    for k in sorted(set(bins_d) | set(bins_r)):
+    for k in axis:
         wd = float(bins_d.get(k, 0.0))
         wr = float(bins_r.get(k, 0.0))
         label = f"bin{k}"
@@ -254,7 +267,7 @@ def main():
         "normalization_c": c,
         "jmm": {
             "score_name": "jmm_morph",
-            "value": minmax_value(per_bin),
+            "value": value,
             "normalization_c": c,
             "per_bin": per_bin,
             "gap": {"surplus": surplus, "deficit": deficit},
