@@ -50,21 +50,21 @@ def main() -> None:
     # list each bin's first reference languages in iso order; each
     # reference language sits in the one row of its bin
     members = gap_members(report.reference, list(REFERENCE), zip(bins_r))
-    report = attach_gap(report, members)
-    gap = report.gap
+    # the gap block as the JSON report prints it
+    gap = attach_gap(report, members)
 
     print("\nsurplus (dataset mass the reference cannot match):")
-    for entry in gap.surplus_bins:
-        print(f"  {entry.label}: excess weight {entry.excess:.2f}")
+    for entry in gap["surplus"]:
+        print(f"  {entry['bin']}: excess weight {entry['excess']:.2f}")
 
     print("\ndeficit (reference mass the dataset fails to cover):")
-    for entry in gap.deficit_bins:
-        examples = ", ".join(entry.examples)
-        print(f"  {entry.label}: shortfall {entry.shortfall:.2f}  e.g. {examples}")
+    for entry in gap["deficit"]:
+        examples = ", ".join(entry["examples"])
+        print(f"  {entry['bin']}: shortfall {entry['shortfall']:.2f}  e.g. {examples}")
 
     print("\nreading: the crawl bunches in the 4-6 range; to close the gap")
-    print("it needs short-word isolating languages like", gap.deficit_bins[0].examples[0])
-    print("and long-word agglutinative ones like", gap.deficit_bins[-1].examples[0])
+    print("it needs short-word isolating languages like", gap["deficit"][0]["examples"][0])
+    print("and long-word agglutinative ones like", gap["deficit"][-1]["examples"][0])
 
     bundled_mbert()
 
@@ -81,11 +81,11 @@ def bundled_mbert() -> None:
 
     bins_r = bin_measurements(list(mwl.values()), 1.0)
     report = jmm_score(bin_measurements([mwl[iso] for iso in covered], 1.0), bins_r)
-    report = attach_gap(report, gap_members(report.reference, list(mwl), zip(bins_r)))
+    gap = attach_gap(report, gap_members(report.reference, list(mwl), zip(bins_r)))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
-    for entry in report.gap.deficit_bins:
-        examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry.examples)
-        print(f"  missing {entry.label}: {examples}")
+    for entry in gap["deficit"]:
+        examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry["examples"])
+        print(f"  missing {entry['bin']}: {examples}")
     print("reading: what the mBERT languages miss is the long-word end of the table,")
     print("where the (poly)synthetic languages sit")
 

@@ -1,9 +1,12 @@
 """Rank correlation, gap diagnosis, and report serialization.
 
-Serialization formats: CSV (the per-bin table, fixed header
+The gap diagnosis (``attach_gap``) is the surplus and deficit rows of a
+report's per-bin table, built as the dicts the JSON prints. Serialization
+formats: CSV (the per-bin table, fixed header
 ``bin,dataset,reference,min,max``) and a self-contained SVG histogram
 overlaying the two distributions with the intersection shaded. The JSON
-report is ``DiversityReport.to_dict`` inside the CLI's output.
+report is ``DiversityReport.to_dict`` of the report and its gap block,
+inside the CLI's output.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
-from .model import DeficitBin, DiversityReport, GapReport, SurplusBin, _require
+from .model import DiversityReport, _require
 
 _FORMATS = ("csv", "svg")
 
@@ -68,29 +71,27 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return [rank[v] for v in values]
 
 
-def attach_gap(
-    report: DiversityReport,
-    reference_members: Mapping[str, Sequence[str]],
-) -> DiversityReport:
-    """Return the report with a gap diagnosis built from its per-bin table.
+def attach_gap(report: DiversityReport, reference_members: Mapping[object, Sequence[str]]) -> dict:
+    """The gap block of a report, as the JSON prints it, read off its
+    per-bin table: ``{"surplus": [...], "deficit": [...]}``.
 
-    Bins where the dataset carries more weight become surplus entries;
-    bins where it carries less become deficit entries annotated with the
-    reference languages ``reference_members`` lists under the row's key:
-    the first ``MAX_GAP_EXAMPLES`` in iso order, as
-    ``diversity.gap_members`` gives them, so reports are reproducible.
+    A row where the dataset carries more weight is a surplus entry
+    ``{"bin", "excess"}``; a row where it carries less is a deficit entry
+    ``{"bin", "shortfall", "examples"}``, whose examples are the reference
+    languages ``reference_members`` lists under the row's key: the first
+    ``MAX_GAP_EXAMPLES`` in iso order, as ``diversity.gap_members`` gives
+    them, so reports are reproducible. A row is at most one of the two.
     """
-    surplus = []
-    deficit = []
+    surplus, deficit = [], []
     for key, row in zip(report.reference.keys, report.per_bin):
         if row.dataset > row.reference:
-            surplus.append(SurplusBin(label=row.label, excess=float(row.dataset - row.reference)))
+            surplus.append({"bin": row.label, "excess": row.dataset - row.reference})
         elif row.dataset < row.reference:
-            examples = tuple(reference_members[key])
-            shortfall = float(row.reference - row.dataset)
-            deficit.append(DeficitBin(label=row.label, shortfall=shortfall, examples=examples))
-    # built anew rather than by _replace, so the report's checks run again
-    return DiversityReport(*report[:3], GapReport(surplus_bins=surplus, deficit_bins=deficit))
+            shortfall = row.reference - row.dataset
+            deficit.append(
+                {"bin": row.label, "shortfall": shortfall, "examples": list(reference_members[key])}
+            )
+    return {"surplus": surplus, "deficit": deficit}
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

@@ -9,9 +9,11 @@ holds every option and default, and gives options only to the subcommand
 through one emitter, ``_emit``: a JSON object stamped with
 ``schema_version``, written by ``_json_text`` with the same bytes as
 ``json.dumps(indent=2, sort_keys=True)``, or the same rows as CSV.
-``score --format csv|svg`` builds only the per-bin table and renders it
-through ``serialize_report``; the gap diagnosis and the TI values are
-built for ``--format json`` alone, which prints them. Diagnostics go
+``score`` builds one report, whose value, scalar and per-bin table are
+derived once; ``--format csv|svg`` renders that table through
+``serialize_report``. The gap block (``attach_gap``, the table's surplus
+and deficit rows) and the TI values are built for ``--format json``
+alone, which prints them. Diagnostics go
 to standard error, printed by the commands themselves. Every command is
 deterministic given identical inputs, flags, and seed; rows are sorted
 by iso code.
@@ -505,9 +507,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     level = _score_morph if args.level == "morph" else _score_syn
     report, fields, (isos, rows), ti, ti_inputs = level(args)
     ns = (report.dataset.n, report.reference.n)
-    tis = (None, None)
+    gap, tis = None, (None, None)
     if args.format == "json":
-        report = analysis.attach_gap(report, diversity.gap_members(report.reference, isos, rows))
+        gap = analysis.attach_gap(report, diversity.gap_members(report.reference, isos, rows))
         tis = [ti(x) if n >= 2 else None for x, n in zip(ti_inputs, ns)]
     if min(ns) < 2:
         print(f"ti_{args.level} skipped for a single-language side", file=sys.stderr)
@@ -520,7 +522,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         ti_fields["bin_universe"] = "occupied"
     payload = {"level": args.level, **fields, "dataset_n": ns[0], "reference_n": ns[1]}
     c = report.normalization_c
-    _emit(args, {**payload, "normalization_c": c, "jmm": report.to_dict(), "ti": ti_fields})
+    _emit(args, {**payload, "normalization_c": c, "jmm": report.to_dict(gap), "ti": ti_fields})
     return 0
 
 

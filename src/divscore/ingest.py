@@ -60,12 +60,15 @@ def _plain_lines(text: str) -> list[str] | None:
 
     A plain table has no ``"``, no NUL (which ``csv.reader`` rejects
     before Python 3.11) and no line longer than
-    ``csv.field_size_limit()``, and no whitespace but one ``\n`` ending
-    each line: so no ``\r``, no blank line and no cell to strip. Its
-    ``csv.reader`` rows are exactly its lines split at commas.
+    ``csv.field_size_limit()``, and no whitespace but one line end, ``\n``
+    or ``\r\n``, ending each line: so no lone ``\r``, no blank line and
+    no cell to strip. Its ``csv.reader`` rows are exactly its lines split
+    at commas.
     """
     if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     lines = text.split()
     breaks = text.count("\n")
     # "\n".join(lines), with or without a final "\n", rebuilds the text

@@ -2,8 +2,11 @@
 feature specs, feature matrices, and score reports.
 
 A record carries only the fields some command reads; the loaders skip
-every other column of their files. Pure data and no I/O; the one
-computation is a score report's value, derived from its counts. Every
+every other column of their files. Pure data and no I/O; what is
+computed is derived once, at construction: a feature matrix's column
+totals, and a score report's value, size ratio and per-bin table, from
+its counts. The gap diagnosis is no type: ``analysis.attach_gap`` reads
+it off the per-bin table as the rows the JSON prints. Every
 type but ``FeatureMatrix`` checks its invariants at construction time
 and raises ``ValueError`` with a message naming the violated invariant;
 a feature matrix's rules are checked once, row by row, by the loader
@@ -13,8 +16,8 @@ Every type is a ``collections.namedtuple`` subclass with empty
 ``__slots__`` whose ``__new__`` runs the checks and builds any derived
 field, so instances are immutable and safe to share across concurrent
 computations. A record compares, hashes and unpacks as a tuple of its
-fields in declared order. ``_replace`` skips the checks; build a new
-record instead.
+fields in declared order. ``_replace`` skips the checks and leaves the
+derived fields as they were; build a new record instead.
 """
 from __future__ import annotations
 
@@ -186,47 +189,6 @@ class BinOverlap(namedtuple("BinOverlap", "label dataset reference min_weight ma
         }
 
 
-class SurplusBin(namedtuple("SurplusBin", "label excess")):
-    """Bin where the dataset carries more weight than the reference."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"bin": self.label, "excess": self.excess}
-
-
-class DeficitBin(namedtuple("DeficitBin", "label shortfall examples")):
-    """Bin where the dataset falls short of the reference, with example
-    reference languages (a tuple of iso codes) that would fill it."""
-
-    __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {"bin": self.label, "shortfall": self.shortfall, "examples": list(self.examples)}
-
-
-class GapReport(namedtuple("GapReport", "surplus_bins deficit_bins")):
-    """Per-bin surplus/deficit of a dataset against the reference: tuples
-    of :class:`SurplusBin` and :class:`DeficitBin`."""
-
-    __slots__ = ()
-
-    def __new__(cls, surplus_bins, deficit_bins) -> GapReport:
-        self = super().__new__(cls, tuple(surplus_bins), tuple(deficit_bins))
-        overlap = {b.label for b in self.surplus_bins} & {b.label for b in self.deficit_bins}
-        _require(
-            not overlap,
-            f"a bin may appear in at most one of surplus/deficit, got both for {sorted(overlap)}",
-        )
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "surplus": [b.to_dict() for b in self.surplus_bins],
-            "deficit": [b.to_dict() for b in self.deficit_bins],
-        }
-
-
 class Side(namedtuple("Side", "n keys counts")):
     """One side of a minmax Jaccard comparison: its ``n`` languages and,
     for each row key in row order, the int count of languages in the row
@@ -246,58 +208,52 @@ class Side(namedtuple("Side", "n keys counts")):
         return self
 
 
-class DiversityReport(namedtuple("DiversityReport", "score_name dataset reference gap")):
+class DiversityReport(
+    namedtuple("DiversityReport", "score_name dataset reference value normalization_c per_bin")
+):
     """A minmax Jaccard score: two :class:`Side` records over the same row
-    keys and, once diagnosed, its gap.
+    keys, and what derives from their counts, built once here.
 
-    ``value``, ``normalization_c`` and the per-bin table derive from the
-    counts, so a report cannot hold a score its table does not give.
+    ``value`` is sum(min) / sum(max) of the counts, the smaller side's
+    scaled by c. Each count is multiplied by the other side's n instead,
+    which keeps every term an int, so one int division rounds the ratio.
+    ``normalization_c`` is that c, the size ratio max(n) / min(n).
+    ``per_bin`` holds one :class:`BinOverlap` per row, the smaller side's
+    counts multiplied by c; a morph row is labelled ``bin<k>``, a syn row
+    by its key. So a report cannot hold a score its table does not give.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, score_name: str, dataset: Side, reference: Side, gap: GapReport | None = None
-    ) -> DiversityReport:
-        self = super().__new__(cls, score_name, dataset, reference, gap)
+    def __new__(cls, score_name: str, dataset: Side, reference: Side) -> DiversityReport:
         _require(
-            self.score_name in SCORE_NAMES,
-            f"score_name must be one of {sorted(SCORE_NAMES)}, got {self.score_name!r}",
+            score_name in SCORE_NAMES,
+            f"score_name must be one of {sorted(SCORE_NAMES)}, got {score_name!r}",
         )
         _require(dataset.keys == reference.keys, "dataset and reference rows differ")
         _require(any(dataset.counts) or any(reference.counts), "both sides' row counts sum to zero")
-        return self
-
-    @property
-    def value(self) -> float:
-        """sum(min) / sum(max) of the counts, the smaller side's scaled by
-        c. Each count is multiplied by the other side's n instead, which
-        keeps every term an int, so one int division rounds the ratio."""
-        d, r = self.dataset, self.reference
+        d, r = dataset, reference
         wd, wr = [t * r.n for t in d.counts], [t * d.n for t in r.counts]
-        return sum(map(min, wd, wr)) / sum(map(max, wd, wr))
-
-    @property
-    def normalization_c(self) -> float:
-        """The size ratio max(n) / min(n) that scales the smaller side."""
-        return max(self.dataset.n, self.reference.n) / min(self.dataset.n, self.reference.n)
-
-    @property
-    def per_bin(self) -> tuple[BinOverlap, ...]:
-        """One :class:`BinOverlap` per row, the smaller side's counts
-        multiplied by ``normalization_c``; a morph row is labelled
-        ``bin<k>``, a syn row by its key."""
-        c, d, r = self.normalization_c, self.dataset, self.reference
+        value = sum(map(min, wd, wr)) / sum(map(max, wd, wr))
+        c = max(d.n, r.n) / min(d.n, r.n)
         scale_d, scale_r = (c, 1.0) if d.n < r.n else (1.0, c)
         wd, wr = [t * scale_d for t in d.counts], [t * scale_r for t in r.counts]
-        labels = map("bin{}".format, d.keys) if self.score_name == "jmm_morph" else d.keys
-        return tuple(map(BinOverlap, labels, wd, wr, map(min, wd, wr), map(max, wd, wr)))
+        labels = map("bin{}".format, d.keys) if score_name == "jmm_morph" else d.keys
+        per_bin = tuple(map(BinOverlap, labels, wd, wr, map(min, wd, wr), map(max, wd, wr)))
+        return super().__new__(cls, score_name, d, r, value, c, per_bin)
 
-    def to_dict(self) -> dict:
+    def __getnewargs__(self) -> tuple:
+        """What ``copy`` and ``pickle`` pass to ``__new__``: the report is
+        built again from its name and sides."""
+        return self[:3]
+
+    def to_dict(self, gap: dict | None = None) -> dict:
+        """The report as the JSON prints it, with ``gap`` (the block
+        ``analysis.attach_gap`` returns) as its gap."""
         return {
             "score_name": self.score_name,
             "value": self.value,
             "normalization_c": self.normalization_c,
             "per_bin": [r.to_dict() for r in self.per_bin],
-            "gap": self.gap.to_dict() if self.gap is not None else None,
+            "gap": gap,
         }

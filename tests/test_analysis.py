@@ -1,6 +1,7 @@
 """Rank correlation, gap diagnosis, and report serialization."""
 import csv
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -116,26 +117,23 @@ class TestGapReport:
             (2.0, 1.5),
             (0.0, 1.5),
         ]
-        gap = attach_gap(report, {4: ["qba", "qbb"]}).gap
-        assert [(b.label, b.excess) for b in gap.surplus_bins] == [
-            ("bin2", 1.0),
-            ("bin3", 0.5),
-        ]
-        assert [(b.label, b.shortfall) for b in gap.deficit_bins] == [("bin4", 1.5)]
-        assert gap.deficit_bins[0].examples == ("qba", "qbb")
+        gap = attach_gap(report, {4: ["qba", "qbb"]})
+        assert gap == {
+            "surplus": [{"bin": "bin2", "excess": 1.0}, {"bin": "bin3", "excess": 0.5}],
+            "deficit": [{"bin": "bin4", "shortfall": 1.5, "examples": ["qba", "qbb"]}],
+        }
 
     def test_examples_capped_and_sorted(self):
         report = self._report([0], (9, [1]), (9, [8]))
         isos = ["zzz", "aaa", "mmm", "bbb", "ccc", "fff", "ddd", "eee", "qqq"]
         members = gap_members(report.reference, isos, [[0]] * 8 + [[]])
-        examples = attach_gap(report, members).gap.deficit_bins[0].examples
+        examples = attach_gap(report, members)["deficit"][0]["examples"]
         assert len(examples) == MAX_GAP_EXAMPLES
-        assert examples == ("aaa", "bbb", "ccc", "ddd", "eee")
+        assert examples == ["aaa", "bbb", "ccc", "ddd", "eee"]
 
     def test_equal_bins_appear_nowhere(self):
         report = self._report([0, 1], (3, [1, 2]), (3, [1, 2]))
-        gap = attach_gap(report, {}).gap
-        assert gap.surplus_bins == () and gap.deficit_bins == ()
+        assert attach_gap(report, {}) == {"surplus": [], "deficit": []}
 
     @given(ds=_morph_side, ref=_morph_side, width=st.sampled_from([0.1, 0.5, 1.0]))
     @example(  # seven reference languages in one deficit bin, in reverse iso order
@@ -162,9 +160,18 @@ class TestGapReport:
         bins_d = bin_measurements([v for _, v in ds], width)
         bins_r = bin_measurements(mwl_r, width)
         report = jmm_score(bins_d, bins_r)
-        gap = attach_gap(report, gap_members(report.reference, iso_r, zip(bins_r))).gap
-        surplus = {b.label: b.excess for b in gap.surplus_bins}
-        deficit = {b.label: (b.shortfall, b.examples) for b in gap.deficit_bins}
+        gap = attach_gap(report, gap_members(report.reference, iso_r, zip(bins_r)))
+        assert list(gap) == ["surplus", "deficit"]
+        assert [list(b) for b in gap["surplus"]] == [["bin", "excess"]] * len(gap["surplus"])
+        fields = ["bin", "shortfall", "examples"]
+        assert [list(b) for b in gap["deficit"]] == [fields] * len(gap["deficit"])
+        surplus = {b["bin"]: b["excess"] for b in gap["surplus"]}
+        deficit = {b["bin"]: (b["shortfall"], tuple(b["examples"])) for b in gap["deficit"]}
+        # each row is surplus, deficit or neither, in row order
+        labels = [r.label for r in report.per_bin]
+        assert [b["bin"] for b in gap["surplus"]] == [k for k in labels if k in surplus]
+        assert [b["bin"] for b in gap["deficit"]] == [k for k in labels if k in deficit]
+        assert not surplus.keys() & deficit.keys()
         # brute force: exact bins, counts scaled as the score scales them
         n_d, n_r = len(ds), len(ref)
         c = max(n_d, n_r) / min(n_d, n_r)
@@ -186,11 +193,15 @@ class TestGapReport:
         report = jmm_score(
             bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
         )
-        enriched = attach_gap(report, {4: ["qzz"]})
-        assert enriched.value == report.value
-        assert enriched.gap is not None
-        deficit_labels = [b.label for b in enriched.gap.deficit_bins]
+        before = tuple(report)
+        gap = attach_gap(report, {4: ["qzz"]})
+        assert tuple(report) == before
+        deficit_labels = [b["bin"] for b in gap["deficit"]]
         assert "bin4" in deficit_labels
+        # the gap block goes into the JSON as it is, and round-trips
+        jmm = report.to_dict(gap)
+        assert jmm["gap"] == gap and jmm["value"] == report.value
+        assert json.loads(json.dumps(jmm)) == jmm
 
 
 class TestOverlapSeries:
@@ -210,10 +221,7 @@ class TestOverlapSeries:
 
 class TestSerialization:
     def _report(self):
-        report = jmm_score(
-            bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
-        )
-        return attach_gap(report, {4: ["qba", "qbb"]})
+        return jmm_score(bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0))
 
     def test_csv_and_svg_are_deterministic(self):
         for fmt in ("csv", "svg"):

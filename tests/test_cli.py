@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import divscore
-from divscore import cli
+from divscore import cli, model
 from divscore.ingest import bundled_path
 from oracles import neumaier_sum
 from support import assert_json_close, run_main, run_proc
@@ -1045,6 +1045,29 @@ class TestScoreBuildsOnlyWhatItPrints:
             # a single-language side gets no TI value, the other side one
             ti = ["ti_morph" if level == "morph" else "ti_syn"] * (1 if single else 2)
             assert sorted(calls) == sorted(["gap_members", "attach_gap", *ti])
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
+    @pytest.mark.parametrize("level", ["morph", "syn"])
+    def test_one_report_and_one_table(self, level, fmt, fixtures, tmp_path, capsys, monkeypatch):
+        """A score builds one report and, in it, one per-bin table, which
+        every part of the output reads: json's gap block and table, svg's
+        bars, labels and title."""
+        reports, rows = [], []
+
+        def spy(built, new):
+            def spied(cls, *args, **kwargs):
+                built.append(new(cls, *args, **kwargs))
+                return built[-1]
+
+            return staticmethod(spied)
+
+        for cls, built in ((model.DiversityReport, reports), (model.BinOverlap, rows)):
+            monkeypatch.setattr(cls, "__new__", spy(built, cls.__new__))
+        argv = ["score", "--level", level, *self._sides(level, False, fixtures, tmp_path)]
+        assert run_main([*argv, "--format", fmt], capsys)[0] == 0
+        built = list(rows)  # before a read of the table could build more
+        assert len(reports) == 1
+        assert built == list(reports[0].per_bin)
 
 
 class TestSameBitsOnEveryPython:

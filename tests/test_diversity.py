@@ -476,18 +476,18 @@ class TestFeatureMembers:
         ref = FeatureMatrix(isos_r, features, rows_r)
         report = _jmm_syn(ds, ref, count_zeros)
         members = gap_members(report.reference, ref.languages, feature_rows(report.reference, ref))
-        gap = attach_gap(report, members).gap
+        gap = attach_gap(report, members)
         counted = {
             (f"{f}={value}" if count_zeros else f): (j, value)
             for j, f in enumerate(features)
             for value in ((1, 0) if count_zeros else (1,))
         }
         short = [r.label for r in report.per_bin if r.dataset < r.reference]
-        assert [d.label for d in gap.deficit_bins] == short
-        for d in gap.deficit_bins:
-            j, value = counted[d.label]
+        assert [d["bin"] for d in gap["deficit"]] == short
+        for d in gap["deficit"]:
+            j, value = counted[d["bin"]]
             members = {iso for iso, row in zip(isos_r, rows_r) if row[j] == value}
-            assert d.examples == tuple(heapq.nsmallest(5, members))
+            assert d["examples"] == heapq.nsmallest(5, members)
 
 
 class TestBinaryEntropy:

@@ -494,9 +494,9 @@ def csv_tables(draw):
     commas and quotes, blank rows, CR LF or LF line ends and an optional
     BOM. A registry has ``iso`` and then any of ``_registry_cells``'
     columns in any order. About a third of the tables are plain, as the
-    loaders read them whole: no padding, no blank rows, LF line ends and
-    only cells that csv.writer leaves unquoted. Returns (kind, file
-    bytes)."""
+    loaders read them whole: no padding, no blank rows, CR LF or LF line
+    ends and only cells that csv.writer leaves unquoted. Returns (kind,
+    file bytes)."""
     kind = draw(st.sampled_from(["registry", "matrix", "numbers"]))
     plain = draw(st.sampled_from([True, False, False]))
     text = _PLAIN_TEXT if plain else _TEXT
@@ -520,7 +520,7 @@ def csv_tables(draw):
             at = draw(st.integers(1, len(table)))
             table.insert(at, draw(st.sampled_from([[], [""], ["", " "], [" ", "\t", ""]])))
     buf = io.StringIO()
-    line_end = "\n" if plain else draw(st.sampled_from(["\r\n", "\n"]))
+    line_end = draw(st.sampled_from(["\r\n", "\n"]))
     csv.writer(buf, lineterminator=line_end).writerows(table)
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return kind, (bom + buf.getvalue()).encode("utf-8")
@@ -594,6 +594,8 @@ class TestTableOracle:
     # at the edge of a plain table, which is read whole
     @example(("registry", b'iso,name\nabc,"A"\n'))  # one quoted cell
     @example(("numbers", b"iso,x\nabc,1\rabd,2\n"))  # a lone CR ends a row
+    @example(("numbers", b"iso,x\r\nabc,1\r\r\nabd,2\r\n"))  # a CR before a CR LF
+    @example(("matrix", b"iso,a,b\r\nabc,0,1\nabd,1,1\r\n"))  # CR LF and LF line ends mixed
     @example(("numbers", b"iso,x\nabc,1\n\nabd,2\n"))  # a blank line
     @example(("matrix", b"iso,a,b\nabc,0,1\nabd,1,1"))  # no final line break
     @example(("registry", b"iso,name\nabc," + _HALF * 2 + b"\n"))  # a cell over the field limit
@@ -770,10 +772,36 @@ class TestPlainTables:
             [["a", "1"], ["b", ""]],
         )
 
+    def test_crlf_tables_load_without_the_reader(self, tmp_path):
+        """CR LF line ends, alone or mixed with LF ones, are line ends like
+        LF: the table is read whole and loads as csv.reader reads it."""
+        matrix = tmp_path / "m.csv"
+        for raw in (b"iso,a,b\r\nabc,0,1\r\nabd,1,0\r\n", b"iso,a,b\r\nabc,0,1\nabd,1,0"):
+            matrix.write_bytes(raw)
+            header, rows = read_csv_table(raw)
+            expected = (
+                tuple(r[0] for r in rows),
+                tuple(header[1:]),
+                tuple(bytes(map(int, r[1:])) for r in rows),
+                [],
+            )
+            assert expected[0] == ("abc", "abd")
+            assert _matrix_fields(*load_feature_matrix(matrix)) == expected
+
+        numbers = tmp_path / "n.csv"
+        numbers.write_bytes(b"iso,name,x\r\nabc,A,1.5\r\nabd,B,-3\r\n")
+        assert load_numeric_table(numbers, ["x"]) == (["x"], {"abc": (1.5,), "abd": (-3.0,)})
+
+        # a row error is still phrased by the row loop, at the same row
+        numbers.write_bytes(b"iso,x\r\nabc,1\r\nabd,?\r\n")
+        with pytest.raises(ValueError) as exc:
+            load_numeric_table(numbers, ["x"])
+        assert str(exc.value) == f"table {numbers} row 3: x must be a finite number, got '?'"
+
     @pytest.mark.parametrize(
         "raw",
-        [b'iso,x\nabc,"1"\n', b"iso,x\nabc, 1\n", b"iso,x\r\nabc,1\r\n", b"iso,x\n\nabc,1\n"],
-        ids=["quoted", "padded", "crlf", "blank-row"],
+        [b'iso,x\nabc,"1"\n', b"iso,x\nabc, 1\n", b"iso,x\nabc,1\rabd,2\n", b"iso,x\n\nabc,1\n"],
+        ids=["quoted", "padded", "lone-cr", "blank-row"],
     )
     def test_other_tables_reach_the_reader(self, raw, tmp_path):
         path = tmp_path / "t.csv"

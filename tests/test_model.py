@@ -1,6 +1,8 @@
 """Construction-time invariants of the shared domain types."""
+import copy
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -17,14 +19,11 @@ from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, loa
 from divscore.model import (
     MAX_GAP_EXAMPLES,
     BinOverlap,
-    DeficitBin,
     DiversityReport,
     FeatureMatrix,
-    GapReport,
     LanguageRecord,
     MorphFeatureSpec,
     Side,
-    SurplusBin,
     TextProfile,
 )
 from divscore.textstats import _require_word_material
@@ -41,11 +40,8 @@ _INSTANCES = {
     "TextProfile": (TextProfile("aaa", 1.0, 1.0, 0.0, 1, 0, 0), "ttr"),
     "MorphFeatureSpec": (_SPEC, "final_max"),
     "BinOverlap": (_ROW, "dataset"),
-    "SurplusBin": (SurplusBin("bin1", 1.0), "excess"),
-    "DeficitBin": (DeficitBin("bin0", 1.0, ("aaa",)), "examples"),
-    "GapReport": (GapReport([], []), "deficit_bins"),
     "Side": (_SIDES[0], "counts"),
-    "DiversityReport": (DiversityReport("jmm_syn", *_SIDES), "dataset"),
+    "DiversityReport": (DiversityReport("jmm_syn", *_SIDES), "per_bin"),
     "CorpusSource": (CorpusSource("aaa", "text"), "text"),
     "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
 }
@@ -65,8 +61,8 @@ def _spec_file(chapters):
 
 
 #: Each construction check, fired with keyword arguments only. The checks
-#: of LanguageRecord, TextProfile and GapReport are fired by keyword in
-#: their own tests below. The registry and the spec set are checked by
+#: of LanguageRecord and TextProfile are fired by keyword in their own
+#: tests below. The registry and the spec set are checked by
 #: their loaders, so those checks load a file.
 _KEYWORD_CHECKS = {
     "set-duplicate": (
@@ -454,13 +450,6 @@ class TestReports:
         assert d == {"bin": "bin4", "dataset": 2.5, "reference": 1.0, "min": 1.0, "max": 2.5}
         assert json.loads(json.dumps(d)) == d
 
-    def test_gap_report_rejects_label_in_both_sides(self):
-        with pytest.raises(ValueError, match="at most one"):
-            GapReport(
-                surplus_bins=[SurplusBin("bin1", 1.0)],
-                deficit_bins=[DeficitBin("bin1", 1.0, ("aaa",))],
-            )
-
     def test_diversity_report_validates_per_bin_consistency(self):
         rows = (
             BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),
@@ -499,38 +488,46 @@ class TestReports:
             DiversityReport("jmm_syn", Side(0, ["s1"], [0]), Side(1, ["s1"], [1]))
 
     def test_attach_gap_keeps_the_score_and_checks_again(self):
+        """The gap is read off the report's rows as the JSON prints them;
+        the report is left as it was, and building it again from its sides,
+        which runs the checks again, gives the same report."""
         rows = (BinOverlap("bin0", 1.5, 2.0, 1.5, 2.0), BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0))
         rep = DiversityReport("jmm_morph", Side(2, [0, 1], [1, 2]), Side(3, [0, 1], [2, 1]))
+        before = tuple(rep)
         assert rep.per_bin == rows
         assert rep.normalization_c == 1.5
-        out = attach_gap(rep, {0: ["aaa"]})
-        assert type(out) is DiversityReport
-        assert (out.score_name, out.value, out.per_bin, out.normalization_c) == (
-            rep.score_name,
-            rep.value,
-            rep.per_bin,
-            rep.normalization_c,
-        )
-        assert out.gap.to_dict() == {
+        gap = attach_gap(rep, {0: ["aaa"]})
+        assert tuple(rep) == before
+        assert DiversityReport(*rep[:3]) == rep
+        assert gap == {
             "surplus": [{"bin": "bin1", "excess": 2.0}],
             "deficit": [{"bin": "bin0", "shortfall": 0.5, "examples": ["aaa"]}],
         }
-        # _replace skips the checks; attach_gap builds anew, so they run
-        with pytest.raises(ValueError, match="rows differ"):
-            attach_gap(rep._replace(reference=Side(3, [0, 2], [2, 1])), {0: ["aaa"]})
+        assert rep.to_dict(gap)["gap"] is gap
+        assert rep.to_dict(gap) == {**rep.to_dict(), "gap": gap}
+
+    def test_derived_fields_are_built_once(self):
+        """``value``, ``normalization_c`` and ``per_bin`` are fields, set
+        when the report is built: every read returns the same objects."""
+        rep = DiversityReport("jmm_morph", Side(2, [0, 1], [1, 2]), Side(3, [0, 1], [2, 1]))
+        assert rep._fields == (
+            "score_name", "dataset", "reference", "value", "normalization_c", "per_bin"
+        )
+        assert rep.per_bin is rep.per_bin and rep.value is rep.value
+        assert type(rep.per_bin) is tuple
+        # a copy or a pickle builds the report again from its name and sides
+        assert copy.copy(rep) == rep == pickle.loads(pickle.dumps(rep))
 
     def test_report_dict_round_trip(self):
         """A record reaches JSON only through ``to_dict``: passed whole to
         ``json.dumps`` it would be written as a list. The dict holds lists,
         not tuples, so it survives the round trip unchanged."""
-        gap = GapReport(
-            surplus_bins=[],
-            deficit_bins=[DeficitBin("bin0", 1.0, ("aaa", "bbb"))],
-        )
         rep = DiversityReport(
-            score_name="jmm_morph", dataset=Side(2, [0], [1]), reference=Side(1, [0], [1]), gap=gap
+            score_name="jmm_morph", dataset=Side(2, [0], [1]), reference=Side(1, [0], [1])
         )
-        d = rep.to_dict()
+        assert rep.to_dict()["gap"] is None
+        gap = attach_gap(rep, {0: ("aaa", "bbb")})
+        d = rep.to_dict(gap)
         assert d == {
             "score_name": "jmm_morph",
             "value": 0.5,
