@@ -8,12 +8,13 @@ value range of each chapter is configuration data carried by a spec
 file, which also names each chapter's transformation for the reader.
 The bundled default file covers the 26 chapters (22A through 112A) used
 for the published complexity column. Input is final-valued data:
-integers already transformed.
+integers already transformed, in a matrix whose columns and cells
+``ingest.load_feature_matrix(specs=...)`` checked against the specs.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from .ingest import _read_table, bundled_path
@@ -25,47 +26,22 @@ SPEC_COLUMNS = ["chapter", "name", "transformation", "final_min", "final_max"]
 FEATURE_SET_SIZE = 26
 
 
-def normalize_feature(value: int, spec: MorphFeatureSpec) -> float:
-    """Min-max normalize a final value into [0, 1] over the declared range.
-
-    Normalization uses the declared final range, never the observed one,
-    so a language's score does not depend on which other languages are
-    present. A degenerate range (final_min = final_max) normalizes to 0.
-    """
-    _require(
-        spec.final_min <= value <= spec.final_max,
-        f"value {value} lies outside the final range [{spec.final_min}, "
-        f"{spec.final_max}] for chapter {spec.chapter}",
-    )
-    if spec.final_min == spec.final_max:
-        return 0.0
-    return (value - spec.final_min) / (spec.final_max - spec.final_min)
-
-
-def c_wals(language_values: Mapping[str, int], specs: Sequence[MorphFeatureSpec]) -> float:
-    """Mean of the normalized feature values for one language.
-
-    ``language_values`` must cover every chapter in ``specs``;
-    partial coverage is rejected with the absent chapters listed. Extra
-    chapters are ignored. The values are summed with ``math.fsum``, so
-    the mean has the same bits on every Python version.
-    """
-    missing = sorted(s.chapter for s in specs if s.chapter not in language_values)
-    if missing:
-        raise ValueError(f"missing chapters for the complexity score: {', '.join(missing)}")
-    normalized = [normalize_feature(language_values[s.chapter], s) for s in specs]
-    return math.fsum(normalized) / len(normalized)
-
-
 def c_wals_table(
     matrix: FeatureMatrix, specs: Sequence[MorphFeatureSpec]
 ) -> list[tuple[str, float]]:
-    """Per-language complexity scores over a morphology matrix (loaded
-    with ``specs``), sorted by iso."""
-    return [
-        (iso, c_wals(dict(zip(matrix.features, row)), specs))
-        for iso, row in sorted(zip(matrix.languages, matrix.values))
-    ]
+    """Per-language complexity scores over a morphology matrix loaded
+    with ``specs``, sorted by iso: the ``math.fsum`` of a row's values,
+    each min-max normalized over its chapter's declared final range
+    (never the observed one, so a score does not depend on the other
+    languages; a degenerate range gives 0), divided by their count."""
+    spec = {s.chapter: s for s in specs}
+    ranges = [(spec[f].final_min, spec[f].final_max - spec[f].final_min) for f in matrix.features]
+
+    def score(row: bytes) -> float:
+        terms = [(v - lo) / span if span else 0.0 for v, (lo, span) in zip(row, ranges)]
+        return math.fsum(terms) / len(terms)
+
+    return [(iso, score(row)) for iso, row in sorted(zip(matrix.languages, matrix.values))]
 
 
 def load_morph_specs(path=None) -> tuple[MorphFeatureSpec, ...]:

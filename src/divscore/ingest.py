@@ -22,6 +22,7 @@ Bundled default data files ship under ``divscore/data``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import namedtuple
 from collections.abc import Iterable
@@ -116,22 +117,22 @@ def _read_table(
 ) -> tuple[list[str], list]:
     """Read a CSV table: the one place every table rule lives.
 
-    The file is decoded strictly as UTF-8; a leading BOM is dropped. All
-    cells are stripped. The header must name every column, name none
-    twice and pass ``header_ok``, which returns False (the error then
-    says the header must be ``expect``) or raises its own error. Blank
-    rows are skipped; every other row has one cell per header name and
-    becomes ``parse_row(header, cells)``. The first column keys the rows:
-    no key appears twice, and a column named ``iso`` holds iso codes.
-    A row error reads ``<what> <path> row <n>: <reason>``.
+    The file is opened once and decoded strictly as UTF-8; a leading BOM
+    is dropped. All cells are stripped. The header must name every
+    column, name none twice and pass ``header_ok``, which returns False
+    (the error then says the header must be ``expect``) or raises its
+    own error. Blank rows are skipped; every other row has one cell per
+    header name and becomes ``parse_row(header, cells)``. The first
+    column keys the rows: no key appears twice, and a column named
+    ``iso`` holds iso codes. A row error reads ``<what> <path> row <n>: <reason>``.
 
     A plain table (see ``_plain_lines``) with data rows is first read
     whole by ``_plain_rows``, where a loader's ``parse_plain`` may parse
     whole columns; it must return what ``parse_row`` returns for each
     row, or raise ``ValueError``. A plain table that breaks a rule there
     is read again by the row loop, from its lines split at commas, and
-    every other table by the row loop over ``csv.reader``: the loop is
-    the one place a row error is phrased.
+    every other table by the row loop over ``csv.reader`` of the text:
+    the loop is the one place a row error is phrased.
 
     Returns the header and the parsed rows in file order.
     """
@@ -139,47 +140,48 @@ def _read_table(
     parsed = []
     first_row: dict[str, int] = {}
     try:
-        lines = _plain_lines(path.read_bytes().decode("utf-8-sig"))
-        # csv.reader streams a table that is not plain from the file; a
-        # plain table's rows are its lines split at commas
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh) if lines is None else _split(lines)
-            header = [h.strip() for h in next(reader, [])]
-            if not any(header):
-                raise ValueError(f"{what} {path} has no header row")
-            if "" in header:
-                raise ValueError(
-                    f"{what} {path} header has an empty column name at column "
-                    f"{header.index('') + 1}"
-                )
-            repeated = sorted({h for h in header if header.count(h) > 1})
-            if repeated:
-                raise ValueError(f"{what} {path} header repeats column(s): {', '.join(repeated)}")
-            if not header_ok(header):
-                raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
-            iso_keyed = header[0] == "iso"
-            if lines is not None:
-                rows = _plain_rows(header, lines[1:], parse_row, parse_plain)
-                if rows is not None:
-                    return header, rows
-            for lineno, row in enumerate(reader, start=2):
-                cells = list(map(str.strip, row))
-                if not any(cells):
-                    continue
-                try:
-                    if len(cells) != len(header):
-                        raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
-                    key = cells[0]
-                    if iso_keyed and not ISO_CODE_RE.match(key):
-                        raise ValueError(f"malformed iso code {key!r}")
-                    if key in first_row:
-                        raise ValueError(
-                            f"duplicate {header[0]} {key!r}, first at row {first_row[key]}"
-                        )
-                    first_row[key] = lineno
-                    parsed.append(parse_row(header, cells))
-                except ValueError as exc:
-                    raise ValueError(f"{what} {path} row {lineno}: {exc}") from None
+        text = path.read_bytes().decode("utf-8-sig")
+        lines = _plain_lines(text)
+        # a plain table's rows are its lines split at commas; any other
+        # table's are csv.reader's over the text, decoded once
+        reader = csv.reader(io.StringIO(text, newline="")) if lines is None else _split(lines)
+        del text
+        header = [h.strip() for h in next(reader, [])]
+        if not any(header):
+            raise ValueError(f"{what} {path} has no header row")
+        if "" in header:
+            raise ValueError(
+                f"{what} {path} header has an empty column name at column "
+                f"{header.index('') + 1}"
+            )
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise ValueError(f"{what} {path} header repeats column(s): {', '.join(repeated)}")
+        if not header_ok(header):
+            raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
+        iso_keyed = header[0] == "iso"
+        if lines is not None:
+            rows = _plain_rows(header, lines[1:], parse_row, parse_plain)
+            if rows is not None:
+                return header, rows
+        for lineno, row in enumerate(reader, start=2):
+            cells = list(map(str.strip, row))
+            if not any(cells):
+                continue
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} columns, got {len(cells)}")
+                key = cells[0]
+                if iso_keyed and not ISO_CODE_RE.match(key):
+                    raise ValueError(f"malformed iso code {key!r}")
+                if key in first_row:
+                    raise ValueError(
+                        f"duplicate {header[0]} {key!r}, first at row {first_row[key]}"
+                    )
+                first_row[key] = lineno
+                parsed.append(parse_row(header, cells))
+            except ValueError as exc:
+                raise ValueError(f"{what} {path} row {lineno}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} {path} is not valid UTF-8: {exc}") from None
     except csv.Error as exc:

@@ -143,6 +143,11 @@ class FeatureMatrix(namedtuple("FeatureMatrix", "languages features values total
         totals = tuple(total(cells[j::width]) for j in range(width))
         return super().__new__(cls, tuple(languages), features, rows, totals)
 
+    def __getnewargs__(self) -> tuple:
+        """What ``copy`` and ``pickle`` pass to ``__new__``: the matrix is
+        built again from its languages, features and rows."""
+        return self[:3]
+
     @property
     def n_languages(self) -> int:
         return len(self.languages)

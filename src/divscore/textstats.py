@@ -3,8 +3,8 @@
 Tokenization, grapheme-cluster word lengths, seeded contiguous sampling,
 mean word length with logographic scaling, type-token ratio, and unigram
 entropy. All functions are pure; file loading lives in ingest. Tokens
-are a plain tuple of str, which `tokenize` checks; a sample window is
-a slice of it, and the three measures read one `Counter` of its tokens.
+are a plain tuple of str; a sample window is a slice of it, and the
+three measures read one `Counter` of its tokens.
 
 Tokens are split on Unicode whitespace and word-boundary punctuation.
 The splitter works over extended grapheme clusters and keeps connector
@@ -31,7 +31,11 @@ regional indicators, non-mark extenders, a mark after non-word
 material) is tokenized whole by the cluster pass instead: it segments
 the text into grapheme clusters, writes one class letter per code point
 (word, numeric word, each kind of connector, other), and a second
-pattern over those letters finds the tokens. Both give the same tokens.
+pattern over those letters finds the tokens. Both give the same tokens,
+each holding word material by construction, so no pass checks for it:
+a fast-path token is a run of word code points, which a connector joins
+only with word material on both sides, and a cluster-pass token holds a
+word cluster.
 Every Unicode property, the digit test included, comes from `regex`'s
 tables, so the tokens depend on the installed `regex` version's Unicode
 data but not on the Python version.
@@ -43,10 +47,9 @@ depends on one item alone is done once per distinct item: NFC, the
 trigger test and the separator pattern run once per distinct
 whitespace-delimited chunk (NFC never acts across whitespace, and no
 token spans it); the trigger code points are looked for among the
-distinct code points; tokens are checked for alphanumeric content
-once per type. A window's word lengths take one pass over its types:
-where they hold no trigger and no virama, a type's clusters are its
-non-marks, counted by deleting the marks (`mean_word_length`).
+distinct code points. A window's word lengths take one pass over its
+types: where they hold no trigger and no virama, a type's clusters are
+its non-marks, counted by deleting the marks (`mean_word_length`).
 """
 from __future__ import annotations
 
@@ -81,23 +84,7 @@ _WHITESPACE = re.compile(r"\s")
 _BLOCK_CHARS = 1 << 18
 
 #: The tokenizer's compiled patterns, built by :func:`_patterns`.
-_Patterns = namedtuple(
-    "_Patterns", "separator special stray_mark grapheme alnum no_alnum_line digit mark virama"
-)
-
-
-def _require_word_material(types, tokens: tuple[str, ...]) -> None:
-    """Require an alphanumeric character in every token.
-
-    One scan reads ``types``, every distinct token of ``tokens`` (some
-    perhaps more than once), a line each. A token that holds a line
-    break may raise a false alarm, which the scan of ``tokens`` in order
-    settles; it names the first token without one.
-    """
-    p = _patterns()
-    if p.no_alnum_line.search("\n".join(types)):
-        bad = next((t for t in tokens if not p.alnum.search(t)), None)
-        _require(bad is None, f"every token must contain an alphanumeric character, got {bad!r}")
+_Patterns = namedtuple("_Patterns", "separator special stray_mark grapheme alnum digit mark virama")
 
 
 def _tokenize_clusters(text: str) -> list[str]:
@@ -183,7 +170,6 @@ def _patterns() -> _Patterns:
         stray_mark=regex.compile(rf"(?<!{word})\p{{M}}"),
         grapheme=regex.compile(r"\X"),
         alnum=regex.compile(word),
-        no_alnum_line=regex.compile(r"(?m)^[^\p{L}\p{M}\p{Nd}\n]*$"),
         digit=regex.compile(r"\p{Nd}"),
         mark=regex.compile(r"\p{M}+"),
         virama=regex.compile(r"\p{ccc=Virama}"),
@@ -211,10 +197,8 @@ def tokenize(text: str) -> tuple[str, ...]:
     line of space-separated tokens per chunk; each occurrence of a chunk
     then shares that chunk's token objects, so the tokens take memory
     for the distinct chunks and a reference per token. The chunk strings
-    are freed before any token is made, and the alphanumeric check reads
-    the distinct chunks' tokens. With a trigger, the whole text is
-    normalized and tokenized by the cluster pass (`_tokenize_clusters`),
-    and the check reads a set of its tokens.
+    are freed before any token is made. With a trigger, the whole text
+    is normalized and tokenized by the cluster pass (`_tokenize_clusters`).
 
     Parameters
     ----------
@@ -241,9 +225,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     # a mark that starts a chunk follows a line break, so it is still stray
     if _has_trigger(distinct):
         del chunks, distinct
-        tokens = tuple(_tokenize_clusters(unicodedata.normalize("NFC", text)))
-        _require_word_material(set(tokens), tokens)
-        return tokens
+        return tuple(_tokenize_clusters(unicodedata.normalize("NFC", text)))
     # a line per distinct chunk, its tokens with spaces between; a block
     # of lines at a time, since `sub` holds a string per piece between
     # separators until it joins them. Each chunk's tuple of tokens is
@@ -252,12 +234,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     for block in _blocks(distinct):
         lines += map(tuple, map(str.split, p.separator.sub(" ", block).split("\n")))
     del distinct
-    tokens = tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
-    del chunks
-    # the distinct chunks' tokens hold every type, so the check reads
-    # them instead of a set of the sequence
-    _require_word_material(chain.from_iterable(lines), tokens)
-    return tokens
+    return tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
 
 
 def _blocks(text: str):

@@ -1,15 +1,9 @@
 """Morphological complexity: spec files, normalization, and scoring."""
 import pytest
 
-from divscore.grammar import (
-    FEATURE_SET_SIZE,
-    c_wals,
-    c_wals_table,
-    load_morph_specs,
-    normalize_feature,
-)
+from divscore.grammar import FEATURE_SET_SIZE, c_wals_table, load_morph_specs
 from divscore.ingest import bundled_path, load_feature_matrix
-from divscore.model import MorphFeatureSpec
+from divscore.model import FeatureMatrix, MorphFeatureSpec
 from oracles import exact_sum
 
 
@@ -62,48 +56,69 @@ class TestSpecLoading:
         )
 
 
+def _scores(specs, rows):
+    """``c_wals_table`` over a matrix of ``rows``, one cell per spec in
+    spec order, for the languages aaa, aab, ...: iso -> score."""
+    isos = [f"aa{chr(ord('a') + i)}" for i in range(len(rows))]
+    matrix = FeatureMatrix(isos, [s.chapter for s in specs], rows)
+    return dict(c_wals_table(matrix, specs))
+
+
 class TestNormalize:
     def test_endpoints_and_midpoint(self):
         s = MorphFeatureSpec("30A", 1, 5)
-        assert normalize_feature(1, s) == 0.0
-        assert normalize_feature(5, s) == 1.0
-        assert normalize_feature(3, s) == 0.5
+        assert _scores([s], [[1], [5], [3]]) == {"aaa": 0.0, "aab": 1.0, "aac": 0.5}
 
-    def test_out_of_range_rejected(self):
-        s = MorphFeatureSpec("30A", 1, 5)
-        with pytest.raises(ValueError, match="outside the final range"):
-            normalize_feature(6, s)
+    def test_out_of_range_rejected(self, tmp_path):
+        # a cell outside its range never reaches the score: the loader
+        # rejects it, naming the file, row, language and chapter
+        p = tmp_path / "m.csv"
+        p.write_text("iso,30A\nabc,6\n")
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(p, specs=[MorphFeatureSpec("30A", 1, 5)])
+        assert str(exc.value) == (
+            f"feature matrix {p} row 2: value 6 for (abc, 30A) lies outside the final range [1, 5]"
+        )
 
     def test_degenerate_range_normalizes_to_zero(self):
-        s = MorphFeatureSpec("30A", 2, 2)
-        assert normalize_feature(2, s) == 0.0
+        specs = [MorphFeatureSpec("30A", 2, 2), MorphFeatureSpec("31A", 0, 1)]
+        assert _scores(specs, [[2, 0], [2, 1]]) == {"aaa": 0.0, "aab": 0.5}
 
 
 class TestCWals:
     def test_uniform_extremes(self, specs):
-        lows = {s.chapter: s.final_min for s in specs}
-        highs = {s.chapter: s.final_max for s in specs}
-        assert c_wals(lows, specs) == 0.0
-        assert c_wals(highs, specs) == 1.0
+        lows = [s.final_min for s in specs]
+        highs = [s.final_max for s in specs]
+        assert _scores(specs, [lows, highs]) == {"aaa": 0.0, "aab": 1.0}
 
-    def test_missing_chapters_listed_sorted(self, specs):
-        values = {s.chapter: s.final_min for s in specs}
-        values.pop("22A")
-        values.pop("102A")
-        with pytest.raises(ValueError, match="102A, 22A"):
-            c_wals(values, specs)
+    @staticmethod
+    def _load(tmp_path, specs, chapters):
+        """The error of loading a row of zeros under the header ``chapters``."""
+        p = tmp_path / "m.csv"
+        cells = ["0"] * len(chapters)
+        p.write_text("iso," + ",".join(chapters) + "\nabc," + ",".join(cells) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_feature_matrix(p, specs=specs)
+        return str(exc.value).replace(str(p), "<path>")
 
-    def test_extra_chapters_ignored(self, specs):
-        values = {s.chapter: s.final_min for s in specs}
-        values["999Z"] = 42
-        assert c_wals(values, specs) == 0.0
+    def test_missing_chapters_listed_sorted(self, specs, tmp_path):
+        # the loader is the one place a matrix's columns meet the specs
+        chapters = [s.chapter for s in specs if s.chapter not in ("22A", "102A")]
+        assert self._load(tmp_path, specs, chapters) == (
+            "feature matrix <path> is missing spec chapters: 102A, 22A"
+        )
+
+    def test_columns_beyond_the_specs_rejected(self, specs, tmp_path):
+        chapters = [s.chapter for s in specs] + ["999Z"]
+        assert self._load(tmp_path, specs, chapters) == (
+            "feature matrix <path> has columns not in the feature specs: 999Z"
+        )
 
     def test_hand_computed_mean(self, specs):
         # minimum everywhere except one binary chapter at 1: the mean of
         # the normalized values is exactly 1/26
-        values = {s.chapter: s.final_min for s in specs}
-        values["26A"] = 1
-        assert c_wals(values, specs) == pytest.approx(1 / 26)
+        values = [1 if s.chapter == "26A" else s.final_min for s in specs]
+        assert _scores(specs, [values]) == {"aaa": 1 / 26}
 
     def test_mean_is_exact(self, specs):
         # the exact sum of the normalized values, rounded once; adding
@@ -111,12 +126,15 @@ class TestCWals:
         # bundled language, so a return to in-order adding fails here
         matrix, _ = load_feature_matrix(bundled_path("morph_values.csv"), specs=specs)
         table = dict(c_wals_table(matrix, specs))
+        spec = {s.chapter: s for s in specs}
         in_order_differs = 0
         for iso, values in zip(matrix.languages, matrix.values):
-            row = dict(zip(matrix.features, values))
-            normalized = [normalize_feature(row[s.chapter], s) for s in specs]
+            normalized = []
+            for f, v in zip(matrix.features, values):
+                lo, hi = spec[f].final_min, spec[f].final_max
+                normalized.append((v - lo) / (hi - lo) if hi > lo else 0.0)
             mean = exact_sum(normalized) / len(specs)
-            assert c_wals(row, specs) == table[iso] == mean
+            assert table[iso] == mean
             total = 0.0
             for v in normalized:
                 total += v

@@ -2,10 +2,12 @@
 import csv
 import io
 import math
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from divscore.cli import PROFILE_COLUMNS
 from divscore.grammar import load_morph_specs
 from divscore.ingest import (
+    _plain_lines,
     _read_table,
     bundled_path,
     family_breakdown,
@@ -808,3 +811,26 @@ class TestPlainTables:
         path.write_bytes(raw)
         with pytest.raises(_ReaderCalled):
             load_numeric_table(path, ["x"])
+
+
+class TestOneOpen:
+    """A table is read from one open of its file, plain or not."""
+
+    @pytest.mark.parametrize(
+        "load, name, plain",
+        [(load_feature_matrix, "syn_dataset.csv", True), (load_registry, "registry.csv", False)],
+        ids=["plain-matrix", "registry"],
+    )
+    def test_a_table_is_opened_once(self, load, name, plain, fixtures):
+        path = fixtures / name
+        assert (_plain_lines(path.read_text(encoding="utf-8")) is not None) == plain
+        real_open, opened = io.open, []
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        # ``open`` is ``io.open``; pathlib calls it as the latter
+        with mock.patch("io.open", spy), mock.patch("builtins.open", spy):
+            load(path)
+        assert [f for f in opened if isinstance(f, (str, os.PathLike)) and Path(f) == path] == [path]

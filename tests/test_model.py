@@ -26,7 +26,6 @@ from divscore.model import (
     Side,
     TextProfile,
 )
-from divscore.textstats import _require_word_material
 from oracles import exact_sum
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
@@ -108,10 +107,6 @@ _KEYWORD_CHECKS = {
         lambda: load_morph_specs(path=_spec_file(["22A"] * 26)),
         "duplicate chapter",
     ),
-    "tokens-alnum": (
-        lambda: _require_word_material(types={"--"}, tokens=("--",)),
-        "alphanumeric",
-    ),
 }
 
 
@@ -139,6 +134,15 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert getattr(obj, field) is before
+
+    @pytest.mark.parametrize("name", sorted(_INSTANCES))
+    def test_copy_deepcopy_and_pickle_rebuild_an_equal_record(self, name):
+        """A record with checks or derived fields in ``__new__`` survives
+        ``copy``, ``deepcopy`` and a ``pickle`` round trip: each rebuilds
+        it through ``__new__`` from ``__getnewargs__``."""
+        obj, _ = _INSTANCES[name]
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
 
     @pytest.mark.parametrize("case", sorted(_KEYWORD_CHECKS))
     def test_checks_fire_with_keywords(self, case, tmp_path, monkeypatch):

@@ -100,36 +100,6 @@ class TestTokenize:
                 assert toks(text) == text.split(), f.name
 
 
-def _check_word_material(tokens):
-    """``_require_word_material`` on ``tokens`` and the set of them."""
-    textstats._require_word_material(set(tokens), tuple(tokens))
-
-
-class TestRequireWordMaterial:
-    def test_rejects_token_without_alnum(self):
-        with pytest.raises(ValueError, match="alphanumeric"):
-            _check_word_material(["ok", "--"])
-
-    def test_rejection_names_the_first_bad_token(self):
-        with pytest.raises(ValueError, match="got ''"):
-            _check_word_material(["ok", "", "--"])
-
-    def test_repeated_bad_token_named_in_sequence_order(self):
-        # tokens are checked once per type, but the error still names the
-        # first bad token of the sequence, not the first of a set
-        later_bad = [p * k for k in range(1, 60) for p in "!?."]
-        tokens = ["ok", "ab"] * 50 + ["--"] * 100 + ["ok"] + later_bad * 3
-        with pytest.raises(ValueError, match="got '--'"):
-            _check_word_material(tokens)
-
-    def test_line_break_inside_a_token_is_no_rejection(self):
-        # the per-type scan reads one token per line, so a line of a token
-        # without alphanumerics is a false alarm the in-order scan clears
-        assert _check_word_material(["a\n-", "\n\nb", "a"]) is None
-        with pytest.raises(ValueError, match=r"got '\\n'"):
-            _check_word_material(["a\n-", "\n"])
-
-
 # Code points from every class the fast path must hand to the cluster
 # loop, next to the plain ones it handles itself.
 _MIXED_SCRIPT = (
@@ -185,6 +155,23 @@ _ANY_TYPE = st.lists(
     ),
     min_size=1,
     max_size=6,
+).map("".join)
+
+
+# Pieces of text for the word-material property: word material,
+# connectors, punctuation and whitespace, and the triggers that send a
+# text to the cluster pass (Thai SARA AM, emoji with skin tones, ZWJ,
+# Prepend, jamo, and marks that land after non-word material)
+_WORD_MATERIAL_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "Z", "\u00e9", "3", "\u0663", "\u6211", "\u0915", "\u0e01"]
+        + sorted(MID_LETTER | MID_NUMERIC | MID_BOTH)
+        + ["-", "!", "_", "(", "\u00b2", "\u00bd", "\u2014"]
+        + [" ", "\t", "\n", "\r\n", "\u3000"]
+        + ["\u0e33", "\U0001f44d", "\U0001f3fd", "\U0001f44d\U0001f3fb", "\u200d", "\ufe0f"]
+        + ["\u0301", "\u093f", "\u094d", "\u0600", "\u1100", "\u1161", "\U0001f1e6"]
+    ),
+    max_size=40,
 ).map("".join)
 
 
@@ -254,6 +241,22 @@ class TestTokenizeOracle:
         with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
             assert toks(text) == expected
 
+    @given(st.one_of(_WORD_MATERIAL_TEXT, _MIXED_TEXT))
+    @example("ab -- cd")
+    @example("x \u0301y")  # a stray mark: the cluster pass
+    @example("a.\u200db")
+    @example("\U0001f44d\U0001f3fd.a")
+    @example("-- '' .")  # no word material at all
+    def test_every_token_holds_word_material(self, text):
+        r"""Every token holds a letter, mark or decimal digit, so the
+        tokenizer needs no check of its own for it. On the fast path a
+        token is a run of ``[\p{L}\p{M}\p{Nd}]``, and a connector joins
+        it only with word material on both sides; in the cluster pass a
+        token is a match of the class-letter pattern, which starts with
+        an ``a`` or ``d`` cluster: one that holds word material."""
+        word = regex.compile(r"[\p{L}\p{M}\p{Nd}]")
+        assert [t for t in tokenize(text) if not word.search(t)] == []
+
     def test_matches_brute_force_on_every_fixture(self, fixtures):
         corpora = sorted(fixtures.rglob("*.txt"))
         assert corpora
@@ -293,45 +296,6 @@ class TestTokenizeOracle:
         assert _patterns().special.search(text)
         with mock.patch.object(textstats, "_tokenize_clusters", side_effect=AssertionError):
             assert toks(text) == ["\ud55c\uad6d\uc5b4", "\ud14d\uc2a4\ud2b8", "\ud55c\uad6d\uc5b4"]
-
-    def test_check_reads_every_token_type(self):
-        # the fast path checks its tokens itself: the check reads the
-        # distinct chunks' tokens, which hold every type of the sequence
-        seen = []
-        check = textstats._require_word_material
-
-        def spy(types, tokens):
-            types = list(types)
-            seen.append(types)
-            check(types, tokens)
-
-        text = "xy ab, cd -- ab e-f-g ab. 3.5 cd"
-        with mock.patch.object(textstats, "_require_word_material", spy):
-            seq = tokenize(text)
-        assert seq == ("xy", "ab", "cd", "ab", "e", "f", "g", "ab", "3.5", "cd")
-        assert set(seen[0]) == set(seq)
-
-    def test_fast_path_rejects_a_token_without_word_material(self):
-        # were the separator pattern to leave "--" as a token, the fast
-        # path's own check would reject it
-        p = _patterns()
-        broken = p._replace(separator=regex.compile(r"(?!)"))
-        with mock.patch.object(textstats, "_patterns", return_value=broken):
-            with pytest.raises(ValueError, match="got '--'"):
-                tokenize("ab -- cd")
-
-    def test_cluster_loop_checks_its_own_tokens(self):
-        # the cluster pass's tokens, the tuple and the set of it, are
-        # checked as the fast path's are
-        seen = []
-
-        def spy(types, tokens):
-            seen.append((set(types), tokens))
-
-        with mock.patch.object(textstats, "_require_word_material", spy):
-            seq = tokenize("x \u0301y ab x \u0301y")  # a stray mark
-        assert seq == ("x \u0301y", "ab", "x \u0301y")
-        assert seen == [({"x \u0301y", "ab"}, seq)]
 
     def test_blocks_cut_at_whitespace_left_out(self):
         # a text of lines is cut into whole lines, so the distinct chunks
