@@ -433,10 +433,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _table_side(path, flag: str, column: str) -> dict[str, tuple[float]]:
-    """The ``column`` of one side's per-language table, iso -> (value,);
-    a side with no language rows is an error that names it."""
-    _, table = load_numeric_table(path, [column])
+def _table_side(path, flag: str, *columns: str) -> dict[str, tuple[float, ...]]:
+    """The ``columns`` of one side's per-language table, iso -> (value,
+    ...); a side with no language rows is an error that names it."""
+    _, table = load_numeric_table(path, columns)
     _require(bool(table), f"{flag} table {path} has no language rows")
     return table
 
@@ -548,8 +548,11 @@ def cmd_cwals(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     x_col, y_col = args.x_column, args.y_column
     x_path = args.dataset or bundled_path("mwl_cwals.csv")
-    table_x = _table_side(x_path, "--dataset", x_col)
-    table_y = _table_side(args.reference or x_path, "--reference", y_col)
+    if args.reference:
+        table_x = _table_side(x_path, "--dataset", x_col)
+        table_y = _table_side(args.reference, "--reference", y_col)
+    else:  # one table holds both columns: read it once
+        table_x = table_y = _table_side(x_path, "--dataset", x_col, y_col)
     shared = sorted(set(table_x) & set(table_y))
     excluded = sorted(set(table_x).symmetric_difference(table_y))
     if not shared:
@@ -560,16 +563,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             f"{', '.join(excluded)}",
             file=sys.stderr,
         )
-    xs, ys = [table_x[iso][0] for iso in shared], [table_y[iso][0] for iso in shared]
+    xs, ys = [table_x[iso][0] for iso in shared], [table_y[iso][-1] for iso in shared]
     rho = analysis.spearman(xs, ys)
     n = len(shared)
     print(f"rho = {rho:.4f} over n = {n} languages", file=sys.stderr)
-    _emit(
-        args,
-        {"rho": rho, "n": n, "x": x_col, "y": y_col, "excluded": excluded},
-        ["rho", "n"],
-        [[rho, n]],
-    )
+    payload = {"rho": rho, "n": n, "x": x_col, "y": y_col, "excluded": excluded}
+    _emit(args, payload, ["rho", "n"], [[rho, n]])
     return 0
 
 

@@ -5,6 +5,13 @@ the standard library: Counter histograms, exact decimal floor binning,
 exact sums of Fractions rounded once, textbook entropy formulas, and a
 hand-written CSV parser. The tokenizer oracle also uses `regex`, for
 grapheme clusters and Unicode properties. Nothing imports divscore.
+
+This is the one reference for what ``score`` prints: ``jmm_block``
+builds the J_mm block, its per-bin rows and its gap rows from two sides'
+int counts, ``ti`` a side's entropy index, and ``morph_payload`` and
+``syn_payload`` the whole JSON object of each level. The tests compare
+the package with them, and ``tools/make_golden_report.py`` writes the
+score goldens from them.
 """
 import math
 from collections import Counter
@@ -25,85 +32,164 @@ def exact_bin(v, width):
     return math.floor(Fraction(repr(v)) / Fraction(repr(width)))
 
 
-def brute_jmm(dataset, reference, width):
-    """Minmax Jaccard of two measurement lists, from first principles.
-
-    Bin each side with exact_bin(v, width), multiply every count of the
-    smaller side by the exact fraction max(n, m) / min(n, m), then sum
-    min and max over the union of occupied bins and round their exact
-    ratio to a float once. Bins where one side is absent contribute 0 to
-    the min sum and the other side's weight to the max sum, so the union
-    (not a contiguous range) is enough here.
-    """
-    bins_d = Counter(exact_bin(v, width) for v in dataset)
-    bins_r = Counter(exact_bin(v, width) for v in reference)
-    n, m = len(dataset), len(reference)
-    c = Fraction(max(n, m), min(n, m))
-    wd = {k: v * (c if n < m else 1) for k, v in bins_d.items()}
-    wr = {k: v * (c if m < n else 1) for k, v in bins_r.items()}
-    pairs = [(wd.get(k, 0), wr.get(k, 0)) for k in set(wd) | set(wr)]
-    return float(sum(min(p) for p in pairs) / sum(max(p) for p in pairs))
-
-
-def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
-    """Minmax Jaccard of two 0/1 matrices given as rows, with its table.
-
-    One row per feature, labelled with the feature and counting the
-    languages with value 1; with count_zeros two rows per feature,
-    "<feature>=1" and "<feature>=0", counting each value. Every count of
-    the smaller side is multiplied by max(n, m) / min(n, m): as a float
-    in the table, as an exact fraction in the score, whose exact ratio is
-    rounded once. Returns (value, [(label, dataset, reference, min,
-    max), ...]), or None when a side has no positive weight to compare.
-    """
-
-    def counts(rows):
-        table = []
-        for j, f in enumerate(features):
-            ones = sum(row[j] for row in rows)
-            if count_zeros:
-                table += [(f + "=1", ones), (f + "=0", len(rows) - ones)]
-            else:
-                table.append((f, ones))
-        return table
-
-    counts_d, counts_r = counts(rows_d), counts(rows_r)
-    if sum(n for _, n in counts_d) == 0 or sum(n for _, n in counts_r) == 0:
-        return None
-    n, m = len(rows_d), len(rows_r)
-    c = max(n, m) / min(n, m)
-    exact_c = Fraction(max(n, m), min(n, m))
-    table, lo, hi = [], 0, 0
-    for (label, a), (_, b) in zip(counts_d, counts_r):
-        ea, eb = a * (exact_c if n < m else 1), b * (exact_c if m < n else 1)
-        lo, hi = lo + min(ea, eb), hi + max(ea, eb)
-        a, b = float(a) * (c if n < m else 1.0), float(b) * (c if m < n else 1.0)
-        table.append((label, a, b, min(a, b), max(a, b)))
-    return float(lo / hi), table
-
-
 def bent(p):
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def ti(counts, n):
+    """Mean binary entropy of the shares t / n, one per row count t of a
+    side of n languages: the exact_sum of bent, divided by the row count.
+    None below two languages, where a score prints null."""
+    if n < 2:
+        return None
+    ents = [bent(t / n) for t in counts]
+    return exact_sum(ents) / len(ents)
+
+
+def gap_examples(isos):
+    """The languages a deficit row names: the first five in iso order."""
+    return sorted(isos)[:5]
+
+
+def jmm_block(score_name, labels, counts_d, counts_r, n_d, n_r, members):
+    """The ``jmm`` block a score prints, from the int counts of two sides
+    of n_d and n_r languages over the same rows, labelled ``labels``.
+
+    The smaller side's counts are multiplied by c = max(n) / min(n): by
+    the exact fraction for the value, whose exact ratio sum(min) /
+    sum(max) is rounded to a float once, and by the float c for the
+    per-bin rows. A row where the dataset weighs more is a surplus row,
+    one where it weighs less a deficit row, whose examples are the
+    gap_examples of the row's reference isos, ``members``.
+    """
+    c = Fraction(max(n_d, n_r), min(n_d, n_r))
+    scale_d, scale_r = (c, 1) if n_d < n_r else (1, c)
+    pairs = [(a * scale_d, b * scale_r) for a, b in zip(counts_d, counts_r)]
+    per_bin, surplus, deficit = [], [], []
+    for label, a, b, isos in zip(labels, counts_d, counts_r, members):
+        wd, wr = a * float(scale_d), b * float(scale_r)
+        per_bin.append(
+            {"bin": label, "dataset": wd, "reference": wr, "min": min(wd, wr), "max": max(wd, wr)}
+        )
+        if wd > wr:
+            surplus.append({"bin": label, "excess": wd - wr})
+        elif wd < wr:
+            deficit.append({"bin": label, "shortfall": wr - wd, "examples": gap_examples(isos)})
+    return {
+        "score_name": score_name,
+        "value": float(sum(map(min, pairs)) / sum(map(max, pairs))),
+        "normalization_c": float(c),
+        "per_bin": per_bin,
+        "gap": {"surplus": surplus, "deficit": deficit},
+    }
+
+
+def bin_members(isos, values, width):
+    """Each exact_bin the values occupy, with the languages ``isos`` whose
+    value falls in it."""
+    members = {}
+    for iso, v in zip(isos, values):
+        members.setdefault(exact_bin(v, width), []).append(iso)
+    return members
+
+
+def morph_payload(values_d, values_r, isos_r, width, sample_target=10000, seed=0):
+    """What ``score --level morph`` prints for two sides' mean word
+    lengths, the reference's of the languages ``isos_r``, at bin width
+    ``width``. The rows are the bins either side occupies (bin_members),
+    in order, and each side's TI runs over the bins it occupies itself."""
+    members_d = bin_members(range(len(values_d)), values_d, width)
+    members_r = bin_members(isos_r, values_r, width)
+    keys = sorted(members_d.keys() | members_r.keys())
+    counts_d, counts_r = [[len(m.get(k, ())) for k in keys] for m in (members_d, members_r)]
+    n_d, n_r = len(values_d), len(values_r)
+    labels, members = [f"bin{k}" for k in keys], [members_r.get(k, []) for k in keys]
+    jmm = jmm_block("jmm_morph", labels, counts_d, counts_r, n_d, n_r, members)
+    return {
+        "schema_version": "1",
+        "level": "morph",
+        "bin_width": width,
+        "sample_target": sample_target,
+        "seed": seed,
+        "dataset_n": n_d,
+        "reference_n": n_r,
+        "normalization_c": jmm["normalization_c"],
+        "jmm": jmm,
+        "ti": {
+            "score_name": "ti_morph",
+            "dataset": ti(map(len, members_d.values()), n_d),
+            "reference": ti(map(len, members_r.values()), n_r),
+            "bin_universe": "occupied",
+        },
+    }
+
+
+def syn_members(features, isos, rows, syn_dims):
+    """The rows of a syn score over a 0/1 matrix, given as rows of the
+    languages ``isos``: each row's label, in order, with the languages it
+    counts. At 103 dimensions there is one row per feature, labelled with
+    it and counting the languages with value 1; at 206 two,
+    "<feature>=1" and "<feature>=0", counting each value."""
+    values = (1, 0) if syn_dims == 206 else (1,)
+    return {
+        (f"{f}={v}" if syn_dims == 206 else f): [i for i, row in zip(isos, rows) if row[j] == v]
+        for j, f in enumerate(features)
+        for v in values
+    }
+
+
+def syn_payload(features, rows_d, rows_r, isos_r, syn_dims):
+    """What ``score --level syn --syn-dims <syn_dims>`` prints for two 0/1
+    matrices over ``features``, given as rows, the reference's those of
+    the languages ``isos_r``; None where the command fails because a side
+    has no 1 to count. The rows are syn_members'; each side's TI runs
+    over the features, from the count of 1s in each.
+    """
+    members_d = syn_members(features, range(len(rows_d)), rows_d, syn_dims)
+    members_r = syn_members(features, isos_r, rows_r, syn_dims)
+    counts_d, counts_r = [list(map(len, m.values())) for m in (members_d, members_r)]
+    if not any(counts_d) or not any(counts_r):
+        return None
+    n_d, n_r = len(rows_d), len(rows_r)
+    jmm = jmm_block("jmm_syn", list(members_r), counts_d, counts_r, n_d, n_r, members_r.values())
+    ones_d, ones_r = [[sum(col) for col in zip(*side)] for side in (rows_d, rows_r)]
+    return {
+        "schema_version": "1",
+        "level": "syn",
+        "syn_dims": syn_dims,
+        "dataset_n": n_d,
+        "reference_n": n_r,
+        "normalization_c": jmm["normalization_c"],
+        "jmm": jmm,
+        "ti": {"score_name": "ti_syn", "dataset": ti(ones_d, n_d), "reference": ti(ones_r, n_r)},
+    }
+
+
+def brute_jmm(dataset, reference, width):
+    """J_mm of two measurement lists: morph_payload's value. This and the
+    three reads below number a side's languages, since only the gap
+    examples, which none of them returns, read iso codes."""
+    return morph_payload(dataset, reference, range(len(reference)), width)["jmm"]["value"]
+
+
+def brute_jmm_syn(features, rows_d, rows_r, count_zeros):
+    """syn_payload's jmm block at 206 dimensions with count_zeros, else
+    at 103, or None where a side has no positive weight to compare."""
+    payload = syn_payload(features, rows_d, rows_r, range(len(rows_r)), 206 if count_zeros else 103)
+    return payload and payload["jmm"]
+
+
 def brute_ti_morph(values, width):
     """Mean binary entropy of bin occupancy over occupied bins."""
-    bins = Counter(exact_bin(v, width) for v in values)
-    ents = [bent(n / len(values)) for n in bins.values()]
-    return exact_sum(ents) / len(ents)
+    return morph_payload(values, values, range(len(values)), width)["ti"]["dataset"]
 
 
 def brute_ti_syn(rows):
     """Mean binary entropy over columns of a 0/1 matrix given as rows."""
-    n = len(rows)
-    width = len(rows[0])
-    ents = []
-    for j in range(width):
-        ones = sum(row[j] for row in rows)
-        ents.append(bent(ones / n))
-    return exact_sum(ents) / len(ents)
+    features = [f"s{j}" for j in range(len(rows[0]))]
+    return syn_payload(features, rows, rows, range(len(rows)), 206)["ti"]["dataset"]
 
 
 def brute_entropy(tokens):

@@ -1,10 +1,12 @@
-"""Helpers for driving the CLI and comparing JSON payloads in tests."""
+"""Helpers for driving the CLI, scoring measurement lists and comparing
+JSON payloads in tests."""
 import json
 import math
 import subprocess
 import sys
 
 from divscore.cli import main
+from divscore.diversity import bin_measurements, jmm_score
 
 
 def run_main(argv, capsys):
@@ -26,6 +28,11 @@ def run_proc(argv):
         check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def jmm(a, b, width):
+    """jmm_score of two measurement lists, each binned at ``width``."""
+    return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
 
 
 def assert_json_close(actual, expected, tol=1e-12, path="$"):

@@ -14,13 +14,12 @@ tolerance and the budget it must hold at.
 8. end-to-end determinism          byte-identical reruns; sums reproduce the score
 9. score matrix schema             four scores x N datasets + stated limits
 """
+import ast
 import csv
 import json
-import math
 import random
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -28,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divscore.diversity import bin_measurements, jmm_score, ti_morph, ti_syn
+from divscore.diversity import bin_measurements, ti_morph, ti_syn
 from divscore.ingest import bundled_path, load_corpus
 from divscore.model import FeatureMatrix
 from divscore.analysis import spearman
@@ -39,21 +38,17 @@ from divscore.textstats import (
     sample_contiguous,
     tokenize,
 )
-from oracles import bent, brute_jmm
-from support import run_main, run_proc
+from oracles import bent, brute_jmm, morph_payload
+from support import jmm, run_main, run_proc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 measurements = st.lists(
     st.floats(min_value=-3.0, max_value=6.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=10,
 )
-
-
-def _jmm(a, b, width):
-    """jmm_score with both sides binned here."""
-    return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
 
 
 # criterion 1 ---------------------------------------------------------------
@@ -98,7 +93,7 @@ def test_c03_randomized_brute_force_equivalence():
 
     # hand-derived toy case: c = 1.5 on {3.2, 4.1}, min-sum 1.5 over
     # max-sum 4.5
-    assert _jmm([2.5, 3.5, 3.7], [3.2, 4.1], 1.0).value == 1 / 3
+    assert jmm([2.5, 3.5, 3.7], [3.2, 4.1], 1.0).value == 1 / 3
     assert brute_jmm([2.5, 3.5, 3.7], [3.2, 4.1], 1.0) == 1 / 3
 
     rng = random.Random(13)
@@ -107,7 +102,7 @@ def test_c03_randomized_brute_force_equivalence():
         lo, hi = rng.choice([(0.0, 6.0), (-3.0, 3.0)])
         a = [rng.uniform(lo, hi) for _ in range(rng.randint(1, 10))]
         b = [rng.uniform(lo, hi) for _ in range(rng.randint(1, 10))]
-        got = _jmm(a, b, 1.0).value
+        got = jmm(a, b, 1.0).value
         want = brute_jmm(a, b, 1.0)
         assert abs(got - want) <= 1e-12, (a, b)
         instances += 1
@@ -120,34 +115,34 @@ def test_c03_randomized_brute_force_equivalence():
 @given(values=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
 @settings(max_examples=150)
 def test_c04_identity(values, width):
-    assert _jmm(values, values, width).value == 1.0
+    assert jmm(values, values, width).value == 1.0
 
 
 @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
 @settings(max_examples=150)
 def test_c04_symmetry(a, b, width):
-    assert _jmm(a, b, width).value == _jmm(b, a, width).value
+    assert jmm(a, b, width).value == jmm(b, a, width).value
 
 
 @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
 @settings(max_examples=150)
 def test_c04_range(a, b, width):
-    assert 0.0 <= _jmm(a, b, width).value <= 1.0
+    assert 0.0 <= jmm(a, b, width).value <= 1.0
 
 
 @given(a=measurements, b=measurements, k=st.sampled_from([2, 3, 5]))
 @settings(max_examples=150)
 def test_c04_duplication_invariance(a, b, k):
-    base = _jmm(a, b, 1.0).value
-    assert _jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
-    assert _jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
+    base = jmm(a, b, 1.0).value
+    assert jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
+    assert jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
 
 
 @given(a=measurements, b=measurements)
 @example(a=[-1.0], b=[-5e-324])
 @settings(max_examples=150)
 def test_c04_bin_coarsening_monotonicity(a, b):
-    assert _jmm(a, b, 2.0).value >= _jmm(a, b, 1.0).value - 1e-12
+    assert jmm(a, b, 2.0).value >= jmm(a, b, 1.0).value - 1e-12
 
 
 # criterion 5 ---------------------------------------------------------------
@@ -349,7 +344,7 @@ def test_bundled_mbert_languages_miss_the_longest_words(tmp_path, capsys):
     """The bundled analogue of the paper's finding that (poly)synthetic
     languages are missing: the 17 languages of the 28-language table that
     the bundled mBERT list covers, scored against all 28 at width 1. The
-    expectation is recomputed here with the standard library."""
+    command prints what the stdlib reference computes."""
     with open(bundled_path("mwl_cwals.csv"), newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     mbert_text = bundled_path("mbert_languages.txt").read_text(encoding="utf-8")
@@ -357,27 +352,15 @@ def test_bundled_mbert_languages_miss_the_longest_words(tmp_path, capsys):
     covered = [row for row in rows if row["iso"] in mbert]
     assert len(rows) == 28 and len(covered) == 17
 
-    def counts(side):
-        bins = {}
-        for row in side:
-            k = math.floor(Fraction(row["mwl"]))
-            bins[k] = bins.get(k, 0) + 1
-        return bins
-
-    c = len(rows) / len(covered)
-    wd = {k: n * c for k, n in counts(covered).items()}
-    wr = {k: float(n) for k, n in counts(rows).items()}
-    keys = sorted(set(wd) | set(wr))
-    expected = sum(min(wd.get(k, 0.0), wr.get(k, 0.0)) for k in keys) / sum(
-        max(wd.get(k, 0.0), wr.get(k, 0.0)) for k in keys
+    expected = morph_payload(
+        [float(row["mwl"]) for row in covered],
+        [float(row["mwl"]) for row in rows],
+        [row["iso"] for row in rows],
+        1.0,
     )
-    expected_deficit = {
-        f"bin{k}": sorted(row["iso"] for row in rows if math.floor(Fraction(row["mwl"])) == k)[:5]
-        for k in keys
-        if wd.get(k, 0.0) < wr.get(k, 0.0)
-    }
-    assert abs(expected - 0.75) <= 1e-12
-    assert expected_deficit == {"bin7": ["abk", "apu"], "bin8": ["ckt", "qvi"]}
+    assert expected["jmm"]["value"] == 0.75
+    deficit = {d["bin"]: d["examples"] for d in expected["jmm"]["gap"]["deficit"]}
+    assert deficit == {"bin7": ["abk", "apu"], "bin8": ["ckt", "qvi"]}
 
     dataset = tmp_path / "mbert_covered.csv"
     with open(dataset, "w", newline="", encoding="utf-8") as fh:
@@ -399,6 +382,18 @@ def test_bundled_mbert_languages_miss_the_longest_words(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    jmm = json.loads(out)["jmm"]
-    assert abs(jmm["value"] - expected) <= 1e-12
-    assert {d["bin"]: d["examples"] for d in jmm["gap"]["deficit"]} == expected_deficit
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("path", ["tests/oracles.py", "tools/make_golden_report.py"])
+def test_reference_imports_nothing_from_divscore(path):
+    """The reference and the golden tool it writes check the package, so
+    neither may read anything from it."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"), path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert not [name for name in imported if name.split(".")[0] == "divscore"], imported

@@ -2,7 +2,6 @@
 import csv
 import io
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from divscore.analysis import _average_ranks, attach_gap, serialize_report, spearman
 from divscore.diversity import bin_measurements, feature_side, gap_members, jmm_score, jmm_syn
 from divscore.model import MAX_GAP_EXAMPLES, DiversityReport, FeatureMatrix, Side
-from oracles import exact_bin
+from oracles import morph_payload
 
 #: One side of a morph score: distinct iso codes, each with a mean word
 #: length, drawn from few letters so bins share members.
@@ -154,40 +153,14 @@ class TestGapReport:
     )
     def test_morph_gap_property(self, ds, ref, width):
         """Each bin whose scaled counts differ is surplus or deficit by
-        the difference, and a deficit lists the five smallest reference
-        isos of its bin."""
+        the difference, in row order, and a deficit lists the five
+        smallest reference isos of its bin: the reference's gap rows."""
         iso_r, mwl_r = zip(*ref)
-        bins_d = bin_measurements([v for _, v in ds], width)
+        mwl_d = [v for _, v in ds]
         bins_r = bin_measurements(mwl_r, width)
-        report = jmm_score(bins_d, bins_r)
+        report = jmm_score(bin_measurements(mwl_d, width), bins_r)
         gap = attach_gap(report, gap_members(report.reference, iso_r, zip(bins_r)))
-        assert list(gap) == ["surplus", "deficit"]
-        assert [list(b) for b in gap["surplus"]] == [["bin", "excess"]] * len(gap["surplus"])
-        fields = ["bin", "shortfall", "examples"]
-        assert [list(b) for b in gap["deficit"]] == [fields] * len(gap["deficit"])
-        surplus = {b["bin"]: b["excess"] for b in gap["surplus"]}
-        deficit = {b["bin"]: (b["shortfall"], tuple(b["examples"])) for b in gap["deficit"]}
-        # each row is surplus, deficit or neither, in row order
-        labels = [r.label for r in report.per_bin]
-        assert [b["bin"] for b in gap["surplus"]] == [k for k in labels if k in surplus]
-        assert [b["bin"] for b in gap["deficit"]] == [k for k in labels if k in deficit]
-        assert not surplus.keys() & deficit.keys()
-        # brute force: exact bins, counts scaled as the score scales them
-        n_d, n_r = len(ds), len(ref)
-        c = max(n_d, n_r) / min(n_d, n_r)
-        scale_d, scale_r = (c, 1.0) if n_d < n_r else (1.0, c)
-        count_d = Counter(exact_bin(v, width) for _, v in ds)
-        count_r = Counter(exact_bin(v, width) for _, v in ref)
-        expected_surplus, expected_deficit = {}, {}
-        for k in count_d.keys() | count_r.keys():
-            d, r = count_d[k] * scale_d, count_r[k] * scale_r
-            if d > r:
-                expected_surplus[f"bin{k}"] = d - r
-            elif d < r:
-                members = sorted(iso for iso, v in ref if exact_bin(v, width) == k)
-                expected_deficit[f"bin{k}"] = (r - d, tuple(members[:MAX_GAP_EXAMPLES]))
-        assert surplus == expected_surplus
-        assert deficit == expected_deficit
+        assert gap == morph_payload(mwl_d, mwl_r, iso_r, width)["jmm"]["gap"]
 
     def test_attach_gap_round_trip(self):
         report = jmm_score(

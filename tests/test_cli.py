@@ -1,10 +1,12 @@
 """End-to-end command behavior: formats, exit codes, and diagnostics."""
+import contextlib
 import csv
 import gc
 import importlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import runpy
@@ -12,8 +14,10 @@ import shutil
 import string
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 import divscore
 from divscore import cli, model
 from divscore.ingest import bundled_path
-from oracles import neumaier_sum
+from oracles import morph_payload, neumaier_sum, syn_payload
 from support import assert_json_close, run_main, run_proc
 
 
@@ -713,14 +717,27 @@ class TestCorrelate:
         assert out == (fixtures / "golden" / "correlate.json").read_text(encoding="utf-8")
 
     def test_unknown_column_lists_available(self, capsys):
-        """The header error shows the header, so it lists every column."""
+        """The header error shows the header, so it lists every column.
+        One table is read for both columns, so the error names both."""
         code, _, err = run_main(["correlate", "mwl", "nope"], capsys)
         assert code == 1
         table = bundled_path("mwl_cwals.csv")
         assert err == (
-            f"error: table {table} header must be 'iso' first, with the column(s) nope, "
+            f"error: table {table} header must be 'iso' first, with the column(s) mwl, nope, "
             "got iso,name,mwl,c_wals\n"
         )
+
+    def test_one_table_is_read_once(self, capsys, monkeypatch):
+        read_bytes, reads = Path.read_bytes, []
+
+        def spy(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        code, out, _ = run_main(["correlate", "mwl", "c_wals"], capsys)
+        assert code == 0 and json.loads(out)["n"] == 28
+        assert reads == ["mwl_cwals.csv"]
 
     def test_unknown_column_names_its_table(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -1769,3 +1786,122 @@ class TestImports:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "[]\n"
+
+
+def _run_redirected(argv):
+    """Run the CLI in-process with its streams redirected, which, unlike
+    the function-scoped capsys, works inside a Hypothesis test; returns
+    (exit_code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _morph_tables(draw):
+    """A bin width of 0.1, 0.5 or 1.0 and two per-language tables of 1-12
+    languages each, iso codes in drawn order, whose mwl values are any
+    float in [-2, 12], a bin edge k * width or a float beside one."""
+    width = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    edge = st.integers(-20, 120).map(lambda k: float(Fraction(repr(width)) * k))
+    mwl = st.one_of(
+        st.floats(-2.0, 12.0),
+        edge,
+        edge.map(lambda e: math.nextafter(e, math.inf)),
+        edge.map(lambda e: math.nextafter(e, -math.inf)),
+    )
+    isos = st.lists(st.sampled_from(_languages(40)), min_size=1, max_size=12, unique=True)
+    iso_d, iso_r = draw(isos), draw(isos)
+    mwl_d = draw(st.lists(mwl, min_size=len(iso_d), max_size=len(iso_d)))
+    mwl_r = draw(st.lists(mwl, min_size=len(iso_r), max_size=len(iso_r)))
+    return width, iso_d, mwl_d, iso_r, mwl_r
+
+
+@st.composite
+def _syn_matrices(draw):
+    """1-6 features and two 0/1 matrices of 1-9 languages each, as rows;
+    the reference's iso codes in shuffled order."""
+    n_features = draw(st.integers(1, 6))
+    features = [f"s{j}" for j in range(1, n_features + 1)]
+    row = st.lists(st.integers(0, 1), min_size=n_features, max_size=n_features)
+    rows_d = draw(st.lists(row, min_size=1, max_size=9))
+    rows_r = draw(st.lists(row, min_size=1, max_size=9))
+    isos_r = draw(st.permutations(_languages(len(rows_r))))
+    return features, rows_d, isos_r, rows_r
+
+
+class TestScoreMatchesReference:
+    """``score`` prints what the stdlib reference computes, over drawn
+    per-language tables and 0/1 matrices: its JSON equals
+    ``oracles.morph_payload`` or ``oracles.syn_payload``, and its CSV rows
+    the reference's per-bin rows."""
+
+    @staticmethod
+    def _write(directory, name, header, isos, rows):
+        """A CSV table of ``header`` with one line per iso code and row."""
+        path = Path(directory) / name
+        lines = [",".join(map(str, [iso, *row])) for iso, row in zip(isos, rows)]
+        path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _check(argv, expected):
+        code, out, err = _run_redirected(argv)
+        assert code == 0, err
+        assert json.loads(out) == expected
+        single = min(expected["dataset_n"], expected["reference_n"]) < 2
+        assert (f"ti_{expected['level']} skipped for a single-language side" in err) == single
+        code, out, err = _run_redirected([*argv, "--format", "csv"])
+        assert code == 0, err
+        fields = ["bin", "dataset", "reference", "min", "max"]
+        table = list(csv.reader(io.StringIO(out)))
+        rows = [[row[f] for f in fields] for row in expected["jmm"]["per_bin"]]
+        assert table[0] == fields
+        assert [[label, *map(float, weights)] for label, *weights in table[1:]] == rows
+
+    @given(case=_morph_tables())
+    @example(case=(1.0, ["aaa"], [2.5], ["aab", "aac"], [1.5, 2.5]))  # one language: null ti
+    @example(  # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
+        case=(
+            1.0,
+            _languages(5),
+            [3.5, 1.5, 0.5, 1.5, 3.5],
+            _languages(8)[::-1],
+            [3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5],
+        )
+    )
+    @example(  # seven reference languages in one deficit bin, in reverse iso order
+        case=(1.0, ["aaa"], [2.5], _languages(7)[::-1], [1.5] * 7)
+    )
+    @example(  # 0.3 / 0.1 is 2.9999999999999996, but 0.3 lies in bin 3 and the float below in 2
+        case=(0.1, ["aaa", "aab"], [0.3, 0.7], ["aac", "aad", "aae"], [0.3, 0.2, 0.3 - 2**-54])
+    )
+    def test_morph_property(self, case):
+        width, iso_d, mwl_d, iso_r, mwl_r = case
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = self._write(tmp, "ds.csv", ["iso", "mwl"], iso_d, zip(mwl_d))
+            ref = self._write(tmp, "ref.csv", ["iso", "mwl"], iso_r, zip(mwl_r))
+            argv = ["score", "--level", "morph", "--dataset", ds, "--reference", ref]
+            argv += ["--bin-width", repr(width)]
+            self._check(argv, morph_payload(mwl_d, mwl_r, iso_r, width))
+
+    @given(case=_syn_matrices())
+    @example(  # an all-zero dataset: no score at 103 dimensions, one at 206
+        case=(["s1", "s2"], [[0, 0], [0, 0], [0, 0]], ["aab", "aaa"], [[1, 0], [0, 1]])
+    )
+    def test_syn_property(self, case):
+        features, rows_d, isos_r, rows_r = case
+        iso_d = _languages(len(rows_d))
+        with tempfile.TemporaryDirectory() as tmp:
+            ds = self._write(tmp, "ds.csv", ["iso", *features], iso_d, rows_d)
+            ref = self._write(tmp, "ref.csv", ["iso", *features], isos_r, rows_r)
+            for dims in (103, 206):
+                argv = ["score", "--level", "syn", "--dataset", ds, "--reference", ref]
+                argv += ["--syn-dims", str(dims)]
+                expected = syn_payload(features, rows_d, rows_r, isos_r, dims)
+                if expected is None:
+                    code, out, err = _run_redirected(argv)
+                    assert code == 1 and out == "" and "need positive total weight" in err
+                else:
+                    self._check(argv, expected)

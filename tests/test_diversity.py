@@ -5,7 +5,6 @@ acceptance property suites; the acceptance tests re-run the headline
 properties at their pinned budgets.
 """
 import csv
-import heapq
 import math
 from collections import Counter
 from fractions import Fraction
@@ -22,26 +21,27 @@ from divscore.diversity import (
     feature_rows,
     feature_side,
     gap_members,
-    jmm_score,
     jmm_syn,
     ti_morph,
     ti_syn,
 )
 from divscore.ingest import bundled_path
 from divscore.model import FeatureMatrix, Side
-from oracles import brute_jmm, brute_jmm_syn, brute_ti_morph, brute_ti_syn, exact_bin
-from support import run_main
+from oracles import (
+    brute_jmm,
+    brute_jmm_syn,
+    brute_ti_morph,
+    brute_ti_syn,
+    exact_bin,
+    syn_payload,
+)
+from support import jmm, run_main
 
 # {2.5, 3.5, 3.7} vs {3.2, 4.1} at width 1: c = 1.5 on the smaller side,
 # aligned columns A [1, 2, 0] and B [0, 1.5, 1.5], min-sum 1.5, max-sum
 # 4.5. The expected score is exactly one third.
 TOY_A = [2.5, 3.5, 3.7]
 TOY_B = [3.2, 4.1]
-
-
-def _jmm(a, b, width):
-    """jmm_score with both sides binned here."""
-    return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
 
 measurements = st.lists(
     st.floats(min_value=-3.0, max_value=6.0, allow_nan=False, allow_infinity=False),
@@ -146,9 +146,9 @@ class TestBinning:
 
 class TestNormalizationScalar:
     def test_ratio(self):
-        assert _jmm([1.0] * 3, [1.0] * 5, 1.0).normalization_c == 5 / 3
-        assert _jmm([1.0] * 5, [1.0] * 3, 1.0).normalization_c == 5 / 3
-        assert _jmm([1.0] * 4, [1.0] * 4, 1.0).normalization_c == 1.0
+        assert jmm([1.0] * 3, [1.0] * 5, 1.0).normalization_c == 5 / 3
+        assert jmm([1.0] * 5, [1.0] * 3, 1.0).normalization_c == 5 / 3
+        assert jmm([1.0] * 4, [1.0] * 4, 1.0).normalization_c == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -159,14 +159,14 @@ class TestAlignBins:
     """jmm_score's rows: the sorted union of the bins occupied on either side."""
 
     def test_one_sided_bins_get_zero_weight(self):
-        rows = _jmm(TOY_A, TOY_B, 1.0).per_bin
+        rows = jmm(TOY_A, TOY_B, 1.0).per_bin
         assert [r.label for r in rows] == ["bin2", "bin3", "bin4"]
         assert [r.dataset for r in rows] == [1.0, 2.0, 0.0]
         assert [r.reference for r in rows] == [0.0, 1.5, 1.5]
 
     def test_gap_in_the_middle(self):
         # bins 1-3 are empty on both sides and get no row
-        rows = _jmm([0.5], [4.5], 1.0).per_bin
+        rows = jmm([0.5], [4.5], 1.0).per_bin
         assert [r.label for r in rows] == ["bin0", "bin4"]
         assert [(r.dataset, r.reference) for r in rows] == [(1.0, 0.0), (0.0, 1.0)]
 
@@ -212,7 +212,7 @@ class TestJaccardMinmax:
 
 class TestJmmScore:
     def test_toy_case_exact(self):
-        report = _jmm(TOY_A, TOY_B, 1.0)
+        report = jmm(TOY_A, TOY_B, 1.0)
         assert report.value == 1 / 3
         assert report.normalization_c == 1.5
         assert [r.min_weight for r in report.per_bin] == [0.0, 1.5, 0.0]
@@ -220,11 +220,11 @@ class TestJmmScore:
         assert [r.label for r in report.per_bin] == ["bin2", "bin3", "bin4"]
 
     def test_toy_case_swapped_sides(self):
-        assert _jmm(TOY_B, TOY_A, 1.0).value == 1 / 3
+        assert jmm(TOY_B, TOY_A, 1.0).value == 1 / 3
 
     def test_scaling_applies_to_smaller_side(self):
         # reference smaller: its per-bin column carries the scaled weights
-        report = _jmm([1.5, 2.5, 3.5, 1.2], [1.4, 2.6], 1.0)
+        report = jmm([1.5, 2.5, 3.5, 1.2], [1.4, 2.6], 1.0)
         assert report.normalization_c == 2.0
         by_label = {r.label: r for r in report.per_bin}
         assert by_label["bin1"].reference == 2.0
@@ -232,46 +232,46 @@ class TestJmmScore:
         assert by_label["bin1"].dataset == 2.0
 
     def test_equal_sizes_no_scaling(self):
-        report = _jmm([1.5], [2.5], 1.0)
+        report = jmm([1.5], [2.5], 1.0)
         assert report.normalization_c == 1.0
         assert report.value == 0.0
 
     def test_per_bin_sums_reproduce_value(self):
-        report = _jmm(TOY_A, TOY_B, 1.0)
+        report = jmm(TOY_A, TOY_B, 1.0)
         num = sum(r.min_weight for r in report.per_bin)
         den = sum(r.max_weight for r in report.per_bin)
         assert abs(report.value - num / den) <= 1e-12
 
     @given(values=measurements, width=st.sampled_from([0.25, 0.5, 1.0, 2.5]))
     def test_identity_property(self, values, width):
-        assert _jmm(values, values, width).value == 1.0
+        assert jmm(values, values, width).value == 1.0
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
     def test_symmetry_property(self, a, b, width):
-        assert _jmm(a, b, width).value == _jmm(b, a, width).value
+        assert jmm(a, b, width).value == jmm(b, a, width).value
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
     def test_range_property(self, a, b, width):
-        v = _jmm(a, b, width).value
+        v = jmm(a, b, width).value
         assert 0.0 <= v <= 1.0
 
     @given(a=measurements, b=measurements, k=st.sampled_from([2, 3, 5]))
     def test_duplication_invariance_property(self, a, b, k):
-        base = _jmm(a, b, 1.0).value
-        assert _jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
-        assert _jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
+        base = jmm(a, b, 1.0).value
+        assert jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
+        assert jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
 
     @given(a=measurements, b=measurements)
     @example(a=[-1.0], b=[-5e-324])
     def test_coarsening_monotonicity_property(self, a, b):
-        fine = _jmm(a, b, 1.0).value
-        coarse = _jmm(a, b, 2.0).value
+        fine = jmm(a, b, 1.0).value
+        coarse = jmm(a, b, 2.0).value
         assert coarse >= fine - 1e-12
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
     @settings(max_examples=200)
     def test_matches_brute_force_property(self, a, b, width):
-        assert _jmm(a, b, width).value == brute_jmm(a, b, width)
+        assert jmm(a, b, width).value == brute_jmm(a, b, width)
 
     @given(
         a=far_apart_measurements,
@@ -280,7 +280,7 @@ class TestJmmScore:
     )
     @example(a=[0.0], b=[1e5], width=1.0)
     def test_sparse_axis_property(self, a, b, width):
-        report = _jmm(a, b, width)
+        report = jmm(a, b, width)
         rows = report.per_bin
         assert len(rows) <= len(a) + len(b)
         assert all(r.max_weight > 0 for r in rows)
@@ -370,12 +370,9 @@ class TestJmmSyn:
             with pytest.raises(ValueError, match="positive total"):
                 _jmm_syn(ds, ref, count_zeros)
             return
-        value, table = expected
         report = _jmm_syn(ds, ref, count_zeros)
-        assert [
-            (r.label, r.dataset, r.reference, r.min_weight, r.max_weight) for r in report.per_bin
-        ] == table
-        assert report.value == value
+        assert [r.to_dict() for r in report.per_bin] == expected["per_bin"]
+        assert report.value == expected["value"]
 
     def test_feature_length_mismatch(self):
         a = FeatureMatrix(["aaa"], ["s1"], [[1]])
@@ -397,17 +394,10 @@ def _cwals_sides():
 CWALS_MBERT, CWALS_ALL = _cwals_sides()
 
 
-def _int_ratio(pairs, n_d, n_r):
-    """sum(min) / sum(max) over (dataset, reference) count pairs, each
-    count brought to the common size n_d * n_r: one int division."""
-    num = sum(min(a * n_r, b * n_d) for a, b in pairs)
-    den = sum(max(a * n_r, b * n_d) for a, b in pairs)
-    return num / den
-
-
 class TestExactRatio:
-    """Every score is the exact ratio of its counts, rounded once: no
-    float weight, sum or summation order enters."""
+    """Every score is the exact ratio of its counts, rounded once, as the
+    reference computes it: no float weight, sum or summation order
+    enters."""
 
     @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0]))
     # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
@@ -417,10 +407,7 @@ class TestExactRatio:
     # 257 rows, each a term whose float sum would depend on the order
     @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
     def test_morph_value_is_the_int_ratio_property(self, a, b, width):
-        count_d = Counter(exact_bin(v, width) for v in a)
-        count_r = Counter(exact_bin(v, width) for v in b)
-        pairs = [(count_d[k], count_r[k]) for k in count_d.keys() | count_r.keys()]
-        assert _jmm(a, b, width).value == _int_ratio(pairs, len(a), len(b))
+        assert jmm(a, b, width).value == brute_jmm(a, b, width)
 
     @given(pair=syn_pairs(), count_zeros=st.booleans())
     # 5 vs 8 languages
@@ -430,21 +417,16 @@ class TestExactRatio:
     )
     def test_syn_value_is_the_int_ratio_property(self, pair, count_zeros):
         features, rows_d, rows_r = pair
-        assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
-        pairs = []
-        for j in range(len(features)):
-            ones = (sum(row[j] for row in rows_d), sum(row[j] for row in rows_r))
-            pairs.append(ones)
-            if count_zeros:
-                pairs.append((len(rows_d) - ones[0], len(rows_r) - ones[1]))
+        expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
+        assume(expected is not None)
         report = _jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
-        assert report.value == _int_ratio(pairs, len(rows_d), len(rows_r))
+        assert report.value == expected["value"]
 
     def test_pinned_values(self):
         assert len(CWALS_MBERT) == 17 and len(CWALS_ALL) == 28
-        assert _jmm(CWALS_MBERT, CWALS_ALL, 0.1).value == 407 / 545 == 0.7467889908256881
+        assert jmm(CWALS_MBERT, CWALS_ALL, 0.1).value == 407 / 545 == 0.7467889908256881
         a, b = [3.5, 1.5, 0.5, 1.5, 3.5], [3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5]
-        assert _jmm(a, b, 1.0).value == 31 / 49 == 0.6326530612244898
+        assert jmm(a, b, 1.0).value == 31 / 49 == 0.6326530612244898
 
 
 @st.composite
@@ -469,25 +451,14 @@ class TestFeatureMembers:
     )
     def test_gap_examples_property(self, case, count_zeros):
         """Each deficit row lists the five smallest iso codes among all the
-        reference languages showing the row's value."""
+        reference languages showing the row's value: the reference's gap."""
         features, rows_d, isos_r, rows_r = case
-        assume(count_zeros or (any(map(any, rows_d)) and any(map(any, rows_r))))
-        ds = _syn(rows_d, features)
+        expected = syn_payload(features, rows_d, rows_r, isos_r, 206 if count_zeros else 103)
+        assume(expected is not None)
         ref = FeatureMatrix(isos_r, features, rows_r)
-        report = _jmm_syn(ds, ref, count_zeros)
+        report = _jmm_syn(_syn(rows_d, features), ref, count_zeros)
         members = gap_members(report.reference, ref.languages, feature_rows(report.reference, ref))
-        gap = attach_gap(report, members)
-        counted = {
-            (f"{f}={value}" if count_zeros else f): (j, value)
-            for j, f in enumerate(features)
-            for value in ((1, 0) if count_zeros else (1,))
-        }
-        short = [r.label for r in report.per_bin if r.dataset < r.reference]
-        assert [d["bin"] for d in gap["deficit"]] == short
-        for d in gap["deficit"]:
-            j, value = counted[d["bin"]]
-            members = {iso for iso, row in zip(isos_r, rows_r) if row[j] == value}
-            assert d["examples"] == heapq.nsmallest(5, members)
+        assert attach_gap(report, members) == expected["jmm"]["gap"]
 
 
 class TestBinaryEntropy:

@@ -17,7 +17,6 @@ from divscore.diversity import feature_rows, feature_side, gap_members
 from divscore.grammar import load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, load_registry
 from divscore.model import (
-    MAX_GAP_EXAMPLES,
     BinOverlap,
     DiversityReport,
     FeatureMatrix,
@@ -26,7 +25,7 @@ from divscore.model import (
     Side,
     TextProfile,
 )
-from oracles import exact_sum
+from oracles import exact_sum, gap_examples, syn_members
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
 #: One row counting 1 of 2 languages on one side and 1 of 1 on the
@@ -374,9 +373,9 @@ class TestFeatureMatrix:
     def test_totals_and_members_property(self, rows, binary, count_zeros):
         """``totals`` are the per-column sums of rows of any width and any
         cells in 0-255, a binary matrix's counted as 1s, and
-        ``gap_members`` over ``feature_rows`` lists the first
-        MAX_GAP_EXAMPLES languages in iso order whose cell is the value a
-        row counts."""
+        ``gap_members`` over ``feature_rows`` lists the reference's
+        gap_examples of the languages whose cell is the value a row
+        counts."""
         isos = [iso for iso, _ in rows]
         cells = [[b & 1 for b in raw] if binary else list(raw) for _, raw in rows]
         width = len(cells[0])
@@ -384,12 +383,6 @@ class TestFeatureMatrix:
         m = FeatureMatrix(isos, features, cells)
         assert m.values == tuple(map(bytes, cells))
         assert m.totals == tuple(sum(row[j] for row in cells) for j in range(width))
-        expected = {}
-        for j, f in enumerate(features):
-            for value in (1, 0) if count_zeros else (1,):
-                label = f"{f}={value}" if count_zeros else f
-                shown = [iso for iso, row in sorted(zip(isos, cells)) if row[j] == value]
-                expected[label] = shown[:MAX_GAP_EXAMPLES]
         if not binary:
             return  # a syn side counts a binary matrix alone
         if not (count_zeros or any(m.totals)):
@@ -397,6 +390,8 @@ class TestFeatureMatrix:
                 feature_side(m, count_zeros)
             return
         side = feature_side(m, count_zeros)
+        members = syn_members(features, isos, cells, 206 if count_zeros else 103)
+        expected = {label: gap_examples(counted) for label, counted in members.items()}
         assert gap_members(side, isos, feature_rows(side, m)) == expected
 
     def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
