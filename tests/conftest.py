@@ -3,14 +3,37 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import is_hypothesis_test, settings
 
-# Ten times Hypothesis's default number of examples, for a longer run of
-# a chosen property: pytest --hypothesis-profile=thorough <test id>.
-# A test whose @settings fixes max_examples keeps its own count.
+# Ten times Hypothesis's default number of examples, for the longer run of
+# the properties marked thorough:
+#     pytest -m thorough --hypothesis-profile=thorough
 settings.register_profile("thorough", max_examples=1000)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "thorough: a Hypothesis property CI also runs at 1,000 examples"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail the run on a thorough test that the profile cannot lengthen:
+    one that is not a Hypothesis test, or whose @settings fixes
+    max_examples (a count other than the loaded profile's)."""
+    wanted = settings.default.max_examples
+    bad = []
+    for item in items:
+        if item.get_closest_marker("thorough") is None:
+            continue
+        if not is_hypothesis_test(item.obj):
+            bad.append(f"{item.nodeid}: not a Hypothesis test")
+        elif item.obj._hypothesis_internal_use_settings.max_examples != wanted:
+            bad.append(f"{item.nodeid}: @settings fixes max_examples")
+    if bad:
+        raise pytest.UsageError("thorough tests:\n" + "\n".join(bad))
 
 
 @pytest.fixture(scope="session")

@@ -73,6 +73,9 @@ class TestSpearman:
     @example(xs=[0.5, 0.5, 0.5, 0.5, 2.0], ys=[-1.0, 0.0, 0.5, 2.0, 2.0])
     @example(xs=[2.0, -1.0, 0.5], ys=[0.5, 0.5, -1.0])
     def test_matches_scipy_property(self, xs, ys):
+        """The average ranks are scipy's; the stdlib arithmetic gives scipy's
+        rho within 1e-12 and numpy's Pearson correlation of the average
+        ranks bit for bit."""
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
         for values in (xs, ys):
@@ -81,24 +84,9 @@ class TestSpearman:
             )
         if len(set(xs)) < 2 or len(set(ys)) < 2:
             return
-        expected = scipy.stats.spearmanr(xs, ys).statistic
-        assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
-
-    @given(
-        xs=st.lists(_values, min_size=3, max_size=20),
-        ys=st.lists(_values, min_size=3, max_size=20),
-    )
-    @example(xs=[-0.0, 0.0, 2.0, -1.0], ys=[0.5, 2.0, 0.0, -0.0])
-    @example(xs=[0.5, 0.5, 0.5, 0.5, 2.0], ys=[-1.0, 0.0, 0.5, 2.0, 2.0])
-    def test_equals_numpy_corrcoef_property(self, xs, ys):
-        """The stdlib arithmetic gives numpy's Pearson correlation of the
-        average ranks bit for bit."""
-        n = min(len(xs), len(ys))
-        xs, ys = xs[:n], ys[:n]
-        if len(set(xs)) < 2 or len(set(ys)) < 2:
-            return
-        expected = float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1])
-        assert spearman(xs, ys) == expected
+        rho = spearman(xs, ys)
+        assert rho == pytest.approx(scipy.stats.spearmanr(xs, ys).statistic, abs=1e-12)
+        assert rho == float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[0, 1])
 
 
 class TestGapReport:
@@ -134,6 +122,7 @@ class TestGapReport:
         report = self._report([0, 1], (3, [1, 2]), (3, [1, 2]))
         assert attach_gap(report, {}) == {"surplus": [], "deficit": []}
 
+    @pytest.mark.thorough
     @given(ds=_morph_side, ref=_morph_side, width=st.sampled_from([0.1, 0.5, 1.0]))
     @example(  # seven reference languages in one deficit bin, in reverse iso order
         ds=[("aaa", 2.5)],

@@ -971,6 +971,7 @@ class TestJsonWriter:
     """``cli._json_text`` writes what ``json.dumps(indent=2,
     sort_keys=True)`` writes, byte for byte."""
 
+    @pytest.mark.thorough
     @given(_JSON_VALUES)
     @example({})
     @example([])
@@ -1860,6 +1861,7 @@ class TestScoreMatchesReference:
         assert table[0] == fields
         assert [[label, *map(float, weights)] for label, *weights in table[1:]] == rows
 
+    @pytest.mark.thorough
     @given(case=_morph_tables())
     @example(case=(1.0, ["aaa"], [2.5], ["aab", "aac"], [1.5, 2.5]))  # one language: null ti
     @example(  # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
@@ -1886,6 +1888,7 @@ class TestScoreMatchesReference:
             argv += ["--bin-width", repr(width)]
             self._check(argv, morph_payload(mwl_d, mwl_r, iso_r, width))
 
+    @pytest.mark.thorough
     @given(case=_syn_matrices())
     @example(  # an all-zero dataset: no score at 103 dimensions, one at 206
         case=(["s1", "s2"], [[0, 0], [0, 0], [0, 0]], ["aab", "aaa"], [[1, 0], [0, 1]])

@@ -1,8 +1,9 @@
 """Scoring core: binning, the aligned min-max table, and entropy indices.
 
-The randomized properties here are the package-level half of the
-acceptance property suites; the acceptance tests re-run the headline
-properties at their pinned budgets.
+The score's identity, symmetry, range, duplication and coarsening
+properties are acceptance criterion 4 (tests/test_acceptance.py); the
+properties here check what the criteria do not: every score against
+the exact stdlib reference, the bin axis and the entropy indices.
 """
 import csv
 import math
@@ -10,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from divscore.analysis import attach_gap
@@ -56,6 +57,19 @@ far_apart_measurements = st.lists(
     min_size=1,
     max_size=10,
 )
+
+
+def _cwals_sides():
+    """The bundled table's c_wals values: those of its languages on the
+    bundled mBERT list, and all of them, in table order."""
+    with open(bundled_path("mwl_cwals.csv"), newline="", encoding="utf-8") as fh:
+        table = [(row["iso"], float(row["c_wals"])) for row in csv.DictReader(fh)]
+    lines = bundled_path("mbert_languages.txt").read_text(encoding="utf-8").splitlines()
+    mbert = {line.split("#", 1)[0].strip() for line in lines}
+    return [v for iso, v in table if iso in mbert], [v for _, v in table]
+
+
+CWALS_MBERT, CWALS_ALL = _cwals_sides()
 
 
 decimal_widths = st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.5])
@@ -246,33 +260,21 @@ class TestJmmScore:
     def test_identity_property(self, values, width):
         assert jmm(values, values, width).value == 1.0
 
-    @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
-    def test_symmetry_property(self, a, b, width):
-        assert jmm(a, b, width).value == jmm(b, a, width).value
-
-    @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0]))
-    def test_range_property(self, a, b, width):
-        v = jmm(a, b, width).value
-        assert 0.0 <= v <= 1.0
-
-    @given(a=measurements, b=measurements, k=st.sampled_from([2, 3, 5]))
-    def test_duplication_invariance_property(self, a, b, k):
-        base = jmm(a, b, 1.0).value
-        assert jmm(a * k, b, 1.0).value == pytest.approx(base, abs=1e-12)
-        assert jmm(a, b * k, 1.0).value == pytest.approx(base, abs=1e-12)
-
-    @given(a=measurements, b=measurements)
-    @example(a=[-1.0], b=[-5e-324])
-    def test_coarsening_monotonicity_property(self, a, b):
-        fine = jmm(a, b, 1.0).value
-        coarse = jmm(a, b, 2.0).value
-        assert coarse >= fine - 1e-12
-
-    @given(a=measurements, b=measurements, width=st.sampled_from([0.5, 1.0, 2.5]))
-    @settings(max_examples=200)
+    @pytest.mark.thorough
+    @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0, 2.5]))
+    # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
+    @example(a=[3.5, 1.5, 0.5, 1.5, 3.5], b=[3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5], width=1.0)
+    # the c_WALS gap of the 17 mBERT languages of the bundled table against all 28
+    @example(a=CWALS_MBERT, b=CWALS_ALL, width=0.1)
+    # 257 rows, each a term whose float sum would depend on the order
+    @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
     def test_matches_brute_force_property(self, a, b, width):
+        """The score is the exact ratio of its counts, rounded once, as the
+        reference computes it: no float weight, sum or summation order
+        enters."""
         assert jmm(a, b, width).value == brute_jmm(a, b, width)
 
+    @pytest.mark.thorough
     @given(
         a=far_apart_measurements,
         b=far_apart_measurements,
@@ -359,9 +361,15 @@ class TestJmmSyn:
         with pytest.raises(ValueError, match="column 1: 'sX' vs 's2'"):
             _jmm_syn(a, b)
 
+    @pytest.mark.thorough
     @given(pair=syn_pairs(), count_zeros=st.booleans())
     @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=False)
     @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=True)
+    # 5 vs 8 languages
+    @example(
+        pair=(["s1", "s2"], [[1, 0], [1, 1], [0, 0], [1, 0], [0, 1]], [[1, 1]] * 3 + [[0, 1]] * 5),
+        count_zeros=False,
+    )
     def test_matches_brute_force_property(self, pair, count_zeros):
         features, rows_d, rows_r = pair
         ds, ref = _syn(rows_d, features), _syn(rows_r, features)
@@ -381,46 +389,9 @@ class TestJmmSyn:
             _jmm_syn(a, b)
 
 
-def _cwals_sides():
-    """The bundled table's c_wals values: those of its languages on the
-    bundled mBERT list, and all of them, in table order."""
-    with open(bundled_path("mwl_cwals.csv"), newline="", encoding="utf-8") as fh:
-        table = [(row["iso"], float(row["c_wals"])) for row in csv.DictReader(fh)]
-    lines = bundled_path("mbert_languages.txt").read_text(encoding="utf-8").splitlines()
-    mbert = {line.split("#", 1)[0].strip() for line in lines}
-    return [v for iso, v in table if iso in mbert], [v for _, v in table]
-
-
-CWALS_MBERT, CWALS_ALL = _cwals_sides()
-
-
 class TestExactRatio:
-    """Every score is the exact ratio of its counts, rounded once, as the
-    reference computes it: no float weight, sum or summation order
-    enters."""
-
-    @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0]))
-    # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
-    @example(a=[3.5, 1.5, 0.5, 1.5, 3.5], b=[3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5], width=1.0)
-    # the c_WALS gap of the 17 mBERT languages of the bundled table against all 28
-    @example(a=CWALS_MBERT, b=CWALS_ALL, width=0.1)
-    # 257 rows, each a term whose float sum would depend on the order
-    @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
-    def test_morph_value_is_the_int_ratio_property(self, a, b, width):
-        assert jmm(a, b, width).value == brute_jmm(a, b, width)
-
-    @given(pair=syn_pairs(), count_zeros=st.booleans())
-    # 5 vs 8 languages
-    @example(
-        pair=(["s1", "s2"], [[1, 0], [1, 1], [0, 0], [1, 0], [0, 1]], [[1, 1]] * 3 + [[0, 1]] * 5),
-        count_zeros=False,
-    )
-    def test_syn_value_is_the_int_ratio_property(self, pair, count_zeros):
-        features, rows_d, rows_r = pair
-        expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
-        assume(expected is not None)
-        report = _jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
-        assert report.value == expected["value"]
+    """Scores pinned to the exact ratio of their counts, where a float sum
+    of the scaled weights would be one ulp off."""
 
     def test_pinned_values(self):
         assert len(CWALS_MBERT) == 17 and len(CWALS_ALL) == 28
@@ -444,6 +415,7 @@ def gap_cases(draw):
 
 
 class TestFeatureMembers:
+    @pytest.mark.thorough
     @given(case=gap_cases(), count_zeros=st.booleans())
     @example(  # seven reference languages with the value, in reverse iso order
         case=(["s1"], [[1], [0]], ["ggg", "fff", "eee", "ddd", "ccc", "bbb", "aaa"], [[1]] * 7),
@@ -535,6 +507,7 @@ class TestTiMorph:
         with pytest.raises(ValueError, match="at least 2 values"):
             ti_morph(bin_measurements([1.0], 1.0))
 
+    @pytest.mark.thorough
     @given(values=st.lists(st.floats(min_value=0, max_value=6), min_size=2, max_size=12))
     def test_matches_oracle_property(self, values):
         assert ti_morph(bin_measurements(values, 1.0)) == brute_ti_morph(values, 1.0)

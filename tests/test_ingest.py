@@ -572,6 +572,7 @@ _HALF = b"x" * (csv.field_size_limit() // 2 + 1)
 
 
 class TestTableOracle:
+    @pytest.mark.thorough
     @given(csv_tables())
     @example(("numbers", b"iso,x\nabc,1\nabd,nan\n"))  # non-finite
     @example(("numbers", b"iso,x\nabc,many\n"))  # not a number

@@ -179,6 +179,7 @@ class TestExactSum:
     # 128-term block. Adding [1e16, 1.0, -1e16] in order or in numpy's
     # order gives 0.0, its exact sum is 1.0. Over [1.0, 2**-53, 2**-53]
     # adding in order loses both small terms, so the score moves.
+    @pytest.mark.thorough
     @given(xs=st.builds(_seeded_floats, st.integers(0, 1000), st.integers(0, 2**32 - 1)))
     @example(xs=_seeded_floats(7, 0))
     @example(xs=_seeded_floats(8, 0))
@@ -192,7 +193,8 @@ class TestExactSum:
     def test_scorer_sums_are_exact_property(self, xs):
         """The typological indices sum with math.fsum: the float nearest
         the exact sum. (The minmax scores sum ints and divide once;
-        `tests/test_diversity.py::TestExactRatio` checks them.)"""
+        the brute-force properties in `tests/test_diversity.py` check
+        them.)"""
         assert math.fsum(xs) == exact_sum(xs)
 
 
@@ -349,6 +351,7 @@ class TestFeatureMatrix:
             m.values[0] = b"\x00\x00"
         assert m.values == (b"\x01\x00",)
 
+    @pytest.mark.thorough
     @given(
         rows=st.integers(1, 300).flatmap(
             lambda width: st.lists(

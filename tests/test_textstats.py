@@ -178,6 +178,7 @@ _WORD_MATERIAL_TEXT = st.lists(
 class TestTokenizeOracle:
     """The fast path against the cluster-by-cluster oracle."""
 
+    @pytest.mark.thorough
     @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT))
     @example("\u0d4e x")  # Prepend glues onto the space after it
     @example("1\u0301.2")  # the kind of "1́" is its base's
@@ -204,6 +205,7 @@ class TestTokenizeOracle:
     def test_matches_brute_force(self, text):
         assert toks(text) == brute_tokenize(unicodedata.normalize("NFC", text))
 
+    @pytest.mark.thorough
     @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT))
     @example("a\r\nb")  # a whitespace cluster of two code points
     @example("\u1100\u1161\u11a8.\u1100")  # a jamo cluster of three, before a connector
@@ -220,6 +222,7 @@ class TestTokenizeOracle:
         text = unicodedata.normalize("NFC", text)
         assert textstats._tokenize_clusters(text) == brute_tokenize(text)
 
+    @pytest.mark.thorough
     @given(
         st.lists(st.one_of(_MIXED_TEXT, _PLAIN_TEXT).filter(bool), min_size=1, max_size=6),
         st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_SPACES)), max_size=60),
@@ -241,6 +244,7 @@ class TestTokenizeOracle:
         with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
             assert toks(text) == expected
 
+    @pytest.mark.thorough
     @given(st.one_of(_WORD_MATERIAL_TEXT, _MIXED_TEXT))
     @example("ab -- cd")
     @example("x \u0301y")  # a stray mark: the cluster pass
@@ -409,6 +413,7 @@ class TestMeasures:
         seq = ("ab", "abcd")
         assert mean_word_length(Counter(seq)) == 3.0
 
+    @pytest.mark.thorough
     @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT), st.integers(1, 4), st.floats(0.01, 100.0))
     @example("ab ab ab cde", 1, 2.4)  # repeated tokens
     @example("\u6211 \u6211\u5011 \u6211", 3, 2.4)
@@ -425,6 +430,7 @@ class TestMeasures:
         per_token = sum(grapheme_length(t) for t in seq)
         assert mean_word_length(Counter(seq), scale) == per_token / len(seq) * scale
 
+    @pytest.mark.thorough
     @given(
         st.lists(st.one_of(st.sampled_from(_PLAIN_TYPES), _ANY_TYPE), min_size=1, max_size=8),
         st.lists(st.integers(0, 7), min_size=1, max_size=30),
