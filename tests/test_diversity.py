@@ -34,6 +34,7 @@ from oracles import (
     brute_ti_morph,
     brute_ti_syn,
     exact_bin,
+    morph_payload,
     syn_payload,
 )
 from support import jmm, run_main
@@ -262,17 +263,13 @@ class TestJmmScore:
 
     @pytest.mark.thorough
     @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0, 2.5]))
-    # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
-    @example(a=[3.5, 1.5, 0.5, 1.5, 3.5], b=[3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5], width=1.0)
-    # the c_WALS gap of the 17 mBERT languages of the bundled table against all 28
-    @example(a=CWALS_MBERT, b=CWALS_ALL, width=0.1)
-    # 257 rows, each a term whose float sum would depend on the order
-    @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
     def test_matches_brute_force_property(self, a, b, width):
-        """The score is the exact ratio of its counts, rounded once, as the
-        reference computes it: no float weight, sum or summation order
-        enters."""
-        assert jmm(a, b, width).value == brute_jmm(a, b, width)
+        """The per-bin rows and c are the reference's; the value is
+        TestExactRatio's."""
+        report = jmm(a, b, width)
+        expected = morph_payload(a, b, range(len(b)), width)["jmm"]
+        assert [r.to_dict() for r in report.per_bin] == expected["per_bin"]
+        assert report.normalization_c == expected["normalization_c"]
 
     @pytest.mark.thorough
     @given(
@@ -365,12 +362,9 @@ class TestJmmSyn:
     @given(pair=syn_pairs(), count_zeros=st.booleans())
     @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=False)
     @example(pair=(["s1"], [[0]], [[1], [1]]), count_zeros=True)
-    # 5 vs 8 languages
-    @example(
-        pair=(["s1", "s2"], [[1, 0], [1, 1], [0, 0], [1, 0], [0, 1]], [[1, 1]] * 3 + [[0, 1]] * 5),
-        count_zeros=False,
-    )
     def test_matches_brute_force_property(self, pair, count_zeros):
+        """The per-bin rows are the reference's, and a side with no weight
+        is an error; the value is TestExactRatio's."""
         features, rows_d, rows_r = pair
         ds, ref = _syn(rows_d, features), _syn(rows_r, features)
         expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
@@ -380,7 +374,6 @@ class TestJmmSyn:
             return
         report = _jmm_syn(ds, ref, count_zeros)
         assert [r.to_dict() for r in report.per_bin] == expected["per_bin"]
-        assert report.value == expected["value"]
 
     def test_feature_length_mismatch(self):
         a = FeatureMatrix(["aaa"], ["s1"], [[1]])
@@ -390,8 +383,34 @@ class TestJmmSyn:
 
 
 class TestExactRatio:
-    """Scores pinned to the exact ratio of their counts, where a float sum
-    of the scaled weights would be one ulp off."""
+    """Every score is the exact ratio of its counts, rounded once, as the
+    reference computes it: no float weight, sum or summation order
+    enters."""
+
+    @pytest.mark.thorough
+    @given(a=measurements, b=measurements, width=st.sampled_from([0.1, 0.5, 1.0, 2.5]))
+    # 5 vs 8 languages: scaled float weights sum to 31/49 one ulp low
+    @example(a=[3.5, 1.5, 0.5, 1.5, 3.5], b=[3.5, 1.5, 3.5, 1.5, 0.5, 3.5, 2.5, 3.5], width=1.0)
+    # the c_WALS gap of the 17 mBERT languages of the bundled table against all 28
+    @example(a=CWALS_MBERT, b=CWALS_ALL, width=0.1)
+    # 257 rows, each a term whose float sum would depend on the order
+    @example(a=[k + 0.5 for k in range(257)], b=[k + 0.5 for k in range(0, 257, 3)], width=1.0)
+    def test_morph_value_is_the_int_ratio_property(self, a, b, width):
+        assert jmm(a, b, width).value == brute_jmm(a, b, width)
+
+    @pytest.mark.thorough
+    @given(pair=syn_pairs(), count_zeros=st.booleans())
+    # 5 vs 8 languages
+    @example(
+        pair=(["s1", "s2"], [[1, 0], [1, 1], [0, 0], [1, 0], [0, 1]], [[1, 1]] * 3 + [[0, 1]] * 5),
+        count_zeros=False,
+    )
+    def test_syn_value_is_the_int_ratio_property(self, pair, count_zeros):
+        features, rows_d, rows_r = pair
+        expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
+        assume(expected is not None)
+        report = _jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
+        assert report.value == expected["value"]
 
     def test_pinned_values(self):
         assert len(CWALS_MBERT) == 17 and len(CWALS_ALL) == 28
