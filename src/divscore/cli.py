@@ -292,6 +292,8 @@ def _profile_file(
             target=args.sample_target,
             seed=args.seed,
         )
+    except UnicodeDecodeError as exc:  # the tokenizer decodes the file's bytes
+        return f"corpus {f} is not valid UTF-8: {exc}"
     except (ValueError, OSError) as exc:
         return str(exc)
 

@@ -1,12 +1,13 @@
 """File loading: language registry, feature matrices, corpora.
 
 All readers take explicit paths and return validated domain objects.
-Text is decoded strictly (invalid UTF-8 is an error, never replaced) and
-returned as decoded; ``textstats.tokenize`` is the one place that
-NFC-normalizes it. Every CSV table, the morphology spec file included,
-is read by ``_read_table``, which holds the header, row and error
-rules; each loader adds only its header rule and its parse of one row,
-which reads only the cells a command uses: a registry's ``family`` and
+A corpus is returned as the file's bytes, undecoded:
+``textstats.tokenize`` is the one place that decodes it (strictly, so
+invalid UTF-8 is an error, never replaced) and NFC-normalizes it. Every
+CSV table, the morphology spec file included, is read by
+``_read_table``, which holds the header, row and error rules; each
+loader adds only its header rule and its parse of one row, which reads
+only the cells a command uses: a registry's ``family`` and
 ``script_scale``, a numeric table's requested columns (one tuple of
 values per row, no dict), a spec file's chapter and final range.
 A *plain* table (no quote, no whitespace but one line break ending each
@@ -41,7 +42,8 @@ _DIGITS_AFTER_ISO = itemgetter(slice(4, None, 2))
 
 
 class CorpusSource(namedtuple("CorpusSource", "iso text")):
-    """One language's iso code and raw text."""
+    """One language's iso code and raw text: ``text`` holds the corpus
+    file's bytes, undecoded (``textstats.tokenize`` takes str or bytes)."""
 
     __slots__ = ()
 
@@ -117,7 +119,7 @@ def _read_table(
 ) -> tuple[list[str], list]:
     """Read a CSV table: the one place every table rule lives.
 
-    The file is opened once and decoded strictly as UTF-8; a leading BOM
+    The file is read once and decoded strictly as UTF-8; a leading BOM
     is dropped. All cells are stripped. The header must name every
     column, name none twice and pass ``header_ok``, which returns False
     (the error then says the header must be ``expect``) or raises its
@@ -131,8 +133,9 @@ def _read_table(
     whole columns; it must return what ``parse_row`` returns for each
     row, or raise ``ValueError``. A plain table that breaks a rule there
     is read again by the row loop, from its lines split at commas, and
-    every other table by the row loop over ``csv.reader`` of the text:
-    the loop is the one place a row error is phrased.
+    every other table by the row loop over ``csv.reader`` of the file's
+    bytes, decoded again a buffer at a time: the loop is the one place a
+    row error is phrased.
 
     Returns the header and the parsed rows in file order.
     """
@@ -140,12 +143,17 @@ def _read_table(
     parsed = []
     first_row: dict[str, int] = {}
     try:
-        text = path.read_bytes().decode("utf-8-sig")
-        lines = _plain_lines(text)
+        raw = path.read_bytes()
+        lines = _plain_lines(raw.decode("utf-8-sig"))
         # a plain table's rows are its lines split at commas; any other
-        # table's are csv.reader's over the text, decoded once
-        reader = csv.reader(io.StringIO(text, newline="")) if lines is None else _split(lines)
-        del text
+        # table's are csv.reader's over the bytes, decoded a buffer at a
+        # time with only \n, \r and \r\n ending a line (an io.StringIO of
+        # the text would hold it at 4 bytes a character)
+        if lines is None:
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline=""))
+        else:
+            reader = _split(lines)
+        del raw
         header = [h.strip() for h in next(reader, [])]
         if not any(header):
             raise ValueError(f"{what} {path} has no header row")
@@ -369,21 +377,18 @@ def load_feature_matrix(
 
 
 def load_corpus(path, iso: str) -> CorpusSource:
-    """Read one language's plain-text corpus.
+    """Read one language's plain-text corpus: its bytes, which must not
+    be empty.
 
-    Decodes strictly as UTF-8 (invalid bytes raise, nothing is replaced).
-    No other processing: the text keeps its normalization form, and
-    ``textstats.tokenize`` normalizes it to NFC.
+    Nothing is decoded here. ``textstats.tokenize`` decodes the text
+    strictly as UTF-8, where an invalid byte raises ``UnicodeDecodeError``
+    at its position in the file, and normalizes it to NFC.
     """
     path = Path(path)
     raw = path.read_bytes()
     if not raw:
         raise ValueError(f"empty corpus: {path}")
-    try:
-        text = raw.decode("utf-8", errors="strict")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"corpus {path} is not valid UTF-8: {exc}") from None
-    return CorpusSource(iso, text)
+    return CorpusSource(iso, raw)
 
 
 def family_breakdown(records: Iterable[LanguageRecord]) -> tuple[dict[str, list[str]], list[str]]:

@@ -21,7 +21,7 @@ combining mark after a space, or a Prepend code point before one, joins
 the space into a token: tokenize("x \\u0301y") gives ["x \\u0301y"] and
 tokenize("\\u0d4e x") gives ["\\u0d4e x"].
 
-`tokenize` is the one place that NFC-normalizes text. Most text is
+`tokenize` alone decodes and NFC-normalizes text. Most text is
 tokenized by one compiled pattern: where every grapheme cluster is a
 base code point plus its marks, a token is a run of letters, marks and
 digits, joined across single connectors, and the pattern replaces
@@ -43,13 +43,14 @@ data but not on the Python version.
 command that reads no text loads neither.
 
 Natural text repeats its words, code points and tokens, so work that
-depends on one item alone is done once per distinct item: NFC, the
-trigger test and the separator pattern run once per distinct
-whitespace-delimited chunk (NFC never acts across whitespace, and no
-token spans it); the trigger code points are looked for among the
-distinct code points. A window's word lengths take one pass over its
-types: where they hold no trigger and no virama, a type's clusters are
-its non-marks, counted by deleting the marks (`mean_word_length`).
+depends on one item alone is done once per distinct item: decoding (the
+text is split into chunks as UTF-8 bytes), NFC, the trigger test and the
+separator pattern run once per distinct whitespace-delimited chunk (NFC
+never acts across whitespace, and no token spans it); the trigger code
+points are looked for among the distinct code points. A window's word
+lengths take one pass over its types: where they hold no trigger and no
+virama, a type's clusters are its non-marks, counted by deleting the
+marks (`mean_word_length`).
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ import operator
 import re
 import unicodedata
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, count
+from itertools import chain, count, islice
 
 from .ingest import CorpusSource
 from .model import TextProfile, _require
@@ -78,10 +79,13 @@ _CONNECTOR_LETTERS = {
     **dict.fromkeys(_MID_BOTH, "b"),
 }
 
-# the standard library's \s is str.isspace(), where str.split() splits
-_WHITESPACE = re.compile(r"\s")
-#: Characters `tokenize` splits at a time.
-_BLOCK_CHARS = 1 << 18
+# where bytes.split() splits: in a bytes pattern the standard library's
+# \s is the six ASCII whitespace bytes
+_ASCII_WHITESPACE = re.compile(rb"\s")
+#: Bytes `tokenize` splits into chunks at a time.
+_BLOCK_BYTES = 1 << 18
+#: Distinct chunks `tokenize` decodes and tokenizes at a time.
+_BATCH_CHUNKS = 1 << 12
 
 #: The tokenizer's compiled patterns, built by :func:`_patterns`.
 _Patterns = namedtuple("_Patterns", "separator special stray_mark grapheme alnum digit mark virama")
@@ -176,34 +180,44 @@ def _patterns() -> _Patterns:
     )
 
 
-def _has_trigger(text: str) -> bool:
-    """Whether ``text`` holds a trigger: a special code point, looked
-    for among its distinct code points, or a stray mark. A mark that
-    starts ``text`` or follows a line break is stray."""
+def _has_trigger(*texts: str) -> bool:
+    """Whether any of ``texts`` holds a trigger: a special code point,
+    looked for among their distinct code points, or a stray mark. A mark
+    that starts a text or follows a line break is stray."""
     p = _patterns()
-    return bool(p.special.search("".join(set(text))) or p.stray_mark.search(text))
+    special = p.special.search("".join(set().union(*texts)))
+    return bool(special or any(map(p.stray_mark.search, texts)))
 
 
-def tokenize(text: str) -> tuple[str, ...]:
+def tokenize(text: str | bytes) -> tuple[str, ...]:
     """Split text into lexical tokens of its NFC normal form.
 
-    The one place that normalizes text: the tokens are those of
-    ``unicodedata.normalize("NFC", text)``, so canonically equivalent
-    spellings give equal tokens. Natural text repeats its words, so NFC
-    and the token rule run once per distinct whitespace-delimited chunk,
-    over the distinct chunks joined by line breaks: NFC never acts
-    across whitespace, and no token spans it. Without a trigger, one
+    The one place that decodes and normalizes text: the tokens are those
+    of ``unicodedata.normalize("NFC", text)``, ``bytes`` decoded strictly
+    as UTF-8 first, so canonically equivalent spellings give equal
+    tokens. A str is encoded to UTF-8 and tokenized as its bytes. Natural
+    text repeats its words, so the bytes are split into chunks at ASCII
+    whitespace as they come, and decoding, NFC and the token rule run
+    once per distinct chunk, over batches of distinct chunks joined by
+    line breaks: NFC never acts across whitespace, and no token spans it.
+    A chunk may keep other whitespace (U+3000, U+0085, ...), where the
+    separator pass splits it. No ASCII byte sits inside a multi-byte
+    UTF-8 sequence, so the text is valid UTF-8 exactly when its distinct
+    chunks are; where they are not, the whole text is decoded, so the
+    error counts the bad byte's position in it. Without a trigger, one
     pass replaces each chunk's separator runs with spaces, leaving a
     line of space-separated tokens per chunk; each occurrence of a chunk
     then shares that chunk's token objects, so the tokens take memory
-    for the distinct chunks and a reference per token. The chunk strings
-    are freed before any token is made. With a trigger, the whole text
-    is normalized and tokenized by the cluster pass (`_tokenize_clusters`).
+    for the distinct chunks and a reference per token. The chunks are
+    freed before any token is made. With a trigger, the whole text is
+    decoded, normalized and tokenized by the cluster pass
+    (`_tokenize_clusters`).
 
     Parameters
     ----------
-    text : str
-        Input text, in any normalization form.
+    text : str or bytes
+        Input text, in any normalization form; ``bytes`` hold it in
+        UTF-8, as ``ingest.load_corpus`` reads a corpus file.
 
     Returns
     -------
@@ -211,39 +225,60 @@ def tokenize(text: str) -> tuple[str, ...]:
         Tokens in original order, punctuation-only material removed,
         each holding an alphanumeric character. Empty input yields an
         empty tuple.
+
+    Raises
+    ------
+    UnicodeError
+        If ``text`` is bytes that are not valid UTF-8
+        (``UnicodeDecodeError``), or a str with a lone surrogate, which
+        UTF-8 cannot encode (``UnicodeEncodeError``).
     """
     p = _patterns()
+    if isinstance(text, str):
+        text = text.encode()
     # each chunk occurrence becomes its chunk's number, counted from 0
     # in order of first sight; the first of equal chunks is kept, as a
     # key, until the keys are joined
-    numbers: defaultdict[str, int] = defaultdict(count().__next__)
+    numbers: defaultdict[bytes, int] = defaultdict(count().__next__)
     chunks: list[int] = []
     for block in _blocks(text):
         chunks += map(numbers.__getitem__, block.split())
-    distinct = unicodedata.normalize("NFC", "\n".join(numbers))
-    del numbers
-    # a mark that starts a chunk follows a line break, so it is still stray
-    if _has_trigger(distinct):
-        del chunks, distinct
-        return tuple(_tokenize_clusters(unicodedata.normalize("NFC", text)))
-    # a line per distinct chunk, its tokens with spaces between; a block
+    # the distinct chunks in batches, each joined by line breaks, decoded
+    # and normalized: a batch at a time, since bytes.join holds a buffer
+    # record per item and decoding most scripts first holds 2 bytes a byte
+    keys = iter(numbers)
+    try:
+        batches = [
+            unicodedata.normalize("NFC", b"\n".join(islice(keys, _BATCH_CHUNKS)).decode())
+            for _ in range(0, len(numbers), _BATCH_CHUNKS)
+        ]
+    except UnicodeDecodeError:
+        text.decode()  # fails too, at the bad byte's position in the whole text
+        raise
+    del numbers, keys
+    # a mark that starts a chunk follows a line break or starts a batch,
+    # so it is still stray
+    if _has_trigger(*batches):
+        del chunks, batches
+        return tuple(_tokenize_clusters(unicodedata.normalize("NFC", text.decode())))
+    # a line per distinct chunk, its tokens with spaces between; a batch
     # of lines at a time, since `sub` holds a string per piece between
     # separators until it joins them. Each chunk's tuple of tokens is
     # shared by all its occurrences.
     lines: list[tuple[str, ...]] = []
-    for block in _blocks(distinct):
-        lines += map(tuple, map(str.split, p.separator.sub(" ", block).split("\n")))
-    del distinct
+    for batch in batches:
+        lines += map(tuple, map(str.split, p.separator.sub(" ", batch).split("\n")))
+    del batches
     return tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
 
 
-def _blocks(text: str):
-    """``text`` in pieces of about ``_BLOCK_CHARS`` characters, cut at a
-    whitespace character that neither piece keeps, so that no chunk
-    spans two pieces, and a text of lines is cut into whole lines."""
+def _blocks(text: bytes):
+    """``text`` in pieces of about ``_BLOCK_BYTES`` bytes, cut at an ASCII
+    whitespace byte that neither piece keeps, so that no chunk spans two
+    pieces."""
     start = 0
     while start < len(text):
-        cut = _WHITESPACE.search(text, start + _BLOCK_CHARS)
+        cut = _ASCII_WHITESPACE.search(text, start + _BLOCK_BYTES)
         end = cut.start() if cut else len(text)
         yield text[start:end]
         start = end + 1

@@ -118,6 +118,25 @@ class TestProfile:
         )
         assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["aaa"]
 
+    def test_invalid_utf8_names_the_position_in_the_file(self, fixtures, tmp_path, capsys):
+        # the bad byte is at 18 in the file and at 6 in its distinct chunks
+        # joined by line breaks, which the tokenizer decodes first
+        p = tmp_path / "abc.txt"
+        p.write_bytes(b"ok ok ok ok la la \xff tail\n")
+        failed = (
+            f"profile failed for abc.txt: corpus {p} is not valid UTF-8: 'utf-8' codec "
+            "can't decode byte 0xff in position 18: invalid start byte\n"
+        )
+        code, out, err = run_main(["profile", "--dataset", str(tmp_path)], capsys)
+        assert (code, json.loads(out)["profiles"], err) == (1, [], failed)
+        argv = ["score", "--level", "morph", "--dataset", str(tmp_path)]
+        code, out, err = run_main(argv + ["--reference", str(fixtures / "corpus_ref")], capsys)
+        assert (code, out) == (1, "")
+        assert err == failed + (
+            f"error: --dataset corpus directory {tmp_path}: profile failed for 1 file(s): "
+            "abc.txt; a side is scored whole or not at all\n"
+        )
+
     def test_missing_directory_is_an_error(self, tmp_path, capsys):
         code, out, err = run_main(["profile", "--dataset", str(tmp_path / "nope")], capsys)
         assert code == 1

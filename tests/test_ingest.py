@@ -1,11 +1,14 @@
 """File loaders: registries, feature matrices, corpora, and small tables."""
 import csv
 import io
+import itertools
 import math
 import os
 import re
+import string
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -195,17 +198,23 @@ class TestCorpus:
             load_corpus(p, "abc")
 
     def test_invalid_utf8_is_fatal(self, tmp_path):
+        # the loader keeps the bytes; the tokenizer's strict decode fails,
+        # at the bad byte's position in the file (3 in the distinct chunks)
         p = tmp_path / "abc.txt"
-        p.write_bytes(b"ok \xff\xfe broken")
-        with pytest.raises(ValueError, match="not valid UTF-8"):
-            load_corpus(p, "abc")
+        p.write_bytes(b"ok ok \xff\xfe broken")
+        corpus = load_corpus(p, "abc")
+        assert corpus.text == b"ok ok \xff\xfe broken"
+        with pytest.raises(UnicodeDecodeError) as exc:
+            tokenize(corpus.text)
+        assert (exc.value.start, exc.value.reason) == (6, "invalid start byte")
 
     def test_text_is_nfc_normalized(self, tmp_path):
-        # the loader returns the decoded text; the tokenizer normalizes it
+        # the loader returns the file's bytes; the tokenizer decodes and
+        # normalizes them
         p = tmp_path / "abc.txt"
         p.write_text("cafe\u0301\n", encoding="utf-8")  # decomposed accent
         corpus = load_corpus(p, "abc")
-        assert corpus.text == "cafe\u0301\n"
+        assert corpus.text == "cafe\u0301\n".encode("utf-8")
         assert tokenize(corpus.text) == ("caf\u00e9",)
 
 
@@ -598,6 +607,10 @@ class TestTableOracle:
     # at the edge of a plain table, which is read whole
     @example(("registry", b'iso,name\nabc,"A"\n'))  # one quoted cell
     @example(("numbers", b"iso,x\nabc,1\rabd,2\n"))  # a lone CR ends a row
+    @example(("registry", b'iso,name,family\rabc,"A\rB",F\rabd,C,\r'))  # and sits in a quoted cell
+    # a form feed and a line separator end no row, quoted or not
+    @example(("registry", 'iso,name,family\nabc,"A\x0cB",F\nabd,"C\u2028D",G\n'.encode()))
+    @example(("registry", 'iso,name,family\nabc,"A",F\x0c\nabd,C\u2028D,G\n'.encode()))
     @example(("numbers", b"iso,x\r\nabc,1\r\r\nabd,2\r\n"))  # a CR before a CR LF
     @example(("matrix", b"iso,a,b\r\nabc,0,1\nabd,1,1\r\n"))  # CR LF and LF line ends mixed
     @example(("numbers", b"iso,x\nabc,1\n\nabd,2\n"))  # a blank line
@@ -812,6 +825,29 @@ class TestPlainTables:
         path.write_bytes(raw)
         with pytest.raises(_ReaderCalled):
             load_numeric_table(path, ["x"])
+
+
+class TestQuotedTableMemory:
+    def test_quoted_matrix_peaks_within_three_times_its_size(self, tmp_path):
+        """A table that is not plain reaches csv.reader from its bytes,
+        decoded a buffer at a time: a 5,000 x 103 matrix with quoted iso
+        cells peaks under 3x its file size while it loads (an io.StringIO
+        of its text would hold it at 4 bytes a character: 5.6x)."""
+        codes = itertools.product(string.ascii_lowercase, repeat=3)
+        isos = ["".join(c) for c in itertools.islice(codes, 5000)]
+        lines = ["iso," + ",".join(f"f{j}" for j in range(103))]
+        lines += [f'"{iso}",' + ",".join(f"{i:0103b}") for i, iso in enumerate(isos)]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        load_feature_matrix(path)  # caches and compiled patterns first
+        tracemalloc.start()
+        try:
+            matrix, _ = load_feature_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrix.languages) == 5000 and matrix.values[5] == bytes(100) + b"\1\0\1"
+        assert peak < 3 * path.stat().st_size
 
 
 class TestOneOpen:

@@ -202,8 +202,13 @@ class TestTokenizeOracle:
     @example("\u0995\u09cd\u09b7")  # ক্ষ
     @example("\u0928\u092e\u0938\u094d\u0924\u0947")  # नमस्ते
     @example("\u0915\u094d\u0937'\u0915")  # क्ष'क, a conjunct before a connector
+    @example("\ufeffab cd ab")  # a BOM, kept in the first chunk
+    @example("ab\r\ncd\r\n\r\nab")  # CRLF line ends
     def test_matches_brute_force(self, text):
-        assert toks(text) == brute_tokenize(unicodedata.normalize("NFC", text))
+        # the text as str and as the UTF-8 bytes a str is tokenized as
+        expected = brute_tokenize(unicodedata.normalize("NFC", text))
+        assert toks(text) == expected
+        assert toks(text.encode("utf-8")) == expected
 
     @pytest.mark.thorough
     @given(st.one_of(_MIXED_TEXT, _PLAIN_TEXT))
@@ -232,17 +237,26 @@ class TestTokenizeOracle:
     @example(["a-b", "c", "--"], [(0, " "), (2, "\n"), (0, " "), (1, " "), (0, "\u3000")], None)
     @example(["e\u0301", "\u00e9"], [(0, " "), (1, " "), (0, "\u2000")], None)  # one chunk after NFC
     @example(["ab", "\u0301c"], [(0, " "), (1, " "), (0, " ")], "NFD")
+    @example(["\ufeffab", "cd"], [(0, "\r\n"), (1, "\r\n"), (0, "\u3000"), (1, " ")], None)
+    # a trigger only in a later batch of two distinct chunks, and a stray
+    # mark that starts one
+    @example(["ab", "cd", "e\u200df"], [(0, " "), (1, " "), (2, " ")], None)
+    @example(["ab", "cd", "\u0301e"], [(0, " "), (1, " "), (2, " ")], None)
     def test_repeated_chunks_match_brute_force(self, pool, picks, form):
         # text that repeats a few chunks, in any normalization form: each
         # distinct chunk is tokenized once and its tokens are repeated,
-        # whether the text is split whole or in blocks of a few characters
+        # whether the text is split whole or in blocks of a few bytes
+        # and its distinct chunks taken all at once or two at a time, and
+        # whether it is given as str or as UTF-8 bytes
         text = "".join(pool[k % len(pool)] + space for k, space in picks)
         if form is not None:
             text = unicodedata.normalize(form, text)
         expected = brute_tokenize(unicodedata.normalize("NFC", text))
-        assert toks(text) == expected
-        with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
-            assert toks(text) == expected
+        for given_text in (text, text.encode("utf-8")):
+            assert toks(given_text) == expected
+            with mock.patch.object(textstats, "_BLOCK_BYTES", 3):
+                with mock.patch.object(textstats, "_BATCH_CHUNKS", 2):
+                    assert toks(given_text) == expected
 
     @pytest.mark.thorough
     @given(st.one_of(_WORD_MATERIAL_TEXT, _MIXED_TEXT))
@@ -268,9 +282,12 @@ class TestTokenizeOracle:
             text = f.read_text(encoding="utf-8")
             expected = brute_tokenize(unicodedata.normalize("NFC", text))
             for form in ("NFC", "NFD"):
-                assert toks(unicodedata.normalize(form, text)) == expected, (f, form)
-                with mock.patch.object(textstats, "_BLOCK_CHARS", 100):
-                    assert toks(unicodedata.normalize(form, text)) == expected, (f, form)
+                # in UTF-8 bytes, as a corpus reaches the tokenizer
+                given_text = unicodedata.normalize(form, text).encode()
+                assert toks(given_text) == expected, (f, form)
+                with mock.patch.object(textstats, "_BLOCK_BYTES", 100):
+                    with mock.patch.object(textstats, "_BATCH_CHUNKS", 7):
+                        assert toks(given_text) == expected, (f, form)
 
     def test_whitespace_is_nfc_inert(self):
         # NFC never acts across whitespace, so normalizing each chunk alone
@@ -289,9 +306,10 @@ class TestTokenizeOracle:
         changed = {c: unicodedata.normalize("NFC", c) for c in spaces}
         assert {c: n for c, n in changed.items() if n != c} == {"\u2000": "\u2002", "\u2001": "\u2003"}
         # none of it is word material for the token rule, and the blocks
-        # are cut at exactly the code points str.split() splits at
+        # are cut at exactly the bytes bytes.split() splits at
         assert [c for c in spaces if _patterns().alnum.match(c)] == []
-        assert textstats._WHITESPACE.findall("".join(map(chr, range(0x110000)))) == spaces
+        ascii_spaces = [bytes([b]) for b in range(256) if not bytes([b]).split()]
+        assert textstats._ASCII_WHITESPACE.findall(bytes(range(256))) == ascii_spaces
 
     def test_triggers_are_looked_for_after_nfc(self):
         # NFD Hangul jamo are triggers, but the syllables NFC composes them
@@ -302,13 +320,15 @@ class TestTokenizeOracle:
             assert toks(text) == ["\ud55c\uad6d\uc5b4", "\ud14d\uc2a4\ud2b8", "\ud55c\uad6d\uc5b4"]
 
     def test_blocks_cut_at_whitespace_left_out(self):
-        # a text of lines is cut into whole lines, so the distinct chunks
-        # can be tokenized a block of lines at a time
-        with mock.patch.object(textstats, "_BLOCK_CHARS", 3):
-            assert list(textstats._blocks("ab\ncd\nef")) == ["ab\ncd", "ef"]
-            assert list(textstats._blocks("abc\n")) == ["abc"]
-            assert list(textstats._blocks("a b  c")) == ["a b", " c"]
-            assert list(textstats._blocks("")) == []
+        # a text is cut where it splits into chunks, at ASCII whitespace,
+        # so no chunk spans two blocks
+        with mock.patch.object(textstats, "_BLOCK_BYTES", 3):
+            assert list(textstats._blocks(b"ab\ncd\nef")) == [b"ab\ncd", b"ef"]
+            assert list(textstats._blocks(b"abc\n")) == [b"abc"]
+            assert list(textstats._blocks(b"a b  c")) == [b"a b", b" c"]
+            assert list(textstats._blocks(b"")) == []
+            spaced = "abc\u3000de f".encode()
+            assert list(textstats._blocks(spaced)) == [spaced[:-2], b"f"]
 
     def test_no_whitespace_is_a_trigger(self):
         # whitespace alone never sends a text to the cluster pass: no
