@@ -19,7 +19,7 @@ gives the same report:
 import csv
 
 from divscore.analysis import attach_gap
-from divscore.diversity import bin_measurements, gap_members, jmm_score
+from divscore.diversity import bin_measurements, jmm_score
 from divscore.ingest import bundled_path, load_iso_list, load_numeric_table
 
 # mean word lengths for an imagined web-crawled dataset: plenty of
@@ -47,11 +47,10 @@ def main() -> None:
     print(f"overlap score: {report.value:.4f} (1.0 would be a perfect match)")
     print(f"size normalization c = {report.normalization_c}")
 
-    # list each bin's first reference languages in iso order; each
-    # reference language sits in the one row of its bin
-    members = gap_members(report.reference, list(REFERENCE), zip(bins_r))
-    # the gap block as the JSON report prints it
-    gap = attach_gap(report, members)
+    # the gap block as the JSON report prints it: each deficit bin lists
+    # its first reference languages in iso order, and each reference
+    # language sits in the one row of its bin
+    gap = attach_gap(report, list(REFERENCE), zip(bins_r))
 
     print("\nsurplus (dataset mass the reference cannot match):")
     for entry in gap["surplus"]:
@@ -81,7 +80,7 @@ def bundled_mbert() -> None:
 
     bins_r = bin_measurements(list(mwl.values()), 1.0)
     report = jmm_score(bin_measurements([mwl[iso] for iso in covered], 1.0), bins_r)
-    gap = attach_gap(report, gap_members(report.reference, list(mwl), zip(bins_r)))
+    gap = attach_gap(report, list(mwl), zip(bins_r))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
     for entry in gap["deficit"]:
         examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry["examples"])

@@ -1,12 +1,13 @@
-"""Rank correlation, gap diagnosis, and report serialization.
+"""Rank correlation, gap diagnosis, and the SVG report.
 
 The gap diagnosis (``attach_gap``) is the surplus and deficit rows of a
-report's per-bin table, built as the dicts the JSON prints. Serialization
-formats: CSV (the per-bin table, fixed header
-``bin,dataset,reference,min,max``) and a self-contained SVG histogram
-overlaying the two distributions with the intersection shaded. The JSON
-report is ``DiversityReport.to_dict`` of the report and its gap block,
-inside the CLI's output.
+report's per-bin table, built as the dicts the JSON prints, with the
+first few reference languages of each deficit row. ``serialize_report``
+renders the table as a self-contained SVG histogram overlaying the two
+distributions with the intersection shaded. The JSON report is
+``DiversityReport.to_dict`` of the report and its gap block, and the CSV
+the table's rows under ``BinOverlap.COLUMNS``, both written by the CLI's
+emitter; ``csv_text`` is that emitter's CSV writer.
 """
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ import csv
 import io
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
-from .model import DiversityReport, _require
-
-_FORMATS = ("csv", "svg")
+from .model import MAX_GAP_EXAMPLES, DiversityReport, _require
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -71,26 +71,37 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return [rank[v] for v in values]
 
 
-def attach_gap(report: DiversityReport, reference_members: Mapping[object, Sequence[str]]) -> dict:
+def attach_gap(report: DiversityReport, isos: Sequence[str], rows: Iterable[Iterable]) -> dict:
     """The gap block of a report, as the JSON prints it, read off its
     per-bin table: ``{"surplus": [...], "deficit": [...]}``.
 
     A row where the dataset carries more weight is a surplus entry
     ``{"bin", "excess"}``; a row where it carries less is a deficit entry
-    ``{"bin", "shortfall", "examples"}``, whose examples are the reference
-    languages ``reference_members`` lists under the row's key: the first
-    ``MAX_GAP_EXAMPLES`` in iso order, as ``diversity.gap_members`` gives
-    them, so reports are reproducible. A row is at most one of the two.
+    ``{"bin", "shortfall", "examples"}``. A row is at most one of the two.
+    The examples are the first ``MAX_GAP_EXAMPLES`` reference languages
+    in iso order that the row counts, so reports are reproducible:
+    ``isos[i]`` is counted in the rows whose keys the i-th item of
+    ``rows`` gives. The scan stops once every deficit row lists as many
+    languages as it counts, up to ``MAX_GAP_EXAMPLES``, and reads no
+    other row's languages.
     """
-    surplus, deficit = [], []
-    for key, row in zip(report.reference.keys, report.per_bin):
+    surplus, deficit, examples, left = [], [], {}, 0
+    for key, count, row in zip(report.reference.keys, report.reference.counts, report.per_bin):
         if row.dataset > row.reference:
             surplus.append({"bin": row.label, "excess": row.dataset - row.reference})
         elif row.dataset < row.reference:
             shortfall = row.reference - row.dataset
-            deficit.append(
-                {"bin": row.label, "shortfall": shortfall, "examples": list(reference_members[key])}
-            )
+            listed = examples[key] = []
+            deficit.append({"bin": row.label, "shortfall": shortfall, "examples": listed})
+            left += min(count, MAX_GAP_EXAMPLES)
+    for iso, keys in sorted(zip(isos, rows), key=itemgetter(0)):
+        if not left:
+            break
+        for key in keys:
+            listed = examples.get(key)
+            if listed is not None and len(listed) < MAX_GAP_EXAMPLES:
+                listed.append(iso)
+                left -= 1
     return {"surplus": surplus, "deficit": deficit}
 
 
@@ -103,27 +114,9 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def serialize_report(report: DiversityReport, format: str) -> bytes:
-    """Render a report's per-bin table as csv or as an svg histogram.
-
-    Output is a pure function of the report: identical reports serialize
-    to identical bytes in every format.
-    """
-    if format not in _FORMATS:
-        raise ValueError(f"unsupported format {format!r}; choose one of {sorted(_FORMATS)}")
-    if format == "csv":
-        return csv_text(
-            ["bin", "dataset", "reference", "min", "max"],
-            (
-                [row.label, row.dataset, row.reference, row.min_weight, row.max_weight]
-                for row in report.per_bin
-            ),
-        ).encode("utf-8")
-    return _svg_histogram(report).encode("utf-8")
-
-
-def _svg_histogram(report: DiversityReport) -> str:
-    """Overlaid bar chart of the two per-bin distributions.
+def serialize_report(report: DiversityReport) -> str:
+    """A report's per-bin table as an SVG overlaid bar chart of the two
+    distributions, a pure function of the report.
 
     One labelled slot per per-bin row; bins empty on both sides get none,
     so the axis is not to scale. A slot holds a rect per occupied series

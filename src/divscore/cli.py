@@ -10,13 +10,15 @@ through one emitter, ``_emit``: a JSON object stamped with
 ``schema_version``, written by ``_json_text`` with the same bytes as
 ``json.dumps(indent=2, sort_keys=True)``, or the same rows as CSV.
 ``score`` builds one report, whose value, scalar and per-bin table are
-derived once; ``--format csv|svg`` renders that table through
-``serialize_report``. The gap block (``attach_gap``, the table's surplus
-and deficit rows) and the TI values are built for ``--format json``
-alone, which prints them. Diagnostics go
-to standard error, printed by the commands themselves. Every command is
-deterministic given identical inputs, flags, and seed; rows are sorted
-by iso code.
+derived once. ``--format csv`` emits that table's rows under
+``BinOverlap.COLUMNS``, like any other command's CSV, and ``--format
+svg`` renders it through ``analysis.serialize_report``, the one output
+the emitter does not write. The gap block (``attach_gap``, the table's
+surplus and deficit rows with their example languages) and the TI
+values are built for ``--format json`` alone, which prints them.
+Diagnostics go to standard error, printed by the commands themselves.
+Every command is deterministic given identical inputs, flags, and seed;
+rows are sorted by iso code.
 
 Exit code 0 means success, 1 any error, 2 a usage error from argparse.
 Every file of a corpus directory is tried, and one loop reports a
@@ -69,7 +71,7 @@ from .ingest import (
     load_numeric_table,
     load_registry,
 )
-from .model import ISO_CODE_RE, LanguageRecord, TextProfile, _require
+from .model import ISO_CODE_RE, BinOverlap, LanguageRecord, TextProfile, _require
 
 
 def _lazy(name: str):
@@ -509,22 +511,22 @@ def cmd_score(args: argparse.Namespace) -> int:
     level = _score_morph if args.level == "morph" else _score_syn
     report, fields, (isos, rows), ti, ti_inputs = level(args)
     ns = (report.dataset.n, report.reference.n)
-    gap, tis = None, (None, None)
+    payload = {}
     if args.format == "json":
-        gap = analysis.attach_gap(report, diversity.gap_members(report.reference, isos, rows))
+        jmm = report.to_dict(analysis.attach_gap(report, isos, rows))
         tis = [ti(x) if n >= 2 else None for x, n in zip(ti_inputs, ns)]
+        ti_fields = {"score_name": f"ti_{args.level}", "dataset": tis[0], "reference": tis[1]}
+        if args.level == "morph":
+            ti_fields["bin_universe"] = "occupied"
+        payload = {"level": args.level, **fields, "dataset_n": ns[0], "reference_n": ns[1]}
+        payload.update(normalization_c=report.normalization_c, jmm=jmm, ti=ti_fields)
     if min(ns) < 2:
         print(f"ti_{args.level} skipped for a single-language side", file=sys.stderr)
     print(f"normalization scalar c = {report.normalization_c!r}", file=sys.stderr)
-    if args.format != "json":
-        sys.stdout.write(analysis.serialize_report(report, args.format).decode("utf-8"))
-        return 0
-    ti_fields = {"score_name": f"ti_{args.level}", "dataset": tis[0], "reference": tis[1]}
-    if args.level == "morph":
-        ti_fields["bin_universe"] = "occupied"
-    payload = {"level": args.level, **fields, "dataset_n": ns[0], "reference_n": ns[1]}
-    c = report.normalization_c
-    _emit(args, {**payload, "normalization_c": c, "jmm": report.to_dict(gap), "ti": ti_fields})
+    if args.format == "svg":
+        sys.stdout.write(analysis.serialize_report(report))
+    else:
+        _emit(args, payload, BinOverlap.COLUMNS, report.per_bin)
     return 0
 
 

@@ -12,8 +12,9 @@ Two families of diversity scores over language features:
   side, labelled ``bin<k>`` (a bin empty on both sides would add 0 to
   both sums). For binary syntactic features the rows are the features, or
   ``<feature>=1`` and ``<feature>=0``. A side's counts form one
-  :class:`~divscore.model.Side`; :func:`gap_members` gives the first few
-  languages in each row, for the gap report.
+  :class:`~divscore.model.Side`. :func:`feature_rows` gives the rows
+  that count each language of a matrix, which ``analysis.attach_gap``
+  reads for the gap report's examples.
 
 * Typological index: mean Shannon entropy (base 2) of feature-value
   distributions across the languages of one set. For binary syntactic
@@ -32,9 +33,9 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress
-from operator import getitem, itemgetter
+from operator import getitem
 
-from .model import MAX_GAP_EXAMPLES, DiversityReport, FeatureMatrix, Side, _require
+from .model import DiversityReport, FeatureMatrix, Side, _require
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
@@ -74,7 +75,7 @@ def bin_index(value: float, width: float) -> int:
 def bin_measurements(values: Sequence[float], width: float) -> list[int]:
     """Each value's :func:`bin_index`, in input order: a binned side, which
     the caller makes once per side and hands to :func:`jmm_score`,
-    :func:`ti_morph` and, as each language's row, :func:`gap_members`."""
+    :func:`ti_morph` and, as each language's row, ``analysis.attach_gap``."""
     _require(len(values) > 0, "bin_measurements requires at least one value")
     return [bin_index(v, width) for v in values]
 
@@ -144,30 +145,10 @@ def jmm_syn(
     return DiversityReport("jmm_syn", side_d, side_r)
 
 
-def gap_members(side: Side, isos: Sequence[str], rows: Iterable[Iterable]) -> dict[object, list]:
-    """The gap examples of each row of ``side``, by row key: the first
-    ``MAX_GAP_EXAMPLES`` languages in iso order that the row counts.
-
-    ``isos[i]`` is counted in the rows whose keys the i-th item of
-    ``rows`` gives. The scan stops once every row lists as many
-    languages as it counts, up to ``MAX_GAP_EXAMPLES``.
-    """
-    members: dict[object, list] = {key: [] for key in side.keys}
-    left = sum(min(t, MAX_GAP_EXAMPLES) for t in side.counts)
-    for iso, keys in sorted(zip(isos, rows), key=itemgetter(0)):
-        if not left:
-            break
-        for key in keys:
-            listed = members[key]
-            if len(listed) < MAX_GAP_EXAMPLES:
-                listed.append(iso)
-                left -= 1
-    return members
-
-
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) variable in bits, with 0*log2(0) = 0."""
-    _require(0.0 <= p <= 1.0, f"probability must lie in [0, 1], got {p}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must lie in [0, 1], got {p}")
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)

@@ -5,9 +5,11 @@ A record carries only the fields some command reads; the loaders skip
 every other column of their files. Pure data and no I/O; what is
 computed is derived once, at construction: a feature matrix's column
 totals, and a score report's value, size ratio and per-bin table, from
-its counts. The gap diagnosis is no type: ``analysis.attach_gap`` reads
-it off the per-bin table as the rows the JSON prints. Every
-type but ``FeatureMatrix`` checks its invariants at construction time
+its counts. A per-bin row names the columns it prints under once
+(``BinOverlap.COLUMNS``), for the JSON and the CSV. The gap diagnosis is
+no type: ``analysis.attach_gap`` reads it off the per-bin table as the
+rows the JSON prints, with the example languages of each deficit row.
+Every type but ``FeatureMatrix`` checks its invariants at construction time
 and raises ``ValueError`` with a message naming the violated invariant;
 a feature matrix's rules are checked once, row by row, by the loader
 that builds it.
@@ -183,15 +185,11 @@ class BinOverlap(namedtuple("BinOverlap", "label dataset reference min_weight ma
     """One aligned bin (or feature dimension) of a two-way comparison."""
 
     __slots__ = ()
+    #: The names the JSON and the CSV print the fields under, in field order.
+    COLUMNS = ("bin", "dataset", "reference", "min", "max")
 
     def to_dict(self) -> dict:
-        return {
-            "bin": self.label,
-            "dataset": self.dataset,
-            "reference": self.reference,
-            "min": self.min_weight,
-            "max": self.max_weight,
-        }
+        return dict(zip(self.COLUMNS, self))
 
 
 class Side(namedtuple("Side", "n keys counts")):

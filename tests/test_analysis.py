@@ -10,9 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divscore.analysis import _average_ranks, attach_gap, serialize_report, spearman
-from divscore.diversity import bin_measurements, feature_side, gap_members, jmm_score, jmm_syn
+from divscore.diversity import bin_measurements, feature_side, jmm_score, jmm_syn
 from divscore.model import MAX_GAP_EXAMPLES, DiversityReport, FeatureMatrix, Side
 from oracles import morph_payload
+from support import run_main
 
 #: One side of a morph score: distinct iso codes, each with a mean word
 #: length, drawn from few letters so bins share members.
@@ -117,23 +118,43 @@ class TestGapReport:
             (2.0, 1.5),
             (0.0, 1.5),
         ]
-        gap = attach_gap(report, {4: ["qba", "qbb"]})
+        gap = attach_gap(report, ["qbb", "qaa"], [[4], [3]])
         assert gap == {
             "surplus": [{"bin": "bin2", "excess": 1.0}, {"bin": "bin3", "excess": 0.5}],
-            "deficit": [{"bin": "bin4", "shortfall": 1.5, "examples": ["qba", "qbb"]}],
+            "deficit": [{"bin": "bin4", "shortfall": 1.5, "examples": ["qbb"]}],
         }
 
     def test_examples_capped_and_sorted(self):
         report = self._report([0], (9, [1]), (9, [8]))
         isos = ["zzz", "aaa", "mmm", "bbb", "ccc", "fff", "ddd", "eee", "qqq"]
-        members = gap_members(report.reference, isos, [[0]] * 8 + [[]])
-        examples = attach_gap(report, members)["deficit"][0]["examples"]
+        examples = attach_gap(report, isos, [[0]] * 8 + [[]])["deficit"][0]["examples"]
         assert len(examples) == MAX_GAP_EXAMPLES
         assert examples == ["aaa", "bbb", "ccc", "ddd", "eee"]
 
     def test_equal_bins_appear_nowhere(self):
         report = self._report([0, 1], (3, [1, 2]), (3, [1, 2]))
-        assert attach_gap(report, {}) == {"surplus": [], "deficit": []}
+        assert attach_gap(report, ["aaa"], [[0]]) == {"surplus": [], "deficit": []}
+
+    def test_scan_stops_once_every_deficit_row_is_full(self):
+        """The examples fill the deficit rows alone: once each lists as
+        many languages as it counts, up to five, no further language's
+        row keys are read, though the surplus row has languages unlisted."""
+        # bin0 counts six reference languages and is a deficit, bin1 two
+        # and is a surplus; abc is the one bin1 language before the sixth
+        report = self._report([0, 1], (8, [1, 7]), (8, [6, 2]))
+        rows = {"aaa": 0, "abc": 1, "bbb": 0, "ccc": 0, "ddd": 0, "eee": 0, "fff": 0, "hhh": 1}
+        read = []
+
+        def keys_of(iso):
+            read.append(iso)
+            yield rows[iso]
+
+        isos = sorted(rows, reverse=True)
+        gap = attach_gap(report, isos, map(keys_of, isos))
+        assert gap["deficit"] == [
+            {"bin": "bin0", "shortfall": 5.0, "examples": ["aaa", "bbb", "ccc", "ddd", "eee"]}
+        ]
+        assert read == ["aaa", "abc", "bbb", "ccc", "ddd", "eee"]
 
     @pytest.mark.thorough
     @given(ds=_morph_side, ref=_morph_side, width=st.sampled_from([0.1, 0.5, 1.0]))
@@ -153,6 +174,9 @@ class TestGapReport:
         ref=[("ccc", 1.0), ("ddd", 1.0), ("abc", 2.0), ("abd", 2.0)],
         width=1.0,
     )
+    @example(  # equal counts on equal sides: no row is a deficit
+        ds=[("aaa", 1.5), ("bbb", 2.5)], ref=[("ddd", 2.5), ("ccc", 1.5)], width=1.0
+    )
     def test_morph_gap_property(self, ds, ref, width):
         """Each bin whose scaled counts differ is surplus or deficit by
         the difference, in row order, and a deficit lists the five
@@ -161,7 +185,7 @@ class TestGapReport:
         mwl_d = [v for _, v in ds]
         bins_r = bin_measurements(mwl_r, width)
         report = jmm_score(bin_measurements(mwl_d, width), bins_r)
-        gap = attach_gap(report, gap_members(report.reference, iso_r, zip(bins_r)))
+        gap = attach_gap(report, iso_r, zip(bins_r))
         assert gap == morph_payload(mwl_d, mwl_r, iso_r, width)["jmm"]["gap"]
 
     def test_attach_gap_round_trip(self):
@@ -169,7 +193,7 @@ class TestGapReport:
             bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
         )
         before = tuple(report)
-        gap = attach_gap(report, {4: ["qzz"]})
+        gap = attach_gap(report, ["qzz", "qaa"], [[4], [3]])
         assert tuple(report) == before
         deficit_labels = [b["bin"] for b in gap["deficit"]]
         assert "bin4" in deficit_labels
@@ -195,16 +219,28 @@ class TestOverlapSeries:
 
 
 class TestSerialization:
+    _DATASET, _REFERENCE = [2.5, 3.5, 3.7], [3.2, 4.1]
+
     def _report(self):
-        return jmm_score(bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0))
+        sides = (bin_measurements(values, 1.0) for values in (self._DATASET, self._REFERENCE))
+        return jmm_score(*sides)
 
-    def test_csv_and_svg_are_deterministic(self):
-        for fmt in ("csv", "svg"):
-            assert serialize_report(self._report(), fmt) == serialize_report(self._report(), fmt)
+    def test_svg_is_deterministic(self):
+        assert serialize_report(self._report()) == serialize_report(self._report())
 
-    def test_csv_header_and_rows(self):
+    def test_csv_header_and_rows(self, tmp_path, capsys):
+        """``score --format csv`` writes the per-bin table, one row per
+        bin under the names the JSON prints its fields with."""
+        sides = []
+        for side, values in (("dataset", self._DATASET), ("reference", self._REFERENCE)):
+            table = tmp_path / f"{side}.csv"
+            rows = (f"q{side[0]}{c},{v}\n" for c, v in zip("abc", values))
+            table.write_text("iso,mwl\n" + "".join(rows))
+            sides += [f"--{side}", str(table)]
+        code, out, _ = run_main(["score", "--level", "morph", *sides, "--format", "csv"], capsys)
+        assert code == 0
         report = self._report()
-        table = list(csv.reader(io.StringIO(serialize_report(report, "csv").decode())))
+        table = list(csv.reader(io.StringIO(out)))
         assert table[0] == ["bin", "dataset", "reference", "min", "max"]
         assert table[1:] == [
             [r.label, repr(r.dataset), repr(r.reference), repr(r.min_weight), repr(r.max_weight)]
@@ -214,7 +250,7 @@ class TestSerialization:
 
     def test_svg_one_rect_per_occupied_bin_per_series(self):
         report = self._report()
-        svg = serialize_report(report, "svg").decode()
+        svg = serialize_report(report)
         assert svg.startswith("<?xml")
         assert "<svg" in svg and svg.rstrip().endswith("</svg>")
         n_dataset_bins = sum(1 for r in report.per_bin if r.dataset > 0)
@@ -224,8 +260,3 @@ class TestSerialization:
         assert svg.count('class="reference"') == n_reference_bins
         assert svg.count('class="intersection"') == n_overlap_bins
         assert svg.count("<text") == len(report.per_bin) + 1
-
-    def test_unknown_format_rejected(self):
-        for fmt in ("yaml", "json"):
-            with pytest.raises(ValueError, match="unsupported format"):
-                serialize_report(self._report(), fmt)

@@ -1030,7 +1030,6 @@ class TestJsonWriter:
 #: the module the CLI calls them through.
 _JSON_ONLY = (
     ("analysis", "attach_gap"),
-    ("diversity", "gap_members"),
     ("diversity", "ti_morph"),
     ("diversity", "ti_syn"),
 )
@@ -1081,7 +1080,7 @@ class TestScoreBuildsOnlyWhatItPrints:
         else:
             # a single-language side gets no TI value, the other side one
             ti = ["ti_morph" if level == "morph" else "ti_syn"] * (1 if single else 2)
-            assert sorted(calls) == sorted(["gap_members", "attach_gap", *ti])
+            assert sorted(calls) == sorted(["attach_gap", *ti])
 
     @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
     @pytest.mark.parametrize("level", ["morph", "syn"])

@@ -21,7 +21,6 @@ from divscore.diversity import (
     binary_entropy,
     feature_rows,
     feature_side,
-    gap_members,
     jmm_syn,
     ti_morph,
     ti_syn,
@@ -440,6 +439,9 @@ class TestFeatureMembers:
         case=(["s1"], [[1], [0]], ["ggg", "fff", "eee", "ddd", "ccc", "bbb", "aaa"], [[1]] * 7),
         count_zeros=False,
     )
+    @example(  # both sides show the value in one of their two languages: no deficit
+        case=(["s1"], [[1], [0]], ["bbb", "aaa"], [[0], [1]]), count_zeros=True
+    )
     def test_gap_examples_property(self, case, count_zeros):
         """Each deficit row lists the five smallest iso codes among all the
         reference languages showing the row's value: the reference's gap."""
@@ -448,8 +450,8 @@ class TestFeatureMembers:
         assume(expected is not None)
         ref = FeatureMatrix(isos_r, features, rows_r)
         report = _jmm_syn(_syn(rows_d, features), ref, count_zeros)
-        members = gap_members(report.reference, ref.languages, feature_rows(report.reference, ref))
-        assert attach_gap(report, members) == expected["jmm"]["gap"]
+        gap = attach_gap(report, ref.languages, feature_rows(report.reference, ref))
+        assert gap == expected["jmm"]["gap"]
 
 
 class TestBinaryEntropy:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from divscore import model
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
-from divscore.diversity import feature_rows, feature_side, gap_members
+from divscore.diversity import feature_rows, feature_side
 from divscore.grammar import load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, load_registry
 from divscore.model import (
@@ -366,19 +366,37 @@ class TestFeatureMatrix:
         ),
         binary=st.booleans(),
         count_zeros=st.booleans(),
+        covered=st.sets(st.integers(0, 599)),
     )
     # 0/1 cells but a single 2: the totals are sums, not counts of 1s
     @example(
-        rows=[("abc", b"\1\0"), ("aaa", b"\0\2"), ("bcd", b"\1\1")], binary=False, count_zeros=False
+        rows=[("abc", b"\1\0"), ("aaa", b"\0\2"), ("bcd", b"\1\1")],
+        binary=False,
+        count_zeros=False,
+        covered=set(),
     )
-    @example(rows=[("abc", b"\1"), ("aaa", b"\0"), ("bcd", b"\1")], binary=True, count_zeros=True)
-    @example(rows=[("abc", b"\1\0\1\1")], binary=True, count_zeros=True)
-    def test_totals_and_members_property(self, rows, binary, count_zeros):
+    @example(
+        rows=[("abc", b"\1"), ("aaa", b"\0"), ("bcd", b"\1")],
+        binary=True,
+        count_zeros=True,
+        covered=set(),
+    )
+    @example(rows=[("abc", b"\1\0\1\1")], binary=True, count_zeros=True, covered={1, 4})
+    # the dataset covers every row: no row is a deficit
+    @example(
+        rows=[("abc", b"\1\0"), ("aaa", b"\0\1")],
+        binary=True,
+        count_zeros=True,
+        covered={0, 1, 2, 3},
+    )
+    def test_totals_and_members_property(self, rows, binary, count_zeros, covered):
         """``totals`` are the per-column sums of rows of any width and any
-        cells in 0-255, a binary matrix's counted as 1s, and
-        ``gap_members`` over ``feature_rows`` lists the reference's
-        gap_examples of the languages whose cell is the value a row
-        counts."""
+        cells in 0-255, a binary matrix's counted as 1s, and ``attach_gap``
+        over ``feature_rows`` lists, for each deficit row, the gap_examples
+        of the languages whose cell is the value the row counts. The
+        dataset counts as many languages as the matrix in the rows whose
+        index is in ``covered``, and none in the others, so every other
+        row a language counts in is a deficit."""
         isos = [iso for iso, _ in rows]
         cells = [[b & 1 for b in raw] if binary else list(raw) for _, raw in rows]
         width = len(cells[0])
@@ -394,8 +412,16 @@ class TestFeatureMatrix:
             return
         side = feature_side(m, count_zeros)
         members = syn_members(features, isos, cells, 206 if count_zeros else 103)
-        expected = {label: gap_examples(counted) for label, counted in members.items()}
-        assert gap_members(side, isos, feature_rows(side, m)) == expected
+        counts_d = [t if j in covered else 0 for j, t in enumerate(side.counts)]
+        dataset = Side(side.n, side.keys, counts_d)
+        deficit = [
+            {"bin": key, "shortfall": t, "examples": gap_examples(members[key])}
+            for j, (key, t) in enumerate(zip(side.keys, side.counts))
+            if t and j not in covered
+        ]
+        report = DiversityReport("jmm_syn", dataset, side)
+        gap = attach_gap(report, isos, feature_rows(side, m))
+        assert gap == {"surplus": [], "deficit": deficit}
 
     def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
         """Without specs a matrix is binary."""
@@ -498,12 +524,12 @@ class TestReports:
         before = tuple(rep)
         assert rep.per_bin == rows
         assert rep.normalization_c == 1.5
-        gap = attach_gap(rep, {0: ["aaa"]})
+        gap = attach_gap(rep, ["aaa", "ccc", "bbb"], [[0], [1], [0]])
         assert tuple(rep) == before
         assert DiversityReport(*rep[:3]) == rep
         assert gap == {
             "surplus": [{"bin": "bin1", "excess": 2.0}],
-            "deficit": [{"bin": "bin0", "shortfall": 0.5, "examples": ["aaa"]}],
+            "deficit": [{"bin": "bin0", "shortfall": 0.5, "examples": ["aaa", "bbb"]}],
         }
         assert rep.to_dict(gap)["gap"] is gap
         assert rep.to_dict(gap) == {**rep.to_dict(), "gap": gap}
@@ -528,7 +554,7 @@ class TestReports:
             score_name="jmm_morph", dataset=Side(2, [0], [1]), reference=Side(1, [0], [1])
         )
         assert rep.to_dict()["gap"] is None
-        gap = attach_gap(rep, {0: ("aaa", "bbb")})
+        gap = attach_gap(rep, ["aaa"], [[0]])
         d = rep.to_dict(gap)
         assert d == {
             "score_name": "jmm_morph",
@@ -537,7 +563,7 @@ class TestReports:
             "per_bin": [{"bin": "bin0", "dataset": 1.0, "reference": 2.0, "min": 1.0, "max": 2.0}],
             "gap": {
                 "surplus": [],
-                "deficit": [{"bin": "bin0", "shortfall": 1.0, "examples": ["aaa", "bbb"]}],
+                "deficit": [{"bin": "bin0", "shortfall": 1.0, "examples": ["aaa"]}],
             },
         }
         assert json.loads(json.dumps(d)) == d
