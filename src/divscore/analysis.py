@@ -4,15 +4,14 @@ The gap diagnosis (``attach_gap``) is the surplus and deficit rows of a
 report's per-bin table, built as the dicts the JSON prints, with the
 first few reference languages of each deficit row. ``serialize_report``
 renders the table as a self-contained SVG histogram overlaying the two
-distributions with the intersection shaded. The JSON report is
+distributions with the intersection shaded, every bar from one template
+(``_BARS``); it is the one SVG writer. The JSON report is
 ``DiversityReport.to_dict`` of the report and its gap block, and the CSV
 the table's rows under ``BinOverlap.COLUMNS``, both written by the CLI's
-emitter; ``csv_text`` is that emitter's CSV writer.
+emitter, so writing CSV executes nothing here.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -105,13 +104,13 @@ def attach_gap(report: DiversityReport, isos: Sequence[str], rows: Iterable[Iter
     return {"surplus": surplus, "deficit": deficit}
 
 
-def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    """A header row and data rows as CSV text with ``\\n`` line ends."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+#: The bar of each series in an SVG slot, in drawing order: its class,
+#: fill and fill opacity, for a row's reference, dataset and min weight.
+_BARS = (
+    ("reference", "#7fb3d5", "0.85"),
+    ("dataset", "#e59866", "0.6"),
+    ("intersection", "#6c3483", "0.45"),
+)
 
 
 def serialize_report(report: DiversityReport) -> str:
@@ -122,6 +121,8 @@ def serialize_report(report: DiversityReport) -> str:
     so the axis is not to scale. A slot holds a rect per occupied series
     (class ``dataset`` or ``reference``) and a shaded rect (class
     ``intersection``) of height min(dataset, reference) where both are.
+    Each slot's label, a bin or feature name, has its ``&``, ``<`` and
+    ``>`` escaped, so any name gives well-formed XML.
     """
     rows = report.per_bin
     margin = 42.0
@@ -132,11 +133,6 @@ def serialize_report(report: DiversityReport) -> str:
     width = 2 * margin + slot * len(rows)
     height = base_y + 36.0
     peak = max(max(r.dataset, r.reference) for r in rows)
-
-    def y_of(w: float) -> tuple[float, float]:
-        h = (w / peak) * plot_h
-        return base_y - h, h
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
@@ -147,27 +143,18 @@ def serialize_report(report: DiversityReport) -> str:
     ]
     for i, row in enumerate(rows):
         x = margin + i * slot + 4.0
-        if row.reference > 0:
-            top, h = y_of(row.reference)
-            parts.append(
-                f'<rect class="reference" x="{x:.2f}" y="{top:.2f}" width="{bar_w:.2f}" '
-                f'height="{h:.2f}" fill="#7fb3d5" fill-opacity="0.85"/>'
-            )
-        if row.dataset > 0:
-            top, h = y_of(row.dataset)
-            parts.append(
-                f'<rect class="dataset" x="{x:.2f}" y="{top:.2f}" width="{bar_w:.2f}" '
-                f'height="{h:.2f}" fill="#e59866" fill-opacity="0.6"/>'
-            )
-        if row.min_weight > 0:
-            top, h = y_of(row.min_weight)
-            parts.append(
-                f'<rect class="intersection" x="{x:.2f}" y="{top:.2f}" width="{bar_w:.2f}" '
-                f'height="{h:.2f}" fill="#6c3483" fill-opacity="0.45"/>'
-            )
+        for (series, fill, opacity), w in zip(_BARS, (row.reference, row.dataset, row.min_weight)):
+            if w > 0:
+                h = (w / peak) * plot_h
+                parts.append(
+                    f'<rect class="{series}" x="{x:.2f}" y="{base_y - h:.2f}" '
+                    f'width="{bar_w:.2f}" height="{h:.2f}" fill="{fill}" '
+                    f'fill-opacity="{opacity}"/>'
+                )
+        label = row.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{x + bar_w / 2:.2f}" y="{base_y + 14.0:.1f}" font-size="9" '
-            f'text-anchor="middle" font-family="sans-serif">{row.label}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
         )
     parts.append(
         f'<text x="{margin:.1f}" y="14" font-size="11" font-family="sans-serif">'

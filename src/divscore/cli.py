@@ -5,17 +5,18 @@ holds every option and default, and gives options only to the subcommand
 ``argv`` names; commands read the parsed namespace directly, after
 ``main`` rejects a score option the chosen level does not read
 (``LEVEL_FLAGS``) and checks the two numeric flags argparse cannot
-(``--bin-width``, ``--sample-target``). Every command writes its output
-through one emitter, ``_emit``: a JSON object stamped with
-``schema_version``, written by ``_json_text`` with the same bytes as
-``json.dumps(indent=2, sort_keys=True)``, or the same rows as CSV.
-``score`` builds one report, whose value, scalar and per-bin table are
-derived once. ``--format csv`` emits that table's rows under
-``BinOverlap.COLUMNS``, like any other command's CSV, and ``--format
-svg`` renders it through ``analysis.serialize_report``, the one output
-the emitter does not write. The gap block (``attach_gap``, the table's
-surplus and deficit rows with their example languages) and the TI
-values are built for ``--format json`` alone, which prints them.
+(``--bin-width``, ``--sample-target``). Each output format has one
+writer. Every command writes its output through one emitter, ``_emit``:
+a JSON object stamped with ``schema_version``, written by ``_json_text``
+with the same bytes as ``json.dumps(indent=2, sort_keys=True)``, or the
+same rows as CSV, written by one ``csv.writer``. ``score`` builds one
+report, whose value, scalar and per-bin table are derived once.
+``--format csv`` emits that table's rows under ``BinOverlap.COLUMNS``,
+like any other command's CSV, and ``--format svg`` renders it through
+``analysis.serialize_report``, the one output the emitter does not
+write. The gap block (``attach_gap``, the table's surplus and deficit
+rows with their example languages) and the TI values are built for
+``--format json`` alone, which prints them.
 Diagnostics go to standard error, printed by the commands themselves.
 Every command is deterministic given identical inputs, flags, and seed;
 rows are sorted by iso code.
@@ -37,7 +38,8 @@ A command compiles and runs only the modules it calls into. ``ingest``
 and ``model``, which every command reads, load with this module;
 ``analysis``, ``diversity``, ``grammar`` and ``textstats`` load on the
 first read of one of their names (``_lazy``), so this module calls them
-as ``textstats.profile(...)``, never through a from-import.
+as ``textstats.profile(...)``, never through a from-import. Writing
+CSV executes none of them.
 
 The program entry is ``run``, not ``main``: it runs ``main`` with the
 cyclic garbage collector off and freezes the heap before the interpreter
@@ -50,6 +52,7 @@ nothing of weight.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import importlib.util
 import io
@@ -255,12 +258,14 @@ def _emit(
     """Write a command's output: ``payload`` as one JSON object stamped
     with ``schema_version``, in the bytes ``json.dumps(indent=2,
     sort_keys=True)`` would write (``_json_text``), or ``header`` and
-    ``rows`` as CSV, as ``--format`` asks."""
+    ``rows`` as CSV with ``\n`` line ends, as ``--format`` asks."""
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, **payload}
         sys.stdout.write(_json_text(payload) + "\n")
     else:
-        sys.stdout.write(analysis.csv_text(header, rows))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _registry(args: argparse.Namespace) -> dict[str, LanguageRecord]:
@@ -470,7 +475,7 @@ def _score_morph(args: argparse.Namespace) -> tuple:
     unread = [f for f in ("--sample-target", "--seed", "--registry") if f in args.given]
     if unread and not dirs:
         print(f"note: both sides are tables, so {', '.join(unread)} go unread", file=sys.stderr)
-    corpora = _profile_corpora(dirs, _registry(args), args)
+    corpora = _profile_corpora(dirs, _registry(args), args) if dirs else {}
     _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
     iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 

@@ -11,8 +11,9 @@ only the cells a command uses: a registry's ``family`` and
 ``script_scale``, a numeric table's requested columns (one tuple of
 values per row, no dict), a spec file's chapter and final range.
 A *plain* table (no quote, no whitespace but one line break ending each
-line) is read whole, as its lines split at commas; a plain table that
-breaks a rule there, and every other table, goes through the row loop,
+line) of a feature matrix or numeric table is read whole, its columns
+parsed at once; a plain table that breaks a rule there, every plain
+registry and spec file, and every other table go through the row loop,
 the one place a row error is phrased. A feature matrix row becomes one
 ``bytes`` object, in one ``translate`` where its cells are one digit
 each. ``load_feature_matrix`` is the one place that checks a matrix's
@@ -93,11 +94,10 @@ def _split(lines, maxsplit: int = -1):
     return map(str.split, lines, repeat(","), repeat(maxsplit))
 
 
-def _plain_rows(header: list[str], lines: list[str], parse_row, parse_plain) -> list | None:
+def _plain_rows(header: list[str], lines: list[str], parse_plain) -> list | None:
     """A plain table's data lines parsed at once, or None where a row
     rule or the parse fails: the row rules of ``_read_table`` over whole
-    columns, then ``parse_plain(header, lines)`` or, by default,
-    ``parse_row`` mapped over the lines' cells. Raises nothing."""
+    columns, then ``parse_plain(header, lines)``. Raises nothing."""
     keys = [key for key, _, _ in map(str.partition, lines, repeat(","))]
     if (
         set(map(str.count, lines, repeat(","))) != {len(header) - 1}
@@ -107,8 +107,6 @@ def _plain_rows(header: list[str], lines: list[str], parse_row, parse_plain) -> 
     ):
         return None
     try:
-        if parse_plain is None:
-            return list(map(parse_row, repeat(header), _split(lines)))
         return parse_plain(header, lines)
     except ValueError:
         return None
@@ -129,13 +127,14 @@ def _read_table(
     ``iso`` holds iso codes. A row error reads ``<what> <path> row <n>: <reason>``.
 
     A plain table (see ``_plain_lines``) with data rows is first read
-    whole by ``_plain_rows``, where a loader's ``parse_plain`` may parse
-    whole columns; it must return what ``parse_row`` returns for each
-    row, or raise ``ValueError``. A plain table that breaks a rule there
-    is read again by the row loop, from its lines split at commas, and
-    every other table by the row loop over ``csv.reader`` of the file's
-    bytes, decoded again a buffer at a time: the loop is the one place a
-    row error is phrased.
+    whole by ``_plain_rows`` when the loader gives ``parse_plain``, which
+    parses whole columns; it must return what ``parse_row`` returns for
+    each row, or raise ``ValueError``. A plain table that breaks a rule
+    there, and a plain table of a loader without ``parse_plain``, is read
+    by the row loop from its lines split at commas, and every other table
+    by the row loop over ``csv.reader`` of the file's bytes, decoded
+    again a buffer at a time: the loop is the one place a row error is
+    phrased.
 
     Returns the header and the parsed rows in file order.
     """
@@ -168,8 +167,8 @@ def _read_table(
         if not header_ok(header):
             raise ValueError(f"{what} {path} header must be {expect}, got {','.join(header)}")
         iso_keyed = header[0] == "iso"
-        if lines is not None:
-            rows = _plain_rows(header, lines[1:], parse_row, parse_plain)
+        if lines is not None and parse_plain is not None:
+            rows = _plain_rows(header, lines[1:], parse_plain)
             if rows is not None:
                 return header, rows
         for lineno, row in enumerate(reader, start=2):

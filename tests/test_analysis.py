@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -260,3 +261,16 @@ class TestSerialization:
         assert svg.count('class="reference"') == n_reference_bins
         assert svg.count('class="intersection"') == n_overlap_bins
         assert svg.count("<text") == len(report.per_bin) + 1
+
+    def test_svg_labels_escaped(self, tmp_path, capsys):
+        """A feature name holding ``<``, ``&`` or ``>`` is written
+        escaped: the SVG parses as XML and its slot texts read back the
+        names."""
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("iso,a<b,c&d,e>f\naaa,1,0,1\nbbb,0,1,1\nccc,1,1,0\n")
+        sides = ["--dataset", str(matrix), "--reference", str(matrix)]
+        code, out, _ = run_main(["score", "--level", "syn", *sides, "--format", "svg"], capsys)
+        assert code == 0
+        root = ElementTree.fromstring(out.encode())
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[:-1] == ["a<b", "c&d", "e>f"]

@@ -259,6 +259,12 @@ class TestScoreMorph:
         assert code == 0
         assert "note: both sides are tables, so --sample-target, --seed go unread\n" in err
         assert json.loads(out) == {**json.loads(plain), "sample_target": 500}
+        # nor is the registry read: a missing one is no error
+        missing = str(tmp_path / "absent.csv")
+        code, out, err = run_main([*tables, "--registry", missing], capsys)
+        assert code == 0
+        assert "note: both sides are tables, so --registry go unread\n" in err
+        assert out == plain
         # with one corpus side the flags are read, and nothing is noted
         mixed = [*tables[:-1], str(fixtures / "corpus_ref"), "--seed", "3"]
         code, _, err = run_main(mixed, capsys)
@@ -1685,7 +1691,9 @@ def test_bench_probe_names_a_function(module, function):
 #: may import, the divscore modules it executes beside cli, ingest and model).
 _START_UP_CASES = {
     "families": (["families"], [], []),
+    "families-csv": (["families", "--format", "csv"], [], []),
     "cwals": (["cwals"], [], ["grammar"]),
+    "cwals-csv": (["cwals", "--format", "csv"], [], ["grammar"]),
     "correlate": (["correlate", "mwl", "c_wals"], [], ["analysis"]),
     "score-syn": (["score", "--level", "syn", *_SCORE_SIDES["syn"]], [], ["analysis", "diversity"]),
     # a morph score bins its values, and a value near a bin edge takes
