@@ -2,9 +2,11 @@
 
 Tokenization, grapheme-cluster word lengths, seeded contiguous sampling,
 mean word length with logographic scaling, type-token ratio, and unigram
-entropy. All functions are pure; file loading lives in ingest. Tokens
-are a plain tuple of str; a sample window is a slice of it, and the
-three measures read one `Counter` of its tokens.
+entropy. All functions are pure; file loading lives in ingest.
+`tokenize` returns a plain tuple of str and `sample_contiguous` a slice
+of it; `profile` gives the same window without that tuple, reading it
+off the tokens of each distinct chunk, and the three measures read one
+`Counter` of the window's tokens.
 
 Tokens are split on Unicode whitespace and word-boundary punctuation.
 The splitter works over extended grapheme clusters and keeps connector
@@ -47,10 +49,12 @@ depends on one item alone is done once per distinct item: decoding (the
 text is split into chunks as UTF-8 bytes), NFC, the trigger test and the
 separator pattern run once per distinct whitespace-delimited chunk (NFC
 never acts across whitespace, and no token spans it); the trigger code
-points are looked for among the distinct code points. A window's word
-lengths take one pass over its types: where they hold no trigger and no
-virama, a type's clusters are its non-marks, counted by deleting the
-marks (`mean_word_length`).
+points are looked for among the distinct code points. `profile` counts
+a corpus's tokens per chunk occurrence and expands only the chunks that
+cover its window. A window's word lengths take one pass over its types:
+where they hold no trigger and no virama, a type's clusters are its
+non-marks, counted by deleting the marks (`mean_word_length`); the
+trigger test runs once per corpus, not again on its window.
 """
 from __future__ import annotations
 
@@ -84,7 +88,8 @@ _CONNECTOR_LETTERS = {
 _ASCII_WHITESPACE = re.compile(rb"\s")
 #: Bytes `tokenize` splits into chunks at a time.
 _BLOCK_BYTES = 1 << 18
-#: Distinct chunks `tokenize` decodes and tokenizes at a time.
+#: Distinct chunks decoded and tokenized at a time, and chunk occurrences
+#: `profile` counts the tokens of at a time.
 _BATCH_CHUNKS = 1 << 12
 
 #: The tokenizer's compiled patterns, built by :func:`_patterns`.
@@ -195,23 +200,11 @@ def tokenize(text: str | bytes) -> tuple[str, ...]:
     The one place that decodes and normalizes text: the tokens are those
     of ``unicodedata.normalize("NFC", text)``, ``bytes`` decoded strictly
     as UTF-8 first, so canonically equivalent spellings give equal
-    tokens. A str is encoded to UTF-8 and tokenized as its bytes. Natural
-    text repeats its words, so the bytes are split into chunks at ASCII
-    whitespace as they come, and decoding, NFC and the token rule run
-    once per distinct chunk, over batches of distinct chunks joined by
-    line breaks: NFC never acts across whitespace, and no token spans it.
-    A chunk may keep other whitespace (U+3000, U+0085, ...), where the
-    separator pass splits it. No ASCII byte sits inside a multi-byte
-    UTF-8 sequence, so the text is valid UTF-8 exactly when its distinct
-    chunks are; where they are not, the whole text is decoded, so the
-    error counts the bad byte's position in it. Without a trigger, one
-    pass replaces each chunk's separator runs with spaces, leaving a
-    line of space-separated tokens per chunk; each occurrence of a chunk
-    then shares that chunk's token objects, so the tokens take memory
-    for the distinct chunks and a reference per token. The chunks are
-    freed before any token is made. With a trigger, the whole text is
-    decoded, normalized and tokenized by the cluster pass
-    (`_tokenize_clusters`).
+    tokens. A str is encoded to UTF-8 and tokenized as its bytes. The
+    tokens are those of each chunk occurrence in turn (`_chunk_tokens`),
+    and each occurrence of a chunk shares that chunk's token objects, so
+    the tuple takes memory for the distinct chunks and a reference per
+    token.
 
     Parameters
     ----------
@@ -232,6 +225,32 @@ def tokenize(text: str | bytes) -> tuple[str, ...]:
         If ``text`` is bytes that are not valid UTF-8
         (``UnicodeDecodeError``), or a str with a lone surrogate, which
         UTF-8 cannot encode (``UnicodeEncodeError``).
+    """
+    lines, chunks, _ = _chunk_tokens(text)
+    return tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
+
+
+def _chunk_tokens(text: str | bytes) -> tuple[list, list[int], bool]:
+    """``(lines, chunks, trigger_free)``: the tokens of each distinct chunk
+    of ``text``, the chunk number of each chunk occurrence, and whether the
+    text holds no trigger.
+
+    The tokens of the text are ``lines[k]`` for each ``k`` in ``chunks``,
+    in turn. Natural text repeats its words, so the bytes are
+    split into chunks at ASCII whitespace as they come, and decoding, NFC
+    and the token rule run once per distinct chunk, over batches of
+    distinct chunks joined by line breaks: NFC never acts across
+    whitespace, and no token spans it. A chunk may keep other whitespace
+    (U+3000, U+0085, ...), where the separator pass splits it. No ASCII
+    byte sits inside a multi-byte UTF-8 sequence, so the text is valid
+    UTF-8 exactly when its distinct chunks are; where they are not, the
+    whole text is decoded, so the error counts the bad byte's position in
+    it. Without a trigger, one pass replaces each chunk's separator runs
+    with spaces, leaving a line of space-separated tokens per chunk, a
+    tuple in ``lines``; the chunks are freed before any token is made.
+    With a trigger, the whole text is decoded, normalized and tokenized
+    by the cluster pass (`_tokenize_clusters`), and its token list is the
+    one chunk, numbered 0.
     """
     p = _patterns()
     if isinstance(text, str):
@@ -260,16 +279,14 @@ def tokenize(text: str | bytes) -> tuple[str, ...]:
     # so it is still stray
     if _has_trigger(*batches):
         del chunks, batches
-        return tuple(_tokenize_clusters(unicodedata.normalize("NFC", text.decode())))
+        return [_tokenize_clusters(unicodedata.normalize("NFC", text.decode()))], [0], False
     # a line per distinct chunk, its tokens with spaces between; a batch
     # of lines at a time, since `sub` holds a string per piece between
-    # separators until it joins them. Each chunk's tuple of tokens is
-    # shared by all its occurrences.
+    # separators until it joins them
     lines: list[tuple[str, ...]] = []
     for batch in batches:
         lines += map(tuple, map(str.split, p.separator.sub(" ", batch).split("\n")))
-    del batches
-    return tuple(chain.from_iterable(map(lines.__getitem__, chunks)))
+    return lines, chunks, True
 
 
 def _blocks(text: bytes):
@@ -309,15 +326,21 @@ def sample_contiguous(tokens: tuple[str, ...], target: int, seed: int) -> tuple[
         The sampled window, a slice of ``tokens``, and its start offset
         in token positions.
     """
+    offset = _window_offset(len(tokens), target, seed)
+    return tokens[offset : offset + target], offset
+
+
+def _window_offset(n: int, target: int, seed: int) -> int:
+    """Start of the window of up to ``target`` of ``n`` tokens: 0 when
+    ``n <= target``, else drawn uniformly from [0, n - target] by an RNG
+    seeded by ``seed``."""
     _require(target >= 1, f"sample target must be >= 1, got {target}")
-    n = len(tokens)
     _require(n > 0, "cannot sample from an empty token sequence")
     if n <= target:
-        return tokens, 0
+        return 0
     import random  # here, so commands that sample nothing never load it
 
-    offset = random.Random(seed).randint(0, n - target)
-    return tokens[offset : offset + target], offset
+    return random.Random(seed).randint(0, n - target)
 
 
 def mean_word_length(counts: Counter[str], script_scale: float = 1.0) -> float:
@@ -338,6 +361,12 @@ def mean_word_length(counts: Counter[str], script_scale: float = 1.0) -> float:
     type and no line break of their own; any other window sums
     `grapheme_length` over its types. Both give the same total.
     """
+    return _mean_word_length(counts, script_scale, trigger_free=False)
+
+
+def _mean_word_length(counts: Counter[str], script_scale: float, trigger_free: bool) -> float:
+    """`mean_word_length`, without looking for a trigger in the types
+    where ``trigger_free`` says they hold none."""
     _require(
         math.isfinite(script_scale) and script_scale > 0,
         f"script_scale must be a finite positive number, got {script_scale!r}",
@@ -349,7 +378,7 @@ def mean_word_length(counts: Counter[str], script_scale: float = 1.0) -> float:
         "" not in counts
         and joined.count("\n") == len(counts) - 1
         and not p.virama.search(joined)
-        and not _has_trigger(joined)
+        and (trigger_free or not _has_trigger(joined))
     ):
         lengths = map(len, p.mark.sub("", joined).split("\n"))
         total = sum(map(operator.mul, lengths, counts.values()))
@@ -393,24 +422,48 @@ def profile(
     ``script_scale``, the language's registry value), type-token ratio,
     and unigram entropy on that same sample. The profile carries
     ``corpus.iso``, the seed and the sample offset, so it can be
-    recomputed exactly.
+    recomputed exactly: the sample is ``sample_contiguous(tokenize(
+    corpus.text), target, seed)``.
+
+    `_chunk_tokens` gives the tokens of each distinct chunk and a chunk
+    number per chunk occurrence; the token count N is summed over the
+    chunk numbers, and only the chunks that cover the window are read for
+    its tokens. So where the text holds no trigger, the profile holds the
+    corpus's bytes, the distinct chunks' tokens, 8 bytes per chunk
+    occurrence and the window's counts, not a reference per token, and
+    the window's types are not looked at for a trigger again.
 
     Raises
     ------
     ValueError
         If the corpus tokenizes to zero tokens ("no lexical tokens").
     """
-    toks = tokenize(corpus.text)
-    if len(toks) == 0:
+    lines, chunks, trigger_free = _chunk_tokens(corpus.text)
+    # tokens per block of chunk occurrences: they sum to N, and the window
+    # starts in the first block that ends past its offset
+    sizes = list(map(len, lines))
+    blocks = [
+        sum(map(sizes.__getitem__, chunks[i : i + _BATCH_CHUNKS]))
+        for i in range(0, len(chunks), _BATCH_CHUNKS)
+    ]
+    n = sum(blocks)
+    if n == 0:
         raise ValueError(f"no lexical tokens in corpus for {corpus.iso!r}")
-    sample, offset = sample_contiguous(toks, target, seed)
-    counts = Counter(sample)
+    offset = _window_offset(n, target, seed)
+    first, skip = 0, offset
+    for size in blocks:
+        if skip < size:
+            break
+        first += _BATCH_CHUNKS
+        skip -= size
+    tokens = chain.from_iterable(map(lines.__getitem__, islice(chunks, first, None)))
+    counts = Counter(islice(tokens, skip, skip + target))
     return TextProfile(
         iso=corpus.iso,
-        mean_word_length=mean_word_length(counts, script_scale),
+        mean_word_length=_mean_word_length(counts, script_scale, trigger_free),
         ttr=type_token_ratio(counts),
         unigram_entropy=unigram_entropy(counts),
-        token_count=len(sample),
+        token_count=min(n, target),
         sample_offset=offset,
         seed=seed,
     )

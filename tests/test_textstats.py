@@ -2,6 +2,7 @@
 import math
 import operator
 import random
+import tracemalloc
 import unicodedata
 from collections import Counter
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from divscore import textstats
 from divscore.ingest import CorpusSource, load_corpus
+from divscore.model import TextProfile
 from divscore.textstats import (
     _patterns,
     grapheme_length,
@@ -511,6 +513,22 @@ class TestMeasures:
         assert unigram_entropy(Counter(seq)) == pytest.approx(5.0)
 
 
+# Chunks for the profile property: plain, NFC and NFD, Han, several
+# tokens joined by separators (a comma joins digits only), no token at
+# all, a conjunct, and the triggers that send a text to the cluster pass
+_PROFILE_TEXT = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["ab", "cde", "f", "\u00e9t\u00e9", "e\u0301te\u0301", "\u6211\u5011", "\u4f60"]
+            + ["a,b,c", "x-y-z", "1,234", "3.14", "don't", "--", "?!", "\u0915\u094d\u0937"]
+            + ["a\u200db", "\u0301y"]
+        ),
+        st.sampled_from([" ", "\n", "\t", "\u3000"]),
+    ),
+    max_size=30,
+).map(lambda pieces: "".join(chunk + space for chunk, space in pieces))
+
+
 class TestProfile:
     def _corpus(self, text, iso="abc"):
         return CorpusSource(iso=iso, text=text)
@@ -539,14 +557,88 @@ class TestProfile:
         with pytest.raises(ValueError, match="no lexical tokens"):
             profile(self._corpus("... -- !!"))
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (b"-- \xff ab", UnicodeDecodeError, "position 3"),
+            (b"-- !!", ValueError, "^no lexical tokens"),
+            (b"ab", ValueError, "^sample target must be >= 1, got 0$"),
+        ],
+    )
+    def test_errors_in_order(self, text, error, message):
+        # the decoding error first, then no tokens, then the target
+        with pytest.raises(error, match=message):
+            profile(self._corpus(text), target=0)
+
     def test_fixture_windows_take_the_one_pass(self, fixtures):
         # every window of the fixture corpora is measured by the one pass
-        # over its types: no type reaches grapheme_length
+        # over its types: no type reaches grapheme_length, and the types
+        # are not looked at for a trigger again after the corpus was
         corpora = sorted((fixtures / "corpus_ds").glob("*.txt"))
         assert corpora
         expected = [profile(load_corpus(f, f.stem)) for f in corpora]
-        with mock.patch.object(textstats, "grapheme_length", side_effect=AssertionError):
+        with (
+            mock.patch.object(textstats, "grapheme_length", side_effect=AssertionError),
+            mock.patch.object(textstats, "_has_trigger", wraps=textstats._has_trigger) as spy,
+        ):
             assert [profile(load_corpus(f, f.stem)) for f in corpora] == expected
+        assert spy.call_count == len(corpora)
+
+    @pytest.mark.thorough
+    @given(_PROFILE_TEXT, st.integers(-3, 40), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4096]))
+    @example("ab cd ef", 0, 0, 4096)  # N == target
+    @example("ab cd ef", 1, 0, 4096)  # N == target + 1, offset N - target
+    @example("ab cd ef", 1, 1, 1)  # offset 0
+    @example("ab a,b,c,d,e cd", 5, 7, 1)  # the window [b, c], inside one chunk
+    @example("ab a\u200db cd \u0301e ab", 2, 0, 1)  # a trigger corpus
+    @example("-- ?!", 0, 0, 4096)  # no token
+    def test_equals_tokenize_then_sample(self, text, short_by, seed, block):
+        # the profile reads its window off the chunks; tokenizing the
+        # whole text and slicing the window out gives the same profile,
+        # whichever block of chunk occurrences the window starts in
+        tokens = tokenize(text)
+        target = max(1, len(tokens) - short_by)
+        with mock.patch.object(textstats, "_BATCH_CHUNKS", block):
+            if not tokens:
+                with pytest.raises(ValueError, match="^no lexical tokens in corpus for 'abc'$"):
+                    profile(self._corpus(text), 2.4, target, seed)
+                return
+            got = profile(self._corpus(text), 2.4, target, seed)
+        window, offset = sample_contiguous(tokens, target, seed)
+        counts = Counter(window)
+        assert got == TextProfile(
+            "abc",
+            mean_word_length(counts, 2.4),
+            type_token_ratio(counts),
+            unigram_entropy(counts),
+            len(window),
+            offset,
+            seed,
+        )
+
+    def test_peak_memory_below_tokenize(self):
+        # the profile never holds the corpus's tokens together: its peak
+        # sits at least 4 bytes a token below that of tokenize, whose tuple
+        # takes 8 bytes a token
+        rng = random.Random(0)
+        vocab = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 9))) for _ in range(1000)]
+        n = 500_000
+        text = " ".join(rng.choices(vocab, k=n)).encode()
+        profile(self._corpus(b"warm up"))  # compiled patterns first
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                return f(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tokens, whole = peak(lambda: tokenize(text))
+        assert len(tokens) == n
+        del tokens
+        prof, window = peak(lambda: profile(self._corpus(text)))
+        assert prof.token_count == 10000
+        assert window <= whole - 4 * n
 
     @pytest.mark.parametrize(
         "text",
