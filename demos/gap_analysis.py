@@ -40,7 +40,7 @@ REFERENCE = {
 
 def main() -> None:
     width = 1.0
-    # each side is binned once; the score and the gap both read the bins
+    # each side is binned once, into the report side the score and the gap read
     bins_d = bin_measurements(list(DATASET.values()), width)
     bins_r = bin_measurements(list(REFERENCE.values()), width)
     report = jmm_score(bins_d, bins_r)
@@ -48,9 +48,9 @@ def main() -> None:
     print(f"size normalization c = {report.normalization_c}")
 
     # the gap block as the JSON report prints it: each deficit bin lists
-    # its first reference languages in iso order, and each reference
-    # language sits in the one row of its bin
-    gap = attach_gap(report, list(REFERENCE), zip(bins_r))
+    # its first reference languages in iso order, read off the report's
+    # reference side, where each language sits in the one row of its bin
+    gap = attach_gap(report, list(REFERENCE))
 
     print("\nsurplus (dataset mass the reference cannot match):")
     for entry in gap["surplus"]:
@@ -80,7 +80,7 @@ def bundled_mbert() -> None:
 
     bins_r = bin_measurements(list(mwl.values()), 1.0)
     report = jmm_score(bin_measurements([mwl[iso] for iso in covered], 1.0), bins_r)
-    gap = attach_gap(report, list(mwl), zip(bins_r))
+    gap = attach_gap(report, list(mwl))
     print(f"overlap score against all {len(mwl)}: {report.value:.4f}")
     for entry in gap["deficit"]:
         examples = ", ".join(f"{names[iso]} ({mwl[iso]})" for iso in entry["examples"])

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from collections.abc import Sequence
+from operator import getitem
 
 from .model import MAX_GAP_EXAMPLES, DiversityReport, _require
 
@@ -70,7 +70,7 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return [rank[v] for v in values]
 
 
-def attach_gap(report: DiversityReport, isos: Sequence[str], rows: Iterable[Iterable]) -> dict:
+def attach_gap(report: DiversityReport, isos: Sequence[str]) -> dict:
     """The gap block of a report, as the JSON prints it, read off its
     per-bin table: ``{"surplus": [...], "deficit": [...]}``.
 
@@ -79,27 +79,27 @@ def attach_gap(report: DiversityReport, isos: Sequence[str], rows: Iterable[Iter
     ``{"bin", "shortfall", "examples"}``. A row is at most one of the two.
     The examples are the first ``MAX_GAP_EXAMPLES`` reference languages
     in iso order that the row counts, so reports are reproducible:
-    ``isos[i]`` is counted in the rows whose keys the i-th item of
-    ``rows`` gives. The scan stops once every deficit row lists as many
-    languages as it counts, up to ``MAX_GAP_EXAMPLES``, and reads no
-    other row's languages.
+    ``isos[i]`` names the i-th language of the report's reference side,
+    counted in the rows its cells' keys name. The scan stops once
+    every deficit row lists as many languages as it counts, up to
+    ``MAX_GAP_EXAMPLES``, and reads no other language's keys.
     """
-    surplus, deficit, examples, left = [], [], {}, 0
-    for key, count, row in zip(report.reference.keys, report.reference.counts, report.per_bin):
+    reference, surplus, deficit, examples, left = report.reference, [], [], {}, 0
+    for count, row in zip(reference.counts, report.per_bin):
         if row.dataset > row.reference:
             surplus.append({"bin": row.label, "excess": row.dataset - row.reference})
         elif row.dataset < row.reference:
             shortfall = row.reference - row.dataset
-            listed = examples[key] = []
+            listed = examples[row.label] = []
             deficit.append({"bin": row.label, "shortfall": shortfall, "examples": listed})
             left += min(count, MAX_GAP_EXAMPLES)
-    for iso, keys in sorted(zip(isos, rows), key=itemgetter(0)):
+    for i in sorted(range(len(isos)), key=isos.__getitem__):
         if not left:
             break
-        for key in keys:
+        for key in map(getitem, reference.key_of, reference.cells[i]):
             listed = examples.get(key)
             if listed is not None and len(listed) < MAX_GAP_EXAMPLES:
-                listed.append(iso)
+                listed.append(isos[i])
                 left -= 1
     return {"surplus": surplus, "deficit": deficit}
 

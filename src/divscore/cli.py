@@ -479,46 +479,40 @@ def _score_morph(args: argparse.Namespace) -> tuple:
     _, mwl_d = _morph_side(paths[0], "--dataset", corpora)
     iso_r, mwl_r = _morph_side(paths[1], "--reference", corpora)
 
-    bins_d = diversity.bin_measurements(mwl_d, args.bin_width)
-    bins_r = diversity.bin_measurements(mwl_r, args.bin_width)
-    report = diversity.jmm_score(bins_d, bins_r)
+    bins = [diversity.bin_measurements(mwl, args.bin_width) for mwl in (mwl_d, mwl_r)]
     fields = {"bin_width": args.bin_width, "sample_target": args.sample_target, "seed": args.seed}
-    return report, fields, (iso_r, zip(bins_r)), diversity.ti_morph, (bins_d, bins_r)
+    return diversity.jmm_score(*bins), iso_r, fields, bins
 
 
 def _score_syn(args: argparse.Namespace) -> tuple:
     """The parts of a syn score that `cmd_score` reads."""
-    count_zeros = args.syn_dims == 206
-    mats, sides = [], []
+    mats = []
     for side, path in (("dataset", args.dataset), ("reference", args.reference)):
         mat, dropped = load_feature_matrix(path, drop_incomplete=args.drop_incomplete)
         if dropped:
             print(f"{len(dropped)} {side} row(s) dropped: {', '.join(dropped)}", file=sys.stderr)
-        try:
-            sides.append(diversity.feature_side(mat, count_zeros))
-        except ValueError as exc:
-            raise ValueError(f"--{side} {path}: {exc}") from None
         mats.append(mat)
-
     try:
-        report = diversity.jmm_syn(*mats, *sides)
+        report = diversity.jmm_syn(*mats, args.syn_dims == 206)
     except ValueError as exc:
-        paths = f"--dataset {args.dataset} and --reference {args.reference}"
-        raise ValueError(f"{paths}: {exc}") from None
-    reference_rows = (mats[1].languages, diversity.feature_rows(report.reference, mats[1]))
-    return report, {"syn_dims": args.syn_dims}, reference_rows, diversity.ti_syn, mats
+        # a side without weight is named alone, differing feature lists by both
+        named = getattr(exc, "sides", ("dataset", "reference"))
+        where = " and ".join(f"--{side} {getattr(args, side)}" for side in named)
+        raise ValueError(f"{where}: {exc}") from None
+    return report, mats[1].languages, {"syn_dims": args.syn_dims}, mats
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    """Score either level. Its function gives the report, its payload
-    fields, the reference's isos with (lazily) the keys of the rows that
-    count each, and the TI function with what it reads per side."""
+    """Score either level. Its function gives the report, the reference's
+    isos in the order of its side's languages, its payload fields, and
+    what the level's TI function reads of each side."""
     level = _score_morph if args.level == "morph" else _score_syn
-    report, fields, (isos, rows), ti, ti_inputs = level(args)
+    report, isos, fields, ti_inputs = level(args)
     ns = (report.dataset.n, report.reference.n)
     payload = {}
     if args.format == "json":
-        jmm = report.to_dict(analysis.attach_gap(report, isos, rows))
+        ti = getattr(diversity, f"ti_{args.level}")
+        jmm = report.to_dict(analysis.attach_gap(report, isos))
         tis = [ti(x) if n >= 2 else None for x, n in zip(ti_inputs, ns)]
         ti_fields = {"score_name": f"ti_{args.level}", "dataset": tis[0], "reference": tis[1]}
         if args.level == "morph":

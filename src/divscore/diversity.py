@@ -11,10 +11,10 @@ Two families of diversity scores over language features:
   :func:`bin_measurements`; the rows are the bins occupied on either
   side, labelled ``bin<k>`` (a bin empty on both sides would add 0 to
   both sums). For binary syntactic features the rows are the features, or
-  ``<feature>=1`` and ``<feature>=0``. A side's counts form one
-  :class:`~divscore.model.Side`. :func:`feature_rows` gives the rows
-  that count each language of a matrix, which ``analysis.attach_gap``
-  reads for the gap report's examples.
+  ``<feature>=1`` and ``<feature>=0``. A side is one
+  :class:`~divscore.model.Side`: its counts, and its languages' cells with
+  the rule that reads each cell as the key of a row that counts it, which
+  ``analysis.attach_gap`` reads for the gap report's examples.
 
 * Typological index: mean Shannon entropy (base 2) of feature-value
   distributions across the languages of one set. For binary syntactic
@@ -31,9 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress
-from operator import getitem
+from collections.abc import Iterable, Sequence
 
 from .model import DiversityReport, FeatureMatrix, Side, _require
 
@@ -85,64 +83,66 @@ def jmm_score(dataset: Sequence[int], reference: Sequence[int]) -> DiversityRepo
 
     Counts each side over the sorted union of the bins occupied on either
     side, however far apart they lie; a bin occupied on one side only
-    gets count 0 on the other. The report's rows are labelled ``bin<k>``.
+    gets count 0 on the other. The rows are keyed ``bin<k>``, and each
+    language's one cell is its bin's position among them.
     """
     counts_d, counts_r = Counter(dataset), Counter(reference)
     axis = sorted({*counts_d, *counts_r})
-    side_d = Side(len(dataset), axis, [counts_d[k] for k in axis])
-    side_r = Side(len(reference), axis, [counts_r[k] for k in axis])
+    keys = tuple(map("bin{}".format, axis))
+    cell_of = {k: (i,) for i, k in enumerate(axis)}
+    side_d = Side(keys, [counts_d[k] for k in axis], map(cell_of.__getitem__, dataset), [keys])
+    side_r = Side(keys, [counts_r[k] for k in axis], map(cell_of.__getitem__, reference), [keys])
     return DiversityReport("jmm_morph", side_d, side_r)
 
 
 def feature_side(matrix: FeatureMatrix, count_zeros: bool = False) -> Side:
-    """Observed-value counts of a binary feature matrix, in feature order.
+    """The side of a binary feature matrix: each language's cells are its
+    byte row, and its feature's rule reads each cell as a row key.
 
     Default: one row per feature, counting the languages showing value 1
-    (all-zero features keep their row at count 0). With ``count_zeros``
-    every feature contributes two rows, ``<feature>=1`` and
-    ``<feature>=0``, counting both values separately; the counts then
-    total languages x features.
+    (all-zero features keep their row at count 0); a 0 cell counts in no
+    row. With ``count_zeros`` every feature contributes two rows,
+    ``<feature>=1`` and ``<feature>=0``, counting both values separately;
+    the counts then total languages x features.
 
     A matrix containing no 1s at all has nothing to compare in the
     default mode and is rejected.
     """
-    n, keys, counts = matrix.n_languages, matrix.features, matrix.totals
-    if count_zeros:
-        keys = [f"{f}={value}" for f in keys for value in (1, 0)]
-        counts = [t for total in counts for t in (total, n - total)]
-    side = Side(n, keys, counts)
-    _require(any(side.counts), "syntactic weights need positive total weight")
-    return side
-
-
-def feature_rows(side: Side, matrix: FeatureMatrix) -> Iterator[Iterable[str]]:
-    """For each language of ``matrix``, in its order, a lazy iterable of the
-    keys of the rows of ``side``, its :func:`feature_side`, that count it."""
-    if len(side.keys) == len(matrix.features):
-        return (compress(side.keys, row) for row in matrix.values)
-    by_value = list(zip(side.keys[1::2], side.keys[::2]))  # (<f>=0, <f>=1) per feature
-    return (map(getitem, by_value, row) for row in matrix.values)
+    n, values = matrix.n_languages, (1, 0) if count_zeros else (1,)
+    key_of = [(f"{f}=0", f"{f}=1") if count_zeros else (None, f) for f in matrix.features]
+    keys = [rule[v] for rule in key_of for v in values]
+    counts = [t if v else n - t for t in matrix.totals for v in values]
+    _require(any(counts), "syntactic weights need positive total weight")
+    return Side(keys, counts, matrix.values, key_of)
 
 
 def jmm_syn(
-    dataset: FeatureMatrix, reference: FeatureMatrix, side_d: Side, side_r: Side
+    dataset: FeatureMatrix, reference: FeatureMatrix, count_zeros: bool = False
 ) -> DiversityReport:
     """Minmax Jaccard over binary syntactic feature counts.
 
-    ``side_d`` and ``side_r`` are the :func:`feature_side` of ``dataset``
-    and ``reference``, with the same ``count_zeros``. Both matrices must
-    list identical features in identical order. The smaller set's counts
-    are scaled by the language-count ratio before scoring, so a dataset
+    Builds the :func:`feature_side` of ``dataset``, then of ``reference``,
+    with ``count_zeros``; an error there names its matrix in its ``sides``
+    attribute, ``("dataset",)`` or ``("reference",)``. Both matrices must
+    then list identical features in identical order. The smaller set's
+    counts are scaled by the language-count ratio before scoring, so a dataset
     whose every count is exactly half the reference's with half as many
     languages scores 1.0.
     """
+    sides = {}
+    for name, matrix in (("dataset", dataset), ("reference", reference)):
+        try:
+            sides[name] = feature_side(matrix, count_zeros)
+        except ValueError as exc:
+            exc.sides = (name,)
+            raise
     if dataset.features != reference.features:
         for j, (fd, fr) in enumerate(zip(dataset.features, reference.features)):
             if fd != fr:
                 raise ValueError(f"feature lists differ at column {j}: {fd!r} vs {fr!r}")
         lengths = f"{len(dataset.features)} vs {len(reference.features)}"
         raise ValueError(f"feature lists differ in length: {lengths}")
-    return DiversityReport("jmm_syn", side_d, side_r)
+    return DiversityReport("jmm_syn", **sides)
 
 
 def binary_entropy(p: float) -> float:

@@ -7,8 +7,8 @@ computed is derived once, at construction: a feature matrix's column
 totals, and a score report's value, size ratio and per-bin table, from
 its counts. A per-bin row names the columns it prints under once
 (``BinOverlap.COLUMNS``), for the JSON and the CSV. The gap diagnosis is
-no type: ``analysis.attach_gap`` reads it off the per-bin table as the
-rows the JSON prints, with the example languages of each deficit row.
+no type: ``analysis.attach_gap`` reads it off the per-bin table and the
+languages of the reference side as the rows the JSON prints.
 Every type but ``FeatureMatrix`` checks its invariants at construction time
 and raises ``ValueError`` with a message naming the violated invariant;
 a feature matrix's rules are checked once, row by row, by the loader
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Iterable
 from operator import methodcaller
 
 _ISO = "[a-z]{3}"
@@ -192,16 +191,17 @@ class BinOverlap(namedtuple("BinOverlap", "label dataset reference min_weight ma
         return dict(zip(self.COLUMNS, self))
 
 
-class Side(namedtuple("Side", "n keys counts")):
-    """One side of a minmax Jaccard comparison: its ``n`` languages and,
-    for each row key in row order, the int count of languages in the row
-    (bin indices k in order of k, or syn row labels). Every count lies in
-    [0, n], so a score over two sides lies in [0, 1]."""
+class Side(namedtuple("Side", "keys counts cells key_of")):
+    """One side of a minmax Jaccard comparison: its row keys in row order,
+    each row's int count of languages, and each language's cells. A cell
+    counts its language in the row whose key ``key_of[j][value]`` gives
+    for its position j (None for no row). Every count lies in [0, n], so
+    a score over two sides lies in [0, 1]."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, keys: Iterable, counts: Iterable[int]) -> Side:
-        self = super().__new__(cls, n, tuple(keys), tuple(counts))
+    def __new__(cls, keys, counts, cells, key_of) -> Side:
+        self = super().__new__(cls, tuple(keys), tuple(counts), tuple(cells), tuple(key_of))
         _require(self.n >= 1, f"set sizes must be positive, got {self.n}")
         _require(len(self.keys) == len(self.counts), "a side needs one count per row key")
         _require(
@@ -209,6 +209,10 @@ class Side(namedtuple("Side", "n keys counts")):
             f"row counts must lie in [0, {self.n}]",
         )
         return self
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
 
 
 class DiversityReport(
@@ -222,8 +226,8 @@ class DiversityReport(
     which keeps every term an int, so one int division rounds the ratio.
     ``normalization_c`` is that c, the size ratio max(n) / min(n).
     ``per_bin`` holds one :class:`BinOverlap` per row, the smaller side's
-    counts multiplied by c; a morph row is labelled ``bin<k>``, a syn row
-    by its key. So a report cannot hold a score its table does not give.
+    counts multiplied by c, labelled by its key. So a report cannot hold a
+    score its table does not give.
     """
 
     __slots__ = ()
@@ -241,8 +245,7 @@ class DiversityReport(
         c = max(d.n, r.n) / min(d.n, r.n)
         scale_d, scale_r = (c, 1.0) if d.n < r.n else (1.0, c)
         wd, wr = [t * scale_d for t in d.counts], [t * scale_r for t in r.counts]
-        labels = map("bin{}".format, d.keys) if score_name == "jmm_morph" else d.keys
-        per_bin = tuple(map(BinOverlap, labels, wd, wr, map(min, wd, wr), map(max, wd, wr)))
+        per_bin = tuple(map(BinOverlap, d.keys, wd, wr, map(min, wd, wr), map(max, wd, wr)))
         return super().__new__(cls, score_name, d, r, value, c, per_bin)
 
     def __getnewargs__(self) -> tuple:

@@ -39,8 +39,9 @@ a fast-path token is a run of word code points, which a connector joins
 only with word material on both sides, and a cluster-pass token holds a
 word cluster.
 Every Unicode property, the digit test included, comes from `regex`'s
-tables, so the tokens depend on the installed `regex` version's Unicode
-data but not on the Python version.
+tables, and NFC from the Python version's `unicodedata`, which leaves a
+code point it does not know as it is; so the tokens depend on both
+(`regex` 2026.5.9 knows Unicode 16, Python 3.11's `unicodedata` 14.0.0).
 `regex` is imported, and every pattern compiled, on first use, so a
 command that reads no text loads neither.
 

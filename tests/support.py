@@ -7,6 +7,7 @@ import sys
 
 from divscore.cli import main
 from divscore.diversity import bin_measurements, jmm_score
+from divscore.model import Side
 
 
 def run_main(argv, capsys):
@@ -33,6 +34,15 @@ def run_proc(argv):
 def jmm(a, b, width):
     """jmm_score of two measurement lists, each binned at ``width``."""
     return jmm_score(bin_measurements(a, width), bin_measurements(b, width))
+
+
+def side(keys, rows):
+    """A side over the row ``keys`` whose i-th language counts in the rows
+    ``rows[i]`` names: its cells are one 0/1 byte per key, each read as
+    the key or as no row, as a binary matrix's 103-row side reads them."""
+    cells = [bytes(key in row for key in keys) for row in rows]
+    counts = [sum(key in row for row in rows) for key in keys]
+    return Side(keys, counts, cells, [(None, key) for key in keys])
 
 
 def assert_json_close(actual, expected, tol=1e-12, path="$"):

@@ -11,10 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from divscore.analysis import _average_ranks, attach_gap, serialize_report, spearman
-from divscore.diversity import bin_measurements, feature_side, jmm_score, jmm_syn
+from divscore.diversity import bin_measurements, jmm_score, jmm_syn
 from divscore.model import MAX_GAP_EXAMPLES, DiversityReport, FeatureMatrix, Side
 from oracles import morph_payload
-from support import run_main
+from support import run_main, side
 
 #: One side of a morph score: distinct iso codes, each with a mean word
 #: length, drawn from few letters so bins share members.
@@ -105,53 +105,55 @@ class TestSpearman:
 
 
 class TestGapReport:
-    @staticmethod
-    def _report(bins, dataset, reference):
-        """A morph report over ``bins``: ``dataset`` and ``reference`` are
-        (size, counts) of the two sides."""
-        sides = [Side(n, bins, counts) for n, counts in (dataset, reference)]
-        return DiversityReport("jmm_morph", *sides)
-
     def test_partition(self):
-        report = self._report([2, 3, 4], (3, [1, 2, 0]), (2, [0, 1, 1]))
+        # reference qbb in bin4, qaa in bin3
+        report = jmm_score([2, 3, 3], [4, 3])
         assert [(r.dataset, r.reference) for r in report.per_bin] == [
             (1.0, 0.0),
             (2.0, 1.5),
             (0.0, 1.5),
         ]
-        gap = attach_gap(report, ["qbb", "qaa"], [[4], [3]])
+        gap = attach_gap(report, ["qbb", "qaa"])
         assert gap == {
             "surplus": [{"bin": "bin2", "excess": 1.0}, {"bin": "bin3", "excess": 0.5}],
             "deficit": [{"bin": "bin4", "shortfall": 1.5, "examples": ["qbb"]}],
         }
 
     def test_examples_capped_and_sorted(self):
-        report = self._report([0], (9, [1]), (9, [8]))
+        dataset = side(["bin0"], [["bin0"]] + [[]] * 8)
+        reference = side(["bin0"], [["bin0"]] * 8 + [[]])
+        report = DiversityReport("jmm_morph", dataset, reference)
         isos = ["zzz", "aaa", "mmm", "bbb", "ccc", "fff", "ddd", "eee", "qqq"]
-        examples = attach_gap(report, isos, [[0]] * 8 + [[]])["deficit"][0]["examples"]
+        examples = attach_gap(report, isos)["deficit"][0]["examples"]
         assert len(examples) == MAX_GAP_EXAMPLES
         assert examples == ["aaa", "bbb", "ccc", "ddd", "eee"]
 
     def test_equal_bins_appear_nowhere(self):
-        report = self._report([0, 1], (3, [1, 2]), (3, [1, 2]))
-        assert attach_gap(report, ["aaa"], [[0]]) == {"surplus": [], "deficit": []}
+        report = jmm_score([0, 1, 1], [0, 1, 1])
+        assert attach_gap(report, ["aaa", "bbb", "ccc"]) == {"surplus": [], "deficit": []}
 
     def test_scan_stops_once_every_deficit_row_is_full(self):
         """The examples fill the deficit rows alone: once each lists as
         many languages as it counts, up to five, no further language's
-        row keys are read, though the surplus row has languages unlisted."""
+        cells are read, though the surplus row has languages unlisted."""
         # bin0 counts six reference languages and is a deficit, bin1 two
         # and is a surplus; abc is the one bin1 language before the sixth
-        report = self._report([0, 1], (8, [1, 7]), (8, [6, 2]))
         rows = {"aaa": 0, "abc": 1, "bbb": 0, "ccc": 0, "ddd": 0, "eee": 0, "fff": 0, "hhh": 1}
         read = []
 
-        def keys_of(iso):
-            read.append(iso)
-            yield rows[iso]
+        class Cells(tuple):
+            """(bin position, iso): a language's one cell, logging its iso when read."""
+
+            def __iter__(self):
+                read.append(self[1])
+                yield self[0]
 
         isos = sorted(rows, reverse=True)
-        gap = attach_gap(report, isos, map(keys_of, isos))
+        keys = ("bin0", "bin1")
+        cells = [Cells((rows[iso], iso)) for iso in isos]
+        reference = Side(keys, [6, 2], cells, [keys])
+        dataset = side(keys, [["bin0"]] + [["bin1"]] * 7)
+        gap = attach_gap(DiversityReport("jmm_morph", dataset, reference), isos)
         assert gap["deficit"] == [
             {"bin": "bin0", "shortfall": 5.0, "examples": ["aaa", "bbb", "ccc", "ddd", "eee"]}
         ]
@@ -186,7 +188,7 @@ class TestGapReport:
         mwl_d = [v for _, v in ds]
         bins_r = bin_measurements(mwl_r, width)
         report = jmm_score(bin_measurements(mwl_d, width), bins_r)
-        gap = attach_gap(report, iso_r, zip(bins_r))
+        gap = attach_gap(report, iso_r)
         assert gap == morph_payload(mwl_d, mwl_r, iso_r, width)["jmm"]["gap"]
 
     def test_attach_gap_round_trip(self):
@@ -194,7 +196,7 @@ class TestGapReport:
             bin_measurements([2.5, 3.5, 3.7], 1.0), bin_measurements([3.2, 4.1], 1.0)
         )
         before = tuple(report)
-        gap = attach_gap(report, ["qzz", "qaa"], [[4], [3]])
+        gap = attach_gap(report, ["qzz", "qaa"])
         assert tuple(report) == before
         deficit_labels = [b["bin"] for b in gap["deficit"]]
         assert "bin4" in deficit_labels
@@ -212,7 +214,7 @@ class TestOverlapSeries:
         isos = ["qaa", "qab", "qac"]
         a = FeatureMatrix(isos, ["x", "y"], [[1, 1], [0, 1], [0, 1]])
         b = FeatureMatrix(isos, ["x", "y"], [[1, 1], [1, 1], [0, 0]])
-        rows = jmm_syn(a, b, feature_side(a), feature_side(b)).per_bin
+        rows = jmm_syn(a, b).per_bin
         assert [(r.min_weight, r.max_weight) for r in rows] == [(1.0, 2.0), (2.0, 3.0)]
         num = sum(r.min_weight for r in rows)
         den = sum(r.max_weight for r in rows)

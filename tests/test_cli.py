@@ -577,6 +577,18 @@ class TestScoreSyn:
             "feature lists differ at column 1: 'sX' vs 's2'\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--dataset", "--reference"])
+    def test_all_zero_side_named_before_feature_mismatch(self, fixtures, tmp_path, capsys, flag):
+        """A side without weight whose columns are also renamed is named
+        alone, by its flag and path, before the feature lists are compared."""
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("iso,s1,sX,s3,s4,s5,s6\nqza,0,0,0,0,0,0\nqzb,0,0,0,0,0,0\n")
+        args = self._args(fixtures)
+        args[args.index(flag) + 1] = str(zeros)
+        code, out, err = run_main(args, capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} {zeros}: syntactic weights need positive total weight\n"
+
 
 class TestCwals:
     def test_matches_golden_bytes(self, fixtures, capsys):

@@ -19,7 +19,6 @@ from divscore.diversity import (
     bin_index,
     bin_measurements,
     binary_entropy,
-    feature_rows,
     feature_side,
     jmm_syn,
     ti_morph,
@@ -166,7 +165,7 @@ class TestNormalizationScalar:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            Side(0, (), ())
+            Side((), (), (), ())
 
 
 class TestAlignBins:
@@ -192,36 +191,30 @@ def _syn(rows, features=None):
     return FeatureMatrix(isos, features, rows)
 
 
-def _jmm_syn(dataset, reference, count_zeros=False):
-    """jmm_syn with both sides counted here."""
-    sides = [feature_side(m, count_zeros) for m in (dataset, reference)]
-    return jmm_syn(dataset, reference, *sides)
-
-
 class TestJaccardMinmax:
     """sum(min) / sum(max) over jmm_syn's feature rows."""
 
     def test_toy_columns(self):
         # dataset counts [1, 2, 0] over 3 languages; reference [0, 1, 1]
         # over 2, scaled by c = 1.5 to [0, 1.5, 1.5]
-        report = _jmm_syn(_syn([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _syn([[0, 1, 0], [0, 0, 1]]))
+        report = jmm_syn(_syn([[1, 1, 0], [0, 1, 0], [0, 0, 0]]), _syn([[0, 1, 0], [0, 0, 1]]))
         assert [r.reference for r in report.per_bin] == [0.0, 1.5, 1.5]
         assert report.value == 1 / 3
 
     def test_identical_vectors_score_one(self):
         m = _syn([[1, 0, 1], [1, 1, 0]])
-        assert _jmm_syn(m, m).value == 1.0
-        assert _jmm_syn(m, m, count_zeros=True).value == 1.0
+        assert jmm_syn(m, m).value == 1.0
+        assert jmm_syn(m, m, count_zeros=True).value == 1.0
 
     def test_disjoint_support_scores_zero(self):
-        assert _jmm_syn(_syn([[1, 0, 0]]), _syn([[0, 1, 1]])).value == 0.0
+        assert jmm_syn(_syn([[1, 0, 0]]), _syn([[0, 1, 1]])).value == 0.0
 
     def test_rejects_label_mismatch(self):
         # the same features in another order label other rows
         a = _syn([[1, 0, 0]], ["s1", "s2", "s3"])
         b = _syn([[1, 0, 0]], ["s2", "s1", "s3"])
         with pytest.raises(ValueError, match="column 0: 's1' vs 's2'"):
-            _jmm_syn(a, b)
+            jmm_syn(a, b)
 
 
 class TestJmmScore:
@@ -340,22 +333,22 @@ class TestJmmSyn:
         # hand computation: scaled dataset [4.8, 3.2] * 3, reference
         # [5, 5, 5, 5, 5, 4] -> min-sum 24, max-sum 29 (103 dims) and
         # 43/53 with zero dimensions counted
-        assert _jmm_syn(ds, ref).value == pytest.approx(24 / 29, abs=1e-12)
-        assert _jmm_syn(ds, ref, count_zeros=True).value == pytest.approx(43 / 53, abs=1e-12)
-        assert _jmm_syn(ds, ref).normalization_c == 1.6
+        assert jmm_syn(ds, ref).value == pytest.approx(24 / 29, abs=1e-12)
+        assert jmm_syn(ds, ref, count_zeros=True).value == pytest.approx(43 / 53, abs=1e-12)
+        assert jmm_syn(ds, ref).normalization_c == 1.6
 
     def test_half_scaled_dataset_scores_one(self):
         ref = FeatureMatrix(
             ["aaa", "bbb", "ccc", "ddd"], ["s1", "s2"], [[1, 0], [1, 0], [0, 1], [0, 1]]
         )
         ds = FeatureMatrix(["xxx", "yyy"], ["s1", "s2"], [[1, 0], [0, 1]])
-        assert _jmm_syn(ds, ref).value == 1.0
+        assert jmm_syn(ds, ref).value == 1.0
 
     def test_feature_mismatch_names_first_column(self):
         a = FeatureMatrix(["aaa"], ["s1", "sX"], [[1, 0]])
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="column 1: 'sX' vs 's2'"):
-            _jmm_syn(a, b)
+            jmm_syn(a, b)
 
     @pytest.mark.thorough
     @given(pair=syn_pairs(), count_zeros=st.booleans())
@@ -369,16 +362,16 @@ class TestJmmSyn:
         expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
         if expected is None:
             with pytest.raises(ValueError, match="positive total"):
-                _jmm_syn(ds, ref, count_zeros)
+                jmm_syn(ds, ref, count_zeros)
             return
-        report = _jmm_syn(ds, ref, count_zeros)
+        report = jmm_syn(ds, ref, count_zeros)
         assert [r.to_dict() for r in report.per_bin] == expected["per_bin"]
 
     def test_feature_length_mismatch(self):
         a = FeatureMatrix(["aaa"], ["s1"], [[1]])
         b = FeatureMatrix(["bbb"], ["s1", "s2"], [[1, 0]])
         with pytest.raises(ValueError, match="differ in length"):
-            _jmm_syn(a, b)
+            jmm_syn(a, b)
 
 
 class TestExactRatio:
@@ -408,7 +401,7 @@ class TestExactRatio:
         features, rows_d, rows_r = pair
         expected = brute_jmm_syn(features, rows_d, rows_r, count_zeros)
         assume(expected is not None)
-        report = _jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
+        report = jmm_syn(_syn(rows_d, features), _syn(rows_r, features), count_zeros)
         assert report.value == expected["value"]
 
     def test_pinned_values(self):
@@ -449,8 +442,8 @@ class TestFeatureMembers:
         expected = syn_payload(features, rows_d, rows_r, isos_r, 206 if count_zeros else 103)
         assume(expected is not None)
         ref = FeatureMatrix(isos_r, features, rows_r)
-        report = _jmm_syn(_syn(rows_d, features), ref, count_zeros)
-        gap = attach_gap(report, ref.languages, feature_rows(report.reference, ref))
+        report = jmm_syn(_syn(rows_d, features), ref, count_zeros)
+        gap = attach_gap(report, ref.languages)
         assert gap == expected["jmm"]["gap"]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from divscore import model
 from divscore.analysis import attach_gap
 from divscore.cli import PROFILE_COLUMNS
-from divscore.diversity import feature_rows, feature_side
+from divscore.diversity import feature_side, jmm_score, jmm_syn
 from divscore.grammar import load_morph_specs
 from divscore.ingest import CorpusSource, bundled_path, load_feature_matrix, load_registry
 from divscore.model import (
@@ -26,11 +26,13 @@ from divscore.model import (
     TextProfile,
 )
 from oracles import exact_sum, gap_examples, syn_members
+from support import side
 
 _ROW = BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0)
 #: One row counting 1 of 2 languages on one side and 1 of 1 on the
 #: other, which c = 2 scales to the table of `_ROW`.
-_SIDES = (Side(2, ["bin0"], [1]), Side(1, ["bin0"], [1]))
+_SIDES = (side(["bin0"], [["bin0"], []]), side(["bin0"], [["bin0"]]))
+_BINS = ["bin0", "bin1"]
 _SPEC = MorphFeatureSpec("22A", 0, 1)
 #: One instance of each domain type, and one field it has.
 _INSTANCES = {
@@ -42,6 +44,20 @@ _INSTANCES = {
     "DiversityReport": (DiversityReport("jmm_syn", *_SIDES), "per_bin"),
     "CorpusSource": (CorpusSource("aaa", "text"), "text"),
     "FeatureMatrix": (FeatureMatrix(["aaa"], ["f1"], [[1]]), "values"),
+}
+
+#: The reference matrix of `_LEVEL_REPORTS`' syn reports, and the dataset's.
+_SYN = (
+    FeatureMatrix(["ccc", "aaa", "bbb"], ["f1", "f2"], [[1, 0], [1, 1], [0, 1]]),
+    FeatureMatrix(["ddd"], ["f1", "f2"], [[0, 1]]),
+)
+#: A report of each level as its scorer builds it, with the reference isos:
+#: a morph side's cells are each language's bin position, a syn side's the
+#: matrix byte rows, read through one pair per feature.
+_LEVEL_REPORTS = {
+    "morph": (jmm_score([0, 2, 2], [2, 1]), ["qbb", "qaa"]),
+    "syn-103": (jmm_syn(_SYN[1], _SYN[0]), _SYN[0].languages),
+    "syn-206": (jmm_syn(_SYN[1], _SYN[0], count_zeros=True), _SYN[0].languages),
 }
 
 
@@ -82,18 +98,21 @@ _KEYWORD_CHECKS = {
         "score_name",
     ),
     # a count above the side's size, which could put the value above 1
-    "report-value": (lambda: Side(n=1, keys=["bin0"], counts=[2]), "lie in"),
+    "report-value": (
+        lambda: Side(keys=["bin0"], counts=[2], cells=[b"\1"], key_of=[(None, "bin0")]),
+        "lie in",
+    ),
     # a side of no languages, which leaves c = max(n) / min(n) undefined
-    "report-scalar": (lambda: Side(n=0, keys=[], counts=[]), "positive"),
+    "report-scalar": (lambda: Side(keys=[], counts=[], cells=[], key_of=[]), "positive"),
     "report-empty": (
         lambda: DiversityReport(
-            score_name="jmm_syn", dataset=Side(1, ["s1"], [0]), reference=Side(1, ["s1"], [0])
+            score_name="jmm_syn", dataset=side(["s1"], [[]]), reference=side(["s1"], [[]])
         ),
         "sum to zero",
     ),
     "report-rows": (
         lambda: DiversityReport(
-            score_name="jmm_syn", dataset=_SIDES[0], reference=Side(2, ["bin1"], [2])
+            score_name="jmm_syn", dataset=_SIDES[0], reference=side(["bin1"], [["bin1"]] * 2)
         ),
         "rows differ",
     ),
@@ -142,6 +161,23 @@ class TestConstruction:
         obj, _ = _INSTANCES[name]
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj
+
+    @pytest.mark.parametrize("level", sorted(_LEVEL_REPORTS))
+    def test_sides_of_both_levels_copy_and_read_twice(self, level):
+        """The sides a scorer builds are immutable records that survive
+        ``copy``, ``deepcopy`` and ``pickle`` with their reports, and the
+        gap reads the reference languages' keys off the side as often as
+        it is asked: no one-shot iterator sits in the record."""
+        report, isos = _LEVEL_REPORTS[level]
+        gap = attach_gap(report, isos)
+        assert any(entry["examples"] for entry in gap["deficit"])
+        for side_ in (report.dataset, report.reference):
+            assert all(type(field) is tuple for field in side_) and hash(side_)
+        twins = (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report)))
+        for twin in twins:
+            assert type(twin.reference) is Side and twin == report
+            assert attach_gap(twin, isos) == gap
+        assert attach_gap(report, isos) == gap
 
     @pytest.mark.parametrize("case", sorted(_KEYWORD_CHECKS))
     def test_checks_fire_with_keywords(self, case, tmp_path, monkeypatch):
@@ -392,7 +428,7 @@ class TestFeatureMatrix:
     def test_totals_and_members_property(self, rows, binary, count_zeros, covered):
         """``totals`` are the per-column sums of rows of any width and any
         cells in 0-255, a binary matrix's counted as 1s, and ``attach_gap``
-        over ``feature_rows`` lists, for each deficit row, the gap_examples
+        over its ``feature_side`` lists, for each deficit row, the gap_examples
         of the languages whose cell is the value the row counts. The
         dataset counts as many languages as the matrix in the rows whose
         index is in ``covered``, and none in the others, so every other
@@ -410,17 +446,17 @@ class TestFeatureMatrix:
             with pytest.raises(ValueError, match="positive total"):
                 feature_side(m, count_zeros)
             return
-        side = feature_side(m, count_zeros)
+        ref = feature_side(m, count_zeros)
         members = syn_members(features, isos, cells, 206 if count_zeros else 103)
-        counts_d = [t if j in covered else 0 for j, t in enumerate(side.counts)]
-        dataset = Side(side.n, side.keys, counts_d)
+        counts_d = [t if j in covered else 0 for j, t in enumerate(ref.counts)]
+        dataset = Side(ref.keys, counts_d, ref.cells, ref.key_of)
         deficit = [
             {"bin": key, "shortfall": t, "examples": gap_examples(members[key])}
-            for j, (key, t) in enumerate(zip(side.keys, side.counts))
+            for j, (key, t) in enumerate(zip(ref.keys, ref.counts))
             if t and j not in covered
         ]
-        report = DiversityReport("jmm_syn", dataset, side)
-        gap = attach_gap(report, isos, feature_rows(side, m))
+        report = DiversityReport("jmm_syn", dataset, ref)
+        gap = attach_gap(report, isos)
         assert gap == {"surplus": [], "deficit": deficit}
 
     def test_rejects_non_binary_cells_in_binary_kind(self, tmp_path):
@@ -483,22 +519,25 @@ class TestReports:
             BinOverlap("bin0", 1.0, 2.0, 1.0, 2.0),
             BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0),
         )
-        rep = DiversityReport("jmm_morph", Side(4, [0, 1], [1, 3]), Side(4, [0, 1], [2, 1]))
+        dataset = side(_BINS, [["bin0"]] + [["bin1"]] * 3)
+        rep = DiversityReport("jmm_morph", dataset, side(_BINS, [["bin0"]] * 2 + [["bin1"], []]))
         assert rep.per_bin == rows
         assert rep.value == pytest.approx(0.4)
+        other_rows = side(["bin0", "bin2"], [["bin0"], ["bin2"], [], []])
         with pytest.raises(ValueError, match="rows differ"):
-            DiversityReport("jmm_morph", Side(4, [0, 1], [1, 3]), Side(4, [0, 2], [2, 1]))
+            DiversityReport("jmm_morph", dataset, other_rows)
 
     def test_value_is_the_exact_int_ratio(self):
         """The value is the counts' exact ratio rounded once, not a ratio
         of rounded float weights: 2 of 3 against 3 of 5 languages scales
         to 10/3 against 3, whose float weights give 0.8999999999999999."""
-        rep = DiversityReport("jmm_morph", Side(3, [0], [2]), Side(5, [0], [3]))
+        dataset = side(["bin0"], [["bin0"]] * 2 + [[]])
+        rep = DiversityReport("jmm_morph", dataset, side(["bin0"], [["bin0"]] * 3 + [[]] * 2))
         assert rep.normalization_c == 5 / 3
         assert rep.value == 9 / 10 == 0.9
         assert rep.per_bin[0].min_weight / rep.per_bin[0].max_weight == 0.8999999999999999
 
-    _SIDES = (Side(2, ["bin0"], [1]), Side(2, ["bin0"], [2]))
+    _SIDES = (side(["bin0"], [["bin0"], []]), side(["bin0"], [["bin0"]] * 2))
 
     def test_rejects_unknown_score_name(self):
         for name in ("gini", "ti_morph", "ti_syn", "c_wals"):
@@ -508,23 +547,31 @@ class TestReports:
     def test_rejects_out_of_range_value(self):
         """A count above its side's size, which could score above 1."""
         with pytest.raises(ValueError, match="lie in"):
-            DiversityReport("jmm_syn", Side(1, ["s1"], [2]), Side(1, ["s1"], [1]))
+            over = Side(["s1"], [2], [b"\1"], [(None, "s1")])
+            DiversityReport("jmm_syn", over, side(["s1"], [["s1"]]))
 
     def test_rejects_sub_one_scalar(self):
         """A side of no languages, for which c = max(n) / min(n) is not >= 1."""
         with pytest.raises(ValueError, match="positive"):
-            DiversityReport("jmm_syn", Side(0, ["s1"], [0]), Side(1, ["s1"], [1]))
+            empty = Side(["s1"], [0], [], [(None, "s1")])
+            DiversityReport("jmm_syn", empty, side(["s1"], [["s1"]]))
+
+    #: Two sides over bin0 and bin1: aaa and bbb of the reference in bin0, ccc in bin1.
+    _GAP_SIDES = (
+        side(_BINS, [["bin0", "bin1"], ["bin1"]]),
+        side(_BINS, [["bin0"], ["bin1"], ["bin0"]]),
+    )
 
     def test_attach_gap_keeps_the_score_and_checks_again(self):
         """The gap is read off the report's rows as the JSON prints them;
         the report is left as it was, and building it again from its sides,
         which runs the checks again, gives the same report."""
         rows = (BinOverlap("bin0", 1.5, 2.0, 1.5, 2.0), BinOverlap("bin1", 3.0, 1.0, 1.0, 3.0))
-        rep = DiversityReport("jmm_morph", Side(2, [0, 1], [1, 2]), Side(3, [0, 1], [2, 1]))
+        rep = DiversityReport("jmm_morph", *self._GAP_SIDES)
         before = tuple(rep)
         assert rep.per_bin == rows
         assert rep.normalization_c == 1.5
-        gap = attach_gap(rep, ["aaa", "ccc", "bbb"], [[0], [1], [0]])
+        gap = attach_gap(rep, ["aaa", "ccc", "bbb"])
         assert tuple(rep) == before
         assert DiversityReport(*rep[:3]) == rep
         assert gap == {
@@ -537,7 +584,7 @@ class TestReports:
     def test_derived_fields_are_built_once(self):
         """``value``, ``normalization_c`` and ``per_bin`` are fields, set
         when the report is built: every read returns the same objects."""
-        rep = DiversityReport("jmm_morph", Side(2, [0, 1], [1, 2]), Side(3, [0, 1], [2, 1]))
+        rep = DiversityReport("jmm_morph", *self._GAP_SIDES)
         assert rep._fields == (
             "score_name", "dataset", "reference", "value", "normalization_c", "per_bin"
         )
@@ -551,10 +598,10 @@ class TestReports:
         ``json.dumps`` it would be written as a list. The dict holds lists,
         not tuples, so it survives the round trip unchanged."""
         rep = DiversityReport(
-            score_name="jmm_morph", dataset=Side(2, [0], [1]), reference=Side(1, [0], [1])
+            score_name="jmm_morph", dataset=_SIDES[0], reference=_SIDES[1]
         )
         assert rep.to_dict()["gap"] is None
-        gap = attach_gap(rep, ["aaa"], [[0]])
+        gap = attach_gap(rep, ["aaa"])
         d = rep.to_dict(gap)
         assert d == {
             "score_name": "jmm_morph",
